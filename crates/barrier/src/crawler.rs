@@ -5,7 +5,7 @@ use std::sync::Mutex;
 
 use hdc_core::numeric::extent::{extent, split2, split3};
 use hdc_core::{
-    run_crawl_configured, Abort, CrawlError, CrawlObserver, CrawlReport, Crawler, Session,
+    run_crawl, Abort, Connector, CrawlControls, CrawlError, CrawlReport, Crawler, Session,
     SessionConfig, ShardCrawler, ShardSpec, Sharded, MAX_BATCH,
 };
 use hdc_types::{AttrKind, HiddenDatabase, Predicate, Query, QueryOutcome, Schema, Tuple};
@@ -96,41 +96,24 @@ impl BarrierCrawler {
         }
     }
 
-    /// Crawls the whole database, returning the full barrier report
-    /// (per-tuple discovery depths alongside the crawl accounting).
-    pub fn crawl_report(&self, db: &mut dyn HiddenDatabase) -> Result<BarrierReport, CrawlError> {
-        self.crawl_report_observed(db, None)
-    }
-
-    /// [`BarrierCrawler::crawl_report`] with a [`CrawlObserver`] threaded
-    /// through the session: queries, tuples, and progress points stream
-    /// as they happen, and the observer can stop the crawl early
-    /// ([`CrawlError::Stopped`] then carries the partial report — the
-    /// discovery depths mined up to the stop are lost with it, as they
-    /// ride the [`BarrierReport`] of successful crawls only).
-    pub fn crawl_report_observed(
+    /// Crawls the whole database under `config`, returning the full
+    /// barrier report (per-tuple discovery depths alongside the crawl
+    /// accounting). A [`hdc_core::RetryPolicy`] in the config reissues
+    /// transient query failures instead of aborting, a
+    /// [`hdc_core::CancelToken`] stops the crawl from any thread, and an
+    /// observer sees queries, tuples, and progress points as they happen
+    /// and can stop the crawl early ([`CrawlError::Stopped`] then carries
+    /// the partial report — the discovery depths mined up to the stop are
+    /// lost with it, as they ride the [`BarrierReport`] of successful
+    /// crawls only).
+    pub fn crawl_report(
         &self,
         db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<BarrierReport, CrawlError> {
-        self.crawl_report_configured(db, observer, SessionConfig::default())
-    }
-
-    /// [`BarrierCrawler::crawl_report_observed`] with a full
-    /// [`SessionConfig`]: a [`hdc_core::RetryPolicy`] reissues transient
-    /// query failures instead of aborting, and a
-    /// [`hdc_core::CancelToken`] stops the crawl from any thread —
-    /// the fault-tolerance knobs the one-stop builder threads through
-    /// [`ShardCrawler::crawl_spec_configured`].
-    pub fn crawl_report_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
         config: SessionConfig<'_>,
     ) -> Result<BarrierReport, CrawlError> {
         let schema = db.schema().clone();
         let mut tracker = DepthTracker::default();
-        let report = run_crawl_configured("barrier", db, None, observer, config, |session| {
+        let report = run_crawl("barrier", db, None, config, |session| {
             self.run_barrier(session, &schema, schema.full_query(), &mut tracker)
         })?;
         Ok(BarrierReport::assemble(report, tracker.log))
@@ -143,22 +126,10 @@ impl BarrierCrawler {
     ///
     /// The query sequence depends only on the spec and the database —
     /// the same contract [`ShardSpec::crawl`] honors — so shards can run
-    /// on any session, in any order, on any machine.
-    pub fn crawl_shard(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        schema: &Schema,
-        spec: &ShardSpec,
-    ) -> Result<BarrierReport, CrawlError> {
-        self.crawl_shard_configured(db, schema, spec, SessionConfig::default())
-    }
-
-    /// [`BarrierCrawler::crawl_shard`] with a [`SessionConfig`]: this is
-    /// what lets the sharded runtime's retry policy and cancellation
-    /// token reach *inside* each barrier shard session (retries never
-    /// change the query sequence the determinism contract pins down —
-    /// only failed attempts are reissued, and they are never charged).
-    pub fn crawl_shard_configured(
+    /// on any session, in any order, on any machine; retries never change
+    /// it (only failed attempts are reissued, and they are never
+    /// charged).
+    fn shard_report(
         &self,
         db: &mut dyn HiddenDatabase,
         schema: &Schema,
@@ -166,7 +137,7 @@ impl BarrierCrawler {
         config: SessionConfig<'_>,
     ) -> Result<BarrierReport, CrawlError> {
         let mut tracker = DepthTracker::default();
-        let report = run_crawl_configured("sharded-barrier", db, None, None, config, |session| {
+        let report = run_crawl("sharded-barrier", db, None, config, |session| {
             for root in spec.queries(schema) {
                 self.run_barrier(session, schema, root, &mut tracker)?;
             }
@@ -175,61 +146,44 @@ impl BarrierCrawler {
         Ok(BarrierReport::assemble(report, tracker.log))
     }
 
-    /// Parallelizes a barrier crawl across client identities on the
-    /// work-stealing pool: the same plans, retirement, salvage, and
-    /// merge semantics as [`Sharded::crawl`], with this crawler running
-    /// each shard (via [`Sharded::crawl_observed`]).
+    /// Parallelizes a barrier crawl across client identities: `sharded`'s
+    /// plan on the work-stealing pool ([`Sharded::crawl`], with the
+    /// same retirement, salvage, checkpoint, and merge semantics as the
+    /// hybrid crawler), this crawler running each shard.
     ///
     /// The merge is **depth-aware**: each shard's per-tuple depth
     /// histogram (relative to its own covering roots) survives the merge
     /// as an element-wise sum in
     /// [`ShardedBarrierReport::depth_histogram`], so the "how deep does
-    /// the barrier bury the data" statistic can be benched at scale —
-    /// previously only the `CrawlMetrics` aggregates outlived the merge.
-    /// Individual [`Discovery`] logs stay per shard (use
-    /// [`BarrierCrawler::crawl_shard`] directly to keep them).
-    pub fn crawl_sharded<D, F>(
+    /// the barrier bury the data" statistic can be benched at scale.
+    /// Individual [`Discovery`] logs stay per shard, and shards replayed
+    /// from a checkpoint contribute no depths (checkpoints bank tuples,
+    /// not discovery logs).
+    ///
+    /// [`Discovery`]: crate::Discovery
+    pub fn crawl_sharded<C: Connector>(
         &self,
-        sharded: Sharded,
-        factory: F,
-    ) -> Result<ShardedBarrierReport, CrawlError>
-    where
-        D: HiddenDatabase + Send,
-        F: Fn(usize) -> D + Sync,
-    {
-        self.crawl_sharded_observed(sharded, factory, None)
-    }
-
-    /// [`BarrierCrawler::crawl_sharded`] with a [`CrawlObserver`]
-    /// attached to the merge path (one
-    /// [`hdc_core::ShardEvent`] per merged shard, in plan order; see
-    /// [`Sharded::crawl_observed`] for the stop semantics).
-    pub fn crawl_sharded_observed<D, F>(
-        &self,
-        sharded: Sharded,
-        factory: F,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<ShardedBarrierReport, CrawlError>
-    where
-        D: HiddenDatabase + Send,
-        F: Fn(usize) -> D + Sync,
-    {
+        sharded: &Sharded,
+        connector: C,
+        controls: CrawlControls<'_>,
+    ) -> Result<ShardedBarrierReport, CrawlError> {
+        let schema = connector.connect(0).schema().clone();
         // Depth histograms ride a side channel out of the worker threads:
-        // `crawl_with`'s contract only moves `CrawlReport`s, and summing
-        // histograms is commutative, so collection order doesn't matter.
+        // the driver only moves `CrawlReport`s, and summing histograms is
+        // commutative, so collection order doesn't matter.
         let histograms: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());
-        let report = sharded.crawl_observed(
-            factory,
-            |spec, db| {
-                let schema = db.schema().clone();
-                let out = self.crawl_shard(db, &schema, spec)?;
+        let report = sharded.crawl(
+            &schema,
+            connector,
+            |spec, db, config| {
+                let out = self.shard_report(db, &schema, spec, config)?;
                 histograms
                     .lock()
                     .expect("histogram channel poisoned")
                     .push(out.depth_histogram());
                 Ok(out.report)
             },
-            observer,
+            controls,
         )?;
         let merged = merge_histograms(
             histograms
@@ -400,22 +354,12 @@ impl Crawler for BarrierCrawler {
         true // numeric, categorical, and mixed spaces alike
     }
 
-    fn crawl_observed(
+    fn crawl_with(
         &self,
         db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_report_observed(db, observer).map(|r| r.report)
-    }
-
-    fn crawl_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
         config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_report_configured(db, observer, config)
-            .map(|r| r.report)
+        self.crawl_report(db, config).map(|r| r.report)
     }
 }
 
@@ -430,18 +374,9 @@ impl ShardCrawler for BarrierCrawler {
         db: &mut dyn HiddenDatabase,
         schema: &Schema,
         spec: &ShardSpec,
-    ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_shard(db, schema, spec).map(|r| r.report)
-    }
-
-    fn crawl_spec_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        schema: &Schema,
-        spec: &ShardSpec,
         config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_shard_configured(db, schema, spec, config)
+        self.shard_report(db, schema, spec, config)
             .map(|r| r.report)
     }
 }
@@ -467,7 +402,9 @@ mod tests {
         let rows: Vec<Tuple> = (0..200).map(|v| int_tuple(&[v])).collect();
         let mut db = server_1d(rows.clone(), 16, 5);
         let visible: TupleBag = db.rows()[..16].iter().collect();
-        let out = BarrierCrawler::new().crawl_report(&mut db).unwrap();
+        let out = BarrierCrawler::new()
+            .crawl_report(&mut db, SessionConfig::default())
+            .unwrap();
         verify_complete(&rows, &out.report).unwrap();
         assert_eq!(out.frontier(), 16);
         let frontier: TupleBag = out
@@ -491,7 +428,9 @@ mod tests {
     fn resolved_root_means_no_barrier() {
         let rows: Vec<Tuple> = (0..10).map(|v| int_tuple(&[v])).collect();
         let mut db = server_1d(rows.clone(), 64, 1);
-        let out = BarrierCrawler::new().crawl_report(&mut db).unwrap();
+        let out = BarrierCrawler::new()
+            .crawl_report(&mut db, SessionConfig::default())
+            .unwrap();
         verify_complete(&rows, &out.report).unwrap();
         assert_eq!(out.report.queries, 1);
         assert_eq!(out.max_depth, 0);
@@ -502,7 +441,9 @@ mod tests {
     #[test]
     fn empty_database() {
         let mut db = server_1d(vec![], 4, 0);
-        let out = BarrierCrawler::new().crawl_report(&mut db).unwrap();
+        let out = BarrierCrawler::new()
+            .crawl_report(&mut db, SessionConfig::default())
+            .unwrap();
         assert_eq!(out.report.queries, 1);
         assert!(out.discoveries.is_empty());
     }
@@ -513,7 +454,9 @@ mod tests {
         // depth-0 discoveries all precede the first expansion's yield.
         let rows: Vec<Tuple> = (0..500).map(|v| int_tuple(&[v * 7 % 1009])).collect();
         let mut db = server_1d(rows.clone(), 32, 3);
-        let out = BarrierCrawler::new().crawl_report(&mut db).unwrap();
+        let out = BarrierCrawler::new()
+            .crawl_report(&mut db, SessionConfig::default())
+            .unwrap();
         verify_complete(&rows, &out.report).unwrap();
         assert!(out.discoveries[..32].iter().all(|d| d.depth == 0));
         assert!(u64::from(out.max_depth) <= out.report.metrics.barrier_pivots);
@@ -537,7 +480,9 @@ mod tests {
             .collect();
         let mut db =
             HiddenDbServer::new(schema, rows.clone(), ServerConfig { k: 8, seed: 2 }).unwrap();
-        let out = BarrierCrawler::new().crawl_report(&mut db).unwrap();
+        let out = BarrierCrawler::new()
+            .crawl_report(&mut db, SessionConfig::default())
+            .unwrap();
         verify_complete(&rows, &out.report).unwrap();
         assert!(out.max_depth >= 1);
     }
@@ -560,7 +505,9 @@ mod tests {
             .collect();
         let mut db =
             HiddenDbServer::new(schema, rows.clone(), ServerConfig { k: 24, seed: 7 }).unwrap();
-        let out = BarrierCrawler::new().crawl_report(&mut db).unwrap();
+        let out = BarrierCrawler::new()
+            .crawl_report(&mut db, SessionConfig::default())
+            .unwrap();
         verify_complete(&rows, &out.report).unwrap();
         assert_eq!(
             out.report.metrics.barrier_deep_tuples as usize,
@@ -572,7 +519,9 @@ mod tests {
     fn detects_unsolvable_duplicates() {
         let rows: Vec<Tuple> = std::iter::repeat_n(int_tuple(&[9]), 20).collect();
         let mut db = server_1d(rows, 8, 2);
-        let err = BarrierCrawler::new().crawl_report(&mut db).unwrap_err();
+        let err = BarrierCrawler::new()
+            .crawl_report(&mut db, SessionConfig::default())
+            .unwrap_err();
         assert!(matches!(err, CrawlError::Unsolvable { .. }));
     }
 
@@ -584,7 +533,7 @@ mod tests {
         for (p, h) in [(0.25, 0.25), (0.75, 0.1), (0.5, 0.6), (0.9, 0.9)] {
             let mut db = server_1d(rows.clone(), 16, 8);
             let out = BarrierCrawler::with_params(p, h)
-                .crawl_report(&mut db)
+                .crawl_report(&mut db, SessionConfig::default())
                 .unwrap();
             verify_complete(&rows, &out.report)
                 .unwrap_or_else(|e| panic!("params ({p},{h}): {e:?}"));
@@ -615,14 +564,18 @@ mod tests {
             .collect();
         for (sessions, factor) in [(1usize, 1usize), (2, 3), (4, 2)] {
             let report = BarrierCrawler::new()
-                .crawl_sharded(Sharded::new(sessions).oversubscribed(factor), |_s| {
-                    HiddenDbServer::new(
-                        schema.clone(),
-                        rows.clone(),
-                        ServerConfig { k: 16, seed: 21 },
-                    )
-                    .unwrap()
-                })
+                .crawl_sharded(
+                    &Sharded::new(sessions).oversubscribed(factor),
+                    |_s| {
+                        HiddenDbServer::new(
+                            schema.clone(),
+                            rows.clone(),
+                            ServerConfig { k: 16, seed: 21 },
+                        )
+                        .unwrap()
+                    },
+                    CrawlControls::default(),
+                )
                 .unwrap_or_else(|e| panic!("sessions={sessions} factor={factor}: {e}"));
             verify_complete(&rows, &report.sharded.merged)
                 .unwrap_or_else(|e| panic!("sessions={sessions} factor={factor}: {e}"));
@@ -652,14 +605,20 @@ mod tests {
         };
         let crawler = BarrierCrawler::new();
         let stolen = crawler
-            .crawl_sharded(Sharded::new(3).oversubscribed(2), |_s| make())
+            .crawl_sharded(
+                &Sharded::new(3).oversubscribed(2),
+                |_s| make(),
+                CrawlControls::default(),
+            )
             .unwrap();
         let plan = Sharded::plan_oversubscribed(&schema, 3, 2);
         assert_eq!(stolen.sharded.shards.len(), plan.len());
         let mut seq_total = 0u64;
         for (i, spec) in plan.iter().enumerate() {
             let mut db = make();
-            let solo = crawler.crawl_shard(&mut db, &schema, spec).unwrap();
+            let solo = crawler
+                .shard_report(&mut db, &schema, spec, SessionConfig::default())
+                .unwrap();
             assert_eq!(
                 solo.report.queries, stolen.sharded.shards[i].report.queries,
                 "shard {i} cost depends on scheduling"

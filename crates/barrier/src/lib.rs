@@ -56,12 +56,14 @@
 //! * [`BarrierCrawler`] implements [`hdc_core::Crawler`], so it slots
 //!   into every existing harness (CLI sweeps, budget decorators,
 //!   recorders).
-//! * [`BarrierCrawler::crawl_shard`] runs the crawler inside one
-//!   [`hdc_core::ShardSpec`] subspace, and
+//! * [`BarrierCrawler`] implements [`hdc_core::ShardCrawler`], so it runs
+//!   inside one [`hdc_core::ShardSpec`] subspace and rides the crawl
+//!   builder's `Strategy::Custom` path, solo or sharded; and
 //!   [`BarrierCrawler::crawl_sharded`] parallelizes a whole crawl across
 //!   client identities on the work-stealing pool via
-//!   [`hdc_core::Sharded::crawl_with`] — same plans, same retirement and
-//!   salvage semantics, same determinism contract as the hybrid crawler.
+//!   [`hdc_core::Sharded::crawl`] — same plans, same retirement and
+//!   salvage semantics, same determinism contract as the hybrid crawler —
+//!   keeping the merged discovery-depth histogram.
 //! * Query accounting reuses [`hdc_core::CrawlMetrics`]: discriminating
 //!   expansions are tallied in `barrier_pivots`, below-frontier
 //!   discoveries in `barrier_deep_tuples`, so sharded merges aggregate
@@ -69,6 +71,7 @@
 //!
 //! ```
 //! use hdc_barrier::BarrierCrawler;
+//! use hdc_core::SessionConfig;
 //! use hdc_server::{HiddenDbServer, ServerConfig};
 //! use hdc_types::tuple::int_tuple;
 //! use hdc_types::Schema;
@@ -78,7 +81,9 @@
 //! let mut db =
 //!     HiddenDbServer::new(schema, rows.clone(), ServerConfig { k: 20, seed: 9 }).unwrap();
 //!
-//! let out = BarrierCrawler::new().crawl_report(&mut db).unwrap();
+//! let out = BarrierCrawler::new()
+//!     .crawl_report(&mut db, SessionConfig::default())
+//!     .unwrap();
 //! assert_eq!(out.report.tuples.len(), rows.len());   // the whole bag recovered
 //! assert_eq!(out.frontier(), 20);                    // k tuples were visible at the root
 //! assert_eq!(out.beyond_frontier(), 280);            // the rest hid behind the barrier

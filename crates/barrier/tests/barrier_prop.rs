@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 
 use hdc_barrier::BarrierCrawler;
-use hdc_core::{verify_complete, CrawlError, Sharded};
+use hdc_core::{verify_complete, CrawlControls, CrawlError, SessionConfig, ShardCrawler, Sharded};
 use hdc_server::{HiddenDbServer, ServerConfig};
 use hdc_types::{
     AttrKind, DbError, HiddenDatabase, Query, QueryOutcome, Schema, Tuple, TupleBag, Value,
@@ -172,7 +172,7 @@ proptest! {
     fn barrier_bag_matches_brute_force_oracle(inst in instance_strategy()) {
         prop_assume!(inst.solvable());
         let mut db = inst.server(17);
-        let out = match BarrierCrawler::new().crawl_report(&mut db) {
+        let out = match BarrierCrawler::new().crawl_report(&mut db, SessionConfig::default()) {
             Ok(out) => out,
             Err(e) => {
                 prop_assert!(false, "barrier crawl failed on solvable instance: {e}");
@@ -204,10 +204,10 @@ proptest! {
         let crawler = BarrierCrawler::new();
 
         let mut batched = Trace::new(inst.server(23));
-        let out_b = crawler.crawl_report(&mut batched).unwrap();
+        let out_b = crawler.crawl_report(&mut batched, SessionConfig::default()).unwrap();
 
         let mut looped = Trace::new(PerQueryLoop(inst.server(23)));
-        let out_l = crawler.crawl_report(&mut looped).unwrap();
+        let out_l = crawler.crawl_report(&mut looped, SessionConfig::default()).unwrap();
 
         prop_assert_eq!(&batched.seq, &looped.seq, "query sequences diverged");
         prop_assert_eq!(out_b.report.queries, out_l.report.queries);
@@ -224,7 +224,7 @@ proptest! {
     fn unsolvable_instances_are_detected(inst in instance_strategy()) {
         prop_assume!(!inst.solvable());
         let mut db = inst.server(31);
-        match BarrierCrawler::new().crawl_report(&mut db) {
+        match BarrierCrawler::new().crawl_report(&mut db, SessionConfig::default()) {
             Err(CrawlError::Unsolvable { witness, .. }) => {
                 prop_assert!(witness.constrained_count() > 0);
             }
@@ -246,8 +246,9 @@ proptest! {
         let crawler = BarrierCrawler::new();
         let stolen = crawler
             .crawl_sharded(
-                Sharded::new(sessions).oversubscribed(factor),
+                &Sharded::new(sessions).oversubscribed(factor),
                 |_s| inst.server(11),
+                CrawlControls::default(),
             );
         let stolen = match stolen {
             Ok(report) => report,
@@ -264,15 +265,17 @@ proptest! {
         let mut seq_bag = TupleBag::new();
         for (i, spec) in plan.iter().enumerate() {
             let mut db = inst.server(11);
-            let solo = crawler.crawl_shard(&mut db, &inst.schema, spec).unwrap();
+            let solo = crawler
+                .crawl_spec(&mut db, &inst.schema, spec, SessionConfig::default())
+                .unwrap();
             prop_assert_eq!(
-                solo.report.queries,
+                solo.queries,
                 stolen.sharded.shards[i].report.queries,
                 "shard {} cost changed under stealing",
                 i
             );
-            seq_total += solo.report.queries;
-            for t in solo.report.tuples {
+            seq_total += solo.queries;
+            for t in solo.tuples {
                 seq_bag.insert(t);
             }
         }
@@ -297,7 +300,7 @@ mod builder_front_end {
         fn builder_custom_solo_matches_crawl_report(inst in instance_strategy()) {
             prop_assume!(inst.solvable());
             let crawler = BarrierCrawler::new();
-            let legacy = crawler.crawl_report(&mut inst.server(17)).unwrap();
+            let legacy = crawler.crawl_report(&mut inst.server(17), SessionConfig::default()).unwrap();
             let built = Crawl::builder()
                 .strategy(Strategy::Custom(&crawler))
                 .run(&mut inst.server(17))
@@ -320,8 +323,9 @@ mod builder_front_end {
             let crawler = BarrierCrawler::new();
             let legacy = crawler
                 .crawl_sharded(
-                    Sharded::new(sessions).oversubscribed(factor),
+                    &Sharded::new(sessions).oversubscribed(factor),
                     |_s| inst.server(19),
+                    CrawlControls::default(),
                 )
                 .unwrap();
             let built = Crawl::builder()

@@ -9,7 +9,7 @@
 //! bag.
 
 use hdc_bench::{ShapeChecks, Table};
-use hdc_core::{verify_complete, Sharded};
+use hdc_core::{verify_complete, Crawl};
 use hdc_data::{adult, yahoo};
 use hdc_server::{HiddenDbServer, ServerConfig};
 
@@ -37,13 +37,16 @@ fn main() {
                 "overhead",
             ],
         );
-        let single = Sharded::new(1).crawl(factory).expect("crawl succeeds");
+        let single = Crawl::builder()
+            .run_sharded(factory)
+            .expect("crawl succeeds");
         verify_complete(&ds.tuples, &single.merged).expect("complete");
         let base = single.merged.queries;
         let mut busiest = Vec::new();
         for sessions in [1usize, 2, 4, 8, 16] {
-            let report = Sharded::new(sessions)
-                .crawl(factory)
+            let report = Crawl::builder()
+                .sessions(sessions)
+                .run_sharded(factory)
                 .expect("crawl succeeds");
             verify_complete(&ds.tuples, &report.merged).expect("complete");
             let max = report.max_session_queries();

@@ -41,7 +41,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use hdc_barrier::BarrierCrawler;
-use hdc_core::{verify_complete, Crawl, ProgressRecorder, Sharded, Strategy};
+use hdc_core::{
+    verify_complete, Crawl, CrawlControls, ProgressRecorder, SessionConfig, Sharded, Strategy,
+};
 use hdc_data::synth::SyntheticSpec;
 use hdc_data::{adult, ops, yahoo, Dataset};
 use hdc_server::{HiddenDbServer, LegacyEvaluator, ServerConfig};
@@ -224,14 +226,14 @@ fn main() {
         // One reference crawl for the cross-check and the barrier stats.
         let mut engine_db = serve(&w.ds, w.k);
         let reference = crawler
-            .crawl_report(&mut engine_db)
+            .crawl_report(&mut engine_db, SessionConfig::default())
             .unwrap_or_else(|e| panic!("{}: barrier crawl failed: {e}", w.name));
         verify_complete(&w.ds.tuples, &reference.report)
             .unwrap_or_else(|e| panic!("{}: incomplete barrier crawl: {e}", w.name));
 
         let mut legacy_db = LegacyDb::of(&engine_db);
         let legacy_ref = crawler
-            .crawl_report(&mut legacy_db)
+            .crawl_report(&mut legacy_db, SessionConfig::default())
             .unwrap_or_else(|e| panic!("{}: legacy barrier crawl failed: {e}", w.name));
         assert_eq!(
             reference.report.queries, legacy_ref.report.queries,
@@ -274,12 +276,16 @@ fn main() {
         for _ in 0..samples {
             let mut db = serve(&w.ds, w.k);
             let begun = Instant::now();
-            crawler.crawl_report(&mut db).expect("reference crawl succeeded");
+            crawler
+                .crawl_report(&mut db, SessionConfig::default())
+                .expect("reference crawl succeeded");
             engine_times.push(begun.elapsed().as_secs_f64());
 
             let mut db = LegacyDb::of(&engine_db);
             let begun = Instant::now();
-            crawler.crawl_report(&mut db).expect("reference crawl succeeded");
+            crawler
+                .crawl_report(&mut db, SessionConfig::default())
+                .expect("reference crawl succeeded");
             legacy_times.push(begun.elapsed().as_secs_f64());
         }
         let row = EvalRow {
@@ -324,7 +330,7 @@ fn main() {
                 let begun = Instant::now();
                 let report = crawler
                     .crawl_sharded(
-                        Sharded::new(sessions).oversubscribed(OVERSUB),
+                        &Sharded::new(sessions).oversubscribed(OVERSUB),
                         |_s| Throttled {
                             inner: servers
                                 .lock()
@@ -333,6 +339,7 @@ fn main() {
                                 .expect("one server per identity plus the probe"),
                             per_query,
                         },
+                        CrawlControls::default(),
                     )
                     .unwrap_or_else(|e| panic!("{}: sharded barrier failed: {e}", w.name));
                 let wall = begun.elapsed().as_secs_f64();

@@ -45,7 +45,7 @@ use hdc_coord::{
     drive_worker, Coordinator, CoordinatorConfig, MemoryLeaseRepository, WireLeaseRepository,
     WorkerConfig, WorkerReport,
 };
-use hdc_core::{ResumableShard, SessionConfig, ShardSpec, Sharded};
+use hdc_core::{CrawlReport, ResumableShard, SessionConfig, ShardSpec, Sharded};
 use hdc_net::{RouteExt, ServeOptions, WireServer};
 use hdc_server::{ServerConfig, SharedServer};
 use hdc_types::TupleBag;
@@ -276,12 +276,13 @@ fn main() {
     let banked = {
         let mut db = shared.client();
         let mut at_cursor = 0;
-        spec.crawl_resumable_configured(&mut db, &ds.schema, SessionConfig::default(), |done, interim| {
+        let mut bank = |done: u64, interim: &CrawlReport| {
             if done as usize == cursor {
                 at_cursor = interim.queries;
             }
-        })
-        .expect("solvable");
+        };
+        spec.crawl_with(&mut db, &ds.schema, SessionConfig::default(), Some(&mut bank))
+            .expect("solvable");
         at_cursor
     };
     let suffix = {

@@ -43,7 +43,7 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use hdc_core::{verify_complete, Sharded, ShardedReport};
+use hdc_core::{verify_complete, Crawl, ShardedReport};
 use hdc_data::synth::SyntheticSpec;
 use hdc_data::{adult, ops, yahoo, Dataset};
 use hdc_server::{HiddenDbServer, ServerConfig};
@@ -150,9 +150,10 @@ fn run_once(
             .collect(),
     );
     let begun = Instant::now();
-    let report = Sharded::new(sessions)
-        .oversubscribed(factor)
-        .crawl(|_s| Throttled {
+    let report = Crawl::builder()
+        .sessions(sessions)
+        .oversubscribe(factor)
+        .run_sharded(|_s| Throttled {
             inner: servers
                 .lock()
                 .expect("server stack poisoned")

@@ -313,45 +313,12 @@ impl Pool {
         let per_worker: Vec<WorkerStats> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.workers)
                 .map(|w| {
-                    let shared = &shared;
-                    let results = &results;
-                    let start_line = &start_line;
-                    let init = &init;
-                    let run_task = &run_task;
+                    let (shared, results, start_line) = (&shared, &results, &start_line);
+                    let (init, run_task) = (&init, &run_task);
                     scope.spawn(move || {
                         let mut state = init(w);
-                        let mut stats = WorkerStats::default();
                         start_line.wait();
-                        while !cancel.is_some_and(|c| c.load(Ordering::Acquire)) {
-                            let Some((index, task, source)) = shared.next_task(w) else {
-                                break;
-                            };
-                            let ctx = TaskCtx { worker: w, index, source };
-                            let t0 = Instant::now();
-                            let (result, verdict) = run_task(&mut state, &ctx, task);
-                            stats.busy += t0.elapsed();
-                            stats.executed += 1;
-                            match source {
-                                Source::Seeded => stats.seeded += 1,
-                                Source::Injected => stats.injected += 1,
-                                Source::Stolen { .. } => stats.stolen += 1,
-                            }
-                            results.lock().expect("results poisoned")[index] = Some(result);
-                            if verdict == Verdict::Retire {
-                                stats.retired = true;
-                                break;
-                            }
-                            // Give peers a scheduling opportunity between
-                            // tasks. On a single hardware thread a worker
-                            // running CPU-bound tasks back to back would
-                            // otherwise drain queues — including peers'
-                            // seeded deques — before those peers ever
-                            // run, concentrating the whole load on one
-                            // identity. (Irrelevant when tasks block on
-                            // I/O or cores outnumber workers.)
-                            std::thread::yield_now();
-                        }
-                        stats
+                        work(w, shared, results, &mut state, run_task, cancel)
                     })
                 })
                 .collect();
@@ -370,6 +337,86 @@ impl Pool {
         };
         (results.into_inner().expect("results poisoned"), stats)
     }
+}
+
+/// Runs every task on the **calling thread** as a one-worker pool whose
+/// private state is `state`: the same dealing (task 0 seeded, the rest
+/// from the injector in task order), retirement, cancellation, and
+/// statistics as `Pool::new(1).run_cancellable`, minus the thread. Since
+/// nothing crosses threads, neither the tasks, the results, the state
+/// nor the closure need to be `Send`/`Sync` — this is how a caller that
+/// holds a single borrowed, thread-bound resource (one database
+/// connection) drives the same task loop as the pool.
+pub fn run_inline<T, W, R, F>(
+    tasks: Vec<T>,
+    state: &mut W,
+    run_task: F,
+    cancel: Option<&AtomicBool>,
+) -> (Vec<Option<R>>, PoolStats)
+where
+    F: Fn(&mut W, &TaskCtx, T) -> (R, Verdict),
+{
+    let n = tasks.len();
+    let shared = Shared::seed(1, tasks);
+    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    let began = Instant::now();
+    let stats = work(0, &shared, &results, state, &run_task, cancel);
+    let stats = PoolStats {
+        workers: 1,
+        wall: began.elapsed(),
+        per_worker: vec![stats],
+        unrun: shared.remaining(),
+        cancelled: cancel.is_some_and(|c| c.load(Ordering::Acquire)),
+    };
+    (results.into_inner().expect("results poisoned"), stats)
+}
+
+/// Worker `w`'s task loop: take tasks until the queues drain, the
+/// worker retires, or `cancel` latches.
+fn work<T, W, R, F>(
+    w: usize,
+    shared: &Shared<T>,
+    results: &Mutex<Vec<Option<R>>>,
+    state: &mut W,
+    run_task: &F,
+    cancel: Option<&AtomicBool>,
+) -> WorkerStats
+where
+    F: Fn(&mut W, &TaskCtx, T) -> (R, Verdict),
+{
+    let mut stats = WorkerStats::default();
+    while !cancel.is_some_and(|c| c.load(Ordering::Acquire)) {
+        let Some((index, task, source)) = shared.next_task(w) else {
+            break;
+        };
+        let ctx = TaskCtx {
+            worker: w,
+            index,
+            source,
+        };
+        let t0 = Instant::now();
+        let (result, verdict) = run_task(state, &ctx, task);
+        stats.busy += t0.elapsed();
+        stats.executed += 1;
+        match source {
+            Source::Seeded => stats.seeded += 1,
+            Source::Injected => stats.injected += 1,
+            Source::Stolen { .. } => stats.stolen += 1,
+        }
+        results.lock().expect("results poisoned")[index] = Some(result);
+        if verdict == Verdict::Retire {
+            stats.retired = true;
+            break;
+        }
+        // Give peers a scheduling opportunity between tasks. On a single
+        // hardware thread a worker running CPU-bound tasks back to back
+        // would otherwise drain queues — including peers' seeded deques —
+        // before those peers ever run, concentrating the whole load on
+        // one identity. (Irrelevant when tasks block on I/O or cores
+        // outnumber workers.)
+        std::thread::yield_now();
+    }
+    stats
 }
 
 #[cfg(test)]
@@ -569,6 +616,34 @@ mod tests {
                 assert_eq!(stats.unrun, 0);
             }
         }
+    }
+
+    #[test]
+    fn inline_run_matches_a_one_worker_pool() {
+        // A non-Send state (Rc) is fine: nothing leaves the thread.
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut state = std::rc::Rc::clone(&log);
+        let (results, stats) = run_inline(
+            (0..5).collect::<Vec<usize>>(),
+            &mut state,
+            |log, ctx, t| {
+                log.borrow_mut().push(t);
+                let verdict = if t == 3 {
+                    Verdict::Retire
+                } else {
+                    Verdict::Continue
+                };
+                (ctx.index, verdict)
+            },
+            None,
+        );
+        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
+        assert_eq!(results.iter().filter(|r| r.is_some()).count(), 4);
+        assert_eq!(stats.workers, 1);
+        assert_eq!(stats.per_worker[0].seeded, 1);
+        assert_eq!(stats.per_worker[0].injected, 3);
+        assert!(stats.per_worker[0].retired);
+        assert_eq!(stats.unrun, 1);
     }
 
     #[test]

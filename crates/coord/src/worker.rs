@@ -5,7 +5,7 @@
 //! against a [`crate::MemoryLeaseRepository`].
 //!
 //! Heartbeats ride the crawl's own resume boundaries
-//! ([`hdc_core::ShardSpec::crawl_resumable_configured`] fires after
+//! ([`hdc_core::ShardSpec::crawl_with`]'s resume callback fires after
 //! every completed root value), so no timer thread exists: a worker
 //! that crashes or stalls simply stops heartbeating, its lease lapses,
 //! and a peer salvages the shard from the last banked partial. A
@@ -122,8 +122,8 @@ fn coord_failure(e: io::Error) -> CrawlError {
 /// Runs the lease → crawl → report loop until the coordinator answers
 /// `drained`.
 ///
-/// Each granted shard is crawled with
-/// [`ShardSpec::crawl_resumable_configured`]; after every completed
+/// Each granted shard is crawled with [`ShardSpec::crawl_with`] and a
+/// resume callback; after every completed
 /// root value the worker heartbeats, banking a partial snapshot
 /// (`frontier` = roots done, salvaged prefix included) so a peer can
 /// resume from exactly that point if this worker dies. A grant carrying
@@ -179,7 +179,7 @@ pub fn drive_worker(
                     let heartbeats = &mut report.heartbeats;
                     let lease_lost = &mut lease_lost;
                     let coord_err = &mut coord_err;
-                    run_spec.crawl_resumable_configured(
+                    run_spec.crawl_with(
                         db,
                         schema,
                         SessionConfig {
@@ -187,7 +187,7 @@ pub fn drive_worker(
                             cancel: Some(halt_ref),
                             ..SessionConfig::default()
                         },
-                        |done, interim| {
+                        Some(&mut |done, interim| {
                             *heartbeats += 1;
                             let banked = merge_snapshot(
                                 g.index,
@@ -206,7 +206,7 @@ pub fn drive_worker(
                                     halt_ref.cancel();
                                 }
                             }
-                        },
+                        }),
                     )
                 };
 

@@ -218,11 +218,11 @@ proptest! {
             let mut db_b = inst.server(seed);
             let mut roots = 0;
             let per_root = spec
-                .crawl_resumable_configured(
+                .crawl_with(
                     &mut db_b,
                     &inst.schema,
                     SessionConfig::default(),
-                    |done, _| roots = done,
+                    Some(&mut |done, _| roots = done),
                 )
                 .unwrap();
             prop_assert_eq!(one_call.queries, per_root.queries);
@@ -257,15 +257,15 @@ proptest! {
                 // Bank the partial the worker would heartbeat at `cursor`.
                 let mut banked = None;
                 let mut db_p = inst.server(seed);
-                spec.crawl_resumable_configured(
+                spec.crawl_with(
                     &mut db_p,
                     &inst.schema,
                     SessionConfig::default(),
-                    |done, interim| {
+                    Some(&mut |done, interim| {
                         if done as usize == cursor {
                             banked = Some(merge_snapshot(0, None, interim, Some(done)));
                         }
-                    },
+                    }),
                 )
                 .unwrap();
                 let partial = banked.expect("cursor < points, callback must fire");
@@ -348,14 +348,14 @@ fn killed_worker_is_salvaged_exactly() {
     let mut banked_queries = 0;
     {
         let repo_cell = Mutex::new(repo.clone());
-        let result = spec.crawl_resumable_configured(
+        let result = spec.crawl_with(
             &mut inst.server(seed),
             &inst.schema,
             SessionConfig {
                 cancel: Some(&halt),
                 ..SessionConfig::default()
             },
-            |done, interim| {
+            Some(&mut |done, interim| {
                 if done == 1 {
                     let partial = merge_snapshot(grant.index, None, interim, Some(1));
                     banked_queries = partial.queries;
@@ -366,7 +366,7 @@ fn killed_worker_is_salvaged_exactly() {
                         .unwrap());
                     halt.cancel(); // the crash
                 }
-            },
+            }),
         );
         assert!(matches!(result, Err(CrawlError::Stopped { .. })));
     }

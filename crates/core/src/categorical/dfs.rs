@@ -11,9 +11,8 @@ use hdc_types::{AttrKind, HiddenDatabase, Predicate, Query, Schema};
 
 use crate::crawler::Crawler;
 use crate::dependency::ValidityOracle;
-use crate::orchestrate::CrawlObserver;
 use crate::report::{CrawlError, CrawlReport};
-use crate::session::{run_crawl_configured, Abort, Session, SessionConfig, MAX_BATCH};
+use crate::session::{run_crawl, Abort, Session, SessionConfig, MAX_BATCH};
 
 /// The DFS baseline crawler for purely categorical schemas.
 #[derive(Default)]
@@ -92,23 +91,14 @@ impl Crawler for Dfs<'_> {
         schema.is_categorical()
     }
 
-    fn crawl_observed(
+    fn crawl_with(
         &self,
         db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_configured(db, observer, SessionConfig::default())
-    }
-
-    fn crawl_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
         config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError> {
         let schema = db.schema().clone();
         assert!(self.supports(&schema), "DFS requires a categorical schema");
-        run_crawl_configured(self.name(), db, self.oracle, observer, config, |session| {
+        run_crawl(self.name(), db, self.oracle, config, |session| {
             self.run(session, &schema)
         })
     }

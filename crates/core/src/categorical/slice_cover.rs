@@ -24,9 +24,8 @@ use hdc_types::{HiddenDatabase, Predicate, Query, QueryOutcome, Schema, Tuple};
 use crate::crawler::Crawler;
 use crate::dependency::ValidityOracle;
 use crate::numeric::rank_shrink::RankShrink;
-use crate::orchestrate::CrawlObserver;
 use crate::report::{CrawlError, CrawlReport};
-use crate::session::{run_crawl_configured, Abort, Session, SessionConfig, MAX_BATCH};
+use crate::session::{run_crawl, Abort, Session, SessionConfig, MAX_BATCH};
 
 /// A recorded slice-query response.
 ///
@@ -443,18 +442,9 @@ impl Crawler for SliceCover<'_> {
         schema.is_categorical()
     }
 
-    fn crawl_observed(
+    fn crawl_with(
         &self,
         db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_configured(db, observer, SessionConfig::default())
-    }
-
-    fn crawl_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
         config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError> {
         let schema = db.schema().clone();
@@ -463,7 +453,7 @@ impl Crawler for SliceCover<'_> {
             "slice-cover requires a categorical schema"
         );
         let cat_dims: Vec<usize> = (0..schema.arity()).collect();
-        run_crawl_configured(self.name(), db, self.oracle, observer, config, |session| {
+        run_crawl(self.name(), db, self.oracle, config, |session| {
             let mut table = SliceTable::new(&schema, &cat_dims);
             if self.eager {
                 table.prefetch_all(session)?;
@@ -520,7 +510,7 @@ mod tests {
     fn figure6_lookup_table() {
         let mut db = figure5_server(3);
         let schema = figure5_schema();
-        let report = run_crawl("test", &mut db, None, |session| {
+        let report = run_crawl("test", &mut db, None, SessionConfig::default(), |session| {
             let mut table = SliceTable::new(&schema, &[0, 1]);
             table.prefetch_all(session)?;
             // A1 = 1 (paper) = value 0: overflow. A1 = 2 → {t5}.
@@ -749,7 +739,7 @@ mod tests {
             )
             .unwrap();
             let rank = RankShrink::new();
-            run_crawl("t", &mut db, None, |session| {
+            run_crawl("t", &mut db, None, SessionConfig::default(), |session| {
                 let mut table = SliceTable::new(&schema, &[0]);
                 if cache {
                     table.cache_leaf_windows();

@@ -75,7 +75,7 @@ pub trait Connector: Sync {
     fn connect(&self, identity: usize) -> Self::Db;
 }
 
-/// Every legacy factory closure is a connector: `|s| make_db(s)`.
+/// Every factory closure is a connector: `|s| make_db(s)`.
 impl<D, F> Connector for F
 where
     D: HiddenDatabase + Send,

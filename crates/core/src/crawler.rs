@@ -2,7 +2,6 @@
 
 use hdc_types::{HiddenDatabase, Schema};
 
-use crate::orchestrate::CrawlObserver;
 use crate::report::{CrawlError, CrawlReport};
 use crate::session::SessionConfig;
 
@@ -12,12 +11,11 @@ use crate::session::SessionConfig;
 /// lives in the crawl session, so one crawler value can drive many crawls
 /// (the benchmark harness reuses them across sweeps).
 ///
-/// The required entry point is [`Crawler::crawl_observed`] — every
-/// crawler must thread an optional [`CrawlObserver`] through its session
-/// (all in-workspace crawlers do so via
-/// [`crate::session::run_crawl_observed`]) so the one-stop
-/// [`crate::CrawlBuilder`] can stream events from any strategy.
-/// [`Crawler::crawl`] is the observer-less convenience wrapper.
+/// The one required entry point is [`Crawler::crawl_with`], which takes
+/// a [`SessionConfig`] — retry policy, cancellation, and the
+/// [`crate::CrawlObserver`] — and threads it into the crawl session (all
+/// in-workspace crawlers do so via [`crate::session::run_crawl`]).
+/// [`Crawler::crawl`] is the plain-config shorthand.
 pub trait Crawler {
     /// Stable algorithm name used in reports and experiment tables.
     fn name(&self) -> &'static str;
@@ -27,43 +25,22 @@ pub trait Crawler {
     fn supports(&self, schema: &Schema) -> bool;
 
     /// Extracts the complete tuple bag through the top-`k` interface,
-    /// streaming crawl events to `observer` (see [`CrawlObserver`] for
-    /// the event and early-stop semantics).
+    /// under `config` (see [`crate::CrawlObserver`] for the event and
+    /// early-stop semantics).
     ///
     /// On success the report holds exactly the database's bag. On failure
     /// the error carries a partial report with everything extracted before
     /// the failure (including an observer-requested stop,
     /// [`CrawlError::Stopped`]).
-    fn crawl_observed(
+    fn crawl_with(
         &self,
         db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
+        config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError>;
 
-    /// Extracts the complete tuple bag through the top-`k` interface:
-    /// [`Crawler::crawl_observed`] without an observer.
+    /// [`Crawler::crawl_with`] under the default config.
     fn crawl(&self, db: &mut dyn HiddenDatabase) -> Result<CrawlReport, CrawlError> {
-        self.crawl_observed(db, None)
-    }
-
-    /// [`Crawler::crawl_observed`] with a [`SessionConfig`] — retry
-    /// policy and cancellation — threaded into the crawl session. This is
-    /// how [`crate::CrawlBuilder::retry`] and
-    /// [`crate::CrawlBuilder::cancel`] reach any strategy.
-    ///
-    /// The default implementation **ignores the config** and delegates to
-    /// [`Crawler::crawl_observed`], so existing external crawlers keep
-    /// compiling unchanged; every in-workspace crawler overrides it (via
-    /// [`crate::session::run_crawl_configured`]) to honor retries and
-    /// cancellation. External crawlers should do the same.
-    fn crawl_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
-        config: SessionConfig<'_>,
-    ) -> Result<CrawlReport, CrawlError> {
-        let _ = config;
-        self.crawl_observed(db, observer)
+        self.crawl_with(db, SessionConfig::default())
     }
 }
 
@@ -83,10 +60,10 @@ mod tests {
             true
         }
 
-        fn crawl_observed(
+        fn crawl_with(
             &self,
             _db: &mut dyn HiddenDatabase,
-            _observer: Option<&mut dyn CrawlObserver>,
+            _config: SessionConfig<'_>,
         ) -> Result<CrawlReport, CrawlError> {
             Ok(CrawlReport {
                 algorithm: self.name(),

@@ -131,9 +131,9 @@ impl std::fmt::Debug for EventSink {
 
 /// The session-side proxy: a [`CrawlObserver`] that clones every event
 /// into its [`EventSink`]. Installed automatically by
-/// [`crate::run_crawl_configured`] whenever the [`crate::SessionConfig`]
-/// carries a sink and no direct observer is attached — which is exactly
-/// the situation inside a pool worker.
+/// [`crate::run_crawl`] whenever the [`crate::SessionConfig`] carries a
+/// sink and no direct observer is attached — which is exactly the
+/// situation inside a pool worker.
 ///
 /// Always returns [`Flow::Continue`]: the consumer cannot stop a crawl
 /// through the channel (events only flow outward). The drain side

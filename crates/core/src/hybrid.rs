@@ -19,9 +19,8 @@ use crate::categorical::slice_cover::{extended_dfs, LeafMode, SliceTable};
 use crate::crawler::Crawler;
 use crate::dependency::ValidityOracle;
 use crate::numeric::rank_shrink::RankShrink;
-use crate::orchestrate::CrawlObserver;
 use crate::report::{CrawlError, CrawlReport};
-use crate::session::{run_crawl_configured, SessionConfig};
+use crate::session::{run_crawl, SessionConfig};
 
 /// The hybrid crawler (§5).
 pub struct Hybrid<'o> {
@@ -71,25 +70,16 @@ impl Crawler for Hybrid<'_> {
         true
     }
 
-    fn crawl_observed(
+    fn crawl_with(
         &self,
         db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_configured(db, observer, SessionConfig::default())
-    }
-
-    fn crawl_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
         config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError> {
         let schema = db.schema().clone();
         let cat_dims = schema.cat_indices();
         let num_dims = schema.num_indices();
         let rank = RankShrink::new();
-        run_crawl_configured(self.name(), db, self.oracle, observer, config, |session| {
+        run_crawl(self.name(), db, self.oracle, config, |session| {
             if cat_dims.is_empty() {
                 // Pure numeric: hybrid degenerates to rank-shrink.
                 return rank.run_subspace(session, Query::any(schema.arity()), &num_dims);
@@ -328,7 +318,7 @@ mod tests {
                 let cat_dims = ds.schema.cat_indices();
                 let num_dims = ds.schema.num_indices();
                 let rank = RankShrink::new();
-                crate::session::run_crawl("t", &mut db, None, |session| {
+                crate::session::run_crawl("t", &mut db, None, SessionConfig::default(), |session| {
                     let mut table = SliceTable::new(&ds.schema, &cat_dims);
                     if force_cache {
                         table.cache_leaf_windows();

@@ -90,9 +90,7 @@ pub use repository::{
     ShardSnapshot,
 };
 pub use retry::{FaultHistory, RetryPolicy};
-pub use session::{
-    run_crawl, run_crawl_configured, run_crawl_observed, Abort, Session, SessionConfig, MAX_BATCH,
-};
+pub use session::{run_crawl, Abort, Session, SessionConfig, MAX_BATCH};
 pub use sharded::{
     snapshot_of_report, CrawlControls, PoolStats, ResumableShard, ShardRun, ShardSpec, Sharded,
     ShardedReport, TaskSource, WorkerStats,

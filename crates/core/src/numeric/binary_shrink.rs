@@ -11,9 +11,8 @@ use hdc_types::{AttrKind, HiddenDatabase, Predicate, Query, QueryOutcome, Schema
 use crate::crawler::Crawler;
 use crate::dependency::ValidityOracle;
 use crate::numeric::extent::{extent, is_exhausted, midpoint_ceil, split2};
-use crate::orchestrate::CrawlObserver;
 use crate::report::{CrawlError, CrawlReport};
-use crate::session::{run_crawl_configured, Abort, Session, SessionConfig};
+use crate::session::{run_crawl, Abort, Session, SessionConfig};
 
 /// Configuration for the binary-shrink baseline.
 ///
@@ -101,18 +100,9 @@ impl Crawler for BinaryShrink<'_> {
         schema.is_numeric()
     }
 
-    fn crawl_observed(
+    fn crawl_with(
         &self,
         db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_configured(db, observer, SessionConfig::default())
-    }
-
-    fn crawl_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
         config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError> {
         let schema = db.schema().clone();
@@ -120,7 +110,7 @@ impl Crawler for BinaryShrink<'_> {
             self.supports(&schema),
             "binary-shrink requires a numeric schema"
         );
-        run_crawl_configured(self.name(), db, self.oracle, observer, config, |session| {
+        run_crawl(self.name(), db, self.oracle, config, |session| {
             self.run(session, &schema)
         })
     }

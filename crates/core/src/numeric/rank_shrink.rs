@@ -19,9 +19,8 @@ use hdc_types::{HiddenDatabase, Query, QueryOutcome, Schema};
 use crate::crawler::Crawler;
 use crate::dependency::ValidityOracle;
 use crate::numeric::extent::{extent, is_exhausted, split2, split3};
-use crate::orchestrate::CrawlObserver;
 use crate::report::{CrawlError, CrawlReport};
-use crate::session::{run_crawl_configured, Abort, Session, SessionConfig};
+use crate::session::{run_crawl, Abort, Session, SessionConfig};
 
 /// Configuration for rank-shrink.
 ///
@@ -193,18 +192,9 @@ impl Crawler for RankShrink<'_> {
         schema.is_numeric()
     }
 
-    fn crawl_observed(
+    fn crawl_with(
         &self,
         db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_configured(db, observer, SessionConfig::default())
-    }
-
-    fn crawl_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        observer: Option<&mut dyn CrawlObserver>,
         config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError> {
         let schema = db.schema().clone();
@@ -213,7 +203,7 @@ impl Crawler for RankShrink<'_> {
             "rank-shrink requires a numeric schema"
         );
         let dims: Vec<usize> = (0..schema.arity()).collect();
-        run_crawl_configured(self.name(), db, self.oracle, observer, config, |session| {
+        run_crawl(self.name(), db, self.oracle, config, |session| {
             self.run_subspace(session, Query::any(schema.arity()), &dims)
         })
     }

@@ -6,7 +6,7 @@
 //! Four layers of crawl machinery grew their own entry idioms: each
 //! algorithm has its own constructors ([`Hybrid::eager`],
 //! [`SliceCover::lazy_with_oracle`], …), multi-session crawling needs a
-//! hand-written factory through [`Sharded::crawl`], budgets need the
+//! hand-written connector through [`Sharded::crawl`], budgets need the
 //! caller to wrap the database in [`Budgeted`], and the only output was a
 //! monolithic end-of-crawl [`CrawlReport`]. This module unifies them
 //! behind two abstractions:
@@ -39,10 +39,10 @@
 //!   [`CrawlBuilder::run_sharded`], since each identity needs its own
 //!   connection); [`Strategy::Custom`] admits external crawlers — the
 //!   top-k-barrier crawler in `hdc-barrier` implements [`ShardCrawler`]
-//!   and rides the same path. The existing constructors and
-//!   [`Crawler::crawl`] remain as thin wrappers over the same bodies, so
-//!   the builder is **bit-identical** to the legacy entry points
-//!   (differential suite: `crates/core/tests/builder_equiv.rs`).
+//!   and rides the same path. The per-algorithm constructors and
+//!   [`Crawler::crawl_with`] run the same bodies, so the builder is
+//!   **bit-identical** to driving a crawler directly (differential suite:
+//!   `crates/core/tests/builder_equiv.rs`).
 //!
 //! * **[`CrawlObserver`]** — a streaming event sink threaded through the
 //!   session layer and the sharded merge. Crawls no longer have to be
@@ -83,7 +83,7 @@
 //! in-flight shard before its next query; stopping from `on_shard`
 //! keeps the merged accounting truthful — the cost of every shard is
 //! absorbed — but only the tuples merged so far are kept (see
-//! [`Sharded::crawl_observed`]).
+//! [`Sharded::crawl`]).
 
 use hdc_types::{Budgeted, HiddenDatabase, Query, QueryOutcome, Schema, Tuple};
 
@@ -156,7 +156,7 @@ impl CancelToken {
 }
 
 /// One completed shard of a multi-session crawl, delivered — in plan
-/// order — by the merge path of [`Sharded::crawl_observed`].
+/// order — by the merge path of [`Sharded::crawl`].
 #[derive(Debug)]
 pub struct ShardEvent<'a> {
     /// Position of the shard in the plan (0-based).
@@ -276,34 +276,16 @@ impl CrawlObserver for ProgressRecorder {
 /// share the crawler across identities.
 pub trait ShardCrawler: Crawler + Sync {
     /// Crawls one shard's subspace on `db` (which must view the same
-    /// logical database the plan was made for).
+    /// logical database the plan was made for) under `config` — the
+    /// sharded runtime's retry policy, halt token, and event route, which
+    /// the crawler threads into its session via [`crate::run_crawl`].
     fn crawl_spec(
         &self,
         db: &mut dyn HiddenDatabase,
         schema: &Schema,
         spec: &ShardSpec,
-    ) -> Result<CrawlReport, CrawlError>;
-
-    /// [`ShardCrawler::crawl_spec`] with a [`SessionConfig`]: the sharded
-    /// runtime calls this so an external crawler can honor the pool's
-    /// retry policy and cancellation token inside its own sessions.
-    ///
-    /// The default ignores the config — an unmodified external crawler
-    /// keeps working, but its shards neither retry transient faults nor
-    /// notice mid-shard cancellation (the pool still retries *around* it
-    /// by identity health, and cancellation still takes effect at the
-    /// next shard boundary). Override it by threading the config into
-    /// [`crate::run_crawl_configured`] to opt in.
-    fn crawl_spec_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        schema: &Schema,
-        spec: &ShardSpec,
         config: SessionConfig<'_>,
-    ) -> Result<CrawlReport, CrawlError> {
-        let _ = config;
-        self.crawl_spec(db, schema, spec)
-    }
+    ) -> Result<CrawlReport, CrawlError>;
 }
 
 /// Which algorithm a [`CrawlBuilder`] runs.
@@ -541,11 +523,12 @@ impl<'a> CrawlBuilder<'a> {
     /// checkpoint for the same plan, resumes from it — restored shards
     /// are replayed from the snapshot without issuing a single query.
     ///
-    /// For a *solo* run this routes the crawl through the sequential
-    /// sharded plan (one session, [`CrawlBuilder::oversubscribe`] sets
-    /// the checkpoint granularity), so the strategy must have a sharded
-    /// execution ([`Strategy::supports_sharded`]) and the report's
-    /// `algorithm` is `"sharded-hybrid"`.
+    /// For a *solo* run this routes the crawl through the sharded plan
+    /// on its one connection (one session, an inline one-worker pool;
+    /// [`CrawlBuilder::oversubscribe`] sets the checkpoint granularity),
+    /// so the strategy must have a sharded execution
+    /// ([`Strategy::supports_sharded`]) and the report's `algorithm` is
+    /// `"sharded-hybrid"`.
     pub fn repository(mut self, repository: &'a mut dyn CrawlRepository) -> Self {
         self.repository = Some(repository);
         self
@@ -553,7 +536,7 @@ impl<'a> CrawlBuilder<'a> {
 
     /// Runs the crawl on one connection.
     ///
-    /// Bit-identical to the legacy entry point for the resolved strategy
+    /// Bit-identical to the direct call for the resolved strategy
     /// (e.g. `Hybrid::new().crawl(db)`, with the database wrapped in
     /// [`Budgeted`] when a budget is set): same query sequence, same
     /// cost, same bag, same progress curve.
@@ -566,87 +549,74 @@ impl<'a> CrawlBuilder<'a> {
     pub fn run(mut self, db: &mut dyn HiddenDatabase) -> Result<CrawlReport, CrawlError> {
         assert!(
             self.sessions == 1,
-            "sessions > 1 needs one connection per identity: use run_sharded(factory)"
+            "sessions > 1 needs one connection per identity: use run_sharded(connector)"
         );
         let schema = db.schema().clone();
         let strategy = self.strategy.resolve(&schema);
+        let mut budgeted;
+        let db: &mut dyn HiddenDatabase = match self.budget {
+            Some(limit) => {
+                // `&mut dyn HiddenDatabase` is itself a `HiddenDatabase`
+                // (blanket impl), so the quota wraps any backend.
+                budgeted = Budgeted::new(db, limit);
+                &mut budgeted
+            }
+            None => db,
+        };
         if let Some(repository) = self.repository.take() {
             assert!(
                 self.oracle.is_none(),
                 "checkpointed crawls do not support a validity oracle"
             );
-            assert!(
-                strategy.supports_sharded(&schema),
-                "checkpointing runs the (sequential) sharded plan, and strategy {:?} \
-                 has no sharded execution on this schema — see Strategy::supports_sharded",
-                strategy
-            );
-            let sharded = Sharded::new(1)
-                .oversubscribed(self.oversubscribe)
-                .retry(self.retry.clone());
+            assert_sharded(strategy, &schema);
             let controls = CrawlControls {
                 observer: self.observer,
                 cancel: self.cancel,
                 repository: Some(repository),
             };
-            let result = match self.budget {
-                Some(limit) => {
-                    let mut budgeted = Budgeted::new(db, limit);
-                    run_solo_checkpointed(strategy, &sharded, &mut budgeted, &schema, controls)
-                }
-                None => run_solo_checkpointed(strategy, &sharded, db, &schema, controls),
-            };
-            return result.map(|report| report.merged);
+            return Sharded::new(1)
+                .oversubscribed(self.oversubscribe)
+                .retry(self.retry)
+                .crawl_inline(
+                    &schema,
+                    db,
+                    |spec, db, config| crawl_shard(strategy, &schema, spec, db, config),
+                    controls,
+                )
+                .map(|report| report.merged);
         }
         let config = SessionConfig {
-            retry: self.retry.clone(),
+            retry: self.retry,
             cancel: self.cancel,
-            fault_history: None,
-            events: None,
+            observer: self.observer,
+            ..SessionConfig::default()
         };
-        match self.budget {
-            Some(limit) => {
-                // `&mut dyn HiddenDatabase` is itself a `HiddenDatabase`
-                // (blanket impl), so the quota wraps any backend.
-                let mut budgeted = Budgeted::new(db, limit);
-                run_solo(
-                    strategy,
-                    &mut budgeted,
-                    self.oracle,
-                    self.observer,
-                    &schema,
-                    config,
-                )
-            }
-            None => run_solo(strategy, db, self.oracle, self.observer, &schema, config),
-        }
+        run_solo(strategy, db, self.oracle, &schema, config)
     }
 
     /// Runs the crawl across [`CrawlBuilder::sessions`] client
     /// identities on the work-stealing [`Sharded`] pool. The
     /// [`Connector`] mints identity `s`'s own connection —
-    /// `connector.connect(s)` — and every legacy `Fn(usize) -> D`
-    /// factory closure *is* a connector (blanket impl), so
-    /// `run_sharded(|_s| shared.client())` keeps compiling unchanged.
-    /// All connections must view the same logical database. Works for
+    /// `connector.connect(s)` — and every `Fn(usize) -> D` factory
+    /// closure *is* a connector (blanket impl), so
+    /// `run_sharded(|_s| shared.client())` works as written. All
+    /// connections must view the same logical database. Works for
     /// `sessions == 1` too (the plan degenerates to the solo sharded
     /// plan).
     ///
-    /// Bit-identical to the legacy
-    /// `Sharded::new(sessions).oversubscribed(factor).crawl(factory)`
-    /// (or `crawl_with` for [`Strategy::Custom`]): same plan, same
-    /// per-shard query sequences and costs, same merged bag. The observer
-    /// receives one [`CrawlObserver::on_shard`] per merged shard, in plan
-    /// order.
+    /// The same plan, per-shard query sequences and costs, and merged
+    /// bag as [`Sharded::crawl`] with the strategy's shard crawler. The
+    /// observer receives the shards' live events plus one
+    /// [`CrawlObserver::on_shard`] per merged shard, in plan order.
     ///
     /// # Panics
     /// Panics when the configuration is contradictory: an oracle (the
-    /// sharded path has no oracle support, as before), or a strategy
-    /// without a sharded execution — the sharded plan executes the
-    /// paper's optimal family per subspace, so [`Strategy::RankShrink`]
-    /// requires a numeric schema, lazy [`Strategy::SliceCover`] a
-    /// categorical one, and the baselines ([`Strategy::BinaryShrink`],
-    /// [`Strategy::Dfs`], eager slice-cover) are rejected outright.
+    /// sharded path has no oracle support), or a strategy without a
+    /// sharded execution — the sharded plan executes the paper's optimal
+    /// family per subspace, so [`Strategy::RankShrink`] requires a
+    /// numeric schema, lazy [`Strategy::SliceCover`] a categorical one,
+    /// and the baselines ([`Strategy::BinaryShrink`], [`Strategy::Dfs`],
+    /// eager slice-cover) are rejected outright.
     pub fn run_sharded<C>(self, connector: C) -> Result<ShardedReport, CrawlError>
     where
         C: Connector,
@@ -659,40 +629,40 @@ impl<'a> CrawlBuilder<'a> {
         let schema = probe.schema().clone();
         drop(probe);
         let strategy = self.strategy.resolve(&schema);
+        assert_sharded(strategy, &schema);
         let sharded = Sharded::new(self.sessions)
             .oversubscribed(self.oversubscribe)
-            .retry(self.retry.clone())
+            .retry(self.retry)
             .transient_strikes(self.strikes);
         let controls = CrawlControls {
             observer: self.observer,
             cancel: self.cancel,
             repository: self.repository,
         };
+        let shard_crawl =
+            |spec: &ShardSpec, db: &mut dyn HiddenDatabase, config: SessionConfig<'_>| {
+                crawl_shard(strategy, &schema, spec, db, config)
+            };
         match self.budget {
-            Some(limit) => {
-                // Per-identity quota: each connection carries its own
-                // allowance, like the legacy per-session Budgeted wrap.
-                let budgeted_factory = move |s: usize| Budgeted::new(connector.connect(s), limit);
-                run_sharded_resolved(strategy, sharded, budgeted_factory, controls, &schema)
-            }
-            None => run_sharded_resolved(
-                strategy,
-                sharded,
-                |s| connector.connect(s),
-                controls,
+            // Per-identity quota: each connection carries its own
+            // allowance, matching how real sites meter queries (§1.1).
+            Some(limit) => sharded.crawl(
                 &schema,
+                |s| Budgeted::new(connector.connect(s), limit),
+                shard_crawl,
+                controls,
             ),
+            None => sharded.crawl(&schema, connector, shard_crawl, controls),
         }
     }
 }
 
-/// Solo dispatch: builds the legacy crawler for the resolved strategy and
-/// runs it with the observer threaded through.
+/// Solo dispatch: builds the crawler for the resolved strategy and runs
+/// it under `config`.
 fn run_solo(
     strategy: Strategy<'_>,
     db: &mut dyn HiddenDatabase,
     oracle: Option<&dyn ValidityOracle>,
-    observer: Option<&mut dyn CrawlObserver>,
     schema: &Schema,
     config: SessionConfig<'_>,
 ) -> Result<CrawlReport, CrawlError> {
@@ -721,59 +691,17 @@ fn run_solo(
         (Strategy::SliceCover { lazy: false }, Some(_)) => {
             panic!("eager slice-cover does not support a validity oracle")
         }
-        (Strategy::Custom(c), None) => return c.crawl_configured(db, observer, config),
+        (Strategy::Custom(c), None) => return c.crawl_with(db, config),
         (Strategy::Custom(c), Some(_)) => {
             panic!("custom strategy {:?} does not support a validity oracle", c.name())
         }
     };
-    crawler.crawl_configured(db, observer, config)
+    crawler.crawl_with(db, config)
 }
 
-/// Solo checkpointed dispatch: runs the one-session sharded plan
-/// *sequentially* on the single connection ([`Sharded`]'s sequential
-/// driver), which is what makes shard-boundary checkpoints — and exact
-/// resume — possible without a second connection.
-fn run_solo_checkpointed(
-    strategy: Strategy<'_>,
-    sharded: &Sharded,
-    db: &mut dyn HiddenDatabase,
-    schema: &Schema,
-    controls: CrawlControls<'_>,
-) -> Result<ShardedReport, CrawlError> {
-    if let Strategy::Custom(c) = strategy {
-        // A custom crawler manages its own sessions; the driver's
-        // within-shard observer cannot be threaded inside it (it still
-        // gets the per-shard merge events).
-        return sharded.crawl_sequential_controlled(
-            schema,
-            db,
-            |spec, db, config, _observer| c.crawl_spec_configured(db, schema, spec, config),
-            controls,
-        );
-    }
-    sharded.crawl_sequential_controlled(
-        schema,
-        db,
-        |spec, db, config, observer| spec.crawl_observed_configured(db, schema, config, observer),
-        controls,
-    )
-}
-
-/// Sharded dispatch: validates the strategy has a sharded execution and
-/// routes it through the pool — the hybrid family via [`ShardSpec::crawl`]
-/// (which *is* rank-shrink on numeric-only schemas and lazy-slice-cover
-/// on categorical ones), custom crawlers via [`ShardCrawler::crawl_spec`].
-fn run_sharded_resolved<D, F>(
-    strategy: Strategy<'_>,
-    sharded: Sharded,
-    factory: F,
-    controls: CrawlControls<'_>,
-    schema: &Schema,
-) -> Result<ShardedReport, CrawlError>
-where
-    D: HiddenDatabase + Send,
-    F: Fn(usize) -> D + Sync,
-{
+/// Panics unless the resolved strategy has a sharded execution on
+/// `schema` (see [`Strategy::supports_sharded`]).
+fn assert_sharded(strategy: Strategy<'_>, schema: &Schema) {
     assert!(
         strategy.supports_sharded(schema),
         "strategy {:?} has no sharded execution on this schema (cat = {}, num = {}) — \
@@ -782,29 +710,25 @@ where
         schema.cat_count(),
         schema.arity() - schema.cat_count()
     );
-    if let Strategy::Custom(c) = strategy {
-        return sharded.crawl_controlled_with_schema(
-            schema,
-            factory,
-            |spec, db, config| {
-                let schema = db.schema().clone();
-                c.crawl_spec_configured(db, &schema, spec, config)
-            },
-            controls,
-        );
+}
+
+/// Crawls one shard for a resolved strategy that has a sharded
+/// execution: custom crawlers run their own [`ShardCrawler::crawl_spec`],
+/// the hybrid family runs [`ShardSpec::crawl_with`] (which *is*
+/// rank-shrink on numeric-only schemas and lazy-slice-cover on
+/// categorical ones — exactly what [`Strategy::supports_sharded`]
+/// admits, so the dispatch is shared).
+fn crawl_shard(
+    strategy: Strategy<'_>,
+    schema: &Schema,
+    spec: &ShardSpec,
+    db: &mut dyn HiddenDatabase,
+    config: SessionConfig<'_>,
+) -> Result<CrawlReport, CrawlError> {
+    match strategy {
+        Strategy::Custom(c) => c.crawl_spec(db, schema, spec, config),
+        _ => spec.crawl_with(db, schema, config, None),
     }
-    // The hybrid family: on numeric-only schemas the plan's shards run
-    // rank-shrink, on categorical ones lazy-slice-cover — exactly what
-    // `supports_sharded` admitted above, so the dispatch is shared.
-    sharded.crawl_controlled_with_schema(
-        schema,
-        factory,
-        |spec, db, config| {
-            let schema = db.schema().clone();
-            spec.crawl_configured(db, &schema, config)
-        },
-        controls,
-    )
 }
 
 #[cfg(test)]
@@ -1077,10 +1001,10 @@ mod tests {
             fn supports(&self, schema: &Schema) -> bool {
                 schema.is_numeric()
             }
-            fn crawl_observed(
+            fn crawl_with(
                 &self,
                 _db: &mut dyn HiddenDatabase,
-                _observer: Option<&mut dyn CrawlObserver>,
+                _config: SessionConfig<'_>,
             ) -> Result<CrawlReport, CrawlError> {
                 unreachable!("must be rejected before crawling")
             }
@@ -1091,6 +1015,7 @@ mod tests {
                 _db: &mut dyn HiddenDatabase,
                 _schema: &Schema,
                 _spec: &ShardSpec,
+                _config: SessionConfig<'_>,
             ) -> Result<CrawlReport, CrawlError> {
                 unreachable!("must be rejected before crawling")
             }

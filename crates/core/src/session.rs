@@ -22,13 +22,15 @@ use crate::orchestrate::{CancelToken, CrawlObserver, Flow, ProgressRecorder};
 use crate::report::{CrawlError, CrawlMetrics, CrawlReport, ProgressPoint};
 use crate::retry::{FaultHistory, RetryPolicy};
 
-/// Fault-tolerance configuration threaded from [`crate::CrawlBuilder`]
-/// (or any external driver) down to every [`Session`].
+/// Everything a caller threads into one crawl session besides the
+/// database and the algorithm: retry policy, cancellation, fault memory,
+/// and where the session's events go. Passed to
+/// [`crate::Crawler::crawl_with`], [`crate::ShardSpec::crawl_with`],
+/// [`crate::ShardCrawler::crawl_spec`], and [`run_crawl`].
 ///
-/// The default is fully backward-compatible: no retries
-/// ([`RetryPolicy::none`]) and no cancellation token, which makes a
-/// configured crawl bit-identical to a legacy one.
-#[derive(Clone, Debug, Default)]
+/// The default — no retries ([`RetryPolicy::none`]), no cancellation
+/// token, no observer — is a plain crawl.
+#[derive(Default)]
 pub struct SessionConfig<'c> {
     /// How the session reacts to transient [`DbError`]s: re-issue the
     /// failed query (or the failed *suffix* of a batch — the successful
@@ -47,13 +49,28 @@ pub struct SessionConfig<'c> {
     /// same identity. `None` (the default) scopes burst memory to the
     /// individual session.
     pub fault_history: Option<&'c FaultHistory>,
+    /// The session's event observer (see [`CrawlObserver`] for the event
+    /// and early-stop semantics).
+    pub observer: Option<&'c mut dyn CrawlObserver>,
     /// Live event streaming for sessions no `&mut` observer can reach
-    /// (pool workers): when set — and no direct observer is attached —
-    /// [`run_crawl_configured`] installs a [`ChannelObserver`] proxy that
+    /// (pool workers): when set — and no [`SessionConfig::observer`] is
+    /// attached — [`run_crawl`] installs a [`ChannelObserver`] proxy that
     /// clones the session's events into this sink's bounded channel. See
     /// [`crate::events`] for the semantics (inert, backpressured,
     /// self-terminating).
     pub events: Option<EventSink>,
+}
+
+impl std::fmt::Debug for SessionConfig<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SessionConfig")
+            .field("retry", &self.retry)
+            .field("cancel", &self.cancel)
+            .field("fault_history", &self.fault_history)
+            .field("observer", &self.observer.is_some())
+            .field("events", &self.events)
+            .finish()
+    }
 }
 
 /// Abort signal raised inside an algorithm body; the session converts it
@@ -176,12 +193,14 @@ pub struct Session<'a> {
 }
 
 impl<'a> Session<'a> {
-    pub(crate) fn new(
+    fn new(
         algorithm: &'static str,
         db: &'a mut dyn HiddenDatabase,
         oracle: Option<&'a dyn ValidityOracle>,
         observer: Option<&'a mut dyn CrawlObserver>,
-        config: SessionConfig<'a>,
+        retry: RetryPolicy,
+        cancel: Option<&'a CancelToken>,
+        history: Option<&'a FaultHistory>,
     ) -> Self {
         Session {
             db,
@@ -196,9 +215,9 @@ impl<'a> Session<'a> {
             output: Vec::new(),
             recorder: ProgressRecorder::new(),
             stopped: false,
-            retry: config.retry,
-            cancel: config.cancel,
-            history: config.fault_history,
+            retry,
+            cancel,
+            history,
             local_bursts: 0,
         }
     }
@@ -539,75 +558,40 @@ impl<'a> Session<'a> {
 }
 
 /// Runs `body` inside a fresh session, converting aborts into errors:
-/// the standard top-level driver every crawler in the workspace uses.
-/// Equivalent to [`run_crawl_observed`] without an observer.
-pub fn run_crawl<'a, F>(
-    algorithm: &'static str,
-    db: &'a mut dyn HiddenDatabase,
-    oracle: Option<&'a dyn ValidityOracle>,
-    body: F,
-) -> Result<CrawlReport, CrawlError>
-where
-    F: FnOnce(&mut Session<'_>) -> Result<(), Abort>,
-{
-    run_crawl_observed(algorithm, db, oracle, None, body)
-}
-
-/// [`run_crawl`] with a [`CrawlObserver`] threaded through the session:
-/// the driver external crawler crates use to support the
-/// [`crate::CrawlBuilder`] event path (the in-crate algorithms go through
-/// it via [`crate::Crawler::crawl_observed`]).
+/// the one top-level driver every crawler in the workspace uses.
 ///
-/// The observer gets its own lifetime parameter (`'o: 'a`) so callers
-/// can pass `Option<&mut dyn CrawlObserver>` borrows unrelated to the
-/// database's: `&mut dyn` trait objects are invariant in their object
-/// lifetime, and the re-coercion down to the session's lifetime happens
-/// once, here, instead of at every call site.
-pub fn run_crawl_observed<'a, 'o: 'a, F>(
-    algorithm: &'static str,
-    db: &'a mut dyn HiddenDatabase,
-    oracle: Option<&'a dyn ValidityOracle>,
-    observer: Option<&'o mut dyn CrawlObserver>,
-    body: F,
-) -> Result<CrawlReport, CrawlError>
-where
-    F: FnOnce(&mut Session<'_>) -> Result<(), Abort>,
-{
-    run_crawl_configured(algorithm, db, oracle, observer, SessionConfig::default(), body)
-}
-
-/// [`run_crawl_observed`] with a [`SessionConfig`] — retry policy,
-/// cancellation token, and event sink — threaded into the session. The
-/// fully general driver: every other `run_crawl*` entry point delegates
-/// here, and [`crate::Crawler::crawl_configured`] is how the
-/// orchestration layer reaches it for any algorithm.
-///
-/// When the config carries an [`EventSink`] and no direct observer is
-/// attached, the session is driven by a [`ChannelObserver`] proxy that
-/// streams its events into the sink — this is how per-shard sessions on
-/// pool worker threads reach the crawl's single observer live (see
+/// The session streams its events to `config.observer`; without one, a
+/// config carrying an [`EventSink`] gets a [`ChannelObserver`] proxy that
+/// streams them into the sink — this is how per-shard sessions on pool
+/// worker threads reach the crawl's single observer live (see
 /// [`crate::events`]). A direct observer takes precedence: the sink is
 /// dropped, not teed.
-pub fn run_crawl_configured<'a, 'o: 'a, F>(
+pub fn run_crawl<F>(
     algorithm: &'static str,
-    db: &'a mut dyn HiddenDatabase,
-    oracle: Option<&'a dyn ValidityOracle>,
-    observer: Option<&'o mut dyn CrawlObserver>,
-    mut config: SessionConfig<'a>,
+    db: &mut dyn HiddenDatabase,
+    oracle: Option<&dyn ValidityOracle>,
+    config: SessionConfig<'_>,
     body: F,
 ) -> Result<CrawlReport, CrawlError>
 where
     F: FnOnce(&mut Session<'_>) -> Result<(), Abort>,
 {
-    let mut proxy = match &observer {
+    let SessionConfig {
+        retry,
+        cancel,
+        fault_history: history,
+        observer,
+        events,
+    } = config;
+    let mut proxy = match observer {
         Some(_) => None,
-        None => config.events.take().map(ChannelObserver::new),
+        None => events.map(ChannelObserver::new),
     };
     let observer: Option<&mut dyn CrawlObserver> = match observer {
         Some(o) => Some(o as &mut dyn CrawlObserver),
         None => proxy.as_mut().map(|p| p as &mut dyn CrawlObserver),
     };
-    let mut session = Session::new(algorithm, db, oracle, observer, config);
+    let mut session = Session::new(algorithm, db, oracle, observer, retry, cancel, history);
     match body(&mut session) {
         Ok(()) => Ok(session.finish()),
         Err(abort) => Err(session.fail(abort)),
@@ -664,7 +648,7 @@ mod tests {
     #[test]
     fn accounting_and_progress() {
         let mut db = fake(None);
-        let report = run_crawl("t", &mut db, None, |s| {
+        let report = run_crawl("t", &mut db, None, SessionConfig::default(), |s| {
             for _ in 0..3 {
                 let out = s.run(&Query::any(1))?;
                 s.report(out.tuples);
@@ -689,7 +673,7 @@ mod tests {
     #[test]
     fn db_failure_preserves_partial() {
         let mut db = fake(Some(2));
-        let err = run_crawl("t", &mut db, None, |s| loop {
+        let err = run_crawl("t", &mut db, None, SessionConfig::default(), |s| loop {
             let out = s.run(&Query::any(1))?;
             s.report(out.tuples);
         })
@@ -709,7 +693,10 @@ mod tests {
         let mut db = fake(None);
         let witness = Query::new(vec![Predicate::Range { lo: 1, hi: 1 }]);
         let w = witness.clone();
-        let err = run_crawl("t", &mut db, None, move |_| Err(Abort::Unsolvable(w))).unwrap_err();
+        let err = run_crawl("t", &mut db, None, SessionConfig::default(), move |_| {
+            Err(Abort::Unsolvable(w))
+        })
+        .unwrap_err();
         match err {
             CrawlError::Unsolvable {
                 witness: got,
@@ -725,7 +712,7 @@ mod tests {
     #[test]
     fn run_batch_accounts_per_query() {
         let mut db = fake(None);
-        let report = run_crawl("t", &mut db, None, |s| {
+        let report = run_crawl("t", &mut db, None, SessionConfig::default(), |s| {
             let qs = vec![Query::any(1); 3];
             let outs = s.run_batch(&qs)?;
             assert_eq!(outs.len(), 3);
@@ -745,7 +732,7 @@ mod tests {
         // Budget of 2: the third query of the batch fails, but the two
         // charged queries must appear in the partial report's cost.
         let mut db = fake(Some(2));
-        let err = run_crawl("t", &mut db, None, |s| {
+        let err = run_crawl("t", &mut db, None, SessionConfig::default(), |s| {
             s.run_batch(&vec![Query::any(1); 5])?;
             Ok(())
         })
@@ -821,7 +808,7 @@ mod tests {
                 ..FaultConfig::default()
             },
         );
-        let report = run_crawl_configured("t", &mut db, None, None, retrying(50), |s| {
+        let report = run_crawl("t", &mut db, None, retrying(50), |s| {
             for _ in 0..40 {
                 let out = s.run(&Query::any(1))?;
                 s.report(out.tuples);
@@ -850,7 +837,7 @@ mod tests {
                 ..FaultConfig::default()
             },
         );
-        let err = run_crawl_configured("t", &mut db, None, None, retrying(3), |s| {
+        let err = run_crawl("t", &mut db, None, retrying(3), |s| {
             s.run(&Query::any(1))?;
             Ok(())
         })
@@ -871,7 +858,7 @@ mod tests {
         // second answers none, the third finishes the suffix. The two
         // charged prefix queries are paid exactly once.
         let mut db = ScriptedDb::new(vec![3, 4]);
-        let report = run_crawl_configured("t", &mut db, None, None, retrying(3), |s| {
+        let report = run_crawl("t", &mut db, None, retrying(3), |s| {
             let outs = s.run_batch(&vec![Query::any(1); 5])?;
             assert_eq!(outs.len(), 5);
             Ok(())
@@ -889,7 +876,7 @@ mod tests {
         // round answers at least one query first, the fault chain keeps
         // resetting and the batch completes.
         let mut db = ScriptedDb::new(vec![2, 4, 6, 8]);
-        let report = run_crawl_configured("t", &mut db, None, None, retrying(2), |s| {
+        let report = run_crawl("t", &mut db, None, retrying(2), |s| {
             let outs = s.run_batch(&vec![Query::any(1); 5])?;
             assert_eq!(outs.len(), 5);
             Ok(())
@@ -919,7 +906,7 @@ mod tests {
             ..SessionConfig::default()
         };
         let mut db = ScriptedDb::new(vec![1, 4, 5, 8]);
-        let report = run_crawl_configured("t", &mut db, None, None, config, |s| {
+        let report = run_crawl("t", &mut db, None, config, |s| {
             for _ in 0..5 {
                 s.run(&Query::any(1))?;
             }
@@ -967,12 +954,11 @@ mod tests {
         history.record_burst();
         let config = SessionConfig {
             retry: policy,
-            cancel: None,
             fault_history: Some(&history),
-            events: None,
+            ..SessionConfig::default()
         };
         let mut db = ScriptedDb::new(vec![1]);
-        run_crawl_configured("t", &mut db, None, None, config, |s| {
+        run_crawl("t", &mut db, None, config, |s| {
             s.run(&Query::any(1))?;
             Ok(())
         })
@@ -987,7 +973,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_never_retried() {
         let mut db = fake(Some(2));
-        let err = run_crawl_configured("t", &mut db, None, None, retrying(10), |s| loop {
+        let err = run_crawl("t", &mut db, None, retrying(10), |s| loop {
             s.run(&Query::any(1))?;
         })
         .unwrap_err();
@@ -1009,7 +995,7 @@ mod tests {
             ..SessionConfig::default()
         };
         let mut db = fake(None);
-        let err = run_crawl_configured("t", &mut db, None, None, config, |s| {
+        let err = run_crawl("t", &mut db, None, config, |s| {
             s.run(&Query::any(1))?;
             Ok(())
         })
@@ -1036,7 +1022,7 @@ mod tests {
     fn run_batch_prunes_through_the_oracle() {
         let mut db = fake(None);
         let oracle = EvenOracle;
-        let report = run_crawl("t", &mut db, Some(&oracle), |s| {
+        let report = run_crawl("t", &mut db, Some(&oracle), SessionConfig::default(), |s| {
             let qs: Vec<Query> = (0..4)
                 .map(|lo| Query::new(vec![Predicate::Range { lo, hi: 9 }]))
                 .collect();
@@ -1065,7 +1051,7 @@ mod tests {
     fn oracle_answers_locally_without_charging() {
         let mut db = fake(None);
         let oracle = NeverOracle;
-        let report = run_crawl("t", &mut db, Some(&oracle), |s| {
+        let report = run_crawl("t", &mut db, Some(&oracle), SessionConfig::default(), |s| {
             let out = s.run(&Query::any(1))?;
             assert!(out.is_resolved());
             assert!(out.is_empty());

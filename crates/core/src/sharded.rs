@@ -28,7 +28,7 @@
 //!
 //! [`Sharded::new`]`(sessions)` fixes the number of client *identities*
 //! (worker threads, each with its own connection from the caller's
-//! factory). The *plan* is deliberately finer:
+//! [`Connector`]). The *plan* is deliberately finer:
 //! [`Sharded::oversubscribed`]`(factor)` produces `≈ sessions × factor`
 //! shards, dealt to the workers dynamically by a minimal work-stealing
 //! pool (vendored in `crates/compat/workpool`: a shared injector queue
@@ -70,16 +70,18 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use hdc_types::{AttrKind, DbError, HiddenDatabase, Predicate, Query, Schema};
+use workpool::TaskCtx;
 pub use workpool::{PoolStats, Source as TaskSource, Verdict, WorkerStats};
 
 use crate::categorical::slice_cover::{extended_dfs_from, DfsRoot, LeafMode, SliceTable};
+use crate::connector::Connector;
 use crate::events::{EventSink, SessionEvent, EVENT_CHANNEL_CAPACITY};
 use crate::numeric::rank_shrink::RankShrink;
 use crate::orchestrate::{CancelToken, CrawlObserver, Flow, ShardEvent};
 use crate::report::{CrawlError, CrawlMetrics, CrawlReport, ProgressPoint};
 use crate::repository::{CrawlCheckpoint, CrawlRepository, ShardSnapshot};
 use crate::retry::{FaultHistory, RetryPolicy};
-use crate::session::{run_crawl_configured, SessionConfig};
+use crate::session::{run_crawl, SessionConfig};
 
 /// How one shard's share of the data space is described.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -273,7 +275,8 @@ impl ShardSpec {
     }
 
     /// Crawls this shard on `db`, which must view the same logical
-    /// database the plan was made for.
+    /// database the plan was made for: [`ShardSpec::crawl_with`] under
+    /// the default config, without a resume callback.
     ///
     /// The query sequence depends only on the spec and the database —
     /// not on what else ran on the connection — so a shard can be
@@ -286,142 +289,24 @@ impl ShardSpec {
         db: &mut dyn HiddenDatabase,
         schema: &Schema,
     ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_configured(db, schema, SessionConfig::default())
+        self.crawl_with(db, schema, SessionConfig::default(), None)
     }
 
-    /// [`ShardSpec::crawl`] with a [`SessionConfig`] — retry policy and
-    /// cancellation — threaded into the shard's session. Retries do not
-    /// change the charged query sequence (a transient failure charges
-    /// nothing, and the deterministic server answers the re-issued query
-    /// exactly as it would have answered the original), so the
-    /// determinism contract holds under faults too.
-    pub fn crawl_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        schema: &Schema,
-        config: SessionConfig<'_>,
-    ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_observed_configured(db, schema, config, None)
-    }
-
-    /// [`ShardSpec::crawl_configured`] with a direct [`CrawlObserver`]
-    /// on the shard's session — the path the sequential (solo
-    /// checkpointed) driver uses to stream within-shard events without a
-    /// channel. Pool workers instead stream through the config's
-    /// [`crate::EventSink`], which [`run_crawl_configured`] turns into a
-    /// proxy observer when this argument is `None`.
-    pub fn crawl_observed_configured(
-        &self,
-        db: &mut dyn HiddenDatabase,
-        schema: &Schema,
-        config: SessionConfig<'_>,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<CrawlReport, CrawlError> {
-        let cat_dims = schema.cat_indices();
-        let num_dims = schema.num_indices();
-        let rank = RankShrink::new();
-        run_crawl_configured("sharded-hybrid", db, None, observer, config, |session| match self {
-            ShardSpec::NumRange { attr, lo, hi } => {
-                if lo > hi {
-                    return Ok(()); // empty shard
-                }
-                let root = Query::any(schema.arity())
-                    .with_pred(*attr, Predicate::Range { lo: *lo, hi: *hi });
-                rank.run_subspace(session, root, &num_dims)
-            }
-            ShardSpec::CatNumRange {
-                attr,
-                value,
-                num_attr,
-                lo,
-                hi,
-            } => {
-                if lo > hi {
-                    return Ok(());
-                }
-                // Rank-shrink over the numeric subspace of one pinned
-                // categorical value, restricted to the owned sub-range —
-                // the §5 "numeric server emulation" with one extra
-                // constraint.
-                let root = Query::any(schema.arity())
-                    .with_pred(*attr, Predicate::Eq(*value))
-                    .with_pred(*num_attr, Predicate::Range { lo: *lo, hi: *hi });
-                rank.run_subspace(session, root, &num_dims)
-            }
-            ShardSpec::CatValues { attr, values } => {
-                if values.is_empty() {
-                    return Ok(());
-                }
-                // Promote the partition attribute to the first tree level
-                // so the root-value filter addresses it; keep the others
-                // in schema order.
-                let mut level_order = vec![*attr];
-                level_order.extend(cat_dims.iter().copied().filter(|a| a != attr));
-                let mut table = SliceTable::new(schema, &level_order);
-                if !num_dims.is_empty() && level_order.len() == 1 {
-                    // cat = 1: a numeric leaf's root is its slice query —
-                    // cache the overflowed leaf windows so the sub-crawl
-                    // needn't re-issue them (same rule as solo Hybrid, so
-                    // sharded and solo costs stay aligned).
-                    table.cache_leaf_windows();
-                }
-                let leaf = leaf_mode(&rank, &num_dims);
-                extended_dfs_from(
-                    session,
-                    &mut table,
-                    &leaf,
-                    DfsRoot {
-                        query: Query::any(schema.arity()),
-                        level: 0,
-                        filter: Some(values),
-                    },
-                )
-            }
-            ShardSpec::CatSub {
-                attr,
-                value,
-                sub_attr,
-                sub_values,
-            } => {
-                if sub_values.is_empty() {
-                    return Ok(());
-                }
-                // Promote [attr, sub_attr] to the first two tree levels
-                // and start the DFS at the node pinning `attr = value`,
-                // expanding only the owned secondary values.
-                let mut level_order = vec![*attr, *sub_attr];
-                level_order.extend(
-                    cat_dims
-                        .iter()
-                        .copied()
-                        .filter(|a| a != attr && a != sub_attr),
-                );
-                let mut table = SliceTable::new(schema, &level_order);
-                let leaf = leaf_mode(&rank, &num_dims);
-                extended_dfs_from(
-                    session,
-                    &mut table,
-                    &leaf,
-                    DfsRoot {
-                        query: Query::any(schema.arity())
-                            .with_pred(*attr, Predicate::Eq(*value)),
-                        level: 1,
-                        filter: Some(sub_values),
-                    },
-                )
-            }
-        })
-    }
-
-    /// [`ShardSpec::crawl_configured`] with a **resume boundary
-    /// callback**: for the extended-DFS shard kinds ([`CatValues`] /
-    /// [`CatSub`], the ones [`ResumableShard`] reports resumable) the
-    /// shard's root values are crawled one at a time on a *shared* slice
-    /// table and session, and `on_root(done, interim)` fires after each
-    /// completed root with the session's point-in-time report. A caller
-    /// banks those interims as partial [`ShardSnapshot`]s
-    /// (`frontier = done`): a crash mid-shard then replays only the
-    /// suffix `resume_suffix(done)` instead of the whole shard.
+    /// Crawls this shard under `config` (retry policy, cancellation,
+    /// events). Retries do not change the charged query sequence (a
+    /// transient failure charges nothing, and the deterministic server
+    /// answers the re-issued query exactly as it would have answered the
+    /// original), so the determinism contract holds under faults too.
+    ///
+    /// With a **resume boundary callback** `on_root`, the extended-DFS
+    /// shard kinds ([`CatValues`] / [`CatSub`], the ones
+    /// [`ResumableShard`] reports resumable) crawl their root values one
+    /// at a time on a *shared* slice table and session, and
+    /// `on_root(done, interim)` fires after each completed root with the
+    /// session's point-in-time report. A caller banks those interims as
+    /// partial [`ShardSnapshot`]s (`frontier = done`): a crash mid-shard
+    /// then replays only the suffix `resume_suffix(done)` instead of the
+    /// whole shard.
     ///
     /// Equivalence: a root-level child of these shard kinds is always a
     /// slice query — fetched once through the (shared, memoizing) slice
@@ -431,97 +316,132 @@ impl ShardSpec {
     /// one-call crawl's; only database batch grouping and the
     /// interleaving of resolved root slices with sibling subtrees can
     /// differ, neither of which the cost model or the bag observes. The
-    /// `resumable_equiv` differential test pins this.
+    /// `resumable_equiv` differential test pins this. Numeric shards
+    /// have no crawler-defined resume boundary (rank-shrink's split tree
+    /// is adaptive, so the only safe checkpoint is the whole shard):
+    /// `on_root` never fires for them.
     ///
-    /// Non-resumable specs (the numeric kinds) run the ordinary crawl;
-    /// `on_root` never fires.
+    /// Without `on_root` the roots are expanded in one call, because
+    /// only then can a database batch span several roots. The batch
+    /// grouping is what the wire pays for: on the benchmark's
+    /// `wire_skewed` workload (2 sessions over loopback HTTP, 82-shard
+    /// Adult plan, shared 2-core x86-64 Linux host, 10 runs each) the
+    /// per-root body raised the median crawl wall time by ~36% and cut
+    /// charged queries per second by ~23% at the same charged cost.
     ///
     /// [`CatValues`]: ShardSpec::CatValues
     /// [`CatSub`]: ShardSpec::CatSub
-    pub fn crawl_resumable_configured(
+    pub fn crawl_with(
         &self,
         db: &mut dyn HiddenDatabase,
         schema: &Schema,
         config: SessionConfig<'_>,
-        mut on_root: impl FnMut(u64, &CrawlReport),
+        on_root: Option<&mut OnRoot<'_>>,
     ) -> Result<CrawlReport, CrawlError> {
         let cat_dims = schema.cat_indices();
         let num_dims = schema.num_indices();
         let rank = RankShrink::new();
-        match self {
-            ShardSpec::CatValues { attr, values } => {
-                run_crawl_configured("sharded-hybrid", db, None, None, config, |session| {
-                    if values.is_empty() {
+        run_crawl("sharded-hybrid", db, None, config, |session| {
+            // The extended-DFS kinds promote their partition attribute(s)
+            // to the first tree level(s) — keeping the others in schema
+            // order — and expand only the owned root values.
+            let (level_order, query, level, roots) = match self {
+                ShardSpec::NumRange { attr, lo, hi } => {
+                    if lo > hi {
+                        return Ok(()); // empty shard
+                    }
+                    let root = Query::any(schema.arity())
+                        .with_pred(*attr, Predicate::Range { lo: *lo, hi: *hi });
+                    return rank.run_subspace(session, root, &num_dims);
+                }
+                ShardSpec::CatNumRange {
+                    attr,
+                    value,
+                    num_attr,
+                    lo,
+                    hi,
+                } => {
+                    if lo > hi {
                         return Ok(());
                     }
-                    let mut level_order = vec![*attr];
-                    level_order.extend(cat_dims.iter().copied().filter(|a| a != attr));
-                    let mut table = SliceTable::new(schema, &level_order);
-                    if !num_dims.is_empty() && level_order.len() == 1 {
-                        // Same leaf-window caching rule as the one-call
-                        // path, so costs stay aligned with solo Hybrid.
-                        table.cache_leaf_windows();
-                    }
-                    let leaf = leaf_mode(&rank, &num_dims);
-                    for (done, v) in values.iter().enumerate() {
-                        extended_dfs_from(
-                            session,
-                            &mut table,
-                            &leaf,
-                            DfsRoot {
-                                query: Query::any(schema.arity()),
-                                level: 0,
-                                filter: Some(std::slice::from_ref(v)),
-                            },
-                        )?;
-                        on_root(done as u64 + 1, &session.interim_report());
-                    }
-                    Ok(())
-                })
-            }
-            ShardSpec::CatSub {
-                attr,
-                value,
-                sub_attr,
-                sub_values,
-            } => {
-                run_crawl_configured("sharded-hybrid", db, None, None, config, |session| {
-                    if sub_values.is_empty() {
-                        return Ok(());
-                    }
-                    let mut level_order = vec![*attr, *sub_attr];
-                    level_order.extend(
+                    // Rank-shrink over the numeric subspace of one pinned
+                    // categorical value, restricted to the owned
+                    // sub-range — the §5 "numeric server emulation" with
+                    // one extra constraint.
+                    let root = Query::any(schema.arity())
+                        .with_pred(*attr, Predicate::Eq(*value))
+                        .with_pred(*num_attr, Predicate::Range { lo: *lo, hi: *hi });
+                    return rank.run_subspace(session, root, &num_dims);
+                }
+                ShardSpec::CatValues { attr, values } => {
+                    let mut order = vec![*attr];
+                    order.extend(cat_dims.iter().copied().filter(|a| a != attr));
+                    (order, Query::any(schema.arity()), 0, values.as_slice())
+                }
+                ShardSpec::CatSub {
+                    attr,
+                    value,
+                    sub_attr,
+                    sub_values,
+                } => {
+                    // Start the DFS at the node pinning `attr = value`.
+                    let mut order = vec![*attr, *sub_attr];
+                    order.extend(
                         cat_dims
                             .iter()
                             .copied()
                             .filter(|a| a != attr && a != sub_attr),
                     );
-                    let mut table = SliceTable::new(schema, &level_order);
-                    let leaf = leaf_mode(&rank, &num_dims);
-                    for (done, w) in sub_values.iter().enumerate() {
-                        extended_dfs_from(
-                            session,
-                            &mut table,
-                            &leaf,
-                            DfsRoot {
-                                query: Query::any(schema.arity())
-                                    .with_pred(*attr, Predicate::Eq(*value)),
-                                level: 1,
-                                filter: Some(std::slice::from_ref(w)),
-                            },
-                        )?;
-                        on_root(done as u64 + 1, &session.interim_report());
-                    }
-                    Ok(())
-                })
+                    let query =
+                        Query::any(schema.arity()).with_pred(*attr, Predicate::Eq(*value));
+                    (order, query, 1, sub_values.as_slice())
+                }
+            };
+            if roots.is_empty() {
+                return Ok(());
             }
-            // Numeric shards have no crawler-defined resume boundary:
-            // rank-shrink's split tree is adaptive, so the only safe
-            // checkpoint is the whole shard.
-            _ => self.crawl_observed_configured(db, schema, config, None),
-        }
+            let mut table = SliceTable::new(schema, &level_order);
+            if !num_dims.is_empty() && level_order.len() == 1 {
+                // cat = 1: a numeric leaf's root is its slice query —
+                // cache the overflowed leaf windows so the sub-crawl
+                // needn't re-issue them (same rule as solo Hybrid, so
+                // sharded and solo costs stay aligned).
+                table.cache_leaf_windows();
+            }
+            let leaf = leaf_mode(&rank, &num_dims);
+            let Some(on_root) = on_root else {
+                return extended_dfs_from(
+                    session,
+                    &mut table,
+                    &leaf,
+                    DfsRoot {
+                        query,
+                        level,
+                        filter: Some(roots),
+                    },
+                );
+            };
+            for (done, v) in roots.iter().enumerate() {
+                extended_dfs_from(
+                    session,
+                    &mut table,
+                    &leaf,
+                    DfsRoot {
+                        query: query.clone(),
+                        level,
+                        filter: Some(std::slice::from_ref(v)),
+                    },
+                )?;
+                on_root(done as u64 + 1, &session.interim_report());
+            }
+            Ok(())
+        })
     }
 }
+
+/// A resume-boundary callback for [`ShardSpec::crawl_with`]: fired with
+/// the number of completed root values and the session's interim report.
+pub type OnRoot<'a> = dyn FnMut(u64, &CrawlReport) + 'a;
 
 /// Shards that can checkpoint **mid-flight** at crawler-defined
 /// boundaries, so a crash replays only the un-checkpointed suffix.
@@ -538,8 +458,8 @@ impl ShardSpec {
 /// (`frontier = Some(c)`):
 ///
 /// * the partial snapshot's tuples and accounting describe exactly the
-///   first `c` roots (what [`ShardSpec::crawl_resumable_configured`]'s
-///   callback observed);
+///   first `c` roots (what [`ShardSpec::crawl_with`]'s resume callback
+///   observed);
 /// * `resume_suffix(c)` is a spec whose crawl produces exactly the
 ///   rest: prefix + suffix tuples concatenated = the whole shard's bag
 ///   as a multiset. Cost is *nearly* additive: the suffix crawl's fresh
@@ -678,11 +598,10 @@ impl ShardedReport {
 
 /// Runtime controls for a sharded crawl: the streaming observer, a
 /// cross-thread cancellation token, and a checkpoint repository. All
-/// optional; `CrawlControls::default()` reproduces the plain
-/// [`Sharded::crawl`] behavior.
+/// optional; `CrawlControls::default()` is a plain crawl.
 #[derive(Default)]
 pub struct CrawlControls<'a> {
-    /// Merge-path event sink (see [`Sharded::crawl_observed`]).
+    /// Live event and merge-path sink (see [`Sharded::crawl`]).
     pub observer: Option<&'a mut dyn CrawlObserver>,
     /// Cooperative cancellation: when the token latches, in-flight shard
     /// sessions abort before their next query and queued shards are
@@ -870,232 +789,248 @@ impl Sharded {
         shards
     }
 
-    /// Runs the sharded crawl. `factory(s)` creates session `s`'s own
-    /// connection to the hidden database (its own identity/quota); all
-    /// connections must view the *same* logical database.
+    /// Runs the sharded crawl of `schema`'s plan across this crawler's
+    /// client identities on the work-stealing pool — the one sharded
+    /// driver. `connector.connect(s)` mints identity `s`'s own
+    /// connection; every connection must view the same logical database,
+    /// whose schema is `schema`. `shard_crawl` crawls one shard on one
+    /// connection under the [`SessionConfig`] the driver hands it (this
+    /// crawler's retry policy, the crawl's halt token, and the shard's
+    /// event route); its query sequence may
+    /// depend only on the shard spec and the database, never on the
+    /// worker or what ran before on the connection (the determinism
+    /// contract in the module docs). The hybrid family passes
+    /// [`ShardSpec::crawl_with`]; other crawlers — the top-k-barrier
+    /// crawler in `hdc-barrier` — ride the same plan, pool, retirement,
+    /// checkpointing, and merge machinery through their own
+    /// [`crate::ShardCrawler::crawl_spec`].
     ///
-    /// Each of the `sessions` workers owns one connection for its whole
+    /// Each of the sessions' workers owns one connection for its whole
     /// lifetime and crawls the shards the scheduler deals it, one at a
     /// time. Results are merged in plan order, so the extracted bag and
-    /// every per-shard cost are deterministic regardless of scheduling
-    /// (see the module docs for the exact contract).
-    pub fn crawl<D, F>(&self, factory: F) -> Result<ShardedReport, CrawlError>
-    where
-        D: HiddenDatabase + Send,
-        F: Fn(usize) -> D + Sync,
-    {
-        self.crawl_controlled(factory, CrawlControls::default())
-    }
-
-    /// [`Sharded::crawl`] with [`CrawlControls`] — observer, cancellation
-    /// token, and checkpoint repository — attached. This is the
-    /// fully-general entry point for the paper's hybrid algorithm; the
-    /// `crawl`/`crawl_with`/`crawl_observed` family are thin wrappers.
+    /// every per-shard cost are deterministic regardless of scheduling.
     ///
-    /// With a repository, the crawl loads any existing checkpoint first
-    /// (panicking if its plan does not match this crawl's plan), replays
-    /// the snapshotted shards without issuing a single query, crawls only
-    /// the remainder, and stores the updated checkpoint after every
-    /// completed shard. The merged report of a resumed crawl is
-    /// bit-identical to an uninterrupted run's.
-    pub fn crawl_controlled<D, F>(
-        &self,
-        factory: F,
-        controls: CrawlControls<'_>,
-    ) -> Result<ShardedReport, CrawlError>
-    where
-        D: HiddenDatabase + Send,
-        F: Fn(usize) -> D + Sync,
-    {
-        let probe = factory(0);
-        let schema = probe.schema().clone();
-        drop(probe);
-        self.crawl_controlled_with_schema(
-            &schema.clone(),
-            factory,
-            move |spec, db: &mut D, config| spec.crawl_configured(db, &schema, config),
-            controls,
-        )
-    }
-
-    /// Runs a sharded crawl with a **caller-supplied per-shard crawler**.
-    ///
-    /// [`Sharded::crawl`] hard-wires the paper's hybrid algorithm
-    /// ([`ShardSpec::crawl`]); this generalization lets other crawlers
-    /// ride the same plan, pool, retirement, and merge machinery — the
-    /// top-k-barrier crawler (`hdc-barrier`) parallelizes across
-    /// identities exactly this way. The contract `shard_crawl` must
-    /// uphold is the scheduler's determinism contract: its query sequence
-    /// (and hence cost and bag) may depend only on the shard spec and the
-    /// database, never on which worker runs it or what ran before on the
-    /// connection.
-    pub fn crawl_with<D, F, G>(
-        &self,
-        factory: F,
-        shard_crawl: G,
-    ) -> Result<ShardedReport, CrawlError>
-    where
-        D: HiddenDatabase + Send,
-        F: Fn(usize) -> D + Sync,
-        G: Fn(&ShardSpec, &mut D) -> Result<CrawlReport, CrawlError> + Sync,
-    {
-        self.crawl_observed(factory, shard_crawl, None)
-    }
-
-    /// [`Sharded::crawl_with`] with a [`CrawlObserver`] attached: one
-    /// [`ShardEvent`] fires per completed shard, in deterministic plan
-    /// order, as the shard's results are folded into the merged report.
-    /// (This entry point takes a *config-less* shard crawler that
-    /// manages its own sessions, so within-shard events cannot be
-    /// threaded inside it; crawlers that accept a [`SessionConfig`] —
-    /// the hybrid family via [`Sharded::crawl`], custom
-    /// [`crate::ShardCrawler`]s via the crawl builder — additionally
-    /// stream live `on_query`/`on_tuples`/`on_progress` events from the
-    /// worker threads through the bounded channel in [`crate::events`].)
-    ///
-    /// Returning [`Flow::Stop`] from `on_shard` stops the merge: the
-    /// cost of every executed shard is still absorbed (partial reports
-    /// never lie about spend), but only the tuples of the shards merged
-    /// before the stop are kept, and the crawl returns
-    /// [`CrawlError::Stopped`] with that prefix-consistent partial —
-    /// unless some shard actually *failed*, in which case the failure
-    /// (`Db`/`Unsolvable`) is returned instead, carrying the same
-    /// partial: a dead identity must never be misread as a voluntary
-    /// stop.
-    pub fn crawl_observed<D, F, G>(
-        &self,
-        factory: F,
-        shard_crawl: G,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<ShardedReport, CrawlError>
-    where
-        D: HiddenDatabase + Send,
-        F: Fn(usize) -> D + Sync,
-        G: Fn(&ShardSpec, &mut D) -> Result<CrawlReport, CrawlError> + Sync,
-    {
-        let probe = factory(0);
-        let schema = probe.schema().clone();
-        drop(probe);
-        self.crawl_observed_with_schema(&schema, factory, shard_crawl, observer)
-    }
-
-    /// [`Sharded::crawl_observed`] for callers that already know the
-    /// schema (the crawl builder probes it once to resolve
-    /// [`crate::Strategy::Auto`]): skips the extra probe connection a
-    /// second `factory(0)` would open — against a real metered site,
-    /// connections are not free.
-    pub(crate) fn crawl_observed_with_schema<D, F, G>(
+    /// [`CrawlControls`] attach the rest:
+    /// * an **observer** receives every shard session's
+    ///   `on_query`/`on_tuples`/`on_progress` events live — streamed out
+    ///   of the worker threads through the bounded channel in
+    ///   [`crate::events`], with progress aggregated into crawl-wide
+    ///   totals — plus one [`ShardEvent`] per merged shard, in plan
+    ///   order. A [`Flow::Stop`] from a live event trips the halt token,
+    ///   stopping every in-flight shard before its next query. A
+    ///   [`Flow::Stop`] from `on_shard` stops the merge: the cost of
+    ///   every executed shard is still absorbed (partial reports never
+    ///   lie about spend), but only the tuples of the shards merged before
+    ///   the stop are kept, and the crawl returns [`CrawlError::Stopped`]
+    ///   with that prefix-consistent partial — unless some shard actually
+    ///   *failed*, in which case the failure (`Db`/`Unsolvable`) is
+    ///   returned instead, carrying the same partial: a dead identity must
+    ///   never be misread as a voluntary stop;
+    /// * a **repository** makes the crawl resumable: any existing
+    ///   checkpoint is loaded first (a plan mismatch is a typed
+    ///   [`CrawlError::Db`], not a panic), its snapshotted shards are
+    ///   replayed without issuing a single query, only the remainder is
+    ///   crawled, and the updated checkpoint is stored after every
+    ///   completed shard. The merged report of a resumed crawl is
+    ///   bit-identical to an uninterrupted run's.
+    pub fn crawl<C, G>(
         &self,
         schema: &Schema,
-        factory: F,
-        shard_crawl: G,
-        observer: Option<&mut dyn CrawlObserver>,
-    ) -> Result<ShardedReport, CrawlError>
-    where
-        D: HiddenDatabase + Send,
-        F: Fn(usize) -> D + Sync,
-        G: Fn(&ShardSpec, &mut D) -> Result<CrawlReport, CrawlError> + Sync,
-    {
-        self.crawl_controlled_with_schema(
-            schema,
-            factory,
-            // A config-less shard crawler manages its own sessions; the
-            // sharded retry/cancel config cannot reach inside it.
-            |spec, db, _config| shard_crawl(spec, db),
-            CrawlControls {
-                observer,
-                ..CrawlControls::default()
-            },
-        )
-    }
-
-    /// The fully-general sharded driver: a *configured* per-shard
-    /// crawler (it receives the [`SessionConfig`] carrying this
-    /// `Sharded`'s retry policy and the crawl's halt token) plus
-    /// [`CrawlControls`]. Everything else funnels here.
-    pub(crate) fn crawl_controlled_with_schema<D, F, G>(
-        &self,
-        schema: &Schema,
-        factory: F,
+        connector: C,
         shard_crawl: G,
         controls: CrawlControls<'_>,
     ) -> Result<ShardedReport, CrawlError>
     where
-        D: HiddenDatabase + Send,
-        F: Fn(usize) -> D + Sync,
-        G: Fn(&ShardSpec, &mut D, SessionConfig<'_>) -> Result<CrawlReport, CrawlError> + Sync,
+        C: Connector,
+        G: Fn(
+                &ShardSpec,
+                &mut dyn HiddenDatabase,
+                SessionConfig<'_>,
+            ) -> Result<CrawlReport, CrawlError>
+            + Sync,
     {
         let CrawlControls {
             mut observer,
             cancel,
-            mut repository,
+            repository,
         } = controls;
-        let plan = Self::plan_oversubscribed(schema, self.sessions, self.oversubscribe);
-        let signatures: Vec<String> = plan.iter().map(ShardSpec::signature).collect();
+        let internal_halt = CancelToken::new();
+        let run = ShardedRun::prepare(self, schema, cancel.unwrap_or(&internal_halt), repository)?;
+        let pool = workpool::Pool::new(self.sessions);
+        // The pool run, parameterized over the live event sink so the
+        // observed and unobserved paths share one task closure: with a
+        // sink, every shard session streams its events into the bounded
+        // channel, tagged with its plan index.
+        let execute = |events: Option<EventSink>| {
+            pool.run_cancellable(
+                run.tasks(),
+                |w| (connector.connect(w), 0, FaultHistory::new()),
+                |(db, strikes, history): &mut (C::Db, u32, FaultHistory),
+                 ctx,
+                 task: (usize, ShardSpec)| {
+                    let config = SessionConfig {
+                        fault_history: Some(history),
+                        events: events.as_ref().map(|sink| sink.for_shard(task.0)),
+                        ..SessionConfig::default()
+                    };
+                    run.shard(&shard_crawl, db, strikes, ctx, task, config)
+                },
+                Some(run.halt.flag()),
+            )
+        };
+        let (slots, stats) = match observer.as_deref_mut() {
+            None => execute(None),
+            Some(obs) => {
+                // Live streaming: the pool runs on its own (scoped)
+                // thread while this one drains the event channel into
+                // the observer. The drain ends when the pool drops the
+                // last sender.
+                let (tx, rx) = chan::bounded(EVENT_CHANNEL_CAPACITY);
+                let sink = EventSink::new(tx, 0);
+                let mut relay = Relay::new(obs, &run);
+                std::thread::scope(|scope| {
+                    let pool_run = scope.spawn(move || execute(Some(sink)));
+                    while let Ok(event) = rx.recv() {
+                        relay.forward(event);
+                    }
+                    let (slots, mut stats) = pool_run.join().expect("pool thread panicked");
+                    // An observer Stop that lands as the pool drains its
+                    // last shard can post-date the pool's own sample of
+                    // the flag; the merge must still see it.
+                    stats.cancelled |= relay.stopped;
+                    (slots, stats)
+                })
+            }
+        };
+        run.finish(slots, stats, observer)
+    }
 
-        // Resume: split the plan into snapshotted shards (replayed
-        // without a query) and pending ones (crawled below).
+    /// [`Sharded::crawl`] on **one caller-provided connection**, as an
+    /// inline one-worker pool on the calling thread: the same plan,
+    /// checkpoint journal, identity-health rules, and merge, with the
+    /// shards executed in plan order. This is how a *solo* crawl gains
+    /// checkpoint/resume — the plan (oversubscription as the checkpoint
+    /// granularity) turns a monolithic crawl into resumable shard-sized
+    /// steps, and the determinism contract makes the merged result
+    /// bit-identical to the pool's for the same plan.
+    ///
+    /// Why not [`Sharded::crawl`] with one session: the pool moves each
+    /// identity's connection onto a worker thread, so its connections
+    /// must be `Send` and owned, while a solo crawl holds one borrowed
+    /// `&mut dyn HiddenDatabase` that may be neither. The inline loop
+    /// (`workpool::run_inline`) shares the pool's task loop without the
+    /// thread, and the observer rides directly on each shard's session
+    /// instead of through the event channel.
+    pub(crate) fn crawl_inline<G>(
+        &self,
+        schema: &Schema,
+        db: &mut dyn HiddenDatabase,
+        shard_crawl: G,
+        controls: CrawlControls<'_>,
+    ) -> Result<ShardedReport, CrawlError>
+    where
+        G: Fn(
+            &ShardSpec,
+            &mut dyn HiddenDatabase,
+            SessionConfig<'_>,
+        ) -> Result<CrawlReport, CrawlError>,
+    {
+        let CrawlControls {
+            mut observer,
+            cancel,
+            repository,
+        } = controls;
+        let internal_halt = CancelToken::new();
+        let run = ShardedRun::prepare(self, schema, cancel.unwrap_or(&internal_halt), repository)?;
+        let relay = observer.as_deref_mut().map(|obs| Relay::new(obs, &run));
+        let mut state = (db, 0, FaultHistory::new(), relay);
+        let (slots, stats) = workpool::run_inline(
+            run.tasks(),
+            &mut state,
+            |(db, strikes, history, relay), ctx, task: (usize, ShardSpec)| {
+                let mut tap = relay.as_mut().map(|relay| ShardTap {
+                    relay,
+                    shard: task.0,
+                });
+                let config = SessionConfig {
+                    fault_history: Some(history),
+                    observer: tap.as_mut().map(|t| t as &mut dyn CrawlObserver),
+                    ..SessionConfig::default()
+                };
+                run.shard(&shard_crawl, &mut **db, strikes, ctx, task, config)
+            },
+            Some(run.halt.flag()),
+        );
+        drop(state);
+        run.finish(slots, stats, observer)
+    }
+}
+
+/// One sharded crawl between plan and merge — the driver core both
+/// executors share. [`Sharded::crawl`] (the work-stealing pool) and
+/// [`Sharded::crawl_inline`] (one worker on the caller's connection)
+/// differ only in how tasks reach a connection and how events reach the
+/// observer; planning, checkpoint restore, the per-shard run with its
+/// identity-health verdict and journal write, and the merge are this
+/// type's.
+struct ShardedRun<'h, 'r> {
+    retry: RetryPolicy,
+    strikes: u32,
+    plan: Vec<ShardSpec>,
+    /// Snapshotted shards, replayed without a query.
+    restored: Vec<Option<ShardSnapshot>>,
+    /// The halt flag: the caller's token when provided (so external
+    /// cancellation reaches every session), else an internal one (so a
+    /// Stopped shard still halts its in-flight peers).
+    halt: &'h CancelToken,
+    /// Checkpoint journal: each completed shard appends its snapshot and
+    /// stores the accumulated state, serialized by the mutex.
+    journal: Option<Mutex<(&'r mut dyn CrawlRepository, CrawlCheckpoint)>>,
+    /// Store failures are latched, never panicked — the crawl itself is
+    /// healthy, only resumability is degraded — and surfaced once at the
+    /// end.
+    store_error: Mutex<Option<std::io::Error>>,
+}
+
+impl<'h, 'r> ShardedRun<'h, 'r> {
+    /// Plans the crawl and, with a repository, restores its checkpoint.
+    fn prepare(
+        sharded: &Sharded,
+        schema: &Schema,
+        halt: &'h CancelToken,
+        mut repository: Option<&'r mut dyn CrawlRepository>,
+    ) -> Result<Self, CrawlError> {
+        let plan = Sharded::plan_oversubscribed(schema, sharded.sessions, sharded.oversubscribe);
+        let signatures: Vec<String> = plan.iter().map(ShardSpec::signature).collect();
         let mut restored: Vec<Option<ShardSnapshot>> = (0..plan.len()).map(|_| None).collect();
         if let Some(repo) = repository.as_deref_mut() {
+            let failed = |error: String| CrawlError::Db {
+                error: DbError::Backend(error),
+                partial: Box::new(blank_report("sharded-hybrid")),
+            };
             match repo.load() {
                 Ok(None) => {}
                 Ok(Some(checkpoint)) => {
                     // A stale checkpoint is a typed, recoverable error —
                     // the caller prints the hint and exits cleanly — not
                     // a panic that would take a whole fleet down.
-                    if let Err(e) = checkpoint.verify_plan(&signatures) {
-                        return Err(CrawlError::Db {
-                            error: DbError::Backend(e.to_string()),
-                            partial: Box::new(blank_report("sharded-hybrid")),
-                        });
-                    }
+                    checkpoint
+                        .verify_plan(&signatures)
+                        .map_err(|e| failed(e.to_string()))?;
                     for snap in checkpoint.shards {
                         // Partial (frontier-bearing) snapshots belong to
                         // the lease coordinator's salvage path; whole-plan
                         // resume re-crawls such shards from scratch, which
                         // is always correct.
-                        if !snap.is_complete() {
-                            continue;
+                        if snap.is_complete() {
+                            let index = snap.index;
+                            restored[index] = Some(snap);
                         }
-                        let index = snap.index;
-                        restored[index] = Some(snap);
                     }
                 }
-                Err(e) => {
-                    return Err(CrawlError::Db {
-                        error: DbError::Backend(format!("checkpoint load failed: {e}")),
-                        partial: Box::new(blank_report("sharded-hybrid")),
-                    })
-                }
+                Err(e) => return Err(failed(format!("checkpoint load failed: {e}"))),
             }
         }
-        let tasks: Vec<(usize, ShardSpec)> = plan
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| restored[*i].is_none())
-            .map(|(i, spec)| (i, spec.clone()))
-            .collect();
-        // Work already replayed from the checkpoint, so live progress
-        // events resume the crawl's totals instead of restarting at zero.
-        let restored_base = restored
-            .iter()
-            .flatten()
-            .fold(ProgressPoint::default(), |acc, snap| ProgressPoint {
-                queries: acc.queries + snap.queries,
-                tuples: acc.tuples + snap.tuples.len() as u64,
-            });
-
-        // The halt flag: the caller's token when provided (so external
-        // cancellation reaches every session), else an internal one (so
-        // a Stopped shard still halts its in-flight peers).
-        let internal_halt = CancelToken::new();
-        let halt: &CancelToken = cancel.unwrap_or(&internal_halt);
-
-        // Checkpoint journal: worker threads append one snapshot per
-        // completed shard and store the accumulated state, serialized by
-        // the mutex. Store failures are latched, never panicked — the
-        // crawl itself is healthy, only resumability is degraded — and
-        // surfaced once at the end.
         let journal = repository.map(|repo| {
             let seeded = CrawlCheckpoint {
                 plan: signatures,
@@ -1103,119 +1038,133 @@ impl Sharded {
             };
             Mutex::new((repo, seeded))
         });
-        let store_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
+        Ok(ShardedRun {
+            retry: sharded.retry.clone(),
+            strikes: sharded.strikes,
+            plan,
+            restored,
+            halt,
+            journal,
+            store_error: Mutex::new(None),
+        })
+    }
 
-        let pool = workpool::Pool::new(self.sessions);
-        // The pool run, parameterized over the live event sink so the
-        // observed and unobserved paths share one task closure: with a
-        // sink, every shard session streams its events into the bounded
-        // channel ([`crate::events`]), tagged with its plan index.
-        let run_pool = |events: Option<EventSink>| {
-            pool.run_cancellable(
-                tasks,
-                |w| (factory(w), 0u32, FaultHistory::new()),
-                |(db, strikes, history): &mut (D, u32, FaultHistory),
-                 ctx,
-                 (index, spec): (usize, ShardSpec)| {
-                    let begun = Instant::now();
-                    let config = SessionConfig {
-                        retry: self.retry.clone(),
-                        cancel: Some(halt),
-                        fault_history: Some(history),
-                        events: events.as_ref().map(|sink| sink.for_shard(index)),
-                    };
-                    let result = shard_crawl(&spec, db, config);
-                    // Identity health. A permanent database failure means
-                    // this identity is dead (quota exhausted, banned): retire
-                    // the worker instead of burning one doomed query per
-                    // remaining shard. A *transient* failure that survived
-                    // the retry policy marks a strike — the identity is
-                    // flaky, but only repeated consecutive strikes retire it.
-                    // An unsolvable instance leaves the connection healthy,
-                    // and a stopped shard halts the whole crawl instead.
-                    let verdict = match &result {
-                        Ok(_) => {
-                            *strikes = 0;
-                            Verdict::Continue
-                        }
-                        Err(CrawlError::Db { error, .. }) if error.is_transient() => {
-                            *strikes += 1;
-                            if *strikes >= self.strikes {
-                                Verdict::Retire
-                            } else {
-                                Verdict::Continue
-                            }
-                        }
-                        Err(CrawlError::Db { .. }) => Verdict::Retire,
-                        Err(CrawlError::Stopped { .. }) => {
-                            halt.cancel();
-                            Verdict::Continue
-                        }
-                        Err(CrawlError::Unsolvable { .. }) => Verdict::Continue,
-                    };
-                    if let (Ok(report), Some(journal)) = (&result, journal.as_ref()) {
-                        let mut guard = journal.lock().expect("journal poisoned");
-                        let (repo, checkpoint) = &mut *guard;
-                        checkpoint.shards.push(snapshot_of(index, report));
-                        if let Err(e) = repo.store(checkpoint) {
-                            store_error
-                                .lock()
-                                .expect("store_error poisoned")
-                                .get_or_insert(e);
-                        }
-                    }
-                    (
-                        PendingRun {
-                            index,
-                            spec,
-                            worker: ctx.worker,
-                            source: ctx.source,
-                            wall: begun.elapsed(),
-                            result,
-                            restored: false,
-                        },
-                        verdict,
-                    )
-                },
-                Some(halt.flag()),
-            )
-        };
-        let (slots, pool_stats) = match observer.as_deref_mut() {
-            None => run_pool(None),
-            Some(obs) => {
-                // Live streaming: the pool runs on its own (scoped)
-                // thread while this one drains the event channel into the
-                // observer. The drain ends when the pool drops the last
-                // sender; an observer Stop trips the halt token, which
-                // every in-flight shard session checks before its next
-                // query — prefix-consistent partials, never torn ones.
-                let (tx, rx) = chan::bounded(EVENT_CHANNEL_CAPACITY);
-                let sink = EventSink::new(tx, 0);
-                std::thread::scope(|scope| {
-                    let pool_run = scope.spawn(move || run_pool(Some(sink)));
-                    let stopped = forward_events(&rx, obs, halt, plan.len(), restored_base);
-                    let (slots, mut stats) = pool_run.join().expect("pool thread panicked");
-                    // An observer Stop that lands as the pool drains its
-                    // last shard can post-date the pool's own sample of
-                    // the flag; the merge must still see it.
-                    stats.cancelled |= stopped;
-                    (slots, stats)
-                })
+    /// The shards left to crawl, with their plan indices.
+    fn tasks(&self) -> Vec<(usize, ShardSpec)> {
+        self.plan
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| self.restored[*i].is_none())
+            .map(|(i, spec)| (i, spec.clone()))
+            .collect()
+    }
+
+    /// Work already replayed from the checkpoint, so live progress events
+    /// resume the crawl's totals instead of restarting at zero.
+    fn restored_progress(&self) -> ProgressPoint {
+        self.restored
+            .iter()
+            .flatten()
+            .fold(ProgressPoint::default(), |acc, snap| ProgressPoint {
+                queries: acc.queries + snap.queries,
+                tuples: acc.tuples + snap.tuples.len() as u64,
+            })
+    }
+
+    /// Crawls one shard on one identity's connection and decides whether
+    /// the identity keeps working. The executor's `config` carries the
+    /// shard's event route and the identity's fault history; the run adds
+    /// the retry policy and the halt token. `strikes` counts the identity's consecutive transient shard
+    /// failures.
+    fn shard<'c, G>(
+        &self,
+        shard_crawl: &G,
+        db: &mut dyn HiddenDatabase,
+        strikes: &mut u32,
+        ctx: &TaskCtx,
+        (index, spec): (usize, ShardSpec),
+        mut config: SessionConfig<'c>,
+    ) -> (PendingRun, Verdict)
+    where
+        'h: 'c,
+        G: Fn(
+            &ShardSpec,
+            &mut dyn HiddenDatabase,
+            SessionConfig<'_>,
+        ) -> Result<CrawlReport, CrawlError>,
+    {
+        let begun = Instant::now();
+        config.retry = self.retry.clone();
+        config.cancel = Some(self.halt);
+        let result = shard_crawl(&spec, db, config);
+        // Identity health. A permanent database failure means this
+        // identity is dead (quota exhausted, banned): retire the worker
+        // instead of burning one doomed query per remaining shard. A
+        // *transient* failure that survived the retry policy marks a
+        // strike — the identity is flaky, but only repeated consecutive
+        // strikes retire it. An unsolvable instance leaves the connection
+        // healthy, and a stopped shard halts the whole crawl instead.
+        let verdict = match &result {
+            Ok(_) => {
+                *strikes = 0;
+                Verdict::Continue
             }
+            Err(CrawlError::Db { error, .. }) if error.is_transient() => {
+                *strikes += 1;
+                if *strikes >= self.strikes {
+                    Verdict::Retire
+                } else {
+                    Verdict::Continue
+                }
+            }
+            Err(CrawlError::Db { .. }) => Verdict::Retire,
+            Err(CrawlError::Stopped { .. }) => {
+                self.halt.cancel();
+                Verdict::Continue
+            }
+            Err(CrawlError::Unsolvable { .. }) => Verdict::Continue,
         };
+        if let (Ok(report), Some(journal)) = (&result, &self.journal) {
+            let mut guard = journal.lock().expect("journal poisoned");
+            let (repo, checkpoint) = &mut *guard;
+            checkpoint.shards.push(snapshot_of(index, report));
+            if let Err(e) = repo.store(checkpoint) {
+                self.store_error
+                    .lock()
+                    .expect("store_error poisoned")
+                    .get_or_insert(e);
+            }
+        }
+        let run = PendingRun {
+            index,
+            spec,
+            worker: ctx.worker,
+            source: ctx.source,
+            wall: begun.elapsed(),
+            result,
+            restored: false,
+        };
+        (run, verdict)
+    }
 
-        // Reassemble plan order: live results land at their plan index,
-        // snapshotted shards are replayed as pre-completed runs.
-        let mut full: Vec<Option<PendingRun>> = (0..plan.len()).map(|_| None).collect();
+    /// Reassembles plan order — live results at their plan index,
+    /// snapshotted shards replayed as pre-completed runs — and merges.
+    fn finish(
+        self,
+        slots: Vec<Option<PendingRun>>,
+        pool: PoolStats,
+        observer: Option<&mut dyn CrawlObserver>,
+    ) -> Result<ShardedReport, CrawlError> {
+        let mut full: Vec<Option<PendingRun>> = (0..self.plan.len()).map(|_| None).collect();
         for run in slots.into_iter().flatten() {
             let index = run.index;
             full[index] = Some(run);
         }
-        for (index, snap) in restored.into_iter().enumerate() {
+        for (index, snap) in self.restored.into_iter().enumerate() {
             let Some(snap) = snap else { continue };
             full[index] = Some(PendingRun {
                 index,
-                spec: plan[index].clone(),
+                spec: self.plan[index].clone(),
                 worker: 0,
                 source: TaskSource::Seeded,
                 wall: Duration::ZERO,
@@ -1223,284 +1172,100 @@ impl Sharded {
                 restored: true,
             });
         }
-        merge_results(
-            full,
-            pool_stats,
-            self.sessions,
-            observer,
-            store_error.into_inner().expect("store_error poisoned"),
-        )
+        let store_error = self.store_error.into_inner().expect("store_error poisoned");
+        merge_results(full, pool, observer, store_error)
     }
 }
 
-impl Sharded {
-    /// The single-connection sibling of
-    /// [`Sharded::crawl_controlled_with_schema`]: executes the same plan
-    /// **sequentially, in plan order, on one caller-provided
-    /// connection** — no threads, no factory. This is how a *solo* crawl
-    /// gains checkpoint/resume: the plan (one session, oversubscription
-    /// as the checkpoint granularity) turns a monolithic crawl into
-    /// resumable shard-sized steps, and the determinism contract makes
-    /// the merged result bit-identical to the pool's for the same plan.
-    pub(crate) fn crawl_sequential_controlled(
-        &self,
-        schema: &Schema,
-        db: &mut dyn HiddenDatabase,
-        shard_crawl: impl Fn(
-            &ShardSpec,
-            &mut dyn HiddenDatabase,
-            SessionConfig<'_>,
-            Option<&mut dyn CrawlObserver>,
-        ) -> Result<CrawlReport, CrawlError>,
-        controls: CrawlControls<'_>,
-    ) -> Result<ShardedReport, CrawlError> {
-        let CrawlControls {
-            mut observer,
-            cancel,
-            mut repository,
-        } = controls;
-        let plan = Self::plan_oversubscribed(schema, self.sessions, self.oversubscribe);
-        let signatures: Vec<String> = plan.iter().map(ShardSpec::signature).collect();
-
-        let mut restored: Vec<Option<ShardSnapshot>> = (0..plan.len()).map(|_| None).collect();
-        if let Some(repo) = repository.as_deref_mut() {
-            match repo.load() {
-                Ok(None) => {}
-                Ok(Some(checkpoint)) => {
-                    // Same typed stale-checkpoint handling as the pool
-                    // driver: surface, don't panic.
-                    if let Err(e) = checkpoint.verify_plan(&signatures) {
-                        return Err(CrawlError::Db {
-                            error: DbError::Backend(e.to_string()),
-                            partial: Box::new(blank_report("sharded-hybrid")),
-                        });
-                    }
-                    for snap in checkpoint.shards {
-                        if !snap.is_complete() {
-                            continue; // salvage-path partials: re-crawl whole
-                        }
-                        let index = snap.index;
-                        restored[index] = Some(snap);
-                    }
-                }
-                Err(e) => {
-                    return Err(CrawlError::Db {
-                        error: DbError::Backend(format!("checkpoint load failed: {e}")),
-                        partial: Box::new(blank_report("sharded-hybrid")),
-                    })
-                }
-            }
-        }
-
-        let internal_halt = CancelToken::new();
-        let halt: &CancelToken = cancel.unwrap_or(&internal_halt);
-        let mut journal = repository.map(|repo| {
-            let seeded = CrawlCheckpoint {
-                plan: signatures,
-                shards: restored.iter().flatten().cloned().collect(),
-            };
-            (repo, seeded)
-        });
-        let mut store_error: Option<std::io::Error> = None;
-
-        let began = Instant::now();
-        let mut stats = WorkerStats::default();
-        let mut full: Vec<Option<PendingRun>> = (0..plan.len()).map(|_| None).collect();
-        for (index, snap) in restored.into_iter().enumerate() {
-            let Some(snap) = snap else { continue };
-            full[index] = Some(PendingRun {
-                index,
-                spec: plan[index].clone(),
-                worker: 0,
-                source: TaskSource::Seeded,
-                wall: Duration::ZERO,
-                result: Ok(report_of(snap)),
-                restored: true,
-            });
-        }
-        let mut strikes = 0u32;
-        let history = FaultHistory::new();
-        // Crawl-wide (queries, tuples) completed so far — checkpointed
-        // work included — so within-shard progress events report crawl
-        // totals, not shard-local ones.
-        let mut base = full
-            .iter()
-            .flatten()
-            .filter_map(|run| run.result.as_ref().ok())
-            .fold(ProgressPoint::default(), |acc, report| ProgressPoint {
-                queries: acc.queries + report.queries,
-                tuples: acc.tuples + report.tuples.len() as u64,
-            });
-        for (index, spec) in plan.iter().enumerate() {
-            if full[index].is_some() {
-                continue; // replayed from the checkpoint
-            }
-            if halt.is_cancelled() {
-                break;
-            }
-            let begun = Instant::now();
-            let config = SessionConfig {
-                retry: self.retry.clone(),
-                cancel: Some(halt),
-                fault_history: Some(&history),
-                events: None,
-            };
-            // One connection, one thread: the observer rides directly on
-            // the shard's session (no channel), re-based onto the crawl's
-            // running totals.
-            let mut forwarder = observer
-                .as_deref_mut()
-                .map(|inner| SoloForwarder { inner, base });
-            let result = shard_crawl(
-                spec,
-                db,
-                config,
-                forwarder.as_mut().map(|f| f as &mut dyn CrawlObserver),
-            );
-            {
-                let shard_report = match &result {
-                    Ok(report) => report,
-                    Err(e) => e.partial(),
-                };
-                base.queries += shard_report.queries;
-                base.tuples += shard_report.tuples.len() as u64;
-            }
-            stats.busy += begun.elapsed();
-            stats.executed += 1;
-            if index == 0 {
-                stats.seeded += 1;
-            } else {
-                stats.injected += 1;
-            }
-            // Same identity-health rules as the pool path, for the one
-            // identity there is.
-            let retire = match &result {
-                Ok(_) => {
-                    strikes = 0;
-                    false
-                }
-                Err(CrawlError::Db { error, .. }) if error.is_transient() => {
-                    strikes += 1;
-                    strikes >= self.strikes
-                }
-                Err(CrawlError::Db { .. }) => true,
-                Err(CrawlError::Stopped { .. }) => {
-                    halt.cancel();
-                    false
-                }
-                Err(CrawlError::Unsolvable { .. }) => false,
-            };
-            if let (Ok(report), Some((repo, checkpoint))) = (&result, journal.as_mut()) {
-                checkpoint.shards.push(snapshot_of(index, report));
-                if let Err(e) = repo.store(checkpoint) {
-                    store_error.get_or_insert(e);
-                }
-            }
-            full[index] = Some(PendingRun {
-                index,
-                spec: spec.clone(),
-                worker: 0,
-                source: if index == 0 {
-                    TaskSource::Seeded
-                } else {
-                    TaskSource::Injected
-                },
-                wall: begun.elapsed(),
-                result,
-                restored: false,
-            });
-            if retire {
-                stats.retired = true;
-                break;
-            }
-        }
-        let unrun = full.iter().filter(|slot| slot.is_none()).count();
-        let pool = PoolStats {
-            workers: 1,
-            wall: began.elapsed(),
-            per_worker: vec![stats],
-            unrun,
-            cancelled: halt.is_cancelled(),
-        };
-        merge_results(full, pool, 1, observer, store_error)
-    }
-}
-
-/// Drains the live event channel into the crawl's observer while the
-/// pool runs, until every sender is gone. Query and tuple events forward
-/// as-is (tagged per shard at the source); per-shard progress points are
-/// aggregated into crawl totals — `base` seeds them with
-/// checkpoint-restored work — and deduplicated, so the observer sees one
-/// monotone `(queries, tuples)` stream for the whole crawl.
+/// Delivers a crawl's live within-shard events to its observer: query
+/// and tuple events pass through as-is, and per-shard progress points
+/// are aggregated into crawl totals — seeded with checkpoint-restored
+/// work — and deduplicated, so the observer sees one monotone
+/// `(queries, tuples)` stream for the whole crawl, whichever executor
+/// produced it.
 ///
-/// Any [`Flow::Stop`] trips `halt` (stopping every in-flight shard at
-/// its next query) and silences forwarding, but the drain keeps
-/// consuming so producers blocked on the bounded channel wind down
-/// instead of deadlocking. Returns whether the observer stopped the
-/// crawl.
-fn forward_events(
-    rx: &chan::Receiver<SessionEvent>,
-    observer: &mut dyn CrawlObserver,
-    halt: &CancelToken,
-    plan_len: usize,
+/// Any [`Flow::Stop`] trips the crawl's halt token (stopping every
+/// in-flight shard at its next query) and silences further delivery.
+struct Relay<'r> {
+    observer: &'r mut dyn CrawlObserver,
+    halt: &'r CancelToken,
+    per_shard: Vec<ProgressPoint>,
     base: ProgressPoint,
-) -> bool {
-    let mut per_shard = vec![ProgressPoint::default(); plan_len];
-    let mut last: Option<ProgressPoint> = None;
-    let mut stopped = false;
-    while let Ok(event) = rx.recv() {
-        if stopped {
-            continue;
-        }
-        let flow = match event {
-            SessionEvent::Query { query, outcome, .. } => observer.on_query(&query, &outcome),
-            SessionEvent::Tuples { tuples, .. } => observer.on_tuples(&tuples),
-            SessionEvent::Progress { shard, point } => {
-                per_shard[shard] = point;
-                let total = per_shard.iter().fold(base, |acc, p| ProgressPoint {
-                    queries: acc.queries + p.queries,
-                    tuples: acc.tuples + p.tuples,
-                });
-                if last == Some(total) {
-                    Flow::Continue
-                } else {
-                    last = Some(total);
-                    observer.on_progress(total)
-                }
-            }
-        };
-        if flow == Flow::Stop {
-            halt.cancel();
-            stopped = true;
+    last: Option<ProgressPoint>,
+    stopped: bool,
+}
+
+impl<'r> Relay<'r> {
+    fn new(observer: &'r mut dyn CrawlObserver, run: &ShardedRun<'r, '_>) -> Self {
+        Relay {
+            observer,
+            halt: run.halt,
+            per_shard: vec![ProgressPoint::default(); run.plan.len()],
+            base: run.restored_progress(),
+            last: None,
+            stopped: false,
         }
     }
-    stopped
+
+    fn deliver(&mut self, event: impl FnOnce(&mut dyn CrawlObserver) -> Flow) -> Flow {
+        if !self.stopped && event(&mut *self.observer) == Flow::Stop {
+            self.halt.cancel();
+            self.stopped = true;
+        }
+        if self.stopped {
+            Flow::Stop
+        } else {
+            Flow::Continue
+        }
+    }
+
+    fn progress(&mut self, shard: usize, point: ProgressPoint) -> Flow {
+        self.per_shard[shard] = point;
+        let total = self
+            .per_shard
+            .iter()
+            .fold(self.base, |acc, p| ProgressPoint {
+                queries: acc.queries + p.queries,
+                tuples: acc.tuples + p.tuples,
+            });
+        if self.last == Some(total) {
+            return self.deliver(|_| Flow::Continue);
+        }
+        self.last = Some(total);
+        self.deliver(|o| o.on_progress(total))
+    }
+
+    /// Delivers one event drained from the pool's channel.
+    fn forward(&mut self, event: SessionEvent) {
+        let _ = match event {
+            SessionEvent::Query { query, outcome, .. } => {
+                self.deliver(|o| o.on_query(&query, &outcome))
+            }
+            SessionEvent::Tuples { tuples, .. } => self.deliver(|o| o.on_tuples(&tuples)),
+            SessionEvent::Progress { shard, point } => self.progress(shard, point),
+        };
+    }
 }
 
-/// The sequential driver's within-shard event relay: passes query and
-/// tuple events straight through and re-bases the shard-local progress
-/// points onto the crawl's running totals, so a solo checkpointed crawl
-/// reports the same monotone crawl-wide curve the pool's drain thread
-/// produces.
-struct SoloForwarder<'o> {
-    inner: &'o mut dyn CrawlObserver,
-    base: ProgressPoint,
+/// One inline shard session's direct observer: routes its events
+/// through the crawl's [`Relay`], tagged with the shard's plan index —
+/// the inline counterpart of the pool's event channel.
+struct ShardTap<'t, 'r> {
+    relay: &'t mut Relay<'r>,
+    shard: usize,
 }
 
-impl CrawlObserver for SoloForwarder<'_> {
+impl CrawlObserver for ShardTap<'_, '_> {
     fn on_query(&mut self, query: &Query, outcome: &hdc_types::QueryOutcome) -> Flow {
-        self.inner.on_query(query, outcome)
+        self.relay.deliver(|o| o.on_query(query, outcome))
     }
 
     fn on_tuples(&mut self, tuples: &[hdc_types::Tuple]) -> Flow {
-        self.inner.on_tuples(tuples)
+        self.relay.deliver(|o| o.on_tuples(tuples))
     }
 
     fn on_progress(&mut self, point: ProgressPoint) -> Flow {
-        self.inner.on_progress(ProgressPoint {
-            queries: self.base.queries + point.queries,
-            tuples: self.base.tuples + point.tuples,
-        })
+        self.relay.progress(self.shard, point)
     }
 }
 
@@ -1643,15 +1408,15 @@ fn record_pool_metrics(pool: &PoolStats) {
 fn merge_results(
     slots: Vec<Option<PendingRun>>,
     pool: PoolStats,
-    sessions: usize,
     mut observer: Option<&mut dyn CrawlObserver>,
     store_error: Option<std::io::Error>,
 ) -> Result<ShardedReport, CrawlError> {
     record_pool_metrics(&pool);
     let total = slots.len();
     let mut merged = blank_report("sharded-hybrid");
-    let mut per_session: Vec<CrawlReport> =
-        (0..sessions).map(|_| blank_report("sharded-session")).collect();
+    let mut per_session: Vec<CrawlReport> = (0..pool.workers)
+        .map(|_| blank_report("sharded-session"))
+        .collect();
     let mut shards = Vec::with_capacity(slots.len());
     let mut failure: Option<Failure> = None;
     let mut stopped = false;
@@ -1832,6 +1597,28 @@ mod tests {
                 ])
             })
             .collect()
+    }
+
+    impl Sharded {
+        /// The hybrid family on the pool — what the crawl builder's
+        /// `run_sharded` runs — with the schema probed from identity 0.
+        fn hybrid<C: Connector>(&self, connector: C) -> Result<ShardedReport, CrawlError> {
+            self.hybrid_with(connector, CrawlControls::default())
+        }
+
+        fn hybrid_with<C: Connector>(
+            &self,
+            connector: C,
+            controls: CrawlControls<'_>,
+        ) -> Result<ShardedReport, CrawlError> {
+            let schema = connector.connect(0).schema().clone();
+            self.crawl(
+                &schema,
+                connector,
+                |spec, db, config| spec.crawl_with(db, &schema, config, None),
+                controls,
+            )
+        }
     }
 
     fn factory<'a>(
@@ -2051,7 +1838,7 @@ mod tests {
         let tuples = mixed_tuples(2_000);
         for sessions in [1usize, 2, 3, 8, 16] {
             let report = Sharded::new(sessions)
-                .crawl(factory(&schema, &tuples, 32))
+                .hybrid(factory(&schema, &tuples, 32))
                 .unwrap_or_else(|e| panic!("sessions={sessions}: {e}"));
             verify_complete(&tuples, &report.merged)
                 .unwrap_or_else(|e| panic!("sessions={sessions}: {e}"));
@@ -2066,7 +1853,7 @@ mod tests {
         for (sessions, factor) in [(1usize, 4usize), (2, 2), (2, 8), (3, 4)] {
             let report = Sharded::new(sessions)
                 .oversubscribed(factor)
-                .crawl(factory(&schema, &tuples, 32))
+                .hybrid(factory(&schema, &tuples, 32))
                 .unwrap_or_else(|e| panic!("sessions={sessions} factor={factor}: {e}"));
             verify_complete(&tuples, &report.merged)
                 .unwrap_or_else(|e| panic!("sessions={sessions} factor={factor}: {e}"));
@@ -2080,7 +1867,7 @@ mod tests {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
         let sharded = Sharded::new(1)
-            .crawl(factory(&schema, &tuples, 32))
+            .hybrid(factory(&schema, &tuples, 32))
             .unwrap();
         let mut db = HiddenDbServer::new(
             schema.clone(),
@@ -2097,10 +1884,10 @@ mod tests {
         let schema = mixed_schema();
         let tuples = mixed_tuples(4_000);
         let single = Sharded::new(1)
-            .crawl(factory(&schema, &tuples, 32))
+            .hybrid(factory(&schema, &tuples, 32))
             .unwrap();
         let quad = Sharded::new(4)
-            .crawl(factory(&schema, &tuples, 32))
+            .hybrid(factory(&schema, &tuples, 32))
             .unwrap();
         // Concurrency wins wall-clock: the busiest session does much less
         // than the single-session total…
@@ -2122,7 +1909,7 @@ mod tests {
 
         let stolen = Sharded::new(sessions)
             .oversubscribed(fact)
-            .crawl(&make)
+            .hybrid(&make)
             .unwrap();
 
         let plan = Sharded::plan_oversubscribed(&schema, sessions, fact);
@@ -2153,7 +1940,7 @@ mod tests {
         let tuples = mixed_tuples(2_000);
         let report = Sharded::new(2)
             .oversubscribed(3)
-            .crawl(factory(&schema, &tuples, 32))
+            .hybrid(factory(&schema, &tuples, 32))
             .unwrap();
         assert_eq!(report.shards.len(), 6);
         let mut by_worker = [0u64; 2];
@@ -2185,7 +1972,7 @@ mod tests {
         for (sessions, factor) in [(1usize, 1usize), (3, 1), (5, 1), (2, 6)] {
             let report = Sharded::new(sessions)
                 .oversubscribed(factor)
-                .crawl(|_s| {
+                .hybrid(|_s| {
                     HiddenDbServer::new(
                         schema.clone(),
                         tuples.clone(),
@@ -2214,7 +2001,7 @@ mod tests {
         for factor in [1usize, 4] {
             let report = Sharded::new(2)
                 .oversubscribed(factor)
-                .crawl(|_s| {
+                .hybrid(|_s| {
                     HiddenDbServer::new(
                         schema.clone(),
                         tuples.clone(),
@@ -2247,7 +2034,7 @@ mod tests {
             .collect();
         let report = Sharded::new(2)
             .oversubscribed(4)
-            .crawl(|_s| {
+            .hybrid(|_s| {
                 HiddenDbServer::new(
                     schema.clone(),
                     tuples.clone(),
@@ -2280,7 +2067,7 @@ mod tests {
             })
             .collect();
         let report = Sharded::new(6)
-            .crawl(|_s| {
+            .hybrid(|_s| {
                 HiddenDbServer::new(
                     schema.clone(),
                     tuples.clone(),
@@ -2307,7 +2094,7 @@ mod tests {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
         // Session 0 gets a crippling budget; the others are unlimited.
-        let result = Sharded::new(3).crawl(|s| {
+        let result = Sharded::new(3).hybrid(|s| {
             let server = HiddenDbServer::new(
                 schema.clone(),
                 tuples.clone(),
@@ -2364,10 +2151,6 @@ mod tests {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
         let make = factory(&schema, &tuples, 32);
-        let shard_crawl = |spec: &ShardSpec, db: &mut HiddenDbServer| {
-            let schema = db.schema().clone();
-            spec.crawl(db, &schema)
-        };
 
         // No stop: every shard fires once, in plan order.
         let mut log = ShardLog {
@@ -2376,7 +2159,13 @@ mod tests {
         };
         let full = Sharded::new(2)
             .oversubscribed(3)
-            .crawl_observed(&make, shard_crawl, Some(&mut log))
+            .hybrid_with(
+                &make,
+                CrawlControls {
+                    observer: Some(&mut log),
+                    ..CrawlControls::default()
+                },
+            )
             .unwrap();
         assert_eq!(log.seen.len(), full.shards.len());
         for (i, &(index, tuples)) in log.seen.iter().enumerate() {
@@ -2392,7 +2181,13 @@ mod tests {
         };
         let err = Sharded::new(2)
             .oversubscribed(3)
-            .crawl_observed(&make, shard_crawl, Some(&mut log))
+            .hybrid_with(
+                &make,
+                CrawlControls {
+                    observer: Some(&mut log),
+                    ..CrawlControls::default()
+                },
+            )
             .unwrap_err();
         assert_eq!(log.seen.len(), 2, "no events after the stop");
         let CrawlError::Stopped { partial } = err else {
@@ -2424,7 +2219,7 @@ mod tests {
         // Identity 0 is crippled: at least one shard fails with a
         // budget error, whatever the observer does.
         let mut stopper = StopImmediately;
-        let result = Sharded::new(3).crawl_observed(
+        let result = Sharded::new(3).hybrid_with(
             |s| {
                 let server = HiddenDbServer::new(
                     schema.clone(),
@@ -2434,11 +2229,10 @@ mod tests {
                 .unwrap();
                 Budgeted::new(server, if s == 0 { 2 } else { u64::MAX })
             },
-            |spec, db| {
-                let schema = db.schema().clone();
-                spec.crawl(db, &schema)
+            CrawlControls {
+                observer: Some(&mut stopper),
+                ..CrawlControls::default()
             },
-            Some(&mut stopper),
         );
         assert!(
             matches!(result, Err(CrawlError::Db { .. })),
@@ -2490,11 +2284,11 @@ mod tests {
         let tuples = mixed_tuples(2_000);
         let make = factory(&schema, &tuples, 32);
 
-        let unobserved = Sharded::new(2).oversubscribed(3).crawl(&make).unwrap();
+        let unobserved = Sharded::new(2).oversubscribed(3).hybrid(&make).unwrap();
         let mut tap = Tap::default();
         let observed = Sharded::new(2)
             .oversubscribed(3)
-            .crawl_controlled(
+            .hybrid_with(
                 &make,
                 CrawlControls {
                     observer: Some(&mut tap),
@@ -2554,7 +2348,7 @@ mod tests {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
         let make = factory(&schema, &tuples, 32);
-        let full = Sharded::new(2).oversubscribed(3).crawl(&make).unwrap();
+        let full = Sharded::new(2).oversubscribed(3).hybrid(&make).unwrap();
 
         let mut stopper = StopAfter {
             tuples: 0,
@@ -2562,7 +2356,7 @@ mod tests {
         };
         let err = Sharded::new(2)
             .oversubscribed(3)
-            .crawl_controlled(
+            .hybrid_with(
                 &make,
                 CrawlControls {
                     observer: Some(&mut stopper),
@@ -2584,6 +2378,73 @@ mod tests {
         for (t, c) in got.iter() {
             assert!(c <= truth.count(t), "partial over-reports {t}");
         }
+    }
+
+    /// The inline one-worker loop is the pool with one worker, minus the
+    /// thread: the same event stream (within-shard events, aggregated
+    /// progress, plan-order shard merges), the same per-shard costs, the
+    /// same merged report, and the same dealing statistics.
+    #[test]
+    fn inline_driver_matches_a_one_worker_pool() {
+        use crate::orchestrate::{CrawlObserver, Flow, ShardEvent};
+
+        #[derive(Default, PartialEq, Debug)]
+        struct Log(Vec<String>);
+
+        impl CrawlObserver for Log {
+            fn on_query(&mut self, q: &Query, out: &hdc_types::QueryOutcome) -> Flow {
+                self.0.push(format!("q {q} {}", out.tuples.len()));
+                Flow::Continue
+            }
+            fn on_tuples(&mut self, tuples: &[Tuple]) -> Flow {
+                self.0.push(format!("t {}", tuples.len()));
+                Flow::Continue
+            }
+            fn on_progress(&mut self, p: ProgressPoint) -> Flow {
+                self.0.push(format!("p {} {}", p.queries, p.tuples));
+                Flow::Continue
+            }
+            fn on_shard(&mut self, e: &ShardEvent<'_>) -> Flow {
+                self.0
+                    .push(format!("s {} {} {}", e.index, e.queries, e.tuples));
+                Flow::Continue
+            }
+        }
+
+        let schema = mixed_schema();
+        let tuples = mixed_tuples(2_000);
+        let make = factory(&schema, &tuples, 32);
+        let sharded = Sharded::new(1).oversubscribed(5);
+        let hybrid = |spec: &ShardSpec, db: &mut dyn HiddenDatabase, config: SessionConfig<'_>| {
+            spec.crawl_with(db, &schema, config, None)
+        };
+        fn observed(log: &mut Log) -> CrawlControls<'_> {
+            CrawlControls {
+                observer: Some(log),
+                ..CrawlControls::default()
+            }
+        }
+
+        let mut pool_log = Log::default();
+        let pool = sharded
+            .crawl(&schema, &make, hybrid, observed(&mut pool_log))
+            .unwrap();
+        let mut inline_log = Log::default();
+        let inline = sharded
+            .crawl_inline(&schema, &mut make(0), hybrid, observed(&mut inline_log))
+            .unwrap();
+
+        assert_eq!(inline_log, pool_log);
+        assert_eq!(inline.merged.tuples, pool.merged.tuples);
+        assert_eq!(inline.merged.queries, pool.merged.queries);
+        for (a, b) in inline.shards.iter().zip(&pool.shards) {
+            assert_eq!(a.report.queries, b.report.queries);
+            assert_eq!(a.source, b.source);
+        }
+        assert_eq!(inline.pool.per_worker[0].seeded, 1);
+        assert_eq!(inline.pool.executed(), pool.pool.executed());
+        assert_eq!(inline.per_session[0].queries, pool.per_session[0].queries);
+        verify_complete(&tuples, &inline.merged).unwrap();
     }
 
     /// Plans must partition the space: pairwise-disjoint shard queries

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
 
 use hdc_core::{
-    Crawl, CrawlError, CrawlObserver, CrawlReport, Crawler, Flow, Hybrid, RankShrink, Sharded,
-    SliceCover, Strategy, MAX_BATCH,
+    Crawl, CrawlControls, CrawlError, CrawlObserver, CrawlReport, Crawler, Flow, Hybrid,
+    RankShrink, SessionConfig, ShardSpec, Sharded, SliceCover, Strategy, MAX_BATCH,
 };
 use hdc_types::{
     AttrKind, Budgeted, HiddenDatabase, Query, QueryOutcome, Schema, Tuple, TupleBag, Value,
@@ -217,10 +217,10 @@ proptest! {
         }
     }
 
-    /// Sharded: builder ≡ `Sharded::new(..).oversubscribed(..).crawl`,
-    /// including identical per-shard costs (the scheduler's determinism
-    /// contract seen through the new front end), with and without a
-    /// per-identity budget.
+    /// Sharded: builder ≡ the `Sharded::crawl` driver with the hybrid
+    /// shard crawler, including identical per-shard costs (the
+    /// scheduler's determinism contract seen through the front end), with
+    /// and without a per-identity budget.
     #[test]
     fn builder_sharded_is_bit_identical_to_legacy(
         inst in instance_strategy(),
@@ -230,13 +230,23 @@ proptest! {
     ) {
         prop_assume!(inst.solvable());
         let budget = raw_budget.first().copied();
+        let sharded = Sharded::new(sessions).oversubscribed(factor);
+        let hybrid = |spec: &ShardSpec, db: &mut dyn HiddenDatabase, config: SessionConfig<'_>| {
+            spec.crawl_with(db, &inst.schema, config, None)
+        };
         let legacy = match budget {
-            Some(limit) => Sharded::new(sessions)
-                .oversubscribed(factor)
-                .crawl(|_s| Budgeted::new(inst.server(31), limit)),
-            None => Sharded::new(sessions)
-                .oversubscribed(factor)
-                .crawl(|_s| inst.server(31)),
+            Some(limit) => sharded.crawl(
+                &inst.schema,
+                |_s| Budgeted::new(inst.server(31), limit),
+                hybrid,
+                CrawlControls::default(),
+            ),
+            None => sharded.crawl(
+                &inst.schema,
+                |_s| inst.server(31),
+                hybrid,
+                CrawlControls::default(),
+            ),
         };
         let mut builder = Crawl::builder()
             .strategy(Strategy::Hybrid)

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use hdc_core::{verify_complete, CrawlError, Sharded};
+use hdc_core::{verify_complete, Crawl, CrawlError, Sharded};
 use hdc_server::{Budgeted, HiddenDbServer, ServerConfig};
 use hdc_types::{AttrKind, Schema, Tuple, TupleBag, Value};
 
@@ -107,9 +107,10 @@ proptest! {
     ) {
         prop_assume!(inst.solvable());
 
-        let stolen = Sharded::new(sessions)
-            .oversubscribed(factor)
-            .crawl(|_s| inst.server(11));
+        let stolen = Crawl::builder()
+            .sessions(sessions)
+            .oversubscribe(factor)
+            .run_sharded(|_s| inst.server(11));
         let stolen = match stolen {
             Ok(report) => report,
             Err(e) => {
@@ -162,9 +163,10 @@ proptest! {
     ) {
         prop_assume!(inst.solvable());
         let sessions = 2usize;
-        let result = Sharded::new(sessions)
-            .oversubscribed(factor)
-            .crawl(|s| {
+        let result = Crawl::builder()
+            .sessions(sessions)
+            .oversubscribe(factor)
+            .run_sharded(|s| {
                 Budgeted::new(inst.server(13), if s == 0 { budget } else { u64::MAX })
             });
         match result {
@@ -224,9 +226,10 @@ fn budget_crippled_session_salvages_healthy_shards() {
         "every shard must hold data for the salvage count to mean anything"
     );
 
-    let result = Sharded::new(2)
-        .oversubscribed(2)
-        .crawl(|s| Budgeted::new(server(29), if s == 0 { 2 } else { u64::MAX }));
+    let result = Crawl::builder()
+        .sessions(2)
+        .oversubscribe(2)
+        .run_sharded(|s| Budgeted::new(server(29), if s == 0 { 2 } else { u64::MAX }));
     let Err(CrawlError::Db { error, partial }) = result else {
         panic!("expected the crippled identity to surface a budget failure");
     };

@@ -98,18 +98,19 @@ fn loopback_sharded_crawl_equals_in_process_bit_identically() {
 #[test]
 fn loopback_barrier_crawl_equals_in_process() {
     use hdc_barrier::BarrierCrawler;
-    use hdc_core::Sharded;
+    use hdc_core::{CrawlControls, Sharded};
 
     let shared = fixture(1_200, 112, 23);
     let crawler = BarrierCrawler::new();
+    let plan = Sharded::new(2).oversubscribed(2);
     let reference = crawler
-        .crawl_sharded_observed(Sharded::new(2).oversubscribed(2), |_s| shared.client(), None)
+        .crawl_sharded(&plan, |_s| shared.client(), CrawlControls::default())
         .unwrap();
 
     let server = start(&shared, ServeOptions::default());
     let conn = connector(&server);
     let wire = crawler
-        .crawl_sharded_observed(Sharded::new(2).oversubscribed(2), |s| conn.db(s), None)
+        .crawl_sharded(&plan, |s| conn.db(s), CrawlControls::default())
         .unwrap();
     server.shutdown().unwrap();
 

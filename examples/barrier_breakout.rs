@@ -48,7 +48,9 @@ fn main() {
 
     // The barrier crawl: discriminating queries demote the visible
     // listings out of the window until everything has surfaced.
-    let out = BarrierCrawler::new().crawl_report(&mut site).unwrap();
+    let out = BarrierCrawler::new()
+        .crawl_report(&mut site, SessionConfig::default())
+        .unwrap();
     verify_complete(&listings, &out.report).unwrap();
     println!(
         "barrier crawl: all {} listings recovered in {} queries ({} pivot expansions)",

@@ -15,7 +15,6 @@
 //!
 //! Run with: `cargo run --release --example resumable_crawl`
 
-use hidden_db_crawler::core::Sharded;
 use hidden_db_crawler::data::yahoo;
 use hidden_db_crawler::prelude::*;
 use hidden_db_crawler::server::{DailyQuota, QueryCache, Replayer};
@@ -83,10 +82,13 @@ fn main() {
         "{:>9} {:>13} {:>19} {:>9}",
         "sessions", "total queries", "busiest session", "overhead"
     );
-    let single = Sharded::new(1).crawl(|_| server()).expect("crawl succeeds");
+    let single = Crawl::builder()
+        .run_sharded(|_| server())
+        .expect("crawl succeeds");
     for sessions in [1usize, 2, 4, 8] {
-        let report = Sharded::new(sessions)
-            .crawl(|_| server())
+        let report = Crawl::builder()
+            .sessions(sessions)
+            .run_sharded(|_| server())
             .expect("crawl succeeds");
         verify_complete(&ds.tuples, &report.merged).expect("complete");
         println!(

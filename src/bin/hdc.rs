@@ -471,15 +471,143 @@ fn strategy_for(algo: &str) -> Result<Strategy<'static>, String> {
     })
 }
 
-fn cmd_crawl(flags: &Flags) -> Result<(), String> {
-    if flags.get("connect").is_some() {
-        return cmd_crawl_connect(flags);
+/// [`strategy_for`], announcing what `auto` resolved to on `schema`.
+fn resolve_strategy(algo: &str, schema: &Schema) -> Result<Strategy<'static>, String> {
+    let strategy = strategy_for(algo)?;
+    if algo == "auto" {
+        println!("auto strategy: {:?}", strategy.resolve(schema));
     }
-    let dataset = flags.require("dataset")?.to_string();
-    let algo = flags.require("algo")?.to_string();
-    let k: usize = flags.parse("k", 256)?;
-    let seed: u64 = flags.parse("seed", 42)?;
-    let scale: u32 = flags.parse("scale", 100)?;
+    Ok(strategy)
+}
+
+/// What a sharded crawl's bag is checked against.
+enum Truth<'a> {
+    /// The local dataset: an exact multiset check.
+    Bag(&'a [Tuple]),
+    /// A remote server's advertised tuple count.
+    Count(usize),
+}
+
+/// The sharded `hdc crawl` — `--sessions`/`--oversubscribe` in process,
+/// or any `--connect` crawl — whatever the transport.
+struct ShardedCrawl<'a> {
+    sessions: usize,
+    oversubscribe: usize,
+    /// A per-identity quota, matching how real sites meter queries per
+    /// client (`u64::MAX` = none).
+    budget: u64,
+    retries: u32,
+    checkpoint: Option<&'a str>,
+}
+
+impl ShardedCrawl<'_> {
+    fn run<C: Connector>(
+        &self,
+        strategy: Strategy<'_>,
+        algo: &str,
+        (schema_name, schema): (&str, &Schema),
+        connector: C,
+        observer: &mut CliObserver,
+        truth: Truth<'_>,
+    ) -> Result<(), String> {
+        let sessions = self.sessions;
+        // One support matrix: the builder's own (it panics on violation;
+        // the CLI asks first to return a friendly error instead).
+        if !strategy.supports_sharded(schema) {
+            return Err(format!(
+                "{algo} has no sharded execution on the {schema_name} schema (use auto, \
+                 hybrid, rank-shrink on numeric, or lazy-slice-cover on categorical data)"
+            ));
+        }
+        let mut repo_store;
+        let mut builder = Crawl::builder()
+            .strategy(strategy)
+            .sessions(sessions)
+            .oversubscribe(self.oversubscribe)
+            .observer(&mut *observer);
+        if self.budget != u64::MAX {
+            builder = builder.budget(self.budget);
+        }
+        if self.retries > 1 {
+            builder = builder.retry(RetryPolicy::new(self.retries));
+        }
+        if let Some(path) = self.checkpoint {
+            repo_store = JsonFileRepository::new(path);
+            builder = builder.repository(&mut repo_store);
+        }
+        let result = builder.run_sharded(connector);
+        observer.finish();
+        let report = match result {
+            Ok(report) => report,
+            Err(CrawlError::Stopped { partial }) => {
+                let n = match truth {
+                    Truth::Bag(tuples) => tuples.len(),
+                    Truth::Count(n) => n,
+                };
+                println!(
+                    "stopped at coverage target: {} tuples in {} queries \
+                     ({:.1}% of the dataset)",
+                    partial.tuples.len(),
+                    partial.queries,
+                    100.0 * partial.tuples.len() as f64 / n.max(1) as f64
+                );
+                if let Some(path) = self.checkpoint {
+                    checkpoint_hint(path);
+                }
+                return Ok(());
+            }
+            Err(CrawlError::Db { error, partial }) => {
+                println!(
+                    "stopped: {error} — {} tuples salvaged in {} queries",
+                    partial.tuples.len(),
+                    partial.queries
+                );
+                plan_mismatch_hint(&error);
+                if let Some(path) = self.checkpoint {
+                    checkpoint_hint(path);
+                }
+                return Ok(());
+            }
+            Err(e) => return Err(e.to_string()),
+        };
+        println!(
+            "sharded over {sessions} sessions ({} shards, {} stolen): \
+             {} tuples in {} total queries, busiest session {}",
+            report.shards.len(),
+            report.steals(),
+            report.merged.tuples.len(),
+            report.merged.queries,
+            report.max_session_queries()
+        );
+        for (s, r) in report.per_session.iter().enumerate() {
+            let (shards, tuples) = report
+                .shards
+                .iter()
+                .filter(|run| run.worker == s)
+                .fold((0u64, 0u64), |(n, t), run| (n + 1, t + run.tuples));
+            println!(
+                "  session {s}: {} queries, {tuples} tuples, {shards} shards",
+                r.queries
+            );
+        }
+        match truth {
+            Truth::Bag(tuples) => {
+                verify_complete(tuples, &report.merged).map_err(|e| e.to_string())?;
+                println!("complete: verified against the dataset's bag");
+            }
+            Truth::Count(n) if report.merged.tuples.len() == n => {
+                println!("complete: tuple count matches the server's advertised n = {n}");
+            }
+            Truth::Count(n) => println!(
+                "INCOMPLETE: {} tuples vs server-advertised n = {n}",
+                report.merged.tuples.len()
+            ),
+        }
+        Ok(())
+    }
+}
+
+fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     let sessions: usize = flags.parse("sessions", 1)?;
     let oversubscribe: usize = flags.parse("oversubscribe", 1)?;
     let budget: u64 = flags.parse("budget", u64::MAX)?;
@@ -488,6 +616,12 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     let use_oracle = flags.get("oracle").is_some();
     if retries == 0 {
         return Err("--retries must be ≥ 1 (1 = no retries)".into());
+    }
+    if sessions == 0 {
+        return Err("--sessions must be ≥ 1".into());
+    }
+    if oversubscribe == 0 {
+        return Err("--oversubscribe must be ≥ 1".into());
     }
     if flags.get("checkpoint").is_some() && flags.get("resume").is_some() {
         return Err("--checkpoint and --resume are the same file; pass one".into());
@@ -501,7 +635,51 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
         .get("resume")
         .or_else(|| flags.get("checkpoint"))
         .map(str::to_string);
+    let mut observer = CliObserver::new((target > 0).then_some(target));
+    if flags.get("live").is_some() {
+        observer = observer.live();
+    }
+    let sharded = ShardedCrawl {
+        sessions,
+        oversubscribe,
+        budget,
+        retries,
+        checkpoint: checkpoint.as_deref(),
+    };
 
+    if flags.get("connect").is_some() {
+        // Schema and `k` come from the server; there is no local ground
+        // truth, so completeness is checked against the server's
+        // advertised tuple count instead of a multiset.
+        if use_oracle || target > 0 {
+            return Err("--connect crawls do not support --oracle/--target".into());
+        }
+        let algo = flags.get("algo").unwrap_or("auto");
+        let connector = make_connector(flags)?;
+        let info = connector.info().clone();
+        println!(
+            "remote database at {} — n = {}, d = {}, k = {}",
+            connector.addr(),
+            info.n,
+            info.schema.arity(),
+            info.k
+        );
+        let strategy = resolve_strategy(algo, &info.schema)?;
+        return sharded.run(
+            strategy,
+            algo,
+            ("remote", &info.schema),
+            connector,
+            &mut observer,
+            Truth::Count(info.n),
+        );
+    }
+
+    let dataset = flags.require("dataset")?.to_string();
+    let algo = flags.require("algo")?.to_string();
+    let k: usize = flags.parse("k", 256)?;
+    let seed: u64 = flags.parse("seed", 42)?;
+    let scale: u32 = flags.parse("scale", 100)?;
     let ds = load_dataset(&dataset, scale, seed)?;
     println!(
         "dataset {} — n = {}, d = {}, k = {k}",
@@ -513,22 +691,7 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
         "ideal cost n/k = {:.0}",
         theory::ideal_cost(ds.n() as f64, k as f64)
     );
-
-    if sessions == 0 {
-        return Err("--sessions must be ≥ 1".into());
-    }
-    if oversubscribe == 0 {
-        return Err("--oversubscribe must be ≥ 1".into());
-    }
-    let strategy = strategy_for(&algo)?;
-    let resolved = strategy.resolve(&ds.schema);
-    if algo == "auto" {
-        println!("auto strategy: {resolved:?}");
-    }
-    let mut observer = CliObserver::new((target > 0).then_some(target));
-    if flags.get("live").is_some() {
-        observer = observer.live();
-    }
+    let strategy = resolve_strategy(&algo, &ds.schema)?;
 
     // An over-partitioned plan is meaningful even on one session (finer
     // progress granularity, and the plan a fleet of identities would
@@ -537,89 +700,24 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
         if use_oracle {
             return Err("--sessions/--oversubscribe cannot be combined with --oracle".into());
         }
-        // One support matrix: the builder's own (it panics on violation;
-        // the CLI asks first to return a friendly error instead).
-        if !strategy.supports_sharded(&ds.schema) {
-            return Err(format!(
-                "--sessions/--oversubscribe: {algo} has no sharded execution on the \
-                 {} schema (use auto, hybrid, rank-shrink on numeric, or \
-                 lazy-slice-cover on categorical data)",
-                ds.name
-            ));
-        }
-        // A --budget here is a per-identity quota, matching how real
-        // sites meter queries per client.
-        let mut repo_store;
-        let mut builder = Crawl::builder()
-            .strategy(strategy)
-            .sessions(sessions)
-            .oversubscribe(oversubscribe)
-            .observer(&mut observer);
-        if budget != u64::MAX {
-            builder = builder.budget(budget);
-        }
-        if retries > 1 {
-            builder = builder.retry(RetryPolicy::new(retries));
-        }
-        if let Some(path) = &checkpoint {
-            repo_store = JsonFileRepository::new(path);
-            builder = builder.repository(&mut repo_store);
-        }
         // One shared store for the whole fleet: every identity is a
         // lightweight client of the same immutable columnar store
         // (bit-identical responses, one build) instead of a full
         // per-identity clone of the data.
-        let shared = SharedServer::new(ds.schema.clone(), ds.tuples.clone(), ServerConfig { k, seed })
-            .expect("valid dataset");
-        let result = builder.run_sharded(|_s| shared.client());
-        observer.finish();
-        let report = match result {
-            Ok(report) => report,
-            Err(CrawlError::Stopped { partial }) => {
-                println!(
-                    "stopped at coverage target: {} tuples in {} queries \
-                     ({:.1}% of the dataset)",
-                    partial.tuples.len(),
-                    partial.queries,
-                    100.0 * partial.tuples.len() as f64 / ds.n().max(1) as f64
-                );
-                if let Some(path) = &checkpoint {
-                    checkpoint_hint(path);
-                }
-                return Ok(());
-            }
-            Err(CrawlError::Db { error, partial }) => {
-                println!(
-                    "stopped: {error} — {} tuples salvaged in {} queries",
-                    partial.tuples.len(),
-                    partial.queries
-                );
-                plan_mismatch_hint(&error);
-                if let Some(path) = &checkpoint {
-                    checkpoint_hint(path);
-                }
-                return Ok(());
-            }
-            Err(e) => return Err(e.to_string()),
-        };
-        verify_complete(&ds.tuples, &report.merged).map_err(|e| e.to_string())?;
-        println!(
-            "sharded over {sessions} sessions ({} shards, {} stolen): \
-             {} total queries, busiest session {}",
-            report.shards.len(),
-            report.steals(),
-            report.merged.queries,
-            report.max_session_queries()
+        let shared = SharedServer::new(
+            ds.schema.clone(),
+            ds.tuples.clone(),
+            ServerConfig { k, seed },
+        )
+        .expect("valid dataset");
+        return sharded.run(
+            strategy,
+            &algo,
+            (&ds.name, &ds.schema),
+            |_s| shared.client(),
+            &mut observer,
+            Truth::Bag(&ds.tuples),
         );
-        for (s, r) in report.per_session.iter().enumerate() {
-            let (shards, tuples) = report
-                .shards
-                .iter()
-                .filter(|run| run.worker == s)
-                .fold((0u64, 0u64), |(n, t), run| (n + 1, t + run.tuples));
-            println!("  session {s}: {} queries, {tuples} tuples, {shards} shards", r.queries);
-        }
-        return Ok(());
     }
 
     if use_oracle && algo == "slice-cover" {
@@ -632,8 +730,9 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
         if use_oracle {
             return Err("--checkpoint cannot be combined with --oracle".into());
         }
-        // Checkpointing runs the (sequential) sharded plan, so it needs a
-        // strategy with a sharded execution — same matrix as --sessions.
+        // Checkpointing runs the sharded plan on the one connection, so
+        // it needs a strategy with a sharded execution — same matrix as
+        // --sessions.
         if !strategy.supports_sharded(&ds.schema) {
             return Err(format!(
                 "--checkpoint/--resume: {algo} has no sharded execution on the \
@@ -738,13 +837,6 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_barrier(flags: &Flags) -> Result<(), String> {
-    if flags.get("connect").is_some() {
-        return cmd_barrier_connect(flags);
-    }
-    let dataset = flags.require("dataset")?.to_string();
-    let k: usize = flags.parse("k", 256)?;
-    let seed: u64 = flags.parse("seed", 42)?;
-    let scale: u32 = flags.parse("scale", 100)?;
     let sessions: usize = flags.parse("sessions", 1)?;
     let oversubscribe: usize = flags.parse("oversubscribe", 1)?;
     if sessions == 0 {
@@ -753,7 +845,29 @@ fn cmd_barrier(flags: &Flags) -> Result<(), String> {
     if oversubscribe == 0 {
         return Err("--oversubscribe must be ≥ 1".into());
     }
+    let sharded = Sharded::new(sessions).oversubscribed(oversubscribe);
+    let crawler = BarrierCrawler::new();
+    let mut observer = CliObserver::new(None);
+    if flags.get("live").is_some() {
+        observer = observer.live();
+    }
+    if flags.get("connect").is_some() {
+        let connector = make_connector(flags)?;
+        let info = connector.info();
+        println!(
+            "remote database at {} — n = {}, d = {}, k = {}",
+            connector.addr(),
+            info.n,
+            info.schema.arity(),
+            info.k
+        );
+        return barrier_sharded(&crawler, &sharded, connector, &mut observer, None);
+    }
 
+    let dataset = flags.require("dataset")?.to_string();
+    let k: usize = flags.parse("k", 256)?;
+    let seed: u64 = flags.parse("seed", 42)?;
+    let scale: u32 = flags.parse("scale", 100)?;
     let ds = load_dataset(&dataset, scale, seed)?;
     println!(
         "dataset {} — n = {}, d = {}, k = {k}",
@@ -761,63 +875,34 @@ fn cmd_barrier(flags: &Flags) -> Result<(), String> {
         ds.n(),
         ds.d()
     );
-    let crawler = BarrierCrawler::new();
-    let mut observer = CliObserver::new(None);
-    if flags.get("live").is_some() {
-        observer = observer.live();
-    }
-
     if sessions > 1 || oversubscribe > 1 {
         // As in `hdc crawl`: the fleet shares one store via clients.
-        let shared = SharedServer::new(ds.schema.clone(), ds.tuples.clone(), ServerConfig { k, seed })
-            .expect("valid dataset");
-        let result = crawler.crawl_sharded_observed(
-            Sharded::new(sessions).oversubscribed(oversubscribe),
+        let shared = SharedServer::new(
+            ds.schema.clone(),
+            ds.tuples.clone(),
+            ServerConfig { k, seed },
+        )
+        .expect("valid dataset");
+        return barrier_sharded(
+            &crawler,
+            &sharded,
             |_s| shared.client(),
-            Some(&mut observer),
+            &mut observer,
+            Some(&ds.tuples),
         );
-        observer.finish();
-        let report = result.map_err(|e| e.to_string())?;
-        verify_complete(&ds.tuples, &report.sharded.merged).map_err(|e| e.to_string())?;
-        println!(
-            "sharded barrier over {sessions} sessions ({} shards, {} stolen): \
-             {} total queries, busiest session {}",
-            report.sharded.shards.len(),
-            report.sharded.steals(),
-            report.sharded.merged.queries,
-            report.sharded.max_session_queries()
-        );
-        let m = report.sharded.merged.metrics;
-        println!(
-            "barrier metrics: {} pivots, {} tuples surfaced from below per-shard frontiers",
-            m.barrier_pivots, m.barrier_deep_tuples
-        );
-        // The depth-aware merge: per-shard discovery-depth histograms
-        // survive as an element-wise sum (depths relative to each
-        // shard's own covering roots).
-        println!(
-            "merged depths: frontier {} / beyond {} (max depth {}, mean {:.2})",
-            report.frontier(),
-            report.beyond_frontier(),
-            report.max_depth,
-            report.mean_depth()
-        );
-        let mut table = TextTable::new(&["depth", "tuples discovered"]);
-        for (depth, count) in report.depth_histogram.iter().enumerate() {
-            table.row(&[&depth, count]);
-        }
-        table.print();
-        return Ok(());
     }
 
-    let server = HiddenDbServer::new(
+    let mut db = HiddenDbServer::new(
         ds.schema.clone(),
         ds.tuples.clone(),
         ServerConfig { k, seed },
     )
     .expect("valid dataset");
-    let mut db = server;
-    let result = crawler.crawl_report_observed(&mut db, Some(&mut observer));
+    let config = SessionConfig {
+        observer: Some(&mut observer),
+        ..SessionConfig::default()
+    };
+    let result = crawler.crawl_report(&mut db, config);
     observer.finish();
     match result {
         Ok(out) => {
@@ -893,150 +978,47 @@ fn make_connector(flags: &Flags) -> Result<HttpConnector, String> {
     Ok(connector)
 }
 
-/// `hdc crawl --connect URL`: the sharded crawl, but every identity is a
-/// wire connection to a served database. Schema and `k` come from the
-/// server; there is no local ground truth, so completeness is checked
-/// against the server's advertised tuple count instead of a multiset.
-fn cmd_crawl_connect(flags: &Flags) -> Result<(), String> {
-    let algo = flags.get("algo").unwrap_or("auto").to_string();
-    let sessions: usize = flags.parse("sessions", 1)?;
-    let oversubscribe: usize = flags.parse("oversubscribe", 1)?;
-    let budget: u64 = flags.parse("budget", u64::MAX)?;
-    let retries: u32 = flags.parse("retries", 1)?;
-    if retries == 0 {
-        return Err("--retries must be ≥ 1 (1 = no retries)".into());
-    }
-    if sessions == 0 {
-        return Err("--sessions must be ≥ 1".into());
-    }
-    if oversubscribe == 0 {
-        return Err("--oversubscribe must be ≥ 1".into());
-    }
-    if flags.get("oracle").is_some() || flags.get("target").is_some() {
-        return Err("--connect crawls do not support --oracle/--target".into());
-    }
-    if flags.get("checkpoint").is_some() && flags.get("resume").is_some() {
-        return Err("--checkpoint and --resume are the same file; pass one".into());
-    }
-    if let Some(path) = flags.get("resume") {
-        if !std::path::Path::new(path).exists() {
-            return Err(format!("--resume {path}: no checkpoint file found"));
-        }
-    }
-    let checkpoint = flags
-        .get("resume")
-        .or_else(|| flags.get("checkpoint"))
-        .map(str::to_string);
-
-    let connector = make_connector(flags)?;
-    let info = connector.info().clone();
-    println!(
-        "remote database at {} — n = {}, d = {}, k = {}",
-        connector.addr(),
-        info.n,
-        info.schema.arity(),
-        info.k
-    );
-    let strategy = strategy_for(&algo)?;
-    if !strategy.supports_sharded(&info.schema) {
-        return Err(format!(
-            "{algo} has no sharded execution on the remote schema (use auto, \
-             hybrid, rank-shrink on numeric, or lazy-slice-cover on \
-             categorical data)"
-        ));
-    }
-    let mut observer = CliObserver::new(None);
-    let mut repo_store;
-    let mut builder = Crawl::builder()
-        .strategy(strategy)
-        .sessions(sessions)
-        .oversubscribe(oversubscribe)
-        .observer(&mut observer);
-    if budget != u64::MAX {
-        builder = builder.budget(budget);
-    }
-    if retries > 1 {
-        builder = builder.retry(RetryPolicy::new(retries));
-    }
-    if let Some(path) = &checkpoint {
-        repo_store = JsonFileRepository::new(path);
-        builder = builder.repository(&mut repo_store);
-    }
-    let result = builder.run_sharded(connector);
-    observer.finish();
-    let report = match result {
-        Ok(report) => report,
-        Err(CrawlError::Db { error, partial }) => {
-            println!(
-                "stopped: {error} — {} tuples salvaged in {} queries",
-                partial.tuples.len(),
-                partial.queries
-            );
-            plan_mismatch_hint(&error);
-            if let Some(path) = &checkpoint {
-                checkpoint_hint(path);
-            }
-            return Ok(());
-        }
-        Err(e) => return Err(e.to_string()),
-    };
-    println!(
-        "crawled {} tuples over the wire in {} queries \
-         ({} shards, {} stolen, busiest session {})",
-        report.merged.tuples.len(),
-        report.merged.queries,
-        report.shards.len(),
-        report.steals(),
-        report.max_session_queries()
-    );
-    if report.merged.tuples.len() == info.n {
-        println!("complete: tuple count matches the server's advertised n = {}", info.n);
-    } else {
-        println!(
-            "INCOMPLETE: {} tuples vs server-advertised n = {}",
-            report.merged.tuples.len(),
-            info.n
-        );
-    }
-    Ok(())
-}
-
-/// `hdc barrier --connect URL`: the sharded barrier crawl over the wire.
-fn cmd_barrier_connect(flags: &Flags) -> Result<(), String> {
-    let sessions: usize = flags.parse("sessions", 1)?;
-    let oversubscribe: usize = flags.parse("oversubscribe", 1)?;
-    if sessions == 0 {
-        return Err("--sessions must be ≥ 1".into());
-    }
-    if oversubscribe == 0 {
-        return Err("--oversubscribe must be ≥ 1".into());
-    }
-    let connector = make_connector(flags)?;
-    let info = connector.info().clone();
-    println!(
-        "remote database at {} — n = {}, d = {}, k = {}",
-        connector.addr(),
-        info.n,
-        info.schema.arity(),
-        info.k
-    );
-    let crawler = BarrierCrawler::new();
-    let mut observer = CliObserver::new(None);
-    let result = crawler.crawl_sharded_observed(
-        Sharded::new(sessions).oversubscribed(oversubscribe),
-        |s| connector.db(s),
-        Some(&mut observer),
+/// The sharded barrier crawl on the work-stealing pool, whatever the
+/// transport: in process (`truth` is the local bag, checked as a
+/// multiset) or over `--connect`.
+fn barrier_sharded<C: Connector>(
+    crawler: &BarrierCrawler,
+    sharded: &Sharded,
+    connector: C,
+    observer: &mut CliObserver,
+    truth: Option<&[Tuple]>,
+) -> Result<(), String> {
+    let result = crawler.crawl_sharded(
+        sharded,
+        connector,
+        CrawlControls {
+            observer: Some(&mut *observer),
+            ..CrawlControls::default()
+        },
     );
     observer.finish();
     let report = result.map_err(|e| e.to_string())?;
+    if let Some(truth) = truth {
+        verify_complete(truth, &report.sharded.merged).map_err(|e| e.to_string())?;
+    }
     println!(
-        "sharded barrier over {sessions} wire sessions ({} shards, {} stolen): \
-         {} total queries, {} tuples",
+        "sharded barrier over {} sessions ({} shards, {} stolen): \
+         {} total queries, {} tuples, busiest session {}",
+        report.sharded.per_session.len(),
         report.sharded.shards.len(),
         report.sharded.steals(),
         report.sharded.merged.queries,
-        report.sharded.merged.tuples.len()
+        report.sharded.merged.tuples.len(),
+        report.sharded.max_session_queries()
     );
+    let m = report.sharded.merged.metrics;
+    println!(
+        "barrier metrics: {} pivots, {} tuples surfaced from below per-shard frontiers",
+        m.barrier_pivots, m.barrier_deep_tuples
+    );
+    // The depth-aware merge: per-shard discovery-depth histograms
+    // survive as an element-wise sum (depths relative to each shard's
+    // own covering roots).
     println!(
         "merged depths: frontier {} / beyond {} (max depth {}, mean {:.2})",
         report.frontier(),
@@ -1044,6 +1026,11 @@ fn cmd_barrier_connect(flags: &Flags) -> Result<(), String> {
         report.max_depth,
         report.mean_depth()
     );
+    let mut table = TextTable::new(&["depth", "tuples discovered"]);
+    for (depth, count) in report.depth_histogram.iter().enumerate() {
+        table.row(&[&depth, count]);
+    }
+    table.print();
     Ok(())
 }
 

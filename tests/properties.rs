@@ -264,8 +264,9 @@ proptest! {
     fn sharded_crawl_matches_single_session(inst in instance_strategy(None)) {
         prop_assume!(inst.solvable());
         for sessions in [2usize, 3] {
-            let result = hidden_db_crawler::core::Sharded::new(sessions)
-                .crawl(|_s| inst.server(3));
+            let result = Crawl::builder()
+                .sessions(sessions)
+                .run_sharded(|_s| inst.server(3));
             match result {
                 Ok(report) => {
                     prop_assert!(verify_complete(&inst.tuples, &report.merged).is_ok());
