@@ -23,12 +23,10 @@
 //! Output: `BENCH_pr9.json` (override path with `BENCH_OUT`; `--quick`
 //! runs a CI-sized subset).
 
-use std::io::BufReader;
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use hdc_core::Crawl;
-use hdc_net::{http, HttpConnector, ServeOptions, WireServer};
+use hdc_net::{Client, HttpConnector, ServeOptions, WireServer};
 use hdc_server::{ServerConfig, SharedServer};
 
 const SEED: u64 = 0x9b5;
@@ -56,13 +54,9 @@ fn crawl_wall_ms(shared: &SharedServer, sessions: usize, runs: usize) -> f64 {
 /// One `GET` against the wire server; returns (latency ms, status, body).
 fn scrape(addr: &str, path: &str) -> (f64, u16, String) {
     let t0 = Instant::now();
-    let stream = TcpStream::connect(addr).expect("connect for scrape");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    http::write_request(&mut &stream, "GET", path, b"").expect("write scrape");
-    let resp = http::read_response(&mut reader).expect("read scrape");
+    let resp = Client::new(addr, Duration::from_secs(10))
+        .request("GET", path, b"")
+        .expect("scrape");
     let ms = t0.elapsed().as_secs_f64() * 1e3;
     (ms, resp.status, String::from_utf8_lossy(&resp.body).into_owned())
 }

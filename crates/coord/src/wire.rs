@@ -2,17 +2,15 @@
 //! [`LeaseRepository`] that speaks HTTP to a [`crate::Coordinator`]
 //! mounted on `hdc serve --coordinate`.
 //!
-//! One short-lived TCP connection per verb (the `hdc stop` idiom):
-//! lease traffic is rare — once per shard plus one heartbeat per root
-//! value — so connection reuse buys nothing and statelessness keeps
-//! worker crash behavior trivial.
+//! Every verb rides one keep-alive [`hdc_net::Client`] connection, the
+//! same client the data plane uses. A failed verb is reported, never
+//! re-sent: lease verbs are not idempotent.
 
-use std::io::{self, BufReader, Write};
-use std::net::TcpStream;
+use std::io;
 use std::time::Duration;
 
 use hdc_core::{CrawlCheckpoint, CrawlRepository, ShardSnapshot};
-use hdc_net::http;
+use hdc_net::Client;
 
 use crate::lease::{LeaseDecision, LeaseGrant, LeaseRepository};
 
@@ -23,9 +21,9 @@ const WIRE_TIMEOUT: Duration = Duration::from_secs(30);
 /// A [`LeaseRepository`] over HTTP. Construction fetches the plan from
 /// `GET /plan`, so a connected client always knows every shard
 /// signature and the lease TTL.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct WireLeaseRepository {
-    addr: String,
+    client: Client,
     plan: Vec<String>,
     ttl_ms: u64,
 }
@@ -38,13 +36,8 @@ impl WireLeaseRepository {
     /// Connects to a coordinator at `url` (`http://host:port`, scheme
     /// optional) and fetches its plan.
     pub fn connect(url: &str) -> io::Result<Self> {
-        let addr = url
-            .trim()
-            .trim_start_matches("http://")
-            .trim_end_matches('/')
-            .to_string();
         let mut client = WireLeaseRepository {
-            addr,
+            client: Client::new(url, WIRE_TIMEOUT),
             plan: Vec::new(),
             ttl_ms: 0,
         };
@@ -78,17 +71,11 @@ impl WireLeaseRepository {
         self.ttl_ms
     }
 
-    /// One request/response round trip on a fresh connection. Non-2xx
-    /// responses become errors carrying the server's message (so the
-    /// `409 mismatch: …` plan hint reaches the operator verbatim).
+    /// One request/response round trip. Non-2xx responses become
+    /// errors carrying the server's message (so the `409 mismatch: …`
+    /// plan hint reaches the operator verbatim).
     fn call(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<String> {
-        let mut stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(WIRE_TIMEOUT))?;
-        stream.set_write_timeout(Some(WIRE_TIMEOUT))?;
-        http::write_request(&mut stream, method, path, body)?;
-        stream.flush()?;
-        let mut reader = BufReader::new(stream);
-        let resp = http::read_response(&mut reader)?;
+        let resp = self.client.request(method, path, body)?;
         let text = String::from_utf8_lossy(&resp.body).into_owned();
         if resp.status / 100 != 2 {
             return Err(invalid(format!(

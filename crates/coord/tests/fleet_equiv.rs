@@ -35,10 +35,11 @@ use hdc_coord::{
     MemoryLeaseRepository, TupleDedup, WireLeaseRepository, WorkerConfig,
 };
 use hdc_core::{
-    CancelToken, CrawlError, CrawlRepository, ResumableShard, SessionConfig, ShardSpec, Sharded,
+    CancelToken, CrawlError, CrawlRepository, ResumableShard, SessionConfig, ShardSnapshot,
+    ShardSpec, Sharded,
 };
-use hdc_net::http;
-use hdc_server::{HiddenDbServer, ServerConfig};
+use hdc_net::{http, Client, RouteExt, ServeOptions, WireServer};
+use hdc_server::{HiddenDbServer, ServerConfig, SharedServer};
 use hdc_types::{AttrKind, Schema, Tuple, TupleBag, Value};
 
 /// A generated test instance (same generator family as the core fault
@@ -582,4 +583,78 @@ fn wire_fleet_matches_solo() {
         LeaseDecision::Drained
     ));
     stop.store(true, std::sync::atomic::Ordering::Release);
+}
+
+/// A hostile `/complete` body — a valid verb line followed by 1 MB of
+/// `[` — is a clean 400, not a stack overflow, and the same host keeps
+/// answering afterwards.
+#[test]
+fn hostile_snapshot_payload_is_a_clean_400() {
+    let inst = yahoo_like();
+    let plan = Sharded::plan_oversubscribed(&inst.schema, 2, 2);
+    let (coordinator, _) =
+        Coordinator::new(signatures(&plan), CoordinatorConfig::default()).unwrap();
+    let (addr, stop) = host_coordinator(std::sync::Arc::new(coordinator));
+    let mut client = Client::new(&addr, Duration::from_secs(30));
+
+    let mut body = b"0 1\n".to_vec();
+    body.resize(body.len() + (1 << 20), b'[');
+    let resp = client.request("POST", "/complete", &body).unwrap();
+    assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
+
+    let plan_resp = client.request("GET", "/plan", b"").unwrap();
+    assert_eq!(plan_resp.status, 200);
+    assert!(plan_resp.body.starts_with(b"hdc-coord v1 "));
+    assert_eq!(client.connects(), 2, "`Connection: close` forces a reconnect");
+    stop.store(true, std::sync::atomic::Ordering::Release);
+}
+
+/// The control plane keeps its connection alive: joining (`GET /plan`),
+/// lease, heartbeat, completion and checkpoint load all ride one TCP
+/// connection to a `Coordinator` mounted on a real `WireServer`.
+#[test]
+fn lease_verbs_share_one_keep_alive_connection() {
+    let inst = yahoo_like();
+    let plan = Sharded::plan_oversubscribed(&inst.schema, 2, 2);
+    let (coordinator, _) =
+        Coordinator::new(signatures(&plan), CoordinatorConfig::default()).unwrap();
+    let shared = SharedServer::new(
+        inst.schema.clone(),
+        inst.tuples.clone(),
+        ServerConfig { k: inst.k, seed: 5 },
+    )
+    .unwrap();
+    let server = WireServer::start(
+        "127.0.0.1:0",
+        shared,
+        ServeOptions {
+            extension: Some(std::sync::Arc::new(coordinator) as std::sync::Arc<dyn RouteExt>),
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+
+    let mut repo = WireLeaseRepository::connect(&format!("http://{}/", server.addr())).unwrap();
+    let LeaseDecision::Grant(grant) = repo.lease("keep-alive").unwrap() else {
+        panic!("a fresh plan grants a shard");
+    };
+    assert!(repo.heartbeat(grant.index, grant.lease, None).unwrap());
+    let snapshot = ShardSnapshot {
+        index: grant.index,
+        queries: 0,
+        resolved: 0,
+        overflowed: 0,
+        pruned: 0,
+        frontier: None,
+        metrics: Default::default(),
+        tuples: Vec::new(),
+    };
+    assert!(repo.complete(grant.index, grant.lease, snapshot).unwrap().is_some());
+    let checkpoint = repo.load().unwrap().unwrap();
+    assert!(checkpoint.has_shard(grant.index));
+    drop(repo);
+
+    let stats = server.shutdown().unwrap();
+    assert_eq!(stats.requests, 5, "plan, lease, heartbeat, complete, checkpoint");
+    assert_eq!(stats.connections, 1, "every lease verb rides one connection");
 }

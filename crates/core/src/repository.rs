@@ -42,6 +42,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use hdc_json::{self as json, Json};
 use hdc_types::{Tuple, Value};
 
 use crate::report::CrawlMetrics;
@@ -223,14 +224,9 @@ impl CrawlCheckpoint {
                     if v > 0 {
                         out.push(',');
                     }
-                    match value {
-                        Value::Cat(c) => {
-                            let _ = write!(out, "\"c{c}\"");
-                        }
-                        Value::Int(n) => {
-                            let _ = write!(out, "\"i{n}\"");
-                        }
-                    }
+                    out.push('"');
+                    value.push_token(&mut out);
+                    out.push('"');
                 }
                 out.push(']');
             }
@@ -242,8 +238,8 @@ impl CrawlCheckpoint {
 
     /// Parses the `hdc-crawl-checkpoint` JSON format.
     pub fn from_json(text: &str) -> io::Result<Self> {
-        let value = json::parse(text).map_err(invalid)?;
-        let obj = value.as_obj().ok_or_else(|| invalid("top level must be an object"))?;
+        let doc = json::parse(text).map_err(invalid)?;
+        let obj = object(&doc, "top level")?;
         let format = get(obj, "format")?.as_str().ok_or_else(|| invalid("format"))?;
         if format != "hdc-crawl-checkpoint" {
             return Err(invalid(format!("unknown format {format:?}")));
@@ -267,7 +263,7 @@ impl CrawlCheckpoint {
             .as_arr()
             .ok_or_else(|| invalid("shards must be an array"))?
         {
-            let s = sv.as_obj().ok_or_else(|| invalid("shard must be an object"))?;
+            let s = object(sv, "shard")?;
             let tuples = get(s, "tuples")?
                 .as_arr()
                 .ok_or_else(|| invalid("tuples must be an array"))?
@@ -278,7 +274,9 @@ impl CrawlCheckpoint {
                         .ok_or_else(|| invalid("tuple must be an array"))?
                         .iter()
                         .map(|v| {
-                            parse_value(v.as_str().ok_or_else(|| invalid("value token"))?)
+                            let token = v.as_str().ok_or_else(|| invalid("value token"))?;
+                            Value::parse_token(token)
+                                .ok_or_else(|| invalid(format!("bad value token {token:?}")))
                         })
                         .collect::<io::Result<Vec<Value>>>()?;
                     Ok(Tuple::new(vals))
@@ -324,8 +322,8 @@ fn metrics_json(m: &CrawlMetrics) -> String {
     )
 }
 
-fn parse_metrics(v: &json::Json) -> io::Result<CrawlMetrics> {
-    let obj = v.as_obj().ok_or_else(|| invalid("metrics must be an object"))?;
+fn parse_metrics(v: &Json) -> io::Result<CrawlMetrics> {
+    let obj = object(v, "metrics")?;
     Ok(CrawlMetrics {
         two_way_splits: int_field(obj, "two_way_splits")?,
         three_way_splits: int_field(obj, "three_way_splits")?,
@@ -340,33 +338,24 @@ fn parse_metrics(v: &json::Json) -> io::Result<CrawlMetrics> {
     })
 }
 
-fn parse_value(token: &str) -> io::Result<Value> {
-    let (kind, digits) = token.split_at(usize::from(!token.is_empty()));
-    match kind {
-        "c" => digits
-            .parse::<u32>()
-            .map(Value::Cat)
-            .map_err(|e| invalid(format!("bad categorical token {token:?}: {e}"))),
-        "i" => digits
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|e| invalid(format!("bad numeric token {token:?}: {e}"))),
-        _ => Err(invalid(format!("unknown value token {token:?}"))),
-    }
-}
-
 fn invalid(msg: impl ToString) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-fn get<'a>(obj: &'a [(String, json::Json)], key: &str) -> io::Result<&'a json::Json> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
+/// `v` itself when it is an object; an error naming `what` otherwise.
+fn object<'a>(v: &'a Json, what: &str) -> io::Result<&'a Json> {
+    match v {
+        Json::Obj(_) => Ok(v),
+        _ => Err(invalid(format!("{what} must be an object"))),
+    }
+}
+
+fn get<'a>(obj: &'a Json, key: &str) -> io::Result<&'a Json> {
+    obj.get(key)
         .ok_or_else(|| invalid(format!("missing field {key:?}")))
 }
 
-fn int_field(obj: &[(String, json::Json)], key: &str) -> io::Result<u64> {
+fn int_field(obj: &Json, key: &str) -> io::Result<u64> {
     get(obj, key)?
         .as_int()
         .and_then(|n| u64::try_from(n).ok())
@@ -375,8 +364,8 @@ fn int_field(obj: &[(String, json::Json)], key: &str) -> io::Result<u64> {
 
 /// Like [`int_field`] but tolerates a missing key (`None`); a *present*
 /// key must still be a well-formed non-negative integer.
-fn opt_int_field(obj: &[(String, json::Json)], key: &str) -> io::Result<Option<u64>> {
-    if obj.iter().any(|(k, _)| k == key) {
+fn opt_int_field(obj: &Json, key: &str) -> io::Result<Option<u64>> {
+    if obj.get(key).is_some() {
         int_field(obj, key).map(Some)
     } else {
         Ok(None)
@@ -490,174 +479,6 @@ impl CrawlRepository for JsonFileRepository {
             std::fs::File::open(parent)?.sync_all()?;
         }
         Ok(())
-    }
-}
-
-/// The minimal JSON reader behind [`CrawlCheckpoint::from_json`] —
-/// integers, strings, arrays, objects; exactly what the checkpoint
-/// format emits. Vendored like the rest of `crates/compat` because this
-/// workspace builds with no registry access.
-mod json {
-    /// A parsed JSON value. Numbers are integers (the format emits
-    /// nothing else) kept at `i128` so every `u64` survives round-trip.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Json {
-        /// An integer.
-        Int(i128),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object, as ordered key/value pairs.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        pub fn as_int(&self) -> Option<i128> {
-            match self {
-                Json::Int(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-            match self {
-                Json::Obj(fields) => Some(fields),
-                _ => None,
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while bytes
-            .get(*pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
-        if bytes.get(*pos) == Some(&want) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {pos}", char::from(want)))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(bytes, pos)?);
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    skip_ws(bytes, pos);
-                    let key = parse_string(bytes, pos)?;
-                    skip_ws(bytes, pos);
-                    expect(bytes, pos, b':')?;
-                    fields.push((key, parse_value(bytes, pos)?));
-                    skip_ws(bytes, pos);
-                    match bytes.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'-' | b'0'..=b'9') => {
-                let start = *pos;
-                if bytes.get(*pos) == Some(&b'-') {
-                    *pos += 1;
-                }
-                while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-                    *pos += 1;
-                }
-                std::str::from_utf8(&bytes[start..*pos])
-                    .ok()
-                    .and_then(|s| s.parse::<i128>().ok())
-                    .map(Json::Int)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            _ => Err(format!("unexpected input at byte {pos}")),
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let start = *pos;
-        while let Some(&b) = bytes.get(*pos) {
-            match b {
-                b'"' => {
-                    let s = std::str::from_utf8(&bytes[start..*pos])
-                        .map_err(|e| e.to_string())?
-                        .to_owned();
-                    *pos += 1;
-                    return Ok(s);
-                }
-                // The checkpoint format never emits escapes; reject
-                // rather than mis-read.
-                b'\\' => return Err(format!("escapes unsupported at byte {pos}")),
-                _ => *pos += 1,
-            }
-        }
-        Err("unterminated string".into())
     }
 }
 

@@ -135,7 +135,13 @@ fn structurally_malformed_documents_are_clean_errors() {
         r#"{"format": "hdc-crawl-checkpoint", "version": 1.5, "plan": [], "shards": []}"#,
         r#"{"format": "hdc-crawl", "version": 1, "plan": [], "shards": []}"#,
     ];
-    for text in cases {
+    // Hostile payloads a peer can post to the coordinator: nesting deep
+    // enough to exhaust a recursive parser's stack, and a valid
+    // checkpoint whose tuple token starts with a multi-byte character.
+    let deep = "[".repeat(1_000_000);
+    let multibyte = sample_checkpoint().to_json().replace("\"c3\"", "\"€1\"");
+    assert!(multibyte.contains("\"€1\""));
+    for text in cases.into_iter().chain([deep.as_str(), multibyte.as_str()]) {
         assert!(
             CrawlCheckpoint::from_json(text).is_err(),
             "{text:?} must not parse"

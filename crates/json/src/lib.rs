@@ -1,13 +1,18 @@
-//! Vendored minimal JSON for the wire protocol (the container has no
-//! registry access, so no serde).
+//! Vendored minimal JSON for the wire protocol, the checkpoint format
+//! and the telemetry dump (the workspace builds with no registry
+//! access, so no serde).
 //!
-//! Sibling of the checkpoint parser in `hdc-core::repository`, but
-//! hardened for *untrusted* input: this one accepts string escapes
+//! Hardened for *untrusted* input: it accepts string escapes
 //! (`\"`, `\\`, `\/`, `\n`, `\t`, `\r`, `\b`, `\f`, `\uXXXX`), enforces
 //! a nesting-depth ceiling, and rejects everything else — floats,
 //! unpaired surrogates, trailing garbage — with a clean [`JsonError`],
-//! never a panic. The corruption suite (`protocol_fuzz`) feeds it
-//! truncated and garbage bodies directly.
+//! never a panic. Raw control bytes inside strings are tolerated: the
+//! checkpoint writer emits shard signatures unescaped. The corruption
+//! suites (`protocol_fuzz`, `repository_fuzz`) feed it truncated and
+//! garbage documents directly.
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 use std::fmt;
 
@@ -220,17 +225,16 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
                 Some(_) => {
                     // Copy the whole run of plain bytes at once. The
                     // run ends only at ASCII delimiters (quote,
-                    // backslash, control), which cannot appear inside a
+                    // backslash), which cannot appear inside a
                     // multi-byte scalar, so the span stays on UTF-8
                     // boundaries; the input arrived as a &str, so the
                     // bytes themselves are already valid.
                     let start = self.pos;
                     while let Some(c) = self.peek() {
-                        if c == b'"' || c == b'\\' || c < 0x20 {
+                        if c == b'"' || c == b'\\' {
                             break;
                         }
                         self.pos += 1;
@@ -348,6 +352,11 @@ mod tests {
         let arr = v.get("q").and_then(Json::as_arr).unwrap();
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[0].as_str(), Some("*"));
+    }
+
+    #[test]
+    fn raw_control_bytes_inside_strings_are_tolerated() {
+        assert_eq!(parse("\"tab\tsig\"").unwrap().as_str(), Some("tab\tsig"));
     }
 
     #[test]

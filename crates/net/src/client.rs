@@ -1,5 +1,5 @@
-//! The wire client: [`HttpDb`] implements
-//! [`HiddenDatabase`] over a loopback HTTP connection, and
+//! The wire client: [`Client`] is the one keep-alive HTTP client,
+//! [`HttpDb`] implements [`HiddenDatabase`] over it, and
 //! [`HttpConnector`] implements [`Connector`] so
 //! `Crawl::builder().run_sharded(connector)` drives remote identities
 //! exactly like in-process closures.
@@ -100,6 +100,82 @@ fn client_metrics() -> &'static ClientMetrics {
     })
 }
 
+/// The one keep-alive HTTP/1.1 client: a server address, a socket
+/// timeout, and at most one connection, opened lazily with
+/// `TCP_NODELAY`.
+///
+/// [`request`](Client::request) drops the connection on any io error and
+/// after any response carrying `Connection: close`; the next call then
+/// reconnects. It never re-sends a request by itself: the lease verbs
+/// are not idempotent, so retrying is the caller's decision.
+#[derive(Debug)]
+pub struct Client {
+    addr: String,
+    timeout: Duration,
+    conn: Option<BufReader<TcpStream>>,
+    connects: u64,
+}
+
+impl Client {
+    /// A client for `url`: `host:port`, optionally prefixed with
+    /// `http://`, surrounding whitespace and trailing `/` ignored.
+    /// `timeout` bounds every socket read and write. Nothing connects
+    /// until the first request.
+    pub fn new(url: &str, timeout: Duration) -> Client {
+        let url = url.trim();
+        let addr = url
+            .strip_prefix("http://")
+            .unwrap_or(url)
+            .trim_end_matches('/');
+        Client {
+            addr: addr.to_string(),
+            timeout,
+            conn: None,
+            connects: 0,
+        }
+    }
+
+    /// The server address (scheme stripped).
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
+
+    /// TCP connections opened so far: the first one plus every
+    /// reconnect.
+    pub fn connects(&self) -> u64 {
+        self.connects
+    }
+
+    /// Drops the open connection, if any; the next request reconnects.
+    pub fn disconnect(&mut self) {
+        self.conn = None;
+    }
+
+    /// One request/response exchange on the kept-alive connection,
+    /// connecting first when there is none.
+    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<Response> {
+        let result = self.exchange(method, path, body);
+        if !matches!(result, Ok((_, false))) {
+            self.conn = None;
+        }
+        result.map(|(resp, _)| resp)
+    }
+
+    fn exchange(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<(Response, bool)> {
+        if self.conn.is_none() {
+            let stream = TcpStream::connect(&self.addr)?;
+            stream.set_read_timeout(Some(self.timeout))?;
+            stream.set_write_timeout(Some(self.timeout))?;
+            stream.set_nodelay(true).ok();
+            self.connects += 1;
+            self.conn = Some(BufReader::new(stream));
+        }
+        let conn = self.conn.as_mut().expect("connected above");
+        http::write_request(&mut conn.get_ref(), method, path, body)?;
+        http::read_response_and_close(conn)
+    }
+}
+
 /// Default client read/write timeout.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(5);
 /// Default consecutive-failure threshold before an identity retires.
@@ -127,13 +203,12 @@ impl HttpConnector {
     /// [`connect`](Connector::connect) is infallible and every
     /// [`HttpDb`] knows its schema and `k` locally.
     pub fn new(url: &str) -> io::Result<HttpConnector> {
-        let addr = strip_scheme(url).to_string();
-        let timeout = DEFAULT_TIMEOUT;
-        let info = fetch_schema(&addr, timeout)?;
+        let mut client = Client::new(url, DEFAULT_TIMEOUT);
+        let info = fetch_schema(&mut client)?;
         Ok(HttpConnector {
-            addr,
+            addr: client.addr,
             info,
-            timeout,
+            timeout: DEFAULT_TIMEOUT,
             retire_after: DEFAULT_RETIRE_AFTER,
             rate: None,
         })
@@ -180,15 +255,12 @@ impl Connector for HttpConnector {
 
     fn connect(&self, identity: usize) -> HttpDb {
         HttpDb {
-            addr: self.addr.clone(),
+            client: Client::new(&self.addr, self.timeout),
             identity,
             schema: self.info.schema.clone(),
             k: self.info.k,
-            timeout: self.timeout,
             retire_after: self.retire_after,
             limiter: self.rate.map(|(rate, burst)| RateLimiter::new(rate, burst)),
-            conn: None,
-            ever_connected: false,
             consecutive_failures: 0,
             retired: false,
             issued: 0,
@@ -196,19 +268,9 @@ impl Connector for HttpConnector {
     }
 }
 
-fn strip_scheme(url: &str) -> &str {
-    url.strip_prefix("http://").unwrap_or(url).trim_end_matches('/')
-}
-
-/// One eager `GET /schema` over a throwaway connection.
-fn fetch_schema(addr: &str, timeout: Duration) -> io::Result<proto::SchemaInfo> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    http::write_request(&mut &stream, "GET", "/schema", b"")?;
-    let resp = http::read_response(&mut reader)?;
+/// One eager `GET /schema`.
+fn fetch_schema(client: &mut Client) -> io::Result<proto::SchemaInfo> {
+    let resp = client.request("GET", "/schema", b"")?;
     if resp.status != 200 {
         return Err(io::Error::new(
             ErrorKind::InvalidData,
@@ -219,28 +281,18 @@ fn fetch_schema(addr: &str, timeout: Duration) -> io::Result<proto::SchemaInfo> 
     proto::parse_schema_body(&body).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))
 }
 
-/// One remote identity's live connection state.
-#[derive(Debug)]
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
 /// A [`HiddenDatabase`] over the wire: one remote identity, one
 /// keep-alive connection (re-established transparently after
 /// failures), local validation, client-side accounting, health
 /// tracking, and optional rate limiting. Minted by [`HttpConnector`].
 #[derive(Debug)]
 pub struct HttpDb {
-    addr: String,
+    client: Client,
     identity: usize,
     schema: Schema,
     k: usize,
-    timeout: Duration,
     retire_after: u32,
     limiter: Option<RateLimiter>,
-    conn: Option<Conn>,
-    ever_connected: bool,
     consecutive_failures: u32,
     retired: bool,
     issued: u64,
@@ -262,33 +314,15 @@ impl HttpDb {
         self.retired
     }
 
-    fn open(&mut self) -> io::Result<&mut Conn> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(&self.addr)?;
-            stream.set_read_timeout(Some(self.timeout))?;
-            stream.set_write_timeout(Some(self.timeout))?;
-            stream.set_nodelay(true).ok();
-            if self.ever_connected && hdc_obs::enabled() {
-                client_metrics().reconnects.inc();
-            }
-            self.ever_connected = true;
-            self.conn = Some(Conn {
-                reader: BufReader::new(stream.try_clone()?),
-                writer: stream,
-            });
-        }
-        Ok(self.conn.as_mut().expect("just opened"))
-    }
-
     /// One request/response exchange. Any io damage (timeout, reset,
     /// truncation) drops the stream so the next call reconnects fresh.
     fn exchange(&mut self, path: &str, body: &str) -> Result<Response, DbError> {
         let timer = hdc_obs::enabled().then(Instant::now);
-        let result = (|| {
-            let conn = self.open()?;
-            http::write_request(&mut &conn.writer, "POST", path, body.as_bytes())?;
-            http::read_response(&mut conn.reader)
-        })();
+        let opened = self.client.connects();
+        let result = self.client.request("POST", path, body.as_bytes());
+        if opened > 0 && self.client.connects() > opened && hdc_obs::enabled() {
+            client_metrics().reconnects.inc();
+        }
         match result {
             Ok(resp) => {
                 if let Some(start) = timer {
@@ -299,7 +333,6 @@ impl HttpDb {
                 Ok(resp)
             }
             Err(e) => {
-                self.conn = None;
                 if hdc_obs::enabled() {
                     let m = client_metrics();
                     m.wire_failures.inc();
@@ -352,7 +385,7 @@ impl HttpDb {
             Err(e) => {
                 // A 200 with an unreadable body is transport damage:
                 // drop the stream and let the retry policy try again.
-                self.conn = None;
+                self.client.disconnect();
                 Err(DbError::Transient(format!("malformed response: {e}")))
             }
         }

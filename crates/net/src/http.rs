@@ -103,14 +103,25 @@ fn read_line<R: BufRead>(r: &mut R) -> io::Result<Option<String>> {
     }
 }
 
-/// Parses `Content-Length` out of the header block, reading at most
-/// [`MAX_HEADERS`] lines. Rejects chunked transfer encoding.
-fn read_headers<R: BufRead>(r: &mut R) -> io::Result<usize> {
-    let mut content_length = 0usize;
+/// What the header block says about framing.
+struct Head {
+    content_length: usize,
+    /// The peer sent `Connection: close`.
+    close: bool,
+}
+
+/// Parses `Content-Length` and `Connection: close` out of the header
+/// block, reading at most [`MAX_HEADERS`] lines. Rejects chunked
+/// transfer encoding.
+fn read_headers<R: BufRead>(r: &mut R) -> io::Result<Head> {
+    let mut head = Head {
+        content_length: 0,
+        close: false,
+    };
     for _ in 0..MAX_HEADERS {
         let line = read_line(r)?.ok_or_else(|| invalid("eof in headers"))?;
         if line.is_empty() {
-            return Ok(content_length);
+            return Ok(head);
         }
         let Some((name, value)) = line.split_once(':') else {
             return Err(invalid("malformed header line"));
@@ -124,7 +135,9 @@ fn read_headers<R: BufRead>(r: &mut R) -> io::Result<usize> {
             if len > MAX_BODY {
                 return Err(invalid("body too large"));
             }
-            content_length = len;
+            head.content_length = len;
+        } else if name == "connection" {
+            head.close = value.eq_ignore_ascii_case("close");
         } else if name == "transfer-encoding" {
             return Err(invalid("chunked transfer encoding not supported"));
         }
@@ -156,8 +169,8 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<Request>> {
     if !version.starts_with("HTTP/1.") {
         return Err(invalid("unsupported protocol version"));
     }
-    let content_length = read_headers(r)?;
-    let body = read_body(r, content_length)?;
+    let head = read_headers(r)?;
+    let body = read_body(r, head.content_length)?;
     Ok(Some(Request {
         method: method.to_string(),
         path: path.to_string(),
@@ -167,6 +180,12 @@ pub fn read_request<R: BufRead>(r: &mut R) -> io::Result<Option<Request>> {
 
 /// Reads one response (status line + headers + body).
 pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
+    read_response_and_close(r).map(|(resp, _)| resp)
+}
+
+/// [`read_response`], plus whether the server sent `Connection: close`
+/// (it will not read another request on this connection).
+pub(crate) fn read_response_and_close<R: BufRead>(r: &mut R) -> io::Result<(Response, bool)> {
     let line = read_line(r)?.ok_or_else(|| invalid("connection closed before response"))?;
     let mut parts = line.split_whitespace();
     let (version, status) = match (parts.next(), parts.next()) {
@@ -179,9 +198,9 @@ pub fn read_response<R: BufRead>(r: &mut R) -> io::Result<Response> {
     let status: u16 = status
         .parse()
         .map_err(|_| invalid("non-numeric status code"))?;
-    let content_length = read_headers(r)?;
-    let body = read_body(r, content_length)?;
-    Ok(Response::json(status, body))
+    let head = read_headers(r)?;
+    let body = read_body(r, head.content_length)?;
+    Ok((Response::json(status, body), head.close))
 }
 
 fn reason(status: u16) -> &'static str {
@@ -200,19 +219,20 @@ fn reason(status: u16) -> &'static str {
 
 /// Writes one request (always with a `Content-Length`, keep-alive).
 pub fn write_request<W: Write>(w: &mut W, method: &str, path: &str, body: &[u8]) -> io::Result<()> {
+    let mut msg = Vec::with_capacity(96 + body.len());
     write!(
-        w,
+        msg,
         "{method} {path} HTTP/1.1\r\nContent-Length: {}\r\nContent-Type: application/json\r\n\r\n",
         body.len()
     )?;
-    w.write_all(body)?;
-    w.flush()
+    send(w, msg, body)
 }
 
 /// Writes one response; `close` adds `Connection: close`.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, close: bool) -> io::Result<()> {
+    let mut msg = Vec::with_capacity(128 + resp.body.len());
     write!(
-        w,
+        msg,
         "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nContent-Type: {}\r\n{}\r\n",
         resp.status,
         reason(resp.status),
@@ -220,7 +240,15 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response, close: bool) -> io::
         resp.content_type,
         if close { "Connection: close\r\n" } else { "" }
     )?;
-    w.write_all(&resp.body)?;
+    send(w, msg, &resp.body)
+}
+
+/// Appends `body` to the formatted `head` and hands the message to `w`
+/// in one `write_all`: on a `TCP_NODELAY` socket every separate write
+/// is its own syscall and its own segment.
+fn send<W: Write>(w: &mut W, mut head: Vec<u8>, body: &[u8]) -> io::Result<()> {
+    head.extend_from_slice(body);
+    w.write_all(&head)?;
     w.flush()
 }
 
@@ -229,10 +257,30 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    /// Records the bytes and counts the `write` calls a message takes.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     fn roundtrip_request(method: &str, path: &str, body: &[u8]) -> Request {
-        let mut wire = Vec::new();
+        let mut wire = CountingWriter::default();
         write_request(&mut wire, method, path, body).unwrap();
-        read_request(&mut BufReader::new(&wire[..]))
+        assert_eq!(wire.writes, 1, "a request leaves in one write");
+        read_request(&mut BufReader::new(&wire.bytes[..]))
             .unwrap()
             .unwrap()
     }
@@ -249,11 +297,16 @@ mod tests {
 
     #[test]
     fn response_round_trip() {
-        let mut wire = Vec::new();
-        write_response(&mut wire, &Response::json(503, b"{}".to_vec()), true).unwrap();
-        let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
-        assert_eq!(resp.status, 503);
-        assert_eq!(resp.body, b"{}");
+        for close in [true, false] {
+            let mut wire = CountingWriter::default();
+            write_response(&mut wire, &Response::json(503, b"{}".to_vec()), close).unwrap();
+            assert_eq!(wire.writes, 1, "a response leaves in one write");
+            let (resp, closing) =
+                read_response_and_close(&mut BufReader::new(&wire.bytes[..])).unwrap();
+            assert_eq!(resp.status, 503);
+            assert_eq!(resp.body, b"{}");
+            assert_eq!(closing, close);
+        }
     }
 
     #[test]

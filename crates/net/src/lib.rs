@@ -14,6 +14,8 @@
 //!   per-connection identity isolation, optional per-connection budgets,
 //!   graceful drain on shutdown, and a deterministic server-side fault
 //!   injector ([`FaultPlan`]).
+//! * [`Client`] — the one keep-alive HTTP client every caller shares:
+//!   the data plane, the lease control plane, `hdc stop`, and scrapes.
 //! * [`HttpConnector`] / [`HttpDb`] — the client side: a
 //!   [`Connector`](hdc_core::Connector) whose connections implement
 //!   `HiddenDatabase` over the wire, mapping timeouts and resets to
@@ -34,7 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+/// The workspace's one JSON codec, re-exported under its historical path.
+pub use hdc_json as json;
 
 pub mod bucket;
 pub mod client;
@@ -43,5 +46,5 @@ pub mod proto;
 pub mod server;
 
 pub use bucket::{RateLimiter, TokenBucket};
-pub use client::{HttpConnector, HttpDb};
+pub use client::{Client, HttpConnector, HttpDb};
 pub use server::{serve, FaultPlan, RouteExt, ServeOptions, ServeStats, WireServer};

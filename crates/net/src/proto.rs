@@ -11,8 +11,9 @@
 //!
 //! # Tokens
 //!
-//! Values use the checkpoint format's compact tokens: `"c5"` is
-//! categorical value 5, `"i-7"` is numeric value −7. Predicates are
+//! Values use the compact tokens of [`Value::push_token`], shared with
+//! the checkpoint format: `"c5"` is categorical value 5, `"i-7"` is
+//! numeric value −7. Predicates are
 //! `"*"` (any), `"=5"` (categorical equality), and `"lo..hi"`
 //! (inclusive numeric range). Schema attributes are
 //! `{"name":…,"cat":size}` or `{"name":…,"min":…,"max":…}`.
@@ -59,23 +60,6 @@ impl From<json::JsonError> for WireError {
 
 fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
-}
-
-// ---------------------------------------------------------------- values
-
-fn parse_value(tok: &str) -> Result<Value, WireError> {
-    let rest = tok.get(1..).unwrap_or("");
-    match tok.as_bytes().first() {
-        Some(b'c') => rest
-            .parse::<u32>()
-            .map(Value::Cat)
-            .map_err(|_| wire_err(format!("bad categorical token {tok:?}"))),
-        Some(b'i') => rest
-            .parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| wire_err(format!("bad numeric token {tok:?}"))),
-        _ => Err(wire_err(format!("bad value token {tok:?}"))),
-    }
 }
 
 // ------------------------------------------------------------ predicates
@@ -165,20 +149,6 @@ pub fn parse_batch_body(body: &str) -> Result<Vec<Query>, WireError> {
 
 // -------------------------------------------------------------- outcomes
 
-/// Appends one value token (`"c5"` / `"i-7"`) to `out`. Tokens contain
-/// only `[ci0-9-]`, so no JSON escaping is ever needed.
-fn push_value_token(out: &mut String, v: Value) {
-    use std::fmt::Write as _;
-    match v {
-        Value::Cat(c) => {
-            let _ = write!(out, "\"c{c}\"");
-        }
-        Value::Int(i) => {
-            let _ = write!(out, "\"i{i}\"");
-        }
-    }
-}
-
 /// Appends a serialized outcome to `out` in canonical form (`overflow`
 /// first, no whitespace) — the form [`outcome_fast`] parses without
 /// building a tree. Outcome bodies are the hot path of the wire (every
@@ -197,7 +167,9 @@ fn push_outcome_json(out: &mut String, o: &QueryOutcome) {
             if j > 0 {
                 out.push(',');
             }
-            push_value_token(out, v);
+            out.push('"');
+            v.push_token(out);
+            out.push('"');
         }
         out.push(']');
     }
@@ -364,9 +336,11 @@ fn outcome_from_json(v: &Json) -> Result<QueryOutcome, WireError> {
                 .ok_or_else(|| wire_err("tuple must be an array of value tokens"))?
                 .iter()
                 .map(|t| {
-                    t.as_str()
-                        .ok_or_else(|| wire_err("value token must be a string"))
-                        .and_then(parse_value)
+                    let tok = t
+                        .as_str()
+                        .ok_or_else(|| wire_err("value token must be a string"))?;
+                    Value::parse_token(tok)
+                        .ok_or_else(|| wire_err(format!("bad value token {tok:?}")))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
             Ok(Tuple::new(vals))

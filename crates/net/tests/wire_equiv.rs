@@ -24,7 +24,7 @@
 use std::time::Duration;
 
 use hdc_core::{Crawl, CrawlError, CrawlObserver, Flow, MemoryRepository, RetryPolicy};
-use hdc_net::{http, FaultPlan, HttpConnector, ServeOptions, WireServer};
+use hdc_net::{http, Client, FaultPlan, HttpConnector, ServeOptions, WireServer};
 use hdc_server::{ServerConfig, SharedServer};
 use hdc_types::{DbError, HiddenDatabase, Query, QueryOutcome, Tuple, TupleBag};
 
@@ -382,14 +382,9 @@ fn wire_checkpoint_kill_resume_completes_exactly() {
 
 /// One raw `GET` against the wire server, outside any crawl session.
 fn scrape(addr: &str, path: &str) -> http::Response {
-    use std::io::BufReader;
-    let stream = std::net::TcpStream::connect(addr).expect("connect for scrape");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    http::write_request(&mut &stream, "GET", path, b"").expect("write scrape");
-    http::read_response(&mut reader).expect("read scrape")
+    Client::new(addr, Duration::from_secs(10))
+        .request("GET", path, b"")
+        .expect("scrape")
 }
 
 /// Telemetry is inert over the wire too: subscribing a slow observer to

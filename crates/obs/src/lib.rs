@@ -4,8 +4,9 @@
 //! Prometheus text exposition (`GET /metrics`) or JSON (`GET /stats`,
 //! `hdc serve --metrics-log`).
 //!
-//! Dependency-free by construction (this workspace builds offline), and
-//! designed around one invariant the rest of the stack relies on:
+//! Its only dependency is the workspace's JSON codec (`hdc-json`, for
+//! string quoting; this workspace builds offline), and it is designed
+//! around one invariant the rest of the stack relies on:
 //! **recording is inert**. Metrics are plain atomic adds on shared
 //! state; nothing here can perturb query sequences, charged costs, or
 //! crawl results. The differential suites (`builder_equiv`,
@@ -43,6 +44,8 @@
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
+
+use hdc_json::quote;
 
 // ---------------------------------------------------------------- switch --
 
@@ -585,21 +588,21 @@ impl Registry {
         for m in order {
             let label = match &m.label {
                 Some((k, v)) => format!(
-                    ",\"label\":{{\"{}\":\"{}\"}}",
-                    escape_json(k),
-                    escape_json(v)
+                    ",\"label\":{{{}:{}}}",
+                    quote(k),
+                    quote(v)
                 ),
                 None => String::new(),
             };
             match &m.kind {
                 MetricKind::Counter(c) => counters.push(format!(
-                    "{{\"name\":\"{}\"{label},\"value\":{}}}",
-                    escape_json(&m.name),
+                    "{{\"name\":{}{label},\"value\":{}}}",
+                    quote(&m.name),
                     c.get()
                 )),
                 MetricKind::Gauge(g) => gauges.push(format!(
-                    "{{\"name\":\"{}\"{label},\"value\":{}}}",
-                    escape_json(&m.name),
+                    "{{\"name\":{}{label},\"value\":{}}}",
+                    quote(&m.name),
                     g.get()
                 )),
                 MetricKind::Histogram(h) => {
@@ -618,9 +621,9 @@ impl Registry {
                         })
                         .collect();
                     histograms.push(format!(
-                        "{{\"name\":\"{}\"{label},\"unit\":\"{}\",\"count\":{},\"sum\":{},\
+                        "{{\"name\":{}{label},\"unit\":\"{}\",\"count\":{},\"sum\":{},\
                          \"p50\":{},\"p90\":{},\"p99\":{},\"buckets\":[{}]}}",
-                        escape_json(&m.name),
+                        quote(&m.name),
                         match snap.unit {
                             Unit::Count => "count",
                             Unit::Nanos => "ns",
@@ -652,22 +655,6 @@ fn trim_float(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The process-wide registry every instrumented layer records into.

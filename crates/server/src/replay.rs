@@ -87,14 +87,12 @@ impl QueryCache {
             writeln!(w)?;
             writeln!(w, "O {}", u8::from(out.overflow))?;
             for t in &out.tuples {
-                write!(w, "T")?;
+                let mut line = String::from("T");
                 for v in t.iter() {
-                    match v {
-                        Value::Int(x) => write!(w, " i{x}")?,
-                        Value::Cat(c) => write!(w, " c{c}")?,
-                    }
+                    line.push(' ');
+                    v.push_token(&mut line);
                 }
-                writeln!(w)?;
+                writeln!(w, "{line}")?;
             }
         }
         Ok(())
@@ -143,9 +141,11 @@ impl QueryCache {
                     let entry = current.as_mut().ok_or_else(|| bad("T before Q"))?;
                     let values = rest
                         .split_whitespace()
-                        .map(parse_value)
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(|e| bad(&e))?;
+                        .map(|token| {
+                            Value::parse_token(token)
+                                .ok_or_else(|| bad(&format!("bad value token {token:?}")))
+                        })
+                        .collect::<Result<Vec<_>, _>>()?;
                     entry.2.push(Tuple::new(values));
                 }
                 other => return Err(bad(&format!("unknown record tag {other:?}"))),
@@ -182,21 +182,6 @@ fn parse_pred(token: &str) -> Result<Predicate, String> {
             })
         }
         _ => Err(format!("unknown predicate token {token:?}")),
-    }
-}
-
-fn parse_value(token: &str) -> Result<Value, String> {
-    let (kind, rest) = token.split_at(1);
-    match kind {
-        "i" => rest
-            .parse()
-            .map(Value::Int)
-            .map_err(|e| format!("bad Int {token:?}: {e}")),
-        "c" => rest
-            .parse()
-            .map(Value::Cat)
-            .map_err(|e| format!("bad Cat {token:?}: {e}")),
-        _ => Err(format!("unknown value token {token:?}")),
     }
 }
 

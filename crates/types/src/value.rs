@@ -70,6 +70,30 @@ impl Value {
     pub fn is_cat(self) -> bool {
         matches!(self, Value::Cat(_))
     }
+
+    /// Appends the compact text token shared by the checkpoint, wire and
+    /// trace formats: `c5` for categorical 5, `i-7` for numeric −7.
+    /// Tokens contain only `[ci0-9-]`, so they never need escaping.
+    #[inline]
+    pub fn push_token(self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = match self {
+            Value::Cat(c) => write!(out, "c{c}"),
+            Value::Int(x) => write!(out, "i{x}"),
+        };
+    }
+
+    /// Parses a token written by [`Value::push_token`]; `None` for
+    /// anything else (any input, never a panic).
+    pub fn parse_token(token: &str) -> Option<Value> {
+        if let Some(digits) = token.strip_prefix('c') {
+            digits.parse().ok().map(Value::Cat)
+        } else if let Some(digits) = token.strip_prefix('i') {
+            digits.parse().ok().map(Value::Int)
+        } else {
+            None
+        }
+    }
 }
 
 impl fmt::Display for Value {
@@ -138,6 +162,23 @@ mod tests {
     fn display() {
         assert_eq!(Value::Int(-3).to_string(), "-3");
         assert_eq!(Value::Cat(4).to_string(), "#4");
+    }
+
+    #[test]
+    fn tokens_round_trip_and_reject_garbage() {
+        for v in [
+            Value::Cat(0),
+            Value::Cat(u32::MAX),
+            Value::Int(-7),
+            Value::Int(i64::MIN),
+        ] {
+            let mut token = String::new();
+            v.push_token(&mut token);
+            assert_eq!(Value::parse_token(&token), Some(v), "{token}");
+        }
+        for bad in ["", "c", "i", "x5", "c-1", "c4294967296", "i1.5", "€1", "c€"] {
+            assert_eq!(Value::parse_token(bad), None, "{bad:?}");
+        }
     }
 
     #[test]

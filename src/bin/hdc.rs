@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use hidden_db_crawler::core::{theory, ShardSpec};
 use hidden_db_crawler::data::{adult, hard, nsf, ops, yahoo, Dataset};
-use hidden_db_crawler::net::http;
+use hidden_db_crawler::net::Client;
 use hidden_db_crawler::obs;
 use hidden_db_crawler::prelude::*;
 
@@ -1380,19 +1380,11 @@ fn cmd_work(flags: &Flags) -> Result<(), String> {
 
 /// `hdc stop --connect URL`: graceful remote shutdown.
 fn cmd_stop(flags: &Flags) -> Result<(), String> {
-    let url = flags.require("connect")?;
-    let addr = url
-        .strip_prefix("http://")
-        .unwrap_or(url)
-        .trim_end_matches('/');
-    let stream =
-        std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| e.to_string())?;
-    http::write_request(&mut &stream, "POST", "/shutdown", b"").map_err(|e| e.to_string())?;
-    let resp = http::read_response(&mut std::io::BufReader::new(stream))
-        .map_err(|e| e.to_string())?;
+    let mut client = Client::new(flags.require("connect")?, Duration::from_secs(5));
+    let addr = client.addr().to_string();
+    let resp = client
+        .request("POST", "/shutdown", b"")
+        .map_err(|e| format!("POST {addr}/shutdown: {e}"))?;
     if resp.status == 200 {
         println!("server at {addr} is draining");
         Ok(())
