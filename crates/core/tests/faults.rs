@@ -19,6 +19,9 @@
 //! permanent identity death salvages completed work, budget exhaustion
 //! is never retried, and a plan mismatch refuses to resume.
 
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
+
 use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
 
@@ -489,25 +492,70 @@ fn mid_crawl_cancellation_keeps_paid_work() {
     );
 }
 
+/// Orders two identities of a sharded crawl: the waiting side's first
+/// query blocks until the signalling side's [`FaultyDb`] reports
+/// [`is_dead`](FaultyDb::is_dead) (or a generous timeout passes), so a
+/// clean identity cannot drain every shard before the fuse blows.
+struct DeathGate {
+    inner: FaultyDb<HiddenDbServer>,
+    signals: bool,
+    dead: Arc<(Mutex<bool>, Condvar)>,
+}
+
+impl HiddenDatabase for DeathGate {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+
+    fn query(&mut self, q: &Query) -> Result<QueryOutcome, DbError> {
+        let (flag, cv) = &*self.dead;
+        if !self.signals {
+            let guard = flag.lock().unwrap();
+            drop(
+                cv.wait_timeout_while(guard, Duration::from_secs(30), |dead| !*dead)
+                    .unwrap(),
+            );
+        }
+        let out = self.inner.query(q);
+        if self.signals && self.inner.is_dead() {
+            *flag.lock().unwrap() = true;
+            cv.notify_all();
+        }
+        out
+    }
+
+    fn queries_issued(&self) -> u64 {
+        self.inner.queries_issued()
+    }
+}
+
 /// Permanent identity death mid-crawl (the `fail_after` fuse): the dead
 /// identity's shard fails permanently — no retry can help — but every
 /// completed shard's work is salvaged into the partial report.
 #[test]
 fn permanent_death_is_not_retried_and_salvage_survives() {
     let inst = yahoo_like();
+    let dead = Arc::new((Mutex::new(false), Condvar::new()));
     let err = Crawl::builder()
         .sessions(2)
         .oversubscribe(4)
         .retry(generous_retry())
-        .run_sharded(|s| {
-            FaultyDb::new(
+        .run_sharded(|s| DeathGate {
+            inner: FaultyDb::new(
                 inst.server(5),
                 FaultConfig {
-                    // Identity 0 dies after 30 queries; identity 1 is clean.
+                    // Identity 0 dies after 30 queries; identity 1 is clean
+                    // but starts only once identity 0 is dead.
                     fail_after: (s == 0).then_some(30),
                     ..FaultConfig::default()
                 },
-            )
+            ),
+            signals: s == 0,
+            dead: Arc::clone(&dead),
         })
         .unwrap_err();
     let CrawlError::Db { error, partial } = err else {

@@ -33,6 +33,22 @@
 //! lower attribute index, so plans are deterministic. The chosen strategy
 //! is recorded in [`ServerStats`].
 //!
+//! # The cell column
+//!
+//! The paper's §5 hybrid crawls each categorical leaf with rank-shrink,
+//! so nearly every query of a mixed-schema crawl pins **every**
+//! categorical attribute and adds one numeric range. For schemas with two
+//! or more categorical attributes, [`Engine::new`] therefore derives one
+//! more categorical column whose value is the row's full categorical
+//! assignment — its *cell* (see [`crate::store`]) — with row-ordered
+//! inverted lists like any categorical column's. The planner rewrites a
+//! full-pin query into one equality on that column (selectivity = the
+//! cell's row count; an absent cell is an empty result), so every
+//! executor above runs on it unchanged, the residual checks shrink to the
+//! numeric predicates plus at most one cell check, and a numeric range
+//! narrower than the cell still drives. Cell-driven probes are counted in
+//! [`ServerStats::cell_probes`].
+//!
 //! # Batch evaluation
 //!
 //! Crawl algorithms issue *bursts* of sibling queries — the slice fetches
@@ -283,9 +299,20 @@ impl Engine {
     /// Builds the store and indexes over priority-ordered, validated
     /// rows.
     pub(crate) fn new(schema: &Schema, rows: &[Tuple]) -> Self {
-        Engine {
-            store: ColumnStore::build(schema, rows),
-            index: ColumnIndex::build(schema, rows),
+        let mut store = ColumnStore::build(schema, rows);
+        let mut index = ColumnIndex::build(schema, rows);
+        if let Some((cells, count)) = store.derive_cells(schema) {
+            index.push_cat(cells, count);
+        }
+        Engine { store, index }
+    }
+
+    /// Records the plan of one query: its strategy, and whether the
+    /// derived cell list drove it.
+    fn record(&self, stats: &mut ServerStats, kind: PlanKind, preds: &[PredInfo]) {
+        stats.record_plan(strategy_of(kind));
+        if kind == PlanKind::Probe && self.store.cells().is_some_and(|c| c.attr == preds[0].attr) {
+            stats.cell_probes += 1;
         }
     }
 
@@ -307,7 +334,7 @@ impl Engine {
     ) -> QueryOutcome {
         let Engine { store, index } = self;
         let kind = plan_into(store, index, q, &mut scratch.preds);
-        stats.record_plan(strategy_of(kind));
+        self.record(stats, kind, &scratch.preds);
         let overflow = match kind {
             PlanKind::EmptyResult => {
                 scratch.matched.clear();
@@ -381,15 +408,17 @@ impl Engine {
                 }
             }
             b.qhash.push(h);
-            if dup != u32::MAX {
+            let planned = if dup != u32::MAX {
                 b.dup_of.push(dup);
                 b.kinds.push(b.kinds[dup as usize]);
                 stats.batch_dedup += 1;
+                dup as usize
             } else {
                 b.dup_of.push(u32::MAX);
                 b.kinds.push(plan_into(store, index, q, &mut b.preds[i]));
-            }
-            stats.record_plan(strategy_of(b.kinds[i]));
+                i
+            };
+            self.record(stats, b.kinds[i], &b.preds[planned]);
         }
 
         // Census 1: range predicates that drive more than one candidate
@@ -748,21 +777,28 @@ fn joins_gallop(p: &PredInfo, n: usize) -> bool {
 /// Decision ladder, for `n` rows and sorted selectivities `s1 ≤ s2 ≤ …`:
 ///
 /// 1. unsatisfiable query, or any `si = 0` → [`PlanKind::EmptyResult`];
-/// 2. no constraining predicate, or a **single** predicate whose index
+/// 2. **full-pin rewrite**: when the store has a derived cell column and
+///    `q` pins every categorical attribute, those equalities become one
+///    equality on the cell column, whose selectivity is the cell's row
+///    count; a cell absent from the data → [`PlanKind::EmptyResult`].
+///    The rungs below then see the cell as one more categorical
+///    predicate, so a numeric range narrower than the cell still drives;
+/// 3. no constraining predicate, or a **single** predicate whose index
 ///    does not narrow enough (`s1 · PROBE_ADVANTAGE > n`) →
 ///    [`PlanKind::Scan`];
-/// 3. `s1 · PROBE_ADVANTAGE ≤ n` (some index narrows, selective or not in
+/// 4. `s1 · PROBE_ADVANTAGE ≤ n` (some index narrows, selective or not in
 ///    count of predicates) → [`PlanKind::Probe`]: drive the smallest
 ///    list, check the rest as O(1) columnar residuals. Measurement
 ///    (`BENCH_pr1.json`) shows this beats reading further candidate
 ///    lists whenever the store offers O(1) random access — which is why
 ///    selective multi-predicate queries probe rather than gallop;
-/// 4. **several** predicates, none of whose indexes narrow enough →
+/// 5. **several** predicates, none of whose indexes narrow enough →
 ///    [`PlanKind::Intersect`]: intersect all predicates' bitset blocks
 ///    (the dense form of candidate-list intersection).
 ///
 /// The `(selectivity, attribute)` sort key makes equal-selectivity ties
-/// resolve toward the lower attribute index, deterministically.
+/// resolve toward the lower attribute index, deterministically (the cell
+/// column's index is past every schema attribute's).
 fn plan_into(
     store: &ColumnStore,
     index: &ColumnIndex,
@@ -782,6 +818,22 @@ fn plan_into(
                 return PlanKind::EmptyResult;
             }
             preds.push(PredInfo { attr, pred, sel });
+        }
+    }
+    if let Some(cells) = store.cells() {
+        match cells.pinned(q) {
+            None => {}
+            Some(None) => return PlanKind::EmptyResult,
+            Some(Some(cell)) => {
+                // Every `Eq` is a categorical predicate, and the cell
+                // implies them all.
+                preds.retain(|p| matches!(p.pred, CompiledPred::Range(..)));
+                preds.push(PredInfo {
+                    attr: cells.attr,
+                    pred: CompiledPred::Eq(cell),
+                    sel: index.cat_list(cells.attr, cell).len(),
+                });
+            }
         }
     }
     preds.sort_unstable_by_key(|p| (p.sel, p.attr));
@@ -1435,9 +1487,12 @@ mod tests {
     fn equal_selectivity_ties_break_to_lower_attribute() {
         // Two categorical columns with identical distributions: the
         // planner must deterministically probe the lower attribute index.
+        // The third column stays unpinned, so the query keeps its
+        // per-attribute plan instead of the cell rewrite.
         let schema = Schema::builder()
             .categorical("a", 10)
             .categorical("b", 10)
+            .categorical("c", 2)
             .build()
             .unwrap();
         let rows: Vec<Tuple> = (0..200)
@@ -1445,12 +1500,13 @@ mod tests {
                 Tuple::new(vec![
                     Value::Cat((i % 10) as u32),
                     Value::Cat((i % 10) as u32),
+                    Value::Cat((i % 2) as u32),
                 ])
             })
             .collect();
         let engine = Engine::new(&schema, &rows);
         let mut preds = Vec::new();
-        let q = Query::new(vec![Predicate::Eq(3), Predicate::Eq(7)]);
+        let q = Query::new(vec![Predicate::Eq(3), Predicate::Eq(7), Predicate::Any]);
         let kind = plan_into(&engine.store, &engine.index, &q, &mut preds);
         // Both predicates select 20 of 200 rows; the sort key must place
         // attribute 0 first regardless of input order.
@@ -1652,6 +1708,99 @@ mod tests {
             for (q, got) in batch.iter().zip(&outs) {
                 assert_eq!(got, &brute(&rows, 7, q), "q={q}");
             }
+        }
+    }
+
+    #[test]
+    fn full_pin_queries_probe_the_cell_list() {
+        // `fixture` has two categorical columns (c, d): pinning both is
+        // one cell, pinning one keeps the per-attribute plan.
+        let (schema, rows) = fixture();
+        let engine = Engine::new(&schema, &rows);
+        let cell = engine.store.cells().expect("two categorical columns").attr;
+        assert_eq!(cell, schema.arity());
+        let full = Query::new(vec![
+            Predicate::Eq(1),
+            Predicate::Range { lo: 0, hi: 500 },
+            Predicate::Eq(0),
+        ]);
+        let partial = Query::new(vec![
+            Predicate::Eq(1),
+            Predicate::Range { lo: 0, hi: 500 },
+            Predicate::Any,
+        ]);
+        let mut preds = Vec::new();
+        assert_eq!(
+            plan_into(&engine.store, &engine.index, &full, &mut preds),
+            PlanKind::Probe
+        );
+        // c = 1 ∧ d = 0 holds on 65 of 600 rows; the range and the cell
+        // are the only predicates left, the cell driving.
+        assert_eq!((preds[0].attr, preds[0].sel), (cell, 65));
+        assert_eq!(preds.len(), 2);
+        for (q, cell_probes) in [(&full, 1), (&partial, 0)] {
+            let mut stats = ServerStats::default();
+            let got = engine.evaluate(&rows, 8, q, &mut stats, &mut Scratch::default());
+            assert_eq!(got, brute(&rows, 8, q), "q={q}");
+            assert_eq!(stats.probe_evals, 1, "q={q}");
+            assert_eq!(stats.cell_probes, cell_probes, "q={q}");
+        }
+        // A narrower range still drives; the cell becomes its residual.
+        let narrow = Query::new(vec![
+            Predicate::Eq(1),
+            Predicate::Range { lo: 0, hi: 20 },
+            Predicate::Eq(0),
+        ]);
+        plan_into(&engine.store, &engine.index, &narrow, &mut preds);
+        assert_eq!(preds[0].attr, 1);
+        assert_eq!(preds[1].attr, cell);
+        let mut stats = ServerStats::default();
+        let got = engine.evaluate(&rows, 8, &narrow, &mut stats, &mut Scratch::default());
+        assert_eq!(got, brute(&rows, 8, &narrow));
+        assert_eq!((stats.probe_evals, stats.cell_probes), (1, 0));
+    }
+
+    #[test]
+    fn absent_cells_are_empty_without_execution() {
+        let schema = Schema::builder()
+            .categorical("c", 3)
+            .categorical("d", 3)
+            .numeric("n", 0, 100)
+            .build()
+            .unwrap();
+        let rows: Vec<Tuple> = (0..90)
+            .map(|i| {
+                Tuple::new(vec![
+                    Value::Cat((i % 3) as u32),
+                    Value::Cat((i % 3) as u32),
+                    Value::Int(i as i64),
+                ])
+            })
+            .collect();
+        let engine = Engine::new(&schema, &rows);
+        // Every row has c == d: (0, 1) is a cell of the key space that
+        // the data never fills, though each value alone matches 30 rows.
+        let q = Query::new(vec![
+            Predicate::Eq(0),
+            Predicate::Eq(1),
+            Predicate::Range { lo: 0, hi: 50 },
+        ]);
+        let mut preds = Vec::new();
+        assert_eq!(
+            plan_into(&engine.store, &engine.index, &q, &mut preds),
+            PlanKind::EmptyResult
+        );
+        let mut stats = ServerStats::default();
+        let got = engine.evaluate(&rows, 4, &q, &mut stats, &mut Scratch::default());
+        assert_eq!(got, brute(&rows, 4, &q));
+        assert!(got.tuples.is_empty());
+        assert_eq!((stats.probe_evals, stats.cell_probes), (1, 0));
+        for s in [Strategy::Scan, Strategy::Probe, Strategy::Intersect] {
+            assert_eq!(
+                engine.evaluate_forced(&rows, 4, &q, s),
+                got,
+                "strategy={s:?}"
+            );
         }
     }
 

@@ -47,6 +47,25 @@ impl ColumnIndex {
         ColumnIndex { cols }
     }
 
+    /// Appends an inverted-list index over a categorical column whose
+    /// values are dense ids in `0..size` — the engine's derived cell
+    /// column (see [`crate::store`]). The lists are exactly those of a
+    /// [`ColIndex::Cat`] built from the same column: each in ascending
+    /// row order, so the column is probed, intersected and block-scanned
+    /// like any schema column. Each list is allocated at its exact
+    /// length, so the index costs `4 n` bytes plus one `Vec` per value.
+    pub(crate) fn push_cat(&mut self, col: &[u32], size: usize) {
+        let mut counts = vec![0usize; size];
+        for &v in col {
+            counts[v as usize] += 1;
+        }
+        let mut lists: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (r, &v) in col.iter().enumerate() {
+            lists[v as usize].push(r as u32);
+        }
+        self.cols.push(ColIndex::Cat { lists });
+    }
+
     /// Exact number of rows satisfying the predicate on column `a`
     /// (`None` when the predicate does not constrain the column, i.e. a
     /// wildcard or full range — those are never worth probing).

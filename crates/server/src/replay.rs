@@ -112,13 +112,13 @@ impl QueryCache {
         let mut current: Option<(Query, bool, Vec<Tuple>)> = None;
         for line in lines {
             let line = line?;
-            if line.is_empty() {
-                continue;
-            }
-            let (tag, rest) = line.split_at(1);
-            let rest = rest.trim_start();
+            let mut chars = line.chars();
+            let Some(tag) = chars.next() else {
+                continue; // blank line
+            };
+            let rest = chars.as_str().trim_start();
             match tag {
-                "Q" => {
+                'Q' => {
                     if let Some((q, overflow, tuples)) = current.take() {
                         cache.insert(q, QueryOutcome { tuples, overflow });
                     }
@@ -129,7 +129,7 @@ impl QueryCache {
                         .map_err(|e| bad(&e))?;
                     current = Some((Query::new(preds), false, Vec::new()));
                 }
-                "O" => {
+                'O' => {
                     let entry = current.as_mut().ok_or_else(|| bad("O before Q"))?;
                     entry.1 = match rest {
                         "0" => false,
@@ -137,7 +137,7 @@ impl QueryCache {
                         other => return Err(bad(&format!("bad overflow bit {other:?}"))),
                     };
                 }
-                "T" => {
+                'T' => {
                     let entry = current.as_mut().ok_or_else(|| bad("T before Q"))?;
                     let values = rest
                         .split_whitespace()
@@ -162,13 +162,15 @@ fn parse_pred(token: &str) -> Result<Predicate, String> {
     if token == "*" {
         return Ok(Predicate::Any);
     }
-    let (kind, rest) = token.split_at(1);
+    let mut chars = token.chars();
+    let kind = chars.next();
+    let rest = chars.as_str();
     match kind {
-        "e" => rest
+        Some('e') => rest
             .parse()
             .map(Predicate::Eq)
             .map_err(|e| format!("bad Eq {token:?}: {e}")),
-        "r" => {
+        Some('r') => {
             let (lo, hi) = rest
                 .split_once(',')
                 .ok_or_else(|| format!("bad Range {token:?}"))?;
@@ -446,6 +448,17 @@ mod tests {
         ] {
             let r = std::io::BufReader::new(garbage.as_bytes());
             assert!(QueryCache::load(r).is_err(), "accepted {garbage:?}");
+        }
+    }
+
+    #[test]
+    fn cache_load_rejects_multibyte_tags_without_panicking() {
+        // A hand-edited file may start a record or a predicate token with
+        // a multi-byte character; splitting off one byte would panic.
+        for garbage in ["hdc-query-cache v1\n€ x\n", "hdc-query-cache v1\nQ €5\n"] {
+            let r = std::io::BufReader::new(garbage.as_bytes());
+            let err = QueryCache::load(r).expect_err(garbage);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{garbage:?}");
         }
     }
 

@@ -27,6 +27,10 @@ pub struct ServerStats {
     pub probe_evals: u64,
     /// Queries answered by multi-predicate candidate intersection.
     pub intersect_evals: u64,
+    /// Probes whose driver was the derived cell column's list: queries
+    /// pinning every categorical attribute, with no narrower numeric
+    /// range. Also counted in `probe_evals`.
+    pub cell_probes: u64,
     /// Batches of two or more queries evaluated through the batch path
     /// ([`crate::HiddenDbServer`]'s `query_batch`); empty and singleton
     /// batches are served by the single-query path and not counted here.
@@ -80,7 +84,7 @@ impl fmt::Display for ServerStats {
         write!(
             f,
             "{} queries ({} resolved, {} overflowed), {} tuples returned, \
-             eval: {} scans / {} probes / {} intersects, \
+             eval: {} scans / {} probes ({} cell) / {} intersects, \
              batch: {} batches / {} queries ({} dedup, {} shared lists, {} joint-walk, \
              {} grouped-probe)",
             self.queries,
@@ -89,6 +93,7 @@ impl fmt::Display for ServerStats {
             self.tuples_returned,
             self.scan_evals,
             self.probe_evals,
+            self.cell_probes,
             self.intersect_evals,
             self.batches,
             self.batched_queries,
@@ -139,8 +144,10 @@ mod tests {
         let mut s = ServerStats::default();
         s.record_plan(Strategy::Scan);
         s.record_outcome(3, false);
+        s.cell_probes = 2;
         let text = s.to_string();
         assert!(text.contains("1 queries"));
         assert!(text.contains("3 tuples"));
+        assert!(text.contains("(2 cell)"));
     }
 }

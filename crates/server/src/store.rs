@@ -6,8 +6,22 @@
 //! loops over contiguous memory — no `Tuple` indirection, no `Value` enum
 //! matching — while random access by row id stays O(1) for residual
 //! filtering.
+//!
+//! # The derived cell column
+//!
+//! When the schema has two or more categorical attributes, the engine
+//! appends one **derived** categorical column after the schema's own
+//! (see [`ColumnStore::derive_cells`]). Row `r`'s value there is the dense
+//! id of its *cell*: its full categorical assignment. A query that pins
+//! every categorical attribute (the §5 hybrid's leaf queries) is then one
+//! equality predicate on that column, so it is answered from one inverted
+//! list and one O(1) check instead of the most selective single-attribute
+//! list plus one check per pinned attribute. Cell ids are assigned in
+//! order of first appearance, i.e. by the cell's highest-priority row.
 
-use hdc_types::{AttrKind, Predicate, Schema, Tuple, Value};
+use std::collections::HashMap;
+
+use hdc_types::{AttrKind, Predicate, Query, Schema, Tuple, Value};
 
 /// One column of the database, in priority (row) order.
 #[derive(Debug)]
@@ -22,7 +36,40 @@ pub(crate) enum ColumnData {
 #[derive(Debug)]
 pub(crate) struct ColumnStore {
     n: usize,
+    /// One column per schema attribute, then the derived cell column if
+    /// [`ColumnStore::derive_cells`] built one.
     cols: Vec<ColumnData>,
+    cells: Option<Cells>,
+}
+
+/// The key space of the derived cell column: how a query that pins every
+/// categorical attribute maps to one cell id.
+#[derive(Debug)]
+pub(crate) struct Cells {
+    /// The derived column's attribute index (the schema's arity).
+    pub(crate) attr: usize,
+    /// `(attribute, domain size, stride)` per categorical attribute; a
+    /// cell's mixed-radix key is `Σ value · stride`.
+    radix: Vec<(usize, u32, u64)>,
+    /// Cell key → dense cell id, for the cells present in the data.
+    ids: HashMap<u64, u32>,
+}
+
+impl Cells {
+    /// The id of the cell `q` pins, if `q` pins every categorical
+    /// attribute: `Some(None)` when that cell holds no row, `None` when
+    /// some categorical attribute is left open (or pinned outside its
+    /// domain — an empty result the per-attribute plan already settles).
+    pub(crate) fn pinned(&self, q: &Query) -> Option<Option<u32>> {
+        let mut key = 0u64;
+        for &(a, size, stride) in &self.radix {
+            match q.pred(a) {
+                Predicate::Eq(v) if v < size => key += u64::from(v) * stride,
+                _ => return None,
+            }
+        }
+        Some(self.ids.get(&key).copied())
+    }
 }
 
 /// A predicate compiled against its column's primitive representation.
@@ -82,7 +129,62 @@ impl ColumnStore {
         ColumnStore {
             n: rows.len(),
             cols,
+            cells: None,
         }
+    }
+
+    /// Appends the derived cell column (see the module docs) and returns
+    /// it with its number of cells. Returns `None`, leaving the store as
+    /// it is, when the schema has fewer than two categorical attributes
+    /// (a single attribute's inverted list already *is* its cell list) or
+    /// its key space does not fit in a `u64`.
+    ///
+    /// O(n): each row's mixed-radix key is computed on the fly and
+    /// looked up once for its dense id; no per-row key is kept.
+    pub(crate) fn derive_cells(&mut self, schema: &Schema) -> Option<(&[u32], usize)> {
+        let mut radix = Vec::new();
+        let mut space = 1u64;
+        for a in 0..schema.arity() {
+            if let AttrKind::Categorical { size } = schema.kind(a) {
+                radix.push((a, size, space));
+                space = space.checked_mul(u64::from(size))?;
+            }
+        }
+        if radix.len() < 2 {
+            return None;
+        }
+        let digits: Vec<(&[u32], u64)> = radix
+            .iter()
+            .map(|&(a, _, stride)| match &self.cols[a] {
+                ColumnData::Cat(col) => (col.as_slice(), stride),
+                ColumnData::Int(_) => unreachable!("radix lists categorical columns"),
+            })
+            .collect();
+        let mut ids = HashMap::new();
+        let col: Vec<u32> = (0..self.n)
+            .map(|r| {
+                let key = digits
+                    .iter()
+                    .map(|&(col, stride)| u64::from(col[r]) * stride)
+                    .sum();
+                let next = ids.len() as u32;
+                *ids.entry(key).or_insert(next)
+            })
+            .collect();
+        let count = ids.len();
+        let attr = self.cols.len();
+        self.cols.push(ColumnData::Cat(col));
+        self.cells = Some(Cells { attr, radix, ids });
+        match &self.cols[attr] {
+            ColumnData::Cat(col) => Some((col, count)),
+            ColumnData::Int(_) => unreachable!("the cell column is categorical"),
+        }
+    }
+
+    /// The derived cell column's key space, if one was built.
+    #[inline]
+    pub(crate) fn cells(&self) -> Option<&Cells> {
+        self.cells.as_ref()
     }
 
     /// Number of rows.
@@ -160,6 +262,53 @@ mod tests {
         assert!(store.check(1, range, 1));
         assert!(store.check(1, range, 2));
         assert!(!store.check(1, range, 3));
+    }
+
+    #[test]
+    fn derive_cells_numbers_cells_by_first_appearance() {
+        let (schema, rows) = fixture();
+        assert!(
+            ColumnStore::build(&schema, &rows)
+                .derive_cells(&schema)
+                .is_none(),
+            "one categorical attribute needs no cell column"
+        );
+        let schema = Schema::builder()
+            .categorical("a", 3)
+            .numeric("x", 0, 9)
+            .categorical("b", 2)
+            .build()
+            .unwrap();
+        let rows: Vec<Tuple> = [(2u32, 1u32), (0, 1), (2, 1), (2, 0), (0, 1)]
+            .iter()
+            .map(|&(a, b)| Tuple::new(vec![Value::Cat(a), Value::Int(0), Value::Cat(b)]))
+            .collect();
+        let mut store = ColumnStore::build(&schema, &rows);
+        let (col, count) = store.derive_cells(&schema).unwrap();
+        assert_eq!((col, count), (&[0, 1, 0, 2, 1][..], 3));
+        let cells = store.cells().unwrap();
+        assert_eq!(cells.attr, 3);
+        let pin = |a, b| Query::new(vec![a, Predicate::Any, b]);
+        let eq = Predicate::Eq;
+        assert_eq!(cells.pinned(&pin(eq(2), eq(0))), Some(Some(2)));
+        assert_eq!(cells.pinned(&pin(eq(1), eq(0))), Some(None), "absent cell");
+        assert_eq!(
+            cells.pinned(&pin(eq(2), Predicate::Any)),
+            None,
+            "open attribute"
+        );
+        assert_eq!(cells.pinned(&pin(eq(3), eq(0))), None, "outside the domain");
+
+        // Five domains of 2^16 values overflow a u64 key.
+        let mut b = Schema::builder();
+        for i in 0..5 {
+            b = b.categorical(format!("c{i}"), 1 << 16);
+        }
+        let wide = b.build().unwrap();
+        let row = Tuple::new(vec![Value::Cat(0); 5]);
+        assert!(ColumnStore::build(&wide, &[row])
+            .derive_cells(&wide)
+            .is_none());
     }
 
     #[test]
