@@ -13,7 +13,7 @@
 //! always is the trivial sound oracle.) The crawl session answers
 //! provably-empty queries locally, charging nothing.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use hdc_types::{Predicate, Query, Tuple};
 
@@ -28,21 +28,50 @@ pub trait ValidityOracle {
 /// "may match" iff some tuple actually matches it. Sound by construction;
 /// used in experiments as the upper bound on what dependency pruning can
 /// save.
+///
+/// A posting map `(attribute, categorical value) → row ids` keeps the
+/// check off a full scan: a query with `Eq` predicates is tested only
+/// against the rows of its shortest posting list, since every matching
+/// row must appear there. Queries without an `Eq` predicate scan all rows.
 #[derive(Debug)]
 pub struct DatasetOracle {
     tuples: Vec<Tuple>,
+    postings: HashMap<(usize, u32), Vec<usize>>,
 }
 
 impl DatasetOracle {
     /// Builds the oracle over the given ground-truth tuples.
     pub fn new(tuples: Vec<Tuple>) -> Self {
-        DatasetOracle { tuples }
+        let mut postings: HashMap<(usize, u32), Vec<usize>> = HashMap::new();
+        for (row, t) in tuples.iter().enumerate() {
+            for (attr, v) in t.iter().enumerate() {
+                if let Some(c) = v.as_cat() {
+                    postings.entry((attr, c)).or_default().push(row);
+                }
+            }
+        }
+        DatasetOracle { tuples, postings }
     }
 }
 
 impl ValidityOracle for DatasetOracle {
     fn may_match(&self, q: &Query) -> bool {
-        self.tuples.iter().any(|t| q.matches(t))
+        let mut shortest: Option<&[usize]> = None;
+        for (attr, p) in q.preds().iter().enumerate() {
+            if let Predicate::Eq(c) = *p {
+                // No row holds the value: nothing can match.
+                let Some(rows) = self.postings.get(&(attr, c)) else {
+                    return false;
+                };
+                if shortest.is_none_or(|s| rows.len() < s.len()) {
+                    shortest = Some(rows);
+                }
+            }
+        }
+        match shortest {
+            Some(rows) => rows.iter().any(|&r| q.matches(&self.tuples[r])),
+            None => self.tuples.iter().any(|t| q.matches(t)),
+        }
     }
 }
 
@@ -109,6 +138,65 @@ mod tests {
         let q_miss = Query::new(vec![Predicate::Eq(0), Predicate::Eq(0)]);
         assert!(oracle.may_match(&q_hit));
         assert!(!oracle.may_match(&q_miss));
+    }
+
+    #[test]
+    fn indexed_dataset_oracle_equals_the_linear_scan() {
+        use hdc_types::Value;
+        let mut x = 0x2545_f491u64;
+        let mut next = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        // Two categorical attributes (the second skewed toward 0) and two
+        // numeric ones.
+        let tuples: Vec<Tuple> = (0..300)
+            .map(|_| {
+                let skewed = if next(4) == 0 { next(6) } else { 0 };
+                Tuple::new(vec![
+                    Value::Cat(next(5) as u32),
+                    Value::Cat(skewed as u32),
+                    Value::Int(next(50) as i64),
+                    Value::Int(next(50) as i64 - 25),
+                ])
+            })
+            .collect();
+        let oracle = DatasetOracle::new(tuples.clone());
+        // Query::any, Eq on values absent from the data (categorical
+        // draws run two past each domain), mixed Eq+Range queries, and
+        // numeric-only ones (a quarter leave both categoricals Any).
+        let mut queries = vec![Query::any(4)];
+        for _ in 0..2000 {
+            let numeric_only = next(4) == 0;
+            let mut preds = Vec::new();
+            for size in [5, 6] {
+                preds.push(if numeric_only || next(3) == 0 {
+                    Predicate::Any
+                } else {
+                    Predicate::Eq(next(size + 2) as u32)
+                });
+            }
+            for base in [0, -25] {
+                preds.push(if next(3) == 0 {
+                    Predicate::Any
+                } else {
+                    let lo = base + next(60) as i64 - 5;
+                    let hi = lo + next(12) as i64;
+                    Predicate::Range { lo, hi }
+                });
+            }
+            queries.push(Query::new(preds));
+        }
+        let mut hits = 0;
+        for q in &queries {
+            let scan = tuples.iter().any(|t| q.matches(t));
+            assert_eq!(oracle.may_match(q), scan, "{q:?}");
+            hits += usize::from(scan);
+        }
+        // The generator exercises both answers.
+        assert!(hits > 100 && hits < queries.len() - 100, "hits {hits}");
     }
 
     #[test]

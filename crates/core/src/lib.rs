@@ -89,7 +89,7 @@ pub use repository::{
     CrawlCheckpoint, CrawlRepository, JsonFileRepository, MemoryRepository, RepositoryError,
     ShardSnapshot,
 };
-pub use retry::{FaultHistory, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use session::{run_crawl, Abort, Session, SessionConfig, MAX_BATCH};
 pub use sharded::{
     snapshot_of_report, CrawlControls, PoolStats, ResumableShard, ShardRun, ShardSpec, Sharded,

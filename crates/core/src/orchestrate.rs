@@ -401,7 +401,6 @@ impl Crawl {
             oversubscribe: 1,
             observer: None,
             retry: RetryPolicy::none(),
-            strikes: 2,
             cancel: None,
             repository: None,
         }
@@ -424,7 +423,6 @@ pub struct CrawlBuilder<'a> {
     oversubscribe: usize,
     observer: Option<&'a mut dyn CrawlObserver>,
     retry: RetryPolicy,
-    strikes: u32,
     cancel: Option<&'a CancelToken>,
     repository: Option<&'a mut dyn CrawlRepository>,
 }
@@ -494,19 +492,6 @@ impl<'a> CrawlBuilder<'a> {
     /// [`RetryPolicy::none`] — fail fast, the legacy behavior.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
-        self
-    }
-
-    /// How many *consecutive* transient shard failures retire a client
-    /// identity in a sharded crawl (default 2; see
-    /// [`Sharded::transient_strikes`]). Only meaningful with
-    /// [`CrawlBuilder::run_sharded`].
-    ///
-    /// # Panics
-    /// Panics if `strikes == 0`.
-    pub fn transient_strikes(mut self, strikes: u32) -> Self {
-        assert!(strikes >= 1, "at least one strike required");
-        self.strikes = strikes;
         self
     }
 
@@ -632,8 +617,7 @@ impl<'a> CrawlBuilder<'a> {
         assert_sharded(strategy, &schema);
         let sharded = Sharded::new(self.sessions)
             .oversubscribed(self.oversubscribe)
-            .retry(self.retry)
-            .transient_strikes(self.strikes);
+            .retry(self.retry);
         let controls = CrawlControls {
             observer: self.observer,
             cancel: self.cancel,

@@ -4,13 +4,20 @@
 //! algorithms assume every query is answered. [`RetryPolicy`] bridges the
 //! two at the session layer: any query (or batch suffix) that fails with
 //! a *transient* [`DbError`](hdc_types::DbError) is re-issued up to a
-//! bounded number of attempts, with exponential backoff and seeded jitter
-//! between attempts. Because the server is a deterministic adversary, a
+//! bounded number of attempts, with exponential backoff and deterministic
+//! jitter between attempts. Because the server is a deterministic adversary, a
 //! retried query returns exactly what the original would have — so a
 //! crawl under transient faults with retries produces a bag bit-identical
 //! to the fault-free crawl, and its only extra cost is the retried
 //! attempts themselves (tracked in
 //! [`CrawlMetrics::transient_retries`](crate::CrawlMetrics::transient_retries)).
+//!
+//! The attempt bound is the one setting: every policy waits on the same
+//! fixed schedule — retry `r` sleeps [`BASE_BACKOFF`]` · 2^(r−1)`, capped
+//! at [`MAX_BACKOFF`], scaled by a jitter factor in `[0.5, 1.0)` drawn
+//! from the retry number and the session's charged-query count. The paper
+//! charges queries, not waiting, so the schedule only decides how long a
+//! crawl takes, never what it returns or costs.
 //!
 //! The sleeper is injectable so tests (and benches) run instantly:
 //! [`RetryPolicy::no_sleep`] keeps the backoff *schedule* deterministic
@@ -18,71 +25,40 @@
 //! the thread.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Per-identity fault memory backing [`RetryPolicy::adaptive`] widening.
-///
-/// One `FaultHistory` accompanies one client identity for the duration of
-/// a crawl (the sharded pool allocates one per worker alongside the
-/// connection itself). It counts *fault bursts*: maximal runs of
-/// consecutive transient failures inside one retry loop. When the policy
-/// is adaptive, the `b`-th burst on an identity starts its backoff from
-/// `base · 2^min(b−1, cap)` instead of `base` — an endpoint that has
-/// already flapped repeatedly on this identity is approached more gently,
-/// while fresh identities keep the fast schedule.
-///
-/// The counter is atomic only so it can live next to the connection in
-/// `Sync` pool state; each identity's sessions touch it sequentially.
-#[derive(Debug, Default)]
-pub struct FaultHistory {
-    bursts: AtomicU32,
-}
+/// Backoff before the first retry; retry `r` waits `BASE_BACKOFF · 2^(r−1)`
+/// before jitter.
+pub const BASE_BACKOFF: Duration = Duration::from_millis(100);
 
-impl FaultHistory {
-    /// A fresh history: no bursts observed.
-    pub fn new() -> Self {
-        FaultHistory::default()
-    }
+/// Ceiling on any single backoff, before jitter.
+pub const MAX_BACKOFF: Duration = Duration::from_secs(5);
 
-    /// Number of fault bursts observed on this identity so far.
-    pub fn bursts(&self) -> u32 {
-        self.bursts.load(Ordering::Relaxed)
-    }
-
-    /// Records the start of a new fault burst.
-    pub fn record_burst(&self) {
-        self.bursts.fetch_add(1, Ordering::Relaxed);
-    }
-}
+/// Seed of the deterministic jitter draw (see [`RetryPolicy::backoff_for`]).
+const JITTER_SEED: u64 = 0;
 
 /// How the session layer reacts to transient database failures.
 ///
 /// The default ([`RetryPolicy::none`]) performs no retries at all —
 /// exactly the pre-fault-tolerance behavior. [`RetryPolicy::new`] enables
-/// bounded retry:
+/// bounded retry on one fixed schedule:
 ///
 /// ```
+/// use hdc_core::retry::{BASE_BACKOFF, MAX_BACKOFF};
 /// use hdc_core::RetryPolicy;
-/// use std::time::Duration;
 ///
-/// let policy = RetryPolicy::new(5)
-///     .backoff(Duration::from_millis(50), Duration::from_secs(2))
-///     .jitter_seed(42);
+/// let policy = RetryPolicy::new(5);
 /// assert_eq!(policy.max_attempts(), 5);
-/// // The schedule is deterministic: retry r sleeps base·2^(r−1), capped,
-/// // scaled by a seeded jitter factor in [0.5, 1.0).
+/// // The schedule is deterministic: retry r sleeps BASE_BACKOFF·2^(r−1),
+/// // capped at MAX_BACKOFF, scaled by a jitter factor in [0.5, 1.0).
 /// assert_eq!(policy.backoff_for(1, 0), policy.backoff_for(1, 0));
-/// assert!(policy.backoff_for(3, 0) <= Duration::from_secs(2));
+/// assert!(policy.backoff_for(1, 0) >= BASE_BACKOFF / 2);
+/// assert!(policy.backoff_for(10, 0) < MAX_BACKOFF);
 /// ```
 #[derive(Clone)]
 pub struct RetryPolicy {
     max_attempts: u32,
-    base_backoff: Duration,
-    max_backoff: Duration,
-    jitter_seed: u64,
-    adaptive_cap: u32,
     sleeper: Option<Arc<dyn Fn(Duration) + Send + Sync>>,
 }
 
@@ -103,28 +79,8 @@ impl RetryPolicy {
         assert!(max_attempts >= 1, "max_attempts must be ≥ 1");
         RetryPolicy {
             max_attempts,
-            base_backoff: Duration::from_millis(100),
-            max_backoff: Duration::from_secs(5),
-            jitter_seed: 0,
-            adaptive_cap: 0,
             sleeper: None,
         }
-    }
-
-    /// Sets the backoff schedule: retry `r` waits `base · 2^(r−1)`,
-    /// capped at `max`, before re-issuing.
-    pub fn backoff(mut self, base: Duration, max: Duration) -> Self {
-        self.base_backoff = base;
-        self.max_backoff = max;
-        self
-    }
-
-    /// Seeds the jitter applied to each backoff (a deterministic factor
-    /// in `[0.5, 1.0)` — full jitter halved, so schedules never collapse
-    /// to zero and stay reproducible for a given seed).
-    pub fn jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
-        self
     }
 
     /// Replaces the sleeper invoked between attempts. The default parks
@@ -142,60 +98,25 @@ impl RetryPolicy {
         self.sleeper(|_| {})
     }
 
-    /// Enables per-identity adaptive widening: after each observed fault
-    /// burst on an identity (tracked by its [`FaultHistory`]), that
-    /// identity's *next* burst starts its backoff one doubling higher —
-    /// `base · 2^min(bursts, max_doublings)` — up to `max_doublings`
-    /// doublings. `max_doublings = 0` (the default) disables adaptation.
-    ///
-    /// Within a burst the usual exponential schedule applies on top, and
-    /// everything stays capped at the configured max backoff. Only the
-    /// *waiting* changes: the query sequence, and therefore the crawled
-    /// bag and charged cost, are untouched.
-    pub fn adaptive(mut self, max_doublings: u32) -> Self {
-        self.adaptive_cap = max_doublings;
-        self
-    }
-
-    /// The adaptive widening ceiling set by [`RetryPolicy::adaptive`]
-    /// (0 = adaptation off).
-    pub fn adaptive_cap(&self) -> u32 {
-        self.adaptive_cap
-    }
-
-    /// How many doublings to widen by, given the identity's burst count
-    /// *before* the current burst: `min(bursts, cap)`.
-    pub fn widen_for(&self, prior_bursts: u32) -> u32 {
-        prior_bursts.min(self.adaptive_cap)
-    }
-
     /// Total attempts allowed per query (1 = no retries).
     pub fn max_attempts(&self) -> u32 {
         self.max_attempts
     }
 
     /// The deterministic backoff for retry number `retry` (1-based) at
-    /// jitter salt `salt`. The session layer salts with its charged-query
-    /// count so concurrent identities sharing a seed still spread out.
+    /// jitter salt `salt`: `BASE_BACKOFF · 2^(retry−1)`, capped at
+    /// [`MAX_BACKOFF`], times a jitter factor in `[0.5, 1.0)` — full
+    /// jitter halved, so waits never collapse to zero. The session layer
+    /// salts with its charged-query count so concurrent identities still
+    /// spread out.
     pub fn backoff_for(&self, retry: u32, salt: u64) -> Duration {
-        self.backoff_widened(retry, salt, 0)
-    }
-
-    /// [`RetryPolicy::backoff_for`] widened by `widen` extra doublings
-    /// (from [`RetryPolicy::widen_for`] under an adaptive policy):
-    /// `base · 2^(widen + retry − 1)`, capped, same jitter draw as the
-    /// unwidened schedule — widening scales the wait, it never reshuffles
-    /// the jitter.
-    pub fn backoff_widened(&self, retry: u32, salt: u64, widen: u32) -> Duration {
-        let exp = retry.saturating_sub(1).saturating_add(widen).min(32);
-        let raw = self
-            .base_backoff
+        let exp = retry.saturating_sub(1).min(32);
+        let raw = BASE_BACKOFF
             .saturating_mul(1u32.checked_shl(exp).unwrap_or(u32::MAX))
-            .min(self.max_backoff);
+            .min(MAX_BACKOFF);
         // Deterministic jitter factor in [0.5, 1.0): splitmix64 over
         // (seed, salt, retry), top 53 bits as a uniform draw.
-        let mut z = self
-            .jitter_seed
+        let mut z = JITTER_SEED
             .wrapping_add(salt.wrapping_mul(0x9e3779b97f4a7c15))
             .wrapping_add(u64::from(retry).wrapping_mul(0xbf58476d1ce4e5b9));
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
@@ -206,10 +127,9 @@ impl RetryPolicy {
     }
 
     /// Sleeps out the backoff for retry number `retry` (1-based) via the
-    /// configured sleeper, widened by `widen` adaptive doublings (0 =
-    /// the plain schedule).
-    pub(crate) fn pause_widened(&self, retry: u32, salt: u64, widen: u32) {
-        let wait = self.backoff_widened(retry, salt, widen);
+    /// configured sleeper.
+    pub(crate) fn pause(&self, retry: u32, salt: u64) {
+        let wait = self.backoff_for(retry, salt);
         match &self.sleeper {
             Some(f) => f(wait),
             None => std::thread::sleep(wait),
@@ -228,9 +148,6 @@ impl fmt::Debug for RetryPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RetryPolicy")
             .field("max_attempts", &self.max_attempts)
-            .field("base_backoff", &self.base_backoff)
-            .field("max_backoff", &self.max_backoff)
-            .field("jitter_seed", &self.jitter_seed)
             .field("custom_sleeper", &self.sleeper.is_some())
             .finish()
     }
@@ -255,78 +172,45 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy::new(10)
-            .backoff(Duration::from_millis(10), Duration::from_millis(100))
-            .jitter_seed(1);
+        assert_eq!(BASE_BACKOFF, Duration::from_millis(100));
+        assert_eq!(MAX_BACKOFF, Duration::from_secs(5));
+        let p = RetryPolicy::new(10);
         // Jitter is in [0.5, 1.0), so bounds are raw/2 ≤ b < raw.
-        for retry in 1..=10u32 {
-            let raw = Duration::from_millis(10)
+        for retry in 1..=40u32 {
+            let raw = Duration::from_millis(100)
                 .saturating_mul(1 << (retry - 1).min(20))
-                .min(Duration::from_millis(100));
+                .min(Duration::from_secs(5));
             let b = p.backoff_for(retry, 0);
             assert!(b >= raw / 2 && b < raw, "retry {retry}: {b:?} vs raw {raw:?}");
         }
-        assert!(p.backoff_for(8, 0) <= Duration::from_millis(100), "capped");
+        // From retry 7 on (100 ms · 2^6 = 6.4 s) the cap binds.
+        assert!(p.backoff_for(7, 0) >= Duration::from_millis(2500), "capped");
     }
 
     #[test]
     fn jitter_is_deterministic_per_seed_and_salt() {
-        let p = RetryPolicy::new(5).jitter_seed(7);
-        assert_eq!(p.backoff_for(2, 3), p.backoff_for(2, 3));
-        let q = RetryPolicy::new(5).jitter_seed(8);
-        assert_ne!(p.backoff_for(2, 3), q.backoff_for(2, 3));
+        assert_eq!(JITTER_SEED, 0);
+        // The jitter draw depends on (retry, salt) only, never on the
+        // attempt bound or the instance.
+        let p = RetryPolicy::new(5);
+        let q = RetryPolicy::new(9).no_sleep();
+        assert_eq!(p.backoff_for(2, 3), q.backoff_for(2, 3));
         assert_ne!(p.backoff_for(2, 3), p.backoff_for(2, 4));
+        // Pinned draws at seed 0: a change to the schedule shows up here.
+        assert_eq!(p.backoff_for(1, 0), Duration::from_nanos(97_459_905));
+        assert_eq!(p.backoff_for(2, 3), Duration::from_nanos(168_890_425));
+        assert_eq!(p.backoff_for(8, 17), Duration::from_nanos(2_728_950_744));
     }
 
     #[test]
     fn injected_sleeper_observes_the_schedule() {
         let slept: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&slept);
-        let p = RetryPolicy::new(4)
-            .backoff(Duration::from_millis(10), Duration::from_secs(1))
-            .sleeper(move |d| log.lock().unwrap().push(d));
-        p.pause_widened(1, 0, 0);
-        p.pause_widened(2, 0, 0);
+        let p = RetryPolicy::new(4).sleeper(move |d| log.lock().unwrap().push(d));
+        p.pause(1, 0);
+        p.pause(2, 0);
         let got = slept.lock().unwrap().clone();
         assert_eq!(got, vec![p.backoff_for(1, 0), p.backoff_for(2, 0)]);
-    }
-
-    #[test]
-    fn adaptive_widening_shifts_the_exponent() {
-        let p = RetryPolicy::new(6)
-            .backoff(Duration::from_millis(10), Duration::from_secs(500))
-            .jitter_seed(11)
-            .adaptive(8);
-        // widen w shifts the whole schedule w doublings up; the jitter
-        // draw (a function of retry and salt only) is untouched.
-        for w in 0..4u32 {
-            for r in 1..4u32 {
-                let widened = p.backoff_widened(r, 3, w);
-                let raw = Duration::from_millis(10).saturating_mul(1 << (w + r - 1));
-                assert!(
-                    widened >= raw / 2 && widened < raw,
-                    "w={w} r={r}: {widened:?} vs raw {raw:?}"
-                );
-            }
-        }
-        // The max-backoff cap still applies to widened schedules.
-        let q = RetryPolicy::new(6)
-            .backoff(Duration::from_millis(10), Duration::from_millis(40))
-            .adaptive(8);
-        assert!(q.backoff_widened(1, 0, 10) <= Duration::from_millis(40));
-        // widen_for saturates at the configured ceiling; 0 disables.
-        assert_eq!(p.widen_for(3), 3);
-        assert_eq!(p.widen_for(100), 8);
-        assert_eq!(RetryPolicy::new(6).widen_for(100), 0, "adaptation off");
-    }
-
-    #[test]
-    fn fault_history_counts_bursts() {
-        let h = FaultHistory::new();
-        assert_eq!(h.bursts(), 0);
-        h.record_burst();
-        h.record_burst();
-        assert_eq!(h.bursts(), 2);
     }
 
     #[test]

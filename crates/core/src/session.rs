@@ -20,11 +20,11 @@ use crate::dependency::ValidityOracle;
 use crate::events::{ChannelObserver, EventSink};
 use crate::orchestrate::{CancelToken, CrawlObserver, Flow, ProgressRecorder};
 use crate::report::{CrawlError, CrawlMetrics, CrawlReport, ProgressPoint};
-use crate::retry::{FaultHistory, RetryPolicy};
+use crate::retry::RetryPolicy;
 
 /// Everything a caller threads into one crawl session besides the
-/// database and the algorithm: retry policy, cancellation, fault memory,
-/// and where the session's events go. Passed to
+/// database and the algorithm: retry policy, cancellation, and where the
+/// session's events go. Passed to
 /// [`crate::Crawler::crawl_with`], [`crate::ShardSpec::crawl_with`],
 /// [`crate::ShardCrawler::crawl_spec`], and [`run_crawl`].
 ///
@@ -42,13 +42,6 @@ pub struct SessionConfig<'c> {
     /// the `Sync` flag that lets an observer (or a signal handler) halt
     /// in-flight shards on other threads.
     pub cancel: Option<&'c CancelToken>,
-    /// The client identity's fault memory, shared across every session
-    /// that runs on that identity's connection. Under an adaptive
-    /// [`RetryPolicy`] (see [`RetryPolicy::adaptive`]) each recorded
-    /// fault burst widens the *next* burst's starting backoff on the
-    /// same identity. `None` (the default) scopes burst memory to the
-    /// individual session.
-    pub fault_history: Option<&'c FaultHistory>,
     /// The session's event observer (see [`CrawlObserver`] for the event
     /// and early-stop semantics).
     pub observer: Option<&'c mut dyn CrawlObserver>,
@@ -66,7 +59,6 @@ impl std::fmt::Debug for SessionConfig<'_> {
         f.debug_struct("SessionConfig")
             .field("retry", &self.retry)
             .field("cancel", &self.cancel)
-            .field("fault_history", &self.fault_history)
             .field("observer", &self.observer.is_some())
             .field("events", &self.events)
             .finish()
@@ -186,10 +178,6 @@ pub struct Session<'a> {
     stopped: bool,
     retry: RetryPolicy,
     cancel: Option<&'a CancelToken>,
-    history: Option<&'a FaultHistory>,
-    /// Burst counter used when no shared [`FaultHistory`] is configured:
-    /// adaptation then remembers only this session's own bursts.
-    local_bursts: u32,
 }
 
 impl<'a> Session<'a> {
@@ -200,7 +188,6 @@ impl<'a> Session<'a> {
         observer: Option<&'a mut dyn CrawlObserver>,
         retry: RetryPolicy,
         cancel: Option<&'a CancelToken>,
-        history: Option<&'a FaultHistory>,
     ) -> Self {
         Session {
             db,
@@ -217,8 +204,6 @@ impl<'a> Session<'a> {
             stopped: false,
             retry,
             cancel,
-            history,
-            local_bursts: 0,
         }
     }
 
@@ -227,18 +212,26 @@ impl<'a> Session<'a> {
         self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Bursts observed on this identity before the current one: the
-    /// adaptive-widening input (see [`RetryPolicy::adaptive`]).
-    fn prior_bursts(&self) -> u32 {
-        self.history.map_or(self.local_bursts, FaultHistory::bursts)
-    }
-
-    /// Marks the start of a new fault burst on this identity.
-    fn record_burst(&mut self) {
-        match self.history {
-            Some(h) => h.record_burst(),
-            None => self.local_bursts += 1,
+    /// The one retry step after a failed attempt: `error` aborts the
+    /// session unless it is transient and `attempt` is below the policy's
+    /// bound; a tripped stop or cancellation aborts before waiting.
+    /// Otherwise the retry is counted (in [`CrawlMetrics`] and the
+    /// process-wide telemetry), the backoff for `attempt` is slept out,
+    /// and `attempt` advances.
+    fn absorb(&mut self, error: DbError, attempt: &mut u32) -> Result<(), Abort> {
+        if !error.is_transient() || *attempt >= self.retry.max_attempts() {
+            return Err(Abort::Db(error));
         }
+        if self.stopped || self.cancelled() {
+            return Err(Abort::Stopped);
+        }
+        self.metrics.transient_retries += 1;
+        if hdc_obs::enabled() {
+            session_metrics().retries.inc();
+        }
+        self.retry.pause(*attempt, self.queries);
+        *attempt += 1;
+        Ok(())
     }
 
     /// Mutable access to the algorithm-internal counters.
@@ -299,7 +292,6 @@ impl<'a> Session<'a> {
             }
         }
         let mut attempt = 1u32;
-        let mut widen = 0u32;
         let out = loop {
             let timer = hdc_obs::enabled().then(Instant::now);
             match self.db.query(q) {
@@ -312,24 +304,7 @@ impl<'a> Session<'a> {
                     }
                     break out;
                 }
-                Err(e) if e.is_transient() && attempt < self.retry.max_attempts() => {
-                    if self.cancelled() {
-                        return Err(Abort::Stopped);
-                    }
-                    if attempt == 1 {
-                        // A new fault burst: widen from the bursts this
-                        // identity saw before it, then record it.
-                        widen = self.retry.widen_for(self.prior_bursts());
-                        self.record_burst();
-                    }
-                    self.metrics.transient_retries += 1;
-                    if hdc_obs::enabled() {
-                        session_metrics().retries.inc();
-                    }
-                    self.retry.pause_widened(attempt, self.queries, widen);
-                    attempt += 1;
-                }
-                Err(e) => return Err(Abort::Db(e)),
+                Err(e) => self.absorb(e, &mut attempt)?,
             }
         };
         self.queries += 1;
@@ -425,7 +400,6 @@ impl<'a> Session<'a> {
         }
         let mut outs: Vec<QueryOutcome> = Vec::with_capacity(queries.len());
         let mut attempt = 1u32;
-        let mut widen = 0u32;
         loop {
             let before = self.db.queries_issued();
             let suffix = &queries[outs.len()..];
@@ -464,34 +438,14 @@ impl<'a> Session<'a> {
                     .add(charged.max(answered.len() as u64));
             }
             outs.extend(answered);
-            match error {
-                None => return Ok(outs),
-                Some(e) if e.is_transient() => {
-                    if progressed {
-                        // The fault chain broke: new suffix, fresh budget.
-                        attempt = 1;
-                    }
-                    if attempt >= self.retry.max_attempts() {
-                        return Err(Abort::Db(e));
-                    }
-                    if self.stopped || self.cancelled() {
-                        return Err(Abort::Stopped);
-                    }
-                    if attempt == 1 {
-                        // Progress broke the previous chain (or this is
-                        // the first fault): a fresh burst begins.
-                        widen = self.retry.widen_for(self.prior_bursts());
-                        self.record_burst();
-                    }
-                    self.metrics.transient_retries += 1;
-                    if hdc_obs::enabled() {
-                        session_metrics().retries.inc();
-                    }
-                    self.retry.pause_widened(attempt, self.queries, widen);
-                    attempt += 1;
-                }
-                Some(e) => return Err(Abort::Db(e)),
+            let Some(e) = error else {
+                return Ok(outs);
+            };
+            if progressed {
+                // The fault chain broke: new suffix, fresh budget.
+                attempt = 1;
             }
+            self.absorb(e, &mut attempt)?;
         }
     }
 
@@ -579,7 +533,6 @@ where
     let SessionConfig {
         retry,
         cancel,
-        fault_history: history,
         observer,
         events,
     } = config;
@@ -591,7 +544,7 @@ where
         Some(o) => Some(o as &mut dyn CrawlObserver),
         None => proxy.as_mut().map(|p| p as &mut dyn CrawlObserver),
     };
-    let mut session = Session::new(algorithm, db, oracle, observer, retry, cancel, history);
+    let mut session = Session::new(algorithm, db, oracle, observer, retry, cancel);
     match body(&mut session) {
         Ok(()) => Ok(session.finish()),
         Err(abort) => Err(session.fail(abort)),
@@ -887,87 +840,48 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_backoff_pins_the_deterministic_schedule() {
-        use std::sync::{Arc, Mutex};
+    fn single_query_and_batch_suffix_sleep_one_schedule() {
+        use crate::retry::{BASE_BACKOFF, MAX_BACKOFF};
+        use std::sync::Mutex;
         use std::time::Duration;
-        // Faults at attempts 1, {4,5}, 8 form three bursts. Under
-        // .adaptive(2) the b-th burst starts min(b−1, 2) doublings up,
-        // and within a burst the usual exponential schedule applies.
-        let slept: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&slept);
-        let policy = RetryPolicy::new(3)
-            .backoff(Duration::from_millis(10), Duration::from_secs(5))
-            .jitter_seed(5)
-            .adaptive(2)
-            .sleeper(move |d| log.lock().unwrap().push(d));
-        let expected_from = policy.clone();
-        let config = SessionConfig {
-            retry: policy,
-            ..SessionConfig::default()
+        // Attempts 2, 3 and 4 fail: the first query is answered, then the
+        // next one (a lone query, or the suffix of a two-query batch)
+        // fails transiently three times before it is answered.
+        let sleeps = |batch: bool| {
+            let slept: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&slept);
+            let config = SessionConfig {
+                retry: RetryPolicy::new(4).sleeper(move |d| log.lock().unwrap().push(d)),
+                ..SessionConfig::default()
+            };
+            let mut db = ScriptedDb::new(vec![2, 3, 4]);
+            let report = run_crawl("t", &mut db, None, config, |s| {
+                if batch {
+                    s.run_batch(&[Query::any(1), Query::any(1)])?;
+                } else {
+                    s.run(&Query::any(1))?;
+                    s.run(&Query::any(1))?;
+                }
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(report.queries, 2, "failed attempts are never charged");
+            assert_eq!(report.metrics.transient_retries, 3);
+            let got = slept.lock().unwrap().clone();
+            got
         };
-        let mut db = ScriptedDb::new(vec![1, 4, 5, 8]);
-        let report = run_crawl("t", &mut db, None, config, |s| {
-            for _ in 0..5 {
-                s.run(&Query::any(1))?;
-            }
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(report.queries, 5);
-        assert_eq!(report.metrics.transient_retries, 4);
-        let got = slept.lock().unwrap().clone();
-        // Salt is the charged-query count when the pause happens:
-        // 0 before the 1st query, 2 before the 3rd, 4 before the 5th.
-        assert_eq!(
-            got,
-            vec![
-                expected_from.backoff_widened(1, 0, 0), // burst 1: base
-                expected_from.backoff_widened(1, 2, 1), // burst 2: 2× base
-                expected_from.backoff_widened(2, 2, 1), // …then doubles
-                expected_from.backoff_widened(1, 4, 2), // burst 3: 4× base
-            ]
-        );
-        // And the widening is real: burst 2 opened at (within rounding)
-        // twice its own unwidened draw — same retry, same salt, same
-        // jitter factor, doubled raw.
-        let unwidened = expected_from.backoff_widened(1, 2, 0);
-        let doubled = unwidened * 2;
-        let nanos = Duration::from_nanos(1);
-        assert!(got[1] >= doubled.saturating_sub(nanos) && got[1] <= doubled + nanos);
-    }
-
-    #[test]
-    fn shared_fault_history_carries_bursts_across_sessions() {
-        use std::sync::{Arc, Mutex};
-        use std::time::Duration;
-        // An identity that has already flapped twice starts its next
-        // burst two doublings up, even in a brand-new session.
-        let slept: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&slept);
-        let policy = RetryPolicy::new(2)
-            .backoff(Duration::from_millis(10), Duration::from_secs(5))
-            .adaptive(3)
-            .sleeper(move |d| log.lock().unwrap().push(d));
-        let expected_from = policy.clone();
-        let history = FaultHistory::new();
-        history.record_burst();
-        history.record_burst();
-        let config = SessionConfig {
-            retry: policy,
-            fault_history: Some(&history),
-            ..SessionConfig::default()
-        };
-        let mut db = ScriptedDb::new(vec![1]);
-        run_crawl("t", &mut db, None, config, |s| {
-            s.run(&Query::any(1))?;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(
-            slept.lock().unwrap().clone(),
-            vec![expected_from.backoff_widened(1, 0, 2)]
-        );
-        assert_eq!(history.bursts(), 3, "the new burst was recorded");
+        let single = sleeps(false);
+        assert_eq!(single, sleeps(true), "one retry step, one schedule");
+        // The constant schedule: 100 ms · 2^(r−1), capped at 5 s, jittered
+        // into [raw/2, raw), salted by the one query charged so far.
+        let policy = RetryPolicy::new(4);
+        assert_eq!(single.len(), 3);
+        for (r, &d) in (1u32..).zip(&single) {
+            let raw = (BASE_BACKOFF * (1 << (r - 1))).min(MAX_BACKOFF);
+            assert_eq!(raw, Duration::from_millis(100 << (r - 1)));
+            assert!(d >= raw / 2 && d < raw, "retry {r}: {d:?} vs raw {raw:?}");
+            assert_eq!(d, policy.backoff_for(r, 1));
+        }
     }
 
     #[test]

@@ -56,9 +56,11 @@
 //!
 //! # Failure semantics
 //!
-//! A shard failing with [`CrawlError::Db`] retires its worker (that
-//! identity's quota is spent; issuing one doomed query per remaining
-//! shard would be waste) — the worker's remaining share is drained by
+//! A shard failing with a permanent [`CrawlError::Db`] retires its
+//! worker (that identity's quota is spent; issuing one doomed query per
+//! remaining shard would be waste), and so do [`TRANSIENT_STRIKES`]
+//! consecutive shards failing with a transient one that outlived the
+//! retry policy — the worker's remaining share is drained by
 //! the surviving identities, so one crippled session still salvages
 //! every shard a healthy session could reach. [`CrawlError::Unsolvable`]
 //! does *not* retire the worker (the connection is fine; the data is
@@ -80,7 +82,7 @@ use crate::numeric::rank_shrink::RankShrink;
 use crate::orchestrate::{CancelToken, CrawlObserver, Flow, ShardEvent};
 use crate::report::{CrawlError, CrawlMetrics, CrawlReport, ProgressPoint};
 use crate::repository::{CrawlCheckpoint, CrawlRepository, ShardSnapshot};
-use crate::retry::{FaultHistory, RetryPolicy};
+use crate::retry::RetryPolicy;
 use crate::session::{run_crawl, SessionConfig};
 
 /// How one shard's share of the data space is described.
@@ -629,8 +631,13 @@ pub struct Sharded {
     sessions: usize,
     oversubscribe: usize,
     retry: RetryPolicy,
-    strikes: u32,
 }
+
+/// How many *consecutive* shards may fail with a transient error (after
+/// exhausting their session's retries) before the identity is considered
+/// unhealthy and retired from the pool. A permanent database error still
+/// retires the worker immediately; a successful shard resets the count.
+pub const TRANSIENT_STRIKES: u32 = 2;
 
 impl Sharded {
     /// Crawl with `sessions ≥ 1` concurrent sessions and the
@@ -641,7 +648,6 @@ impl Sharded {
             sessions,
             oversubscribe: 1,
             retry: RetryPolicy::none(),
-            strikes: 2,
         }
     }
 
@@ -661,17 +667,6 @@ impl Sharded {
     /// retries).
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = policy;
-        self
-    }
-
-    /// How many *consecutive* shards may fail with a transient error
-    /// (after exhausting their session's retries) before the identity is
-    /// considered unhealthy and retired from the pool. A permanent
-    /// database error still retires the worker immediately; a successful
-    /// shard resets the count. Default 2; must be ≥ 1.
-    pub fn transient_strikes(mut self, strikes: u32) -> Self {
-        assert!(strikes >= 1, "at least one strike required");
-        self.strikes = strikes;
         self
     }
 
@@ -864,12 +859,9 @@ impl Sharded {
         let execute = |events: Option<EventSink>| {
             pool.run_cancellable(
                 run.tasks(),
-                |w| (connector.connect(w), 0, FaultHistory::new()),
-                |(db, strikes, history): &mut (C::Db, u32, FaultHistory),
-                 ctx,
-                 task: (usize, ShardSpec)| {
+                |w| (connector.connect(w), 0),
+                |(db, strikes): &mut (C::Db, u32), ctx, task: (usize, ShardSpec)| {
                     let config = SessionConfig {
-                        fault_history: Some(history),
                         events: events.as_ref().map(|sink| sink.for_shard(task.0)),
                         ..SessionConfig::default()
                     };
@@ -943,17 +935,16 @@ impl Sharded {
         let internal_halt = CancelToken::new();
         let run = ShardedRun::prepare(self, schema, cancel.unwrap_or(&internal_halt), repository)?;
         let relay = observer.as_deref_mut().map(|obs| Relay::new(obs, &run));
-        let mut state = (db, 0, FaultHistory::new(), relay);
+        let mut state = (db, 0, relay);
         let (slots, stats) = workpool::run_inline(
             run.tasks(),
             &mut state,
-            |(db, strikes, history, relay), ctx, task: (usize, ShardSpec)| {
+            |(db, strikes, relay), ctx, task: (usize, ShardSpec)| {
                 let mut tap = relay.as_mut().map(|relay| ShardTap {
                     relay,
                     shard: task.0,
                 });
                 let config = SessionConfig {
-                    fault_history: Some(history),
                     observer: tap.as_mut().map(|t| t as &mut dyn CrawlObserver),
                     ..SessionConfig::default()
                 };
@@ -975,7 +966,6 @@ impl Sharded {
 /// type's.
 struct ShardedRun<'h, 'r> {
     retry: RetryPolicy,
-    strikes: u32,
     plan: Vec<ShardSpec>,
     /// Snapshotted shards, replayed without a query.
     restored: Vec<Option<ShardSnapshot>>,
@@ -1040,7 +1030,6 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
         });
         Ok(ShardedRun {
             retry: sharded.retry.clone(),
-            strikes: sharded.strikes,
             plan,
             restored,
             halt,
@@ -1073,9 +1062,9 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
 
     /// Crawls one shard on one identity's connection and decides whether
     /// the identity keeps working. The executor's `config` carries the
-    /// shard's event route and the identity's fault history; the run adds
-    /// the retry policy and the halt token. `strikes` counts the identity's consecutive transient shard
-    /// failures.
+    /// shard's event route; the run adds the retry policy and the halt
+    /// token. `strikes` counts the identity's consecutive transient shard
+    /// failures (retired at [`TRANSIENT_STRIKES`]).
     fn shard<'c, G>(
         &self,
         shard_crawl: &G,
@@ -1111,7 +1100,7 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
             }
             Err(CrawlError::Db { error, .. }) if error.is_transient() => {
                 *strikes += 1;
-                if *strikes >= self.strikes {
+                if *strikes >= TRANSIENT_STRIKES {
                     Verdict::Retire
                 } else {
                     Verdict::Continue

@@ -25,8 +25,10 @@ use std::time::Duration;
 use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
 
+use hdc_core::sharded::TRANSIENT_STRIKES;
 use hdc_core::{
-    CancelToken, Crawl, CrawlError, CrawlObserver, Flow, MemoryRepository, RetryPolicy, Strategy,
+    CancelToken, Crawl, CrawlError, CrawlObserver, Flow, MemoryRepository, RetryPolicy, ShardEvent,
+    Strategy,
 };
 use hdc_server::{HiddenDbServer, ServerConfig};
 use hdc_types::{
@@ -493,16 +495,18 @@ fn mid_crawl_cancellation_keeps_paid_work() {
 }
 
 /// Orders two identities of a sharded crawl: the waiting side's first
-/// query blocks until the signalling side's [`FaultyDb`] reports
-/// [`is_dead`](FaultyDb::is_dead) (or a generous timeout passes), so a
-/// clean identity cannot drain every shard before the fuse blows.
-struct DeathGate {
+/// query blocks until the signalling side's [`FaultyDb`] blows its
+/// `fuse` — e.g. reports [`is_dead`](FaultyDb::is_dead) — (or a generous
+/// timeout passes), so a clean identity cannot drain every shard before
+/// the fuse blows.
+struct FuseGate {
     inner: FaultyDb<HiddenDbServer>,
     signals: bool,
+    fuse: fn(&FaultyDb<HiddenDbServer>) -> bool,
     dead: Arc<(Mutex<bool>, Condvar)>,
 }
 
-impl HiddenDatabase for DeathGate {
+impl HiddenDatabase for FuseGate {
     fn schema(&self) -> &Schema {
         self.inner.schema()
     }
@@ -521,7 +525,7 @@ impl HiddenDatabase for DeathGate {
             );
         }
         let out = self.inner.query(q);
-        if self.signals && self.inner.is_dead() {
+        if self.signals && (self.fuse)(&self.inner) {
             *flag.lock().unwrap() = true;
             cv.notify_all();
         }
@@ -544,7 +548,7 @@ fn permanent_death_is_not_retried_and_salvage_survives() {
         .sessions(2)
         .oversubscribe(4)
         .retry(generous_retry())
-        .run_sharded(|s| DeathGate {
+        .run_sharded(|s| FuseGate {
             inner: FaultyDb::new(
                 inst.server(5),
                 FaultConfig {
@@ -555,6 +559,7 @@ fn permanent_death_is_not_retried_and_salvage_survives() {
                 },
             ),
             signals: s == 0,
+            fuse: FaultyDb::is_dead,
             dead: Arc::clone(&dead),
         })
         .unwrap_err();
@@ -654,10 +659,9 @@ fn completed_checkpoint_replays_for_free() {
     assert_eq!(replay.queries, first.queries);
 }
 
-/// Sharded identity health: transient strikes retire a flaky identity
-/// only after the configured number of *consecutive* transient shard
-/// failures, and a retry policy that rides out the faults keeps the
-/// crawl whole (Ok, full bag) despite a double-digit fault rate.
+/// Sharded identity health: a retry policy that rides out the faults
+/// keeps the crawl whole (Ok, full bag) despite a double-digit fault
+/// rate, so no identity ever accrues a strike.
 #[test]
 fn sharded_retry_rides_out_transient_faults() {
     let inst = yahoo_like();
@@ -670,7 +674,6 @@ fn sharded_retry_rides_out_transient_faults() {
         .sessions(2)
         .oversubscribe(3)
         .retry(generous_retry())
-        .transient_strikes(3)
         .run_sharded(|s| {
             FaultyDb::new(
                 inst.server(5),
@@ -688,4 +691,75 @@ fn sharded_retry_rides_out_transient_faults() {
         faulty.merged.metrics.transient_retries > 0,
         "a 15% fault rate over hundreds of queries must retry at least once"
     );
+}
+
+/// Sharded identity health, the strike path: an identity whose every
+/// query fails transiently, with no retries, fails each shard it takes
+/// and is retired after exactly [`TRANSIENT_STRIKES`] consecutive failed
+/// shards; the healthy identity runs every remaining shard, and the
+/// transient error carries the merged partial.
+#[test]
+fn flaky_identity_retires_after_two_transient_shard_failures() {
+    #[derive(Default)]
+    struct ShardLog {
+        /// `(worker, failed, queries, tuples)` per merged shard.
+        shards: Vec<(usize, bool, u64, u64)>,
+        plan: usize,
+    }
+    impl CrawlObserver for ShardLog {
+        fn on_shard(&mut self, e: &ShardEvent<'_>) -> Flow {
+            self.plan = e.total;
+            self.shards.push((e.worker, e.failed, e.queries, e.tuples));
+            Flow::Continue
+        }
+    }
+
+    let inst = yahoo_like();
+    let dead = Arc::new((Mutex::new(false), Condvar::new()));
+    let mut log = ShardLog::default();
+    let err = Crawl::builder()
+        .sessions(2)
+        .oversubscribe(4)
+        .retry(RetryPolicy::none())
+        .observer(&mut log)
+        .run_sharded(|s| FuseGate {
+            inner: FaultyDb::new(
+                inst.server(5),
+                FaultConfig {
+                    // Identity 0 fails every attempt; identity 1 is clean
+                    // but starts only once identity 0 has struck out.
+                    transient_rate: if s == 0 { 1.0 } else { 0.0 },
+                    ..FaultConfig::default()
+                },
+            ),
+            signals: s == 0,
+            fuse: |db| db.faults_injected() >= u64::from(TRANSIENT_STRIKES),
+            dead: Arc::clone(&dead),
+        })
+        .unwrap_err();
+    let CrawlError::Db { error, partial } = err else {
+        panic!("expected a database failure, got {err:?}");
+    };
+    assert!(error.is_transient(), "strikes come from transient faults");
+
+    let on = |worker: usize| log.shards.iter().filter(move |s| s.0 == worker);
+    assert_eq!(TRANSIENT_STRIKES, 2);
+    assert_eq!(on(0).count(), 2, "retired after exactly two failed shards");
+    assert!(
+        on(0).all(|s| s.1 && s.2 == 0),
+        "failed attempts charge nothing"
+    );
+    assert!(log.plan > 2, "identity 0 had shards left to take");
+    assert_eq!(
+        on(1).count(),
+        log.plan - 2,
+        "the healthy identity runs every remaining shard"
+    );
+    assert!(on(1).all(|s| !s.1));
+
+    // The partial merges every shard the healthy identity crawled.
+    assert!(!partial.tuples.is_empty());
+    assert_eq!(partial.queries, on(1).map(|s| s.2).sum::<u64>());
+    assert_eq!(partial.tuples.len() as u64, on(1).map(|s| s.3).sum::<u64>());
+    assert_eq!(partial.metrics.transient_retries, 0, "no retry policy");
 }
