@@ -41,6 +41,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use hdc_barrier::BarrierCrawler;
+use hdc_bench::{obj, BenchRun, Field};
 use hdc_core::{
     verify_complete, Crawl, CrawlControls, ProgressRecorder, SessionConfig, Sharded, Strategy,
 };
@@ -174,24 +175,6 @@ fn median(mut times: Vec<f64>) -> f64 {
     times[times.len() / 2]
 }
 
-struct EvalRow {
-    workload: &'static str,
-    n: usize,
-    k: usize,
-    queries: u64,
-    hybrid_queries: u64,
-    /// Max deviation of the hybrid progressiveness curve from the
-    /// diagonal, computed from the builder's streamed `on_progress`
-    /// events (cross-checked against the report's own curve).
-    hybrid_progress_deviation: f64,
-    frontier: usize,
-    beyond_frontier: usize,
-    max_depth: u32,
-    pivots: u64,
-    engine_secs: f64,
-    legacy_secs: f64,
-}
-
 struct ScaleRow {
     workload: &'static str,
     sessions: usize,
@@ -208,16 +191,15 @@ struct ScaleRow {
 
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut run = BenchRun::start(4);
+    let quick = run.quick;
     let session_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8, 16] };
     let samples = if quick { 1 } else { 3 };
     let per_query = Duration::from_micros(if quick { 40 } else { 1_000 });
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr4.json".to_string());
     let crawler = BarrierCrawler::new();
 
-    let mut eval_rows: Vec<EvalRow> = Vec::new();
+    let mut engine_vs_legacy: Vec<Field> = Vec::new();
     let mut scale_rows: Vec<ScaleRow> = Vec::new();
-    let mut claims_ok = true;
 
     for w in workloads(quick) {
         eprintln!("{} (n = {}, k = {}) ...", w.name, w.ds.n(), w.k);
@@ -288,36 +270,35 @@ fn main() {
                 .expect("reference crawl succeeded");
             legacy_times.push(begun.elapsed().as_secs_f64());
         }
-        let row = EvalRow {
-            workload: w.name,
-            n: w.ds.n(),
-            k: w.k,
-            queries: reference.report.queries,
-            hybrid_queries: hybrid.queries,
-            hybrid_progress_deviation,
-            frontier: reference.frontier(),
-            beyond_frontier: reference.beyond_frontier(),
-            max_depth: reference.max_depth,
-            pivots: reference.report.metrics.barrier_pivots,
-            engine_secs: median(engine_times),
-            legacy_secs: median(legacy_times),
-        };
+        let (engine_secs, legacy_secs) = (median(engine_times), median(legacy_times));
+        let (queries, frontier) = (reference.report.queries, reference.frontier());
+        let (beyond, max_depth) = (reference.beyond_frontier(), reference.max_depth);
+        let pivots = reference.report.metrics.barrier_pivots;
         eprintln!(
-            "  {} queries (hybrid: {}), frontier {} / beyond {} (max depth {}, {} pivots)",
-            row.queries, row.hybrid_queries, row.frontier, row.beyond_frontier, row.max_depth,
-            row.pivots
+            "  {queries} queries (hybrid: {}), frontier {frontier} / beyond {beyond} (max depth \
+             {max_depth}, {pivots} pivots)",
+            hybrid.queries
         );
+        let speedup = legacy_secs / engine_secs;
         eprintln!(
-            "  engine {:.3}s   legacy {:.3}s   engine/legacy {:.2}x",
-            row.engine_secs,
-            row.legacy_secs,
-            row.legacy_secs / row.engine_secs
+            "  engine {engine_secs:.3}s   legacy {legacy_secs:.3}s   engine/legacy {speedup:.2}x"
         );
-        if !quick && row.legacy_secs / row.engine_secs < 1.1 {
-            eprintln!("  CLAIM FAILED: engine does not beat legacy by ≥1.1x");
-            claims_ok = false;
-        }
-        eval_rows.push(row);
+        run.claim(
+            quick || speedup >= 1.1,
+            format!("{}: engine does not beat legacy by ≥1.1x", w.name),
+        );
+        engine_vs_legacy.push(obj! {
+            "workload" => w.name, "n" => w.ds.n(), "k" => w.k, "queries" => queries,
+            "hybrid_queries" => hybrid.queries,
+            // Max deviation of the hybrid progressiveness curve from the
+            // diagonal, from the builder's streamed `on_progress` events.
+            "hybrid_progress_deviation" => Field::Fixed(hybrid_progress_deviation, 4),
+            "frontier" => frontier, "beyond_frontier" => beyond,
+            "max_depth" => max_depth, "pivots" => pivots,
+            "engine_wall_secs" => Field::Fixed(engine_secs, 3),
+            "legacy_wall_secs" => Field::Fixed(legacy_secs, 3),
+            "engine_vs_legacy" => Field::Fixed(speedup, 3),
+        });
 
         // -------- session scaling (work-stealing pool, throttled) --------
         let truth_bag: TupleBag = w.ds.tuples.iter().collect();
@@ -398,88 +379,46 @@ fn main() {
             let at8 = series.iter().find(|r| r.sessions == 8).expect("s=8 row");
             let speedup = base / at8.wall;
             eprintln!("{w}: barrier scaling speedup at 8 sessions vs 1: {speedup:.2}x");
-            if speedup < 1.5 {
-                eprintln!("  CLAIM FAILED: sharded barrier not ≥1.5x at 8 sessions");
-                claims_ok = false;
-            }
+            run.claim(
+                speedup >= 1.5,
+                format!("{w}: sharded barrier not ≥1.5x at 8 sessions"),
+            );
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str("  \"pr\": 4,\n");
-    json.push_str(&format!(
-        "  \"description\": \"top-k-barrier crawl (hdc-barrier) benched end to end: full-crawl \
-         wall-clock engine vs seed LegacyEvaluator on identical data/priorities (identical query \
-         sequences, cross-checked), and sharded barrier crawl wall-clock vs sessions on the \
-         work-stealing pool (factor {OVERSUB}, simulated {}us per-query round-trip, single-core \
-         container, bags cross-checked at every session count, merged discovery-depth histogram \
-         recorded per row via the depth-aware sharded merge); hybrid context crawls run through \
-         Crawl::builder() with progressiveness computed from the streamed on_progress events\",\n",
-        per_query.as_micros()
-    ));
-    json.push_str(&format!("  \"latency_us\": {},\n", per_query.as_micros()));
-    json.push_str(&format!("  \"oversubscription\": {OVERSUB},\n"));
-    json.push_str("  \"engine_vs_legacy\": [\n");
-    for (i, r) in eval_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"n\": {}, \"k\": {}, \"queries\": {}, \
-             \"hybrid_queries\": {}, \"hybrid_progress_deviation\": {:.4}, \
-             \"frontier\": {}, \"beyond_frontier\": {}, \
-             \"max_depth\": {}, \"pivots\": {}, \
-             \"engine_wall_secs\": {:.3}, \"legacy_wall_secs\": {:.3}, \
-             \"engine_vs_legacy\": {:.3}}}{}\n",
-            r.workload,
-            r.n,
-            r.k,
-            r.queries,
-            r.hybrid_queries,
-            r.hybrid_progress_deviation,
-            r.frontier,
-            r.beyond_frontier,
-            r.max_depth,
-            r.pivots,
-            r.engine_secs,
-            r.legacy_secs,
-            r.legacy_secs / r.engine_secs,
-            if i + 1 == eval_rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"scaling\": [\n");
-    for (i, r) in scale_rows.iter().enumerate() {
-        let base = scale_rows
-            .iter()
-            .find(|b| b.workload == r.workload && b.sessions == 1)
-            .expect("sessions=1 row exists")
-            .wall;
-        let hist = r
-            .depth_histogram
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"sessions\": {}, \"wall_secs\": {:.3}, \
-             \"speedup_vs_1\": {:.3}, \"total_queries\": {}, \"max_session_queries\": {}, \
-             \"shards\": {}, \"steals\": {}, \"max_depth\": {}, \
-             \"depth_histogram\": [{}]}}{}\n",
-            r.workload,
-            r.sessions,
-            r.wall,
-            base / r.wall,
-            r.total_queries,
-            r.busiest,
-            r.shards,
-            r.steals,
-            r.max_depth,
-            hist,
-            if i + 1 == scale_rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write BENCH json");
-    eprintln!("wrote {out_path}");
-    assert!(claims_ok, "headline claims failed; see log above");
+    let scaling: Vec<Field> = scale_rows
+        .iter()
+        .map(|r| {
+            let base = scale_rows
+                .iter()
+                .find(|b| b.workload == r.workload && b.sessions == 1)
+                .expect("sessions=1 row exists")
+                .wall;
+            obj! {
+                "workload" => r.workload, "sessions" => r.sessions,
+                "wall_secs" => Field::Fixed(r.wall, 3),
+                "speedup_vs_1" => Field::Fixed(base / r.wall, 3),
+                "total_queries" => r.total_queries, "max_session_queries" => r.busiest,
+                "shards" => r.shards, "steals" => r.steals, "max_depth" => r.max_depth,
+                "depth_histogram" => r.depth_histogram.clone(),
+            }
+        })
+        .collect();
+    run.finish(obj! {
+        "description" => format!(
+            "top-k-barrier crawl (hdc-barrier) benched end to end: full-crawl wall-clock engine \
+             vs seed LegacyEvaluator on identical data/priorities (identical query sequences, \
+             cross-checked), and sharded barrier crawl wall-clock vs sessions on the \
+             work-stealing pool (factor {OVERSUB}, simulated {}us per-query round-trip, \
+             single-core container, bags cross-checked at every session count, merged \
+             discovery-depth histogram recorded per row via the depth-aware sharded merge); \
+             hybrid context crawls run through Crawl::builder() with progressiveness computed \
+             from the streamed on_progress events",
+            per_query.as_micros()
+        ),
+        "latency_us" => per_query.as_micros(),
+        "oversubscription" => OVERSUB,
+        "engine_vs_legacy" => engine_vs_legacy,
+        "scaling" => scaling,
+    });
 }

@@ -32,6 +32,7 @@
 use std::time::Instant;
 
 use hdc_bench::engine_workload::{rows, schema, workloads};
+use hdc_bench::{obj, BenchRun, Field};
 use hdc_server::{HiddenDbServer, LegacyEvaluator, ServerConfig};
 use hdc_types::{HiddenDatabase, Query};
 
@@ -81,20 +82,11 @@ fn median_ns(samples: usize, mut f: impl FnMut() -> usize) -> f64 {
     per_call[per_call.len() / 2]
 }
 
-struct Row {
-    workload: &'static str,
-    plan: &'static str,
-    n: usize,
-    engine_qps: f64,
-    legacy_qps: f64,
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let samples = if quick { 5 } else { 11 };
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr1.json".to_string());
+    let run = BenchRun::start(1);
+    let samples = if run.quick { 5 } else { 11 };
 
-    let mut results: Vec<Row> = Vec::new();
+    let mut records: Vec<Field> = Vec::new();
     for &n in &SCALES {
         eprintln!("building n = {n} ...");
         let table = rows(n);
@@ -104,52 +96,26 @@ fn main() {
 
         for (name, q) in workloads() {
             let plan = observed_plan(&mut server, &q);
-            let engine_ns = median_ns(samples, || server.query(&q).unwrap().tuples.len());
-            let legacy_ns = median_ns(samples, || legacy.evaluate(&q).tuples.len());
-            let row = Row {
-                workload: name,
-                plan,
-                n,
-                engine_qps: 1e9 / engine_ns,
-                legacy_qps: 1e9 / legacy_ns,
-            };
+            let engine_qps = 1e9 / median_ns(samples, || server.query(&q).unwrap().tuples.len());
+            let legacy_qps = 1e9 / median_ns(samples, || legacy.evaluate(&q).tuples.len());
+            let speedup = engine_qps / legacy_qps;
             eprintln!(
-                "  {:<20} n={:<9} plan={:<9} engine {:>12.0} q/s   legacy {:>12.0} q/s   speedup {:>6.2}x",
-                row.workload,
-                row.n,
-                row.plan,
-                row.engine_qps,
-                row.legacy_qps,
-                row.engine_qps / row.legacy_qps
+                "  {name:<20} n={n:<9} plan={plan:<9} engine {engine_qps:>12.0} q/s   \
+                 legacy {legacy_qps:>12.0} q/s   speedup {speedup:>6.2}x"
             );
-            results.push(row);
+            records.push(obj! {
+                "workload" => name, "plan" => plan, "n" => n,
+                "engine_qps" => Field::Fixed(engine_qps, 1),
+                "legacy_qps" => Field::Fixed(legacy_qps, 1),
+                "speedup" => Field::Fixed(speedup, 3),
+            });
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str("  \"pr\": 1,\n");
-    json.push_str(&format!("  \"k\": {K},\n"));
-    json.push_str(
-        "  \"description\": \"median queries/sec, columnar engine (HiddenDbServer::query) \
-         vs seed row-at-a-time evaluator (LegacyEvaluator), identical data and priorities\",\n",
-    );
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"plan\": \"{}\", \"n\": {}, \"engine_qps\": {:.1}, \
-             \"legacy_qps\": {:.1}, \"speedup\": {:.3}}}{}\n",
-            r.workload,
-            r.plan,
-            r.n,
-            r.engine_qps,
-            r.legacy_qps,
-            r.engine_qps / r.legacy_qps,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write BENCH json");
-    eprintln!("wrote {out_path}");
+    run.finish(obj! {
+        "k" => K,
+        "description" => "median queries/sec, columnar engine (HiddenDbServer::query) vs seed \
+            row-at-a-time evaluator (LegacyEvaluator), identical data and priorities",
+        "workloads" => records,
+    });
 }

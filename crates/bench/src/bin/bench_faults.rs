@@ -38,6 +38,7 @@
 
 use std::time::Instant;
 
+use hdc_bench::{obj, BenchRun, Field};
 use hdc_core::{verify_complete, Crawl, RetryPolicy, Strategy};
 use hdc_data::synth::SyntheticSpec;
 use hdc_data::{adult, ops, yahoo, Dataset};
@@ -83,30 +84,13 @@ const SEED: u64 = 0xfa17;
 /// whole sweep while staying far from an unbounded retry loop.
 const MAX_ATTEMPTS: u32 = 8;
 
-struct Cell {
-    workload: &'static str,
-    rate_pct: u32,
-    retry: bool,
-    trials: u32,
-    completed: u32,
-    /// Mean injected faults per completed trial (== retried attempts).
-    mean_faults: f64,
-    /// Charged queries of every completed trial (identical across trials
-    /// and identical to the fault-free crawl — asserted).
-    queries: u64,
-    /// Mean wall clock per trial, milliseconds.
-    mean_wall_ms: f64,
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let trials: u32 = if quick { 3 } else { 12 };
-    let rates: &[u32] = if quick { &[0, 10] } else { &[0, 5, 10, 20] };
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr6.json".to_string());
+    let mut run = BenchRun::start(6);
+    let trials: u32 = if run.quick { 3 } else { 12 };
+    let rates: &[u32] = if run.quick { &[0, 10] } else { &[0, 5, 10, 20] };
 
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut claims_ok = true;
-    for w in workloads(quick) {
+    let mut rows: Vec<Field> = Vec::new();
+    for w in workloads(run.quick) {
         // The fault-free reference: the bag and cost every completed
         // faulty trial must reproduce exactly.
         let mut clean_server = HiddenDbServer::new(
@@ -195,100 +179,62 @@ fn main() {
                         }
                     }
                 }
-                let cell = Cell {
-                    workload: w.name,
-                    rate_pct,
-                    retry,
-                    trials,
-                    completed,
-                    mean_faults: if completed > 0 {
-                        faults_total as f64 / f64::from(completed)
-                    } else {
-                        0.0
-                    },
-                    queries: clean.queries,
-                    mean_wall_ms: wall_total_ms / f64::from(trials),
-                };
+                // Mean injected faults per completed trial (== retried
+                // attempts); every completed trial charged `clean.queries`.
+                let mean_faults = faults_total as f64 / f64::from(completed.max(1));
+                let overhead_pct = 100.0 * mean_faults / clean.queries as f64;
+                let mean_wall_ms = wall_total_ms / f64::from(trials);
+                let completion = f64::from(completed) / f64::from(trials);
+                let mode = if retry { "retry" } else { "no-retry" };
                 eprintln!(
-                    "  rate {:>2}%  {:<8}  {:>2}/{} completed  mean retried attempts {:>8.1} \
-                     ({:.1}% of cost)  mean wall {:>7.1} ms",
-                    rate_pct,
-                    if retry { "retry" } else { "no-retry" },
-                    cell.completed,
-                    cell.trials,
-                    cell.mean_faults,
-                    100.0 * cell.mean_faults / cell.queries as f64,
-                    cell.mean_wall_ms,
+                    "  rate {rate_pct:>2}%  {mode:<8}  {completed:>2}/{trials} completed  mean \
+                     retried attempts {mean_faults:>8.1} ({overhead_pct:.1}% of cost)  mean wall \
+                     {mean_wall_ms:>7.1} ms"
                 );
-                cells.push(cell);
+                // Claims checked on every run (quick included — they are
+                // exact determinism properties, not timing).
+                if retry && rate_pct == 10 {
+                    run.claim(
+                        completion >= 0.99,
+                        format!(
+                            "{} with retry at 10% completed only {completion:.2}",
+                            w.name
+                        ),
+                    );
+                }
+                if !retry && rate_pct >= 5 {
+                    run.claim(
+                        completion < 0.5,
+                        format!(
+                            "{} without retry at {rate_pct}% still completed {completion:.2} — \
+                             the no-retry baseline should collapse",
+                            w.name
+                        ),
+                    );
+                }
+                rows.push(obj! {
+                    "workload" => w.name, "fault_rate_pct" => rate_pct, "retry" => retry,
+                    "trials" => trials, "completed" => completed,
+                    "completion_rate" => Field::Fixed(completion, 3),
+                    "charged_queries" => clean.queries,
+                    "mean_retried_attempts" => Field::Fixed(mean_faults, 1),
+                    "query_overhead_pct" => Field::Fixed(overhead_pct, 2),
+                    "mean_wall_ms" => Field::Fixed(mean_wall_ms, 2),
+                });
             }
         }
     }
 
-    // Claims checked on every run (quick included — they are exact
-    // determinism properties, not timing).
-    for cell in &cells {
-        if cell.retry && cell.rate_pct == 10 {
-            let completion = f64::from(cell.completed) / f64::from(cell.trials);
-            if completion < 0.99 {
-                eprintln!(
-                    "CLAIM FAILED: {} with retry at 10% completed only {:.0}%",
-                    cell.workload,
-                    completion * 100.0
-                );
-                claims_ok = false;
-            }
-        }
-        if !cell.retry && cell.rate_pct >= 5 {
-            let completion = f64::from(cell.completed) / f64::from(cell.trials);
-            if completion >= 0.5 {
-                eprintln!(
-                    "CLAIM FAILED: {} without retry at {}% still completed {:.0}% — \
-                     the no-retry baseline should collapse",
-                    cell.workload,
-                    cell.rate_pct,
-                    completion * 100.0
-                );
-                claims_ok = false;
-            }
-        }
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str("  \"pr\": 6,\n");
-    json.push_str(&format!(
-        "  \"description\": \"crawl completion and overhead under deterministic transient-fault \
-         injection, fault rate swept 0-20% per attempt, with vs without the session retry policy \
-         ({MAX_ATTEMPTS} attempts, exponential backoff suppressed for benching); completed \
-         faulty crawls are asserted bit-identical in bag and charged cost to the fault-free \
-         crawl, with overhead exactly the retried attempts\",\n"
-    ));
-    json.push_str(&format!("  \"max_attempts\": {MAX_ATTEMPTS},\n"));
-    json.push_str(&format!("  \"trials_per_cell\": {trials},\n"));
-    json.push_str("  \"rows\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"fault_rate_pct\": {}, \"retry\": {}, \
-             \"trials\": {}, \"completed\": {}, \"completion_rate\": {:.3}, \
-             \"charged_queries\": {}, \"mean_retried_attempts\": {:.1}, \
-             \"query_overhead_pct\": {:.2}, \"mean_wall_ms\": {:.2}}}{}\n",
-            c.workload,
-            c.rate_pct,
-            c.retry,
-            c.trials,
-            c.completed,
-            f64::from(c.completed) / f64::from(c.trials),
-            c.queries,
-            c.mean_faults,
-            100.0 * c.mean_faults / c.queries as f64,
-            c.mean_wall_ms,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write BENCH json");
-    eprintln!("wrote {out_path}");
-    assert!(claims_ok, "headline claims failed; see log above");
+    run.finish(obj! {
+        "description" => format!(
+            "crawl completion and overhead under deterministic transient-fault injection, fault \
+             rate swept 0-20% per attempt, with vs without the session retry policy \
+             ({MAX_ATTEMPTS} attempts, exponential backoff suppressed for benching); completed \
+             faulty crawls are asserted bit-identical in bag and charged cost to the fault-free \
+             crawl, with overhead exactly the retried attempts"
+        ),
+        "max_attempts" => MAX_ATTEMPTS,
+        "trials_per_cell" => trials,
+        "rows" => rows,
+    });
 }

@@ -25,6 +25,7 @@
 
 use std::time::{Duration, Instant};
 
+use hdc_bench::{obj, BenchRun, Field};
 use hdc_core::Crawl;
 use hdc_net::{Client, HttpConnector, ServeOptions, WireServer};
 use hdc_server::{ServerConfig, SharedServer};
@@ -70,11 +71,11 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut run = BenchRun::start(9);
+    let quick = run.quick;
     let n: usize = if quick { 1_500 } else { 12_000 };
     let runs: usize = if quick { 2 } else { 5 };
     let merge_snapshots: usize = if quick { 2_000 } else { 20_000 };
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr9.json".to_string());
 
     eprintln!("building store n = {n}, k = {K} …");
     let ds = hdc_data::yahoo::generate_scaled(n, 11);
@@ -83,8 +84,6 @@ fn main() {
         seed: SEED,
     })
     .expect("yahoo dataset is schema-valid");
-
-    let mut claims_ok = true;
 
     // ---- Claim 1: enabled-vs-disabled crawl wall overhead. ----------
     hdc_obs::set_enabled(false);
@@ -98,11 +97,11 @@ fn main() {
         "overhead: disabled {disabled_ms:.1} ms, enabled {enabled_ms:.1} ms \
          ({overhead_pct:+.2}%)"
     );
-    if !quick && overhead_pct >= MAX_OVERHEAD_PCT {
-        eprintln!(
-            "CLAIM FAILED: instrumentation overhead {overhead_pct:.2}% >= {MAX_OVERHEAD_PCT}%"
+    if !quick {
+        run.claim(
+            overhead_pct < MAX_OVERHEAD_PCT,
+            format!("instrumentation overhead {overhead_pct:.2}% >= {MAX_OVERHEAD_PCT}%"),
         );
-        claims_ok = false;
     }
 
     // ---- Claim 2: histogram merge cost. -----------------------------
@@ -162,10 +161,10 @@ fn main() {
     );
     server.shutdown().expect("clean drain");
     hdc_obs::set_enabled(false);
-    if !saw_nonzero_requests {
-        eprintln!("CLAIM FAILED: /metrics never showed a non-zero request counter mid-crawl");
-        claims_ok = false;
-    }
+    run.claim(
+        saw_nonzero_requests,
+        "/metrics never showed a non-zero request counter mid-crawl",
+    );
     scrape_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let (p50, p99) = (percentile(&scrape_ms, 0.50), percentile(&scrape_ms, 0.99));
     eprintln!(
@@ -175,24 +174,30 @@ fn main() {
         report.merged.queries,
     );
 
-    let json = format!(
-        "{{\n  \"schema_version\": 1,\n  \"pr\": 9,\n  \"description\": \"telemetry cost: \
-         sharded crawl wall with the metrics registry enabled vs disabled (best-of-{runs}), \
-         histogram snapshot merge cost, and GET /metrics scrape latency against the wire \
-         server while a 4-session loopback crawl is in flight. Asserted at record time \
-         (full runs): overhead under {MAX_OVERHEAD_PCT}%, and /metrics answers well-formed \
-         Prometheus text with non-zero request counters mid-crawl\",\n  \"n\": {n},\n  \
-         \"k\": {K},\n  \"quick\": {quick},\n  \"overhead\": {{\"disabled_wall_ms\": \
-         {disabled_ms:.2}, \"enabled_wall_ms\": {enabled_ms:.2}, \"overhead_pct\": \
-         {overhead_pct:.2}, \"runs\": {runs}}},\n  \"histogram_merge\": {{\"snapshots\": \
-         {merge_snapshots}, \"ns_per_merge\": {merge_ns:.0}}},\n  \"metrics_scrape\": \
-         {{\"samples\": {}, \"p50_ms\": {p50:.3}, \"p99_ms\": {p99:.3}, \"stats_ms\": \
-         {stats_ms:.3}, \"crawl_queries\": {}}}\n}}\n",
-        scrape_ms.len(),
-        report.merged.queries,
-    );
-    std::fs::write(&out_path, json).expect("write bench json");
-    eprintln!("wrote {out_path}");
-
-    assert!(claims_ok, "one or more recorded claims failed; see stderr");
+    run.finish(obj! {
+        "description" => format!(
+            "telemetry cost: sharded crawl wall with the metrics registry enabled vs disabled \
+             (best-of-{runs}), histogram snapshot merge cost, and GET /metrics scrape latency \
+             against the wire server while a 4-session loopback crawl is in flight. Asserted at \
+             record time (full runs): overhead under {MAX_OVERHEAD_PCT}%, and /metrics answers \
+             well-formed Prometheus text with non-zero request counters mid-crawl"
+        ),
+        "n" => n,
+        "k" => K,
+        "quick" => quick,
+        "overhead" => obj! {
+            "disabled_wall_ms" => Field::Fixed(disabled_ms, 2),
+            "enabled_wall_ms" => Field::Fixed(enabled_ms, 2),
+            "overhead_pct" => Field::Fixed(overhead_pct, 2),
+            "runs" => runs,
+        },
+        "histogram_merge" => obj! {
+            "snapshots" => merge_snapshots, "ns_per_merge" => Field::Fixed(merge_ns, 0),
+        },
+        "metrics_scrape" => obj! {
+            "samples" => scrape_ms.len(), "p50_ms" => Field::Fixed(p50, 3),
+            "p99_ms" => Field::Fixed(p99, 3), "stats_ms" => Field::Fixed(stats_ms, 3),
+            "crawl_queries" => report.merged.queries,
+        },
+    });
 }

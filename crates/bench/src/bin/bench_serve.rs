@@ -35,6 +35,7 @@
 
 use std::time::Instant;
 
+use hdc_bench::{obj, BenchRun, Field};
 use hdc_data::synth::SyntheticSpec;
 use hdc_data::Dataset;
 use hdc_server::{HiddenDbServer, ServerConfig, SharedServer};
@@ -134,30 +135,42 @@ fn est_store_bytes(n: usize, arity: usize) -> u64 {
     (n * arity) as u64 * (16 + 8 + 8) + (n as u64 * 24)
 }
 
-struct Cell {
+/// Logs one measured cell and returns its record row.
+fn cell(
     n: usize,
-    clients: usize,
-    mode: &'static str,
+    c: usize,
+    mode: &str,
     setup_ms: f64,
     store_copies: usize,
     est_bytes: u64,
-    qps: f64,
-    p50_us: f64,
-    p99_us: f64,
+    (qps, lat): (f64, Vec<u64>),
+) -> Field {
+    let p50_us = percentile(&lat, 0.50) as f64 / 1e3;
+    let p99_us = percentile(&lat, 0.99) as f64 / 1e3;
+    eprintln!(
+        "  n = {n:>8}  C = {c:>2}  {mode:<6}  setup {setup_ms:>8.1} ms  {qps:>9.0} qps  \
+         p50 {p50_us:>7.1} µs  p99 {p99_us:>8.1} µs"
+    );
+    obj! {
+        "n" => n, "clients" => c, "mode" => mode, "setup_ms" => Field::Fixed(setup_ms, 2),
+        "store_copies" => store_copies, "est_store_bytes" => est_bytes,
+        "qps" => Field::Fixed(qps, 0),
+        "p50_us" => Field::Fixed(p50_us, 1), "p99_us" => Field::Fixed(p99_us, 1),
+    }
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut run = BenchRun::start(7);
+    let quick = run.quick;
     let sizes: &[usize] = if quick {
         &[100_000]
     } else {
         &[100_000, 1_000_000, 10_000_000]
     };
     let counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8, 16, 32] };
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr7.json".to_string());
 
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut capped: Vec<(usize, usize)> = Vec::new();
+    let mut rows: Vec<Field> = Vec::new();
+    let mut capped: Vec<Field> = Vec::new();
     for &n in sizes {
         let per_client = if quick || n >= 10_000_000 {
             200
@@ -204,28 +217,24 @@ fn main() {
             let t0 = Instant::now();
             let clients: Vec<_> = (0..c).map(|_| shared.client()).collect();
             let handle_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let (qps, lat) = serve(clients, per_client);
-            cells.push(Cell {
+            let shared_setup_ms = shared_build_ms + handle_ms;
+            let shared_bytes = est_store_bytes(n, arity);
+            let served = serve(clients, per_client);
+            let shared_qps = served.0;
+            rows.push(cell(
                 n,
-                clients: c,
-                mode: "shared",
-                setup_ms: shared_build_ms + handle_ms,
-                store_copies: 1,
-                est_bytes: est_store_bytes(n, arity),
-                qps,
-                p50_us: percentile(&lat, 0.50) as f64 / 1e3,
-                p99_us: percentile(&lat, 0.99) as f64 / 1e3,
-            });
-            let s = cells.last().unwrap();
-            eprintln!(
-                "  n = {n:>8}  C = {c:>2}  shared  setup {:>8.1} ms  {:>9.0} qps  p50 {:>7.1} µs  p99 {:>8.1} µs",
-                s.setup_ms, s.qps, s.p50_us, s.p99_us
-            );
+                c,
+                "shared",
+                shared_setup_ms,
+                1,
+                shared_bytes,
+                served,
+            ));
 
             // Clone baseline: C full stores, unless that blows the
             // resident-row budget.
             if n * c > CLONE_ROW_BUDGET {
-                capped.push((n, c));
+                capped.push(obj! {"n" => n, "clients" => c});
                 eprintln!(
                     "  n = {n:>8}  C = {c:>2}  clone   skipped: {c} copies = {} rows > budget {}",
                     n * c,
@@ -241,107 +250,51 @@ fn main() {
                 })
                 .collect();
             let clone_setup_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let (qps, lat) = serve(clones, per_client);
-            cells.push(Cell {
-                n,
-                clients: c,
-                mode: "clone",
-                setup_ms: clone_setup_ms,
-                store_copies: c,
-                est_bytes: est_store_bytes(n, arity) * c as u64,
-                qps,
-                p50_us: percentile(&lat, 0.50) as f64 / 1e3,
-                p99_us: percentile(&lat, 0.99) as f64 / 1e3,
-            });
-            let s = cells.last().unwrap();
-            eprintln!(
-                "  n = {n:>8}  C = {c:>2}  clone   setup {:>8.1} ms  {:>9.0} qps  p50 {:>7.1} µs  p99 {:>8.1} µs",
-                s.setup_ms, s.qps, s.p50_us, s.p99_us
-            );
-        }
-    }
+            let clone_bytes = shared_bytes * c as u64;
+            let served = serve(clones, per_client);
+            let clone_qps = served.0;
+            rows.push(cell(n, c, "clone", clone_setup_ms, c, clone_bytes, served));
 
-    // Claims, asserted on whatever cells exist (quick included).
-    let mut claims_ok = true;
-    for &n in sizes {
-        for &c in counts {
-            let find = |mode: &str| {
-                cells
-                    .iter()
-                    .find(|x| x.n == n && x.clients == c && x.mode == mode)
-            };
-            let (Some(shared), Some(clone)) = (find("shared"), find("clone")) else {
-                continue;
-            };
+            // Claims, asserted on whatever cells exist (quick included).
             // Claim 1: shared setup strictly cheaper for every C ≥ 2 —
             // in build wall time and (exactly C×) resident bytes.
             if c >= 2 {
-                if shared.setup_ms >= clone.setup_ms {
-                    eprintln!(
-                        "CLAIM FAILED: n={n} C={c}: shared setup {:.1} ms ≥ clone {:.1} ms",
-                        shared.setup_ms, clone.setup_ms
-                    );
-                    claims_ok = false;
-                }
-                if shared.est_bytes >= clone.est_bytes {
-                    eprintln!("CLAIM FAILED: n={n} C={c}: shared store not smaller");
-                    claims_ok = false;
-                }
+                run.claim(
+                    shared_setup_ms < clone_setup_ms,
+                    format!(
+                        "n={n} C={c}: shared setup {shared_setup_ms:.1} ms ≥ clone \
+                         {clone_setup_ms:.1} ms"
+                    ),
+                );
+                run.claim(
+                    shared_bytes < clone_bytes,
+                    format!("n={n} C={c}: shared store not smaller"),
+                );
             }
             // Claim 2: QPS matches or beats the clone baseline at C ≥ 8
             // (identical per-query work; 0.9 allows scheduler noise).
-            if c >= 8 && shared.qps < 0.9 * clone.qps {
-                eprintln!(
-                    "CLAIM FAILED: n={n} C={c}: shared {:.0} qps < 0.9 × clone {:.0} qps",
-                    shared.qps, clone.qps
+            if c >= 8 {
+                run.claim(
+                    shared_qps >= 0.9 * clone_qps,
+                    format!(
+                        "n={n} C={c}: shared {shared_qps:.0} qps < 0.9 × clone {clone_qps:.0} qps"
+                    ),
                 );
-                claims_ok = false;
             }
         }
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str("  \"pr\": 7,\n");
-    json.push_str(
-        "  \"description\": \"shared-read serving: aggregate QPS and p50/p99 per-query latency \
-         vs concurrent client count, one shared column store (SharedServer handles) vs the \
-         clone-per-client baseline; setup cost is the measured server build wall time plus an \
-         estimate of resident store bytes (exact ratio C:1). Clone cells whose copies exceed \
-         the resident-row budget are skipped and listed in clone_cells_capped. Asserted: shared \
-         setup beats clone for every C >= 2, and shared QPS >= 0.9x clone at C >= 8\",\n",
-    );
-    json.push_str(&format!("  \"k\": {K},\n"));
-    json.push_str(&format!("  \"clone_row_budget\": {CLONE_ROW_BUDGET},\n"));
-    json.push_str(&format!(
-        "  \"clone_cells_capped\": [{}],\n",
-        capped
-            .iter()
-            .map(|(n, c)| format!("{{\"n\": {n}, \"clients\": {c}}}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, x) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"n\": {}, \"clients\": {}, \"mode\": \"{}\", \"setup_ms\": {:.2}, \
-             \"store_copies\": {}, \"est_store_bytes\": {}, \"qps\": {:.0}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}}}{}\n",
-            x.n,
-            x.clients,
-            x.mode,
-            x.setup_ms,
-            x.store_copies,
-            x.est_bytes,
-            x.qps,
-            x.p50_us,
-            x.p99_us,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write BENCH json");
-    eprintln!("wrote {out_path}");
-    assert!(claims_ok, "headline claims failed; see log above");
+    run.finish(obj! {
+        "description" => "shared-read serving: aggregate QPS and p50/p99 per-query latency vs \
+            concurrent client count, one shared column store (SharedServer handles) vs the \
+            clone-per-client baseline; setup cost is the measured server build wall time plus \
+            an estimate of resident store bytes (exact ratio C:1). Clone cells whose copies \
+            exceed the resident-row budget are skipped and listed in clone_cells_capped. \
+            Asserted: shared setup beats clone for every C >= 2, and shared QPS >= 0.9x clone \
+            at C >= 8",
+        "k" => K,
+        "clone_row_budget" => CLONE_ROW_BUDGET,
+        "clone_cells_capped" => capped,
+        "rows" => rows,
+    });
 }

@@ -43,6 +43,7 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use hdc_bench::{obj, BenchRun, Field};
 use hdc_core::{verify_complete, Crawl, ShardedReport};
 use hdc_data::synth::SyntheticSpec;
 use hdc_data::{adult, ops, yahoo, Dataset};
@@ -206,17 +207,16 @@ struct Row {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut run = BenchRun::start(3);
+    let quick = run.quick;
     let session_counts: &[usize] = if quick { &[1, 2] } else { &[1, 2, 4, 8, 16, 32] };
     // Real metered front ends cost 50–500 ms per round trip; 2 ms is a
     // conservative stand-in that still dwarfs both scheduler overhead
     // and per-sleep timer overshoot (the dominant noise source on a
     // shared host).
     let per_query = Duration::from_micros(if quick { 40 } else { 2_000 });
-    let out_path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_pr3.json".to_string());
 
     let mut rows: Vec<Row> = Vec::new();
-    let mut claims_ok = true;
     for w in workloads(quick) {
         eprintln!(
             "{} (n = {}, k = {}, {}) ...",
@@ -286,10 +286,10 @@ fn main() {
             // heaviest sub-shard, which is physics, not a regression.
             let through_8 = series.iter().position(|r| r.sessions == 8).expect("s=8 row") + 1;
             let growing = speedups[..through_8].windows(2).all(|p| p[1] >= p[0] * 0.95);
-            if !growing || speedups[through_8 - 1] < 2.0 {
-                eprintln!("  CLAIM FAILED: speedup not growing through 8 sessions");
-                claims_ok = false;
-            }
+            run.claim(
+                growing && speedups[through_8 - 1] >= 2.0,
+                format!("{w}: speedup not growing through 8 sessions"),
+            );
             let at8 = series.iter().find(|r| r.sessions == 8).expect("sessions=8 row");
             let ratio = at8.static_wall / at8.steal_wall;
             eprintln!("{w}: steal vs static at 8 sessions: {ratio:.2}x");
@@ -297,61 +297,47 @@ fn main() {
         }
         // Acceptance line: the stealing scheduler beats static placement
         // ≥ 1.2× at 8 sessions on at least one skewed workload.
-        if best_at8 < 1.2 {
-            eprintln!("CLAIM FAILED: no skewed workload reaches 1.2x over static at 8 sessions");
-            claims_ok = false;
-        }
+        run.claim(
+            best_at8 >= 1.2,
+            "no skewed workload reaches 1.2x over static at 8 sessions",
+        );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema_version\": 1,\n");
-    json.push_str("  \"pr\": 3,\n");
-    json.push_str(&format!(
-        "  \"description\": \"sharded crawl wall-clock vs sessions: static one-shard-per-session \
-         placement (factor 1) vs work-stealing over-partitioned plan (factor {OVERSUB}); \
-         per-query simulated round-trip latency {}us (the paper's metered-front-end setting; \
-         single-core container), bags cross-checked identical across schedulers and session \
-         counts\",\n",
-        per_query.as_micros()
-    ));
-    json.push_str(&format!("  \"latency_us\": {},\n", per_query.as_micros()));
-    json.push_str(&format!("  \"oversubscription\": {OVERSUB},\n"));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let base_steal = rows
-            .iter()
-            .find(|b| b.workload == r.workload && b.sessions == 1)
-            .expect("sessions=1 row exists")
-            .steal_wall;
-        json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"skewed\": {}, \"n\": {}, \"k\": {}, \"sessions\": {}, \
-             \"static_wall_secs\": {:.3}, \"steal_wall_secs\": {:.3}, \
-             \"steal_vs_static\": {:.3}, \"steal_speedup_vs_1\": {:.3}, \
-             \"static_total_queries\": {}, \"steal_total_queries\": {}, \
-             \"static_max_session_queries\": {}, \"steal_max_session_queries\": {}, \
-             \"steal_shards\": {}, \"injector_dealt\": {}, \"steals\": {}}}{}\n",
-            r.workload,
-            r.skewed,
-            r.n,
-            r.k,
-            r.sessions,
-            r.static_wall,
-            r.steal_wall,
-            r.static_wall / r.steal_wall,
-            base_steal / r.steal_wall,
-            r.static_total,
-            r.steal_total,
-            r.static_max_session,
-            r.steal_max_session,
-            r.steal_shards,
-            r.injected,
-            r.steals,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, json).expect("write BENCH json");
-    eprintln!("wrote {out_path}");
-    assert!(claims_ok, "headline claims failed; see log above");
+    let records: Vec<Field> = rows
+        .iter()
+        .map(|r| {
+            let base_steal = rows
+                .iter()
+                .find(|b| b.workload == r.workload && b.sessions == 1)
+                .expect("sessions=1 row exists")
+                .steal_wall;
+            obj! {
+                "workload" => r.workload, "skewed" => r.skewed, "n" => r.n, "k" => r.k,
+                "sessions" => r.sessions,
+                "static_wall_secs" => Field::Fixed(r.static_wall, 3),
+                "steal_wall_secs" => Field::Fixed(r.steal_wall, 3),
+                "steal_vs_static" => Field::Fixed(r.static_wall / r.steal_wall, 3),
+                "steal_speedup_vs_1" => Field::Fixed(base_steal / r.steal_wall, 3),
+                "static_total_queries" => r.static_total,
+                "steal_total_queries" => r.steal_total,
+                "static_max_session_queries" => r.static_max_session,
+                "steal_max_session_queries" => r.steal_max_session,
+                "steal_shards" => r.steal_shards, "injector_dealt" => r.injected,
+                "steals" => r.steals,
+            }
+        })
+        .collect();
+    run.finish(obj! {
+        "description" => format!(
+            "sharded crawl wall-clock vs sessions: static one-shard-per-session placement \
+             (factor 1) vs work-stealing over-partitioned plan (factor {OVERSUB}); per-query \
+             simulated round-trip latency {}us (the paper's metered-front-end setting; \
+             single-core container), bags cross-checked identical across schedulers and \
+             session counts",
+            per_query.as_micros()
+        ),
+        "latency_us" => per_query.as_micros(),
+        "oversubscription" => OVERSUB,
+        "rows" => records,
+    });
 }

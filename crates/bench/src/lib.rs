@@ -8,6 +8,10 @@
 //! (who wins, scaling behaviour, crossovers) that must transfer from the
 //! paper to the synthetic stand-ins. Absolute query counts depend on the
 //! data generator and are recorded in `EXPERIMENTS.md`, not asserted.
+//!
+//! The `src/bin` perf benches share one record writer: [`BenchRun`]
+//! parses `--quick` and `BENCH_OUT`, collects record-time claims, and
+//! writes a [`Field`] record (built with [`obj!`]) as `BENCH_prN.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -201,6 +205,138 @@ impl ShapeChecks {
     }
 }
 
+/// One value of a bench record.
+#[derive(Debug)]
+pub enum Field {
+    /// An integer.
+    Int(i128),
+    /// A real printed with a fixed number of decimals (`null` if not finite).
+    Fixed(f64, usize),
+    /// `true` / `false`.
+    Bool(bool),
+    /// A string.
+    Str(String),
+    /// An array.
+    List(Vec<Field>),
+    /// An object, keys in insertion order.
+    Obj(Vec<(&'static str, Field)>),
+}
+
+/// Builds a [`Field::Obj`]: `obj! {"k" => 128, "rows" => rows}`.
+#[macro_export]
+macro_rules! obj {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        $crate::Field::Obj(vec![$(($key, $crate::Field::from($value))),*])
+    };
+}
+
+macro_rules! field_from {
+    ($($t:ty => $variant:ident($conv:expr)),*) => {$(
+        impl From<$t> for Field {
+            fn from(v: $t) -> Self {
+                Field::$variant($conv(v))
+            }
+        }
+    )*};
+}
+field_from!(u32 => Int(i128::from), u64 => Int(i128::from),
+    u128 => Int(|v| v as i128), usize => Int(|v| v as i128), bool => Bool(|v| v),
+    &str => Str(str::to_string), String => Str(|v| v));
+
+impl<T: Into<Field>> From<Vec<T>> for Field {
+    fn from(items: Vec<T>) -> Self {
+        Field::List(items.into_iter().map(Into::into).collect())
+    }
+}
+
+impl Field {
+    /// Compact JSON, strings escaped with [`hdc_json::quote`]:
+    /// `{"a": 1, "b": [2, 3]}`.
+    pub fn json(&self) -> String {
+        match self {
+            Field::Int(v) => v.to_string(),
+            Field::Fixed(v, decimals) if v.is_finite() => format!("{v:.decimals$}"),
+            Field::Fixed(..) => "null".to_string(),
+            Field::Bool(v) => v.to_string(),
+            Field::Str(s) => hdc_json::quote(s),
+            Field::List(items) => {
+                format!(
+                    "[{}]",
+                    items.iter().map(Field::json).collect::<Vec<_>>().join(", ")
+                )
+            }
+            Field::Obj(fields) => {
+                let fields: Vec<String> = fields
+                    .iter()
+                    .map(|(k, v)| format!("{}: {}", hdc_json::quote(k), v.json()))
+                    .collect();
+                format!("{{{}}}", fields.join(", "))
+            }
+        }
+    }
+}
+
+/// One `src/bin` perf bench run: the `--quick` flag, the record path
+/// (`BENCH_OUT`, else `BENCH_prN.json`) and the record-time claims.
+pub struct BenchRun {
+    /// `--quick`: a smoke-sized run.
+    pub quick: bool,
+    pr: u32,
+    out: String,
+    failed: Vec<String>,
+}
+
+impl BenchRun {
+    /// Reads `--quick` and `BENCH_OUT` for the bench that records
+    /// `BENCH_pr<pr>.json`.
+    pub fn start(pr: u32) -> Self {
+        BenchRun {
+            quick: std::env::args().any(|a| a == "--quick"),
+            pr,
+            out: std::env::var("BENCH_OUT").unwrap_or_else(|_| format!("BENCH_pr{pr}.json")),
+            failed: Vec::new(),
+        }
+    }
+
+    /// Checks one record-time claim. A false claim is logged now and
+    /// fails the process once the record is written.
+    pub fn claim(&mut self, ok: bool, what: impl Display) {
+        if !ok {
+            eprintln!("CLAIM FAILED: {what}");
+            self.failed.push(what.to_string());
+        }
+    }
+
+    /// Writes `record` (an [`obj!`]) after `schema_version` and `pr`,
+    /// one top-level key per line and one line per element of an array
+    /// of objects; then panics if any claim failed.
+    pub fn finish(self, record: Field) {
+        let Field::Obj(fields) = record else {
+            panic!("a bench record is a JSON object");
+        };
+        let head = [("schema_version", Field::Int(1)), ("pr", self.pr.into())];
+        let lines: Vec<String> = head
+            .into_iter()
+            .chain(fields)
+            .map(|(key, value)| match value {
+                Field::List(rows) if matches!(rows.first(), Some(Field::Obj(_))) => {
+                    let rows: Vec<String> =
+                        rows.iter().map(|r| format!("    {}", r.json())).collect();
+                    format!("  {}: [\n{}\n  ]", hdc_json::quote(key), rows.join(",\n"))
+                }
+                _ => format!("  {}: {}", hdc_json::quote(key), value.json()),
+            })
+            .collect();
+        fs::write(&self.out, format!("{{\n{}\n}}\n", lines.join(",\n"))).expect("write BENCH json");
+        eprintln!("wrote {}", self.out);
+        assert!(
+            self.failed.is_empty(),
+            "record-time claims failed: {:?}",
+            self.failed
+        );
+    }
+}
+
 /// Formats a ratio like `3.94×`.
 pub fn ratio(a: u64, b: u64) -> String {
     if b == 0 {
@@ -247,6 +383,60 @@ mod tests {
         c.check("bad", false);
         assert_eq!(c.passed, 1);
         assert_eq!(c.failures.len(), 1);
+    }
+
+    fn temp_run(name: &str) -> BenchRun {
+        let out =
+            std::env::temp_dir().join(format!("hdc-bench-{name}-{}.json", std::process::id()));
+        BenchRun {
+            quick: true,
+            pr: 0,
+            out: out.display().to_string(),
+            failed: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn record_round_trips_through_the_json_parser() {
+        let run = temp_run("roundtrip");
+        let out = run.out.clone();
+        run.finish(obj! {
+            "description" => r#"a "quoted" \ path"#,
+            "nested" => obj! {"hist" => vec![3u64, 0, 7], "k" => 128usize},
+            "rows" => vec![obj! {"n" => 1u64, "ok" => true}, obj! {"n" => 2u64, "ok" => false}],
+        });
+        let text = fs::read_to_string(&out).unwrap();
+        fs::remove_file(&out).unwrap();
+        let want = r#"{"schema_version": 1, "pr": 0, "description": "a \"quoted\" \\ path",
+            "nested": {"hist": [3, 0, 7], "k": 128},
+            "rows": [{"n": 1, "ok": true}, {"n": 2, "ok": false}]}"#;
+        let got = hdc_json::parse(&text).unwrap();
+        assert_eq!(got, hdc_json::parse(want).unwrap());
+        assert_eq!(
+            got.get("description").unwrap().as_str(),
+            Some(r#"a "quoted" \ path"#)
+        );
+    }
+
+    #[test]
+    fn fixed_fields_keep_their_decimals() {
+        let rec = obj! {"a" => Field::Fixed(1.5, 3), "b" => Field::Fixed(f64::NAN, 1)};
+        assert_eq!(rec.json(), r#"{"a": 1.500, "b": null}"#);
+    }
+
+    #[test]
+    fn failed_claim_fails_the_run_after_recording() {
+        let mut run = temp_run("claim");
+        let out = run.out.clone();
+        run.claim(true, "holds");
+        run.claim(false, "does not hold");
+        let finished = std::panic::catch_unwind(move || run.finish(obj! {"k" => 1u64}));
+        let written = fs::remove_file(&out);
+        assert!(finished.is_err(), "a failed claim must fail the run");
+        assert!(
+            written.is_ok(),
+            "the record is written before the run fails"
+        );
     }
 
     #[test]

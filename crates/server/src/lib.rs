@@ -62,9 +62,9 @@
 //!   delegate to the single-query path, and single-predicate streams
 //!   (slice fetches) evaluate exactly as the solo path does, so batching
 //!   never costs more than the loop it replaces. Batch decisions are
-//!   recorded in [`ServerStats`]; measured end-to-end numbers live in
-//!   `BENCH_pr2.json` (recorded real-crawl streams: batch ≥ 1.1× the
-//!   per-query engine).
+//!   recorded in [`ServerStats`]. The frozen `BENCH_pr2.json` record
+//!   measured batch ≥ 1.1× the per-query engine on recorded real-crawl
+//!   streams; perfbench's `solo_large` workload measures the engine now.
 //! * **Determinism contract** — all three strategies *and the batch
 //!   path* return bit-identical outcomes, property-tested against each
 //!   other, against the seed's row-at-a-time evaluator (kept in `eval.rs`

@@ -6,7 +6,7 @@
 //! server — so entire experiments must replay bit-identically. This is
 //! what makes the figure benchmarks reproducible.
 
-use hidden_db_crawler::data::{adult, nsf, yahoo, Dataset};
+use hidden_db_crawler::data::{adult, nsf, ops, yahoo, Dataset};
 use hidden_db_crawler::prelude::*;
 
 fn serve(ds: &Dataset, k: usize, seed: u64) -> HiddenDbServer {
@@ -107,5 +107,85 @@ fn distinct_crawlers_agree_on_the_bag() {
             pair[0].multiset_eq(&pair[1]),
             "all algorithms extract the same bag"
         );
+    }
+}
+
+/// Forwards to a server while recording a crawl's call structure: each
+/// `query` as a one-query batch, each batch verbatim. The session layer
+/// issues its batches through `try_query_batch`.
+struct Tracing {
+    inner: HiddenDbServer,
+    batches: Vec<Vec<Query>>,
+}
+
+impl HiddenDatabase for Tracing {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+
+    fn query(&mut self, q: &Query) -> Result<QueryOutcome, DbError> {
+        let out = self.inner.query(q)?;
+        self.batches.push(vec![q.clone()]);
+        Ok(out)
+    }
+
+    fn try_query_batch(&mut self, queries: &[Query]) -> (Vec<QueryOutcome>, Option<DbError>) {
+        self.batches.push(queries.to_vec());
+        self.inner.try_query_batch(queries)
+    }
+
+    fn queries_issued(&self) -> u64 {
+        self.inner.queries_issued()
+    }
+}
+
+#[test]
+fn recorded_crawl_streams_replay_identically_batched_per_query_and_legacy() {
+    let cases: [(Dataset, usize, Box<dyn Crawler>); 2] = [
+        (
+            yahoo::generate_scaled(3_000, 4),
+            128,
+            Box::new(Hybrid::new()),
+        ),
+        (
+            ops::sample_fraction(&adult::generate_numeric(4), 0.05, 4),
+            64,
+            Box::new(RankShrink::new()),
+        ),
+    ];
+    for (ds, k, crawler) in cases {
+        let mut traced = Tracing {
+            inner: serve(&ds, k, 0x9e2),
+            batches: Vec::new(),
+        };
+        crawler.crawl(&mut traced).unwrap();
+        let batches = traced.batches;
+        assert!(
+            batches.iter().any(|b| b.len() >= 2),
+            "{}: the recorded crawl never batched",
+            ds.name
+        );
+
+        let mut server = serve(&ds, k, 0x9e2);
+        let legacy = server.legacy_evaluator();
+        let batched: Vec<QueryOutcome> = batches
+            .iter()
+            .flat_map(|b| server.query_batch(b).unwrap())
+            .collect();
+        let queries: Vec<&Query> = batches.iter().flatten().collect();
+        assert_eq!(batched.len(), queries.len());
+        for (i, (q, want)) in queries.into_iter().zip(&batched).enumerate() {
+            assert_eq!(
+                &server.query(q).unwrap(),
+                want,
+                "{}: query {i} per query",
+                ds.name
+            );
+            assert_eq!(&legacy.evaluate(q), want, "{}: query {i} legacy", ds.name);
+        }
     }
 }
