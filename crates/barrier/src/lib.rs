@@ -39,7 +39,7 @@
 //! attributes from being expanded one probe per domain value. Children
 //! are issued through the shared session layer
 //! ([`hdc_core::Session::run_batch`]) in [`hdc_core::MAX_BATCH`]-sized
-//! sibling windows, so the server's joint batch planner sees the same
+//! sibling windows, so the server's batch path sees the same
 //! traffic shape as the first paper's crawlers — with a different mix:
 //! no slice preprocessing, every probe window-guided (`BENCH_pr4.json`
 //! records the volume side by side with Hybrid's on identical data).

@@ -24,8 +24,9 @@
 //! * `selective_conj_cat` / `selective_conj_num` are selective
 //!   multi-predicate conjunctions; both evaluators drive the smallest
 //!   index list — the seed re-filters row-at-a-time, the engine uses
-//!   O(1) columnar residual checks (which measured faster than galloping
-//!   a second sorted list; see `crates/server/src/engine.rs`).
+//!   O(1) columnar residual checks (which measured faster than
+//!   intersecting a second sorted list; see
+//!   `crates/server/src/engine.rs`).
 //! * `root_any` overflows immediately; it isolates response
 //!   materialization (zero-clone vs deep copy).
 

@@ -104,6 +104,8 @@ pub struct FleetOutcome {
 /// --coordinate` can shut itself down.
 pub struct Coordinator {
     repo: MemoryLeaseRepository,
+    /// Shard signatures in plan order, fixed for the coordinator's life.
+    plan: Vec<String>,
     persist: Mutex<Option<JsonFileRepository>>,
     seen_path: Option<PathBuf>,
     persist_error: Mutex<Option<String>>,
@@ -131,7 +133,7 @@ impl Coordinator {
                 Err(e) => return Err(e),
             }
         }
-        let mut repo = MemoryLeaseRepository::new(plan, cfg.ttl);
+        let mut repo = MemoryLeaseRepository::new(plan.clone(), cfg.ttl);
         if let Some(d) = dedup {
             repo = repo.with_dedup(d);
         }
@@ -161,6 +163,7 @@ impl Coordinator {
         }
         let coordinator = Coordinator {
             repo,
+            plan,
             persist: Mutex::new(persist),
             seen_path,
             persist_error: Mutex::new(None),
@@ -283,8 +286,7 @@ impl Coordinator {
         }
         let cp = CrawlCheckpoint::from_json(rest)
             .map_err(|e| text_response(400, format!("bad snapshot payload: {e}")))?;
-        let plan = self.repo.checkpoint().plan;
-        if let Err(e) = cp.verify_plan(&plan) {
+        if let Err(e) = cp.verify_plan(&self.plan) {
             return Err(text_response(409, format!("mismatch: {e}")));
         }
         let mut shards = cp.shards;
@@ -312,7 +314,7 @@ impl Coordinator {
                 ));
                 let mut body = format!("grant {} {} {}\n", g.index, g.lease, g.ttl_ms);
                 if let Some(p) = g.partial {
-                    let mut cp = CrawlCheckpoint::new(self.repo.checkpoint().plan);
+                    let mut cp = CrawlCheckpoint::new(self.plan.clone());
                     cp.shards.push(p);
                     body.push_str(&cp.to_json());
                 }
@@ -379,10 +381,9 @@ impl Coordinator {
     }
 
     fn plan_response(&self) -> Response {
-        let plan = self.repo.checkpoint().plan;
         let (done, total) = self.repo.progress();
         let mut body = format!("hdc-coord v1 {} {} {}\n", self.repo.ttl_ms(), total, done);
-        for sig in &plan {
+        for sig in &self.plan {
             body.push_str(sig);
             body.push('\n');
         }

@@ -125,7 +125,7 @@ fn session_metrics() -> &'static SessionMetrics {
 }
 
 /// The batch window algorithms should use when they have many siblings
-/// to issue: batches this size still give the server's joint planner
+/// to issue: batches this size still give the server's batch path
 /// plenty to share, while bounding what one failed [`Session::run_batch`]
 /// call can lose.
 ///
@@ -326,8 +326,8 @@ impl<'a> Session<'a> {
     /// Semantically this is `queries.iter().map(|q| self.run(q))` — same
     /// outcomes, same per-query accounting — but the whole batch reaches
     /// the database through [`HiddenDatabase::query_batch`], so a server
-    /// with a native batch path (the `hdc-server` engine) can plan the
-    /// queries jointly and share per-predicate work. Oracle-pruned
+    /// with a native batch path (the `hdc-server` engine) can share work
+    /// between sibling queries. Oracle-pruned
     /// queries are answered locally (and tallied as `pruned`) without
     /// being forwarded, exactly as in [`Session::run`].
     ///

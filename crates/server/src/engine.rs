@@ -19,13 +19,9 @@
 //!   4096-row **bitset blocks** — each predicate ANDs a 64-bit mask per
 //!   64 rows straight from its column slice, zeroed words short-circuit
 //!   later predicates, and surviving bits stream out in priority order.
-//!   A k-way **galloping intersection** over sorted row-id lists (cursors
-//!   advance by exponential search; the smallest list drives) is also
-//!   implemented for sparse list sets; measurement (`BENCH_pr1.json`)
-//!   shows the O(1) columnar residual check beats reading a second sorted
-//!   list on this store, so the planner prefers probing for selective
-//!   conjunctions and galloping remains the forced-strategy/sparse
-//!   implementation path.
+//!   Selective conjunctions probe instead: measurement (`BENCH_pr1.json`)
+//!   shows the O(1) columnar residual check beats reading a second
+//!   sorted list on this store.
 //!
 //! The planner measures exact per-predicate selectivities from the
 //! indexes and picks the strategy by the cost thresholds documented on
@@ -53,22 +49,16 @@
 //!
 //! Crawl algorithms issue *bursts* of sibling queries — the slice fetches
 //! under one extended-DFS node, the two or three probes of a rank-shrink
-//! split — and those siblings share structure: a common predicate prefix,
-//! sometimes the whole query. [`Engine::evaluate_batch`] exploits this by
-//! planning a batch jointly and sharing work across its members:
-//!
-//! * **duplicate queries** inside one batch are evaluated once and the
-//!   outcome copied (an `Arc` bump per tuple);
-//! * **shared candidate lists** — when two or more queries drive the same
-//!   range predicate, its row-sorted candidate list is materialized once
-//!   and reused by every probe/intersection that needs it;
-//! * **shared block masks** — dense-conjunction queries that share a
-//!   predicate are answered by a *joint* bitset-block walk over the
-//!   table: per 4096-row block, each distinct predicate's 64-row masks
-//!   are built once and ANDed into every member query's result mask.
-//!
-//! Batch decisions are recorded in [`ServerStats`] (`batches`,
-//! `batch_dedup`, `batch_shared_lists`, `batch_joint_queries`).
+//! split — and [`Engine::evaluate_batch`] takes a whole burst at once.
+//! Each query is planned on its own. Probe-planned queries that share
+//! their driving predicate *and* at least one residual form a **grouped
+//! probe**: one walk over the driver's candidate list, with the shared
+//! residuals checked once per candidate for the whole group. Every other
+//! query runs its solo executor. Grouped probes are the only sharing
+//! that crawl traffic reaches: a burst's siblings are distinct queries,
+//! and nearly all of them are probes. Batch decisions are recorded in
+//! [`ServerStats`] (`batches`, `batched_queries`,
+//! `batch_grouped_probes`).
 //!
 //! The batch path is a performance hint, never a semantic one:
 //! `evaluate_batch(qs)[i]` is bit-identical to evaluating `qs[i]` alone
@@ -83,7 +73,7 @@
 //! paper's determinism contract: repeating a query returns the same
 //! outcome, whatever plan answered it.
 
-use hdc_types::{Predicate, Query, QueryOutcome, Schema, Tuple};
+use hdc_types::{Query, QueryOutcome, Schema, Tuple};
 
 use crate::index::ColumnIndex;
 use crate::stats::ServerStats;
@@ -97,7 +87,7 @@ pub enum Strategy {
     Scan,
     /// Single index probe + columnar residual filter.
     Probe,
-    /// Multi-predicate candidate-list intersection.
+    /// Multi-predicate bitset-block intersection.
     Intersect,
 }
 
@@ -106,12 +96,6 @@ pub enum Strategy {
 /// Inherited from the seed evaluator so plans only get better, never
 /// regress.
 const PROBE_ADVANTAGE: usize = 4;
-
-
-/// Galloping pays off only on genuinely sparse lists: if the smallest
-/// list exceeds `n / GALLOP_DENSITY`, the cache-friendly block walk wins
-/// and intersection degrades to bitset blocks.
-const GALLOP_DENSITY: usize = 64;
 
 /// Rows per bitset block (64 words of 64 rows — fits in L1 alongside the
 /// column chunks being tested).
@@ -138,7 +122,7 @@ enum PlanKind {
     Scan,
     /// Probe the most selective predicate's index.
     Probe,
-    /// Intersect candidate lists from all selective predicates.
+    /// Intersect all predicates' bitset blocks.
     Intersect,
 }
 
@@ -157,47 +141,32 @@ pub(crate) struct Scratch {
     preds: Vec<PredInfo>,
     /// Row-id candidates for numeric probes.
     ids: Vec<u32>,
-    /// Row-sorted numeric candidate lists for galloping intersection.
-    pool: Vec<Vec<u32>>,
-    /// Per-list cursors for galloping intersection.
-    cursors: Vec<usize>,
     /// Per-batch state (reused across batches).
     batch: BatchScratch,
 }
 
-/// Reusable per-batch buffers, one entry per batch member where indexed.
-/// Inner vectors keep their capacity across batches, so steady-state
-/// batch evaluation allocates about as much as the per-query loop.
+/// Reusable per-batch buffers, one entry per batch member. Inner vectors
+/// keep their capacity across batches, so steady-state batch evaluation
+/// allocates about as much as the per-query loop.
 #[derive(Default, Debug)]
 struct BatchScratch {
     /// Plan kind per query.
     kinds: Vec<PlanKind>,
-    /// Index of the first identical query, or `u32::MAX` if unique.
-    dup_of: Vec<u32>,
-    /// Cheap structural hash per query (duplicate pre-filter).
-    qhash: Vec<u64>,
-    /// Compiled predicates per unique query (stale for duplicates).
+    /// Compiled predicates per query.
     preds: Vec<Vec<PredInfo>>,
-    /// Matched row ids per unique query.
+    /// Matched row ids per query.
     matched: Vec<Vec<u32>>,
-    /// Overflow flag per unique query.
+    /// Overflow flag per query.
     overflow: Vec<bool>,
-    /// Whether the query is answered by a group walk (joint block scan
-    /// or grouped probe) rather than the solo executors.
+    /// Whether the query is answered by a grouped probe rather than the
+    /// solo executors.
     in_group: Vec<bool>,
-    /// Joint-walk mask cache (one `BLOCK_WORDS` stripe per distinct
-    /// predicate), reused across batches.
-    masks: Vec<u64>,
-    /// Joint-walk per-block "mask built" flags, reused across batches.
-    built: Vec<bool>,
 }
 
 impl BatchScratch {
     /// Prepares the buffers for a batch of `m` queries.
     fn reset(&mut self, m: usize) {
         self.kinds.clear();
-        self.dup_of.clear();
-        self.qhash.clear();
         if self.preds.len() < m {
             self.preds.resize_with(m, Vec::new);
         }
@@ -209,56 +178,6 @@ impl BatchScratch {
         self.in_group.clear();
         self.in_group.resize(m, false);
     }
-}
-
-/// A cheap FNV-style structural hash of a query, used only as a
-/// duplicate pre-filter inside a batch (candidates are verified by full
-/// equality, so collisions cost a comparison, never correctness).
-fn query_key(q: &Query) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-    for p in q.preds() {
-        match *p {
-            Predicate::Any => mix(1),
-            Predicate::Eq(v) => {
-                mix(2);
-                mix(u64::from(v));
-            }
-            Predicate::Range { lo, hi } => {
-                mix(3);
-                mix(lo as u64);
-                mix(hi as u64);
-            }
-        }
-    }
-    h
-}
-
-/// A range predicate driving two or more of a batch's candidate lists:
-/// the row-sorted list is materialized once and shared.
-#[derive(Debug)]
-struct SharedRangeList {
-    attr: usize,
-    lo: i64,
-    hi: i64,
-    uses: u32,
-    /// Row-sorted candidate ids, built lazily at first use.
-    list: Vec<u32>,
-    built: bool,
-}
-
-/// One member of the joint bitset-block walk.
-#[derive(Debug)]
-struct JointTask {
-    /// Position of this query in the batch.
-    slot: usize,
-    /// Indices into the walk's distinct-predicate table, in ascending
-    /// selectivity order (so the most selective mask is ANDed first).
-    pred_ids: Vec<usize>,
-    /// Matched row ids (taken from, and returned to, the batch scratch).
-    matched: Vec<u32>,
-    overflow: bool,
-    done: bool,
 }
 
 /// One member of a grouped probe: a query whose driver predicate (and at
@@ -316,6 +235,27 @@ impl Engine {
         }
     }
 
+    /// Runs the executor the planner chose. Returns `true` iff the query
+    /// overflows (`matched` then holds exactly the first `k` row ids).
+    fn execute(
+        &self,
+        kind: PlanKind,
+        preds: &[PredInfo],
+        k: usize,
+        matched: &mut Vec<u32>,
+        ids: &mut Vec<u32>,
+    ) -> bool {
+        match kind {
+            PlanKind::EmptyResult => {
+                matched.clear();
+                false
+            }
+            PlanKind::Scan => scan(&self.store, preds, k, matched),
+            PlanKind::Probe => probe(&self.store, &self.index, preds, k, matched, ids),
+            PlanKind::Intersect => block_scan(&self.store, preds, k, matched),
+        }
+    }
+
     /// The per-column indexes (shared with bookkeeping like
     /// `distinct_in_column`).
     pub(crate) fn index(&self) -> &ColumnIndex {
@@ -332,40 +272,22 @@ impl Engine {
         stats: &mut ServerStats,
         scratch: &mut Scratch,
     ) -> QueryOutcome {
-        let Engine { store, index } = self;
-        let kind = plan_into(store, index, q, &mut scratch.preds);
-        self.record(stats, kind, &scratch.preds);
-        let overflow = match kind {
-            PlanKind::EmptyResult => {
-                scratch.matched.clear();
-                false
-            }
-            PlanKind::Scan => scan(store, &scratch.preds, k, &mut scratch.matched),
-            PlanKind::Probe => probe(
-                store,
-                index,
-                &scratch.preds,
-                k,
-                &mut scratch.matched,
-                &mut scratch.ids,
-            ),
-            PlanKind::Intersect => intersect(
-                store,
-                index,
-                &scratch.preds,
-                k,
-                &mut scratch.matched,
-                &mut scratch.pool,
-                &mut scratch.cursors,
-                None,
-            ),
-        };
-        materialize(rows, &scratch.matched, overflow)
+        let Scratch {
+            matched,
+            preds,
+            ids,
+            ..
+        } = scratch;
+        let kind = plan_into(&self.store, &self.index, q, preds);
+        self.record(stats, kind, preds);
+        let overflow = self.execute(kind, preds, k, matched, ids);
+        materialize(rows, matched, overflow)
     }
 
-    /// Evaluates a whole batch in one pass, sharing planning, candidate
-    /// lists, and block masks between queries (see the module docs).
-    /// Outcome `i` is bit-identical to evaluating `queries[i]` alone.
+    /// Evaluates a whole batch in one pass: every query is planned on its
+    /// own, and probes sharing their driver and a residual walk the
+    /// driver's list together (see the module docs). Outcome `i` is
+    /// bit-identical to evaluating `queries[i]` alone.
     pub(crate) fn evaluate_batch(
         &self,
         rows: &[Tuple],
@@ -381,127 +303,22 @@ impl Engine {
         }
         stats.record_batch(queries.len());
         let Engine { store, index } = self;
-        let Scratch { ids, pool, cursors, batch: b, .. } = scratch;
-        let n = store.n();
+        let Scratch { ids, batch: b, .. } = scratch;
         let m = queries.len();
         b.reset(m);
-
-        // Joint planning: compile each query once; duplicates borrow the
-        // first occurrence's plan and, later, its outcome. Dedup runs
-        // only over multi-predicate queries — sibling single-predicate
-        // streams (slice fetches) are distinct by construction, and
-        // skipping them keeps the batch path overhead-free where there
-        // is nothing to share. Detection is a cheap-hash pre-filter plus
-        // a full equality check over a capped window (sibling duplicates
-        // sit close together; a missed distant duplicate just
-        // evaluates — dedup is an optimization, never a semantic).
         for (i, q) in queries.iter().enumerate() {
-            let multi = q.preds().iter().filter(|p| p.is_constraining()).count() >= 2;
-            let mut dup = u32::MAX;
-            let mut h = 0;
-            if multi {
-                h = query_key(q);
-                if let Some(j) = (i.saturating_sub(64)..i).find(|&j| {
-                    b.qhash[j] == h && b.dup_of[j] == u32::MAX && &queries[j] == q
-                }) {
-                    dup = j as u32;
-                }
-            }
-            b.qhash.push(h);
-            let planned = if dup != u32::MAX {
-                b.dup_of.push(dup);
-                b.kinds.push(b.kinds[dup as usize]);
-                stats.batch_dedup += 1;
-                dup as usize
-            } else {
-                b.dup_of.push(u32::MAX);
-                b.kinds.push(plan_into(store, index, q, &mut b.preds[i]));
-                i
-            };
-            self.record(stats, b.kinds[i], &b.preds[planned]);
+            b.kinds.push(plan_into(store, index, q, &mut b.preds[i]));
+            self.record(stats, b.kinds[i], &b.preds[i]);
         }
 
-        // Census 1: range predicates that drive more than one candidate
-        // list are materialized once and shared.
-        let mut ranges: Vec<SharedRangeList> = Vec::new();
-        for i in 0..m {
-            if b.dup_of[i] != u32::MAX {
-                continue;
-            }
-            let preds = &b.preds[i];
-            let materializes = match b.kinds[i] {
-                PlanKind::Probe => true,
-                // Sparse intersections gallop and materialize their
-                // driver; dense ones walk bitset blocks instead.
-                PlanKind::Intersect => preds[0].sel <= n / GALLOP_DENSITY,
-                PlanKind::Scan | PlanKind::EmptyResult => false,
-            };
-            if !materializes {
-                continue;
-            }
-            let CompiledPred::Range(lo, hi) = preds[0].pred else {
-                continue; // categorical drivers are borrowed for free
-            };
-            let attr = preds[0].attr;
-            match ranges
-                .iter_mut()
-                .find(|r| r.attr == attr && r.lo == lo && r.hi == hi)
-            {
-                Some(r) => r.uses += 1,
-                None => ranges.push(SharedRangeList {
-                    attr,
-                    lo,
-                    hi,
-                    uses: 1,
-                    list: Vec::new(),
-                    built: false,
-                }),
-            }
-        }
-        for r in &ranges {
-            if r.uses >= 2 {
-                stats.batch_shared_lists += u64::from(r.uses) - 1;
-            }
-        }
-
-        // Census 2: dense conjunctions (planned Intersect, dense driver)
-        // that share at least one predicate with another dense member
-        // join a single block walk with shared per-predicate masks.
-        let dense: Vec<usize> = (0..m)
-            .filter(|&i| {
-                b.dup_of[i] == u32::MAX
-                    && b.kinds[i] == PlanKind::Intersect
-                    && b.preds[i][0].sel > n / GALLOP_DENSITY
-            })
-            .collect();
-        let shares_pred = |i: usize, j: usize| {
-            b.preds[i]
-                .iter()
-                .any(|p| b.preds[j].iter().any(|q| p.attr == q.attr && p.pred == q.pred))
-        };
-        let mut grouped: Vec<usize> = dense
-            .iter()
-            .copied()
-            .filter(|&i| dense.iter().any(|&j| j != i && shares_pred(i, j)))
-            .collect();
-        if grouped.len() < 2 {
-            grouped.clear();
-        }
-        for &i in &grouped {
-            b.in_group[i] = true;
-        }
-
-        // Census 3: grouped probes. Probe-planned queries that share
-        // their driving predicate *and* at least one residual (sibling
-        // leaf queries: same prefix, one distinguishing predicate) walk
-        // the driver's candidate list once — shared residuals are
-        // checked once per candidate for the whole group.
+        // Grouped probes. Probe-planned queries that share their driving
+        // predicate *and* at least one residual (sibling leaf queries:
+        // same prefix, one distinguishing predicate) walk the driver's
+        // candidate list once — shared residuals are checked once per
+        // candidate for the whole group.
         let mut pgroups: Vec<ProbeGroup> = Vec::new();
         for i in 0..m {
-            if b.dup_of[i] != u32::MAX
-                || b.kinds[i] != PlanKind::Probe
-                || b.preds[i].len() < 2
-            {
+            if b.kinds[i] != PlanKind::Probe || b.preds[i].len() < 2 {
                 continue;
             }
             let d = b.preds[i][0];
@@ -545,98 +362,13 @@ impl Engine {
             }
         }
 
-        // Evaluate the unique, ungrouped queries through the existing
-        // executors, substituting shared candidate lists where the census
-        // found reuse.
         for i in 0..m {
-            if b.dup_of[i] != u32::MAX || b.in_group[i] {
-                continue;
-            }
-            let preds = &b.preds[i];
-            let matched = &mut b.matched[i];
-            let shared_driver = |ranges: &mut Vec<SharedRangeList>| -> Option<usize> {
-                let CompiledPred::Range(lo, hi) = preds[0].pred else {
-                    return None;
-                };
-                ranges
-                    .iter()
-                    .position(|r| r.uses >= 2 && r.attr == preds[0].attr && r.lo == lo && r.hi == hi)
-            };
-            b.overflow[i] = match b.kinds[i] {
-                PlanKind::EmptyResult => {
-                    matched.clear();
-                    false
-                }
-                PlanKind::Scan => scan(store, preds, k, matched),
-                PlanKind::Probe => match shared_driver(&mut ranges) {
-                    Some(ri) => {
-                        let list = build_shared(index, &mut ranges[ri]);
-                        matched.clear();
-                        probe_list(store, list, &preds[1..], k, matched)
-                    }
-                    None => probe(store, index, preds, k, matched, ids),
-                },
-                PlanKind::Intersect => {
-                    let prebuilt = shared_driver(&mut ranges)
-                        .filter(|_| preds[0].sel <= n / GALLOP_DENSITY);
-                    match prebuilt {
-                        Some(ri) => {
-                            build_shared(index, &mut ranges[ri]);
-                            intersect(
-                                store,
-                                index,
-                                preds,
-                                k,
-                                matched,
-                                pool,
-                                cursors,
-                                Some(&ranges[ri].list),
-                            )
-                        }
-                        None => intersect(store, index, preds, k, matched, pool, cursors, None),
-                    }
-                }
-            };
-        }
-
-        // Joint block walk for the grouped dense conjunctions.
-        if !grouped.is_empty() {
-            stats.batch_joint_queries += grouped.len() as u64;
-            let mut dpreds: Vec<PredInfo> = Vec::new();
-            let mut tasks: Vec<JointTask> = Vec::with_capacity(grouped.len());
-            for &i in &grouped {
-                let mut pred_ids = Vec::with_capacity(b.preds[i].len());
-                for p in &b.preds[i] {
-                    let pid = match dpreds
-                        .iter()
-                        .position(|d| d.attr == p.attr && d.pred == p.pred)
-                    {
-                        Some(pid) => pid,
-                        None => {
-                            dpreds.push(*p);
-                            dpreds.len() - 1
-                        }
-                    };
-                    pred_ids.push(pid);
-                }
-                let mut matched = std::mem::take(&mut b.matched[i]);
-                matched.clear();
-                tasks.push(JointTask {
-                    slot: i,
-                    pred_ids,
-                    matched,
-                    overflow: false,
-                    done: false,
-                });
-            }
-            joint_block_scan(store, &dpreds, &mut tasks, k, &mut b.masks, &mut b.built);
-            for t in tasks {
-                b.matched[t.slot] = t.matched;
-                b.overflow[t.slot] = t.overflow;
+            if !b.in_group[i] {
+                b.overflow[i] = self.execute(b.kinds[i], &b.preds[i], k, &mut b.matched[i], ids);
             }
         }
 
-        // Grouped probes: one walk over each group's shared driver list.
+        // Grouped probes: one walk over each group's driver list.
         for (g, shared) in pgroups.iter().zip(&pshared) {
             stats.batch_grouped_probes += g.members.len() as u64;
             let mut tasks: Vec<ProbeTask> = Vec::with_capacity(g.members.len());
@@ -663,12 +395,11 @@ impl Engine {
             let candidates: &[u32] = match g.pred {
                 CompiledPred::Eq(v) => index.cat_list(g.attr, v),
                 CompiledPred::Range(lo, hi) => {
-                    let ri = ranges
-                        .iter()
-                        .position(|r| r.attr == g.attr && r.lo == lo && r.hi == hi)
-                        .expect("group members were counted in the range census");
-                    build_shared(index, &mut ranges[ri]);
-                    &ranges[ri].list
+                    // Materialized and row-sorted once for the group.
+                    ids.clear();
+                    ids.extend(index.num_slice(g.attr, lo, hi).iter().map(|&(_, r)| r));
+                    ids.sort_unstable();
+                    ids
                 }
             };
             grouped_probe(store, candidates, shared, &mut tasks, k);
@@ -678,25 +409,16 @@ impl Engine {
             }
         }
 
-        // Materialize in input order; duplicates copy the original
-        // outcome (Arc bumps, not re-evaluation).
-        let mut outs: Vec<QueryOutcome> = Vec::with_capacity(m);
-        for i in 0..m {
-            let out = match b.dup_of[i] {
-                u32::MAX => materialize(rows, &b.matched[i], b.overflow[i]),
-                j => outs[j as usize].clone(),
-            };
-            outs.push(out);
-        }
-        outs
+        (0..m)
+            .map(|i| materialize(rows, &b.matched[i], b.overflow[i]))
+            .collect()
     }
 
     /// Evaluates `q` with a forced strategy (testing/benchmark hook).
     ///
     /// Outcomes are bit-identical to the planned path for every strategy;
-    /// a strategy that cannot apply (e.g. probing a query with no
-    /// constraining predicate) degrades to the nearest applicable one
-    /// without changing the outcome.
+    /// a strategy that cannot apply (probing a query with no constraining
+    /// predicate) degrades to a scan without changing the outcome.
     pub(crate) fn evaluate_forced(
         &self,
         rows: &[Tuple],
@@ -711,8 +433,10 @@ impl Engine {
         }
         let mut matched = Vec::new();
         let overflow = match (strategy, preds.len()) {
-            (Strategy::Scan, _) | (_, 0) => scan(&self.store, &preds, k, &mut matched),
-            (Strategy::Probe, _) | (Strategy::Intersect, 1) => probe(
+            (Strategy::Scan, _) | (Strategy::Probe, 0) => {
+                scan(&self.store, &preds, k, &mut matched)
+            }
+            (Strategy::Probe, _) => probe(
                 &self.store,
                 &self.index,
                 &preds,
@@ -720,16 +444,7 @@ impl Engine {
                 &mut matched,
                 &mut Vec::new(),
             ),
-            (Strategy::Intersect, _) => intersect(
-                &self.store,
-                &self.index,
-                &preds,
-                k,
-                &mut matched,
-                &mut Vec::new(),
-                &mut Vec::new(),
-                None,
-            ),
+            (Strategy::Intersect, _) => block_scan(&self.store, &preds, k, &mut matched),
         };
         materialize(rows, &matched, overflow)
     }
@@ -743,31 +458,6 @@ fn strategy_of(kind: PlanKind) -> Strategy {
         PlanKind::Scan => Strategy::Scan,
         PlanKind::Intersect => Strategy::Intersect,
     }
-}
-
-/// Materializes a shared range candidate list (row-sorted) on first use.
-fn build_shared<'a>(index: &ColumnIndex, r: &'a mut SharedRangeList) -> &'a [u32] {
-    if !r.built {
-        r.list.clear();
-        r.list
-            .extend(index.num_slice(r.attr, r.lo, r.hi).iter().map(|&(_, v)| v));
-        r.list.sort_unstable();
-        r.built = true;
-    }
-    &r.list
-}
-
-/// Does a non-driver predicate's candidate list earn a place in the
-/// galloping intersection?
-///
-/// Only categorical inverted lists qualify: they are borrowed in row
-/// order for free, so any list that meaningfully narrows the table (the
-/// probe-advantage test) joins. Numeric lists would have to be
-/// materialized and row-sorted first — O(m log m) — which measurably
-/// loses to leaving the predicate as an O(1)-per-candidate columnar
-/// residual check, so they never join.
-fn joins_gallop(p: &PredInfo, n: usize) -> bool {
-    matches!(p.pred, CompiledPred::Eq(_)) && p.sel.saturating_mul(PROBE_ADVANTAGE) <= n
 }
 
 /// Compiles `q`'s constraining predicates (with exact selectivities,
@@ -791,7 +481,7 @@ fn joins_gallop(p: &PredInfo, n: usize) -> bool {
 ///    list, check the rest as O(1) columnar residuals. Measurement
 ///    (`BENCH_pr1.json`) shows this beats reading further candidate
 ///    lists whenever the store offers O(1) random access — which is why
-///    selective multi-predicate queries probe rather than gallop;
+///    selective multi-predicate queries probe rather than intersect;
 /// 5. **several** predicates, none of whose indexes narrow enough →
 ///    [`PlanKind::Intersect`]: intersect all predicates' bitset blocks
 ///    (the dense form of candidate-list intersection).
@@ -873,7 +563,7 @@ fn scan(store: &ColumnStore, preds: &[PredInfo], k: usize, matched: &mut Vec<u32
             n > k
         }
         [single] => scan_one_column(store, *single, k, matched),
-        _ => block_scan(store, preds, 0, n, k, matched),
+        _ => block_scan(store, preds, k, matched),
     }
 }
 
@@ -906,21 +596,17 @@ fn scan_one_column(store: &ColumnStore, p: PredInfo, k: usize, matched: &mut Vec
     }
 }
 
-/// Bitset-block walk over rows `[from, to)`: per 4096-row block, each
+/// Bitset-block walk over the whole table: per 4096-row block, each
 /// predicate ANDs 64-row masks built straight from its column slice;
-/// surviving bits stream out in priority order.
-fn block_scan(
-    store: &ColumnStore,
-    preds: &[PredInfo],
-    from: usize,
-    to: usize,
-    k: usize,
-    matched: &mut Vec<u32>,
-) -> bool {
+/// surviving bits stream out in priority order. Returns `true` iff the
+/// query overflows.
+fn block_scan(store: &ColumnStore, preds: &[PredInfo], k: usize, matched: &mut Vec<u32>) -> bool {
+    matched.clear();
+    let n = store.n();
     let mut words = [0u64; BLOCK_WORDS];
-    let mut base = from;
-    while base < to {
-        let rows_here = (to - base).min(BLOCK_ROWS);
+    let mut base = 0;
+    while base < n {
+        let rows_here = (n - base).min(BLOCK_ROWS);
         let nwords = rows_here.div_ceil(WORD_BITS);
         let words = &mut words[..nwords];
         words.fill(u64::MAX);
@@ -985,110 +671,6 @@ fn and_pred_mask(
             }
         }
         _ => unreachable!("query validated against schema"),
-    }
-}
-
-/// Writes the predicate's exact 64-row match masks into `words`
-/// (assignment, not AND — the joint walk caches these per predicate).
-/// Bits beyond the last row of a short tail chunk stay zero.
-fn build_pred_mask(
-    store: &ColumnStore,
-    p: PredInfo,
-    base: usize,
-    rows_here: usize,
-    words: &mut [u64],
-) {
-    match (store.col(p.attr), p.pred) {
-        (ColumnData::Int(col), CompiledPred::Range(lo, hi)) => {
-            let col = &col[base..base + rows_here];
-            for (w, chunk) in col.chunks(WORD_BITS).enumerate() {
-                let mut m = 0u64;
-                for (i, &x) in chunk.iter().enumerate() {
-                    m |= u64::from(lo <= x && x <= hi) << i;
-                }
-                words[w] = m;
-            }
-        }
-        (ColumnData::Cat(col), CompiledPred::Eq(v)) => {
-            let col = &col[base..base + rows_here];
-            for (w, chunk) in col.chunks(WORD_BITS).enumerate() {
-                let mut m = 0u64;
-                for (i, &c) in chunk.iter().enumerate() {
-                    m |= u64::from(c == v) << i;
-                }
-                words[w] = m;
-            }
-        }
-        _ => unreachable!("query validated against schema"),
-    }
-}
-
-/// The batch path's joint bitset-block walk: one pass over the table for
-/// a whole group of dense conjunctions. Per 4096-row block, each distinct
-/// predicate's masks are built **once** (lazily — only when a still-active
-/// member needs them) into a shared cache, then ANDed into every member's
-/// result mask. Each member collects matches independently and retires at
-/// its `k + 1`'th match, exactly like a solo [`block_scan`], so the
-/// produced row ids are bit-identical to per-query evaluation.
-fn joint_block_scan(
-    store: &ColumnStore,
-    dpreds: &[PredInfo],
-    tasks: &mut [JointTask],
-    k: usize,
-    masks: &mut Vec<u64>,
-    built: &mut Vec<bool>,
-) {
-    let n = store.n();
-    masks.clear();
-    masks.resize(dpreds.len() * BLOCK_WORDS, 0);
-    built.clear();
-    built.resize(dpreds.len(), false);
-    let mut qwords = [0u64; BLOCK_WORDS];
-    let mut base = 0;
-    while base < n {
-        if tasks.iter().all(|t| t.done) {
-            return;
-        }
-        let rows_here = (n - base).min(BLOCK_ROWS);
-        let nwords = rows_here.div_ceil(WORD_BITS);
-        built.fill(false);
-        for t in tasks.iter_mut().filter(|t| !t.done) {
-            let words = &mut qwords[..nwords];
-            words.fill(u64::MAX);
-            let tail = rows_here % WORD_BITS;
-            if tail != 0 {
-                words[nwords - 1] = (1u64 << tail) - 1;
-            }
-            for &pid in &t.pred_ids {
-                let cache = &mut masks[pid * BLOCK_WORDS..pid * BLOCK_WORDS + nwords];
-                if !built[pid] {
-                    build_pred_mask(store, dpreds[pid], base, rows_here, cache);
-                    built[pid] = true;
-                }
-                let mut any = 0u64;
-                for (w, &m) in words.iter_mut().zip(cache.iter()) {
-                    *w &= m;
-                    any |= *w;
-                }
-                if any == 0 {
-                    break;
-                }
-            }
-            'emit: for (w, &word) in words.iter().enumerate() {
-                let mut word = word;
-                while word != 0 {
-                    let bit = word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    if t.matched.len() == k {
-                        t.overflow = true;
-                        t.done = true;
-                        break 'emit;
-                    }
-                    t.matched.push((base + w * WORD_BITS + bit) as u32);
-                }
-            }
-        }
-        base += rows_here;
     }
 }
 
@@ -1179,135 +761,6 @@ fn probe_list(
         }
     }
     false
-}
-
-/// Multi-predicate intersection. Selective predicates contribute sorted
-/// row-id lists combined by k-way galloping; dense ones become columnar
-/// residual checks. Degrades to bitset blocks when even the smallest list
-/// is dense (see [`GALLOP_DENSITY`]).
-///
-/// `prebuilt` optionally supplies the driver's row-sorted candidate list
-/// (only the driver `preds[0]` can be a range in the gallop — see
-/// [`joins_gallop`]); the batch path passes a list shared across queries
-/// with the same driving range instead of re-materializing it.
-#[allow(clippy::too_many_arguments)]
-fn intersect(
-    store: &ColumnStore,
-    index: &ColumnIndex,
-    preds: &[PredInfo],
-    k: usize,
-    matched: &mut Vec<u32>,
-    pool: &mut Vec<Vec<u32>>,
-    cursors: &mut Vec<usize>,
-    prebuilt: Option<&[u32]>,
-) -> bool {
-    matched.clear();
-    let n = store.n();
-    if preds[0].sel > n / GALLOP_DENSITY {
-        return block_scan(store, preds, 0, n, k, matched);
-    }
-    // The smallest list always drives; the rest join the gallop only if
-    // their lists are worth reading (arity is tiny, so these temporaries
-    // are a few dozen bytes).
-    let (selective, residual): (Vec<PredInfo>, Vec<PredInfo>) = {
-        let mut sel = vec![preds[0]];
-        let mut res = Vec::new();
-        for p in &preds[1..] {
-            if joins_gallop(p, n) {
-                sel.push(*p);
-            } else {
-                res.push(*p);
-            }
-        }
-        (sel, res)
-    };
-
-    // Row-sorted candidate lists: categorical inverted lists are borrowed
-    // as-is; numeric lists are materialized once into the reusable pool
-    // (or taken from the batch's shared pool via `prebuilt`).
-    let mut pool_used = 0;
-    for p in &selective {
-        if let CompiledPred::Range(lo, hi) = p.pred {
-            if prebuilt.is_some() {
-                continue;
-            }
-            if pool_used == pool.len() {
-                pool.push(Vec::new());
-            }
-            let list = &mut pool[pool_used];
-            pool_used += 1;
-            list.clear();
-            list.extend(index.num_slice(p.attr, lo, hi).iter().map(|&(_, r)| r));
-            list.sort_unstable();
-        }
-    }
-    let mut pool_iter = pool[..pool_used].iter();
-    let mut lists: Vec<&[u32]> = selective
-        .iter()
-        .map(|p| match p.pred {
-            CompiledPred::Eq(v) => index.cat_list(p.attr, v),
-            CompiledPred::Range(..) => match prebuilt {
-                Some(list) => list,
-                None => pool_iter.next().expect("one pooled list per range"),
-            },
-        })
-        .collect();
-    lists.sort_unstable_by_key(|l| l.len());
-    let (base, others) = lists.split_first().expect("intersect needs a list");
-
-    cursors.clear();
-    cursors.resize(others.len(), 0);
-    'next_candidate: for &r in *base {
-        for (list, cursor) in others.iter().zip(cursors.iter_mut()) {
-            *cursor = gallop_to(list, *cursor, r);
-            if *cursor == list.len() {
-                // This list is exhausted: nothing further can match.
-                return false;
-            }
-            if list[*cursor] != r {
-                continue 'next_candidate;
-            }
-        }
-        if residual.iter().all(|p| store.check(p.attr, p.pred, r)) {
-            if matched.len() == k {
-                return true;
-            }
-            matched.push(r);
-        }
-    }
-    false
-}
-
-/// First index `>= start` whose element is `>= target`, by exponential
-/// (galloping) search — O(log gap) per advance, which makes a full
-/// intersection O(|smallest| · log(|largest| / |smallest|)).
-fn gallop_to(list: &[u32], start: usize, target: u32) -> usize {
-    if start >= list.len() || list[start] >= target {
-        return start;
-    }
-    let mut step = 1;
-    let mut lo = start;
-    let mut hi = loop {
-        let probe = start + step;
-        if probe >= list.len() {
-            break list.len();
-        }
-        if list[probe] >= target {
-            break probe;
-        }
-        lo = probe;
-        step *= 2;
-    };
-    // Binary search in (lo, hi]: list[lo] < target <= list[hi] (or hi = len).
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if list[mid] < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    hi
 }
 
 #[cfg(test)]
@@ -1423,8 +876,8 @@ mod tests {
             plan_into(&engine.store, &engine.index, &q, &mut preds),
             PlanKind::Probe
         );
-        // Two selective predicates, but the driver list is too short to
-        // amortize galloping: probe with residual checks.
+        // Two selective predicates: probe the smaller list, check the
+        // other as a residual.
         let q = Query::new(vec![
             Predicate::Eq(1),
             Predicate::Range { lo: 0, hi: 50 },
@@ -1517,28 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn gallop_to_finds_lower_bounds() {
-        let list = [2u32, 3, 5, 8, 13, 21, 34, 55];
-        assert_eq!(gallop_to(&list, 0, 1), 0);
-        assert_eq!(gallop_to(&list, 0, 2), 0);
-        assert_eq!(gallop_to(&list, 0, 4), 2);
-        assert_eq!(gallop_to(&list, 2, 5), 2);
-        assert_eq!(gallop_to(&list, 2, 34), 6);
-        assert_eq!(gallop_to(&list, 0, 56), 8);
-        assert_eq!(gallop_to(&list, 7, 55), 7);
-        assert_eq!(gallop_to(&list, 8, 99), 8);
-        // Exhaustive cross-check against a linear lower bound.
-        for start in 0..=list.len() {
-            for target in 0..60u32 {
-                let want = (start..list.len())
-                    .find(|&i| list[i] >= target)
-                    .unwrap_or(list.len());
-                assert_eq!(gallop_to(&list, start, target), want);
-            }
-        }
-    }
-
-    #[test]
     fn block_scan_handles_block_boundaries() {
         // n spanning multiple blocks with matches at block edges.
         let schema = Schema::builder()
@@ -1569,15 +1000,13 @@ mod tests {
         assert_eq!(got.tuples.last().unwrap().get(0), Value::Int(n as i64 - 1));
     }
 
-    /// Exercises every batch-sharing path against solo evaluation.
     #[test]
     fn batch_evaluation_matches_solo_evaluation() {
         let (schema, rows) = fixture();
         let engine = Engine::new(&schema, &rows);
         let mut qs = queries();
-        // Duplicates (dedup path — multi-predicate, single-predicate
-        // duplicates simply re-evaluate) and sibling split probes
-        // sharing the same selective range driver (shared-list path).
+        // A duplicate query and sibling split probes sharing the same
+        // selective range driver.
         qs.push(qs[3].clone());
         qs.push(Query::new(vec![
             Predicate::Eq(0),
@@ -1599,69 +1028,51 @@ mod tests {
             }
             assert_eq!(stats.batches, 1);
             assert_eq!(stats.batched_queries as usize, qs.len());
-            assert_eq!(stats.batch_dedup, 1);
         }
     }
 
     #[test]
-    fn batch_joint_walk_handles_shared_dense_conjunctions() {
-        // Same construction as planner_intersects_dense_conjunctions:
-        // both predicates ~50% selective, so the conjunctions are
-        // answered by bitset blocks; the two queries share the c = 0
-        // predicate and must be grouped into one joint walk.
+    fn batch_grouped_probe_with_range_driver_matches_solo() {
+        // Two probes driven by the same numeric range (x, 36 rows) that
+        // share the residual c = 1 and differ in their y range: one
+        // grouped walk over the x list answers both. x permutes the row
+        // order, so the list must be row-sorted first. A single
+        // categorical column keeps the cell rewrite out of the plan.
         let schema = Schema::builder()
-            .categorical("c", 2)
-            .numeric("n", 0, 8000)
+            .categorical("c", 4)
+            .numeric("x", 0, 1000)
+            .numeric("y", 0, 100)
             .build()
             .unwrap();
-        let rows: Vec<Tuple> = (0..8000)
-            .map(|i| Tuple::new(vec![Value::Cat((i % 2) as u32), Value::Int(i as i64)]))
+        let rows: Vec<Tuple> = (0..600)
+            .map(|i| {
+                Tuple::new(vec![
+                    Value::Cat((i % 4) as u32),
+                    Value::Int((i * 211 % 600) as i64),
+                    Value::Int((i * 37 % 100) as i64),
+                ])
+            })
             .collect();
         let engine = Engine::new(&schema, &rows);
-        let qs = vec![
-            Query::new(vec![Predicate::Eq(0), Predicate::Range { lo: 4000, hi: 7999 }]),
-            Query::new(vec![Predicate::Eq(0), Predicate::Range { lo: 0, hi: 3999 }]),
-            Query::new(vec![Predicate::Eq(1), Predicate::Range { lo: 100, hi: 7000 }]),
-        ];
-        let mut stats = ServerStats::default();
+        let qs: Vec<Query> = [(0, 49), (50, 99)]
+            .into_iter()
+            .map(|(lo, hi)| {
+                Query::new(vec![
+                    Predicate::Eq(1),
+                    Predicate::Range { lo: 5, hi: 40 },
+                    Predicate::Range { lo, hi },
+                ])
+            })
+            .collect();
         let mut scratch = Scratch::default();
-        let outs = engine.evaluate_batch(&rows, 64, &qs, &mut stats, &mut scratch);
-        for (q, got) in qs.iter().zip(&outs) {
-            assert_eq!(got, &brute(&rows, 64, q), "q={q}");
+        for k in [1usize, 3, 64] {
+            let mut stats = ServerStats::default();
+            let outs = engine.evaluate_batch(&rows, k, &qs, &mut stats, &mut scratch);
+            for (q, got) in qs.iter().zip(&outs) {
+                assert_eq!(got, &brute(&rows, k, q), "q={q} k={k}");
+            }
+            assert_eq!(stats.batch_grouped_probes, 2, "k={k}");
         }
-        assert_eq!(stats.intersect_evals, 3);
-        assert_eq!(
-            stats.batch_joint_queries, 2,
-            "the two c = 0 conjunctions share a mask; c = 1 walks solo"
-        );
-    }
-
-    #[test]
-    fn batch_shared_range_lists_match_solo() {
-        // Two selective conjunctions driven by the same numeric range
-        // (with different categorical residuals): the candidate list is
-        // materialized once and shared.
-        let (schema, rows) = fixture();
-        let engine = Engine::new(&schema, &rows);
-        let qs = vec![
-            Query::new(vec![
-                Predicate::Eq(0),
-                Predicate::Range { lo: 5, hi: 40 },
-                Predicate::Any,
-            ]),
-            Query::new(vec![
-                Predicate::Eq(2),
-                Predicate::Range { lo: 5, hi: 40 },
-                Predicate::Any,
-            ]),
-        ];
-        let mut stats = ServerStats::default();
-        let mut scratch = Scratch::default();
-        let outs = engine.evaluate_batch(&rows, 8, &qs, &mut stats, &mut scratch);
-        for (q, got) in qs.iter().zip(&outs) {
-            assert_eq!(got, &brute(&rows, 8, q), "q={q}");
-        }
-        assert_eq!(stats.batch_shared_lists, 1);
     }
 
     #[test]
@@ -1684,7 +1095,8 @@ mod tests {
     #[test]
     fn batch_reuses_scratch_across_calls() {
         // Two consecutive batches through the same engine must not leak
-        // state (stale dup maps, dirty matched buffers) into each other.
+        // state (stale plans or group flags, dirty matched buffers) into
+        // each other.
         let (schema, rows) = fixture();
         let engine = Engine::new(&schema, &rows);
         let mut stats = ServerStats::default();

@@ -37,10 +37,8 @@
 //!   second sorted list on this store), and a multi-predicate
 //!   **intersect** for dense conjunctions, which ANDs *all* predicates'
 //!   candidate sets as 4096-row bitset blocks built straight from the
-//!   column slices. A k-way galloping intersection over sorted row-id
-//!   lists is implemented, property-tested, and forceable via
-//!   [`HiddenDbServer::query_with_strategy`], but is not chosen by the
-//!   planner (see `engine.rs` for the measured reasoning).
+//!   column slices. Every strategy is forceable via
+//!   [`HiddenDbServer::query_with_strategy`] for differential tests.
 //!   Equal-selectivity ties break toward the lower attribute index, so
 //!   planning is deterministic; each decision is recorded in
 //!   [`ServerStats`].
@@ -51,20 +49,14 @@
 //!   queries (the slice fetches under one extended-DFS node, the two or
 //!   three probes of a rank-shrink split), and
 //!   `HiddenDatabase::query_batch` hands the whole burst to the engine
-//!   at once. The batch is planned jointly: duplicate queries are
-//!   answered once; a range predicate driving several candidate lists is
-//!   materialized once and shared; dense conjunctions sharing a
-//!   predicate are answered by a *joint* bitset-block walk that builds
-//!   each distinct predicate's masks once per block; and probes sharing
+//!   at once. Each query is planned on its own, and probes sharing
 //!   their driver plus at least one residual become a *grouped probe* —
 //!   one walk over the driver's list with the shared residuals checked
-//!   once per candidate. Empty batches return nothing, singletons
-//!   delegate to the single-query path, and single-predicate streams
-//!   (slice fetches) evaluate exactly as the solo path does, so batching
-//!   never costs more than the loop it replaces. Batch decisions are
-//!   recorded in [`ServerStats`]. The frozen `BENCH_pr2.json` record
-//!   measured batch ≥ 1.1× the per-query engine on recorded real-crawl
-//!   streams; perfbench's `solo_large` workload measures the engine now.
+//!   once per candidate; every other query runs its solo executor.
+//!   Empty batches return nothing and singletons delegate to the
+//!   single-query path, so batching never costs more than the loop it
+//!   replaces. Batch decisions are recorded in [`ServerStats`].
+//!   Perfbench's `solo_large` workload measures the engine.
 //! * **Determinism contract** — all three strategies *and the batch
 //!   path* return bit-identical outcomes, property-tested against each
 //!   other, against the seed's row-at-a-time evaluator (kept in `eval.rs`

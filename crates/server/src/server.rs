@@ -443,12 +443,12 @@ impl HiddenDatabase for HiddenDbServer {
         self.core.query(q, &mut self.session)
     }
 
-    /// Evaluates the whole batch in one engine pass: queries are planned
-    /// jointly, duplicate queries answered once, and candidate lists /
-    /// bitset-block masks shared between queries with common predicates
-    /// (see the `engine` module docs). Outcome `i` is bit-identical to issuing
-    /// `queries[i]` through [`Self::query`], and each query is charged
-    /// individually in [`ServerStats`].
+    /// Evaluates the whole batch in one engine pass: each query is
+    /// planned on its own, and probes sharing their driving predicate and
+    /// a residual walk the driver's candidate list once as a grouped probe
+    /// (see the `engine` module docs). Outcome `i` is bit-identical to
+    /// issuing `queries[i]` through [`Self::query`], and each query is
+    /// charged individually in [`ServerStats`].
     ///
     /// Stricter than the trait's default loop on errors: the batch is
     /// validated up front, so an invalid query rejects the whole batch
@@ -459,7 +459,7 @@ impl HiddenDatabase for HiddenDbServer {
 
     /// The server validates batches up front and rejects without executing
     /// or charging anything, so the "successful prefix" of a failing batch
-    /// is always empty — this forwards to the jointly-planned
+    /// is always empty — this forwards to the one-pass
     /// [`Self::query_batch`] rather than falling back to the trait's
     /// per-query loop.
     fn try_query_batch(&mut self, queries: &[Query]) -> (Vec<QueryOutcome>, Option<DbError>) {
@@ -598,9 +598,6 @@ mod tests {
         let st = batched.stats();
         assert_eq!(st.batches, 1);
         assert_eq!(st.batched_queries, 6);
-        // Single-predicate duplicates are re-evaluated, not deduped
-        // (dedup only pays off where planning/candidate work is shared).
-        assert_eq!(st.batch_dedup, 0);
     }
 
     #[test]

@@ -203,9 +203,9 @@ impl HiddenDatabase for ServerClient {
         self.core.query(q, &mut self.session)
     }
 
-    /// Jointly-planned batch evaluation, same engine pass as
-    /// [`HiddenDbServer::query_batch`](crate::HiddenDbServer); validated
-    /// up front, each query charged to this client.
+    /// One-pass batch evaluation with grouped probes, same engine pass
+    /// as [`HiddenDbServer::query_batch`](crate::HiddenDbServer);
+    /// validated up front, each query charged to this client.
     fn query_batch(&mut self, queries: &[Query]) -> Result<Vec<QueryOutcome>, DbError> {
         self.core.query_batch(queries, &mut self.session)
     }

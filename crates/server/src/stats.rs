@@ -25,7 +25,8 @@ pub struct ServerStats {
     /// Queries answered by the single index-probe path (including
     /// index-settled empty results).
     pub probe_evals: u64,
-    /// Queries answered by multi-predicate candidate intersection.
+    /// Queries answered by the multi-predicate bitset-block
+    /// intersection.
     pub intersect_evals: u64,
     /// Probes whose driver was the derived cell column's list: queries
     /// pinning every categorical attribute, with no narrower numeric
@@ -38,19 +39,10 @@ pub struct ServerStats {
     /// Queries that arrived inside those batches (so
     /// `batched_queries / batches` is the mean batch size).
     pub batched_queries: u64,
-    /// Duplicate queries within a batch answered by copying an earlier
-    /// outcome instead of re-evaluating.
-    pub batch_dedup: u64,
-    /// Candidate-list materializations avoided because two or more batch
-    /// queries shared the same driving range predicate.
-    pub batch_shared_lists: u64,
-    /// Batched queries answered by the joint bitset-block walk, which
-    /// builds each distinct predicate's block masks once for the whole
-    /// group.
-    pub batch_joint_queries: u64,
-    /// Batched queries answered by a grouped probe: one walk over a
-    /// shared driver candidate list, shared residuals checked once per
-    /// candidate for the whole group.
+    /// Batched queries answered by a grouped probe: one walk over the
+    /// driver candidate list the group shares, shared residuals checked
+    /// once per candidate for the whole group. Also counted in
+    /// `probe_evals`.
     pub batch_grouped_probes: u64,
 }
 
@@ -85,8 +77,7 @@ impl fmt::Display for ServerStats {
             f,
             "{} queries ({} resolved, {} overflowed), {} tuples returned, \
              eval: {} scans / {} probes ({} cell) / {} intersects, \
-             batch: {} batches / {} queries ({} dedup, {} shared lists, {} joint-walk, \
-             {} grouped-probe)",
+             batch: {} batches / {} queries ({} grouped-probe)",
             self.queries,
             self.resolved,
             self.overflowed,
@@ -97,9 +88,6 @@ impl fmt::Display for ServerStats {
             self.intersect_evals,
             self.batches,
             self.batched_queries,
-            self.batch_dedup,
-            self.batch_shared_lists,
-            self.batch_joint_queries,
             self.batch_grouped_probes
         )
     }

@@ -57,7 +57,7 @@ fn fixture() -> (Schema, Vec<Tuple>) {
 }
 
 /// One client's deterministic workload: solo queries mixed with batches
-/// (sibling-style bursts so the joint batch paths engage).
+/// (sibling-style bursts so the grouped-probe batch path engages).
 #[derive(Clone, Debug)]
 enum Op {
     Solo(Query),

@@ -92,7 +92,7 @@ pub trait HiddenDatabase {
     /// individually toward [`queries_issued`](HiddenDatabase::queries_issued).
     /// The default implementation *is* that loop. Implementations may
     /// override it to answer the batch more efficiently — the simulator in
-    /// `hdc-server` plans a batch jointly and shares per-predicate work —
+    /// `hdc-server` walks a driver list once for sibling probes —
     /// but must preserve the per-query equivalence; crawlers batch sibling
     /// queries (slice fetches, split probes) purely as a performance hint.
     ///

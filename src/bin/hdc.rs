@@ -384,29 +384,6 @@ fn load_dataset(name: &str, scale_pct: u32, seed: u64) -> Result<Dataset, String
     }
 }
 
-fn make_crawler<'o>(
-    algo: &str,
-    oracle: Option<&'o dyn ValidityOracle>,
-) -> Result<Box<dyn Crawler + 'o>, String> {
-    Ok(match (algo, oracle) {
-        ("hybrid", None) => Box::new(Hybrid::new()),
-        ("hybrid", Some(o)) => Box::new(Hybrid::with_oracle(o)),
-        ("rank-shrink", None) => Box::new(RankShrink::new()),
-        ("rank-shrink", Some(o)) => Box::new(RankShrink::with_oracle(o)),
-        ("binary-shrink", None) => Box::new(BinaryShrink::new()),
-        ("binary-shrink", Some(o)) => Box::new(BinaryShrink::with_oracle(o)),
-        ("dfs", None) => Box::new(Dfs::new()),
-        ("dfs", Some(o)) => Box::new(Dfs::with_oracle(o)),
-        ("slice-cover", None) => Box::new(SliceCover::eager()),
-        ("lazy-slice-cover", None) => Box::new(SliceCover::lazy()),
-        ("lazy-slice-cover", Some(o)) => Box::new(SliceCover::lazy_with_oracle(o)),
-        (other, None) => return Err(format!("unknown algorithm {other:?}")),
-        (other, Some(_)) => {
-            return Err(format!("{other:?} does not support --oracle"));
-        }
-    })
-}
-
 fn cmd_datasets() -> Result<(), String> {
     for ds in [
         yahoo::generate(42),
@@ -1419,8 +1396,8 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         let mut cells: Vec<String> =
             vec![k.to_string(), format!("{:.0}", ds.n() as f64 / k as f64)];
         for algo in &algos {
-            let crawler = make_crawler(algo, None)?;
-            if !crawler.supports(&ds.schema) {
+            let strategy = strategy_for(algo)?;
+            if !strategy.supports(&ds.schema) {
                 cells.push("n/a".into());
                 continue;
             }
@@ -1430,7 +1407,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
                 ServerConfig { k, seed },
             )
             .expect("valid dataset");
-            match crawler.crawl(&mut db) {
+            match Crawl::builder().strategy(strategy).run(&mut db) {
                 Ok(report) => {
                     verify_complete(&ds.tuples, &report).map_err(|e| e.to_string())?;
                     cells.push(report.queries.to_string());
@@ -1600,16 +1577,19 @@ mod tests {
         assert!(load_dataset("nope", 100, 1).is_err());
         assert!(load_dataset("yahoo", 0, 1).is_err());
         assert!(load_dataset("yahoo", 150, 1).is_err());
-        assert!(make_crawler("hybrid", None).is_ok());
-        assert!(make_crawler("nope", None).is_err());
-        assert!(make_crawler("slice-cover", Some(&NeverOracle)).is_err());
-    }
-
-    struct NeverOracle;
-    impl ValidityOracle for NeverOracle {
-        fn may_match(&self, _q: &Query) -> bool {
-            true
-        }
+        assert!(matches!(strategy_for("hybrid"), Ok(Strategy::Hybrid)));
+        assert!(matches!(
+            strategy_for("lazy-slice-cover"),
+            Ok(Strategy::SliceCover { lazy: true })
+        ));
+        assert!(strategy_for("nope").is_err());
+        let eager_with_oracle: Vec<String> =
+            "crawl --dataset nsf --scale 1 --algo slice-cover --oracle"
+                .split(' ')
+                .map(String::from)
+                .collect();
+        let err = run(&eager_with_oracle).unwrap_err();
+        assert!(err.contains("does not support --oracle"), "{err}");
     }
 
     #[test]
