@@ -32,6 +32,9 @@
 //! by [`Pool::TASKS_CAN_SPAWN`] and a regression test that fails loudly
 //! if anyone flips it without reworking termination.
 //!
+//! The crawler's shard plans have no other executor: a one-session
+//! crawl (a checkpointed solo crawl, say) runs on a one-worker pool.
+//!
 //! # Determinism contract
 //!
 //! Results are returned **in task order**, regardless of which worker
@@ -339,38 +342,6 @@ impl Pool {
     }
 }
 
-/// Runs every task on the **calling thread** as a one-worker pool whose
-/// private state is `state`: the same dealing (task 0 seeded, the rest
-/// from the injector in task order), retirement, cancellation, and
-/// statistics as `Pool::new(1).run_cancellable`, minus the thread. Since
-/// nothing crosses threads, neither the tasks, the results, the state
-/// nor the closure need to be `Send`/`Sync` — this is how a caller that
-/// holds a single borrowed, thread-bound resource (one database
-/// connection) drives the same task loop as the pool.
-pub fn run_inline<T, W, R, F>(
-    tasks: Vec<T>,
-    state: &mut W,
-    run_task: F,
-    cancel: Option<&AtomicBool>,
-) -> (Vec<Option<R>>, PoolStats)
-where
-    F: Fn(&mut W, &TaskCtx, T) -> (R, Verdict),
-{
-    let n = tasks.len();
-    let shared = Shared::seed(1, tasks);
-    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    let began = Instant::now();
-    let stats = work(0, &shared, &results, state, &run_task, cancel);
-    let stats = PoolStats {
-        workers: 1,
-        wall: began.elapsed(),
-        per_worker: vec![stats],
-        unrun: shared.remaining(),
-        cancelled: cancel.is_some_and(|c| c.load(Ordering::Acquire)),
-    };
-    (results.into_inner().expect("results poisoned"), stats)
-}
-
 /// Worker `w`'s task loop: take tasks until the queues drain, the
 /// worker retires, or `cancel` latches.
 fn work<T, W, R, F>(
@@ -616,34 +587,6 @@ mod tests {
                 assert_eq!(stats.unrun, 0);
             }
         }
-    }
-
-    #[test]
-    fn inline_run_matches_a_one_worker_pool() {
-        // A non-Send state (Rc) is fine: nothing leaves the thread.
-        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let mut state = std::rc::Rc::clone(&log);
-        let (results, stats) = run_inline(
-            (0..5).collect::<Vec<usize>>(),
-            &mut state,
-            |log, ctx, t| {
-                log.borrow_mut().push(t);
-                let verdict = if t == 3 {
-                    Verdict::Retire
-                } else {
-                    Verdict::Continue
-                };
-                (ctx.index, verdict)
-            },
-            None,
-        );
-        assert_eq!(*log.borrow(), vec![0, 1, 2, 3]);
-        assert_eq!(results.iter().filter(|r| r.is_some()).count(), 4);
-        assert_eq!(stats.workers, 1);
-        assert_eq!(stats.per_worker[0].seeded, 1);
-        assert_eq!(stats.per_worker[0].injected, 3);
-        assert!(stats.per_worker[0].retired);
-        assert_eq!(stats.unrun, 1);
     }
 
     #[test]

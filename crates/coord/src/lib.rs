@@ -22,7 +22,7 @@
 //!   [`hdc_core::ShardSnapshot`] (`frontier = Some(c)`: the shard's
 //!   first `c` root values are done). When the lease expires, the
 //!   salvaging peer resumes from the frontier
-//!   ([`hdc_core::ResumableShard::resume_suffix`]) and replays only the
+//!   ([`hdc_core::ShardSpec::resume_suffix`]) and replays only the
 //!   un-checkpointed suffix instead of the whole shard.
 //! * [`TupleDedup`] — cross-restart tuple dedup: an exact set or a
 //!   seeded double-hash [`BloomFilter`], persisted beside the

@@ -16,8 +16,8 @@ use std::io;
 use std::time::Duration;
 
 use hdc_core::{
-    snapshot_of_report, CancelToken, CrawlError, CrawlMetrics, CrawlReport, ResumableShard,
-    RetryPolicy, SessionConfig, ShardSnapshot, ShardSpec,
+    snapshot_of_report, CancelToken, CrawlError, CrawlMetrics, CrawlReport, RetryPolicy,
+    SessionConfig, ShardSnapshot, ShardSpec,
 };
 use hdc_types::{DbError, HiddenDatabase, Schema};
 
@@ -128,7 +128,7 @@ fn coord_failure(e: io::Error) -> CrawlError {
 /// (`frontier` = roots done, salvaged prefix included) so a peer can
 /// resume from exactly that point if this worker dies. A grant carrying
 /// a salvaged partial is resumed from its frontier: the worker crawls
-/// only [`ResumableShard::resume_suffix`] and merges via
+/// only [`ShardSpec::resume_suffix`] and merges via
 /// [`merge_snapshot`].
 pub fn drive_worker(
     repo: &mut dyn LeaseRepository,

@@ -35,8 +35,7 @@ use hdc_coord::{
     MemoryLeaseRepository, TupleDedup, WireLeaseRepository, WorkerConfig,
 };
 use hdc_core::{
-    CancelToken, CrawlError, CrawlRepository, ResumableShard, SessionConfig, ShardSnapshot,
-    ShardSpec, Sharded,
+    CancelToken, CrawlError, CrawlRepository, SessionConfig, ShardSnapshot, ShardSpec, Sharded,
 };
 use hdc_net::{http, Client, RouteExt, ServeOptions, WireServer};
 use hdc_server::{HiddenDbServer, ServerConfig, SharedServer};

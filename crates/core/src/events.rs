@@ -79,10 +79,9 @@ impl SessionEvent {
 }
 
 /// A cloneable handle streaming [`SessionEvent`]s from one shard's
-/// session into the crawl's event channel. Carried by
-/// [`crate::SessionConfig::events`]; the sharded driver mints one per
-/// shard ([`EventSink::for_shard`]) so events arrive tagged with their
-/// plan index.
+/// session into the crawl's event channel. The sharded driver mints one
+/// per shard ([`EventSink::for_shard`]) so events arrive tagged with
+/// their plan index, and wraps it in a [`ChannelObserver`].
 pub struct EventSink {
     tx: chan::Sender<SessionEvent>,
     shard: usize,
@@ -130,10 +129,8 @@ impl std::fmt::Debug for EventSink {
 }
 
 /// The session-side proxy: a [`CrawlObserver`] that clones every event
-/// into its [`EventSink`]. Installed automatically by
-/// [`crate::run_crawl`] whenever the [`crate::SessionConfig`] carries a
-/// sink and no direct observer is attached — which is exactly the
-/// situation inside a pool worker.
+/// into its [`EventSink`]. The sharded driver attaches one as each pool
+/// worker session's [`crate::SessionConfig::observer`].
 ///
 /// Always returns [`Flow::Continue`]: the consumer cannot stop a crawl
 /// through the channel (events only flow outward). The drain side

@@ -92,7 +92,7 @@ pub use repository::{
 pub use retry::RetryPolicy;
 pub use session::{run_crawl, Abort, Session, SessionConfig, MAX_BATCH};
 pub use sharded::{
-    snapshot_of_report, CrawlControls, PoolStats, ResumableShard, ShardRun, ShardSpec, Sharded,
-    ShardedReport, TaskSource, WorkerStats,
+    snapshot_of_report, CrawlControls, PoolStats, ShardRun, ShardSpec, Sharded, ShardedReport,
+    TaskSource, WorkerStats,
 };
 pub use validate::verify_complete;

@@ -48,7 +48,7 @@
 //!   session layer and the sharded merge. Crawls no longer have to be
 //!   consumed only as a final report: tuples, issued queries, progress
 //!   points, and completed shards arrive as they happen, and every
-//!   callback returns a [`Flow`] that can stop the crawl early —
+//!   live callback returns a [`Flow`] that can stop the crawl early —
 //!   progressiveness is a headline evaluation axis of the paper
 //!   (Figure 13), and early termination at a coverage target is what
 //!   makes a progressive crawler *usable*. A stopped crawl surfaces as
@@ -73,17 +73,15 @@
 //! Sharded crawls run their per-shard sessions on worker threads where a
 //! `&mut` observer cannot follow directly; each worker session instead
 //! streams its events through a bounded channel ([`crate::events`]) that
-//! the driver drains into the observer *live*, while shards run —
-//! within-shard `on_query`/`on_tuples`/`on_progress` events are no
-//! longer a solo-only feature (progress points arrive aggregated into
-//! crawl-wide totals). The merge path (which combines shard results in
-//! deterministic plan order) additionally fires one
-//! [`CrawlObserver::on_shard`] per completed shard. A [`Flow::Stop`]
-//! from a live event trips the crawl's [`CancelToken`], halting every
-//! in-flight shard before its next query; stopping from `on_shard`
-//! keeps the merged accounting truthful — the cost of every shard is
-//! absorbed — but only the tuples merged so far are kept (see
-//! [`Sharded::crawl`]).
+//! the driver drains into the observer *live*, while shards run
+//! (progress points arrive aggregated into crawl-wide totals). A
+//! [`Flow::Stop`] from a live event trips the crawl's [`CancelToken`],
+//! halting every in-flight shard before its next query, and the crawl
+//! keeps everything already paid for — one stop meaning, solo or
+//! sharded. The merge (which combines shard results in deterministic
+//! plan order) additionally fires one [`CrawlObserver::on_shard`]
+//! notification per completed shard; it runs after the spending is over,
+//! so it has no say in it.
 
 use hdc_types::{Budgeted, HiddenDatabase, Query, QueryOutcome, Schema, Tuple};
 
@@ -101,7 +99,7 @@ use crate::retry::RetryPolicy;
 use crate::session::SessionConfig;
 use crate::sharded::{CrawlControls, Sharded, ShardSpec, ShardedReport, TaskSource};
 
-/// Control-flow decision returned by every [`CrawlObserver`] callback:
+/// Control-flow decision returned by the live [`CrawlObserver`] callbacks:
 /// keep crawling, or stop early with a partial report.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[must_use = "a Flow decides whether the crawl continues; dropping it loses a Stop"]
@@ -118,14 +116,13 @@ pub enum Flow {
 ///
 /// [`Flow::Stop`] from an observer callback stops the *session firing the
 /// callback*, but a sharded crawl runs its sessions on worker threads
-/// where the single `&mut` observer cannot follow — so a `Stop` decided
-/// at the merge used to leave in-flight shards running to completion.
-/// A `CancelToken` closes that gap: hand the same token to
+/// where the single `&mut` observer cannot follow. A `CancelToken`
+/// closes that gap: hand the same token to
 /// [`crate::CrawlBuilder::cancel`] (or a [`crate::SessionConfig`]) and
 /// flip it from anywhere — another thread, a signal handler, or the
-/// sharded merge itself — and every session checks it before spending
-/// the next query. Cancellation has the same semantics as `Stop`:
-/// *stop spending, keep everything already paid for*
+/// sharded driver relaying an observer's stop — and every session
+/// checks it before spending the next query. Cancellation has the same
+/// semantics as `Stop`: *stop spending, keep everything already paid for*
 /// ([`CrawlError::Stopped`] carries the partial report).
 ///
 /// The token is latching — once cancelled it stays cancelled.
@@ -183,9 +180,10 @@ pub struct ShardEvent<'a> {
 
 /// A streaming sink for crawl events.
 ///
-/// All methods default to doing nothing and returning [`Flow::Continue`],
-/// so an observer implements only the events it cares about. See the
-/// [module docs](self) for exact firing and stop semantics.
+/// All methods default to doing nothing (returning [`Flow::Continue`]
+/// where they return a [`Flow`]), so an observer implements only the
+/// events it cares about. See the [module docs](self) for exact firing
+/// and stop semantics.
 pub trait CrawlObserver {
     /// A query was charged and answered. Fires once per charged query —
     /// batched siblings fire one event each, in batch order; queries a
@@ -209,10 +207,10 @@ pub trait CrawlObserver {
         Flow::Continue
     }
 
-    /// A shard of a multi-session crawl was merged (plan order).
-    fn on_shard(&mut self, event: &ShardEvent<'_>) -> Flow {
+    /// A shard of a sharded crawl was merged (plan order). A pure
+    /// notification: every shard has already run when it fires.
+    fn on_shard(&mut self, event: &ShardEvent<'_>) {
         let _ = event;
-        Flow::Continue
     }
 }
 
@@ -507,13 +505,9 @@ impl<'a> CrawlBuilder<'a> {
     /// completed shard into it and, if the repository already holds a
     /// checkpoint for the same plan, resumes from it — restored shards
     /// are replayed from the snapshot without issuing a single query.
-    ///
-    /// For a *solo* run this routes the crawl through the sharded plan
-    /// on its one connection (one session, an inline one-worker pool;
-    /// [`CrawlBuilder::oversubscribe`] sets the checkpoint granularity),
-    /// so the strategy must have a sharded execution
-    /// ([`Strategy::supports_sharded`]) and the report's `algorithm` is
-    /// `"sharded-hybrid"`.
+    /// Only [`CrawlBuilder::run_sharded`] takes a repository (with one
+    /// session, [`CrawlBuilder::oversubscribe`] sets the checkpoint
+    /// granularity).
     pub fn repository(mut self, repository: &'a mut dyn CrawlRepository) -> Self {
         self.repository = Some(repository);
         self
@@ -527,14 +521,19 @@ impl<'a> CrawlBuilder<'a> {
     /// cost, same bag, same progress curve.
     ///
     /// # Panics
-    /// Panics when the configuration is contradictory: `sessions > 1`
-    /// (use [`CrawlBuilder::run_sharded`]), a strategy that does not
-    /// support the schema, or an oracle on a strategy without oracle
-    /// support ([`Strategy::Custom`], eager slice-cover).
-    pub fn run(mut self, db: &mut dyn HiddenDatabase) -> Result<CrawlReport, CrawlError> {
+    /// Panics when the configuration is contradictory: `sessions > 1` or
+    /// a repository (both belong to [`CrawlBuilder::run_sharded`]), a
+    /// strategy that does not support the schema, or an oracle on a
+    /// strategy without oracle support ([`Strategy::Custom`], eager
+    /// slice-cover).
+    pub fn run(self, db: &mut dyn HiddenDatabase) -> Result<CrawlReport, CrawlError> {
         assert!(
             self.sessions == 1,
             "sessions > 1 needs one connection per identity: use run_sharded(connector)"
+        );
+        assert!(
+            self.repository.is_none(),
+            "checkpointed crawls run on the shard pool: use run_sharded(connector)"
         );
         let schema = db.schema().clone();
         let strategy = self.strategy.resolve(&schema);
@@ -548,33 +547,10 @@ impl<'a> CrawlBuilder<'a> {
             }
             None => db,
         };
-        if let Some(repository) = self.repository.take() {
-            assert!(
-                self.oracle.is_none(),
-                "checkpointed crawls do not support a validity oracle"
-            );
-            assert_sharded(strategy, &schema);
-            let controls = CrawlControls {
-                observer: self.observer,
-                cancel: self.cancel,
-                repository: Some(repository),
-            };
-            return Sharded::new(1)
-                .oversubscribed(self.oversubscribe)
-                .retry(self.retry)
-                .crawl_inline(
-                    &schema,
-                    db,
-                    |spec, db, config| crawl_shard(strategy, &schema, spec, db, config),
-                    controls,
-                )
-                .map(|report| report.merged);
-        }
         let config = SessionConfig {
             retry: self.retry,
             cancel: self.cancel,
             observer: self.observer,
-            ..SessionConfig::default()
         };
         run_solo(strategy, db, self.oracle, &schema, config)
     }
@@ -592,7 +568,8 @@ impl<'a> CrawlBuilder<'a> {
     /// The same plan, per-shard query sequences and costs, and merged
     /// bag as [`Sharded::crawl`] with the strategy's shard crawler. The
     /// observer receives the shards' live events plus one
-    /// [`CrawlObserver::on_shard`] per merged shard, in plan order.
+    /// [`CrawlObserver::on_shard`] per merged shard, in plan order. A
+    /// [`CrawlBuilder::repository`] makes the crawl resumable.
     ///
     /// # Panics
     /// Panics when the configuration is contradictory: an oracle (the
@@ -928,6 +905,14 @@ mod tests {
     fn solo_run_rejects_multiple_sessions() {
         let mut db = tiny(10, 4);
         let _ = Crawl::builder().sessions(2).run(&mut db);
+    }
+
+    #[test]
+    #[should_panic(expected = "run_sharded")]
+    fn solo_run_rejects_a_repository() {
+        let mut db = tiny(10, 4);
+        let mut repo = crate::MemoryRepository::default();
+        let _ = Crawl::builder().repository(&mut repo).run(&mut db);
     }
 
     #[test]

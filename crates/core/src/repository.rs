@@ -32,8 +32,8 @@
 //! Since the distributed-coordination work a snapshot may also be
 //! **partial**: [`ShardSnapshot::frontier`] carries a crawler-specific
 //! resume cursor (the number of completed root values of a resumable
-//! shard — see [`crate::ResumableShard`]). Partial snapshots exist so a
-//! crash mid-heavy-shard replays only the un-checkpointed suffix; the
+//! shard — see [`crate::ShardSpec::resume_suffix`]). Partial snapshots
+//! exist so a crash mid-heavy-shard replays only the un-checkpointed suffix; the
 //! single-process drivers ignore them on restore (they re-crawl the
 //! whole shard, which is always correct) while the `hdc-coord` lease
 //! coordinator hands them to the salvaging peer.
@@ -68,8 +68,8 @@ pub struct ShardSnapshot {
     /// In-progress resume cursor: `None` for a *complete* shard,
     /// `Some(c)` for a partial snapshot covering the shard's first `c`
     /// root values (the crawler-specific boundary exposed by
-    /// [`crate::ResumableShard`]). The accounting and tuples of a
-    /// partial snapshot describe exactly that prefix; a salvaging peer
+    /// [`crate::ShardSpec::resume_suffix`]). The accounting and tuples of
+    /// a partial snapshot describe exactly that prefix; a salvaging peer
     /// crawls the suffix and merges. Absent from checkpoints written
     /// before this field existed, which parse as complete.
     pub frontier: Option<u64>,

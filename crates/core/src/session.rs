@@ -17,7 +17,6 @@ use std::time::Instant;
 use hdc_types::{DbError, HiddenDatabase, Query, QueryOutcome, Tuple};
 
 use crate::dependency::ValidityOracle;
-use crate::events::{ChannelObserver, EventSink};
 use crate::orchestrate::{CancelToken, CrawlObserver, Flow, ProgressRecorder};
 use crate::report::{CrawlError, CrawlMetrics, CrawlReport, ProgressPoint};
 use crate::retry::RetryPolicy;
@@ -43,15 +42,10 @@ pub struct SessionConfig<'c> {
     /// in-flight shards on other threads.
     pub cancel: Option<&'c CancelToken>,
     /// The session's event observer (see [`CrawlObserver`] for the event
-    /// and early-stop semantics).
+    /// and early-stop semantics). Pool workers attach a
+    /// [`crate::ChannelObserver`] here, which streams the events to the
+    /// crawl's one observer on another thread.
     pub observer: Option<&'c mut dyn CrawlObserver>,
-    /// Live event streaming for sessions no `&mut` observer can reach
-    /// (pool workers): when set — and no [`SessionConfig::observer`] is
-    /// attached — [`run_crawl`] installs a [`ChannelObserver`] proxy that
-    /// clones the session's events into this sink's bounded channel. See
-    /// [`crate::events`] for the semantics (inert, backpressured,
-    /// self-terminating).
-    pub events: Option<EventSink>,
 }
 
 impl std::fmt::Debug for SessionConfig<'_> {
@@ -60,7 +54,6 @@ impl std::fmt::Debug for SessionConfig<'_> {
             .field("retry", &self.retry)
             .field("cancel", &self.cancel)
             .field("observer", &self.observer.is_some())
-            .field("events", &self.events)
             .finish()
     }
 }
@@ -512,14 +505,8 @@ impl<'a> Session<'a> {
 }
 
 /// Runs `body` inside a fresh session, converting aborts into errors:
-/// the one top-level driver every crawler in the workspace uses.
-///
-/// The session streams its events to `config.observer`; without one, a
-/// config carrying an [`EventSink`] gets a [`ChannelObserver`] proxy that
-/// streams them into the sink — this is how per-shard sessions on pool
-/// worker threads reach the crawl's single observer live (see
-/// [`crate::events`]). A direct observer takes precedence: the sink is
-/// dropped, not teed.
+/// the one top-level driver every crawler in the workspace uses. The
+/// session streams its events to `config.observer`.
 pub fn run_crawl<F>(
     algorithm: &'static str,
     db: &mut dyn HiddenDatabase,
@@ -534,16 +521,9 @@ where
         retry,
         cancel,
         observer,
-        events,
     } = config;
-    let mut proxy = match observer {
-        Some(_) => None,
-        None => events.map(ChannelObserver::new),
-    };
-    let observer: Option<&mut dyn CrawlObserver> = match observer {
-        Some(o) => Some(o as &mut dyn CrawlObserver),
-        None => proxy.as_mut().map(|p| p as &mut dyn CrawlObserver),
-    };
+    // Reborrow to shorten the observer's object lifetime to the session's.
+    let observer = observer.map(|o| o as &mut dyn CrawlObserver);
     let mut session = Session::new(algorithm, db, oracle, observer, retry, cancel);
     match body(&mut session) {
         Ok(()) => Ok(session.finish()),

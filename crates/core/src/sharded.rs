@@ -37,7 +37,9 @@
 //! heavy subtree, the others drain the rest of the plan instead of
 //! idling. With `factor = 1` (the default) the plan degenerates to one
 //! shard per session — the static placement this module had before the
-//! pool existed — and per-shard costs are unchanged.
+//! pool existed — and per-shard costs are unchanged. The pool is the
+//! plan's only executor: a one-session crawl, checkpointed or not, runs
+//! on a one-worker pool.
 //!
 //! # Determinism contract
 //!
@@ -77,7 +79,7 @@ pub use workpool::{PoolStats, Source as TaskSource, Verdict, WorkerStats};
 
 use crate::categorical::slice_cover::{extended_dfs_from, DfsRoot, LeafMode, SliceTable};
 use crate::connector::Connector;
-use crate::events::{EventSink, SessionEvent, EVENT_CHANNEL_CAPACITY};
+use crate::events::{ChannelObserver, EventSink, SessionEvent, EVENT_CHANNEL_CAPACITY};
 use crate::numeric::rank_shrink::RankShrink;
 use crate::orchestrate::{CancelToken, CrawlObserver, Flow, ShardEvent};
 use crate::report::{CrawlError, CrawlMetrics, CrawlReport, ProgressPoint};
@@ -302,8 +304,8 @@ impl ShardSpec {
     ///
     /// With a **resume boundary callback** `on_root`, the extended-DFS
     /// shard kinds ([`CatValues`] / [`CatSub`], the ones
-    /// [`ResumableShard`] reports resumable) crawl their root values one
-    /// at a time on a *shared* slice table and session, and
+    /// [`ShardSpec::resume_points`] reports resumable) crawl their root
+    /// values one at a time on a *shared* slice table and session, and
     /// `on_root(done, interim)` fires after each completed root with the
     /// session's point-in-time report. A caller banks those interims as
     /// partial [`ShardSnapshot`]s (`frontier = done`): a crash mid-shard
@@ -445,8 +447,9 @@ impl ShardSpec {
 /// the number of completed root values and the session's interim report.
 pub type OnRoot<'a> = dyn FnMut(u64, &CrawlReport) + 'a;
 
-/// Shards that can checkpoint **mid-flight** at crawler-defined
-/// boundaries, so a crash replays only the un-checkpointed suffix.
+/// Mid-flight checkpoints: a shard can bank its progress at
+/// crawler-defined boundaries, so a crash replays only the
+/// un-checkpointed suffix.
 ///
 /// The boundary for the extended-DFS shard kinds is a *root value*: the
 /// owned values of [`ShardSpec::CatValues`] (resp. the owned secondary
@@ -469,20 +472,10 @@ pub type OnRoot<'a> = dyn FnMut(u64, &CrawlReport) + 'a;
 ///   never re-pays a prefix root's own slice, so resuming always
 ///   charges strictly fewer queries than redoing the whole shard (the
 ///   `fleet_equiv` suite enforces both properties).
-pub trait ResumableShard {
+impl ShardSpec {
     /// How many resume boundaries (root values) this shard has, or
     /// `None` if it cannot checkpoint mid-flight.
-    fn resume_points(&self) -> Option<usize>;
-
-    /// The shard covering everything after the first `cursor` completed
-    /// roots. `None` for non-resumable shards or an out-of-range cursor.
-    /// `resume_suffix(0)` is the whole shard (modulo being a fresh
-    /// value).
-    fn resume_suffix(&self, cursor: usize) -> Option<ShardSpec>;
-}
-
-impl ResumableShard for ShardSpec {
-    fn resume_points(&self) -> Option<usize> {
+    pub fn resume_points(&self) -> Option<usize> {
         match self {
             ShardSpec::CatValues { values, .. } => Some(values.len()),
             ShardSpec::CatSub { sub_values, .. } => Some(sub_values.len()),
@@ -490,7 +483,11 @@ impl ResumableShard for ShardSpec {
         }
     }
 
-    fn resume_suffix(&self, cursor: usize) -> Option<ShardSpec> {
+    /// The shard covering everything after the first `cursor` completed
+    /// roots. `None` for non-resumable shards or an out-of-range cursor.
+    /// `resume_suffix(0)` is the whole shard (modulo being a fresh
+    /// value).
+    pub fn resume_suffix(&self, cursor: usize) -> Option<ShardSpec> {
         match self {
             ShardSpec::CatValues { attr, values } => {
                 if cursor > values.len() {
@@ -810,17 +807,14 @@ impl Sharded {
     ///   `on_query`/`on_tuples`/`on_progress` events live — streamed out
     ///   of the worker threads through the bounded channel in
     ///   [`crate::events`], with progress aggregated into crawl-wide
-    ///   totals — plus one [`ShardEvent`] per merged shard, in plan
-    ///   order. A [`Flow::Stop`] from a live event trips the halt token,
-    ///   stopping every in-flight shard before its next query. A
-    ///   [`Flow::Stop`] from `on_shard` stops the merge: the cost of
-    ///   every executed shard is still absorbed (partial reports never
-    ///   lie about spend), but only the tuples of the shards merged before
-    ///   the stop are kept, and the crawl returns [`CrawlError::Stopped`]
-    ///   with that prefix-consistent partial — unless some shard actually
-    ///   *failed*, in which case the failure (`Db`/`Unsolvable`) is
-    ///   returned instead, carrying the same partial: a dead identity must
-    ///   never be misread as a voluntary stop;
+    ///   totals — plus one [`ShardEvent`] notification per merged shard,
+    ///   in plan order. A [`Flow::Stop`] from a live event trips the halt
+    ///   token, stopping every in-flight shard before its next query; the
+    ///   crawl returns [`CrawlError::Stopped`] carrying every tuple and
+    ///   query already paid for — unless some shard actually *failed*, in
+    ///   which case the failure (`Db`/`Unsolvable`) is returned instead,
+    ///   carrying the same partial: a dead identity must never be misread
+    ///   as a voluntary stop;
     /// * a **repository** makes the crawl resumable: any existing
     ///   checkpoint is loaded first (a plan mismatch is a typed
     ///   [`CrawlError::Db`], not a panic), its snapshotted shards are
@@ -854,15 +848,18 @@ impl Sharded {
         let pool = workpool::Pool::new(self.sessions);
         // The pool run, parameterized over the live event sink so the
         // observed and unobserved paths share one task closure: with a
-        // sink, every shard session streams its events into the bounded
-        // channel, tagged with its plan index.
+        // sink, every shard session's observer is a channel proxy that
+        // streams its events, tagged with the plan index.
         let execute = |events: Option<EventSink>| {
             pool.run_cancellable(
                 run.tasks(),
                 |w| (connector.connect(w), 0),
                 |(db, strikes): &mut (C::Db, u32), ctx, task: (usize, ShardSpec)| {
+                    let mut proxy = events
+                        .as_ref()
+                        .map(|sink| ChannelObserver::new(sink.for_shard(task.0)));
                     let config = SessionConfig {
-                        events: events.as_ref().map(|sink| sink.for_shard(task.0)),
+                        observer: proxy.as_mut().map(|p| p as &mut dyn CrawlObserver),
                         ..SessionConfig::default()
                     };
                     run.shard(&shard_crawl, db, strikes, ctx, task, config)
@@ -896,74 +893,13 @@ impl Sharded {
         };
         run.finish(slots, stats, observer)
     }
-
-    /// [`Sharded::crawl`] on **one caller-provided connection**, as an
-    /// inline one-worker pool on the calling thread: the same plan,
-    /// checkpoint journal, identity-health rules, and merge, with the
-    /// shards executed in plan order. This is how a *solo* crawl gains
-    /// checkpoint/resume — the plan (oversubscription as the checkpoint
-    /// granularity) turns a monolithic crawl into resumable shard-sized
-    /// steps, and the determinism contract makes the merged result
-    /// bit-identical to the pool's for the same plan.
-    ///
-    /// Why not [`Sharded::crawl`] with one session: the pool moves each
-    /// identity's connection onto a worker thread, so its connections
-    /// must be `Send` and owned, while a solo crawl holds one borrowed
-    /// `&mut dyn HiddenDatabase` that may be neither. The inline loop
-    /// (`workpool::run_inline`) shares the pool's task loop without the
-    /// thread, and the observer rides directly on each shard's session
-    /// instead of through the event channel.
-    pub(crate) fn crawl_inline<G>(
-        &self,
-        schema: &Schema,
-        db: &mut dyn HiddenDatabase,
-        shard_crawl: G,
-        controls: CrawlControls<'_>,
-    ) -> Result<ShardedReport, CrawlError>
-    where
-        G: Fn(
-            &ShardSpec,
-            &mut dyn HiddenDatabase,
-            SessionConfig<'_>,
-        ) -> Result<CrawlReport, CrawlError>,
-    {
-        let CrawlControls {
-            mut observer,
-            cancel,
-            repository,
-        } = controls;
-        let internal_halt = CancelToken::new();
-        let run = ShardedRun::prepare(self, schema, cancel.unwrap_or(&internal_halt), repository)?;
-        let relay = observer.as_deref_mut().map(|obs| Relay::new(obs, &run));
-        let mut state = (db, 0, relay);
-        let (slots, stats) = workpool::run_inline(
-            run.tasks(),
-            &mut state,
-            |(db, strikes, relay), ctx, task: (usize, ShardSpec)| {
-                let mut tap = relay.as_mut().map(|relay| ShardTap {
-                    relay,
-                    shard: task.0,
-                });
-                let config = SessionConfig {
-                    observer: tap.as_mut().map(|t| t as &mut dyn CrawlObserver),
-                    ..SessionConfig::default()
-                };
-                run.shard(&shard_crawl, &mut **db, strikes, ctx, task, config)
-            },
-            Some(run.halt.flag()),
-        );
-        drop(state);
-        run.finish(slots, stats, observer)
-    }
 }
 
-/// One sharded crawl between plan and merge — the driver core both
-/// executors share. [`Sharded::crawl`] (the work-stealing pool) and
-/// [`Sharded::crawl_inline`] (one worker on the caller's connection)
-/// differ only in how tasks reach a connection and how events reach the
-/// observer; planning, checkpoint restore, the per-shard run with its
-/// identity-health verdict and journal write, and the merge are this
-/// type's.
+/// One sharded crawl between plan and merge: planning, checkpoint
+/// restore, the per-shard run with its identity-health verdict and
+/// journal write, and the reassembly for the merge. [`Sharded::crawl`]
+/// owns the rest — the work-stealing pool that deals tasks to
+/// connections and the event channel that carries them to the observer.
 struct ShardedRun<'h, 'r> {
     retry: RetryPolicy,
     plan: Vec<ShardSpec>,
@@ -1061,10 +997,10 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
     }
 
     /// Crawls one shard on one identity's connection and decides whether
-    /// the identity keeps working. The executor's `config` carries the
-    /// shard's event route; the run adds the retry policy and the halt
-    /// token. `strikes` counts the identity's consecutive transient shard
-    /// failures (retired at [`TRANSIENT_STRIKES`]).
+    /// the identity keeps working. The pool's `config` carries the
+    /// shard's channel observer; the run adds the retry policy and the
+    /// halt token. `strikes` counts the identity's consecutive transient
+    /// shard failures (retired at [`TRANSIENT_STRIKES`]).
     fn shard<'c, G>(
         &self,
         shard_crawl: &G,
@@ -1166,12 +1102,12 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
     }
 }
 
-/// Delivers a crawl's live within-shard events to its observer: query
-/// and tuple events pass through as-is, and per-shard progress points
-/// are aggregated into crawl totals — seeded with checkpoint-restored
-/// work — and deduplicated, so the observer sees one monotone
-/// `(queries, tuples)` stream for the whole crawl, whichever executor
-/// produced it.
+/// Delivers a crawl's live within-shard events, drained from the pool's
+/// channel, to its observer: query and tuple events pass through as-is,
+/// and per-shard progress points are aggregated into crawl totals —
+/// seeded with checkpoint-restored work — and deduplicated, so the
+/// observer sees one monotone `(queries, tuples)` stream for the whole
+/// crawl.
 ///
 /// Any [`Flow::Stop`] trips the crawl's halt token (stopping every
 /// in-flight shard at its next query) and silences further delivery.
@@ -1196,19 +1132,14 @@ impl<'r> Relay<'r> {
         }
     }
 
-    fn deliver(&mut self, event: impl FnOnce(&mut dyn CrawlObserver) -> Flow) -> Flow {
+    fn deliver(&mut self, event: impl FnOnce(&mut dyn CrawlObserver) -> Flow) {
         if !self.stopped && event(&mut *self.observer) == Flow::Stop {
             self.halt.cancel();
             self.stopped = true;
         }
-        if self.stopped {
-            Flow::Stop
-        } else {
-            Flow::Continue
-        }
     }
 
-    fn progress(&mut self, shard: usize, point: ProgressPoint) -> Flow {
+    fn progress(&mut self, shard: usize, point: ProgressPoint) {
         self.per_shard[shard] = point;
         let total = self
             .per_shard
@@ -1217,44 +1148,21 @@ impl<'r> Relay<'r> {
                 queries: acc.queries + p.queries,
                 tuples: acc.tuples + p.tuples,
             });
-        if self.last == Some(total) {
-            return self.deliver(|_| Flow::Continue);
+        if self.last != Some(total) {
+            self.last = Some(total);
+            self.deliver(|o| o.on_progress(total));
         }
-        self.last = Some(total);
-        self.deliver(|o| o.on_progress(total))
     }
 
     /// Delivers one event drained from the pool's channel.
     fn forward(&mut self, event: SessionEvent) {
-        let _ = match event {
+        match event {
             SessionEvent::Query { query, outcome, .. } => {
                 self.deliver(|o| o.on_query(&query, &outcome))
             }
             SessionEvent::Tuples { tuples, .. } => self.deliver(|o| o.on_tuples(&tuples)),
             SessionEvent::Progress { shard, point } => self.progress(shard, point),
-        };
-    }
-}
-
-/// One inline shard session's direct observer: routes its events
-/// through the crawl's [`Relay`], tagged with the shard's plan index —
-/// the inline counterpart of the pool's event channel.
-struct ShardTap<'t, 'r> {
-    relay: &'t mut Relay<'r>,
-    shard: usize,
-}
-
-impl CrawlObserver for ShardTap<'_, '_> {
-    fn on_query(&mut self, query: &Query, outcome: &hdc_types::QueryOutcome) -> Flow {
-        self.relay.deliver(|o| o.on_query(query, outcome))
-    }
-
-    fn on_tuples(&mut self, tuples: &[hdc_types::Tuple]) -> Flow {
-        self.relay.deliver(|o| o.on_tuples(tuples))
-    }
-
-    fn on_progress(&mut self, point: ProgressPoint) -> Flow {
-        self.relay.progress(self.shard, point)
+        }
     }
 }
 
@@ -1314,9 +1222,9 @@ struct PendingRun {
 enum Failure {
     Db(DbError),
     Unsolvable(Query),
-    /// An observer stopped the crawl (either a shard's own crawl was
-    /// stopped by a custom crawler's internal observer, or `on_shard`
-    /// stopped the merge).
+    /// The crawl was stopped: an observer's live [`Flow::Stop`] or a
+    /// cancelled token halted the pool, or a custom crawler's internal
+    /// observer stopped its shard.
     Stopped,
 }
 
@@ -1390,10 +1298,8 @@ fn record_pool_metrics(pool: &PoolStats) {
 /// Merges per-shard outcomes into one report (or one failure carrying
 /// everything salvaged across all shards). Tuples are **moved** out of
 /// the shard reports into the merged bag — never cloned — in plan order.
-/// Each merged shard fires one [`ShardEvent`] at the observer; a
-/// [`Flow::Stop`] stops the merge (costs of the remaining shards are
-/// still absorbed so the partial never under-reports spend, but their
-/// tuples are dropped and no further events fire).
+/// Each merged shard fires one [`ShardEvent`] notification at the
+/// observer.
 fn merge_results(
     slots: Vec<Option<PendingRun>>,
     pool: PoolStats,
@@ -1408,7 +1314,6 @@ fn merge_results(
         .collect();
     let mut shards = Vec::with_capacity(slots.len());
     let mut failure: Option<Failure> = None;
-    let mut stopped = false;
     // A cancelled run that produced no failing shard of its own (the
     // token was flipped from outside) must still surface as Stopped, not
     // as a suspiciously short success.
@@ -1448,15 +1353,6 @@ fn merge_results(
                 (*partial, true)
             }
         };
-        if stopped {
-            // Merge stopped by the observer: keep the accounting truthful
-            // (these queries were spent) but drop the tuples.
-            absorb_counts(&mut merged, &report);
-            if !run.restored {
-                absorb_counts(&mut per_session[run.worker], &report);
-            }
-            continue;
-        }
         let tuples = report.tuples.len() as u64;
         merged.tuples.append(&mut report.tuples);
         absorb_counts(&mut merged, &report);
@@ -1467,7 +1363,7 @@ fn merge_results(
             absorb_counts(&mut per_session[run.worker], &report);
         }
         if let Some(obs) = observer.as_deref_mut() {
-            let event = ShardEvent {
+            obs.on_shard(&ShardEvent {
                 index,
                 total,
                 spec: &run.spec,
@@ -1477,10 +1373,7 @@ fn merge_results(
                 tuples,
                 failed,
                 restored: run.restored,
-            };
-            if obs.on_shard(&event) == Flow::Stop {
-                stopped = true;
-            }
+            });
         }
         shards.push(ShardRun {
             spec: run.spec,
@@ -1491,20 +1384,6 @@ fn merge_results(
             failed,
             restored: run.restored,
             report,
-        });
-    }
-    if stopped {
-        // A real shard failure outranks the observer's stop: callers
-        // must not misread a dead identity or an uncrawlable instance
-        // as a voluntary early exit. (Failures are recorded during the
-        // full slot walk, stop or not, so one surfacing after the stop
-        // index still wins.) The partial carries every shard's cost but
-        // only the tuples merged before the stop.
-        let partial = Box::new(merged);
-        return Err(match failure {
-            Some(Failure::Db(error)) => CrawlError::Db { error, partial },
-            Some(Failure::Unsolvable(witness)) => CrawlError::Unsolvable { witness, partial },
-            Some(Failure::Stopped) | None => CrawlError::Stopped { partial },
         });
     }
     match failure {
@@ -2113,43 +1992,30 @@ mod tests {
         Sharded::new(0);
     }
 
-    /// The merge-path observer: one `ShardEvent` per shard in plan
-    /// order, and a `Flow::Stop` trims the merged bag to the shards
-    /// seen so far while the query accounting stays complete (spent is
-    /// spent).
+    /// The merge-path notification: one `ShardEvent` per shard, in plan
+    /// order, carrying each shard's tuple count.
     #[test]
-    fn on_shard_events_stream_in_plan_order_and_stop_trims_the_merge() {
-        use crate::orchestrate::{CrawlObserver, Flow, ShardEvent};
+    fn on_shard_events_stream_in_plan_order() {
+        use crate::orchestrate::{CrawlObserver, ShardEvent};
 
+        #[derive(Default)]
         struct ShardLog {
             seen: Vec<(usize, u64)>,
-            stop_at: Option<usize>,
         }
 
         impl CrawlObserver for ShardLog {
-            fn on_shard(&mut self, event: &ShardEvent<'_>) -> Flow {
+            fn on_shard(&mut self, event: &ShardEvent<'_>) {
                 self.seen.push((event.index, event.tuples));
-                if self.stop_at == Some(event.index) {
-                    Flow::Stop
-                } else {
-                    Flow::Continue
-                }
             }
         }
 
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
-        let make = factory(&schema, &tuples, 32);
-
-        // No stop: every shard fires once, in plan order.
-        let mut log = ShardLog {
-            seen: Vec::new(),
-            stop_at: None,
-        };
+        let mut log = ShardLog::default();
         let full = Sharded::new(2)
             .oversubscribed(3)
             .hybrid_with(
-                &make,
+                factory(&schema, &tuples, 32),
                 CrawlControls {
                     observer: Some(&mut log),
                     ..CrawlControls::default()
@@ -2161,68 +2027,56 @@ mod tests {
             assert_eq!(index, i, "events must arrive in plan order");
             assert_eq!(tuples, full.shards[i].tuples);
         }
-
-        // Stop after the second event: the partial keeps the first two
-        // shards' tuples but charges every shard's queries.
-        let mut log = ShardLog {
-            seen: Vec::new(),
-            stop_at: Some(1),
-        };
-        let err = Sharded::new(2)
-            .oversubscribed(3)
-            .hybrid_with(
-                &make,
-                CrawlControls {
-                    observer: Some(&mut log),
-                    ..CrawlControls::default()
-                },
-            )
-            .unwrap_err();
-        assert_eq!(log.seen.len(), 2, "no events after the stop");
-        let CrawlError::Stopped { partial } = err else {
-            panic!("expected a stopped merge");
-        };
-        let expected_tuples: u64 = full.shards[..2].iter().map(|r| r.tuples).sum();
-        assert_eq!(partial.tuples.len() as u64, expected_tuples);
-        assert_eq!(
-            partial.queries, full.merged.queries,
-            "spent queries stay in the accounting even past the stop"
-        );
     }
 
     /// A real shard failure outranks an observer stop: a dead identity
     /// must surface as `Db`, never be misread as a voluntary stop.
     #[test]
     fn shard_failure_outranks_observer_stop() {
-        use crate::orchestrate::{CrawlObserver, Flow, ShardEvent};
+        use crate::orchestrate::{CrawlObserver, Flow};
+        use std::sync::atomic::{AtomicBool, Ordering};
 
-        struct StopImmediately;
-        impl CrawlObserver for StopImmediately {
-            fn on_shard(&mut self, _event: &ShardEvent<'_>) -> Flow {
+        #[derive(Default)]
+        struct StopAtFirstQuery {
+            stopped: bool,
+        }
+        impl CrawlObserver for StopAtFirstQuery {
+            fn on_query(&mut self, _q: &Query, _out: &hdc_types::QueryOutcome) -> Flow {
+                self.stopped = true;
                 Flow::Stop
             }
         }
 
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
-        // Identity 0 is crippled: at least one shard fails with a
-        // budget error, whatever the observer does.
-        let mut stopper = StopImmediately;
-        let result = Sharded::new(3).hybrid_with(
-            |s| {
-                let server = HiddenDbServer::new(
-                    schema.clone(),
-                    tuples.clone(),
-                    ServerConfig { k: 32, seed: 17 },
-                )
-                .unwrap();
-                Budgeted::new(server, if s == 0 { 2 } else { u64::MAX })
+        let make = factory(&schema, &tuples, 32);
+        let plan = Sharded::plan(&schema, 2);
+        // Identity 0 has no quota: its seeded shard 0 fails on its first
+        // query. Every other shard waits for that failure before it
+        // crawls, so the live stop (fired by the first charged query)
+        // can never keep shard 0 from running.
+        let shard0_failed = AtomicBool::new(false);
+        let mut stopper = StopAtFirstQuery::default();
+        let result = Sharded::new(2).crawl(
+            &schema,
+            |s| Budgeted::new(make(s), if s == 0 { 0 } else { u64::MAX }),
+            |spec, db, config| {
+                let first = spec == &plan[0];
+                while !first && !shard0_failed.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                let result = spec.crawl_with(db, &schema, config, None);
+                if first {
+                    shard0_failed.store(true, Ordering::Release);
+                }
+                result
             },
             CrawlControls {
                 observer: Some(&mut stopper),
                 ..CrawlControls::default()
             },
         );
+        assert!(stopper.stopped, "the observer stopped the crawl");
         assert!(
             matches!(result, Err(CrawlError::Db { .. })),
             "expected the budget failure to win over the stop, got {result:?}"
@@ -2367,73 +2221,6 @@ mod tests {
         for (t, c) in got.iter() {
             assert!(c <= truth.count(t), "partial over-reports {t}");
         }
-    }
-
-    /// The inline one-worker loop is the pool with one worker, minus the
-    /// thread: the same event stream (within-shard events, aggregated
-    /// progress, plan-order shard merges), the same per-shard costs, the
-    /// same merged report, and the same dealing statistics.
-    #[test]
-    fn inline_driver_matches_a_one_worker_pool() {
-        use crate::orchestrate::{CrawlObserver, Flow, ShardEvent};
-
-        #[derive(Default, PartialEq, Debug)]
-        struct Log(Vec<String>);
-
-        impl CrawlObserver for Log {
-            fn on_query(&mut self, q: &Query, out: &hdc_types::QueryOutcome) -> Flow {
-                self.0.push(format!("q {q} {}", out.tuples.len()));
-                Flow::Continue
-            }
-            fn on_tuples(&mut self, tuples: &[Tuple]) -> Flow {
-                self.0.push(format!("t {}", tuples.len()));
-                Flow::Continue
-            }
-            fn on_progress(&mut self, p: ProgressPoint) -> Flow {
-                self.0.push(format!("p {} {}", p.queries, p.tuples));
-                Flow::Continue
-            }
-            fn on_shard(&mut self, e: &ShardEvent<'_>) -> Flow {
-                self.0
-                    .push(format!("s {} {} {}", e.index, e.queries, e.tuples));
-                Flow::Continue
-            }
-        }
-
-        let schema = mixed_schema();
-        let tuples = mixed_tuples(2_000);
-        let make = factory(&schema, &tuples, 32);
-        let sharded = Sharded::new(1).oversubscribed(5);
-        let hybrid = |spec: &ShardSpec, db: &mut dyn HiddenDatabase, config: SessionConfig<'_>| {
-            spec.crawl_with(db, &schema, config, None)
-        };
-        fn observed(log: &mut Log) -> CrawlControls<'_> {
-            CrawlControls {
-                observer: Some(log),
-                ..CrawlControls::default()
-            }
-        }
-
-        let mut pool_log = Log::default();
-        let pool = sharded
-            .crawl(&schema, &make, hybrid, observed(&mut pool_log))
-            .unwrap();
-        let mut inline_log = Log::default();
-        let inline = sharded
-            .crawl_inline(&schema, &mut make(0), hybrid, observed(&mut inline_log))
-            .unwrap();
-
-        assert_eq!(inline_log, pool_log);
-        assert_eq!(inline.merged.tuples, pool.merged.tuples);
-        assert_eq!(inline.merged.queries, pool.merged.queries);
-        for (a, b) in inline.shards.iter().zip(&pool.shards) {
-            assert_eq!(a.report.queries, b.report.queries);
-            assert_eq!(a.source, b.source);
-        }
-        assert_eq!(inline.pool.per_worker[0].seeded, 1);
-        assert_eq!(inline.pool.executed(), pool.pool.executed());
-        assert_eq!(inline.per_session[0].queries, pool.per_session[0].queries);
-        verify_complete(&tuples, &inline.merged).unwrap();
     }
 
     /// Plans must partition the space: pairwise-disjoint shard queries

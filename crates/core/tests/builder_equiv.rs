@@ -463,3 +463,58 @@ proptest! {
             "sharded observer missed tuples");
     }
 }
+
+/// A one-shard plan owning every value of the first categorical
+/// attribute is the solo crawl: `ShardSpec::crawl` returns the solo
+/// strategy's bag (as a multiset), cost, tallies and metrics — hybrid on
+/// mixed schemas, lazy slice-cover on categorical ones.
+#[test]
+fn one_shard_plan_equals_the_solo_crawl() {
+    use hdc_data::{adult, nsf, yahoo};
+
+    for seed in [1u64, 2] {
+        let cases = [
+            (yahoo::generate_scaled(3_000, seed), 128, Strategy::Hybrid),
+            (adult::generate_scaled(4_000, seed), 32, Strategy::Hybrid),
+            (adult::generate_scaled(4_000, seed), 128, Strategy::Hybrid),
+            (
+                nsf::generate_scaled(30_000, seed),
+                256,
+                Strategy::SliceCover { lazy: true },
+            ),
+        ];
+        for (ds, k, strategy) in cases {
+            let name = format!("{} k={k} seed={seed}", ds.name);
+            let server = || {
+                hdc_server::HiddenDbServer::new(
+                    ds.schema.clone(),
+                    ds.tuples.clone(),
+                    hdc_server::ServerConfig { k, seed },
+                )
+                .unwrap()
+            };
+            let attr = ds.schema.cat_indices()[0];
+            let size = ds.schema.kind(attr).domain_size().unwrap();
+            let spec = ShardSpec::CatValues {
+                attr,
+                values: (0..size).collect(),
+            };
+            let solo = Crawl::builder()
+                .strategy(strategy)
+                .run(&mut server())
+                .unwrap_or_else(|e| panic!("{name}: solo: {e}"));
+            let shard = spec
+                .crawl(&mut server(), &ds.schema)
+                .unwrap_or_else(|e| panic!("{name}: shard: {e}"));
+            assert!(
+                TupleBag::from_tuples(shard.tuples.iter().cloned())
+                    .multiset_eq(&TupleBag::from_tuples(solo.tuples.iter().cloned())),
+                "{name}: bags diverged"
+            );
+            assert_eq!(shard.queries, solo.queries, "{name}");
+            assert_eq!(shard.resolved, solo.resolved, "{name}");
+            assert_eq!(shard.overflowed, solo.overflowed, "{name}");
+            assert_eq!(shard.metrics, solo.metrics, "{name}");
+        }
+    }
+}

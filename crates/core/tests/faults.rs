@@ -12,8 +12,8 @@
 //!    checkpointed crawl (budget exhaustion models the kill) and
 //!    resuming from the repository yields the same bag and the same
 //!    total accounting as the uninterrupted run, with the resumed
-//!    process re-issuing only the unfinished shards — solo (sequential
-//!    plan) and sharded (work-stealing pool) alike.
+//!    process re-issuing only the unfinished shards — on one session
+//!    and on several alike (both run on the work-stealing pool).
 //!
 //! Plus the supporting semantics: cancellation stops before spending,
 //! permanent identity death salvages completed work, budget exhaustion
@@ -28,7 +28,7 @@ use proptest::Strategy as PropStrategy;
 use hdc_core::sharded::TRANSIENT_STRIKES;
 use hdc_core::{
     CancelToken, Crawl, CrawlError, CrawlObserver, Flow, MemoryRepository, RetryPolicy, ShardEvent,
-    Strategy,
+    ShardedReport, Strategy,
 };
 use hdc_server::{HiddenDbServer, ServerConfig};
 use hdc_types::{
@@ -117,6 +117,17 @@ fn generous_retry() -> RetryPolicy {
 
 fn bag(tuples: &[Tuple]) -> TupleBag {
     TupleBag::from_tuples(tuples.iter().cloned())
+}
+
+/// Queries a sharded run issued itself: the shards it crawled, not the
+/// ones it replayed from a checkpoint.
+fn fresh_queries(report: &ShardedReport) -> u64 {
+    report
+        .shards
+        .iter()
+        .filter(|s| !s.restored)
+        .map(|s| s.report.queries)
+        .sum()
 }
 
 // ---------------------------------------------------------------------
@@ -217,11 +228,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Solo sequential plan: interrupt a checkpointed crawl with a tight
-    /// budget (the kill), resume from the repository with a fresh
-    /// connection — bag and total accounting match the uninterrupted
-    /// checkpointed run, and the resume re-issues only what the
-    /// checkpoint does not already hold.
+    /// One session (a one-worker pool): interrupt a checkpointed crawl
+    /// with a tight budget (the kill), resume from the repository with a
+    /// fresh connection — bag and total accounting match the
+    /// uninterrupted checkpointed run, and the resume re-issues only what
+    /// the checkpoint does not already hold.
     #[test]
     fn solo_checkpoint_kill_resume_is_exact(
         inst in instance_strategy(),
@@ -232,20 +243,23 @@ proptest! {
 
         let mut full_repo = MemoryRepository::default();
         let uninterrupted = Crawl::builder()
+            .sessions(1)
             .oversubscribe(4)
             .repository(&mut full_repo)
-            .run(&mut inst.server(5))
-            .unwrap();
+            .run_sharded(|_s| inst.server(5))
+            .unwrap()
+            .merged;
 
         // Kill: a budget strictly below the full cost aborts mid-plan.
         let budget = 1 + uninterrupted.queries * budget_frac / 100;
         prop_assume!(budget < uninterrupted.queries);
         let mut repo = MemoryRepository::default();
         let interrupted = Crawl::builder()
+            .sessions(1)
             .oversubscribe(4)
             .budget(budget)
             .repository(&mut repo)
-            .run(&mut inst.server(5));
+            .run_sharded(|_s| inst.server(5));
         prop_assert!(interrupted.is_err(), "budget below full cost must fail");
 
         let checkpointed: u64 = repo
@@ -254,19 +268,24 @@ proptest! {
             .unwrap_or(0);
         prop_assert!(checkpointed < uninterrupted.queries);
 
-        // Resume: fresh connection, no budget, same repository.
-        let mut server = inst.server(5);
-        let resumed = Crawl::builder()
+        // Resume: fresh connection, same repository, and a quota of
+        // exactly the spend the checkpoint lacks — the connection itself
+        // refuses anything more.
+        let report = Crawl::builder()
+            .sessions(1)
             .oversubscribe(4)
+            .budget(uninterrupted.queries - checkpointed)
             .repository(&mut repo)
-            .run(&mut server)
+            .run_sharded(|_s| inst.server(5))
             .unwrap();
+        let issued = fresh_queries(&report);
+        let resumed = report.merged;
 
         prop_assert!(bag(&resumed.tuples).multiset_eq(&bag(&uninterrupted.tuples)),
             "resume must reconstruct the uninterrupted bag exactly");
         prop_assert_eq!(resumed.queries, uninterrupted.queries,
             "restored shards keep their recorded cost; totals match");
-        prop_assert_eq!(server.queries_issued(), uninterrupted.queries - checkpointed,
+        prop_assert_eq!(issued, uninterrupted.queries - checkpointed,
             "the resumed process pays only for shards the checkpoint lacks");
     }
 
@@ -614,16 +633,20 @@ fn plan_mismatch_refuses_to_resume() {
     let inst = yahoo_like();
     let mut repo = MemoryRepository::default();
     Crawl::builder()
+        .sessions(1)
         .oversubscribe(2)
         .repository(&mut repo)
-        .run(&mut inst.server(5))
+        .run_sharded(|_s| inst.server(5))
         .unwrap();
     // Different oversubscription ⇒ different plan ⇒ different signatures.
-    let mut server = inst.server(5);
+    // The zero quota proves the refusal comes first: any query the
+    // resume attempted would fail it with a budget error instead.
     let err = Crawl::builder()
+        .sessions(1)
         .oversubscribe(8)
+        .budget(0)
         .repository(&mut repo)
-        .run(&mut server)
+        .run_sharded(|_s| inst.server(5))
         .unwrap_err();
     let CrawlError::Db { error, partial } = err else {
         panic!("expected a typed mismatch error, got {err:?}");
@@ -633,7 +656,6 @@ fn plan_mismatch_refuses_to_resume() {
         "got {error:?}"
     );
     assert_eq!(partial.queries, 0, "refused before spending");
-    assert_eq!(server.queries_issued(), 0);
 }
 
 /// Re-running a *completed* checkpointed crawl replays everything from
@@ -643,18 +665,27 @@ fn completed_checkpoint_replays_for_free() {
     let inst = yahoo_like();
     let mut repo = MemoryRepository::default();
     let first = Crawl::builder()
+        .sessions(1)
         .oversubscribe(4)
         .repository(&mut repo)
-        .run(&mut inst.server(5))
-        .unwrap();
+        .run_sharded(|_s| inst.server(5))
+        .unwrap()
+        .merged;
 
-    let mut server = inst.server(5);
-    let replay = Crawl::builder()
+    // A zero quota: a single fresh query would fail the replay.
+    let report = Crawl::builder()
+        .sessions(1)
         .oversubscribe(4)
+        .budget(0)
         .repository(&mut repo)
-        .run(&mut server)
+        .run_sharded(|_s| inst.server(5))
         .unwrap();
-    assert_eq!(server.queries_issued(), 0, "everything came from the checkpoint");
+    assert_eq!(
+        fresh_queries(&report),
+        0,
+        "everything came from the checkpoint"
+    );
+    let replay = report.merged;
     assert!(bag(&replay.tuples).multiset_eq(&bag(&first.tuples)));
     assert_eq!(replay.queries, first.queries);
 }
@@ -707,10 +738,9 @@ fn flaky_identity_retires_after_two_transient_shard_failures() {
         plan: usize,
     }
     impl CrawlObserver for ShardLog {
-        fn on_shard(&mut self, e: &ShardEvent<'_>) -> Flow {
+        fn on_shard(&mut self, e: &ShardEvent<'_>) {
             self.plan = e.total;
             self.shards.push((e.worker, e.failed, e.queries, e.tuples));
-            Flow::Continue
         }
     }
 

@@ -79,23 +79,22 @@ fn main() {
     let path = std::env::temp_dir().join("hdc_resume_after_crash.json");
     let _ = std::fs::remove_file(&path);
 
-    // Uninterrupted reference for the checkpointed plan (checkpointing
-    // routes the solo crawl through a sharded plan, whose total cost can
-    // differ slightly from the monolithic crawl above).
+    // Uninterrupted reference for the checkpointed plan (a checkpointed
+    // crawl runs the sharded plan on a one-worker pool, whose total cost
+    // can differ slightly from the monolithic crawl above).
     let mut scratch = MemoryRepository::new();
-    let mut db = server();
     let one_shot = Crawl::builder()
         .strategy(Strategy::Auto)
         .oversubscribe(8)
         .repository(&mut scratch)
-        .run(&mut db)
-        .expect("crawlable");
+        .run_sharded(|_s| server())
+        .expect("crawlable")
+        .merged;
 
     // First process: dies when a hard budget cuts the connection. Every
     // shard finished before the crash is already safe on disk.
     println!("first process: crawling with a checkpoint file, killed by a 150-query budget:");
     let mut repo = JsonFileRepository::new(&path);
-    let mut db = server();
     // oversubscribe(8) splits the plan into 8 shards — the checkpoint
     // granularity: each finished shard is banked before the next starts.
     let crash = Crawl::builder()
@@ -103,7 +102,7 @@ fn main() {
         .oversubscribe(8)
         .budget(150)
         .repository(&mut repo)
-        .run(&mut db);
+        .run_sharded(|_s| server());
     let (error, partial) = match crash {
         Err(CrawlError::Db { error, partial }) => (error, partial),
         other => panic!("expected the budget to kill the crawl, got {other:?}"),
@@ -126,25 +125,31 @@ fn main() {
     // banked shards replay for free, only the remainder is charged.
     println!("second process: resuming from the checkpoint:");
     let mut repo = JsonFileRepository::new(&path);
-    let mut db = server();
-    let resumed = Crawl::builder()
+    let report = Crawl::builder()
         .strategy(Strategy::Auto)
         .oversubscribe(8)
         .repository(&mut repo)
-        .run(&mut db)
+        .run_sharded(|_s| server())
         .expect("resume completes");
+    // Fresh queries: the shards this process crawled, not the replayed ones.
+    let fresh: u64 = report
+        .shards
+        .iter()
+        .filter(|s| !s.restored)
+        .map(|s| s.report.queries)
+        .sum();
+    let resumed = report.merged;
     verify_complete(&ds.tuples, &resumed).expect("complete");
     assert_eq!(resumed.queries, one_shot.queries);
-    assert_eq!(db.queries_issued(), one_shot.queries - banked);
+    assert_eq!(fresh, one_shot.queries - banked);
     println!(
         "  completed: {} tuples, {} total charged queries — the uninterrupted cost,",
         resumed.tuples.len(),
         resumed.queries
     );
     println!(
-        "  of which only {} were issued after the crash ({} replayed from the checkpoint)",
-        db.queries_issued(),
-        resumed.queries - db.queries_issued()
+        "  of which only {fresh} were issued after the crash ({} replayed from the checkpoint)",
+        resumed.queries - fresh
     );
     let _ = std::fs::remove_file(&path);
 }

@@ -171,7 +171,7 @@ impl CrawlObserver for CliObserver {
         Flow::Continue
     }
 
-    fn on_shard(&mut self, event: &ShardEvent<'_>) -> Flow {
+    fn on_shard(&mut self, event: &ShardEvent<'_>) {
         self.finish();
         let source = match event.source {
             TaskSource::Stolen { from } => format!(", stolen from {from}"),
@@ -185,7 +185,7 @@ impl CrawlObserver for CliObserver {
                 event.queries,
                 event.tuples,
             );
-            return Flow::Continue;
+            return;
         }
         eprintln!(
             "  shard {:>3}/{}: {:>6} queries, {:>7} tuples  (worker {}{}{})",
@@ -197,7 +197,6 @@ impl CrawlObserver for CliObserver {
             source,
             if event.failed { ", FAILED" } else { "" }
         );
-        Flow::Continue
     }
 }
 
@@ -238,7 +237,7 @@ fn print_usage() {
          USAGE:\n\
          \u{20}  hdc datasets\n\
          \u{20}      Print the evaluation datasets (the paper's Figure 9 table).\n\
-         \u{20}  hdc crawl --dataset <name> --algo <algo> [--k N] [--seed N]\n\
+         \u{20}  hdc crawl --dataset <name> [--algo <algo>] [--k N] [--seed N]\n\
          \u{20}            [--scale PCT] [--sessions N] [--oversubscribe N]\n\
          \u{20}            [--oracle] [--budget N] [--target TUPLES] [--live]\n\
          \u{20}            [--retries N] [--checkpoint FILE | --resume FILE]\n\
@@ -465,8 +464,9 @@ enum Truth<'a> {
     Count(usize),
 }
 
-/// The sharded `hdc crawl` — `--sessions`/`--oversubscribe` in process,
-/// or any `--connect` crawl — whatever the transport.
+/// The sharded `hdc crawl` — `--sessions`/`--oversubscribe` or a
+/// checkpoint in process, or any `--connect` crawl — whatever the
+/// transport.
 struct ShardedCrawl<'a> {
     sessions: usize,
     oversubscribe: usize,
@@ -616,6 +616,7 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     if flags.get("live").is_some() {
         observer = observer.live();
     }
+    let algo = flags.get("algo").unwrap_or("auto");
     let sharded = ShardedCrawl {
         sessions,
         oversubscribe,
@@ -631,7 +632,6 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
         if use_oracle || target > 0 {
             return Err("--connect crawls do not support --oracle/--target".into());
         }
-        let algo = flags.get("algo").unwrap_or("auto");
         let connector = make_connector(flags)?;
         let info = connector.info().clone();
         println!(
@@ -653,7 +653,6 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     }
 
     let dataset = flags.require("dataset")?.to_string();
-    let algo = flags.require("algo")?.to_string();
     let k: usize = flags.parse("k", 256)?;
     let seed: u64 = flags.parse("seed", 42)?;
     let scale: u32 = flags.parse("scale", 100)?;
@@ -668,15 +667,27 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
         "ideal cost n/k = {:.0}",
         theory::ideal_cost(ds.n() as f64, k as f64)
     );
-    let strategy = resolve_strategy(&algo, &ds.schema)?;
+    let strategy = resolve_strategy(algo, &ds.schema)?;
 
     // An over-partitioned plan is meaningful even on one session (finer
     // progress granularity, and the plan a fleet of identities would
-    // use), so any non-default flag routes through the sharded pool.
-    if sessions > 1 || oversubscribe > 1 {
+    // use), and checkpoints are banked per shard, so any non-default
+    // flag routes through the sharded pool.
+    if sessions > 1 || oversubscribe > 1 || checkpoint.is_some() {
         if use_oracle {
-            return Err("--sessions/--oversubscribe cannot be combined with --oracle".into());
+            return Err(
+                "--sessions/--oversubscribe/--checkpoint/--resume cannot be combined with --oracle"
+                    .into(),
+            );
         }
+        // Only a checkpoint brings a one-session, factor-1 crawl here: it
+        // keeps the 8-shard plan it has always used, so existing
+        // checkpoint files still resume.
+        let oversubscribe = if sessions == 1 && oversubscribe == 1 {
+            8
+        } else {
+            oversubscribe
+        };
         // One shared store for the whole fleet: every identity is a
         // lightweight client of the same immutable columnar store
         // (bit-identical responses, one build) instead of a full
@@ -687,9 +698,13 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
             ServerConfig { k, seed },
         )
         .expect("valid dataset");
-        return sharded.run(
+        return ShardedCrawl {
+            oversubscribe,
+            ..sharded
+        }
+        .run(
             strategy,
-            &algo,
+            algo,
             (&ds.name, &ds.schema),
             |_s| shared.client(),
             &mut observer,
@@ -703,25 +718,7 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     if !strategy.supports(&ds.schema) {
         return Err(format!("{algo} does not support the {} schema", ds.name));
     }
-    if checkpoint.is_some() {
-        if use_oracle {
-            return Err("--checkpoint cannot be combined with --oracle".into());
-        }
-        // Checkpointing runs the sharded plan on the one connection, so
-        // it needs a strategy with a sharded execution — same matrix as
-        // --sessions.
-        if !strategy.supports_sharded(&ds.schema) {
-            return Err(format!(
-                "--checkpoint/--resume: {algo} has no sharded execution on the \
-                 {} schema (use auto, hybrid, rank-shrink on numeric, or \
-                 lazy-slice-cover on categorical data)",
-                ds.name
-            ));
-        }
-    }
-
     let oracle_store;
-    let mut repo_store;
     let mut server = HiddenDbServer::new(
         ds.schema.clone(),
         ds.tuples.clone(),
@@ -738,11 +735,6 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     }
     if retries > 1 {
         builder = builder.retry(RetryPolicy::new(retries));
-    }
-    if let Some(path) = &checkpoint {
-        builder = builder.oversubscribe(oversubscribe.max(8));
-        repo_store = JsonFileRepository::new(path);
-        builder = builder.repository(&mut repo_store);
     }
     let result = builder.run(&mut server);
     observer.finish();
@@ -784,9 +776,6 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
                 partial.queries,
                 100.0 * partial.tuples.len() as f64 / ds.n().max(1) as f64
             );
-            if let Some(path) = &checkpoint {
-                checkpoint_hint(path);
-            }
             Ok(())
         }
         Err(CrawlError::Unsolvable { witness, partial }) => {
@@ -804,10 +793,6 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
                 partial.tuples.len(),
                 partial.queries
             );
-            plan_mismatch_hint(&error);
-            if let Some(path) = &checkpoint {
-                checkpoint_hint(path);
-            }
             Ok(())
         }
     }
@@ -1590,6 +1575,46 @@ mod tests {
                 .collect();
         let err = run(&eager_with_oracle).unwrap_err();
         assert!(err.contains("does not support --oracle"), "{err}");
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn in_process_crawl_defaults_to_auto() {
+        run(&argv(&["crawl", "--dataset", "yahoo", "--scale", "2"])).unwrap();
+    }
+
+    /// `--checkpoint` runs on the one-session pool with the 8-shard
+    /// plan: a budget-killed run banks a prefix of it, and `--resume`
+    /// completes the rest.
+    #[test]
+    fn checkpointed_crawl_resumes_to_completion() {
+        let path = std::env::temp_dir().join(format!("hdc_cli_{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        let banked = || {
+            JsonFileRepository::new(path)
+                .load()
+                .unwrap()
+                .expect("checkpoint written")
+                .shards
+                .len()
+        };
+        let crawl = ["crawl", "--dataset", "yahoo", "--scale", "2"];
+        run(&argv(
+            &[&crawl[..], &["--budget", "60", "--checkpoint", path]].concat(),
+        ))
+        .unwrap();
+        let first = banked();
+        assert!(
+            (1..8).contains(&first),
+            "the budget interrupted the plan: {first}"
+        );
+        run(&argv(&[&crawl[..], &["--resume", path]].concat())).unwrap();
+        assert_eq!(banked(), 8, "the resume completed every shard");
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
