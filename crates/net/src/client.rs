@@ -277,7 +277,7 @@ fn fetch_schema(client: &mut Client) -> io::Result<proto::SchemaInfo> {
             format!("schema fetch answered {}", resp.status),
         ));
     }
-    let body = String::from_utf8_lossy(&resp.body).into_owned();
+    let body = String::from_utf8_lossy(&resp.body);
     proto::parse_schema_body(&body).map_err(|e| io::Error::new(ErrorKind::InvalidData, e))
 }
 
@@ -375,7 +375,9 @@ impl HttpDb {
         resp: Response,
         parse: impl FnOnce(&str) -> Result<T, proto::WireError>,
     ) -> Result<T, DbError> {
-        let body = String::from_utf8_lossy(&resp.body).into_owned();
+        // Borrowed when the body is UTF-8, as a healthy server's always
+        // is; copied lossily only when the bytes are damaged.
+        let body = String::from_utf8_lossy(&resp.body);
         if resp.status != 200 {
             let e = proto::parse_error_body(resp.status, &body);
             return Err(e);
@@ -479,5 +481,57 @@ impl HiddenDatabase for HttpDb {
 
     fn queries_issued(&self) -> u64 {
         self.issued
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_200_with_invalid_utf8_is_transient_and_reconnects() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let healthy = QueryOutcome::resolved(Vec::new());
+        let bodies = [
+            b"\xff\xfe".to_vec(),
+            proto::outcome_body(&healthy).into_bytes(),
+        ];
+        // One connection per body, each answering one query with a
+        // keep-alive 200 and then waiting for the client to hang up.
+        let server = std::thread::spawn(move || {
+            for body in bodies {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                http::read_request(&mut reader).unwrap().unwrap();
+                http::write_response(&mut &stream, &Response::json(200, body), false).unwrap();
+                let _ = http::read_request(&mut reader);
+            }
+        });
+        let mut db = HttpDb {
+            client: Client::new(&addr, Duration::from_secs(5)),
+            identity: 0,
+            schema: Schema::builder().numeric("a", 0, 9).build().unwrap(),
+            k: 4,
+            retire_after: DEFAULT_RETIRE_AFTER,
+            limiter: None,
+            consecutive_failures: 0,
+            retired: false,
+            issued: 0,
+        };
+        let q = Query::any(1);
+        let err = db.query(&q).unwrap_err();
+        assert!(err.is_transient(), "{err:?}");
+        assert_eq!(db.client.connects(), 1);
+        assert_eq!(db.query(&q).unwrap(), healthy);
+        assert_eq!(
+            db.client.connects(),
+            2,
+            "the damaged connection was dropped"
+        );
+        assert_eq!(db.queries_issued(), 1);
+        drop(db);
+        server.join().unwrap();
     }
 }

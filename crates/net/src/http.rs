@@ -73,32 +73,40 @@ fn invalid(msg: impl Into<String>) -> io::Error {
 
 /// Reads one CRLF- (or LF-) terminated line, bounded by [`MAX_LINE`].
 /// `Ok(None)` means clean EOF before any byte.
+///
+/// Scans the reader's buffer (`fill_buf`/`consume`) for the newline
+/// instead of reading byte by byte, and consumes nothing past it, so the
+/// body that follows the head stays in the buffer.
 fn read_line<R: BufRead>(r: &mut R) -> io::Result<Option<String>> {
     let mut line = Vec::new();
     loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                return Err(invalid("truncated line (eof mid-line)"));
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if line.last() == Some(&b'\r') {
-                        line.pop();
-                    }
-                    let s = String::from_utf8(line)
-                        .map_err(|_| invalid("non-utf8 header line"))?;
-                    return Ok(Some(s));
-                }
-                line.push(byte[0]);
-                if line.len() > MAX_LINE {
-                    return Err(invalid("header line too long"));
-                }
-            }
+        let buf = match r.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            if line.is_empty() {
+                return Ok(None);
+            }
+            return Err(invalid("truncated line (eof mid-line)"));
+        }
+        let (chunk, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (&buf[..i], true),
+            None => (buf, false),
+        };
+        if line.len() + chunk.len() > MAX_LINE {
+            return Err(invalid("header line too long"));
+        }
+        line.extend_from_slice(chunk);
+        let used = chunk.len() + usize::from(done);
+        r.consume(used);
+        if done {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            let s = String::from_utf8(line).map_err(|_| invalid("non-utf8 header line"))?;
+            return Ok(Some(s));
         }
     }
 }
@@ -228,19 +236,58 @@ pub fn write_request<W: Write>(w: &mut W, method: &str, path: &str, body: &[u8])
     send(w, msg, body)
 }
 
+/// A response head; `close` adds `Connection: close`.
+fn response_head(status: u16, body_len: usize, content_type: &str, close: bool) -> String {
+    format!(
+        "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nContent-Type: {}\r\n{}\r\n",
+        status,
+        reason(status),
+        body_len,
+        content_type,
+        if close { "Connection: close\r\n" } else { "" }
+    )
+}
+
 /// Writes one response; `close` adds `Connection: close`.
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, close: bool) -> io::Result<()> {
-    let mut msg = Vec::with_capacity(128 + resp.body.len());
-    write!(
-        msg,
-        "HTTP/1.1 {} {}\r\nContent-Length: {}\r\nContent-Type: {}\r\n{}\r\n",
-        resp.status,
-        reason(resp.status),
-        resp.body.len(),
-        resp.content_type,
-        if close { "Connection: close\r\n" } else { "" }
-    )?;
-    send(w, msg, &resp.body)
+    let head = response_head(resp.status, resp.body.len(), resp.content_type, close);
+    send(w, head.into_bytes(), &resp.body)
+}
+
+/// Bytes reserved in front of an [`InPlaceBody`]: more than the longest
+/// head [`response_head`] writes for a JSON body (108 bytes, with a
+/// 20-digit length and `Connection: close`).
+const HEAD_ROOM: usize = 128;
+
+/// A `200` JSON response assembled in place: the body is appended after
+/// room reserved for the head, and [`InPlaceBody::send`] writes the head
+/// into that room, so the message leaves in one write without the body
+/// being copied. The buffer keeps its capacity from one response to the
+/// next.
+#[derive(Debug, Default)]
+pub(crate) struct InPlaceBody {
+    buf: String,
+}
+
+impl InPlaceBody {
+    /// Starts a new body and returns the buffer to append it to. Append
+    /// only: the reserved room in front belongs to the head.
+    pub(crate) fn begin(&mut self) -> &mut String {
+        self.buf.clear();
+        self.buf.extend(std::iter::repeat_n(' ', HEAD_ROOM));
+        &mut self.buf
+    }
+
+    /// Writes the head in front of the body begun last and sends both in
+    /// one write; `close` adds `Connection: close`.
+    pub(crate) fn send<W: Write>(&mut self, w: &mut W, close: bool) -> io::Result<()> {
+        let head = response_head(200, self.buf.len() - HEAD_ROOM, CONTENT_TYPE_JSON, close);
+        let start = HEAD_ROOM - head.len();
+        // Same length in as out: overwrites the room without moving the body.
+        self.buf.replace_range(start..HEAD_ROOM, &head);
+        w.write_all(&self.buf.as_bytes()[start..])?;
+        w.flush()
+    }
 }
 
 /// Appends `body` to the formatted `head` and hands the message to `w`
@@ -306,6 +353,54 @@ mod tests {
             assert_eq!(resp.status, 503);
             assert_eq!(resp.body, b"{}");
             assert_eq!(closing, close);
+        }
+    }
+
+    #[test]
+    fn in_place_body_matches_write_response_in_one_write() {
+        let mut body = InPlaceBody::default();
+        for (text, close) in [("{\"ok\":true}", false), ("", true), ("[1,2]", false)] {
+            body.begin().push_str(text);
+            let mut wire = CountingWriter::default();
+            body.send(&mut wire, close).unwrap();
+            assert_eq!(wire.writes, 1, "head and body leave in one write");
+            let mut want = CountingWriter::default();
+            write_response(
+                &mut want,
+                &Response::json(200, text.as_bytes().to_vec()),
+                close,
+            )
+            .unwrap();
+            assert_eq!(wire.bytes, want.bytes);
+        }
+        let longest = response_head(200, usize::MAX, CONTENT_TYPE_JSON, true);
+        assert!(longest.len() <= HEAD_ROOM, "{} bytes", longest.len());
+    }
+
+    #[test]
+    fn lines_split_across_buffer_fills_and_leave_the_body_unread() {
+        let msg = b"POST /query HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody";
+        // A 1-byte buffer makes every line span many fills.
+        for cap in [1, 3, 16, 4096] {
+            let req = read_request(&mut BufReader::with_capacity(cap, &msg[..]))
+                .unwrap()
+                .unwrap();
+            assert_eq!(
+                (req.path.as_str(), &req.body[..]),
+                ("/query", &b"body"[..]),
+                "{cap}"
+            );
+        }
+        // The bound counts every byte before the `\n`, the `\r` too.
+        let longest = format!("GET /{} HTTP/1.1\r", "a".repeat(MAX_LINE - 15));
+        assert_eq!(longest.len(), MAX_LINE);
+        let ok = format!("{longest}\n\r\n");
+        assert!(read_request(&mut BufReader::with_capacity(7, ok.as_bytes())).is_ok());
+        let long = format!("a{longest}\n\r\n");
+        for cap in [1, 7, MAX_LINE * 2] {
+            let err =
+                read_request(&mut BufReader::with_capacity(cap, long.as_bytes())).unwrap_err();
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "{cap}");
         }
     }
 

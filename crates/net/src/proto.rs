@@ -18,6 +18,23 @@
 //! (inclusive numeric range). Schema attributes are
 //! `{"name":…,"cat":size}` or `{"name":…,"min":…,"max":…}`.
 //!
+//! # Encoding answers
+//!
+//! A success body lists each returned tuple as one row fragment,
+//! `["c3","i-7"]`, written by [`push_row`]. The serve loop never encodes
+//! a tuple: it asks its [`ConnectionClient`](hdc_server::ConnectionClient)
+//! for [`Answer`]s, whose fragments come from the store's row table
+//! (pre-encoded by the same `push_row` on the store's first wire query),
+//! and [`push_answer`] / [`push_batch_answers`] concatenate them.
+//! [`outcome_body`] and [`batch_outcome_body`] encode [`QueryOutcome`]s
+//! through the same framing and the same `push_row`, so both paths emit
+//! the same bytes (`tests/answer_bodies.rs` checks this on random
+//! stores).
+//!
+//! The parsers build each tuple with one allocation: values go into a
+//! reused scratch vector, which is then copied into the tuple's shared
+//! buffer.
+//!
 //! # Errors
 //!
 //! A failed query returns the [`DbError::wire_status`] code with body
@@ -27,6 +44,7 @@
 //! client; anything unparseable degrades to the status class
 //! ([`DbError::status_is_transient`]).
 
+use hdc_server::{push_row, Answer};
 use hdc_types::{AttrKind, Attribute, DbError, Predicate, Query, QueryOutcome, Schema, Tuple, Value};
 
 use crate::json::{self, Json};
@@ -149,57 +167,84 @@ pub fn parse_batch_body(body: &str) -> Result<Vec<Query>, WireError> {
 
 // -------------------------------------------------------------- outcomes
 
-/// Appends a serialized outcome to `out` in canonical form (`overflow`
-/// first, no whitespace) — the form [`outcome_fast`] parses without
-/// building a tree. Outcome bodies are the hot path of the wire (every
-/// batch response carries up to `batch × k` tuples), so both directions
-/// avoid per-token allocation.
-fn push_outcome_json(out: &mut String, o: &QueryOutcome) {
-    out.push_str("{\"overflow\":");
-    out.push_str(if o.overflow { "true" } else { "false" });
-    out.push_str(",\"tuples\":[");
-    for (i, t) in o.tuples.iter().enumerate() {
+/// Appends `items` to `out` as a JSON array, each written by `push`.
+fn push_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut push: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push('[');
-        for (j, v) in t.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            v.push_token(out);
-            out.push('"');
-        }
-        out.push(']');
+        push(out, item);
     }
-    out.push_str("]}");
+    out.push(']');
 }
 
-fn outcome_capacity(outs: &[&QueryOutcome]) -> usize {
-    outs.iter()
-        .map(|o| 32 + o.tuples.iter().map(|t| 4 + t.iter().count() * 16).sum::<usize>())
+/// Appends a serialized outcome to `out` in canonical form (`overflow`
+/// first, no whitespace) — the form [`outcome_fast`] parses without
+/// building a tree. `push` appends one row's [`push_row`] fragment.
+fn push_outcome<R>(
+    out: &mut String,
+    overflow: bool,
+    rows: impl IntoIterator<Item = R>,
+    push: impl FnMut(&mut String, R),
+) {
+    out.push_str("{\"overflow\":");
+    out.push_str(if overflow { "true" } else { "false" });
+    out.push_str(",\"tuples\":");
+    push_array(out, rows, push);
+    out.push('}');
+}
+
+/// Appends a `/query_batch` body: `{"outcomes":[…]}`, one outcome per
+/// item, each written by `push`.
+fn push_batch<T>(
+    out: &mut String,
+    outcomes: impl IntoIterator<Item = T>,
+    push: impl FnMut(&mut String, T),
+) {
+    out.push_str("{\"outcomes\":");
+    push_array(out, outcomes, push);
+    out.push('}');
+}
+
+fn push_outcome_tuples(out: &mut String, o: &QueryOutcome) {
+    push_outcome(out, o.overflow, &o.tuples, push_row);
+}
+
+/// Appends `answer` to `out` as a `/query` success body (or one entry of
+/// a batch body): its pre-encoded fragments, concatenated.
+pub fn push_answer(out: &mut String, answer: Answer<'_>) {
+    push_outcome(out, answer.overflow, answer.rows(), |out, row| {
+        out.push_str(row)
+    });
+}
+
+/// Appends `answers` to `out` as a `/query_batch` success body.
+pub fn push_batch_answers<'a>(out: &mut String, answers: impl IntoIterator<Item = Answer<'a>>) {
+    push_batch(out, answers, push_answer);
+}
+
+fn outcome_capacity<'a>(outs: impl IntoIterator<Item = &'a QueryOutcome>) -> usize {
+    outs.into_iter()
+        .map(|o| 32 + o.tuples.iter().map(|t| 4 + t.arity() * 16).sum::<usize>())
         .sum()
 }
 
 /// Serializes a `/query` success response body.
 pub fn outcome_body(out: &QueryOutcome) -> String {
-    let mut s = String::with_capacity(outcome_capacity(&[out]));
-    push_outcome_json(&mut s, out);
+    let mut s = String::with_capacity(outcome_capacity([out]));
+    push_outcome_tuples(&mut s, out);
     s
 }
 
 /// Serializes a `/query_batch` success response body.
 pub fn batch_outcome_body(outs: &[QueryOutcome]) -> String {
-    let mut s = String::with_capacity(16 + outcome_capacity(&outs.iter().collect::<Vec<_>>()));
-    s.push_str("{\"outcomes\":[");
-    for (i, o) in outs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_outcome_json(&mut s, o);
-    }
-    s.push_str("]}");
+    let mut s = String::with_capacity(16 + outcome_capacity(outs));
+    push_batch(&mut s, outs, push_outcome_tuples);
     s
 }
 
@@ -271,7 +316,10 @@ fn value_fast(cur: &mut Cur) -> Option<Value> {
     Some(v)
 }
 
-fn outcome_fast(cur: &mut Cur) -> Option<QueryOutcome> {
+/// Parses one canonical outcome. Each tuple's values are collected in
+/// `vals` (reused across tuples and outcomes), then copied into the
+/// tuple's shared buffer: one allocation per tuple.
+fn outcome_fast(cur: &mut Cur, vals: &mut Vec<Value>) -> Option<QueryOutcome> {
     if !cur.eat(b"{\"overflow\":") {
         return None;
     }
@@ -291,7 +339,7 @@ fn outcome_fast(cur: &mut Cur) -> Option<QueryOutcome> {
             if !cur.eat(b"[") {
                 return None;
             }
-            let mut vals = Vec::new();
+            vals.clear();
             if !cur.eat(b"]") {
                 loop {
                     vals.push(value_fast(cur)?);
@@ -304,7 +352,7 @@ fn outcome_fast(cur: &mut Cur) -> Option<QueryOutcome> {
                     return None;
                 }
             }
-            tuples.push(Tuple::new(vals));
+            tuples.push(Tuple::new(&vals[..]));
             if cur.eat(b",") {
                 continue;
             }
@@ -355,7 +403,7 @@ fn outcome_from_json(v: &Json) -> Result<QueryOutcome, WireError> {
 /// is identical.
 pub fn parse_outcome_body(body: &str) -> Result<QueryOutcome, WireError> {
     let mut cur = Cur::new(body);
-    if let Some(out) = outcome_fast(&mut cur) {
+    if let Some(out) = outcome_fast(&mut cur, &mut Vec::new()) {
         if cur.p == cur.b.len() {
             return Ok(out);
         }
@@ -369,9 +417,10 @@ fn batch_outcome_fast(body: &str) -> Option<Vec<QueryOutcome>> {
         return None;
     }
     let mut outs = Vec::new();
+    let mut vals = Vec::new();
     if !cur.eat(b"]") {
         loop {
-            outs.push(outcome_fast(&mut cur)?);
+            outs.push(outcome_fast(&mut cur, &mut vals)?);
             if cur.eat(b",") {
                 continue;
             }

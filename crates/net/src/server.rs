@@ -2,9 +2,21 @@
 //!
 //! Thread-per-connection serving of the [`proto`]
 //! endpoints. Each accepted connection mints its own
-//! [`ServerClient`](hdc_server::ServerClient) (per-connection identity
-//! isolation, optionally budgeted), so N wire clients get exactly the
-//! semantics N in-process `shared.client()` handles would.
+//! [`ConnectionClient`] (per-connection identity isolation, optionally
+//! budgeted), so N wire clients get exactly the semantics N in-process
+//! `shared.client()` handles would.
+//!
+//! # Answers are concatenated, not encoded
+//!
+//! A `ConnectionClient` answers with matched rows' pre-encoded
+//! fragments, taken from the store's row table
+//! ([`hdc_server::row_table`]). The table is built on the first
+//! `/query` or `/query_batch` the store answers — not by
+//! [`WireServer::start`] and not by `GET /schema`, so starting a server
+//! costs nothing extra, and a store never queried over the wire never
+//! holds it. Each connection appends its answers' fragments straight
+//! into one reused response buffer, behind room reserved for the HTTP
+//! head, and sends head and body in one write.
 //!
 //! # Shutdown drains
 //!
@@ -41,10 +53,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hdc_core::CancelToken;
-use hdc_server::SharedServer;
-use hdc_types::{DbError, HiddenDatabase};
+use hdc_server::{ConnectionClient, SharedServer};
+use hdc_types::DbError;
 
-use crate::http::{self, Request, Response};
+use crate::http::{self, InPlaceBody, Request, Response};
 use crate::proto;
 
 /// Deterministic server-side fault injection for the query endpoints.
@@ -204,7 +216,7 @@ pub fn serve(
                     }
                     let conn_id = next_conn;
                     next_conn += 1;
-                    let db = shared.connection_client(opts.budget);
+                    let db = shared.connection(opts.budget);
                     let (counters, schema_body) = (&counters, schema_body.as_str());
                     scope.spawn(move || {
                         // Handler errors mean the peer vanished or spoke
@@ -276,7 +288,7 @@ impl FaultDice {
 
 fn handle_connection(
     stream: TcpStream,
-    mut db: Box<dyn HiddenDatabase + Send>,
+    mut db: ConnectionClient,
     schema_body: &str,
     opts: &ServeOptions,
     conn_id: u64,
@@ -287,7 +299,7 @@ fn handle_connection(
     let mut tally = ConnTally::default();
     let result = serve_requests(
         stream,
-        &mut *db,
+        &mut db,
         schema_body,
         opts,
         conn_id,
@@ -310,7 +322,7 @@ fn handle_connection(
 #[allow(clippy::too_many_arguments)] // the one seam between accept loop and request loop
 fn serve_requests(
     stream: TcpStream,
-    db: &mut dyn HiddenDatabase,
+    db: &mut ConnectionClient,
     schema_body: &str,
     opts: &ServeOptions,
     conn_id: u64,
@@ -324,6 +336,7 @@ fn serve_requests(
     let stall = faults.as_ref().and_then(|plan| plan.stall);
     let mut reader = BufReader::new(stream.try_clone()?);
     let writer = stream;
+    let mut answer = InPlaceBody::default();
     loop {
         // Idle poll: peek for the first byte under a short timeout so a
         // parked keep-alive connection notices cancellation promptly.
@@ -365,16 +378,20 @@ fn serve_requests(
             counters,
             tally,
         };
-        let (resp, hangup) = route(
+        let (reply, hangup) = route(
             &req,
             db,
+            &mut answer,
             schema_body,
             &mut ctx,
             cancel,
             opts.extension.as_deref(),
         );
         let closing = hangup || cancel.is_cancelled();
-        http::write_response(&mut &writer, &resp, closing)?;
+        match reply {
+            Reply::Full(resp) => http::write_response(&mut &writer, &resp, closing)?,
+            Reply::Answer => answer.send(&mut &writer, closing)?,
+        }
         if let Some(start) = timer {
             let m = wire_metrics();
             m.requests.inc();
@@ -416,77 +433,84 @@ struct RequestCtx<'a> {
     tally: &'a mut ConnTally,
 }
 
-/// Routes one request. Returns the response and whether the connection
+/// What [`route`] answered.
+enum Reply {
+    /// A complete response.
+    Full(Response),
+    /// A `200` whose body [`route`] assembled in the connection's
+    /// [`InPlaceBody`].
+    Answer,
+}
+
+/// Routes one request. Returns the reply and whether the connection
 /// must close afterwards (shutdown was requested).
 fn route(
     req: &Request,
-    db: &mut dyn HiddenDatabase,
+    db: &mut ConnectionClient,
+    answer: &mut InPlaceBody,
     schema_body: &str,
     ctx: &mut RequestCtx<'_>,
     cancel: &CancelToken,
     extension: Option<&dyn RouteExt>,
-) -> (Response, bool) {
+) -> (Reply, bool) {
     let body = String::from_utf8_lossy(&req.body);
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/schema") => (ok(schema_body.to_string()), false),
+    let reply = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/schema") => ok(schema_body.to_string()),
         // The telemetry registry is process-wide: counters here cover
         // every connection of this server (plus anything else the
         // process instruments), not just the asking connection.
-        ("GET", "/metrics") => (
-            Response::prometheus(200, hdc_obs::registry().render_prometheus()),
-            false,
-        ),
-        ("GET", "/stats") => (ok(hdc_obs::registry().render_json()), false),
+        ("GET", "/metrics") => Response::prometheus(200, hdc_obs::registry().render_prometheus()),
+        ("GET", "/stats") => ok(hdc_obs::registry().render_json()),
         ("POST", "/shutdown") => {
             cancel.cancel();
-            (ok("{\"ok\":true}".to_string()), true)
+            return (Reply::Full(ok("{\"ok\":true}".to_string())), true);
         }
         ("POST", "/query") => {
             if let Some(resp) = injected_fault(ctx) {
-                return (resp, false);
+                return (Reply::Full(resp), false);
             }
             match proto::parse_query_body(&body) {
                 Ok(q) => match db.query(&q) {
-                    Ok(out) => (ok(proto::outcome_body(&out)), false),
-                    Err(e) => (error_response(&e), false),
+                    Ok(a) => {
+                        proto::push_answer(answer.begin(), a);
+                        return (Reply::Answer, false);
+                    }
+                    Err(e) => error_response(&e),
                 },
-                Err(e) => (protocol_error(&e), false),
+                Err(e) => protocol_error(&e),
             }
         }
         ("POST", "/query_batch") => {
             if let Some(resp) = injected_fault(ctx) {
-                return (resp, false);
+                return (Reply::Full(resp), false);
             }
             match proto::parse_batch_body(&body) {
                 Ok(qs) => match db.query_batch(&qs) {
-                    Ok(outs) => (ok(proto::batch_outcome_body(&outs)), false),
-                    Err(e) => (error_response(&e), false),
+                    Ok(answers) => {
+                        proto::push_batch_answers(answer.begin(), answers);
+                        return (Reply::Answer, false);
+                    }
+                    Err(e) => error_response(&e),
                 },
-                Err(e) => (protocol_error(&e), false),
+                Err(e) => protocol_error(&e),
             }
         }
-        ("GET" | "POST", _) => {
-            // Built-ins stay authoritative: only a path none of them
-            // claimed reaches the extension.
-            if let Some(resp) = extension.and_then(|ext| ext.handle(req)) {
-                return (resp, false);
-            }
-            (
+        // Built-ins stay authoritative: only a path none of them
+        // claimed reaches the extension.
+        ("GET" | "POST", _) => extension
+            .and_then(|ext| ext.handle(req))
+            .unwrap_or_else(|| {
                 Response::json(
                     404,
                     b"{\"kind\":\"protocol\",\"error\":\"no such endpoint\"}".to_vec(),
-                ),
-                false,
-            )
-        }
-        _ => (
-            Response::json(
-                405,
-                b"{\"kind\":\"protocol\",\"error\":\"method not allowed\"}".to_vec(),
-            ),
-            false,
+                )
+            }),
+        _ => Response::json(
+            405,
+            b"{\"kind\":\"protocol\",\"error\":\"method not allowed\"}".to_vec(),
         ),
-    }
+    };
+    (Reply::Full(reply), false)
 }
 
 /// Rolls the fault dice for a query endpoint. A fault stalls (when

@@ -49,7 +49,7 @@
 //!
 //! Crawl algorithms issue *bursts* of sibling queries — the slice fetches
 //! under one extended-DFS node, the two or three probes of a rank-shrink
-//! split — and [`Engine::evaluate_batch`] takes a whole burst at once.
+//! split — and [`Engine::evaluate`] takes a whole burst at once.
 //! Each query is planned on its own. Probe-planned queries that share
 //! their driving predicate *and* at least one residual form a **grouped
 //! probe**: one walk over the driver's candidate list, with the shared
@@ -60,12 +60,12 @@
 //! [`ServerStats`] (`batches`, `batched_queries`,
 //! `batch_grouped_probes`).
 //!
-//! The batch path is a performance hint, never a semantic one:
-//! `evaluate_batch(qs)[i]` is bit-identical to evaluating `qs[i]` alone
-//! (enforced by `tests/engine_prop.rs` against the per-query path, the
-//! seed evaluator, and a brute-force oracle). Empty batches return no
-//! outcomes and singleton batches delegate to the single-query path, so
-//! batching can never cost more than the loop it replaces.
+//! The batch path is a performance hint, never a semantic one: answer
+//! `i` of a batch is bit-identical to evaluating `qs[i]` alone (enforced
+//! by `tests/engine_prop.rs` against the per-query path, the seed
+//! evaluator, and a brute-force oracle). Empty batches return no answers
+//! and a lone query runs its solo executor, so batching can never cost
+//! more than the loop it replaces.
 //!
 //! All executors are property-tested bit-identical to the seed's
 //! row-at-a-time evaluator ([`crate::LegacyEvaluator`]) and to a
@@ -126,8 +126,8 @@ enum PlanKind {
     Intersect,
 }
 
-/// Reusable per-caller buffers so steady-state queries allocate only
-/// their result vector.
+/// Reusable per-caller buffers, so steady-state queries allocate
+/// nothing in the engine.
 ///
 /// The engine itself is immutable after construction; all evaluation
 /// state lives here. Each client session owns one `Scratch`, which is
@@ -135,19 +135,15 @@ enum PlanKind {
 /// concurrently.
 #[derive(Default, Debug)]
 pub(crate) struct Scratch {
-    /// Matched row ids, ascending.
-    matched: Vec<u32>,
-    /// Compiled constraining predicates, sorted by `(sel, attr)`.
-    preds: Vec<PredInfo>,
     /// Row-id candidates for numeric probes.
     ids: Vec<u32>,
-    /// Per-batch state (reused across batches).
+    /// Per-query state of the current call (a lone query is a batch of
+    /// one).
     batch: BatchScratch,
 }
 
 /// Reusable per-batch buffers, one entry per batch member. Inner vectors
-/// keep their capacity across batches, so steady-state batch evaluation
-/// allocates about as much as the per-query loop.
+/// keep their capacity across batches.
 #[derive(Default, Debug)]
 struct BatchScratch {
     /// Plan kind per query.
@@ -262,50 +258,52 @@ impl Engine {
         &self.index
     }
 
-    /// Evaluates `q` with the planner, recording the decision in `stats`
-    /// and scribbling only in the caller's `scratch`.
-    pub(crate) fn evaluate(
+    /// Evaluates a batch with the planner, recording each decision in
+    /// `stats` and scribbling only in the caller's `scratch`. Every query
+    /// is planned on its own, and probes sharing their driver and a
+    /// residual walk the driver's list together (see the module docs).
+    ///
+    /// Yields one answer per query, in order: the matched row ids
+    /// (ascending, at most `k`) and the overflow flag. The caller turns
+    /// them into tuples ([`materialize`]) or wire fragments. Answer `i` is
+    /// bit-identical to evaluating `queries[i]` alone; a lone query runs
+    /// its solo executor and is not counted as a batch.
+    pub(crate) fn evaluate<'s>(
         &self,
-        rows: &[Tuple],
-        k: usize,
-        q: &Query,
-        stats: &mut ServerStats,
-        scratch: &mut Scratch,
-    ) -> QueryOutcome {
-        let Scratch {
-            matched,
-            preds,
-            ids,
-            ..
-        } = scratch;
-        let kind = plan_into(&self.store, &self.index, q, preds);
-        self.record(stats, kind, preds);
-        let overflow = self.execute(kind, preds, k, matched, ids);
-        materialize(rows, matched, overflow)
-    }
-
-    /// Evaluates a whole batch in one pass: every query is planned on its
-    /// own, and probes sharing their driver and a residual walk the
-    /// driver's list together (see the module docs). Outcome `i` is
-    /// bit-identical to evaluating `queries[i]` alone.
-    pub(crate) fn evaluate_batch(
-        &self,
-        rows: &[Tuple],
         k: usize,
         queries: &[Query],
         stats: &mut ServerStats,
-        scratch: &mut Scratch,
-    ) -> Vec<QueryOutcome> {
+        scratch: &'s mut Scratch,
+    ) -> impl ExactSizeIterator<Item = (&'s [u32], bool)> + Clone + 's {
+        let m = queries.len();
+        let Scratch { ids, batch: b } = scratch;
+        b.reset(m);
         match queries {
-            [] => return Vec::new(),
-            [q] => return vec![self.evaluate(rows, k, q, stats, scratch)],
-            _ => {}
+            [] => {}
+            [q] => {
+                let kind = plan_into(&self.store, &self.index, q, &mut b.preds[0]);
+                self.record(stats, kind, &b.preds[0]);
+                b.overflow[0] = self.execute(kind, &b.preds[0], k, &mut b.matched[0], ids);
+            }
+            _ => self.execute_batch(k, queries, stats, ids, b),
         }
+        let b = &*b;
+        (0..m).map(move |i| (&b.matched[i][..], b.overflow[i]))
+    }
+
+    /// The multi-query body of [`Self::evaluate`]: leaves each
+    /// query's row ids and overflow flag in `b`.
+    fn execute_batch(
+        &self,
+        k: usize,
+        queries: &[Query],
+        stats: &mut ServerStats,
+        ids: &mut Vec<u32>,
+        b: &mut BatchScratch,
+    ) {
         stats.record_batch(queries.len());
         let Engine { store, index } = self;
-        let Scratch { ids, batch: b, .. } = scratch;
         let m = queries.len();
-        b.reset(m);
         for (i, q) in queries.iter().enumerate() {
             b.kinds.push(plan_into(store, index, q, &mut b.preds[i]));
             self.record(stats, b.kinds[i], &b.preds[i]);
@@ -408,10 +406,6 @@ impl Engine {
                 b.overflow[t.slot] = t.overflow;
             }
         }
-
-        (0..m)
-            .map(|i| materialize(rows, &b.matched[i], b.overflow[i]))
-            .collect()
     }
 
     /// Evaluates `q` with a forced strategy (testing/benchmark hook).
@@ -544,7 +538,7 @@ fn plan_into(
 
 /// Assembles the outcome; `Tuple` is `Arc`-backed, so each "clone" is a
 /// reference-count bump on the shared row table.
-fn materialize(rows: &[Tuple], matched: &[u32], overflow: bool) -> QueryOutcome {
+pub(crate) fn materialize(rows: &[Tuple], matched: &[u32], overflow: bool) -> QueryOutcome {
     QueryOutcome {
         tuples: matched.iter().map(|&r| rows[r as usize].clone()).collect(),
         overflow,
@@ -788,6 +782,35 @@ mod tests {
         (schema, rows)
     }
 
+    impl Engine {
+        /// [`Engine::evaluate`] of one query, materialized.
+        fn outcome(
+            &self,
+            rows: &[Tuple],
+            k: usize,
+            q: &Query,
+            stats: &mut ServerStats,
+            scratch: &mut Scratch,
+        ) -> QueryOutcome {
+            self.outcomes(rows, k, std::slice::from_ref(q), stats, scratch)
+                .remove(0)
+        }
+
+        /// [`Engine::evaluate`], materialized.
+        fn outcomes(
+            &self,
+            rows: &[Tuple],
+            k: usize,
+            qs: &[Query],
+            stats: &mut ServerStats,
+            scratch: &mut Scratch,
+        ) -> Vec<QueryOutcome> {
+            self.evaluate(k, qs, stats, scratch)
+                .map(|(ids, overflow)| materialize(rows, ids, overflow))
+                .collect()
+        }
+    }
+
     fn brute(rows: &[Tuple], k: usize, q: &Query) -> QueryOutcome {
         let all: Vec<Tuple> = rows.iter().filter(|t| q.matches(t)).cloned().collect();
         if all.len() <= k {
@@ -837,7 +860,7 @@ mod tests {
         let mut scratch = Scratch::default();
         for q in &queries() {
             for k in [1usize, 5, 64, 10_000] {
-                let got = engine.evaluate(&rows, k, q, &mut stats, &mut scratch);
+                let got = engine.outcome(&rows, k, q, &mut stats, &mut scratch);
                 assert_eq!(got, brute(&rows, k, q), "q={q} k={k}");
             }
         }
@@ -931,7 +954,7 @@ mod tests {
         );
         let mut stats = ServerStats::default();
         let planned_engine = Engine::new(&schema, &rows);
-        let got = planned_engine.evaluate(&rows, 64, &q, &mut stats, &mut Scratch::default());
+        let got = planned_engine.outcome(&rows, 64, &q, &mut stats, &mut Scratch::default());
         assert_eq!(stats.intersect_evals, 1);
         assert_eq!(got, brute(&rows, 64, &q));
     }
@@ -1021,7 +1044,7 @@ mod tests {
         let mut scratch = Scratch::default();
         for k in [1usize, 5, 64, 10_000] {
             let mut stats = ServerStats::default();
-            let outs = engine.evaluate_batch(&rows, k, &qs, &mut stats, &mut scratch);
+            let outs = engine.outcomes(&rows, k, &qs, &mut stats, &mut scratch);
             assert_eq!(outs.len(), qs.len());
             for (q, got) in qs.iter().zip(&outs) {
                 assert_eq!(got, &brute(&rows, k, q), "q={q} k={k}");
@@ -1067,7 +1090,7 @@ mod tests {
         let mut scratch = Scratch::default();
         for k in [1usize, 3, 64] {
             let mut stats = ServerStats::default();
-            let outs = engine.evaluate_batch(&rows, k, &qs, &mut stats, &mut scratch);
+            let outs = engine.outcomes(&rows, k, &qs, &mut stats, &mut scratch);
             for (q, got) in qs.iter().zip(&outs) {
                 assert_eq!(got, &brute(&rows, k, q), "q={q} k={k}");
             }
@@ -1082,11 +1105,10 @@ mod tests {
         let mut stats = ServerStats::default();
         let mut scratch = Scratch::default();
         assert!(engine
-            .evaluate_batch(&rows, 5, &[], &mut stats, &mut scratch)
+            .outcomes(&rows, 5, &[], &mut stats, &mut scratch)
             .is_empty());
         let q = Query::any(3);
-        let outs =
-            engine.evaluate_batch(&rows, 5, std::slice::from_ref(&q), &mut stats, &mut scratch);
+        let outs = engine.outcomes(&rows, 5, std::slice::from_ref(&q), &mut stats, &mut scratch);
         assert_eq!(outs, vec![brute(&rows, 5, &q)]);
         assert_eq!(stats.batches, 0);
         assert_eq!(stats.scan_evals, 1);
@@ -1116,7 +1138,7 @@ mod tests {
             Query::any(3),
         ];
         for batch in [&first, &second, &first] {
-            let outs = engine.evaluate_batch(&rows, 7, batch, &mut stats, &mut scratch);
+            let outs = engine.outcomes(&rows, 7, batch, &mut stats, &mut scratch);
             for (q, got) in batch.iter().zip(&outs) {
                 assert_eq!(got, &brute(&rows, 7, q), "q={q}");
             }
@@ -1152,7 +1174,7 @@ mod tests {
         assert_eq!(preds.len(), 2);
         for (q, cell_probes) in [(&full, 1), (&partial, 0)] {
             let mut stats = ServerStats::default();
-            let got = engine.evaluate(&rows, 8, q, &mut stats, &mut Scratch::default());
+            let got = engine.outcome(&rows, 8, q, &mut stats, &mut Scratch::default());
             assert_eq!(got, brute(&rows, 8, q), "q={q}");
             assert_eq!(stats.probe_evals, 1, "q={q}");
             assert_eq!(stats.cell_probes, cell_probes, "q={q}");
@@ -1167,7 +1189,7 @@ mod tests {
         assert_eq!(preds[0].attr, 1);
         assert_eq!(preds[1].attr, cell);
         let mut stats = ServerStats::default();
-        let got = engine.evaluate(&rows, 8, &narrow, &mut stats, &mut Scratch::default());
+        let got = engine.outcome(&rows, 8, &narrow, &mut stats, &mut Scratch::default());
         assert_eq!(got, brute(&rows, 8, &narrow));
         assert_eq!((stats.probe_evals, stats.cell_probes), (1, 0));
     }
@@ -1203,7 +1225,7 @@ mod tests {
             PlanKind::EmptyResult
         );
         let mut stats = ServerStats::default();
-        let got = engine.evaluate(&rows, 4, &q, &mut stats, &mut Scratch::default());
+        let got = engine.outcome(&rows, 4, &q, &mut stats, &mut Scratch::default());
         assert_eq!(got, brute(&rows, 4, &q));
         assert!(got.tuples.is_empty());
         assert_eq!((stats.probe_evals, stats.cell_probes), (1, 0));

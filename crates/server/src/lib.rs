@@ -81,6 +81,11 @@
 //! one session, and [`HiddenDbServer::share`] opens an existing
 //! server's store for sharing.
 //!
+//! A wire front end mints a [`ConnectionClient`] per connection
+//! ([`SharedServer::connection`]) instead: the same session, an optional
+//! quota, and answers as pre-encoded row fragments ([`Answer`]) taken
+//! from a [`row_table`] the core builds on its first wire query.
+//!
 //! [`Budgeted`] decorates any [`hdc_types::HiddenDatabase`] with the query
 //! quota real sites impose per client. Decorators ([`Budgeted`],
 //! [`Recorder`], [`Replayer`]) deliberately do *not* override
@@ -98,6 +103,7 @@ mod engine;
 mod eval;
 mod index;
 pub mod replay;
+pub mod row_table;
 pub mod server;
 pub mod shared;
 pub mod stats;
@@ -107,6 +113,7 @@ pub use budget::{Budgeted, DailyQuota};
 pub use engine::Strategy;
 pub use eval::LegacyEvaluator;
 pub use replay::{QueryCache, Recorder, Replayer};
+pub use row_table::{push_row, Answer};
 pub use server::{HiddenDbServer, ServerConfig};
-pub use shared::{ServerClient, SharedServer};
+pub use shared::{ConnectionClient, ServerClient, SharedServer};
 pub use stats::ServerStats;

@@ -13,6 +13,15 @@
 //! [`HiddenDbServer`] pairs one core with one session, preserving the
 //! original single-owner `&mut` API; [`crate::SharedServer`] hands out
 //! any number of sessions over the same core.
+//!
+//! The engine answers a query with matched row ids. In-process clients
+//! turn them into `Arc`-shared [`Tuple`]s; a wire connection
+//! ([`crate::ConnectionClient`]) turns them into the rows' pre-encoded
+//! wire fragments instead. The core keeps those fragments in a row
+//! table ([`crate::row_table`]) that it builds behind a `OnceLock` on
+//! the first wire query, never at construction: a store that is only queried in
+//! process (or whose wire server only answered `GET /schema`) never
+//! holds it.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -21,15 +30,16 @@ use hdc_types::{DbError, HiddenDatabase, Query, QueryOutcome, Schema, SchemaErro
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::engine::{Engine, Scratch, Strategy};
+use crate::engine::{materialize, Engine, Scratch, Strategy};
 use crate::eval::LegacyEvaluator;
+use crate::row_table::RowTable;
 use crate::stats::ServerStats;
 
 /// Handles to the engine metrics, resolved once. The evaluate
 /// histogram is labelled by the planner's chosen strategy (inferred
 /// from the [`ServerStats`] plan counters around the call, so the
-/// engine itself stays untouched); whole batches are labelled
-/// `plan="batch"` since one batch may mix strategies.
+/// engine itself stays untouched); batches of any other size than one
+/// are labelled `plan="batch"` since one batch may mix strategies.
 struct EngineMetrics {
     /// `hdc_engine_queries_total`.
     queries: Arc<hdc_obs::Counter>,
@@ -147,6 +157,8 @@ pub(crate) struct ServerCore {
     source: Vec<u32>,
     k: usize,
     engine: Engine,
+    /// Every row's wire fragment, built on the first wire query.
+    row_table: OnceLock<RowTable>,
 }
 
 /// The mutable half of one client's connection to a [`ServerCore`]:
@@ -190,6 +202,7 @@ impl ServerCore {
             source: order,
             k,
             engine,
+            row_table: OnceLock::new(),
         })
     }
 
@@ -225,6 +238,15 @@ impl ServerCore {
         self.engine.index().distinct(a)
     }
 
+    /// Every row's wire fragment, built on first use.
+    pub(crate) fn row_table(&self) -> &RowTable {
+        self.row_table.get_or_init(|| RowTable::build(&self.rows))
+    }
+
+    pub(crate) fn row_table_built(&self) -> bool {
+        self.row_table.get().is_some()
+    }
+
     /// Answers one query, charging it to `session`. The evaluation path
     /// is identical for every front end — solo server or shared client —
     /// so outcomes are bit-identical across them by construction.
@@ -233,24 +255,11 @@ impl ServerCore {
         q: &Query,
         session: &mut ClientSession,
     ) -> Result<QueryOutcome, DbError> {
-        q.validate(&self.schema)?;
-        let timer = hdc_obs::enabled().then(Instant::now);
-        let before = (
-            session.stats.scan_evals,
-            session.stats.probe_evals,
-            session.stats.intersect_evals,
-        );
-        let out = self
-            .engine
-            .evaluate(&self.rows, self.k, q, &mut session.stats, &mut session.scratch);
-        if let Some(start) = timer {
-            let m = engine_metrics();
-            m.queries.inc();
-            m.by_plan_delta(&session.stats, before)
-                .observe_duration(start.elapsed());
-        }
-        session.stats.record_outcome(out.len(), out.overflow);
-        Ok(out)
+        let (ids, overflow) = self
+            .query_rows(std::slice::from_ref(q), session)?
+            .next()
+            .expect("one answer per query");
+        Ok(materialize(&self.rows, ids, overflow))
     }
 
     /// Answers a whole batch in one engine pass, charging each query to
@@ -261,26 +270,40 @@ impl ServerCore {
         queries: &[Query],
         session: &mut ClientSession,
     ) -> Result<Vec<QueryOutcome>, DbError> {
+        Ok(self
+            .query_rows(queries, session)?
+            .map(|(ids, overflow)| materialize(&self.rows, ids, overflow))
+            .collect())
+    }
+
+    /// [`Self::query_batch`], answered as matched row ids (ascending, at
+    /// most `k`) plus the overflow flag per query, in order, borrowed
+    /// from `session`'s scratch.
+    pub(crate) fn query_rows<'s>(
+        &self,
+        queries: &[Query],
+        session: &'s mut ClientSession,
+    ) -> Result<impl ExactSizeIterator<Item = (&'s [u32], bool)> + 's, DbError> {
         for q in queries {
             q.validate(&self.schema)?;
         }
+        let ClientSession { stats, scratch } = session;
         let timer = hdc_obs::enabled().then(Instant::now);
-        let outs = self.engine.evaluate_batch(
-            &self.rows,
-            self.k,
-            queries,
-            &mut session.stats,
-            &mut session.scratch,
-        );
+        let before = (stats.scan_evals, stats.probe_evals, stats.intersect_evals);
+        let answers = self.engine.evaluate(self.k, queries, stats, scratch);
         if let Some(start) = timer {
             let m = engine_metrics();
             m.queries.add(queries.len() as u64);
-            m.batch.observe_duration(start.elapsed());
+            let histogram = match queries.len() {
+                1 => m.by_plan_delta(stats, before),
+                _ => &m.batch,
+            };
+            histogram.observe_duration(start.elapsed());
         }
-        for out in &outs {
-            session.stats.record_outcome(out.len(), out.overflow);
+        for (ids, overflow) in answers.clone() {
+            stats.record_outcome(ids.len(), overflow);
         }
-        Ok(outs)
+        Ok(answers)
     }
 
     pub(crate) fn query_with_strategy(

@@ -9,7 +9,9 @@
 //! [`ServerStats`] and scratch buffers, each implementing
 //! [`HiddenDatabase`]. A handle is `Send`, so clients can be moved onto
 //! threads or workpool workers; the store is shared by reference, never
-//! copied.
+//! copied. A wire server mints one [`ConnectionClient`] per connection
+//! ([`SharedServer::connection`]), which answers with pre-encoded row
+//! fragments instead of tuples.
 //!
 //! # Isolation contract
 //!
@@ -52,6 +54,7 @@ use std::sync::Arc;
 use hdc_types::{Budgeted, DbError, HiddenDatabase, Query, QueryOutcome, Schema, SchemaError, Tuple};
 
 use crate::engine::Strategy;
+use crate::row_table::Answer;
 use crate::server::{ClientSession, ServerCore};
 use crate::stats::ServerStats;
 
@@ -104,19 +107,22 @@ impl SharedServer {
         Budgeted::new(self.client(), limit)
     }
 
-    /// One boxed per-connection client, optionally budgeted: the serve
-    /// handler's seam. A wire front end (`hdc-net`) mints one of these
-    /// per accepted connection, giving every remote identity its own
-    /// isolated `ClientSession` — and its own quota — behind a uniform
-    /// type.
-    pub fn connection_client(
-        &self,
-        budget: Option<u64>,
-    ) -> Box<dyn HiddenDatabase + Send> {
-        match budget {
-            Some(limit) => Box::new(self.client_with_budget(limit)),
-            None => Box::new(self.client()),
+    /// A wire connection's client, optionally with a query quota: the
+    /// serve handler's seam. A wire front end (`hdc-net`) mints one per
+    /// accepted connection, giving every remote identity its own
+    /// isolated session and its own quota. See [`ConnectionClient`].
+    pub fn connection(&self, budget: Option<u64>) -> ConnectionClient {
+        ConnectionClient {
+            core: Arc::clone(&self.core),
+            session: ClientSession::default(),
+            quota: budget.map(|limit| Quota { limit, issued: 0 }),
         }
+    }
+
+    /// Whether a wire query has built the store's row table yet (see
+    /// [`crate::row_table`]). In-process clients never build it.
+    pub fn row_table_built(&self) -> bool {
+        self.core.row_table_built()
     }
 
     /// Number of tuples `n` in the shared store.
@@ -222,6 +228,83 @@ impl HiddenDatabase for ServerClient {
     }
 }
 
+/// One wire connection's client of a [`SharedServer`]'s store: its own
+/// session, an optional query quota, and answers as pre-encoded row
+/// fragments ([`Answer`]) instead of tuples.
+///
+/// The first query any connection of a store answers builds the store's
+/// row table ([`crate::row_table`]); every later answer borrows fragments
+/// from it.
+///
+/// # Quota
+///
+/// With a quota, a connection charges and fails exactly like
+/// [`Budgeted`] around a [`ServerClient`], whose batches go through the
+/// trait's per-query loop: each query that would be answered is
+/// charged; once `limit` queries are charged, the next fails with
+/// [`DbError::BudgetExhausted`]; an invalid query fails uncharged. A
+/// batch that fails partway answers nothing, yet its prefix stays
+/// charged, as in that loop. A batch that succeeds runs as one engine
+/// pass, with or without a quota (its answers are the per-query loop's,
+/// bit for bit).
+#[derive(Debug)]
+pub struct ConnectionClient {
+    core: Arc<ServerCore>,
+    session: ClientSession,
+    quota: Option<Quota>,
+}
+
+#[derive(Debug)]
+struct Quota {
+    limit: u64,
+    issued: u64,
+}
+
+impl ConnectionClient {
+    /// Answers one query.
+    pub fn query(&mut self, q: &Query) -> Result<Answer<'_>, DbError> {
+        Ok(self
+            .query_batch(std::slice::from_ref(q))?
+            .next()
+            .expect("one answer per query"))
+    }
+
+    /// Answers a batch: one answer per query, in order, or one error.
+    pub fn query_batch(
+        &mut self,
+        queries: &[Query],
+    ) -> Result<impl ExactSizeIterator<Item = Answer<'_>>, DbError> {
+        if let Some(quota) = &mut self.quota {
+            // The per-query loop, minus evaluation: charge each query it
+            // would answer, and stop where it would fail.
+            for q in queries {
+                if quota.issued >= quota.limit {
+                    return Err(DbError::BudgetExhausted {
+                        issued: quota.issued,
+                        limit: quota.limit,
+                    });
+                }
+                q.validate(self.core.schema())?;
+                quota.issued += 1;
+            }
+        }
+        let core = &*self.core;
+        let table = core.row_table();
+        Ok(core
+            .query_rows(queries, &mut self.session)?
+            .map(move |(ids, overflow)| Answer::new(table, ids, overflow)))
+    }
+
+    /// Queries charged to this connection: with a quota, the quota's
+    /// count; without one, every query answered.
+    pub fn queries_issued(&self) -> u64 {
+        match &self.quota {
+            Some(quota) => quota.issued,
+            None => self.session.stats().queries,
+        }
+    }
+}
+
 // The whole point: a store handle can be shared across threads, and a
 // client can be moved onto one. Compile-time proof.
 const _: () = {
@@ -230,6 +313,7 @@ const _: () = {
     assert_send_sync::<SharedServer>();
     assert_send::<ServerClient>();
     assert_send::<Budgeted<ServerClient>>();
+    assert_send::<ConnectionClient>();
 };
 
 #[cfg(test)]

@@ -74,13 +74,31 @@ impl Value {
     /// Appends the compact text token shared by the checkpoint, wire and
     /// trace formats: `c5` for categorical 5, `i-7` for numeric −7.
     /// Tokens contain only `[ci0-9-]`, so they never need escaping.
+    ///
+    /// Every checkpoint, trace and wire answer writes one token per
+    /// value, so the digits come from a stack buffer rather than through
+    /// `core::fmt`; the bytes are the ones `format!("c{c}")` /
+    /// `format!("i{x}")` would produce.
     #[inline]
     pub fn push_token(self, out: &mut String) {
-        use std::fmt::Write as _;
-        let _ = match self {
-            Value::Cat(c) => write!(out, "c{c}"),
-            Value::Int(x) => write!(out, "i{x}"),
+        let (tag, magnitude) = match self {
+            Value::Cat(c) => ("c", u64::from(c)),
+            Value::Int(x) if x < 0 => ("i-", x.unsigned_abs()),
+            Value::Int(x) => ("i", x.unsigned_abs()),
         };
+        out.push_str(tag);
+        let mut digits = [0u8; 20]; // u64::MAX has 20 decimal digits
+        let mut start = digits.len();
+        let mut rest = magnitude;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
     }
 
     /// Parses a token written by [`Value::push_token`]; `None` for
@@ -178,6 +196,31 @@ mod tests {
         }
         for bad in ["", "c", "i", "x5", "c-1", "c4294967296", "i1.5", "€1", "c€"] {
             assert_eq!(Value::parse_token(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn tokens_match_format_byte_for_byte() {
+        let cases = [
+            Value::Cat(0),
+            Value::Cat(7),
+            Value::Cat(u32::MAX),
+            Value::Int(0),
+            Value::Int(-1),
+            Value::Int(10),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Int(i64::from(u32::MAX)),
+        ];
+        for v in cases {
+            let want = match v {
+                Value::Cat(c) => format!("c{c}"),
+                Value::Int(x) => format!("i{x}"),
+            };
+            let mut token = String::from("prefix:");
+            v.push_token(&mut token);
+            assert_eq!(token.strip_prefix("prefix:"), Some(want.as_str()), "{v:?}");
+            assert_eq!(Value::parse_token(&want), Some(v), "{want}");
         }
     }
 
