@@ -5,18 +5,28 @@
 //!
 //! # Wire protocol
 //!
-//! Plain-text framing on four endpoints, with checkpoint JSON (the
+//! Plain-text framing on five endpoints, with checkpoint JSON (the
 //! established on-disk format) as the payload wherever a snapshot
 //! travels — every carried checkpoint embeds the full plan, so each
 //! message re-validates the plan fingerprint for free:
 //!
 //! | request | body | response |
 //! |---|---|---|
-//! | `POST /lease` | worker name | `grant <index> <lease> <ttl_ms>` (+ `\n` + partial-snapshot checkpoint JSON), `wait <ms>`, or `drained` |
-//! | `POST /heartbeat` | `<index> <lease>` (+ `\n` + partial checkpoint) | `ok` or `lost` |
-//! | `POST /complete` | `<index> <lease>` + `\n` + complete checkpoint | `ok <new_tuples>` or `lost`; `409 mismatch: …` on plan mismatch |
+//! | `POST /lease` | worker name | `grant <index> <lease> <ttl_ms>` (+ `\n` + salvaged frontier and counters as checkpoint JSON, no tuples), `wait <ms>`, or `drained` |
+//! | `POST /heartbeat` | `<index> <lease> <since>` (+ `\n` + partial delta checkpoint) | `ok` or `lost` |
+//! | `POST /complete` | `<index> <lease> <since>` + `\n` + final delta checkpoint | `ok <new_tuples>` or `lost`; `409 mismatch: …` on plan mismatch |
 //! | `GET /plan` | — | `hdc-coord v1 <ttl_ms> <total> <done>` + one signature per line |
 //! | `GET /checkpoint` | — | accumulated checkpoint JSON |
+//!
+//! Snapshots on `/heartbeat` and `/complete` are **deltas**: the tuples
+//! found since the last accepted heartbeat on the lease, with
+//! cumulative counters and frontier. `<since>` is the frontier the
+//! delta starts from. The coordinator appends an accepted delta in
+//! place to the partial it holds for the lease, and answers `400` to a
+//! delta whose `since` is not the held frontier or whose frontier does
+//! not advance; a refused delta is never merged. A completion is
+//! recorded as held partial + final delta, so the checkpoint holds
+//! each shard's whole bag.
 //!
 //! The coordinator never issues data queries: leases and heartbeats are
 //! pure control traffic, so a wire-leased fleet's charged query cost is
@@ -263,26 +273,32 @@ impl Coordinator {
         }
     }
 
-    /// Parses `<index> <lease>` followed by an optional newline +
-    /// checkpoint JSON; validates any carried snapshot against the
-    /// coordinator's plan.
-    fn parse_verb(&self, body: &[u8]) -> Result<(usize, u64, Option<ShardSnapshot>), Response> {
+    /// Parses `<index> <lease> <since>`, optionally followed by a
+    /// newline and checkpoint JSON; validates any carried snapshot
+    /// against the coordinator's plan.
+    fn parse_verb(&self, body: &[u8]) -> Result<Verb, Response> {
         let text = std::str::from_utf8(body)
             .map_err(|_| text_response(400, "body is not UTF-8".into()))?;
         let (head, rest) = match text.split_once('\n') {
             Some((h, r)) => (h, r.trim()),
             None => (text.trim(), ""),
         };
-        let mut fields = head.split_whitespace();
-        let (index, lease) = match (
-            fields.next().and_then(|s| s.parse::<usize>().ok()),
-            fields.next().and_then(|s| s.parse::<u64>().ok()),
-        ) {
-            (Some(i), Some(l)) => (i, l),
+        let fields: Vec<&str> = head.split_whitespace().collect();
+        let (index, lease, since) = match fields[..] {
+            [i, l, f] => match (i.parse(), l.parse(), f.parse()) {
+                (Ok(i), Ok(l), Ok(f)) => (i, l, f),
+                _ => return Err(text_response(400, format!("bad verb line {head:?}"))),
+            },
             _ => return Err(text_response(400, format!("bad verb line {head:?}"))),
         };
+        let mut verb = Verb {
+            index,
+            lease,
+            since,
+            snapshot: None,
+        };
         if rest.is_empty() {
-            return Ok((index, lease, None));
+            return Ok(verb);
         }
         let cp = CrawlCheckpoint::from_json(rest)
             .map_err(|e| text_response(400, format!("bad snapshot payload: {e}")))?;
@@ -296,7 +312,8 @@ impl Coordinator {
                 format!("expected exactly one snapshot, got {}", shards.len()),
             ));
         }
-        Ok((index, lease, Some(shards.remove(0))))
+        verb.snapshot = Some(shards.remove(0));
+        Ok(verb)
     }
 
     fn lease_response(&self, req: &Request) -> Response {
@@ -327,17 +344,19 @@ impl Coordinator {
     }
 
     fn heartbeat_response(&self, req: &Request) -> Response {
-        let (index, lease, partial) = match self.parse_verb(&req.body) {
+        let Verb {
+            index,
+            lease,
+            since,
+            snapshot: partial,
+        } = match self.parse_verb(&req.body) {
             Ok(v) => v,
             Err(resp) => return resp,
         };
-        if let Some(p) = &partial {
-            if p.is_complete() {
-                return text_response(400, "heartbeat snapshot must be partial".into());
-            }
-        }
-        let mut repo = self.repo.clone();
-        match repo.heartbeat(index, lease, partial.as_ref()) {
+        match self
+            .repo
+            .heartbeat_from(index, lease, Some(since), partial.as_ref())
+        {
             Ok(true) => {
                 if partial.is_some() {
                     self.persist();
@@ -353,15 +372,19 @@ impl Coordinator {
     }
 
     fn complete_response(&self, req: &Request) -> Response {
-        let (index, lease, snapshot) = match self.parse_verb(&req.body) {
+        let Verb {
+            index,
+            lease,
+            since,
+            snapshot,
+        } = match self.parse_verb(&req.body) {
             Ok(v) => v,
             Err(resp) => return resp,
         };
         let Some(snapshot) = snapshot else {
             return text_response(400, "complete requires a snapshot".into());
         };
-        let mut repo = self.repo.clone();
-        match repo.complete(index, lease, snapshot) {
+        match self.repo.complete_from(index, lease, Some(since), snapshot) {
             Ok(Some(new)) => {
                 self.persist();
                 let (done, total) = self.repo.progress();
@@ -405,6 +428,15 @@ impl RouteExt for Coordinator {
             _ => None,
         }
     }
+}
+
+/// A parsed `/heartbeat` or `/complete` request.
+struct Verb {
+    index: usize,
+    lease: u64,
+    /// The frontier the carried delta starts from.
+    since: u64,
+    snapshot: Option<ShardSnapshot>,
 }
 
 /// A plain-text response (the coordination protocol's framing; data

@@ -3,11 +3,15 @@
 //!
 //! A lease is the unit of fleet fault tolerance. The coordinator hands
 //! a worker one pending shard at a time as a *lease* — an id plus a
-//! deadline. The worker renews by heartbeat (optionally banking a
-//! partial [`ShardSnapshot`] of work done so far); when the deadline
-//! lapses un-renewed, the shard is reclaimed and the next
-//! [`LeaseRepository::lease`] call hands it — with the best banked
-//! partial — to a live peer. Completion is exactly-once by
+//! deadline. The worker renews by heartbeat, optionally banking the
+//! roots it finished since its last accepted heartbeat as a *delta*
+//! [`ShardSnapshot`]: the new tuples only, with the counters and the
+//! frontier cumulative. The repository appends each delta in place to
+//! the partial it holds for the lease, so a verb costs O(delta), not
+//! O(shard). When the deadline lapses un-renewed, the shard is
+//! reclaimed and the next [`LeaseRepository::lease`] call hands it to a
+//! live peer, which resumes from the held partial's frontier while the
+//! repository keeps its tuples. Completion is exactly-once by
 //! construction: a shard's result is accepted only from the lease id
 //! currently on record, and only once.
 
@@ -34,9 +38,11 @@ pub struct LeaseGrant {
     /// Time the holder has between heartbeats before the shard is
     /// reclaimed.
     pub ttl_ms: u64,
-    /// Salvaged partial snapshot from a previous (expired) holder, if
-    /// any: `frontier = Some(c)` means the first `c` root values are
-    /// done and the grantee should crawl only the suffix.
+    /// Salvaged partial from a previous (expired) holder, if any:
+    /// `frontier = Some(c)` means the first `c` root values are done
+    /// and the grantee should crawl only the suffix. It carries the
+    /// prefix's counters and metrics but **no tuples**: the repository
+    /// already holds them, and the grantee's deltas append to them.
     pub partial: Option<ShardSnapshot>,
 }
 
@@ -64,6 +70,13 @@ pub enum LeaseDecision {
 /// Every method takes `&mut self` so a plain client value (e.g. one
 /// wire connection) can implement it without interior mutability;
 /// shared in-process implementations hand out cheap clones instead.
+///
+/// The snapshots the holder sends are **deltas**: `tuples` are those
+/// found since the last accepted heartbeat on this lease (for a salvage
+/// grant, since the granted frontier), while the counters, metrics and
+/// `frontier` are cumulative, salvaged prefix included. The repository
+/// appends each accepted delta to the partial it holds, so the shard's
+/// full snapshot is assembled on its side.
 pub trait LeaseRepository: CrawlRepository {
     /// The shard plan, as signatures in plan order.
     fn plan(&mut self) -> io::Result<Vec<String>>;
@@ -73,9 +86,13 @@ pub trait LeaseRepository: CrawlRepository {
     fn lease(&mut self, worker: &str) -> io::Result<LeaseDecision>;
 
     /// Renews lease `lease` on shard `index`, optionally banking a
-    /// partial snapshot. Returns `false` when the lease is no longer
-    /// held (expired and reclaimed): the worker must abandon the shard
-    /// immediately — a peer may already own it.
+    /// partial delta: the tuples since the last accepted heartbeat, with
+    /// cumulative counters and a frontier that must advance past the
+    /// held one. Returns `false` when the lease is no longer held
+    /// (expired and reclaimed): the worker must abandon the shard
+    /// immediately — a peer may already own it. A delta that does not
+    /// extend the held partial is refused with `InvalidInput` and never
+    /// merged.
     fn heartbeat(
         &mut self,
         index: usize,
@@ -83,11 +100,15 @@ pub trait LeaseRepository: CrawlRepository {
         partial: Option<&ShardSnapshot>,
     ) -> io::Result<bool>;
 
-    /// Reports shard `index` complete under lease `lease`. Returns
-    /// `Some(new_tuples)` — the dedup-counted number of never-before-
-    /// seen tuples (the full tuple count when dedup is off) — when the
-    /// result was accepted, `None` when the lease had been reclaimed
-    /// (the result is discarded; the salvaging peer's will be used).
+    /// Reports shard `index` complete under lease `lease` with the final
+    /// delta (`frontier = None`): the tuples since the last accepted
+    /// heartbeat and the shard's cumulative counters. The repository
+    /// records held partial + final delta as the shard's result.
+    /// Returns `Some(new_tuples)` — the dedup-counted number of
+    /// never-before-seen tuples across the whole shard (the full tuple
+    /// count when dedup is off) — when the result was accepted, `None`
+    /// when the lease had been reclaimed (the result is discarded; the
+    /// salvaging peer's will be used).
     fn complete(
         &mut self,
         index: usize,
@@ -101,7 +122,16 @@ struct Active {
     lease: u64,
     worker: String,
     deadline: Instant,
+    /// Everything accepted on this lease: the salvaged prefix it was
+    /// granted with, plus every heartbeat delta appended in place.
     partial: Option<ShardSnapshot>,
+}
+
+impl Active {
+    /// The frontier the next delta starts from (0 before any root).
+    fn frontier(&self) -> u64 {
+        self.partial.as_ref().and_then(|p| p.frontier).unwrap_or(0)
+    }
 }
 
 /// The coordinator's whole mutable state, under one lock.
@@ -191,9 +221,10 @@ impl LeaseState {
 /// when `candidate` is strictly ahead).
 fn bank_partial(slot: &mut Option<ShardSnapshot>, candidate: Option<ShardSnapshot>) {
     let Some(c) = candidate else { return };
-    if c.frontier.is_none() {
+    if c.frontier.unwrap_or(0) == 0 {
         // A "complete" snapshot must go through `complete()`, not the
-        // salvage path; drop it rather than corrupt resume logic.
+        // salvage path, and a zero-root partial has nothing to salvage:
+        // drop both rather than corrupt resume logic.
         return;
     }
     let ahead = match slot {
@@ -203,6 +234,46 @@ fn bank_partial(slot: &mut Option<ShardSnapshot>, candidate: Option<ShardSnapsho
     if ahead {
         *slot = Some(c);
     }
+}
+
+/// Refuses a delta that does not extend a lease holding frontier
+/// `held`: a snapshot for another shard, a `since` (the frontier the
+/// sender believes is held, when it says) other than `held`, or a
+/// partial whose frontier does not advance past `held`. A complete
+/// snapshot (`frontier = None`) always advances.
+fn check_delta(
+    index: usize,
+    held: u64,
+    since: Option<u64>,
+    delta: &ShardSnapshot,
+) -> io::Result<()> {
+    let refuse = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    if delta.index != index {
+        return refuse(format!(
+            "snapshot for shard {} on lease of shard {index}",
+            delta.index
+        ));
+    }
+    if let Some(since) = since.filter(|&s| s != held) {
+        return refuse(format!(
+            "delta starts at frontier {since}, but {held} is held"
+        ));
+    }
+    match delta.frontier {
+        Some(f) if f <= held => refuse(format!("delta frontier {f} does not advance past {held}")),
+        _ => Ok(()),
+    }
+}
+
+/// The held partial extended by `delta`: the held tuples followed by
+/// the delta's, with the delta's cumulative counters, metrics and
+/// frontier.
+fn append_delta(held: Option<ShardSnapshot>, mut delta: ShardSnapshot) -> ShardSnapshot {
+    if let Some(mut held) = held {
+        held.tuples.append(&mut delta.tuples);
+        delta.tuples = held.tuples;
+    }
+    delta
 }
 
 /// The canonical [`LeaseRepository`]: all state in-process behind one
@@ -341,7 +412,14 @@ impl LeaseRepository for MemoryLeaseRepository {
         if let Some(index) = pending {
             let lease = s.next_lease;
             s.next_lease += 1;
-            let partial = s.salvage[index].clone();
+            // The salvaged partial moves into the new lease, which
+            // appends the grantee's deltas to it; the grantee gets its
+            // frontier and counters only.
+            let held = s.salvage[index].take();
+            let partial = held.as_ref().map(|p| ShardSnapshot {
+                tuples: Vec::new(),
+                ..*p
+            });
             if partial.is_some() {
                 s.salvaged_grants += 1;
             }
@@ -352,7 +430,7 @@ impl LeaseRepository for MemoryLeaseRepository {
                     lease,
                     worker: worker.to_string(),
                     deadline: now + ttl,
-                    partial: partial.clone(),
+                    partial: held,
                 },
             );
             return Ok(LeaseDecision::Grant(Box::new(LeaseGrant {
@@ -385,32 +463,58 @@ impl LeaseRepository for MemoryLeaseRepository {
         lease: u64,
         partial: Option<&ShardSnapshot>,
     ) -> io::Result<bool> {
-        let now = Instant::now();
-        let mut s = self.lock();
-        s.reclaim_expired(now);
-        let ttl = s.ttl;
-        match s.active.get_mut(&index) {
-            Some(a) if a.lease == lease => {
-                a.deadline = now + ttl;
-                if let Some(p) = partial {
-                    if p.index != index {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidInput,
-                            format!("partial snapshot for shard {} on lease {index}", p.index),
-                        ));
-                    }
-                    bank_partial(&mut a.partial, Some(p.clone()));
-                }
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
+        self.heartbeat_from(index, lease, None, partial)
     }
 
     fn complete(
         &mut self,
         index: usize,
         lease: u64,
+        snapshot: ShardSnapshot,
+    ) -> io::Result<Option<u64>> {
+        self.complete_from(index, lease, None, snapshot)
+    }
+}
+
+impl MemoryLeaseRepository {
+    /// [`LeaseRepository::heartbeat`] with the contiguity check the wire
+    /// protocol adds: `since`, when given, is the frontier the sender
+    /// believes is held, and a delta is refused unless it matches.
+    pub(crate) fn heartbeat_from(
+        &self,
+        index: usize,
+        lease: u64,
+        since: Option<u64>,
+        partial: Option<&ShardSnapshot>,
+    ) -> io::Result<bool> {
+        let now = Instant::now();
+        let mut s = self.lock();
+        s.reclaim_expired(now);
+        let ttl = s.ttl;
+        let Some(a) = s.active.get_mut(&index).filter(|a| a.lease == lease) else {
+            return Ok(false);
+        };
+        if let Some(p) = partial {
+            if p.is_complete() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "heartbeat snapshot must be partial (frontier set)",
+                ));
+            }
+            check_delta(index, a.frontier(), since, p)?;
+            a.partial = Some(append_delta(a.partial.take(), p.clone()));
+        }
+        a.deadline = now + ttl;
+        Ok(true)
+    }
+
+    /// [`LeaseRepository::complete`] with the same `since` check as
+    /// [`MemoryLeaseRepository::heartbeat_from`].
+    pub(crate) fn complete_from(
+        &self,
+        index: usize,
+        lease: u64,
+        since: Option<u64>,
         snapshot: ShardSnapshot,
     ) -> io::Result<Option<u64>> {
         let mut s = self.lock();
@@ -431,14 +535,18 @@ impl LeaseRepository for MemoryLeaseRepository {
         // deterministic result the plan promises, so accept it. Only a
         // lease that was actually reclaimed (and possibly re-granted)
         // loses its claim.
-        let holds = s.active.get(&index).is_some_and(|a| a.lease == lease);
-        if !holds || s.done[index].is_some() {
+        let Some(a) = s.active.get(&index).filter(|a| a.lease == lease) else {
+            return Ok(None);
+        };
+        if s.done[index].is_some() {
             return Ok(None);
         }
-        let new = s.absorb_tuples(&snapshot.tuples, true);
-        s.active.remove(&index);
+        check_delta(index, a.frontier(), since, &snapshot)?;
+        let a = s.active.remove(&index).expect("just checked");
+        let whole = append_delta(a.partial, snapshot);
+        let new = s.absorb_tuples(&whole.tuples, true);
         s.salvage[index] = None;
-        s.done[index] = Some(snapshot);
+        s.done[index] = Some(whole);
         Ok(Some(new))
     }
 }
@@ -522,17 +630,52 @@ mod tests {
             .complete(g0.index, g0.lease, snapshot_of_report(g0.index, &report(2), None))
             .unwrap()
             .is_none());
-        // The salvaging peer receives the banked partial...
+        // The salvaging peer receives the banked frontier and counters,
+        // but not the tuples: the repository keeps those...
         let g0b = grant(&mut repo, "peer");
         assert_eq!(g0b.index, 0);
-        assert_eq!(g0b.partial.as_ref().and_then(|p| p.frontier), Some(1));
-        // ...and its completion is the only one accepted.
-        assert!(repo
-            .complete(g0b.index, g0b.lease, snapshot_of_report(0, &report(2), None))
-            .unwrap()
-            .is_some());
+        let salvaged = g0b.partial.as_ref().expect("salvage grant");
+        assert_eq!(salvaged.frontier, Some(1));
+        assert_eq!(salvaged.queries, partial.queries);
+        assert!(salvaged.tuples.is_empty());
+        // ...and its completion, the final delta (tuple 1 only, with
+        // the whole shard's counters), is the only one accepted. The
+        // assembled shard holds each tuple once.
+        let mut delta = snapshot_of_report(0, &report(2), None);
+        delta.tuples.drain(..1);
+        assert!(repo.complete(g0b.index, g0b.lease, delta).unwrap().is_some());
+        let whole = repo.checkpoint().shards.remove(0);
+        assert_eq!(whole.tuples.len(), 2);
+        assert_eq!(whole, snapshot_of_report(0, &report(2), None));
         let (_, expired, salvaged) = repo.fleet_stats();
         assert_eq!((expired, salvaged), (1, 1));
+    }
+
+    #[test]
+    fn deltas_append_in_place_and_refused_ones_change_nothing() {
+        let mut repo = MemoryLeaseRepository::new(plan3(), Duration::from_secs(60));
+        let g = grant(&mut repo, "w");
+        let first = snapshot_of_report(g.index, &report(1), Some(1));
+        assert!(repo.heartbeat(g.index, g.lease, Some(&first)).unwrap());
+        let held = repo.checkpoint();
+        // A frontier that does not advance, a delta for another shard,
+        // and a complete snapshot on the heartbeat path are refused.
+        let stale = snapshot_of_report(g.index, &report(2), Some(1));
+        let foreign = snapshot_of_report(g.index + 1, &report(2), Some(2));
+        let complete = snapshot_of_report(g.index, &report(2), None);
+        for bad in [&stale, &foreign, &complete] {
+            let err = repo.heartbeat(g.index, g.lease, Some(bad)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        }
+        assert_eq!(repo.checkpoint(), held, "a refused delta is never merged");
+        // The next root's delta appends in place.
+        let mut second = snapshot_of_report(g.index, &report(2), Some(2));
+        second.tuples.drain(..1);
+        assert!(repo.heartbeat(g.index, g.lease, Some(&second)).unwrap());
+        assert_eq!(
+            repo.checkpoint().shards,
+            vec![snapshot_of_report(g.index, &report(2), Some(2))]
+        );
     }
 
     #[test]
@@ -541,7 +684,6 @@ mod tests {
         // deterministic answer — accept it.
         let mut repo = MemoryLeaseRepository::new(plan3(), Duration::from_millis(0));
         let g = grant(&mut repo, "slow");
-        std::thread::sleep(Duration::from_millis(2));
         assert!(repo
             .complete(g.index, g.lease, snapshot_of_report(g.index, &report(1), None))
             .unwrap()

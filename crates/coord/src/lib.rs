@@ -20,8 +20,10 @@
 //!   over HTTP to a [`Coordinator`] mounted on the wire server.
 //! * **Partial snapshots** — a heartbeat may carry a partial
 //!   [`hdc_core::ShardSnapshot`] (`frontier = Some(c)`: the shard's
-//!   first `c` root values are done). When the lease expires, the
-//!   salvaging peer resumes from the frontier
+//!   first `c` root values are done). It is a delta: only the tuples
+//!   found since the last accepted heartbeat travel, and the
+//!   coordinator appends them to the partial it holds. When the lease
+//!   expires, the salvaging peer resumes from the frontier
 //!   ([`hdc_core::ShardSpec::resume_suffix`]) and replays only the
 //!   un-checkpointed suffix instead of the whole shard.
 //! * [`TupleDedup`] — cross-restart tuple dedup: an exact set or a

@@ -5,7 +5,14 @@
 //! Every verb rides one keep-alive [`hdc_net::Client`] connection, the
 //! same client the data plane uses. A failed verb is reported, never
 //! re-sent: lease verbs are not idempotent.
+//!
+//! Heartbeat and completion snapshots are deltas (see
+//! [`LeaseRepository`]), so the client remembers, per lease, the
+//! frontier the coordinator last acknowledged and sends it as the
+//! verb's `since`: the coordinator refuses a delta that does not start
+//! where its held partial ends.
 
+use std::collections::HashMap;
 use std::io;
 use std::time::Duration;
 
@@ -26,6 +33,9 @@ pub struct WireLeaseRepository {
     client: Client,
     plan: Vec<String>,
     ttl_ms: u64,
+    /// The frontier the coordinator holds for each lease this client
+    /// was granted and still holds.
+    acked: HashMap<u64, u64>,
 }
 
 fn invalid(msg: String) -> io::Error {
@@ -40,6 +50,7 @@ impl WireLeaseRepository {
             client: Client::new(url, WIRE_TIMEOUT),
             plan: Vec::new(),
             ttl_ms: 0,
+            acked: HashMap::new(),
         };
         let body = client.call("GET", "/plan", b"")?;
         let mut lines = body.lines();
@@ -144,6 +155,8 @@ impl LeaseRepository for WireLeaseRepository {
                     let cp = CrawlCheckpoint::from_json(rest)?;
                     cp.shards.into_iter().next()
                 };
+                let since = partial.as_ref().and_then(|p| p.frontier).unwrap_or(0);
+                self.acked.insert(lease, since);
                 Ok(LeaseDecision::Grant(Box::new(LeaseGrant {
                     index,
                     signature,
@@ -169,14 +182,23 @@ impl LeaseRepository for WireLeaseRepository {
         lease: u64,
         partial: Option<&ShardSnapshot>,
     ) -> io::Result<bool> {
-        let mut body = format!("{index} {lease}\n");
+        let since = self.acked.get(&lease).copied().unwrap_or(0);
+        let mut body = format!("{index} {lease} {since}\n");
         if let Some(p) = partial {
             body.push_str(&self.snapshot_payload(p));
         }
         let answer = self.call("POST", "/heartbeat", body.as_bytes())?;
         match answer.trim() {
-            "ok" => Ok(true),
-            "lost" => Ok(false),
+            "ok" => {
+                if let Some(f) = partial.and_then(|p| p.frontier) {
+                    self.acked.insert(lease, f);
+                }
+                Ok(true)
+            }
+            "lost" => {
+                self.acked.remove(&lease);
+                Ok(false)
+            }
             other => Err(invalid(format!("unrecognized heartbeat answer {other:?}"))),
         }
     }
@@ -187,7 +209,11 @@ impl LeaseRepository for WireLeaseRepository {
         lease: u64,
         snapshot: ShardSnapshot,
     ) -> io::Result<Option<u64>> {
-        let body = format!("{index} {lease}\n{}", self.snapshot_payload(&snapshot));
+        let since = self.acked.remove(&lease).unwrap_or(0);
+        let body = format!(
+            "{index} {lease} {since}\n{}",
+            self.snapshot_payload(&snapshot)
+        );
         let answer = self.call("POST", "/complete", body.as_bytes())?;
         let answer = answer.trim();
         if answer == "lost" {

@@ -1,5 +1,5 @@
 //! The worker loop: lease a shard, crawl it with per-root heartbeats,
-//! merge any salvaged prefix, report completion, repeat until the plan
+//! resume any salvaged prefix, report completion, repeat until the plan
 //! drains. `hdc work --join URL` is a thin wrapper over
 //! [`drive_worker`]; the in-process fleet tests drive it directly
 //! against a [`crate::MemoryLeaseRepository`].
@@ -11,13 +11,19 @@
 //! and a peer salvages the shard from the last banked partial. A
 //! heartbeat answered `lost` trips the session's [`CancelToken`], so
 //! the worker abandons the shard before issuing further queries.
+//!
+//! Each heartbeat and the completion carry a delta: only the tuples
+//! found since the last accepted heartbeat, with the counters and
+//! frontier cumulative. The coordinator appends each delta to the
+//! partial it holds, so the bytes a shard sends grow with its bag, not
+//! with its bag times its roots.
 
 use std::io;
 use std::time::Duration;
 
 use hdc_core::{
-    snapshot_of_report, CancelToken, CrawlError, CrawlMetrics, CrawlReport, RetryPolicy,
-    SessionConfig, ShardSnapshot, ShardSpec,
+    CancelToken, CrawlError, CrawlMetrics, CrawlReport, RetryPolicy, SessionConfig, ShardSnapshot,
+    ShardSpec,
 };
 use hdc_types::{DbError, HiddenDatabase, Schema};
 
@@ -77,27 +83,50 @@ pub struct WorkerReport {
 /// the prefix, but it is always strictly cheaper than a whole-shard
 /// redo (`fleet_equiv` pins both). `frontier` is `None` for a
 /// completed shard, or the new cursor for a heartbeat partial.
+///
+/// This is the whole snapshot the coordinator assembles from the
+/// deltas [`drive_worker`] sends.
 pub fn merge_snapshot(
     index: usize,
     prefix: Option<&ShardSnapshot>,
     suffix: &CrawlReport,
     frontier: Option<u64>,
 ) -> ShardSnapshot {
-    let mut snap = snapshot_of_report(index, suffix, frontier);
-    let Some(p) = prefix else {
-        return snap;
+    let mut snap = delta_snapshot(index, prefix, suffix, 0, frontier);
+    if let Some(p) = prefix {
+        snap.tuples.splice(0..0, p.tuples.iter().cloned());
+    }
+    snap
+}
+
+/// The snapshot a lease verb carries: [`merge_snapshot`]'s cumulative
+/// counters, metrics and frontier, but only the suffix tuples from
+/// `sent` on — the coordinator already holds the prefix's and those of
+/// every accepted heartbeat.
+fn delta_snapshot(
+    index: usize,
+    prefix: Option<&ShardSnapshot>,
+    suffix: &CrawlReport,
+    sent: usize,
+    frontier: Option<u64>,
+) -> ShardSnapshot {
+    let mut snap = ShardSnapshot {
+        index,
+        queries: suffix.queries,
+        resolved: suffix.resolved,
+        overflowed: suffix.overflowed,
+        pruned: suffix.pruned,
+        frontier,
+        metrics: suffix.metrics,
+        tuples: suffix.tuples[sent..].to_vec(),
     };
-    snap.queries += p.queries;
-    snap.resolved += p.resolved;
-    snap.overflowed += p.overflowed;
-    snap.pruned += p.pruned;
-    let mut merged = CrawlMetrics::default();
-    merged.merge_from(&p.metrics);
-    merged.merge_from(&snap.metrics);
-    snap.metrics = merged;
-    let mut tuples = p.tuples.clone();
-    tuples.extend(snap.tuples.iter().cloned());
-    snap.tuples = tuples;
+    if let Some(p) = prefix {
+        snap.queries += p.queries;
+        snap.resolved += p.resolved;
+        snap.overflowed += p.overflowed;
+        snap.pruned += p.pruned;
+        snap.metrics.merge_from(&p.metrics);
+    }
     snap
 }
 
@@ -123,13 +152,15 @@ fn coord_failure(e: io::Error) -> CrawlError {
 /// `drained`.
 ///
 /// Each granted shard is crawled with [`ShardSpec::crawl_with`] and a
-/// resume callback; after every completed
-/// root value the worker heartbeats, banking a partial snapshot
-/// (`frontier` = roots done, salvaged prefix included) so a peer can
-/// resume from exactly that point if this worker dies. A grant carrying
-/// a salvaged partial is resumed from its frontier: the worker crawls
-/// only [`ShardSpec::resume_suffix`] and merges via
-/// [`merge_snapshot`].
+/// resume callback; after every completed root value the worker
+/// heartbeats, banking the tuples found since its last accepted
+/// heartbeat with cumulative counters (`frontier` = roots done,
+/// salvaged prefix included), so a peer can resume from exactly that
+/// point if this worker dies. The completion carries the final delta
+/// the same way. A grant carrying a salvaged partial is resumed from its
+/// frontier: the worker crawls only [`ShardSpec::resume_suffix`] and
+/// adds the prefix's counters, while the coordinator keeps the prefix's
+/// tuples.
 pub fn drive_worker(
     repo: &mut dyn LeaseRepository,
     db: &mut dyn HiddenDatabase,
@@ -154,29 +185,37 @@ pub fn drive_worker(
                     )));
                 };
                 // A salvaged partial moves the start line: crawl only
-                // the suffix and merge the prefix back in. If the spec
-                // cannot resume (or the cursor is somehow out of
-                // range), recrawl the whole shard and drop the prefix —
-                // never merge a prefix the crawl also covers.
-                let cursor = g.partial.as_ref().and_then(|p| p.frontier).unwrap_or(0) as usize;
-                let (run_spec, prefix) = if cursor > 0 {
-                    match spec.resume_suffix(cursor) {
-                        Some(suffix) => (suffix, g.partial.as_ref()),
-                        None => (spec.clone(), None),
-                    }
+                // the suffix. The coordinator holds the prefix's tuples
+                // and appends ours, so a frontier the spec cannot
+                // resume from is an error, never a whole-shard recrawl
+                // on top of the held prefix.
+                let prefix = g.partial.as_ref();
+                let cursor = prefix.and_then(|p| p.frontier).unwrap_or(0);
+                let run_spec = if cursor == 0 {
+                    spec
                 } else {
-                    (spec.clone(), None)
+                    spec.resume_suffix(cursor as usize).ok_or_else(|| {
+                        coord_failure(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "salvaged frontier {cursor} is not a resume point of {:?}",
+                                g.signature
+                            ),
+                        ))
+                    })?
                 };
                 if prefix.is_some() {
                     report.shards_resumed += 1;
                 }
 
                 let halt = CancelToken::new();
+                let mut sent = 0;
                 let mut lease_lost = false;
                 let mut coord_err: Option<io::Error> = None;
                 let result = {
                     let halt_ref = &halt;
                     let heartbeats = &mut report.heartbeats;
+                    let sent = &mut sent;
                     let lease_lost = &mut lease_lost;
                     let coord_err = &mut coord_err;
                     run_spec.crawl_with(
@@ -189,14 +228,15 @@ pub fn drive_worker(
                         },
                         Some(&mut |done, interim| {
                             *heartbeats += 1;
-                            let banked = merge_snapshot(
+                            let delta = delta_snapshot(
                                 g.index,
                                 prefix,
                                 interim,
-                                Some(cursor as u64 + done),
+                                *sent,
+                                Some(cursor + done),
                             );
-                            match repo.heartbeat(g.index, g.lease, Some(&banked)) {
-                                Ok(true) => {}
+                            match repo.heartbeat(g.index, g.lease, Some(&delta)) {
+                                Ok(true) => *sent = interim.tuples.len(),
                                 Ok(false) => {
                                     *lease_lost = true;
                                     halt_ref.cancel();
@@ -212,7 +252,7 @@ pub fn drive_worker(
 
                 match result {
                     Ok(shard_report) => {
-                        let snapshot = merge_snapshot(g.index, prefix, &shard_report, None);
+                        let snapshot = delta_snapshot(g.index, prefix, &shard_report, sent, None);
                         match repo
                             .complete(g.index, g.lease, snapshot)
                             .map_err(coord_failure)?

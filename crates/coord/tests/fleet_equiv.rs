@@ -13,6 +13,10 @@
 //!    *strictly fewer* queries than a whole-shard redo (the suffix may
 //!    re-pay slice fetches the prefix shared, but never the prefix
 //!    roots' own slices — the accounting honestly records both passes).
+//!    Heartbeats and completions carry deltas (the tuples since the last
+//!    accepted heartbeat); the partial the coordinator assembles from
+//!    them is bit-identical to the full snapshot the worker would have
+//!    sent, after any number of banked roots and over either transport.
 //! 3. **Dedup never drops a tuple.** Cross-restart dedup (exact and
 //!    Bloom) annotates new-vs-seen counts; the crawled bag is identical
 //!    with dedup off, exact, or Bloom, and a re-crawl reports zero new
@@ -24,7 +28,9 @@
 //! per-root emission interleaving are scheduling artifacts the cost
 //! model and the paper's Problem 1 do not observe.
 
-use std::sync::Mutex;
+use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -35,7 +41,8 @@ use hdc_coord::{
     MemoryLeaseRepository, TupleDedup, WireLeaseRepository, WorkerConfig,
 };
 use hdc_core::{
-    CancelToken, CrawlError, CrawlRepository, SessionConfig, ShardSnapshot, ShardSpec, Sharded,
+    CancelToken, CrawlCheckpoint, CrawlError, CrawlReport, CrawlRepository, SessionConfig,
+    ShardSnapshot, ShardSpec, Sharded,
 };
 use hdc_net::{http, Client, RouteExt, ServeOptions, WireServer};
 use hdc_server::{HiddenDbServer, ServerConfig, SharedServer};
@@ -415,6 +422,238 @@ fn killed_worker_is_salvaged_exactly() {
 }
 
 // ---------------------------------------------------------------------
+// Theorem 2c: the delta protocol banks exactly what the full-snapshot
+// protocol would have, after any number of roots, in memory and over
+// the wire — including a delta landing on a salvaged prefix.
+// ---------------------------------------------------------------------
+
+/// A lease client that crashes once it has sent `beats` heartbeats on
+/// shard `target`: its next verb on that shard fails without reaching
+/// the coordinator, so the lease is left holding exactly `beats` roots.
+struct Dying<'a> {
+    inner: &'a mut dyn LeaseRepository,
+    target: usize,
+    beats: usize,
+}
+
+fn killed() -> io::Error {
+    io::Error::new(io::ErrorKind::ConnectionReset, "worker killed")
+}
+
+impl CrawlRepository for Dying<'_> {
+    fn load(&mut self) -> io::Result<Option<CrawlCheckpoint>> {
+        self.inner.load()
+    }
+    fn store(&mut self, checkpoint: &CrawlCheckpoint) -> io::Result<()> {
+        self.inner.store(checkpoint)
+    }
+}
+
+impl LeaseRepository for Dying<'_> {
+    fn plan(&mut self) -> io::Result<Vec<String>> {
+        self.inner.plan()
+    }
+    fn lease(&mut self, worker: &str) -> io::Result<LeaseDecision> {
+        self.inner.lease(worker)
+    }
+    fn heartbeat(
+        &mut self,
+        index: usize,
+        lease: u64,
+        partial: Option<&ShardSnapshot>,
+    ) -> io::Result<bool> {
+        if index == self.target {
+            if self.beats == 0 {
+                return Err(killed());
+            }
+            self.beats -= 1;
+        }
+        self.inner.heartbeat(index, lease, partial)
+    }
+    fn complete(
+        &mut self,
+        index: usize,
+        lease: u64,
+        snapshot: ShardSnapshot,
+    ) -> io::Result<Option<u64>> {
+        if index == self.target {
+            return Err(killed());
+        }
+        self.inner.complete(index, lease, snapshot)
+    }
+}
+
+/// A fresh fleet over `plan`, in process or behind a hosted
+/// [`Coordinator`]. Either way `state` is the lease state to inspect and
+/// expire, and `client` opens a worker's lease connection.
+struct Fleet {
+    state: MemoryLeaseRepository,
+    wire: Option<(String, Arc<AtomicBool>)>,
+}
+
+impl Fleet {
+    fn new(plan: &[ShardSpec], wire: bool) -> Fleet {
+        let sigs = signatures(plan);
+        if !wire {
+            return Fleet {
+                state: MemoryLeaseRepository::new(sigs, Duration::from_secs(60)),
+                wire: None,
+            };
+        }
+        let (coordinator, _) = Coordinator::new(
+            sigs,
+            CoordinatorConfig {
+                ttl: Duration::from_secs(60),
+                ..CoordinatorConfig::default()
+            },
+        )
+        .unwrap();
+        let state = coordinator.repo();
+        let (addr, stop) = host_coordinator(Arc::new(coordinator));
+        Fleet {
+            state,
+            wire: Some((format!("http://{addr}"), stop)),
+        }
+    }
+
+    fn client(&self) -> Box<dyn LeaseRepository> {
+        match &self.wire {
+            Some((url, _)) => Box::new(WireLeaseRepository::connect(url).unwrap()),
+            None => Box::new(self.state.clone()),
+        }
+    }
+
+    /// Runs a worker that dies after banking `beats` roots of shard
+    /// `target`, then lapses its lease.
+    fn kill_after(&self, inst: &Instance, seed: u64, target: usize, beats: usize) {
+        let mut client = self.client();
+        let mut dying = Dying {
+            inner: client.as_mut(),
+            target,
+            beats,
+        };
+        let cfg = WorkerConfig {
+            name: "doomed".into(),
+            wait_cap_ms: 10,
+            ..WorkerConfig::default()
+        };
+        let died = drive_worker(&mut dying, &mut inst.server(seed), &inst.schema, &cfg);
+        assert!(died.is_err(), "the worker must die on shard {target}");
+        assert_eq!(self.state.expire_leases_now(), 1);
+    }
+
+    /// Drains the rest of the plan with one survivor, which must resume
+    /// exactly one salvaged shard.
+    fn drain(&self, inst: &Instance, seed: u64) {
+        let cfg = WorkerConfig {
+            name: "survivor".into(),
+            wait_cap_ms: 10,
+            ..WorkerConfig::default()
+        };
+        let mut client = self.client();
+        let report = drive_worker(client.as_mut(), &mut inst.server(seed), &inst.schema, &cfg)
+            .unwrap();
+        assert_eq!(report.shards_resumed, 1);
+        assert!(self.state.is_drained());
+    }
+
+    /// The snapshot the lease state holds for shard `index`.
+    fn banked(&self, index: usize) -> ShardSnapshot {
+        let cp = self.state.checkpoint();
+        cp.shards.into_iter().find(|s| s.index == index).unwrap()
+    }
+}
+
+impl Drop for Fleet {
+    fn drop(&mut self) {
+        if let Some((_, stop)) = &self.wire {
+            stop.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// Every interim report `spec`'s per-root crawl passes its resume
+/// callback, in root order.
+fn interims(spec: &ShardSpec, inst: &Instance, seed: u64) -> Vec<CrawlReport> {
+    let mut out = Vec::new();
+    spec.crawl_with(
+        &mut inst.server(seed),
+        &inst.schema,
+        SessionConfig::default(),
+        Some(&mut |_, interim| out.push(interim.clone())),
+    )
+    .unwrap();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+    #[test]
+    fn multi_root_salvage_banks_the_full_snapshot(inst in instance_strategy(), seed in any::<u64>()) {
+        prop_assume!(inst.solvable());
+        let plan = Sharded::plan_oversubscribed(&inst.schema, 1, 2);
+        let target = plan.iter().position(|s| s.resume_points().is_some_and(|p| p >= 2));
+        let Some(target) = target else { return Ok(()) };
+        let points = plan[target].resume_points().unwrap();
+        let (_, solo_bag) = solo(&plan, &inst, seed);
+        let whole = plan[target].crawl(&mut inst.server(seed), &inst.schema).unwrap();
+        let roots = interims(&plan[target], &inst, seed);
+        prop_assert_eq!(roots.len(), points);
+        for r in 1..points {
+            for wire in [false, true] {
+                let fleet = Fleet::new(&plan, wire);
+                fleet.kill_after(&inst, seed, target, r);
+                let banked = fleet.banked(target);
+                let full = merge_snapshot(target, None, &roots[r - 1], Some(r as u64));
+                prop_assert_eq!(&banked, &full, "r = {}, wire = {}", r, wire);
+                fleet.drain(&inst, seed);
+                let (_, fleet_bag) = fleet_totals(&fleet.state);
+                prop_assert!(fleet_bag.multiset_eq(&solo_bag), "r = {}, wire = {}", r, wire);
+                let suffix = fleet.banked(target).queries - banked.queries;
+                prop_assert!(
+                    suffix < whole.queries,
+                    "suffix {} vs whole shard {} (r = {}, wire = {})",
+                    suffix,
+                    whole.queries,
+                    r,
+                    wire
+                );
+            }
+        }
+    }
+}
+
+/// Two crashes on one shard: the salvaging worker banks one more root
+/// before it dies too, so its delta lands on the salvaged prefix the
+/// coordinator holds. The result is exactly the full snapshot the
+/// second worker would have sent, and the third worker finishes the
+/// shard to the solo bag.
+#[test]
+fn delta_on_a_salvaged_prefix_banks_the_full_snapshot() {
+    let inst = yahoo_like();
+    let seed = 41;
+    let plan = Sharded::plan_oversubscribed(&inst.schema, 1, 2);
+    assert!(plan[0].resume_points().unwrap() >= 3);
+    let (_, solo_bag) = solo(&plan, &inst, seed);
+    let first = merge_snapshot(0, None, &interims(&plan[0], &inst, seed)[0], Some(1));
+    let suffix = plan[0].resume_suffix(1).unwrap();
+    let second = merge_snapshot(0, Some(&first), &interims(&suffix, &inst, seed)[0], Some(2));
+    for wire in [false, true] {
+        let fleet = Fleet::new(&plan, wire);
+        fleet.kill_after(&inst, seed, 0, 1);
+        assert_eq!(fleet.banked(0), first, "wire = {wire}");
+        fleet.kill_after(&inst, seed, 0, 1);
+        assert_eq!(fleet.banked(0), second, "wire = {wire}");
+        fleet.drain(&inst, seed);
+        let (_, fleet_bag) = fleet_totals(&fleet.state);
+        assert!(fleet_bag.multiset_eq(&solo_bag), "wire = {wire}");
+        let (_, expired, salvaged) = fleet.state.fleet_stats();
+        assert_eq!((expired, salvaged), (2, 2), "wire = {wire}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Theorem 3: dedup (exact and Bloom) never changes the bag, and a
 // re-crawl reports zero new tuples in both modes.
 // ---------------------------------------------------------------------
@@ -586,17 +825,19 @@ fn wire_fleet_matches_solo() {
 
 /// A hostile `/complete` body — a valid verb line followed by 1 MB of
 /// `[` — is a clean 400, not a stack overflow, and the same host keeps
-/// answering afterwards.
+/// answering afterwards. So is every delta that does not extend the
+/// partial the coordinator holds, and none of them changes it.
 #[test]
 fn hostile_snapshot_payload_is_a_clean_400() {
     let inst = yahoo_like();
     let plan = Sharded::plan_oversubscribed(&inst.schema, 2, 2);
     let (coordinator, _) =
         Coordinator::new(signatures(&plan), CoordinatorConfig::default()).unwrap();
-    let (addr, stop) = host_coordinator(std::sync::Arc::new(coordinator));
+    let coordinator = Arc::new(coordinator);
+    let (addr, stop) = host_coordinator(coordinator.clone());
     let mut client = Client::new(&addr, Duration::from_secs(30));
 
-    let mut body = b"0 1\n".to_vec();
+    let mut body = b"0 1 0\n".to_vec();
     body.resize(body.len() + (1 << 20), b'[');
     let resp = client.request("POST", "/complete", &body).unwrap();
     assert_eq!(resp.status, 400, "{}", String::from_utf8_lossy(&resp.body));
@@ -605,6 +846,59 @@ fn hostile_snapshot_payload_is_a_clean_400() {
     assert_eq!(plan_resp.status, 200);
     assert!(plan_resp.body.starts_with(b"hdc-coord v1 "));
     assert_eq!(client.connects(), 2, "`Connection: close` forces a reconnect");
+
+    // Deltas. Lease shard 0 and bank one root (tuples 0..2, frontier 1).
+    let grant = client.request("POST", "/lease", b"hostile").unwrap();
+    assert!(grant.body.starts_with(b"grant 0 1 "));
+    let sigs = signatures(&plan);
+    let verb = |path: &str, head: &str, frontier: Option<u64>, tuples: &[Tuple]| {
+        let mut cp = CrawlCheckpoint::new(sigs.clone());
+        cp.shards.push(ShardSnapshot {
+            index: 0,
+            queries: 5,
+            resolved: 3,
+            overflowed: 2,
+            pruned: 0,
+            frontier,
+            metrics: Default::default(),
+            tuples: tuples.to_vec(),
+        });
+        let body = format!("{head}\n{}", cp.to_json());
+        let resp = Client::new(&addr, Duration::from_secs(30))
+            .request("POST", path, body.as_bytes())
+            .unwrap();
+        (resp.status, String::from_utf8_lossy(&resp.body).trim().to_string())
+    };
+    let ok = verb("/heartbeat", "0 1 0", Some(1), &inst.tuples[..2]);
+    assert_eq!(ok, (200, "ok".to_string()));
+    let held = coordinator.checkpoint();
+    assert_eq!(held.shards[0].tuples, inst.tuples[..2].to_vec());
+
+    let refused = [
+        // `since` is not the held frontier (1).
+        ("/heartbeat", "0 1 0", Some(2)),
+        ("/heartbeat", "0 1 2", Some(3)),
+        // The frontier does not advance.
+        ("/heartbeat", "0 1 1", Some(1)),
+        // A completion from a stale `since`.
+        ("/complete", "0 1 0", None),
+        // The two-field verb line of the full-snapshot protocol.
+        ("/heartbeat", "0 1", Some(2)),
+    ];
+    for (path, head, frontier) in refused {
+        let (status, answer) = verb(path, head, frontier, &inst.tuples[2..3]);
+        assert_eq!(status, 400, "{path} {head:?}: {answer}");
+        assert_eq!(coordinator.checkpoint(), held, "{path} {head:?} must not merge");
+    }
+
+    // A delta on a reclaimed lease is `lost`, and the salvaged partial
+    // stays exactly what was held.
+    assert_eq!(coordinator.repo().expire_leases_now(), 1);
+    for (path, frontier) in [("/heartbeat", Some(2)), ("/complete", None)] {
+        let answer = verb(path, "0 1 1", frontier, &inst.tuples[2..3]);
+        assert_eq!(answer, (200, "lost".to_string()), "{path}");
+        assert_eq!(coordinator.checkpoint(), held, "{path} must not merge");
+    }
     stop.store(true, std::sync::atomic::Ordering::Release);
 }
 
