@@ -330,10 +330,11 @@ impl Coordinator {
                     g.partial.as_ref().and_then(|p| p.frontier)
                 ));
                 let mut body = format!("grant {} {} {}\n", g.index, g.lease, g.ttl_ms);
-                if let Some(p) = g.partial {
-                    let mut cp = CrawlCheckpoint::new(self.plan.clone());
-                    cp.shards.push(p);
-                    body.push_str(&cp.to_json());
+                if let Some(p) = &g.partial {
+                    body.push_str(&CrawlCheckpoint::json_for(
+                        &self.plan,
+                        std::slice::from_ref(p),
+                    ));
                 }
                 text_response(200, body)
             }
@@ -353,12 +354,10 @@ impl Coordinator {
             Ok(v) => v,
             Err(resp) => return resp,
         };
-        match self
-            .repo
-            .heartbeat_from(index, lease, Some(since), partial.as_ref())
-        {
+        let banked = partial.is_some();
+        match self.repo.heartbeat_from(index, lease, Some(since), partial) {
             Ok(true) => {
-                if partial.is_some() {
+                if banked {
                     self.persist();
                 }
                 text_response(200, "ok\n".into())

@@ -463,7 +463,7 @@ impl LeaseRepository for MemoryLeaseRepository {
         lease: u64,
         partial: Option<&ShardSnapshot>,
     ) -> io::Result<bool> {
-        self.heartbeat_from(index, lease, None, partial)
+        self.heartbeat_from(index, lease, None, partial.cloned())
     }
 
     fn complete(
@@ -479,13 +479,16 @@ impl LeaseRepository for MemoryLeaseRepository {
 impl MemoryLeaseRepository {
     /// [`LeaseRepository::heartbeat`] with the contiguity check the wire
     /// protocol adds: `since`, when given, is the frontier the sender
-    /// believes is held, and a delta is refused unless it matches.
+    /// believes is held, and a delta is refused unless it matches. The
+    /// delta is taken by value, so the coordinator moves the one it
+    /// parsed into the held partial instead of cloning it under the
+    /// lock.
     pub(crate) fn heartbeat_from(
         &self,
         index: usize,
         lease: u64,
         since: Option<u64>,
-        partial: Option<&ShardSnapshot>,
+        partial: Option<ShardSnapshot>,
     ) -> io::Result<bool> {
         let now = Instant::now();
         let mut s = self.lock();
@@ -501,8 +504,8 @@ impl MemoryLeaseRepository {
                     "heartbeat snapshot must be partial (frontier set)",
                 ));
             }
-            check_delta(index, a.frontier(), since, p)?;
-            a.partial = Some(append_delta(a.partial.take(), p.clone()));
+            check_delta(index, a.frontier(), since, &p)?;
+            a.partial = Some(append_delta(a.partial.take(), p));
         }
         a.deadline = now + ttl;
         Ok(true)

@@ -99,11 +99,10 @@ impl WireLeaseRepository {
     }
 
     /// A one-snapshot checkpoint payload carrying the full plan (the
-    /// coordinator re-verifies the fingerprint on every message).
+    /// coordinator re-verifies the fingerprint on every message),
+    /// written from the borrowed plan and snapshot.
     fn snapshot_payload(&self, snapshot: &ShardSnapshot) -> String {
-        let mut cp = CrawlCheckpoint::new(self.plan.clone());
-        cp.shards.push(snapshot.clone());
-        cp.to_json()
+        CrawlCheckpoint::json_for(&self.plan, std::slice::from_ref(snapshot))
     }
 }
 

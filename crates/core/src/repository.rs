@@ -43,7 +43,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use hdc_json::{self as json, Json};
-use hdc_types::{Tuple, Value};
+use hdc_types::{push_row, RowCursor, Tuple, Value};
 
 use crate::report::CrawlMetrics;
 
@@ -183,10 +183,17 @@ impl CrawlCheckpoint {
 
     /// Serializes to the `hdc-crawl-checkpoint` JSON format (version 1).
     pub fn to_json(&self) -> String {
+        CrawlCheckpoint::json_for(&self.plan, &self.shards)
+    }
+
+    /// [`CrawlCheckpoint::to_json`] of the checkpoint `plan` + `shards`,
+    /// written from borrowed parts: a lease verb sends one snapshot under
+    /// its plan with `json_for(plan, std::slice::from_ref(snapshot))`
+    /// and clones neither.
+    pub fn json_for(plan: &[String], shards: &[ShardSnapshot]) -> String {
         let mut out = String::new();
-        out.push_str("{\"format\": \"hdc-crawl-checkpoint\", \"version\": 1,\n");
-        out.push_str(" \"plan\": [");
-        for (i, sig) in self.plan.iter().enumerate() {
+        out.push_str(HEADER);
+        for (i, sig) in plan.iter().enumerate() {
             debug_assert!(
                 !sig.contains(['"', '\\']),
                 "shard signatures never need escaping"
@@ -197,7 +204,7 @@ impl CrawlCheckpoint {
             let _ = write!(out, "\"{sig}\"");
         }
         out.push_str("],\n \"shards\": [");
-        for (i, s) in self.shards.iter().enumerate() {
+        for (i, s) in shards.iter().enumerate() {
             out.push_str(if i > 0 { ",\n  " } else { "\n  " });
             let _ = write!(
                 out,
@@ -210,25 +217,14 @@ impl CrawlCheckpoint {
                 // checkpoints stay byte-compatible with old readers.
                 let _ = write!(out, "\"frontier\": {frontier}, ");
             }
-            let _ = write!(
-                out,
-                "\"metrics\": {}, \"tuples\": [",
-                metrics_json(&s.metrics),
-            );
+            out.push_str("\"metrics\": ");
+            push_metrics(&mut out, &s.metrics);
+            out.push_str(", \"tuples\": [");
             for (j, t) in s.tuples.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push('[');
-                for (v, value) in t.values().iter().enumerate() {
-                    if v > 0 {
-                        out.push(',');
-                    }
-                    out.push('"');
-                    value.push_token(&mut out);
-                    out.push('"');
-                }
-                out.push(']');
+                push_row(&mut out, t);
             }
             out.push_str("]}");
         }
@@ -237,7 +233,62 @@ impl CrawlCheckpoint {
     }
 
     /// Parses the `hdc-crawl-checkpoint` JSON format.
+    ///
+    /// Text in the exact layout [`CrawlCheckpoint::to_json`] writes is
+    /// read in one pass ([`CrawlCheckpoint::from_layout`]); anything
+    /// else — hand-edited, reformatted or older files — goes through the
+    /// generic JSON tree ([`CrawlCheckpoint::from_tree`]), so every
+    /// document parses exactly as the tree parser alone would parse it.
     pub fn from_json(text: &str) -> io::Result<Self> {
+        match CrawlCheckpoint::from_layout(text) {
+            Some(checkpoint) => Ok(checkpoint),
+            None => CrawlCheckpoint::from_tree(text),
+        }
+    }
+
+    /// The one-pass reader behind [`CrawlCheckpoint::from_json`]: walks
+    /// the exact layout [`CrawlCheckpoint::to_json`] writes — header,
+    /// plan, each shard's counters in order, the optional `frontier`,
+    /// the ten metrics, then the tuples with the shared
+    /// [`RowCursor`] — and answers `None` at the first byte that
+    /// deviates. Whenever it answers `Some`, the value equals
+    /// [`CrawlCheckpoint::from_tree`]'s (the `repository_fuzz`
+    /// differential checks this).
+    pub fn from_layout(text: &str) -> Option<Self> {
+        let mut cur = RowCursor::new(text);
+        if !cur.eat(HEADER.as_bytes()) {
+            return None;
+        }
+        let mut plan = Vec::new();
+        if !cur.eat(b"]") {
+            loop {
+                plan.push(cur.quoted()?.to_owned());
+                if cur.eat(b", ") {
+                    continue;
+                }
+                if cur.eat(b"]") {
+                    break;
+                }
+                return None;
+            }
+        }
+        if !cur.eat(b",\n \"shards\": [") {
+            return None;
+        }
+        let mut shards = Vec::new();
+        let mut vals = Vec::new();
+        while cur.eat(if shards.is_empty() { b"\n  " } else { b",\n  " }) {
+            shards.push(shard_from_layout(&mut cur, &mut vals)?);
+        }
+        let trailing_ws = |c: &u8| matches!(c, b' ' | b'\t' | b'\n' | b'\r');
+        (cur.eat(b"]}") && cur.rest().iter().all(trailing_ws))
+            .then_some(CrawlCheckpoint { plan, shards })
+    }
+
+    /// Parses the `hdc-crawl-checkpoint` JSON format through the generic
+    /// JSON tree: any field order and whitespace, escapes in the plan,
+    /// and files written before `frontier` existed.
+    pub fn from_tree(text: &str) -> io::Result<Self> {
         let doc = json::parse(text).map_err(invalid)?;
         let obj = object(&doc, "top level")?;
         let format = get(obj, "format")?.as_str().ok_or_else(|| invalid("format"))?;
@@ -298,7 +349,63 @@ impl CrawlCheckpoint {
     }
 }
 
-fn metrics_json(m: &CrawlMetrics) -> String {
+/// Everything [`CrawlCheckpoint::to_json`] writes before the first plan
+/// signature.
+const HEADER: &str = "{\"format\": \"hdc-crawl-checkpoint\", \"version\": 1,\n \"plan\": [";
+
+/// One shard object in [`CrawlCheckpoint::to_json`]'s layout, for
+/// [`CrawlCheckpoint::from_layout`]. Struct fields evaluate in source
+/// order, which is the order the writer emits them.
+fn shard_from_layout(cur: &mut RowCursor, vals: &mut Vec<Value>) -> Option<ShardSnapshot> {
+    let index = usize::try_from(field(cur, b"{\"index\": ")?).ok()?;
+    let queries = field(cur, b", \"queries\": ")?;
+    let resolved = field(cur, b", \"resolved\": ")?;
+    let overflowed = field(cur, b", \"overflowed\": ")?;
+    let pruned = field(cur, b", \"pruned\": ")?;
+    let frontier = if cur.eat(b", \"frontier\": ") {
+        Some(cur.uint()?)
+    } else {
+        None
+    };
+    let metrics = CrawlMetrics {
+        two_way_splits: field(cur, b", \"metrics\": {\"two_way_splits\": ")?,
+        three_way_splits: field(cur, b", \"three_way_splits\": ")?,
+        slice_fetches: field(cur, b", \"slice_fetches\": ")?,
+        slice_overflows: field(cur, b", \"slice_overflows\": ")?,
+        local_answers: field(cur, b", \"local_answers\": ")?,
+        leaf_subcrawls: field(cur, b", \"leaf_subcrawls\": ")?,
+        slice_cache_hits: field(cur, b", \"slice_cache_hits\": ")?,
+        barrier_pivots: field(cur, b", \"barrier_pivots\": ")?,
+        barrier_deep_tuples: field(cur, b", \"barrier_deep_tuples\": ")?,
+        transient_retries: field(cur, b", \"transient_retries\": ")?,
+    };
+    if !cur.eat(b"}, \"tuples\": ") {
+        return None;
+    }
+    let mut tuples = Vec::new();
+    cur.rows(b", ", vals, &mut tuples)?;
+    cur.eat(b"}").then_some(ShardSnapshot {
+        index,
+        queries,
+        resolved,
+        overflowed,
+        pruned,
+        frontier,
+        metrics,
+        tuples,
+    })
+}
+
+/// `key` followed by a non-negative integer.
+fn field(cur: &mut RowCursor, key: &[u8]) -> Option<u64> {
+    if cur.eat(key) {
+        cur.uint()
+    } else {
+        None
+    }
+}
+
+fn push_metrics(out: &mut String, m: &CrawlMetrics) {
     // Destructure so a new counter is a compile error here, not a field
     // silently dropped from every checkpoint.
     let CrawlMetrics {
@@ -313,13 +420,14 @@ fn metrics_json(m: &CrawlMetrics) -> String {
         barrier_deep_tuples,
         transient_retries,
     } = m;
-    format!(
+    let _ = write!(
+        out,
         "{{\"two_way_splits\": {two_way_splits}, \"three_way_splits\": {three_way_splits}, \
          \"slice_fetches\": {slice_fetches}, \"slice_overflows\": {slice_overflows}, \
          \"local_answers\": {local_answers}, \"leaf_subcrawls\": {leaf_subcrawls}, \
          \"slice_cache_hits\": {slice_cache_hits}, \"barrier_pivots\": {barrier_pivots}, \
          \"barrier_deep_tuples\": {barrier_deep_tuples}, \"transient_retries\": {transient_retries}}}"
-    )
+    );
 }
 
 fn parse_metrics(v: &Json) -> io::Result<CrawlMetrics> {

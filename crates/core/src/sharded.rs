@@ -1446,6 +1446,7 @@ mod tests {
     use hdc_server::{Budgeted, HiddenDbServer, ServerConfig};
     use hdc_types::tuple::{cat_tuple, int_tuple};
     use hdc_types::{Tuple, TupleBag, Value};
+    use std::sync::{Arc, Condvar};
 
     fn mixed_schema() -> Schema {
         Schema::builder()
@@ -1957,11 +1958,54 @@ mod tests {
         assert_eq!(idle, 4);
     }
 
+    /// Holds the healthy identities' queries until identity 0 has
+    /// struck its budget (or a generous timeout passes), so they cannot
+    /// steal every shard before the crippled identity issues a query —
+    /// the `FuseGate` idiom of `tests/faults.rs`.
+    struct BudgetGate {
+        inner: Budgeted<HiddenDbServer>,
+        signals: bool,
+        dead: Arc<(Mutex<bool>, Condvar)>,
+    }
+
+    impl HiddenDatabase for BudgetGate {
+        fn schema(&self) -> &Schema {
+            self.inner.schema()
+        }
+
+        fn k(&self) -> usize {
+            self.inner.k()
+        }
+
+        fn query(&mut self, q: &Query) -> Result<hdc_types::QueryOutcome, DbError> {
+            let (flag, cv) = &*self.dead;
+            if !self.signals {
+                let guard = flag.lock().unwrap();
+                drop(
+                    cv.wait_timeout_while(guard, Duration::from_secs(30), |dead| !*dead)
+                        .unwrap(),
+                );
+            }
+            let out = self.inner.query(q);
+            if self.signals && out.is_err() {
+                *flag.lock().unwrap() = true;
+                cv.notify_all();
+            }
+            out
+        }
+
+        fn queries_issued(&self) -> u64 {
+            self.inner.queries_issued()
+        }
+    }
+
     #[test]
     fn shard_failure_surfaces_with_merged_partial() {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
-        // Session 0 gets a crippling budget; the others are unlimited.
+        let dead = Arc::default();
+        // Session 0 gets a crippling budget; the others are unlimited
+        // and start only once session 0 has exhausted it.
         let result = Sharded::new(3).hybrid(|s| {
             let server = HiddenDbServer::new(
                 schema.clone(),
@@ -1969,7 +2013,11 @@ mod tests {
                 ServerConfig { k: 32, seed: 17 },
             )
             .unwrap();
-            Budgeted::new(server, if s == 0 { 2 } else { u64::MAX })
+            BudgetGate {
+                inner: Budgeted::new(server, if s == 0 { 2 } else { u64::MAX }),
+                signals: s == 0,
+                dead: Arc::clone(&dead),
+            }
         });
         match result {
             Err(CrawlError::Db { error, partial }) => {

@@ -11,10 +11,16 @@
 //! truncation at every byte boundary, random byte flips/insertions/
 //! deletions, and wholesale garbage — plus the specific cases named in
 //! the issue (malformed, truncated, wrong-version, empty).
+//!
+//! [`CrawlCheckpoint::from_json`] has two readers: a one-pass walk of
+//! the exact layout `to_json` writes, and the generic JSON tree as the
+//! fallback for everything else. A differential proptest holds them to
+//! the same answer on generated checkpoints, perturbed whitespace and
+//! every truncation.
 
 use proptest::prelude::*;
 
-use hdc_core::{CrawlCheckpoint, CrawlRepository, JsonFileRepository, ShardSnapshot};
+use hdc_core::{CrawlCheckpoint, CrawlMetrics, CrawlRepository, JsonFileRepository, ShardSnapshot};
 use hdc_types::{Predicate, Query, Tuple, Value};
 
 /// A representative checkpoint with non-trivial content: multi-shard
@@ -306,5 +312,134 @@ fn real_signature_shapes_round_trip() {
         let cp = CrawlCheckpoint::new(vec![sig]);
         let parsed = CrawlCheckpoint::from_json(&cp.to_json()).unwrap();
         assert_eq!(parsed.plan, cp.plan);
+    }
+}
+
+/// A random checkpoint for the fast/generic differential: 0–3 shards,
+/// partial and complete snapshots, empty tuple lists and empty tuples,
+/// categorical values up to `u32::MAX`, ints at the `i64` extremes, and
+/// ten distinct non-zero metrics (so a swapped pair cannot go unseen).
+fn generated_checkpoint(seed: u64) -> CrawlCheckpoint {
+    let mut next = stream(seed);
+    let signatures = [
+        "cat:0=[0,2]",
+        "num:1=[-5,900] [c0 * i5..9]",
+        "unicode: π ≤ τ",
+        "tab\tsig, with: separators",
+        "",
+    ];
+    let plan: Vec<String> = (0..next() % 5)
+        .map(|i| format!("{}#{i}", signatures[(next() % 5) as usize]))
+        .collect();
+    let mut cp = CrawlCheckpoint::new(plan);
+    for _ in 0..next() % 4 {
+        let value = |next: &mut dyn FnMut() -> u64| match next() % 8 {
+            0 => Value::Cat(u32::MAX),
+            1 => Value::Cat((next() % 1000) as u32),
+            2 => Value::Int(i64::MIN),
+            3 => Value::Int(-1),
+            4 => Value::Int(0),
+            5 => Value::Int(i64::MAX),
+            _ => Value::Int(next() as i64),
+        };
+        let tuples = (0..next() % 5)
+            .map(|_| {
+                let arity = next() % 4;
+                Tuple::new((0..arity).map(|_| value(&mut next)).collect::<Vec<_>>())
+            })
+            .collect();
+        let mut metric = || next() % 1_000_000 + 1;
+        let metrics = CrawlMetrics {
+            two_way_splits: metric(),
+            three_way_splits: metric(),
+            slice_fetches: metric(),
+            slice_overflows: metric(),
+            local_answers: metric(),
+            leaf_subcrawls: metric(),
+            slice_cache_hits: metric(),
+            barrier_pivots: metric(),
+            barrier_deep_tuples: metric(),
+            transient_retries: u64::MAX - metric(),
+        };
+        cp.shards.push(ShardSnapshot {
+            index: (next() % 6) as usize,
+            queries: next(),
+            resolved: next() % 100,
+            overflowed: next() % 100,
+            pruned: next() % 10,
+            frontier: match next() % 3 {
+                0 => None,
+                1 => Some(next() % 50),
+                _ => Some(u64::MAX - next() % 50),
+            },
+            metrics,
+            tuples,
+        });
+    }
+    cp
+}
+
+/// Byte offsets right after each structural spot where JSON allows
+/// whitespace: after a key's `": ` and after the comma between two value
+/// tokens (`","`). Neither sequence can occur inside a string, because
+/// no string the writer emits contains a quote.
+fn whitespace_spots(text: &str) -> Vec<usize> {
+    let mut spots: Vec<usize> = text.match_indices("\": ").map(|(i, _)| i + 2).collect();
+    spots.extend(text.match_indices("\",\"").map(|(i, _)| i + 2));
+    spots
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+    /// The one-pass reader and the generic tree agree with the original
+    /// on everything `to_json` writes; the same document with perturbed
+    /// whitespace takes the fallback and still gives the same value; and
+    /// every strict prefix is an `Err`, never a shorter checkpoint.
+    #[test]
+    fn fast_and_generic_parses_agree(seed in any::<u64>(), spot in any::<u64>(), ws in 0usize..4) {
+        let cp = generated_checkpoint(seed);
+        let text = cp.to_json();
+        prop_assert_eq!(CrawlCheckpoint::from_layout(&text), Some(cp.clone()));
+        prop_assert_eq!(&CrawlCheckpoint::from_tree(&text).unwrap(), &cp);
+        prop_assert_eq!(&CrawlCheckpoint::from_json(&text).unwrap(), &cp);
+        // Written by reference, one shard under the plan, byte for byte.
+        for s in &cp.shards {
+            let owned = CrawlCheckpoint { plan: cp.plan.clone(), shards: vec![s.clone()] };
+            prop_assert_eq!(
+                CrawlCheckpoint::json_for(&cp.plan, std::slice::from_ref(s)),
+                owned.to_json()
+            );
+        }
+
+        let spots = whitespace_spots(&text);
+        let at = spots[(spot % spots.len() as u64) as usize];
+        let mut perturbed = text.clone();
+        if ws == 0 {
+            // Drop the space a key is written with (or insert one
+            // between tokens, where none is written).
+            if perturbed.as_bytes()[at] == b' ' {
+                perturbed.remove(at);
+            } else {
+                perturbed.insert(at, ' ');
+            }
+        } else {
+            perturbed.insert_str(at, [" ", "\n", "\t\r\n "][ws - 1]);
+        }
+        prop_assert_eq!(CrawlCheckpoint::from_layout(&perturbed), None);
+        prop_assert_eq!(&CrawlCheckpoint::from_tree(&perturbed).unwrap(), &cp);
+        prop_assert_eq!(&CrawlCheckpoint::from_json(&perturbed).unwrap(), &cp);
+
+        let body = text.trim_end();
+        for cut in (0..text.len()).filter(|&c| text.is_char_boundary(c)) {
+            let prefix = &text[..cut];
+            if prefix.trim_end() == body {
+                continue;
+            }
+            prop_assert!(
+                CrawlCheckpoint::from_json(prefix).is_err(),
+                "truncation at byte {} of {} parsed", cut, text.len()
+            );
+        }
     }
 }

@@ -31,9 +31,10 @@
 //! the same bytes (`tests/answer_bodies.rs` checks this on random
 //! stores).
 //!
-//! The parsers build each tuple with one allocation: values go into a
-//! reused scratch vector, which is then copied into the tuple's shared
-//! buffer.
+//! The parsers read canonical bodies with [`RowCursor`], the row codec
+//! shared with the checkpoint format, which builds each tuple with one
+//! allocation: values go into a reused scratch vector, which is then
+//! copied into the tuple's shared buffer.
 //!
 //! # Errors
 //!
@@ -44,8 +45,11 @@
 //! client; anything unparseable degrades to the status class
 //! ([`DbError::status_is_transient`]).
 
-use hdc_server::{push_row, Answer};
-use hdc_types::{AttrKind, Attribute, DbError, Predicate, Query, QueryOutcome, Schema, Tuple, Value};
+use hdc_server::Answer;
+use hdc_types::{
+    push_row, AttrKind, Attribute, DbError, Predicate, Query, QueryOutcome, RowCursor, Schema,
+    Tuple, Value,
+};
 
 use crate::json::{self, Json};
 
@@ -248,78 +252,12 @@ pub fn batch_outcome_body(outs: &[QueryOutcome]) -> String {
     s
 }
 
-// A strict cursor over the canonical serialization above. Any deviation
-// (whitespace, reordered fields, overlong numbers) returns `None` and
-// the caller falls back to the generic tree parser, so tolerance is
-// unchanged — canonical bodies just skip the per-token allocations.
-struct Cur<'a> {
-    b: &'a [u8],
-    p: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(s: &'a str) -> Self {
-        Cur { b: s.as_bytes(), p: 0 }
-    }
-
-    fn eat(&mut self, lit: &[u8]) -> bool {
-        if self.b[self.p..].starts_with(lit) {
-            self.p += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.p).copied()
-    }
-
-    /// A decimal integer; bails (to the fallback) on overflow.
-    fn int(&mut self) -> Option<i64> {
-        let neg = self.peek() == Some(b'-');
-        if neg {
-            self.p += 1;
-        }
-        let start = self.p;
-        let mut val: i64 = 0;
-        while let Some(c @ b'0'..=b'9') = self.peek() {
-            val = val.checked_mul(10)?.checked_add(i64::from(c - b'0'))?;
-            self.p += 1;
-        }
-        if self.p == start {
-            return None;
-        }
-        Some(if neg { -val } else { val })
-    }
-}
-
-fn value_fast(cur: &mut Cur) -> Option<Value> {
-    if !cur.eat(b"\"") {
-        return None;
-    }
-    let v = match cur.peek()? {
-        b'c' => {
-            cur.p += 1;
-            let d = cur.int()?;
-            Value::Cat(u32::try_from(d).ok()?)
-        }
-        b'i' => {
-            cur.p += 1;
-            Value::Int(cur.int()?)
-        }
-        _ => return None,
-    };
-    if !cur.eat(b"\"") {
-        return None;
-    }
-    Some(v)
-}
-
-/// Parses one canonical outcome. Each tuple's values are collected in
-/// `vals` (reused across tuples and outcomes), then copied into the
-/// tuple's shared buffer: one allocation per tuple.
-fn outcome_fast(cur: &mut Cur, vals: &mut Vec<Value>) -> Option<QueryOutcome> {
+/// Parses one canonical outcome with the shared [`RowCursor`]: one
+/// allocation per tuple, `vals` reused across tuples and outcomes. Any
+/// deviation (whitespace, reordered fields, overlong numbers) is `None`
+/// and the caller falls back to the generic tree parser, so tolerance
+/// is unchanged.
+fn outcome_fast(cur: &mut RowCursor, vals: &mut Vec<Value>) -> Option<QueryOutcome> {
     if !cur.eat(b"{\"overflow\":") {
         return None;
     }
@@ -330,42 +268,12 @@ fn outcome_fast(cur: &mut Cur, vals: &mut Vec<Value>) -> Option<QueryOutcome> {
     } else {
         return None;
     };
-    if !cur.eat(b",\"tuples\":[") {
+    if !cur.eat(b",\"tuples\":") {
         return None;
     }
     let mut tuples = Vec::new();
-    if !cur.eat(b"]") {
-        loop {
-            if !cur.eat(b"[") {
-                return None;
-            }
-            vals.clear();
-            if !cur.eat(b"]") {
-                loop {
-                    vals.push(value_fast(cur)?);
-                    if cur.eat(b",") {
-                        continue;
-                    }
-                    if cur.eat(b"]") {
-                        break;
-                    }
-                    return None;
-                }
-            }
-            tuples.push(Tuple::new(&vals[..]));
-            if cur.eat(b",") {
-                continue;
-            }
-            if cur.eat(b"]") {
-                break;
-            }
-            return None;
-        }
-    }
-    if !cur.eat(b"}") {
-        return None;
-    }
-    Some(QueryOutcome { tuples, overflow })
+    cur.rows(b",", vals, &mut tuples)?;
+    cur.eat(b"}").then_some(QueryOutcome { tuples, overflow })
 }
 
 fn outcome_from_json(v: &Json) -> Result<QueryOutcome, WireError> {
@@ -402,9 +310,9 @@ fn outcome_from_json(v: &Json) -> Result<QueryOutcome, WireError> {
 /// anything else falls back to the generic JSON parser, so tolerance
 /// is identical.
 pub fn parse_outcome_body(body: &str) -> Result<QueryOutcome, WireError> {
-    let mut cur = Cur::new(body);
+    let mut cur = RowCursor::new(body);
     if let Some(out) = outcome_fast(&mut cur, &mut Vec::new()) {
-        if cur.p == cur.b.len() {
+        if cur.rest().is_empty() {
             return Ok(out);
         }
     }
@@ -412,7 +320,7 @@ pub fn parse_outcome_body(body: &str) -> Result<QueryOutcome, WireError> {
 }
 
 fn batch_outcome_fast(body: &str) -> Option<Vec<QueryOutcome>> {
-    let mut cur = Cur::new(body);
+    let mut cur = RowCursor::new(body);
     if !cur.eat(b"{\"outcomes\":[") {
         return None;
     }
@@ -430,7 +338,7 @@ fn batch_outcome_fast(body: &str) -> Option<Vec<QueryOutcome>> {
             return None;
         }
     }
-    if !cur.eat(b"}") || cur.p != cur.b.len() {
+    if !cur.eat(b"}") || !cur.rest().is_empty() {
         return None;
     }
     Some(outs)

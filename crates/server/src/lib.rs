@@ -113,7 +113,7 @@ pub use budget::{Budgeted, DailyQuota};
 pub use engine::Strategy;
 pub use eval::LegacyEvaluator;
 pub use replay::{QueryCache, Recorder, Replayer};
-pub use row_table::{push_row, Answer};
+pub use row_table::Answer;
 pub use server::{HiddenDbServer, ServerConfig};
 pub use shared::{ConnectionClient, ServerClient, SharedServer};
 pub use stats::ServerStats;

@@ -13,26 +13,12 @@
 //! [`ConnectionClient`](crate::ConnectionClient)), so in-process clients
 //! and server start-up never pay for it.
 //!
-//! [`push_row`] is the one row encoder: the table is built with it, and
-//! so is every body that encodes [`Tuple`]s directly, which is what makes
-//! fragment-assembled bodies byte-identical to tuple-encoded ones.
+//! [`push_row`] (in `hdc-types`, beside the cursor that parses its
+//! fragments back) is the one row encoder: the table is built with it,
+//! and so is every body that encodes [`Tuple`]s directly, which is what
+//! makes fragment-assembled bodies byte-identical to tuple-encoded ones.
 
-use hdc_types::Tuple;
-
-/// Appends `t`'s wire fragment to `out`: a JSON array of the value
-/// tokens, `["c3","i-7"]`. Tokens never need escaping.
-pub fn push_row(out: &mut String, t: &Tuple) {
-    out.push('[');
-    for (j, v) in t.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        v.push_token(out);
-        out.push('"');
-    }
-    out.push(']');
-}
+use hdc_types::{push_row, Tuple};
 
 /// Every stored row's [`push_row`] fragment, in row-id order.
 pub(crate) struct RowTable {

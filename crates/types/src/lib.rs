@@ -32,6 +32,7 @@ pub mod fault;
 pub mod interface;
 pub mod predicate;
 pub mod query;
+pub mod row;
 pub mod schema;
 pub mod tuple;
 pub mod value;
@@ -43,6 +44,7 @@ pub use fault::{FaultConfig, FaultyDb};
 pub use interface::{HiddenDatabase, QueryOutcome};
 pub use predicate::Predicate;
 pub use query::Query;
+pub use row::{push_row, RowCursor};
 pub use schema::{AttrKind, Attribute, Schema, SchemaBuilder};
 pub use tuple::Tuple;
 pub use value::Value;
