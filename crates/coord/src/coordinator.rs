@@ -1,7 +1,6 @@
 //! The wire-served coordinator: a [`RouteExt`] that mounts the
 //! [`LeaseRepository`] contract on the data server's HTTP listener
-//! (`hdc serve --coordinate`), with optional checkpoint persistence and
-//! cross-restart dedup.
+//! (`hdc serve --coordinate`), with optional checkpoint persistence.
 //!
 //! # Wire protocol
 //!
@@ -14,7 +13,7 @@
 //! |---|---|---|
 //! | `POST /lease` | worker name | `grant <index> <lease> <ttl_ms>` (+ `\n` + salvaged frontier and counters as checkpoint JSON, no tuples), `wait <ms>`, or `drained` |
 //! | `POST /heartbeat` | `<index> <lease> <since>` (+ `\n` + partial delta checkpoint) | `ok` or `lost` |
-//! | `POST /complete` | `<index> <lease> <since>` + `\n` + final delta checkpoint | `ok <new_tuples>` or `lost`; `409 mismatch: …` on plan mismatch |
+//! | `POST /complete` | `<index> <lease> <since>` + `\n` + final delta checkpoint | `ok <tuples>` (the whole shard's tuple count) or `lost`; `409 mismatch: …` on plan mismatch |
 //! | `GET /plan` | — | `hdc-coord v1 <ttl_ms> <total> <done>` + one signature per line |
 //! | `GET /checkpoint` | — | accumulated checkpoint JSON |
 //!
@@ -41,7 +40,6 @@ use hdc_core::{CancelToken, CrawlCheckpoint, CrawlRepository, JsonFileRepository
 use hdc_net::http::{Request, Response};
 use hdc_net::RouteExt;
 
-use crate::bloom::{DedupStats, TupleDedup};
 use crate::lease::{LeaseDecision, LeaseRepository, MemoryLeaseRepository};
 
 /// How a coordinator came up relative to its persisted checkpoint.
@@ -68,11 +66,8 @@ pub enum Restore {
 pub struct CoordinatorConfig {
     /// Lease TTL: how long a worker may go between heartbeats.
     pub ttl: Duration,
-    /// Checkpoint file for crash-restart persistence (the dedup sidecar
-    /// lives at the same path + `.seen`).
+    /// Checkpoint file for crash-restart persistence.
     pub checkpoint: Option<PathBuf>,
-    /// Cross-restart tuple dedup, if any.
-    pub dedup: Option<TupleDedup>,
     /// Log lease traffic to stderr.
     pub verbose: bool,
 }
@@ -82,7 +77,6 @@ impl Default for CoordinatorConfig {
         CoordinatorConfig {
             ttl: Duration::from_secs(30),
             checkpoint: None,
-            dedup: None,
             verbose: false,
         }
     }
@@ -97,8 +91,6 @@ pub struct FleetOutcome {
     pub queries: u64,
     /// Complete / total shard counts.
     pub shards: (usize, usize),
-    /// Dedup tallies (zeros when dedup is off).
-    pub dedup: DedupStats,
     /// Leases that expired and were reclaimed.
     pub expired_leases: u64,
     /// Grants that carried a salvaged partial snapshot.
@@ -117,7 +109,6 @@ pub struct Coordinator {
     /// Shard signatures in plan order, fixed for the coordinator's life.
     plan: Vec<String>,
     persist: Mutex<Option<JsonFileRepository>>,
-    seen_path: Option<PathBuf>,
     persist_error: Mutex<Option<String>>,
     drained: Arc<CancelToken>,
     verbose: bool,
@@ -127,26 +118,11 @@ impl Coordinator {
     /// Builds a coordinator over `plan` (shard signatures in plan
     /// order). When `cfg.checkpoint` names an existing compatible
     /// checkpoint, completed shards and salvageable partials are
-    /// restored (and the `.seen` dedup sidecar reloaded); a checkpoint
+    /// restored; a checkpoint
     /// for a *different* plan yields [`Restore::Mismatch`] — fleet
     /// proceeds fresh, persistence disabled, nothing aborted.
     pub fn new(plan: Vec<String>, cfg: CoordinatorConfig) -> io::Result<(Self, Restore)> {
-        let mut dedup = cfg.dedup;
-        let seen_path = cfg
-            .checkpoint
-            .as_ref()
-            .map(|p| PathBuf::from(format!("{}.seen", p.display())));
-        if let (Some(path), Some(_)) = (&seen_path, &dedup) {
-            match std::fs::read_to_string(path) {
-                Ok(text) => dedup = Some(TupleDedup::from_text(&text)?),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
         let mut repo = MemoryLeaseRepository::new(plan.clone(), cfg.ttl);
-        if let Some(d) = dedup {
-            repo = repo.with_dedup(d);
-        }
         let mut restore = Restore::Fresh;
         let mut persist = None;
         if let Some(path) = cfg.checkpoint {
@@ -175,7 +151,6 @@ impl Coordinator {
             repo,
             plan,
             persist: Mutex::new(persist),
-            seen_path,
             persist_error: Mutex::new(None),
             drained: Arc::new(CancelToken::new()),
             verbose: cfg.verbose,
@@ -211,7 +186,7 @@ impl Coordinator {
     pub fn outcome(&self) -> FleetOutcome {
         let cp = self.repo.checkpoint();
         let (complete, total) = self.repo.progress();
-        let (dedup, expired, salvaged) = self.repo.fleet_stats();
+        let (expired, salvaged) = self.repo.fleet_stats();
         FleetOutcome {
             tuples: cp
                 .shards
@@ -226,7 +201,6 @@ impl Coordinator {
                 .map(|s| s.queries)
                 .sum(),
             shards: (complete, total),
-            dedup,
             expired_leases: expired,
             salvaged_grants: salvaged,
             persist_error: self.persist_error.lock().expect("persist error lock").clone(),
@@ -238,7 +212,7 @@ impl Coordinator {
         self.repo.checkpoint()
     }
 
-    /// Writes checkpoint + dedup sidecar. Failures are recorded (first
+    /// Writes the checkpoint. Failures are recorded (first
     /// one wins) and surfaced via [`Coordinator::outcome`] instead of
     /// failing the in-flight request: the crawl is correct either way,
     /// only crash-resumability degrades — same policy as the solo
@@ -258,13 +232,7 @@ impl Coordinator {
         let Some(file_repo) = guard.as_mut() else {
             return Ok(());
         };
-        file_repo.store(&self.repo.checkpoint())?;
-        if let (Some(path), Some(text)) = (&self.seen_path, self.repo.dedup_text()) {
-            let tmp = path.with_extension("seen.tmp");
-            std::fs::write(&tmp, text)?;
-            std::fs::rename(&tmp, path)?;
-        }
-        Ok(())
+        file_repo.store(&self.repo.checkpoint())
     }
 
     fn log(&self, line: std::fmt::Arguments<'_>) {
@@ -384,7 +352,7 @@ impl Coordinator {
             return text_response(400, "complete requires a snapshot".into());
         };
         match self.repo.complete_from(index, lease, Some(since), snapshot) {
-            Ok(Some(new)) => {
+            Ok(Some(tuples)) => {
                 self.persist();
                 let (done, total) = self.repo.progress();
                 self.log(format_args!("shard {index} complete ({done}/{total})"));
@@ -392,7 +360,7 @@ impl Coordinator {
                     self.log(format_args!("plan drained"));
                     self.drained.cancel();
                 }
-                text_response(200, format!("ok {new}\n"))
+                text_response(200, format!("ok {tuples}\n"))
             }
             Ok(None) => {
                 self.log(format_args!("stale completion for shard {index} discarded"));

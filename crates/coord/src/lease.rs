@@ -22,8 +22,6 @@ use std::time::{Duration, Instant};
 
 use hdc_core::{CrawlCheckpoint, CrawlRepository, ShardSnapshot};
 
-use crate::bloom::{DedupStats, TupleDedup};
-
 /// A granted lease: one shard, one holder, one deadline.
 #[derive(Clone, Debug)]
 pub struct LeaseGrant {
@@ -104,11 +102,10 @@ pub trait LeaseRepository: CrawlRepository {
     /// delta (`frontier = None`): the tuples since the last accepted
     /// heartbeat and the shard's cumulative counters. The repository
     /// records held partial + final delta as the shard's result.
-    /// Returns `Some(new_tuples)` — the dedup-counted number of
-    /// never-before-seen tuples across the whole shard (the full tuple
-    /// count when dedup is off) — when the result was accepted, `None`
-    /// when the lease had been reclaimed (the result is discarded; the
-    /// salvaging peer's will be used).
+    /// Returns `Some(tuples)` — the whole shard's tuple count, salvaged
+    /// prefix included — when the result was accepted, `None` when the
+    /// lease had been reclaimed (the result is discarded; the salvaging
+    /// peer's will be used).
     fn complete(
         &mut self,
         index: usize,
@@ -145,8 +142,6 @@ struct LeaseState {
     active: HashMap<usize, Active>,
     /// Best partial snapshot salvaged from expired leases, plan-indexed.
     salvage: Vec<Option<ShardSnapshot>>,
-    dedup: Option<TupleDedup>,
-    stats: DedupStats,
     expired: u64,
     salvaged_grants: u64,
 }
@@ -192,28 +187,6 @@ impl LeaseState {
             }
         }
         cp
-    }
-
-    /// Runs `tuples` through dedup (when configured), returning how
-    /// many were first sightings. `count` controls whether the tallies
-    /// accumulate — seeding from a restored checkpoint marks tuples
-    /// seen without recounting them.
-    fn absorb_tuples(&mut self, tuples: &[hdc_types::Tuple], count: bool) -> u64 {
-        let Some(dedup) = self.dedup.as_mut() else {
-            return tuples.len() as u64;
-        };
-        let mut new = 0;
-        for t in tuples {
-            if dedup.insert(t) {
-                new += 1;
-            } else if count {
-                self.stats.seen += 1;
-            }
-        }
-        if count {
-            self.stats.new += new;
-        }
-        new
     }
 }
 
@@ -298,19 +271,10 @@ impl MemoryLeaseRepository {
                 done: vec![None; n],
                 active: HashMap::new(),
                 salvage: vec![None; n],
-                dedup: None,
-                stats: DedupStats::default(),
                 expired: 0,
                 salvaged_grants: 0,
             })),
         }
-    }
-
-    /// Attaches cross-restart tuple dedup (exact or Bloom); completions
-    /// are then answered with the count of never-before-seen tuples.
-    pub fn with_dedup(self, dedup: TupleDedup) -> Self {
-        self.lock().dedup = Some(dedup);
-        self
     }
 
     fn lock(&self) -> MutexGuard<'_, LeaseState> {
@@ -348,17 +312,11 @@ impl MemoryLeaseRepository {
         self.lock().ttl.as_millis() as u64
     }
 
-    /// Dedup tallies (zero when dedup is off). `expired` counts
-    /// reclaimed leases; `salvaged` counts grants that carried a
-    /// partial.
-    pub fn fleet_stats(&self) -> (DedupStats, u64, u64) {
+    /// `(expired, salvaged)`: `expired` counts reclaimed leases;
+    /// `salvaged` counts grants that carried a partial.
+    pub fn fleet_stats(&self) -> (u64, u64) {
         let s = self.lock();
-        (s.stats, s.expired, s.salvaged_grants)
-    }
-
-    /// Serialized dedup state for the `.seen` sidecar, when dedup is on.
-    pub fn dedup_text(&self) -> Option<String> {
-        self.lock().dedup.as_ref().map(TupleDedup::to_text)
+        (s.expired, s.salvaged_grants)
     }
 
     /// The current accumulated checkpoint (same as
@@ -375,10 +333,8 @@ impl CrawlRepository for MemoryLeaseRepository {
 
     /// Seeds the lease state from a persisted checkpoint: complete
     /// snapshots mark their shards done, partial snapshots become
-    /// salvage for the next grantee, and every restored tuple is marked
-    /// seen in dedup **without** counting toward the new/seen tallies.
-    /// Errors with the typed plan-mismatch message when the checkpoint
-    /// belongs to a different plan.
+    /// salvage for the next grantee. Errors with the typed plan-mismatch
+    /// message when the checkpoint belongs to a different plan.
     fn store(&mut self, checkpoint: &CrawlCheckpoint) -> io::Result<()> {
         let mut s = self.lock();
         let plan = s.plan.clone();
@@ -386,7 +342,6 @@ impl CrawlRepository for MemoryLeaseRepository {
             .verify_plan(&plan)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         for snap in &checkpoint.shards {
-            s.absorb_tuples(&snap.tuples, false);
             if snap.is_complete() {
                 s.done[snap.index] = Some(snap.clone());
                 s.salvage[snap.index] = None;
@@ -547,10 +502,10 @@ impl MemoryLeaseRepository {
         check_delta(index, a.frontier(), since, &snapshot)?;
         let a = s.active.remove(&index).expect("just checked");
         let whole = append_delta(a.partial, snapshot);
-        let new = s.absorb_tuples(&whole.tuples, true);
+        let tuples = whole.tuples.len() as u64;
         s.salvage[index] = None;
         s.done[index] = Some(whole);
-        Ok(Some(new))
+        Ok(Some(tuples))
     }
 }
 
@@ -650,7 +605,7 @@ mod tests {
         let whole = repo.checkpoint().shards.remove(0);
         assert_eq!(whole.tuples.len(), 2);
         assert_eq!(whole, snapshot_of_report(0, &report(2), None));
-        let (_, expired, salvaged) = repo.fleet_stats();
+        let (expired, salvaged) = repo.fleet_stats();
         assert_eq!((expired, salvaged), (1, 1));
     }
 
@@ -710,26 +665,5 @@ mod tests {
         let foreign = CrawlCheckpoint::new(vec!["other".into()]);
         let err = repo.store(&foreign).unwrap_err();
         assert!(err.to_string().contains("plan mismatch"), "{err}");
-    }
-
-    #[test]
-    fn dedup_counts_new_once_across_completions_and_seeding() {
-        let mut repo = MemoryLeaseRepository::new(plan3(), Duration::from_secs(60))
-            .with_dedup(TupleDedup::exact());
-        // Seed shard 0's two tuples from a restored checkpoint: seen,
-        // never counted.
-        let mut cp = CrawlCheckpoint::new(plan3());
-        cp.shards.push(snapshot_of_report(0, &report(2), None));
-        repo.store(&cp).unwrap();
-
-        let g = grant(&mut repo, "w"); // shard 1
-        // report(3) = tuples 0,1,2 — two already seen from seeding.
-        let new = repo
-            .complete(g.index, g.lease, snapshot_of_report(g.index, &report(3), None))
-            .unwrap()
-            .unwrap();
-        assert_eq!(new, 1);
-        let (stats, _, _) = repo.fleet_stats();
-        assert_eq!((stats.new, stats.seen), (1, 2));
     }
 }

@@ -26,11 +26,10 @@
 //!   expires, the salvaging peer resumes from the frontier
 //!   ([`hdc_core::ShardSpec::resume_suffix`]) and replays only the
 //!   un-checkpointed suffix instead of the whole shard.
-//! * [`TupleDedup`] — cross-restart tuple dedup: an exact set or a
-//!   seeded double-hash [`BloomFilter`], persisted beside the
-//!   checkpoint, so repeated or incremental crawls report how many
-//!   tuples are genuinely new. Dedup **annotates** (new-vs-seen
-//!   counters); the crawled bag itself always stays exact.
+//! * **Checkpoint persistence** — a [`Coordinator`] given a checkpoint
+//!   file rewrites it after every accepted snapshot and restores from
+//!   it on restart, so a restarted coordinator re-leases only the
+//!   shards (and root suffixes) not yet banked.
 //! * [`drive_worker`] — the worker loop (`hdc work --join URL`): lease,
 //!   crawl with per-root heartbeats, merge any salvaged prefix, report,
 //!   repeat until the plan drains.
@@ -38,13 +37,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bloom;
 pub mod coordinator;
 pub mod lease;
 pub mod wire;
 pub mod worker;
 
-pub use bloom::{BloomFilter, DedupStats, TupleDedup};
 pub use coordinator::{Coordinator, CoordinatorConfig, FleetOutcome, Restore};
 pub use lease::{LeaseDecision, LeaseGrant, LeaseRepository, MemoryLeaseRepository};
 pub use wire::WireLeaseRepository;

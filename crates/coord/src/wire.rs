@@ -219,7 +219,7 @@ impl LeaseRepository for WireLeaseRepository {
             return Ok(None);
         }
         match answer.strip_prefix("ok ").and_then(|n| n.parse().ok()) {
-            Some(new) => Ok(Some(new)),
+            Some(tuples) => Ok(Some(tuples)),
             None => Err(invalid(format!("unrecognized complete answer {answer:?}"))),
         }
     }

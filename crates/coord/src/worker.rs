@@ -257,7 +257,7 @@ pub fn drive_worker(
                             .complete(g.index, g.lease, snapshot)
                             .map_err(coord_failure)?
                         {
-                            Some(_new) => {
+                            Some(_) => {
                                 report.shards_completed += 1;
                                 report.queries += shard_report.queries;
                                 report.tuples += shard_report.tuples.len() as u64;

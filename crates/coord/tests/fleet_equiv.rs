@@ -17,10 +17,6 @@
 //!    accepted heartbeat); the partial the coordinator assembles from
 //!    them is bit-identical to the full snapshot the worker would have
 //!    sent, after any number of banked roots and over either transport.
-//! 3. **Dedup never drops a tuple.** Cross-restart dedup (exact and
-//!    Bloom) annotates new-vs-seen counts; the crawled bag is identical
-//!    with dedup off, exact, or Bloom, and a re-crawl reports zero new
-//!    tuples in both modes (Bloom has no false negatives).
 //!
 //! Bags are compared as **multisets** ([`TupleBag::multiset_eq`]): the
 //! determinism contract fixes each shard's charged query sequence and
@@ -38,7 +34,7 @@ use proptest::Strategy as PropStrategy;
 
 use hdc_coord::{
     drive_worker, merge_snapshot, Coordinator, CoordinatorConfig, LeaseDecision, LeaseRepository,
-    MemoryLeaseRepository, TupleDedup, WireLeaseRepository, WorkerConfig,
+    MemoryLeaseRepository, WireLeaseRepository, WorkerConfig,
 };
 use hdc_core::{
     CancelToken, CrawlCheckpoint, CrawlError, CrawlReport, CrawlRepository, SessionConfig,
@@ -417,7 +413,7 @@ fn killed_worker_is_salvaged_exactly() {
         "salvage replayed {replayed} vs whole-shard {}",
         whole_shard0.queries
     );
-    let (_, expired, salvaged_grants) = repo.fleet_stats();
+    let (expired, salvaged_grants) = repo.fleet_stats();
     assert_eq!((expired, salvaged_grants), (1, 1));
 }
 
@@ -648,70 +644,8 @@ fn delta_on_a_salvaged_prefix_banks_the_full_snapshot() {
         fleet.drain(&inst, seed);
         let (_, fleet_bag) = fleet_totals(&fleet.state);
         assert!(fleet_bag.multiset_eq(&solo_bag), "wire = {wire}");
-        let (_, expired, salvaged) = fleet.state.fleet_stats();
+        let (expired, salvaged) = fleet.state.fleet_stats();
         assert_eq!((expired, salvaged), (2, 2), "wire = {wire}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Theorem 3: dedup (exact and Bloom) never changes the bag, and a
-// re-crawl reports zero new tuples in both modes.
-// ---------------------------------------------------------------------
-
-#[test]
-fn dedup_annotates_without_dropping_tuples() {
-    let inst = yahoo_like();
-    let seed = 23;
-    let plan = Sharded::plan_oversubscribed(&inst.schema, 1, 2);
-    let sigs = signatures(&plan);
-    let (_, solo_bag) = solo(&plan, &inst, seed);
-    let distinct = {
-        let mut d = TupleDedup::exact();
-        inst.tuples.iter().filter(|t| d.insert(t)).count() as u64
-    };
-
-    let mut carried: Vec<(String, TupleDedup)> = Vec::new();
-    for (label, dedup) in [
-        ("exact", TupleDedup::exact()),
-        ("bloom", TupleDedup::bloom(1024, 7)),
-    ] {
-        let repo =
-            MemoryLeaseRepository::new(sigs.clone(), Duration::from_secs(60)).with_dedup(dedup);
-        run_fleet(&repo, &inst, seed, 2);
-        let (_, fleet_bag) = fleet_totals(&repo);
-        assert!(
-            fleet_bag.multiset_eq(&solo_bag),
-            "{label}: dedup must never drop a tuple from the bag"
-        );
-        let (stats, _, _) = repo.fleet_stats();
-        assert!(
-            stats.new <= distinct,
-            "{label}: new count {} cannot exceed distinct {}",
-            stats.new,
-            distinct
-        );
-        if label == "exact" {
-            assert_eq!(stats.new, distinct, "exact mode counts every distinct tuple");
-        }
-        carried.push((
-            label.to_string(),
-            TupleDedup::from_text(&repo.dedup_text().unwrap()).unwrap(),
-        ));
-    }
-
-    // Re-crawl with carried-over dedup state: everything was seen, so
-    // both modes must report zero new (Bloom has no false negatives).
-    for (label, dedup) in carried {
-        let repo =
-            MemoryLeaseRepository::new(sigs.clone(), Duration::from_secs(60)).with_dedup(dedup);
-        run_fleet(&repo, &inst, seed, 2);
-        let (_, fleet_bag) = fleet_totals(&repo);
-        assert!(fleet_bag.multiset_eq(&solo_bag), "{label}: re-crawl bag intact");
-        let (stats, _, _) = repo.fleet_stats();
-        assert_eq!(
-            stats.new, 0,
-            "{label}: re-crawl of known tuples must report zero new"
-        );
     }
 }
 

@@ -268,6 +268,20 @@ proptest! {
             .unwrap_or(0);
         prop_assert!(checkpointed < uninterrupted.queries);
 
+        // What checkpoint resume re-pays: the kill loses the paid-for but
+        // unbanked part of the one shard it interrupted, which is less
+        // than the costliest shard of the plan.
+        let charged = interrupted.unwrap_err().partial().queries;
+        let costliest = full_repo
+            .saved()
+            .and_then(|cp| cp.shards.iter().map(|s| s.queries).max())
+            .unwrap_or(0);
+        prop_assert!(charged >= checkpointed);
+        prop_assert!(charged - checkpointed < costliest,
+            "one session loses at most the interrupted shard's partial work: \
+             charged {} - checkpointed {} vs costliest shard {}",
+            charged, checkpointed, costliest);
+
         // Resume: fresh connection, same repository, and a quota of
         // exactly the spend the checkpoint lacks — the connection itself
         // refuses anything more.

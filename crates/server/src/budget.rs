@@ -1,106 +1,21 @@
-//! Query-budget decorators.
+//! The query-budget decorator.
 //!
-//! The single-quota [`Budgeted`] decorator now lives in `hdc-types`
-//! (a quota is a property of the *interface*, and the crawl
-//! orchestration layer in `hdc-core` applies it without depending on
-//! this simulator crate); it is re-exported here so existing imports
-//! keep working. The per-period [`DailyQuota`] stays here alongside the
-//! record/replay machinery it composes with.
-
-use hdc_types::{DbError, HiddenDatabase, Query, QueryOutcome, Schema};
+//! [`Budgeted`] lives in `hdc-types` (a quota is a property of the
+//! *interface*, and the crawl orchestration layer in `hdc-core` applies
+//! it without depending on this simulator crate); it is re-exported here
+//! so existing imports keep working, and its tests run against this
+//! crate's server. A crawl stopped by its quota resumes from a
+//! checkpoint: `hdc crawl --checkpoint FILE` run again pays only for the
+//! work not yet banked.
 
 pub use hdc_types::Budgeted;
-
-/// A per-period quota: like [`Budgeted`], but the allowance renews each
-/// simulated "day" — the shape real sites enforce ("how many queries can
-/// be submitted by the same IP address within a period of time", §1.1).
-///
-/// When the day's quota is exhausted, queries fail with
-/// [`DbError::BudgetExhausted`] until the caller advances the clock with
-/// [`DailyQuota::next_day`]. Combined with [`crate::Replayer`], this
-/// yields the realistic multi-day crawl workflow (see `tests/resume.rs`).
-#[derive(Debug)]
-pub struct DailyQuota<D> {
-    inner: D,
-    per_day: u64,
-    spent_today: u64,
-    total: u64,
-    day: u32,
-}
-
-impl<D: HiddenDatabase> DailyQuota<D> {
-    /// Allows `per_day` queries per simulated day.
-    pub fn new(inner: D, per_day: u64) -> Self {
-        assert!(per_day > 0, "a zero daily quota can never make progress");
-        DailyQuota {
-            inner,
-            per_day,
-            spent_today: 0,
-            total: 0,
-            day: 0,
-        }
-    }
-
-    /// Advances the clock to the next day, renewing the quota.
-    pub fn next_day(&mut self) {
-        self.day += 1;
-        self.spent_today = 0;
-    }
-
-    /// The current day (0-based).
-    pub fn day(&self) -> u32 {
-        self.day
-    }
-
-    /// Queries remaining today.
-    pub fn remaining_today(&self) -> u64 {
-        self.per_day - self.spent_today
-    }
-
-    /// Total queries charged across all days.
-    pub fn total_spent(&self) -> u64 {
-        self.total
-    }
-
-    /// Consumes the decorator, returning the inner database.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-}
-
-impl<D: HiddenDatabase> HiddenDatabase for DailyQuota<D> {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn k(&self) -> usize {
-        self.inner.k()
-    }
-
-    fn query(&mut self, q: &Query) -> Result<QueryOutcome, DbError> {
-        if self.spent_today >= self.per_day {
-            return Err(DbError::BudgetExhausted {
-                issued: self.spent_today,
-                limit: self.per_day,
-            });
-        }
-        let out = self.inner.query(q)?;
-        self.spent_today += 1;
-        self.total += 1;
-        Ok(out)
-    }
-
-    fn queries_issued(&self) -> u64 {
-        self.total
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::server::{HiddenDbServer, ServerConfig};
     use hdc_types::tuple::int_tuple;
-    use hdc_types::Schema;
+    use hdc_types::{DbError, HiddenDatabase, Query, Schema};
 
     fn server() -> HiddenDbServer {
         let schema = Schema::builder().numeric("a", 0, 99).build().unwrap();
@@ -154,39 +69,5 @@ mod tests {
                 limit: 0
             })
         ));
-    }
-
-    #[test]
-    fn daily_quota_renews() {
-        let mut db = DailyQuota::new(server(), 2);
-        assert!(db.query(&Query::any(1)).is_ok());
-        assert!(db.query(&Query::any(1)).is_ok());
-        assert!(matches!(
-            db.query(&Query::any(1)),
-            Err(DbError::BudgetExhausted {
-                issued: 2,
-                limit: 2
-            })
-        ));
-        assert_eq!(db.remaining_today(), 0);
-        db.next_day();
-        assert_eq!(db.day(), 1);
-        assert_eq!(db.remaining_today(), 2);
-        assert!(db.query(&Query::any(1)).is_ok());
-        assert_eq!(db.total_spent(), 3);
-        assert_eq!(db.queries_issued(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero daily quota")]
-    fn daily_quota_rejects_zero() {
-        DailyQuota::new(server(), 0);
-    }
-
-    #[test]
-    fn daily_quota_exposes_inner() {
-        let db = DailyQuota::new(server(), 5);
-        assert_eq!(db.k(), 10);
-        assert_eq!(db.into_inner().n(), 100);
     }
 }

@@ -87,13 +87,13 @@
 //! from a [`row_table`] the core builds on its first wire query.
 //!
 //! [`Budgeted`] decorates any [`hdc_types::HiddenDatabase`] with the query
-//! quota real sites impose per client. Decorators ([`Budgeted`],
-//! [`Recorder`], [`Replayer`]) deliberately do *not* override
-//! `query_batch`: the trait's default loop gives them exact per-query
-//! semantics — budgets charge and stop at the precise query, recorders
-//! cache every successful prefix response — at the cost of bypassing the
-//! engine's batch sharing. Wrap the bare server when throughput matters;
-//! wrap decorators when quotas or resumability do.
+//! quota real sites impose per client. It deliberately does *not*
+//! override `query_batch`: the trait's default loop gives it exact
+//! per-query semantics — the budget charges and stops at the precise
+//! query — at the cost of bypassing the engine's batch sharing. Wrap the
+//! bare server when throughput matters; wrap the decorator when quotas
+//! do. A crawl that runs out of quota resumes from a checkpoint
+//! (`hdc_core::CrawlRepository`), not from recorded responses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,17 +102,15 @@ pub mod budget;
 mod engine;
 mod eval;
 mod index;
-pub mod replay;
 pub mod row_table;
 pub mod server;
 pub mod shared;
 pub mod stats;
 mod store;
 
-pub use budget::{Budgeted, DailyQuota};
+pub use budget::Budgeted;
 pub use engine::Strategy;
 pub use eval::LegacyEvaluator;
-pub use replay::{QueryCache, Recorder, Replayer};
 pub use row_table::Answer;
 pub use server::{HiddenDbServer, ServerConfig};
 pub use shared::{ConnectionClient, ServerClient, SharedServer};

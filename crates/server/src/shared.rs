@@ -162,7 +162,7 @@ impl SharedServer {
 /// [`ServerStats`] and scratch buffers.
 ///
 /// Implements [`HiddenDatabase`], so every crawler, decorator
-/// ([`Budgeted`], `FaultyDb`, recorder/replayer), and the work-stealing
+/// ([`Budgeted`], `FaultyDb`), and the work-stealing
 /// pool run against it unchanged — `query` still takes `&mut self`, but
 /// the mutation is confined to this client's session, which is what
 /// makes many clients per store sound.

@@ -218,13 +218,16 @@ fn run(args: &[String]) -> Result<(), String> {
             print_usage();
             Ok(())
         }
-        Some("datasets") => cmd_datasets(),
-        Some("crawl") => cmd_crawl(&parse_flags(&args[1..])?),
-        Some("barrier") => cmd_barrier(&parse_flags(&args[1..])?),
-        Some("serve") => cmd_serve(&parse_flags(&args[1..])?),
-        Some("work") => cmd_work(&parse_flags(&args[1..])?),
-        Some("stop") => cmd_stop(&parse_flags(&args[1..])?),
-        Some("sweep") => cmd_sweep(&parse_flags(&args[1..])?),
+        Some("datasets") => {
+            parse_flags("datasets", &args[1..], &[])?;
+            cmd_datasets()
+        }
+        Some("crawl") => cmd_crawl(&parse_flags("crawl", &args[1..], CRAWL_FLAGS)?),
+        Some("barrier") => cmd_barrier(&parse_flags("barrier", &args[1..], BARRIER_FLAGS)?),
+        Some("serve") => cmd_serve(&parse_flags("serve", &args[1..], SERVE_FLAGS)?),
+        Some("work") => cmd_work(&parse_flags("work", &args[1..], WORK_FLAGS)?),
+        Some("stop") => cmd_stop(&parse_flags("stop", &args[1..], STOP_FLAGS)?),
+        Some("sweep") => cmd_sweep(&parse_flags("sweep", &args[1..], SWEEP_FLAGS)?),
         Some("hard") => cmd_hard(&args[1..]),
         Some(other) => Err(format!("unknown command {other:?}")),
     }
@@ -272,10 +275,9 @@ fn print_usage() {
          \u{20}      on the same listener ([--sessions N] [--oversubscribe N]\n\
          \u{20}      size the shard plan; [--lease-ttl-ms N] bounds worker\n\
          \u{20}      silence; [--checkpoint FILE] persists fleet progress and\n\
-         \u{20}      resumes from it; [--dedup exact|bloom] tracks new-vs-seen\n\
-         \u{20}      tuples across restarts in FILE.seen). The process exits\n\
-         \u{20}      by itself once every shard completes, after verifying the\n\
-         \u{20}      merged bag against the generated ground truth.\n\
+         \u{20}      resumes from it). The process exits by itself once every\n\
+         \u{20}      shard completes, after verifying the merged bag against\n\
+         \u{20}      the generated ground truth.\n\
          \u{20}  hdc work --join URL [--name NAME] [--retries N]\n\
          \u{20}           [--timeout-ms N] [--qps F [--burst F]]\n\
          \u{20}           [--retire-after N]\n\
@@ -296,9 +298,10 @@ fn print_usage() {
          \u{20}  hdc sweep --dataset <name> --algos a,b,c [--ks 64,128,...]\n\
          \u{20}            [--seed N] [--scale PCT]\n\
          \u{20}      Cost table across algorithms and k values.\n\
-         \u{20}  hdc hard numeric --k N --d N --m N [--algo rank-shrink]\n\
-         \u{20}  hdc hard categorical --k N --u N [--algo lazy-slice-cover]\n\
-         \u{20}      Run the §4 lower-bound constructions.\n\
+         \u{20}  hdc hard numeric --k N --d N --m N\n\
+         \u{20}  hdc hard categorical --k N --u N\n\
+         \u{20}      Run the §4 lower-bound constructions (numeric with\n\
+         \u{20}      rank-shrink, categorical with lazy-slice-cover).\n\
          \n\
          DATASETS: yahoo | nsf | adult | adult-numeric\n\
          ALGOS:    auto | hybrid | rank-shrink | binary-shrink | dfs |\n\
@@ -306,11 +309,72 @@ fn print_usage() {
          \u{20}         (auto picks the paper's choice for the schema)\n\
          \n\
          Costs are query counts — the paper's metric. Crawls always verify\n\
-         multiset completeness against the generated ground truth."
+         multiset completeness against the generated ground truth.\n\
+         Every command rejects a flag it does not read."
     );
 }
 
 // ---------------------------------------------------------------- flags --
+
+/// The dataset a local command generates.
+const DATASET_FLAGS: &[&str] = &["dataset", "k", "seed", "scale"];
+/// `--connect` plus the wire-client health knobs ([`make_connector`]).
+const CONNECT_FLAGS: &[&str] = &["connect", "timeout-ms", "retire-after", "qps", "burst"];
+
+// The flags each command reads, in groups; `parse_flags` rejects any
+// other, so a misspelt flag is an error rather than a silent default.
+const CRAWL_FLAGS: &[&[&str]] = &[
+    DATASET_FLAGS,
+    CONNECT_FLAGS,
+    &[
+        "algo",
+        "sessions",
+        "oversubscribe",
+        "oracle",
+        "budget",
+        "target",
+        "live",
+        "retries",
+        "checkpoint",
+        "resume",
+    ],
+];
+const BARRIER_FLAGS: &[&[&str]] = &[
+    DATASET_FLAGS,
+    CONNECT_FLAGS,
+    &["sessions", "oversubscribe", "live"],
+];
+const SERVE_FLAGS: &[&[&str]] = &[
+    DATASET_FLAGS,
+    &[
+        "addr",
+        "budget",
+        "fault-rate",
+        "fault-seed",
+        "fault-stall-ms",
+        "verbose",
+        "metrics-log",
+        "metrics-interval-ms",
+        "coordinate",
+        "sessions",
+        "oversubscribe",
+        "lease-ttl-ms",
+        "checkpoint",
+    ],
+];
+const WORK_FLAGS: &[&[&str]] = &[&[
+    "join",
+    "name",
+    "retries",
+    "timeout-ms",
+    "retire-after",
+    "qps",
+    "burst",
+]];
+const STOP_FLAGS: &[&[&str]] = &[&["connect"]];
+const SWEEP_FLAGS: &[&[&str]] = &[&["dataset", "algos", "ks", "seed", "scale"]];
+const HARD_NUMERIC_FLAGS: &[&[&str]] = &[&["seed", "k", "d", "m"]];
+const HARD_CATEGORICAL_FLAGS: &[&[&str]] = &[&["seed", "k", "u"]];
 
 /// Parsed `--flag value` pairs (plus boolean `--oracle`, `--live`,
 /// `--verbose`, `--coordinate`).
@@ -318,13 +382,17 @@ struct Flags {
     pairs: Vec<(String, String)>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parses `hdc <cmd>`'s arguments, accepting only the flags in `known`.
+fn parse_flags(cmd: &str, args: &[String], known: &[&[&str]]) -> Result<Flags, String> {
     let mut pairs = Vec::new();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("expected --flag, found {arg:?}"));
         };
+        if !known.iter().any(|group| group.contains(&name)) {
+            return Err(format!("unknown flag --{name} for hdc {cmd}"));
+        }
         if matches!(name, "oracle" | "live" | "verbose" | "coordinate") {
             pairs.push((name.to_string(), "true".to_string()));
             continue;
@@ -1016,7 +1084,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let oversubscribe: usize = flags.parse("oversubscribe", 2)?;
     let lease_ttl_ms: u64 = flags.parse("lease-ttl-ms", 30_000)?;
     let checkpoint = flags.get("checkpoint").map(str::to_string);
-    let dedup_mode = flags.get("dedup").map(str::to_string);
     if !(0.0..=1.0).contains(&fault_rate) {
         return Err("--fault-rate must be within 0..=1".into());
     }
@@ -1024,7 +1091,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         for (flag, present) in [
             ("--lease-ttl-ms", flags.get("lease-ttl-ms").is_some()),
             ("--checkpoint", checkpoint.is_some()),
-            ("--dedup", dedup_mode.is_some()),
         ] {
             if present {
                 return Err(format!("{flag} requires --coordinate"));
@@ -1047,15 +1113,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         if lease_ttl_ms == 0 {
             return Err("--lease-ttl-ms must be ≥ 1".into());
         }
-        let dedup = match dedup_mode.as_deref() {
-            None => None,
-            Some("exact") => Some(TupleDedup::exact()),
-            Some("bloom") => Some(TupleDedup::bloom((ds.n() as u64).max(1), seed)),
-            Some(other) => return Err(format!("--dedup must be exact or bloom, got {other:?}")),
-        };
-        if dedup.is_some() && checkpoint.is_none() {
-            return Err("--dedup needs --checkpoint (the seen-set lives at FILE.seen)".into());
-        }
         let plan: Vec<String> = Sharded::plan_oversubscribed(&ds.schema, sessions, oversubscribe)
             .iter()
             .map(ShardSpec::signature)
@@ -1063,7 +1120,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         let cfg = CoordinatorConfig {
             ttl: Duration::from_millis(lease_ttl_ms),
             checkpoint: checkpoint.as_ref().map(std::path::PathBuf::from),
-            dedup,
             verbose,
         };
         let (coordinator, restore) = Coordinator::new(plan, cfg)
@@ -1257,12 +1313,6 @@ fn report_fleet(
         merged.tuples.len(),
         merged.queries
     );
-    if outcome.dedup.new + outcome.dedup.seen > 0 {
-        println!(
-            "dedup: {} new tuple(s), {} seen before",
-            outcome.dedup.new, outcome.dedup.seen
-        );
-    }
     Ok(())
 }
 
@@ -1413,7 +1463,12 @@ fn cmd_hard(args: &[String]) -> Result<(), String> {
         .first()
         .map(String::as_str)
         .ok_or("hard needs `numeric` or `categorical`")?;
-    let flags = parse_flags(&args[1..])?;
+    let known = match kind {
+        "numeric" => HARD_NUMERIC_FLAGS,
+        "categorical" => HARD_CATEGORICAL_FLAGS,
+        other => return Err(format!("unknown hard instance kind {other:?}")),
+    };
+    let flags = parse_flags(&format!("hard {kind}"), &args[1..], known)?;
     let seed: u64 = flags.parse("seed", 42)?;
     match kind {
         "numeric" => {
@@ -1470,7 +1525,7 @@ fn cmd_hard(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        other => Err(format!("unknown hard instance kind {other:?}")),
+        _ => unreachable!("kind checked above"),
     }
 }
 
@@ -1529,7 +1584,7 @@ mod tests {
     use super::*;
 
     fn flags(args: &[&str]) -> Flags {
-        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        parse_flags("crawl", &argv(args), CRAWL_FLAGS).unwrap()
     }
 
     #[test]
@@ -1545,10 +1600,82 @@ mod tests {
 
     #[test]
     fn flag_errors() {
-        assert!(parse_flags(&["stray".to_string()]).is_err());
-        assert!(parse_flags(&["--k".to_string()]).is_err());
+        assert!(parse_flags("crawl", &argv(&["stray"]), CRAWL_FLAGS).is_err());
+        assert!(parse_flags("crawl", &argv(&["--k"]), CRAWL_FLAGS).is_err());
         let f = flags(&["--k", "abc"]);
         assert!(f.parse("k", 0usize).is_err());
+    }
+
+    /// A flag the command does not read is an error, not a silent
+    /// default: a typo, a flag of another command, and the removed
+    /// `serve --dedup`.
+    #[test]
+    fn unknown_flags_are_rejected() {
+        let err = run(&argv(&["crawl", "--dataset", "yahoo", "--sesions", "2"])).unwrap_err();
+        assert_eq!(err, "unknown flag --sesions for hdc crawl");
+        let err = run(&argv(&["serve", "--dataset", "yahoo", "--dedup", "exact"])).unwrap_err();
+        assert_eq!(err, "unknown flag --dedup for hdc serve");
+        let err = run(&argv(&["barrier", "--dataset", "yahoo", "--resume", "x"])).unwrap_err();
+        assert_eq!(err, "unknown flag --resume for hdc barrier");
+        let err = run(&argv(&["hard", "numeric", "--u", "3"])).unwrap_err();
+        assert_eq!(err, "unknown flag --u for hdc hard numeric");
+        assert!(run(&argv(&["datasets", "--k", "3"])).is_err());
+    }
+
+    /// Every command line in the CI workflow and the README parses for
+    /// its command.
+    #[test]
+    fn documented_command_lines_parse() {
+        let lines = [
+            // .github/workflows/ci.yml
+            "crawl --dataset yahoo --algo auto --k 256 --budget 200 --checkpoint c.json",
+            "crawl --dataset yahoo --algo auto --k 256 --resume c.json",
+            "serve --dataset yahoo --scale 20 --k 128 --addr 127.0.0.1:7171 --verbose",
+            "crawl --connect http://127.0.0.1:7171 --sessions 4",
+            "stop --connect http://127.0.0.1:7171",
+            "serve --dataset yahoo --scale 10 --k 128 --addr 127.0.0.1:7172 --fault-rate 1.0",
+            "crawl --connect http://127.0.0.1:7172 --retries 2",
+            "serve --dataset yahoo --scale 20 --k 128 --addr 127.0.0.1:7173 --budget 100",
+            "crawl --connect http://127.0.0.1:7173 --sessions 2 --oversubscribe 8 --checkpoint c",
+            "crawl --connect http://127.0.0.1:7174 --sessions 2 --oversubscribe 8 --resume c",
+            "serve --dataset yahoo --scale 5 --k 64 --addr 127.0.0.1:7180 --coordinate \
+             --sessions 2 --oversubscribe 2 --lease-ttl-ms 1500 --checkpoint c",
+            "work --join http://127.0.0.1:7180 --name victim --qps 8",
+            "work --join http://127.0.0.1:7180 --name survivor",
+            // README.md
+            "barrier --dataset yahoo --k 256 --scale 10",
+            "crawl --dataset yahoo --k 256 --sessions 4 --retries 8 --checkpoint run.json",
+            "crawl --connect 127.0.0.1:7171 --sessions 4 --oversubscribe 8",
+            "crawl --dataset yahoo --sessions 8 --live",
+            "serve --dataset yahoo --verbose --metrics-log /tmp/metrics.jsonl",
+            "serve --dataset yahoo --scale 20 --k 128 --addr 127.0.0.1:7070 --coordinate \
+             --sessions 4 --oversubscribe 4 --checkpoint /tmp/fleet.json",
+            "work --join URL --name NAME --retries 3 --timeout-ms 500 --qps 2 --burst 4 \
+             --retire-after 8",
+            // this file's module docs and usage text
+            "sweep --dataset adult-numeric --algos rank-shrink,binary-shrink --ks 64,128",
+            "hard numeric --k 16 --d 4 --m 100",
+            "hard categorical --k 6 --u 6",
+        ];
+        for line in lines {
+            let args: Vec<&str> = line.split_whitespace().collect();
+            let (cmd, rest, known) = match args[..] {
+                ["crawl", ..] => ("crawl", &args[1..], CRAWL_FLAGS),
+                ["barrier", ..] => ("barrier", &args[1..], BARRIER_FLAGS),
+                ["serve", ..] => ("serve", &args[1..], SERVE_FLAGS),
+                ["work", ..] => ("work", &args[1..], WORK_FLAGS),
+                ["stop", ..] => ("stop", &args[1..], STOP_FLAGS),
+                ["sweep", ..] => ("sweep", &args[1..], SWEEP_FLAGS),
+                ["hard", "numeric", ..] => ("hard numeric", &args[2..], HARD_NUMERIC_FLAGS),
+                ["hard", "categorical", ..] => {
+                    ("hard categorical", &args[2..], HARD_CATEGORICAL_FLAGS)
+                }
+                _ => panic!("no flag table for {line}"),
+            };
+            if let Err(e) = parse_flags(cmd, &argv(rest), known) {
+                panic!("{line}: {e}");
+            }
+        }
     }
 
     #[test]

@@ -82,8 +82,7 @@ pub mod prelude {
     pub use hdc_barrier::{BarrierCrawler, BarrierReport, Discovery, ShardedBarrierReport};
     pub use hdc_coord::{
         drive_worker, Coordinator, CoordinatorConfig, FleetOutcome, LeaseRepository,
-        MemoryLeaseRepository, Restore, TupleDedup, WireLeaseRepository, WorkerConfig,
-        WorkerReport,
+        MemoryLeaseRepository, Restore, WireLeaseRepository, WorkerConfig, WorkerReport,
     };
     pub use hdc_core::{
         verify_complete, BinaryShrink, CancelToken, Connector, Crawl, CrawlBuilder,

@@ -283,25 +283,6 @@ proptest! {
     }
 
     #[test]
-    fn record_then_replay_reproduces_the_crawl(inst in instance_strategy(None)) {
-        prop_assume!(inst.solvable());
-        use hidden_db_crawler::server::{Budgeted, QueryCache, Recorder, Replayer};
-        let mut recorder = Recorder::new(inst.server(3));
-        let live = Hybrid::new().crawl(&mut recorder).unwrap();
-        let cache = recorder.into_cache();
-        // Serialize + deserialize the cache (the durable path), then
-        // replay with zero fresh budget.
-        let mut bytes = Vec::new();
-        cache.save(&mut bytes).unwrap();
-        let cache = QueryCache::load(std::io::BufReader::new(&bytes[..])).unwrap();
-        let mut replayer = Replayer::new(Budgeted::new(inst.server(3), 0), cache);
-        let replayed = Hybrid::new().crawl(&mut replayer).unwrap();
-        prop_assert_eq!(replayed.tuples, live.tuples);
-        prop_assert_eq!(replayed.queries, live.queries);
-        prop_assert_eq!(replayer.inner().queries_issued(), 0);
-    }
-
-    #[test]
     fn rank_shrink_ablation_params_complete(
         inst in instance_strategy(Some(false)),
         pivot in 0.05f64..0.95,
