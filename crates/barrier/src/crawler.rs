@@ -5,8 +5,8 @@ use std::sync::Mutex;
 
 use hdc_core::numeric::extent::{extent, split2, split3};
 use hdc_core::{
-    run_crawl, Abort, Connector, CrawlControls, CrawlError, CrawlReport, Crawler, Session,
-    SessionConfig, ShardCrawler, ShardSpec, Sharded, MAX_BATCH,
+    run_crawl, Abort, Connector, Crawl, CrawlError, CrawlObserver, CrawlReport, Crawler, Session,
+    SessionConfig, ShardCrawler, ShardSpec, Strategy, MAX_BATCH,
 };
 use hdc_types::{AttrKind, HiddenDatabase, Predicate, Query, QueryOutcome, Schema, Tuple};
 
@@ -146,47 +146,47 @@ impl BarrierCrawler {
         Ok(BarrierReport::assemble(report, tracker.log))
     }
 
-    /// Parallelizes a barrier crawl across client identities: `sharded`'s
-    /// plan on the work-stealing pool ([`Sharded::crawl`], with the
-    /// same retirement, salvage, checkpoint, and merge semantics as the
-    /// hybrid crawler), this crawler running each shard.
+    /// Parallelizes a barrier crawl across `sessions` client identities:
+    /// the crawl builder's `Strategy::Custom` run on the work-stealing
+    /// pool ([`hdc_core::CrawlBuilder::run_sharded`], plan oversubscribed
+    /// by `factor`, with the same retirement, salvage, and merge
+    /// semantics as the hybrid crawler), this crawler running each shard.
+    /// `observer`, if any, receives the live events and one `on_shard`
+    /// per merged shard.
     ///
     /// The merge is **depth-aware**: each shard's per-tuple depth
     /// histogram (relative to its own covering roots) survives the merge
     /// as an element-wise sum in
     /// [`ShardedBarrierReport::depth_histogram`], so the "how deep does
     /// the barrier bury the data" statistic can be benched at scale.
-    /// Individual [`Discovery`] logs stay per shard, and shards replayed
-    /// from a checkpoint contribute no depths (checkpoints bank tuples,
-    /// not discovery logs).
+    /// Individual [`Discovery`] logs stay per shard.
+    ///
+    /// # Panics
+    /// Panics if `sessions` or `factor` is 0.
     ///
     /// [`Discovery`]: crate::Discovery
     pub fn crawl_sharded<C: Connector>(
         &self,
-        sharded: &Sharded,
         connector: C,
-        controls: CrawlControls<'_>,
+        sessions: usize,
+        factor: usize,
+        observer: Option<&mut dyn CrawlObserver>,
     ) -> Result<ShardedBarrierReport, CrawlError> {
-        let schema = connector.connect(0).schema().clone();
-        // Depth histograms ride a side channel out of the worker threads:
-        // the driver only moves `CrawlReport`s, and summing histograms is
-        // commutative, so collection order doesn't matter.
-        let histograms: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());
-        let report = sharded.crawl(
-            &schema,
-            connector,
-            |spec, db, config| {
-                let out = self.shard_report(db, &schema, spec, config)?;
-                histograms
-                    .lock()
-                    .expect("histogram channel poisoned")
-                    .push(out.depth_histogram());
-                Ok(out.report)
-            },
-            controls,
-        )?;
+        let depths = DepthCollector {
+            crawler: self,
+            histograms: Mutex::default(),
+        };
+        let mut builder = Crawl::builder()
+            .strategy(Strategy::Custom(&depths))
+            .sessions(sessions)
+            .oversubscribe(factor);
+        if let Some(observer) = observer {
+            builder = builder.observer(observer);
+        }
+        let report = builder.run_sharded(connector)?;
         let merged = merge_histograms(
-            histograms
+            depths
+                .histograms
                 .into_inner()
                 .expect("histogram channel poisoned"),
         );
@@ -366,8 +366,8 @@ impl Crawler for BarrierCrawler {
 /// Plugs the barrier crawler into the one-stop builder:
 /// `Crawl::builder().strategy(Strategy::Custom(&BarrierCrawler::new()))`
 /// runs it solo or — through `sessions(n)` — across identities on the
-/// work-stealing pool, with the same per-shard query sequences as
-/// [`BarrierCrawler::crawl_sharded`].
+/// work-stealing pool ([`BarrierCrawler::crawl_sharded`] is that run
+/// plus the merged depth histogram).
 impl ShardCrawler for BarrierCrawler {
     fn crawl_spec(
         &self,
@@ -378,6 +378,51 @@ impl ShardCrawler for BarrierCrawler {
     ) -> Result<CrawlReport, CrawlError> {
         self.shard_report(db, schema, spec, config)
             .map(|r| r.report)
+    }
+}
+
+/// The barrier crawler as [`BarrierCrawler::crawl_sharded`] runs it on
+/// the pool: each shard crawls exactly as the plain `Strategy::Custom`
+/// run does, and its depth histogram rides a side channel out of the
+/// worker threads (the pool only moves `CrawlReport`s; summing
+/// histograms is commutative, so collection order doesn't matter).
+struct DepthCollector<'c> {
+    crawler: &'c BarrierCrawler,
+    histograms: Mutex<Vec<Vec<u64>>>,
+}
+
+impl Crawler for DepthCollector<'_> {
+    fn name(&self) -> &'static str {
+        self.crawler.name()
+    }
+
+    fn supports(&self, schema: &Schema) -> bool {
+        self.crawler.supports(schema)
+    }
+
+    fn crawl_with(
+        &self,
+        db: &mut dyn HiddenDatabase,
+        config: SessionConfig<'_>,
+    ) -> Result<CrawlReport, CrawlError> {
+        self.crawler.crawl_with(db, config)
+    }
+}
+
+impl ShardCrawler for DepthCollector<'_> {
+    fn crawl_spec(
+        &self,
+        db: &mut dyn HiddenDatabase,
+        schema: &Schema,
+        spec: &ShardSpec,
+        config: SessionConfig<'_>,
+    ) -> Result<CrawlReport, CrawlError> {
+        let out = self.crawler.shard_report(db, schema, spec, config)?;
+        self.histograms
+            .lock()
+            .expect("histogram channel poisoned")
+            .push(out.depth_histogram());
+        Ok(out.report)
     }
 }
 
@@ -565,7 +610,6 @@ mod tests {
         for (sessions, factor) in [(1usize, 1usize), (2, 3), (4, 2)] {
             let report = BarrierCrawler::new()
                 .crawl_sharded(
-                    &Sharded::new(sessions).oversubscribed(factor),
                     |_s| {
                         HiddenDbServer::new(
                             schema.clone(),
@@ -574,7 +618,9 @@ mod tests {
                         )
                         .unwrap()
                     },
-                    CrawlControls::default(),
+                    sessions,
+                    factor,
+                    None,
                 )
                 .unwrap_or_else(|e| panic!("sessions={sessions} factor={factor}: {e}"));
             verify_complete(&rows, &report.sharded.merged)
@@ -604,14 +650,8 @@ mod tests {
                 .unwrap()
         };
         let crawler = BarrierCrawler::new();
-        let stolen = crawler
-            .crawl_sharded(
-                &Sharded::new(3).oversubscribed(2),
-                |_s| make(),
-                CrawlControls::default(),
-            )
-            .unwrap();
-        let plan = Sharded::plan_oversubscribed(&schema, 3, 2);
+        let stolen = crawler.crawl_sharded(|_s| make(), 3, 2, None).unwrap();
+        let plan = hdc_core::Sharded::plan_oversubscribed(&schema, 3, 2);
         assert_eq!(stolen.sharded.shards.len(), plan.len());
         let mut seq_total = 0u64;
         for (i, spec) in plan.iter().enumerate() {

@@ -59,11 +59,11 @@
 //! * [`BarrierCrawler`] implements [`hdc_core::ShardCrawler`], so it runs
 //!   inside one [`hdc_core::ShardSpec`] subspace and rides the crawl
 //!   builder's `Strategy::Custom` path, solo or sharded; and
-//!   [`BarrierCrawler::crawl_sharded`] parallelizes a whole crawl across
-//!   client identities on the work-stealing pool via
-//!   [`hdc_core::Sharded::crawl`] — same plans, same retirement and
-//!   salvage semantics, same determinism contract as the hybrid crawler —
-//!   keeping the merged discovery-depth histogram.
+//!   [`BarrierCrawler::crawl_sharded`] is that sharded run — through
+//!   [`hdc_core::CrawlBuilder::run_sharded`], the pool's one driver, so
+//!   the same plans, retirement and salvage semantics, and determinism
+//!   contract as the hybrid crawler — keeping the merged discovery-depth
+//!   histogram.
 //! * Query accounting reuses [`hdc_core::CrawlMetrics`]: discriminating
 //!   expansions are tallied in `barrier_pivots`, below-frontier
 //!   discoveries in `barrier_deep_tuples`, so sharded merges aggregate

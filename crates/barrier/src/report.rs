@@ -160,21 +160,7 @@ impl ShardedBarrierReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdc_core::CrawlMetrics;
     use hdc_types::tuple::int_tuple;
-
-    fn blank_report() -> CrawlReport {
-        CrawlReport {
-            algorithm: "barrier",
-            tuples: vec![],
-            queries: 0,
-            resolved: 0,
-            overflowed: 0,
-            pruned: 0,
-            metrics: CrawlMetrics::default(),
-            progress: vec![],
-        }
-    }
 
     fn d(v: i64, depth: u32) -> Discovery {
         Discovery {
@@ -186,7 +172,7 @@ mod tests {
     #[test]
     fn aggregates_over_discoveries() {
         let r = BarrierReport::assemble(
-            blank_report(),
+            CrawlReport::empty("barrier"),
             vec![d(1, 0), d(2, 0), d(3, 1), d(4, 3), d(5, 1)],
         );
         assert_eq!(r.max_depth, 3);
@@ -198,7 +184,7 @@ mod tests {
 
     #[test]
     fn empty_crawl() {
-        let r = BarrierReport::assemble(blank_report(), vec![]);
+        let r = BarrierReport::assemble(CrawlReport::empty("barrier"), vec![]);
         assert_eq!(r.max_depth, 0);
         assert_eq!(r.frontier(), 0);
         assert_eq!(r.beyond_frontier(), 0);

@@ -18,7 +18,7 @@
 use proptest::prelude::*;
 
 use hdc_barrier::BarrierCrawler;
-use hdc_core::{verify_complete, CrawlControls, CrawlError, SessionConfig, ShardCrawler, Sharded};
+use hdc_core::{verify_complete, CrawlError, SessionConfig, ShardCrawler, Sharded};
 use hdc_server::{HiddenDbServer, ServerConfig};
 use hdc_types::{
     AttrKind, DbError, HiddenDatabase, Query, QueryOutcome, Schema, Tuple, TupleBag, Value,
@@ -244,12 +244,7 @@ proptest! {
     ) {
         prop_assume!(inst.solvable());
         let crawler = BarrierCrawler::new();
-        let stolen = crawler
-            .crawl_sharded(
-                &Sharded::new(sessions).oversubscribed(factor),
-                |_s| inst.server(11),
-                CrawlControls::default(),
-            );
+        let stolen = crawler.crawl_sharded(|_s| inst.server(11), sessions, factor, None);
         let stolen = match stolen {
             Ok(report) => report,
             Err(e) => {
@@ -287,8 +282,10 @@ proptest! {
 
 /// The one-stop builder's `Strategy::Custom` path is a *front end* over
 /// this crawler, not a fork: solo runs match `crawl_report` bit for bit,
-/// sharded runs match `crawl_sharded` (same merged bag/cost, same
-/// per-shard costs, same depth-aware histogram).
+/// and `crawl_sharded` — the plain sharded `Strategy::Custom` run plus a
+/// depth-histogram side channel — is that run unperturbed (same merged
+/// bag/cost, same per-shard costs), its histogram reconciling with the
+/// merged metrics.
 mod builder_front_end {
     use super::*;
     use hdc_core::{Crawl, Strategy};
@@ -321,37 +318,34 @@ mod builder_front_end {
         ) {
             prop_assume!(inst.solvable());
             let crawler = BarrierCrawler::new();
-            let legacy = crawler
-                .crawl_sharded(
-                    &Sharded::new(sessions).oversubscribed(factor),
-                    |_s| inst.server(19),
-                    CrawlControls::default(),
-                )
+            let collected = crawler
+                .crawl_sharded(|_s| inst.server(19), sessions, factor, None)
                 .unwrap();
+            // The plain `Strategy::Custom` run, no histogram side channel.
             let built = Crawl::builder()
                 .strategy(Strategy::Custom(&crawler))
                 .sessions(sessions)
                 .oversubscribe(factor)
                 .run_sharded(|_s| inst.server(19))
                 .unwrap();
-            prop_assert_eq!(built.merged.queries, legacy.sharded.merged.queries);
-            prop_assert_eq!(&built.merged.tuples, &legacy.sharded.merged.tuples);
-            prop_assert_eq!(built.shards.len(), legacy.sharded.shards.len());
-            for (a, b) in built.shards.iter().zip(&legacy.sharded.shards) {
+            prop_assert_eq!(built.merged.queries, collected.sharded.merged.queries);
+            prop_assert_eq!(&built.merged.tuples, &collected.sharded.merged.tuples);
+            prop_assert_eq!(built.shards.len(), collected.sharded.shards.len());
+            for (a, b) in built.shards.iter().zip(&collected.sharded.shards) {
                 prop_assert_eq!(&a.spec, &b.spec);
                 prop_assert_eq!(a.report.queries, b.report.queries);
                 prop_assert_eq!(a.tuples, b.tuples);
             }
             // The depth-aware merge reconciles with the metrics both ways.
             prop_assert_eq!(
-                legacy.beyond_frontier(),
+                collected.beyond_frontier(),
                 built.merged.metrics.barrier_deep_tuples
             );
             // Shards cover disjoint subspaces, so the summed per-shard
             // discovery counts are exactly the distinct tuple values of
             // the merged bag.
             prop_assert_eq!(
-                legacy.depth_histogram.iter().sum::<u64>() as usize,
+                collected.depth_histogram.iter().sum::<u64>() as usize,
                 TupleBag::from_tuples(built.merged.tuples.iter().cloned()).distinct()
             );
         }

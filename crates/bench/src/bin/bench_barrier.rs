@@ -42,9 +42,7 @@ use std::time::{Duration, Instant};
 
 use hdc_barrier::BarrierCrawler;
 use hdc_bench::{obj, BenchRun, Field};
-use hdc_core::{
-    verify_complete, Crawl, CrawlControls, ProgressRecorder, SessionConfig, Sharded, Strategy,
-};
+use hdc_core::{verify_complete, Crawl, ProgressRecorder, SessionConfig, Strategy};
 use hdc_data::synth::SyntheticSpec;
 use hdc_data::{adult, ops, yahoo, Dataset};
 use hdc_server::{HiddenDbServer, LegacyEvaluator, ServerConfig};
@@ -311,7 +309,6 @@ fn main() {
                 let begun = Instant::now();
                 let report = crawler
                     .crawl_sharded(
-                        &Sharded::new(sessions).oversubscribed(OVERSUB),
                         |_s| Throttled {
                             inner: servers
                                 .lock()
@@ -320,7 +317,9 @@ fn main() {
                                 .expect("one server per identity plus the probe"),
                             per_query,
                         },
-                        CrawlControls::default(),
+                        sessions,
+                        OVERSUB,
+                        None,
                     )
                     .unwrap_or_else(|e| panic!("{}: sharded barrier failed: {e}", w.name));
                 let wall = begun.elapsed().as_secs_f64();

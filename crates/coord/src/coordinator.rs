@@ -36,7 +36,9 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use hdc_core::{CancelToken, CrawlCheckpoint, CrawlRepository, JsonFileRepository, ShardSnapshot};
+use hdc_core::{
+    CancelToken, CrawlCheckpoint, CrawlReport, CrawlRepository, JsonFileRepository, ShardSnapshot,
+};
 use hdc_net::http::{Request, Response};
 use hdc_net::RouteExt;
 
@@ -51,14 +53,6 @@ pub enum Restore {
     Resumed {
         /// Complete shards restored from disk.
         complete: usize,
-    },
-    /// The checkpoint belongs to a different plan. The fleet starts
-    /// fresh and **persistence is disabled** so the foreign checkpoint
-    /// file is preserved; the message carries the typed
-    /// [`hdc_core::RepositoryError::PlanMismatch`] remediation text.
-    Mismatch {
-        /// The plan-mismatch explanation for the operator.
-        message: String,
     },
 }
 
@@ -116,36 +110,25 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Builds a coordinator over `plan` (shard signatures in plan
-    /// order). When `cfg.checkpoint` names an existing compatible
-    /// checkpoint, completed shards and salvageable partials are
-    /// restored; a checkpoint
-    /// for a *different* plan yields [`Restore::Mismatch`] — fleet
-    /// proceeds fresh, persistence disabled, nothing aborted.
+    /// order). When `cfg.checkpoint` names an existing checkpoint, its
+    /// completed shards and salvageable partials are restored. A
+    /// checkpoint for a *different* plan is refused, as the sharded
+    /// driver refuses it: an [`io::ErrorKind::InvalidData`] error
+    /// carrying the [`hdc_core::RepositoryError::PlanMismatch`] text,
+    /// with the file left untouched.
     pub fn new(plan: Vec<String>, cfg: CoordinatorConfig) -> io::Result<(Self, Restore)> {
         let mut repo = MemoryLeaseRepository::new(plan.clone(), cfg.ttl);
         let mut restore = Restore::Fresh;
         let mut persist = None;
         if let Some(path) = cfg.checkpoint {
             let mut file_repo = JsonFileRepository::new(&path);
-            match file_repo.load()? {
-                Some(cp) => match repo.store(&cp) {
-                    Ok(()) => {
-                        restore = Restore::Resumed {
-                            complete: repo.progress().0,
-                        };
-                        persist = Some(file_repo);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                        restore = Restore::Mismatch {
-                            message: e.to_string(),
-                        };
-                        // Leave `persist` None: never overwrite a
-                        // checkpoint that belongs to another plan.
-                    }
-                    Err(e) => return Err(e),
-                },
-                None => persist = Some(file_repo),
+            if let Some(cp) = file_repo.load()? {
+                repo.store(&cp)?;
+                restore = Restore::Resumed {
+                    complete: repo.progress().0,
+                };
             }
+            persist = Some(file_repo);
         }
         let coordinator = Coordinator {
             repo,
@@ -181,25 +164,15 @@ impl Coordinator {
         self.repo.is_drained()
     }
 
-    /// The merged bag in plan order plus summary counters — for the
-    /// operator's final verification line.
+    /// Summary counters over the complete shards — for the operator's
+    /// final verification line.
     pub fn outcome(&self) -> FleetOutcome {
-        let cp = self.repo.checkpoint();
+        let merged = CrawlReport::from_snapshots("fleet", self.repo.checkpoint().shards);
         let (complete, total) = self.repo.progress();
         let (expired, salvaged) = self.repo.fleet_stats();
         FleetOutcome {
-            tuples: cp
-                .shards
-                .iter()
-                .filter(|s| s.is_complete())
-                .map(|s| s.tuples.len() as u64)
-                .sum(),
-            queries: cp
-                .shards
-                .iter()
-                .filter(|s| s.is_complete())
-                .map(|s| s.queries)
-                .sum(),
+            tuples: merged.tuples.len() as u64,
+            queries: merged.queries,
             shards: (complete, total),
             expired_leases: expired,
             salvaged_grants: salvaged,

@@ -22,8 +22,7 @@ use std::io;
 use std::time::Duration;
 
 use hdc_core::{
-    CancelToken, CrawlError, CrawlMetrics, CrawlReport, RetryPolicy, SessionConfig, ShardSnapshot,
-    ShardSpec,
+    CancelToken, CrawlError, CrawlReport, RetryPolicy, SessionConfig, ShardSnapshot, ShardSpec,
 };
 use hdc_types::{DbError, HiddenDatabase, Schema};
 
@@ -135,16 +134,7 @@ fn delta_snapshot(
 fn coord_failure(e: io::Error) -> CrawlError {
     CrawlError::Db {
         error: DbError::Backend(format!("coordination: {e}")),
-        partial: Box::new(CrawlReport {
-            algorithm: "fleet-worker",
-            tuples: Vec::new(),
-            queries: 0,
-            resolved: 0,
-            overflowed: 0,
-            pruned: 0,
-            metrics: CrawlMetrics::default(),
-            progress: Vec::new(),
-        }),
+        partial: Box::new(CrawlReport::empty("fleet-worker")),
     }
 }
 

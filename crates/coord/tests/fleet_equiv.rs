@@ -37,8 +37,8 @@ use hdc_coord::{
     MemoryLeaseRepository, WireLeaseRepository, WorkerConfig,
 };
 use hdc_core::{
-    CancelToken, CrawlCheckpoint, CrawlError, CrawlReport, CrawlRepository, SessionConfig,
-    ShardSnapshot, ShardSpec, Sharded,
+    snapshot_of_report, CancelToken, CrawlCheckpoint, CrawlError, CrawlReport, CrawlRepository,
+    JsonFileRepository, SessionConfig, ShardSnapshot, ShardSpec, Sharded,
 };
 use hdc_net::{http, Client, RouteExt, ServeOptions, WireServer};
 use hdc_server::{HiddenDbServer, ServerConfig, SharedServer};
@@ -755,6 +755,40 @@ fn wire_fleet_matches_solo() {
         LeaseDecision::Drained
     ));
     stop.store(true, std::sync::atomic::Ordering::Release);
+}
+
+/// A coordinator handed a checkpoint for another plan refuses it, as
+/// the sharded driver does: `Coordinator::new` fails with the
+/// plan-mismatch `InvalidData` error, and the foreign file is left
+/// byte-identical.
+#[test]
+fn foreign_checkpoint_is_refused_and_preserved() {
+    let inst = yahoo_like();
+    let theirs = Sharded::plan_oversubscribed(&inst.schema, 1, 2);
+    let ours = Sharded::plan_oversubscribed(&inst.schema, 2, 2);
+    assert_ne!(signatures(&theirs), signatures(&ours));
+    let path = std::env::temp_dir().join(format!("hdc_fleet_foreign_{}.json", std::process::id()));
+    let shard = theirs[0].crawl(&mut inst.server(7), &inst.schema).unwrap();
+    JsonFileRepository::new(&path)
+        .store(&CrawlCheckpoint {
+            plan: signatures(&theirs),
+            shards: vec![snapshot_of_report(0, &shard, None)],
+        })
+        .unwrap();
+    let before = std::fs::read(&path).unwrap();
+
+    let refused = Coordinator::new(
+        signatures(&ours),
+        CoordinatorConfig {
+            checkpoint: Some(path.clone()),
+            ..CoordinatorConfig::default()
+        },
+    );
+    let err = refused.err().expect("a foreign checkpoint must be refused");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("plan mismatch"), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), before, "checkpoint file touched");
+    std::fs::remove_file(&path).unwrap();
 }
 
 /// A hostile `/complete` body — a valid verb line followed by 1 MB of

@@ -65,16 +65,7 @@ mod tests {
             _db: &mut dyn HiddenDatabase,
             _config: SessionConfig<'_>,
         ) -> Result<CrawlReport, CrawlError> {
-            Ok(CrawlReport {
-                algorithm: self.name(),
-                tuples: vec![],
-                queries: 0,
-                resolved: 0,
-                overflowed: 0,
-                pruned: 0,
-                metrics: crate::report::CrawlMetrics::default(),
-                progress: vec![],
-            })
+            Ok(CrawlReport::empty(self.name()))
         }
     }
 

@@ -20,8 +20,9 @@
 //! The one-stop entry point is [`Crawl::builder`] ([`orchestrate`]
 //! module): it resolves [`Strategy::Auto`] to the paper's choice for the
 //! schema, applies budgets, routes multi-session crawls through the
-//! work-stealing [`Sharded`] pool, and streams crawl events to a
-//! [`CrawlObserver`] (with observer-driven early termination).
+//! work-stealing shard pool ([`sharded`] module), and streams crawl
+//! events to a [`CrawlObserver`] (with observer-driven early
+//! termination).
 //!
 //! ```
 //! use hdc_core::{Crawl, Strategy};
@@ -92,7 +93,7 @@ pub use repository::{
 pub use retry::RetryPolicy;
 pub use session::{run_crawl, Abort, Session, SessionConfig, MAX_BATCH};
 pub use sharded::{
-    snapshot_of_report, CrawlControls, PoolStats, ShardRun, ShardSpec, Sharded, ShardedReport,
-    TaskSource, WorkerStats,
+    snapshot_of_report, PoolStats, ShardRun, ShardSpec, Sharded, ShardedReport, TaskSource,
+    WorkerStats,
 };
 pub use validate::verify_complete;

@@ -5,9 +5,9 @@
 //!
 //! Four layers of crawl machinery grew their own entry idioms: each
 //! algorithm has its own constructors ([`Hybrid::eager`],
-//! [`SliceCover::lazy_with_oracle`], …), multi-session crawling needs a
-//! hand-written connector through [`Sharded::crawl`], budgets need the
-//! caller to wrap the database in [`Budgeted`], and the only output was a
+//! [`SliceCover::lazy_with_oracle`], …), multi-session crawling needs one
+//! connection per client identity, budgets need the caller to wrap the
+//! database in [`Budgeted`], and the only output was a
 //! monolithic end-of-crawl [`CrawlReport`]. This module unifies them
 //! behind two abstractions:
 //!
@@ -35,9 +35,9 @@
 //!   [`Strategy::Auto`] selects the paper-correct algorithm for the
 //!   schema (numeric → rank-shrink, categorical → lazy-slice-cover,
 //!   mixed → hybrid); [`CrawlBuilder::sessions`] routes the crawl through
-//!   the work-stealing [`Sharded`] pool (via
-//!   [`CrawlBuilder::run_sharded`], since each identity needs its own
-//!   connection); [`Strategy::Custom`] admits external crawlers — the
+//!   the work-stealing shard pool (via [`CrawlBuilder::run_sharded`], the
+//!   pool's only driver, since each identity needs its own connection);
+//!   [`Strategy::Custom`] admits external crawlers — the
 //!   top-k-barrier crawler in `hdc-barrier` implements [`ShardCrawler`]
 //!   and rides the same path. The per-algorithm constructors and
 //!   [`Crawler::crawl_with`] run the same bodies, so the builder is
@@ -97,7 +97,7 @@ use crate::report::{CrawlError, CrawlReport, ProgressPoint};
 use crate::repository::CrawlRepository;
 use crate::retry::RetryPolicy;
 use crate::session::SessionConfig;
-use crate::sharded::{CrawlControls, Sharded, ShardSpec, ShardedReport, TaskSource};
+use crate::sharded::{ShardSpec, ShardedReport, TaskSource};
 
 /// Control-flow decision returned by the live [`CrawlObserver`] callbacks:
 /// keep crawling, or stop early with a partial report.
@@ -153,7 +153,7 @@ impl CancelToken {
 }
 
 /// One completed shard of a multi-session crawl, delivered — in plan
-/// order — by the merge path of [`Sharded::crawl`].
+/// order — by the merge path of [`CrawlBuilder::run_sharded`].
 #[derive(Debug)]
 pub struct ShardEvent<'a> {
     /// Position of the shard in the plan (0-based).
@@ -268,9 +268,9 @@ impl CrawlObserver for ProgressRecorder {
 /// through both the solo and the multi-session builder paths.
 ///
 /// `crawl_spec` must uphold the scheduler's determinism contract (see
-/// [`Sharded`]): its query sequence may depend only on the shard spec and
-/// the database, never on which worker runs it or what ran before on the
-/// connection. The `Sync` supertrait is what lets the work-stealing pool
+/// [`crate::sharded`]): its query sequence may depend only on the shard
+/// spec and the database, never on which worker runs it or what ran
+/// before on the connection. The `Sync` supertrait is what lets the work-stealing pool
 /// share the crawler across identities.
 pub trait ShardCrawler: Crawler + Sync {
     /// Crawls one shard's subspace on `db` (which must view the same
@@ -416,13 +416,15 @@ impl Crawl {
 pub struct CrawlBuilder<'a> {
     strategy: Strategy<'a>,
     oracle: Option<&'a dyn ValidityOracle>,
-    budget: Option<u64>,
-    sessions: usize,
-    oversubscribe: usize,
-    observer: Option<&'a mut dyn CrawlObserver>,
-    retry: RetryPolicy,
-    cancel: Option<&'a CancelToken>,
-    repository: Option<&'a mut dyn CrawlRepository>,
+    // The rest configure the shard pool too, whose executor
+    // (`sharded.rs`) reads them directly.
+    pub(crate) budget: Option<u64>,
+    pub(crate) sessions: usize,
+    pub(crate) oversubscribe: usize,
+    pub(crate) observer: Option<&'a mut dyn CrawlObserver>,
+    pub(crate) retry: RetryPolicy,
+    pub(crate) cancel: Option<&'a CancelToken>,
+    pub(crate) repository: Option<&'a mut dyn CrawlRepository>,
 }
 
 impl<'a> CrawlBuilder<'a> {
@@ -466,7 +468,10 @@ impl<'a> CrawlBuilder<'a> {
 
     /// Over-partitions the sharded plan into `≈ sessions × factor` fine
     /// shards dealt to the identities by the work-stealing pool (see
-    /// [`Sharded::oversubscribed`]). Only meaningful with
+    /// [`crate::Sharded::plan_oversubscribed`]). More shards mean better
+    /// balance under skew — a heavy subtree no longer pins a whole
+    /// identity's share — at the price of some re-fetched slice work,
+    /// since each shard builds its own slice table. Only meaningful with
     /// [`CrawlBuilder::run_sharded`].
     ///
     /// # Panics
@@ -556,8 +561,8 @@ impl<'a> CrawlBuilder<'a> {
     }
 
     /// Runs the crawl across [`CrawlBuilder::sessions`] client
-    /// identities on the work-stealing [`Sharded`] pool. The
-    /// [`Connector`] mints identity `s`'s own connection —
+    /// identities on the work-stealing shard pool — the pool's only
+    /// driver. The [`Connector`] mints identity `s`'s own connection —
     /// `connector.connect(s)` — and every `Fn(usize) -> D` factory
     /// closure *is* a connector (blanket impl), so
     /// `run_sharded(|_s| shared.client())` works as written. All
@@ -565,11 +570,36 @@ impl<'a> CrawlBuilder<'a> {
     /// `sessions == 1` too (the plan degenerates to the solo sharded
     /// plan).
     ///
-    /// The same plan, per-shard query sequences and costs, and merged
-    /// bag as [`Sharded::crawl`] with the strategy's shard crawler. The
-    /// observer receives the shards' live events plus one
-    /// [`CrawlObserver::on_shard`] per merged shard, in plan order. A
-    /// [`CrawlBuilder::repository`] makes the crawl resumable.
+    /// The plan is [`crate::Sharded::plan_oversubscribed`] of the schema
+    /// probed from identity 0. Each worker owns one connection for its
+    /// whole lifetime and crawls the shards the scheduler deals it, one
+    /// at a time, with the strategy's shard crawler:
+    /// [`ShardSpec::crawl_with`] for the built-in family,
+    /// [`ShardCrawler::crawl_spec`] for [`Strategy::Custom`]. Results
+    /// are merged in plan order, so the extracted bag and every
+    /// per-shard cost are those of [`ShardSpec::crawl`] run shard by
+    /// shard, whatever the scheduling (the determinism contract in the
+    /// [`crate::sharded`] docs).
+    ///
+    /// * The **observer** receives every shard session's
+    ///   `on_query`/`on_tuples`/`on_progress` events live — streamed out
+    ///   of the worker threads through a bounded channel, with progress
+    ///   aggregated into crawl-wide totals — plus one
+    ///   [`CrawlObserver::on_shard`] per merged shard, in plan order. A
+    ///   [`Flow::Stop`] trips the halt token, stopping every in-flight
+    ///   shard before its next query; the crawl returns
+    ///   [`CrawlError::Stopped`] carrying every tuple and query already
+    ///   paid for — unless some shard actually *failed*, in which case
+    ///   the failure (`Db`/`Unsolvable`) is returned instead, carrying
+    ///   the same partial: a dead identity must never be misread as a
+    ///   voluntary stop.
+    /// * A [`CrawlBuilder::repository`] makes the crawl resumable: an
+    ///   existing checkpoint is loaded first (a plan mismatch is a typed
+    ///   [`CrawlError::Db`], not a panic), its snapshotted shards are
+    ///   replayed without issuing a single query, only the remainder is
+    ///   crawled, and the updated checkpoint is stored after every
+    ///   completed shard. The merged report of a resumed crawl is
+    ///   bit-identical to an uninterrupted run's.
     ///
     /// # Panics
     /// Panics when the configuration is contradictory: an oracle (the
@@ -592,29 +622,9 @@ impl<'a> CrawlBuilder<'a> {
         drop(probe);
         let strategy = self.strategy.resolve(&schema);
         assert_sharded(strategy, &schema);
-        let sharded = Sharded::new(self.sessions)
-            .oversubscribed(self.oversubscribe)
-            .retry(self.retry);
-        let controls = CrawlControls {
-            observer: self.observer,
-            cancel: self.cancel,
-            repository: self.repository,
-        };
-        let shard_crawl =
-            |spec: &ShardSpec, db: &mut dyn HiddenDatabase, config: SessionConfig<'_>| {
-                crawl_shard(strategy, &schema, spec, db, config)
-            };
-        match self.budget {
-            // Per-identity quota: each connection carries its own
-            // allowance, matching how real sites meter queries (§1.1).
-            Some(limit) => sharded.crawl(
-                &schema,
-                |s| Budgeted::new(connector.connect(s), limit),
-                shard_crawl,
-                controls,
-            ),
-            None => sharded.crawl(&schema, connector, shard_crawl, controls),
-        }
+        self.run_pool(&schema, connector, |spec, db, config| {
+            crawl_shard(strategy, &schema, spec, db, config)
+        })
     }
 }
 

@@ -4,6 +4,8 @@ use std::fmt;
 
 use hdc_types::{DbError, Query, Tuple};
 
+use crate::repository::ShardSnapshot;
+
 /// One point of the progressiveness curve: after `queries` queries, the
 /// crawler had output `tuples` tuples (Figure 13 plots exactly this,
 /// normalized to percentages).
@@ -119,6 +121,49 @@ pub struct CrawlReport {
 }
 
 impl CrawlReport {
+    /// A report of nothing: no tuples, no queries, no progress — the seed
+    /// a merge folds shard reports into, and the partial of a crawl that
+    /// failed before its first query.
+    pub fn empty(algorithm: &'static str) -> Self {
+        CrawlReport {
+            algorithm,
+            tuples: Vec::new(),
+            queries: 0,
+            resolved: 0,
+            overflowed: 0,
+            pruned: 0,
+            metrics: CrawlMetrics::default(),
+            progress: Vec::new(),
+        }
+    }
+
+    /// The complete shards among `snapshots` folded into one report, in
+    /// the order given: bags concatenated, accounting summed. Partial
+    /// (frontier-bearing) snapshots are skipped, and the result has no
+    /// progress curve, as checkpoints do not bank one.
+    pub fn from_snapshots(
+        algorithm: &'static str,
+        snapshots: impl IntoIterator<Item = ShardSnapshot>,
+    ) -> Self {
+        let mut merged = Self::empty(algorithm);
+        for snap in snapshots.into_iter().filter(ShardSnapshot::is_complete) {
+            merged.absorb(&mut CrawlReport::from(snap));
+        }
+        merged
+    }
+
+    /// Folds `part` into this report: its tuples move to the end of this
+    /// bag (leaving `part`'s empty) and its query accounting is added.
+    /// Progress curves are not merged.
+    pub(crate) fn absorb(&mut self, part: &mut CrawlReport) {
+        self.tuples.append(&mut part.tuples);
+        self.queries += part.queries;
+        self.resolved += part.resolved;
+        self.overflowed += part.overflowed;
+        self.pruned += part.pruned;
+        self.metrics.merge_from(&part.metrics);
+    }
+
     /// Fraction of issued queries that resolved — 0.0 for an empty crawl
     /// (no queries issued), so the rate is always a finite value in
     /// [0, 1] that experiment tables can aggregate without guarding.
@@ -158,6 +203,24 @@ impl CrawlReport {
                 (x - y).abs()
             })
             .fold(0.0, f64::max)
+    }
+}
+
+/// Rehydrates a snapshot into a shard report. The progress curve is not
+/// checkpointed (it describes the run that produced the snapshot, not
+/// this one), so the report has none.
+impl From<ShardSnapshot> for CrawlReport {
+    fn from(snap: ShardSnapshot) -> Self {
+        CrawlReport {
+            algorithm: "restored",
+            tuples: snap.tuples,
+            queries: snap.queries,
+            resolved: snap.resolved,
+            overflowed: snap.overflowed,
+            pruned: snap.pruned,
+            metrics: snap.metrics,
+            progress: Vec::new(),
+        }
     }
 }
 
@@ -434,5 +497,37 @@ mod tests {
         assert_eq!(e.partial().tuples.len(), 10);
         assert!(e.to_string().contains("stopped by observer"));
         assert_eq!(e.into_partial().queries, 5);
+    }
+
+    /// The snapshot fold keeps only complete shards: their bags in the
+    /// given order and their accounting summed; a partial snapshot (one
+    /// with a frontier) contributes nothing.
+    #[test]
+    fn from_snapshots_folds_complete_shards_only() {
+        let snap = |index: usize, value: i64, frontier: Option<u64>| ShardSnapshot {
+            index,
+            queries: 3,
+            resolved: 2,
+            overflowed: 1,
+            pruned: 1,
+            frontier,
+            metrics: CrawlMetrics {
+                slice_fetches: 1,
+                ..CrawlMetrics::default()
+            },
+            tuples: vec![int_tuple(&[value])],
+        };
+        let merged = CrawlReport::from_snapshots(
+            "fleet",
+            [snap(1, 10, None), snap(0, 20, Some(1)), snap(2, 30, None)],
+        );
+        assert_eq!(merged.algorithm, "fleet");
+        assert_eq!(merged.tuples, vec![int_tuple(&[10]), int_tuple(&[30])]);
+        assert_eq!(
+            (merged.queries, merged.resolved, merged.overflowed, merged.pruned),
+            (6, 4, 2, 2)
+        );
+        assert_eq!(merged.metrics.slice_fetches, 2);
+        assert!(merged.progress.is_empty());
     }
 }

@@ -26,10 +26,11 @@
 //!
 //! # Scheduling: identities ≠ shards
 //!
-//! [`Sharded::new`]`(sessions)` fixes the number of client *identities*
-//! (worker threads, each with its own connection from the caller's
-//! [`Connector`]). The *plan* is deliberately finer:
-//! [`Sharded::oversubscribed`]`(factor)` produces `≈ sessions × factor`
+//! [`CrawlBuilder::run_sharded`] is the one driver of the pool.
+//! [`CrawlBuilder::sessions`]`(n)` fixes the number of client
+//! *identities* (worker threads, each with its own connection from the
+//! caller's [`Connector`]). The *plan* is deliberately finer:
+//! [`CrawlBuilder::oversubscribe`]`(factor)` produces `≈ sessions × factor`
 //! shards, dealt to the workers dynamically by a minimal work-stealing
 //! pool (vendored in `crates/compat/workpool`: a shared injector queue
 //! plus per-worker deques, LIFO-local/FIFO-steal). A skew-heavy shard
@@ -73,7 +74,7 @@
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use hdc_types::{AttrKind, DbError, HiddenDatabase, Predicate, Query, Schema};
+use hdc_types::{AttrKind, Budgeted, DbError, HiddenDatabase, Predicate, Query, Schema};
 use workpool::TaskCtx;
 pub use workpool::{PoolStats, Source as TaskSource, Verdict, WorkerStats};
 
@@ -81,8 +82,8 @@ use crate::categorical::slice_cover::{extended_dfs_from, DfsRoot, LeafMode, Slic
 use crate::connector::Connector;
 use crate::events::{ChannelObserver, EventSink, SessionEvent, EVENT_CHANNEL_CAPACITY};
 use crate::numeric::rank_shrink::RankShrink;
-use crate::orchestrate::{CancelToken, CrawlObserver, Flow, ShardEvent};
-use crate::report::{CrawlError, CrawlMetrics, CrawlReport, ProgressPoint};
+use crate::orchestrate::{CancelToken, CrawlBuilder, CrawlObserver, Flow, ShardEvent};
+use crate::report::{CrawlError, CrawlReport, ProgressPoint};
 use crate::repository::{CrawlCheckpoint, CrawlRepository, ShardSnapshot};
 use crate::retry::RetryPolicy;
 use crate::session::{run_crawl, SessionConfig};
@@ -595,40 +596,12 @@ impl ShardedReport {
     }
 }
 
-/// Runtime controls for a sharded crawl: the streaming observer, a
-/// cross-thread cancellation token, and a checkpoint repository. All
-/// optional; `CrawlControls::default()` is a plain crawl.
-#[derive(Default)]
-pub struct CrawlControls<'a> {
-    /// Live event and merge-path sink (see [`Sharded::crawl`]).
-    pub observer: Option<&'a mut dyn CrawlObserver>,
-    /// Cooperative cancellation: when the token latches, in-flight shard
-    /// sessions abort before their next query and queued shards are
-    /// never started. Without one, the crawl allocates an internal token
-    /// so a [`CrawlError::Stopped`] shard still halts its peers.
-    pub cancel: Option<&'a CancelToken>,
-    /// Checkpoint store: load-and-skip finished shards at startup, store
-    /// the accumulated [`CrawlCheckpoint`] after every completed shard.
-    pub repository: Option<&'a mut dyn CrawlRepository>,
-}
-
-impl std::fmt::Debug for CrawlControls<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CrawlControls")
-            .field("observer", &self.observer.is_some())
-            .field("cancel", &self.cancel.is_some())
-            .field("repository", &self.repository.is_some())
-            .finish()
-    }
-}
-
-/// A multi-session crawler over `sessions` client identities.
-#[derive(Clone, Debug)]
-pub struct Sharded {
-    sessions: usize,
-    oversubscribe: usize,
-    retry: RetryPolicy,
-}
+/// The shard planner: cuts a schema's data space into disjoint covering
+/// [`ShardSpec`]s. The plans run on the work-stealing pool through
+/// [`CrawlBuilder::run_sharded`]; distributed callers hand them out by
+/// [`ShardSpec::signature`] and crawl each with [`ShardSpec::crawl`].
+#[derive(Debug)]
+pub struct Sharded;
 
 /// How many *consecutive* shards may fail with a transient error (after
 /// exhausting their session's retries) before the identity is considered
@@ -637,36 +610,6 @@ pub struct Sharded {
 pub const TRANSIENT_STRIKES: u32 = 2;
 
 impl Sharded {
-    /// Crawl with `sessions ≥ 1` concurrent sessions and the
-    /// static-equivalent plan (one shard per session).
-    pub fn new(sessions: usize) -> Self {
-        assert!(sessions >= 1, "at least one session required");
-        Sharded {
-            sessions,
-            oversubscribe: 1,
-            retry: RetryPolicy::none(),
-        }
-    }
-
-    /// Over-partitions the plan into `≈ sessions × factor` shards dealt
-    /// to the workers dynamically. More shards mean better balance under
-    /// skew (a heavy subtree no longer pins a whole identity's share)
-    /// at the price of some re-fetched slice work, since each shard
-    /// builds its own slice table.
-    pub fn oversubscribed(mut self, factor: usize) -> Self {
-        assert!(factor >= 1, "oversubscription factor must be ≥ 1");
-        self.oversubscribe = factor;
-        self
-    }
-
-    /// Applies `policy` to every shard session: transient query failures
-    /// are retried in place instead of failing the shard (default: no
-    /// retries).
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = policy;
-        self
-    }
-
     /// Plans the disjoint covering shards for a schema: the
     /// static-equivalent plan, one shard per session
     /// (`plan_oversubscribed` with factor 1).
@@ -780,54 +723,21 @@ impl Sharded {
         }
         shards
     }
+}
 
-    /// Runs the sharded crawl of `schema`'s plan across this crawler's
-    /// client identities on the work-stealing pool — the one sharded
-    /// driver. `connector.connect(s)` mints identity `s`'s own
-    /// connection; every connection must view the same logical database,
-    /// whose schema is `schema`. `shard_crawl` crawls one shard on one
-    /// connection under the [`SessionConfig`] the driver hands it (this
-    /// crawler's retry policy, the crawl's halt token, and the shard's
-    /// event route); its query sequence may
-    /// depend only on the shard spec and the database, never on the
-    /// worker or what ran before on the connection (the determinism
-    /// contract in the module docs). The hybrid family passes
-    /// [`ShardSpec::crawl_with`]; other crawlers — the top-k-barrier
-    /// crawler in `hdc-barrier` — ride the same plan, pool, retirement,
-    /// checkpointing, and merge machinery through their own
-    /// [`crate::ShardCrawler::crawl_spec`].
-    ///
-    /// Each of the sessions' workers owns one connection for its whole
-    /// lifetime and crawls the shards the scheduler deals it, one at a
-    /// time. Results are merged in plan order, so the extracted bag and
-    /// every per-shard cost are deterministic regardless of scheduling.
-    ///
-    /// [`CrawlControls`] attach the rest:
-    /// * an **observer** receives every shard session's
-    ///   `on_query`/`on_tuples`/`on_progress` events live — streamed out
-    ///   of the worker threads through the bounded channel in
-    ///   [`crate::events`], with progress aggregated into crawl-wide
-    ///   totals — plus one [`ShardEvent`] notification per merged shard,
-    ///   in plan order. A [`Flow::Stop`] from a live event trips the halt
-    ///   token, stopping every in-flight shard before its next query; the
-    ///   crawl returns [`CrawlError::Stopped`] carrying every tuple and
-    ///   query already paid for — unless some shard actually *failed*, in
-    ///   which case the failure (`Db`/`Unsolvable`) is returned instead,
-    ///   carrying the same partial: a dead identity must never be misread
-    ///   as a voluntary stop;
-    /// * a **repository** makes the crawl resumable: any existing
-    ///   checkpoint is loaded first (a plan mismatch is a typed
-    ///   [`CrawlError::Db`], not a panic), its snapshotted shards are
-    ///   replayed without issuing a single query, only the remainder is
-    ///   crawled, and the updated checkpoint is stored after every
-    ///   completed shard. The merged report of a resumed crawl is
-    ///   bit-identical to an uninterrupted run's.
-    pub fn crawl<C, G>(
-        &self,
+impl CrawlBuilder<'_> {
+    /// The pool executor behind [`CrawlBuilder::run_sharded`]: runs
+    /// `schema`'s plan across the builder's sessions, with its
+    /// oversubscription, retry policy, per-identity budget, observer,
+    /// cancel token, and repository. `shard_crawl` crawls one shard; its
+    /// query sequence may depend only on the shard spec and the
+    /// database, never on the worker or what ran before on the
+    /// connection (the determinism contract in the module docs).
+    pub(crate) fn run_pool<C, G>(
+        self,
         schema: &Schema,
         connector: C,
         shard_crawl: G,
-        controls: CrawlControls<'_>,
     ) -> Result<ShardedReport, CrawlError>
     where
         C: Connector,
@@ -838,69 +748,44 @@ impl Sharded {
             ) -> Result<CrawlReport, CrawlError>
             + Sync,
     {
-        let CrawlControls {
-            mut observer,
-            cancel,
-            repository,
-        } = controls;
         let internal_halt = CancelToken::new();
-        let run = ShardedRun::prepare(self, schema, cancel.unwrap_or(&internal_halt), repository)?;
-        let pool = workpool::Pool::new(self.sessions);
-        // The pool run, parameterized over the live event sink so the
-        // observed and unobserved paths share one task closure: with a
-        // sink, every shard session's observer is a channel proxy that
-        // streams its events, tagged with the plan index.
-        let execute = |events: Option<EventSink>| {
-            pool.run_cancellable(
-                run.tasks(),
-                |w| (connector.connect(w), 0),
-                |(db, strikes): &mut (C::Db, u32), ctx, task: (usize, ShardSpec)| {
-                    let mut proxy = events
-                        .as_ref()
-                        .map(|sink| ChannelObserver::new(sink.for_shard(task.0)));
-                    let config = SessionConfig {
-                        observer: proxy.as_mut().map(|p| p as &mut dyn CrawlObserver),
-                        ..SessionConfig::default()
-                    };
-                    run.shard(&shard_crawl, db, strikes, ctx, task, config)
-                },
-                Some(run.halt.flag()),
-            )
-        };
-        let (slots, stats) = match observer.as_deref_mut() {
-            None => execute(None),
-            Some(obs) => {
-                // Live streaming: the pool runs on its own (scoped)
-                // thread while this one drains the event channel into
-                // the observer. The drain ends when the pool drops the
-                // last sender.
-                let (tx, rx) = chan::bounded(EVENT_CHANNEL_CAPACITY);
-                let sink = EventSink::new(tx, 0);
-                let mut relay = Relay::new(obs, &run);
-                std::thread::scope(|scope| {
-                    let pool_run = scope.spawn(move || execute(Some(sink)));
-                    while let Ok(event) = rx.recv() {
-                        relay.forward(event);
-                    }
-                    let (slots, mut stats) = pool_run.join().expect("pool thread panicked");
-                    // An observer Stop that lands as the pool drains its
-                    // last shard can post-date the pool's own sample of
-                    // the flag; the merge must still see it.
-                    stats.cancelled |= relay.stopped;
-                    (slots, stats)
-                })
-            }
+        let run = ShardedRun::prepare(
+            schema,
+            self.sessions,
+            self.oversubscribe,
+            self.retry,
+            self.cancel.unwrap_or(&internal_halt),
+            self.repository,
+        )?;
+        let mut observer = self.observer;
+        let (slots, stats) = match self.budget {
+            // Per-identity quota: each connection carries its own
+            // allowance, matching how real sites meter queries (§1.1).
+            Some(limit) => run.execute(
+                |s| Budgeted::new(connector.connect(s), limit),
+                &shard_crawl,
+                observer.as_deref_mut(),
+            ),
+            None => run.execute(connector, &shard_crawl, observer.as_deref_mut()),
         };
         run.finish(slots, stats, observer)
     }
 }
 
-/// One sharded crawl between plan and merge: planning, checkpoint
-/// restore, the per-shard run with its identity-health verdict and
-/// journal write, and the reassembly for the merge. [`Sharded::crawl`]
-/// owns the rest — the work-stealing pool that deals tasks to
-/// connections and the event channel that carries them to the observer.
+/// One shard's crawl as the pool runs it: the shard on one connection,
+/// under the [`SessionConfig`] the pool hands it (the crawl's retry
+/// policy, halt token, and the shard's event route).
+type ShardCrawl<'g> = dyn Fn(&ShardSpec, &mut dyn HiddenDatabase, SessionConfig<'_>) -> Result<CrawlReport, CrawlError>
+    + Sync
+    + 'g;
+
+/// One sharded crawl from plan to merge: planning, checkpoint restore,
+/// the work-stealing pool that deals tasks to connections with the event
+/// channel that carries them to the observer, the per-shard run with its
+/// identity-health verdict and journal write, and the reassembly for the
+/// merge.
 struct ShardedRun<'h, 'r> {
+    sessions: usize,
     retry: RetryPolicy,
     plan: Vec<ShardSpec>,
     /// Snapshotted shards, replayed without a query.
@@ -921,18 +806,20 @@ struct ShardedRun<'h, 'r> {
 impl<'h, 'r> ShardedRun<'h, 'r> {
     /// Plans the crawl and, with a repository, restores its checkpoint.
     fn prepare(
-        sharded: &Sharded,
         schema: &Schema,
+        sessions: usize,
+        oversubscribe: usize,
+        retry: RetryPolicy,
         halt: &'h CancelToken,
         mut repository: Option<&'r mut dyn CrawlRepository>,
     ) -> Result<Self, CrawlError> {
-        let plan = Sharded::plan_oversubscribed(schema, sharded.sessions, sharded.oversubscribe);
+        let plan = Sharded::plan_oversubscribed(schema, sessions, oversubscribe);
         let signatures: Vec<String> = plan.iter().map(ShardSpec::signature).collect();
         let mut restored: Vec<Option<ShardSnapshot>> = (0..plan.len()).map(|_| None).collect();
         if let Some(repo) = repository.as_deref_mut() {
             let failed = |error: String| CrawlError::Db {
                 error: DbError::Backend(error),
-                partial: Box::new(blank_report("sharded-hybrid")),
+                partial: Box::new(CrawlReport::empty("sharded-hybrid")),
             };
             match repo.load() {
                 Ok(None) => {}
@@ -965,12 +852,68 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
             Mutex::new((repo, seeded))
         });
         Ok(ShardedRun {
-            retry: sharded.retry.clone(),
+            sessions,
+            retry,
             plan,
             restored,
             halt,
             journal,
             store_error: Mutex::new(None),
+        })
+    }
+
+    /// Runs the shards left to crawl on the work-stealing pool, one
+    /// worker per session, each owning the connection `connector` mints
+    /// for it. With an observer, every shard session's events stream
+    /// live through a bounded channel into a [`Relay`].
+    fn execute<C: Connector>(
+        &self,
+        connector: C,
+        shard_crawl: &ShardCrawl<'_>,
+        observer: Option<&mut (dyn CrawlObserver + '_)>,
+    ) -> (Vec<Option<PendingRun>>, PoolStats) {
+        let pool = workpool::Pool::new(self.sessions);
+        // The pool run, parameterized over the live event sink so the
+        // observed and unobserved paths share one task closure: with a
+        // sink, every shard session's observer is a channel proxy that
+        // streams its events, tagged with the plan index.
+        let run_tasks = |events: Option<EventSink>| {
+            pool.run_cancellable(
+                self.tasks(),
+                |w| (connector.connect(w), 0),
+                |(db, strikes): &mut (C::Db, u32), ctx, task: (usize, ShardSpec)| {
+                    let mut proxy = events
+                        .as_ref()
+                        .map(|sink| ChannelObserver::new(sink.for_shard(task.0)));
+                    let config = SessionConfig {
+                        observer: proxy.as_mut().map(|p| p as &mut dyn CrawlObserver),
+                        ..SessionConfig::default()
+                    };
+                    self.shard(shard_crawl, db, strikes, ctx, task, config)
+                },
+                Some(self.halt.flag()),
+            )
+        };
+        let Some(obs) = observer else {
+            return run_tasks(None);
+        };
+        // Live streaming: the pool runs on its own (scoped) thread while
+        // this one drains the event channel into the observer. The drain
+        // ends when the pool drops the last sender.
+        let (tx, rx) = chan::bounded(EVENT_CHANNEL_CAPACITY);
+        let sink = EventSink::new(tx, 0);
+        let mut relay = Relay::new(obs, self);
+        std::thread::scope(|scope| {
+            let pool_run = scope.spawn(move || run_tasks(Some(sink)));
+            while let Ok(event) = rx.recv() {
+                relay.forward(event);
+            }
+            let (slots, mut stats) = pool_run.join().expect("pool thread panicked");
+            // An observer Stop that lands as the pool drains its last
+            // shard can post-date the pool's own sample of the flag; the
+            // merge must still see it.
+            stats.cancelled |= relay.stopped;
+            (slots, stats)
         })
     }
 
@@ -1001,9 +944,9 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
     /// shard's channel observer; the run adds the retry policy and the
     /// halt token. `strikes` counts the identity's consecutive transient
     /// shard failures (retired at [`TRANSIENT_STRIKES`]).
-    fn shard<'c, G>(
+    fn shard<'c>(
         &self,
-        shard_crawl: &G,
+        shard_crawl: &ShardCrawl<'_>,
         db: &mut dyn HiddenDatabase,
         strikes: &mut u32,
         ctx: &TaskCtx,
@@ -1012,11 +955,6 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
     ) -> (PendingRun, Verdict)
     where
         'h: 'c,
-        G: Fn(
-            &ShardSpec,
-            &mut dyn HiddenDatabase,
-            SessionConfig<'_>,
-        ) -> Result<CrawlReport, CrawlError>,
     {
         let begun = Instant::now();
         config.retry = self.retry.clone();
@@ -1093,7 +1031,7 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
                 worker: 0,
                 source: TaskSource::Seeded,
                 wall: Duration::ZERO,
-                result: Ok(report_of(snap)),
+                result: Ok(CrawlReport::from(snap)),
                 restored: true,
             });
         }
@@ -1191,22 +1129,6 @@ fn snapshot_of(index: usize, report: &CrawlReport) -> ShardSnapshot {
     snapshot_of_report(index, report, None)
 }
 
-/// Rehydrates a snapshot into a shard report. The progress curve is not
-/// checkpointed (it describes the run that produced the snapshot, not
-/// this one), matching the merge's per-shard-curves-only policy.
-fn report_of(snap: ShardSnapshot) -> CrawlReport {
-    CrawlReport {
-        algorithm: "restored",
-        tuples: snap.tuples,
-        queries: snap.queries,
-        resolved: snap.resolved,
-        overflowed: snap.overflowed,
-        pruned: snap.pruned,
-        metrics: snap.metrics,
-        progress: Vec::new(),
-    }
-}
-
 /// One shard's outcome as it comes off the pool (or out of a
 /// checkpoint), before merging.
 struct PendingRun {
@@ -1226,32 +1148,6 @@ enum Failure {
     /// cancelled token halted the pool, or a custom crawler's internal
     /// observer stopped its shard.
     Stopped,
-}
-
-fn blank_report(algorithm: &'static str) -> CrawlReport {
-    CrawlReport {
-        algorithm,
-        tuples: Vec::new(),
-        queries: 0,
-        resolved: 0,
-        overflowed: 0,
-        pruned: 0,
-        metrics: CrawlMetrics::default(),
-        // Progress curves stay per-shard (shards run concurrently, so a
-        // single interleaved curve would be fictitious).
-        progress: Vec::new(),
-    }
-}
-
-/// Adds `from`'s query accounting into `into` (tuples and progress are
-/// handled separately — the bag moves into the merged report exactly
-/// once).
-fn absorb_counts(into: &mut CrawlReport, from: &CrawlReport) {
-    into.queries += from.queries;
-    into.resolved += from.resolved;
-    into.overflowed += from.overflowed;
-    into.pruned += from.pruned;
-    into.metrics.merge_from(&from.metrics);
 }
 
 /// Records one crawl's scheduler counters into the process-wide
@@ -1308,9 +1204,11 @@ fn merge_results(
 ) -> Result<ShardedReport, CrawlError> {
     record_pool_metrics(&pool);
     let total = slots.len();
-    let mut merged = blank_report("sharded-hybrid");
+    // Progress curves stay per-shard (shards run concurrently, so a
+    // single interleaved curve would be fictitious).
+    let mut merged = CrawlReport::empty("sharded-hybrid");
     let mut per_session: Vec<CrawlReport> = (0..pool.workers)
-        .map(|_| blank_report("sharded-session"))
+        .map(|_| CrawlReport::empty("sharded-session"))
         .collect();
     let mut shards = Vec::with_capacity(slots.len());
     let mut failure: Option<Failure> = None;
@@ -1353,14 +1251,15 @@ fn merge_results(
                 (*partial, true)
             }
         };
+        // The bag moves into the merged report exactly once; the
+        // identity's aggregate then absorbs the accounting alone.
         let tuples = report.tuples.len() as u64;
-        merged.tuples.append(&mut report.tuples);
-        absorb_counts(&mut merged, &report);
+        merged.absorb(&mut report);
         // Restored shards spent their queries in the run that produced
         // the checkpoint — charging them to this run's identity 0 would
         // fabricate per-session quota pressure that never happened.
         if !run.restored {
-            absorb_counts(&mut per_session[run.worker], &report);
+            per_session[run.worker].absorb(&mut report);
         }
         if let Some(obs) = observer.as_deref_mut() {
             obs.on_shard(&ShardEvent {
@@ -1441,6 +1340,7 @@ fn split_range(min: i64, max: i64, parts: usize) -> Vec<(i64, i64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orchestrate::Crawl;
     use crate::validate::verify_complete;
     use crate::Crawler;
     use hdc_server::{Budgeted, HiddenDbServer, ServerConfig};
@@ -1466,28 +1366,6 @@ mod tests {
                 ])
             })
             .collect()
-    }
-
-    impl Sharded {
-        /// The hybrid family on the pool — what the crawl builder's
-        /// `run_sharded` runs — with the schema probed from identity 0.
-        fn hybrid<C: Connector>(&self, connector: C) -> Result<ShardedReport, CrawlError> {
-            self.hybrid_with(connector, CrawlControls::default())
-        }
-
-        fn hybrid_with<C: Connector>(
-            &self,
-            connector: C,
-            controls: CrawlControls<'_>,
-        ) -> Result<ShardedReport, CrawlError> {
-            let schema = connector.connect(0).schema().clone();
-            self.crawl(
-                &schema,
-                connector,
-                |spec, db, config| spec.crawl_with(db, &schema, config, None),
-                controls,
-            )
-        }
     }
 
     fn factory<'a>(
@@ -1706,8 +1584,9 @@ mod tests {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
         for sessions in [1usize, 2, 3, 8, 16] {
-            let report = Sharded::new(sessions)
-                .hybrid(factory(&schema, &tuples, 32))
+            let report = Crawl::builder()
+                .sessions(sessions)
+                .run_sharded(factory(&schema, &tuples, 32))
                 .unwrap_or_else(|e| panic!("sessions={sessions}: {e}"));
             verify_complete(&tuples, &report.merged)
                 .unwrap_or_else(|e| panic!("sessions={sessions}: {e}"));
@@ -1720,9 +1599,10 @@ mod tests {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
         for (sessions, factor) in [(1usize, 4usize), (2, 2), (2, 8), (3, 4)] {
-            let report = Sharded::new(sessions)
-                .oversubscribed(factor)
-                .hybrid(factory(&schema, &tuples, 32))
+            let report = Crawl::builder()
+                .sessions(sessions)
+                .oversubscribe(factor)
+                .run_sharded(factory(&schema, &tuples, 32))
                 .unwrap_or_else(|e| panic!("sessions={sessions} factor={factor}: {e}"));
             verify_complete(&tuples, &report.merged)
                 .unwrap_or_else(|e| panic!("sessions={sessions} factor={factor}: {e}"));
@@ -1735,8 +1615,9 @@ mod tests {
     fn single_session_matches_hybrid_cost_shape() {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
-        let sharded = Sharded::new(1)
-            .hybrid(factory(&schema, &tuples, 32))
+        let sharded = Crawl::builder()
+            .sessions(1)
+            .run_sharded(factory(&schema, &tuples, 32))
             .unwrap();
         let mut db = HiddenDbServer::new(
             schema.clone(),
@@ -1752,11 +1633,13 @@ mod tests {
     fn sharding_balances_work() {
         let schema = mixed_schema();
         let tuples = mixed_tuples(4_000);
-        let single = Sharded::new(1)
-            .hybrid(factory(&schema, &tuples, 32))
+        let single = Crawl::builder()
+            .sessions(1)
+            .run_sharded(factory(&schema, &tuples, 32))
             .unwrap();
-        let quad = Sharded::new(4)
-            .hybrid(factory(&schema, &tuples, 32))
+        let quad = Crawl::builder()
+            .sessions(4)
+            .run_sharded(factory(&schema, &tuples, 32))
             .unwrap();
         // Concurrency wins wall-clock: the busiest session does much less
         // than the single-session total…
@@ -1776,9 +1659,10 @@ mod tests {
         let (sessions, fact) = (3usize, 4usize);
         let make = factory(&schema, &tuples, 32);
 
-        let stolen = Sharded::new(sessions)
-            .oversubscribed(fact)
-            .hybrid(&make)
+        let stolen = Crawl::builder()
+            .sessions(sessions)
+            .oversubscribe(fact)
+            .run_sharded(&make)
             .unwrap();
 
         let plan = Sharded::plan_oversubscribed(&schema, sessions, fact);
@@ -1807,9 +1691,10 @@ mod tests {
     fn shard_runs_record_worker_wall_and_tuple_counts() {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
-        let report = Sharded::new(2)
-            .oversubscribed(3)
-            .hybrid(factory(&schema, &tuples, 32))
+        let report = Crawl::builder()
+            .sessions(2)
+            .oversubscribe(3)
+            .run_sharded(factory(&schema, &tuples, 32))
             .unwrap();
         assert_eq!(report.shards.len(), 6);
         let mut by_worker = [0u64; 2];
@@ -1839,9 +1724,10 @@ mod tests {
             .map(|i| int_tuple(&[(crate::theory::mix(i) % 10_000) as i64]))
             .collect();
         for (sessions, factor) in [(1usize, 1usize), (3, 1), (5, 1), (2, 6)] {
-            let report = Sharded::new(sessions)
-                .oversubscribed(factor)
-                .hybrid(|_s| {
+            let report = Crawl::builder()
+                .sessions(sessions)
+                .oversubscribe(factor)
+                .run_sharded(|_s| {
                     HiddenDbServer::new(
                         schema.clone(),
                         tuples.clone(),
@@ -1868,9 +1754,10 @@ mod tests {
             })
             .collect();
         for factor in [1usize, 4] {
-            let report = Sharded::new(2)
-                .oversubscribed(factor)
-                .hybrid(|_s| {
+            let report = Crawl::builder()
+                .sessions(2)
+                .oversubscribe(factor)
+                .run_sharded(|_s| {
                     HiddenDbServer::new(
                         schema.clone(),
                         tuples.clone(),
@@ -1901,9 +1788,10 @@ mod tests {
                 ])
             })
             .collect();
-        let report = Sharded::new(2)
-            .oversubscribed(4)
-            .hybrid(|_s| {
+        let report = Crawl::builder()
+            .sessions(2)
+            .oversubscribe(4)
+            .run_sharded(|_s| {
                 HiddenDbServer::new(
                     schema.clone(),
                     tuples.clone(),
@@ -1935,8 +1823,9 @@ mod tests {
                 ])
             })
             .collect();
-        let report = Sharded::new(6)
-            .hybrid(|_s| {
+        let report = Crawl::builder()
+            .sessions(6)
+            .run_sharded(|_s| {
                 HiddenDbServer::new(
                     schema.clone(),
                     tuples.clone(),
@@ -2006,7 +1895,7 @@ mod tests {
         let dead = Arc::default();
         // Session 0 gets a crippling budget; the others are unlimited
         // and start only once session 0 has exhausted it.
-        let result = Sharded::new(3).hybrid(|s| {
+        let result = Crawl::builder().sessions(3).run_sharded(|s| {
             let server = HiddenDbServer::new(
                 schema.clone(),
                 tuples.clone(),
@@ -2037,7 +1926,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one session")]
     fn zero_sessions_rejected() {
-        Sharded::new(0);
+        let _ = Crawl::builder().sessions(0);
     }
 
     /// The merge-path notification: one `ShardEvent` per shard, in plan
@@ -2060,15 +1949,11 @@ mod tests {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
         let mut log = ShardLog::default();
-        let full = Sharded::new(2)
-            .oversubscribed(3)
-            .hybrid_with(
-                factory(&schema, &tuples, 32),
-                CrawlControls {
-                    observer: Some(&mut log),
-                    ..CrawlControls::default()
-                },
-            )
+        let full = Crawl::builder()
+            .sessions(2)
+            .oversubscribe(3)
+            .observer(&mut log)
+            .run_sharded(factory(&schema, &tuples, 32))
             .unwrap();
         assert_eq!(log.seen.len(), full.shards.len());
         for (i, &(index, tuples)) in log.seen.iter().enumerate() {
@@ -2105,25 +1990,24 @@ mod tests {
         // can never keep shard 0 from running.
         let shard0_failed = AtomicBool::new(false);
         let mut stopper = StopAtFirstQuery::default();
-        let result = Sharded::new(2).crawl(
-            &schema,
-            |s| Budgeted::new(make(s), if s == 0 { 0 } else { u64::MAX }),
-            |spec, db, config| {
-                let first = spec == &plan[0];
-                while !first && !shard0_failed.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                let result = spec.crawl_with(db, &schema, config, None);
-                if first {
-                    shard0_failed.store(true, Ordering::Release);
-                }
-                result
-            },
-            CrawlControls {
-                observer: Some(&mut stopper),
-                ..CrawlControls::default()
-            },
-        );
+        let result = Crawl::builder()
+            .sessions(2)
+            .observer(&mut stopper)
+            .run_pool(
+                &schema,
+                |s| Budgeted::new(make(s), if s == 0 { 0 } else { u64::MAX }),
+                |spec: &ShardSpec, db: &mut dyn HiddenDatabase, config: SessionConfig<'_>| {
+                    let first = spec == &plan[0];
+                    while !first && !shard0_failed.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    let result = spec.crawl_with(db, &schema, config, None);
+                    if first {
+                        shard0_failed.store(true, Ordering::Release);
+                    }
+                    result
+                },
+            );
         assert!(stopper.stopped, "the observer stopped the crawl");
         assert!(
             matches!(result, Err(CrawlError::Db { .. })),
@@ -2175,17 +2059,17 @@ mod tests {
         let tuples = mixed_tuples(2_000);
         let make = factory(&schema, &tuples, 32);
 
-        let unobserved = Sharded::new(2).oversubscribed(3).hybrid(&make).unwrap();
+        let unobserved = Crawl::builder()
+            .sessions(2)
+            .oversubscribe(3)
+            .run_sharded(&make)
+            .unwrap();
         let mut tap = Tap::default();
-        let observed = Sharded::new(2)
-            .oversubscribed(3)
-            .hybrid_with(
-                &make,
-                CrawlControls {
-                    observer: Some(&mut tap),
-                    ..CrawlControls::default()
-                },
-            )
+        let observed = Crawl::builder()
+            .sessions(2)
+            .oversubscribe(3)
+            .observer(&mut tap)
+            .run_sharded(&make)
             .unwrap();
 
         // Live events arrived: every charged query and every extracted
@@ -2239,21 +2123,21 @@ mod tests {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
         let make = factory(&schema, &tuples, 32);
-        let full = Sharded::new(2).oversubscribed(3).hybrid(&make).unwrap();
+        let full = Crawl::builder()
+            .sessions(2)
+            .oversubscribe(3)
+            .run_sharded(&make)
+            .unwrap();
 
         let mut stopper = StopAfter {
             tuples: 0,
             threshold: 20,
         };
-        let err = Sharded::new(2)
-            .oversubscribed(3)
-            .hybrid_with(
-                &make,
-                CrawlControls {
-                    observer: Some(&mut stopper),
-                    ..CrawlControls::default()
-                },
-            )
+        let err = Crawl::builder()
+            .sessions(2)
+            .oversubscribe(3)
+            .observer(&mut stopper)
+            .run_sharded(&make)
             .unwrap_err();
         let CrawlError::Stopped { partial } = err else {
             panic!("expected a live-event stop, got another failure");

@@ -1,8 +1,9 @@
 //! Differential suite for the one-stop [`CrawlBuilder`]: the builder is
-//! a *front end*, not a fork — every strategy × {solo, sharded} ×
-//! {budgeted, unbudgeted} run must be **bit-identical** to the legacy
-//! entry point it wraps (same bag, same query count and tallies, same
-//! progress curve, same per-shard costs), `Strategy::Auto` must select
+//! a *front end*, not a fork — every strategy × {budgeted, unbudgeted}
+//! solo run must be **bit-identical** to the legacy entry point it wraps
+//! (same bag, same query count and tallies, same progress curve), every
+//! sharded run to its plan crawled shard by shard (same bag, same total
+//! and per-shard costs), `Strategy::Auto` must select
 //! the paper's choice per schema kind (§2.2 / §3.2 / §5), and an
 //! observer stop must yield a partial report that is a prefix-consistent
 //! subset of the full crawl.
@@ -11,8 +12,8 @@ use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
 
 use hdc_core::{
-    Crawl, CrawlControls, CrawlError, CrawlObserver, CrawlReport, Crawler, Flow, Hybrid,
-    RankShrink, SessionConfig, ShardSpec, Sharded, SliceCover, Strategy, MAX_BATCH,
+    Crawl, CrawlError, CrawlObserver, CrawlReport, Crawler, Flow, Hybrid, RankShrink, ShardSpec,
+    Sharded, SliceCover, Strategy, MAX_BATCH,
 };
 use hdc_types::{
     AttrKind, Budgeted, HiddenDatabase, Query, QueryOutcome, Schema, Tuple, TupleBag, Value,
@@ -217,17 +218,19 @@ proptest! {
         }
     }
 
-    /// Sharded: builder ≡ the `Sharded::crawl` driver with the hybrid
-    /// shard crawler, including identical per-shard costs (the
-    /// scheduler's determinism contract seen through the front end), with
-    /// and without a per-identity budget.
+    /// Sharded: the builder's pool run ≡ the determinism contract itself
+    /// — [`ShardSpec::crawl`] of every plan shard, one after another on
+    /// one fresh connection, concatenated in plan order: same bag (in
+    /// order), same total cost, same per-shard costs, with and without a
+    /// per-identity budget.
     ///
     /// A per-identity budget makes success depend on which identity
-    /// steals which shard, so the two runs are held to the same verdict
-    /// only where the contract fixes it: every identity stays within
-    /// budget when the whole plan costs at most the budget, and the
-    /// identity that runs a shard costing more than the budget always
-    /// exhausts it. In between, each verdict is checked on its own.
+    /// steals which shard, so the verdict is held fixed only where the
+    /// contract fixes it: every identity stays within budget when the
+    /// whole plan costs at most the budget, and the identity that runs a
+    /// shard costing more than the budget always exhausts it. In
+    /// between, either verdict is allowed, but a success must still be
+    /// the reference crawl and a failure must be the budget's.
     #[test]
     fn builder_sharded_is_bit_identical_to_legacy(
         inst in instance_strategy(),
@@ -237,26 +240,16 @@ proptest! {
     ) {
         prop_assume!(inst.solvable());
         let budget = raw_budget.first().copied();
-        let sharded = Sharded::new(sessions).oversubscribed(factor);
-        let hybrid = |spec: &ShardSpec, db: &mut dyn HiddenDatabase, config: SessionConfig<'_>| {
-            spec.crawl_with(db, &inst.schema, config, None)
-        };
-        let unbudgeted = || sharded.crawl(
-            &inst.schema,
-            |_s| inst.server(31),
-            hybrid,
-            CrawlControls::default(),
-        );
-        let reference = unbudgeted().expect("solvable and unbudgeted");
-        let legacy = match budget {
-            Some(limit) => sharded.crawl(
-                &inst.schema,
-                |_s| Budgeted::new(inst.server(31), limit),
-                hybrid,
-                CrawlControls::default(),
-            ),
-            None => unbudgeted(),
-        };
+        let plan = Sharded::plan_oversubscribed(&inst.schema, sessions, factor);
+        let mut db = inst.server(31);
+        let reference: Vec<CrawlReport> = plan
+            .iter()
+            .map(|spec| spec.crawl(&mut db, &inst.schema).expect("solvable and unbudgeted"))
+            .collect();
+        let reference_bag: Vec<Tuple> =
+            reference.iter().flat_map(|r| r.tuples.iter().cloned()).collect();
+        let reference_cost: u64 = reference.iter().map(|r| r.queries).sum();
+
         let mut builder = Crawl::builder()
             .strategy(Strategy::Hybrid)
             .sessions(sessions)
@@ -271,8 +264,8 @@ proptest! {
         let fixed = match budget {
             None => Some(true),
             Some(limit) => {
-                let costliest = reference.shards.iter().map(|s| s.report.queries).max();
-                if reference.merged.queries <= limit {
+                let costliest = reference.iter().map(|r| r.queries).max();
+                if reference_cost <= limit {
                     Some(true)
                 } else if costliest.unwrap_or(0) > limit {
                     Some(false)
@@ -281,47 +274,26 @@ proptest! {
                 }
             }
         };
-        for (name, run) in [("legacy", &legacy), ("builder", &built)] {
-            if let Some(ok) = fixed {
-                prop_assert_eq!(run.is_ok(), ok, "{} verdict is fixed by the budget", name);
-            }
-            match run {
-                Ok(r) => prop_assert_eq!(
-                    &r.merged.tuples, &reference.merged.tuples,
-                    "{} succeeded with another bag", name
-                ),
-                Err(e) => prop_assert!(
-                    matches!(e, CrawlError::Db { .. }),
-                    "{} failed with {:?}, not the budget", name, e
-                ),
-            }
+        if let Some(ok) = fixed {
+            prop_assert_eq!(built.is_ok(), ok, "builder verdict is fixed by the budget");
         }
-
-        match (legacy, built) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.merged.queries, b.merged.queries);
-                prop_assert_eq!(&a.merged.tuples, &b.merged.tuples);
-                prop_assert_eq!(a.shards.len(), b.shards.len());
-                for (sa, sb) in a.shards.iter().zip(&b.shards) {
-                    prop_assert_eq!(&sa.spec, &sb.spec);
-                    prop_assert_eq!(
-                        sa.report.queries, sb.report.queries,
-                        "per-shard cost diverged"
-                    );
-                    prop_assert_eq!(sa.tuples, sb.tuples);
+        match built {
+            Ok(b) => {
+                prop_assert_eq!(&b.merged.tuples, &reference_bag, "succeeded with another bag");
+                prop_assert_eq!(b.merged.queries, reference_cost);
+                prop_assert_eq!(b.shards.len(), plan.len());
+                for ((run, spec), solo) in b.shards.iter().zip(&plan).zip(&reference) {
+                    prop_assert_eq!(&run.spec, spec);
+                    prop_assert_eq!(run.report.queries, solo.queries, "per-shard cost diverged");
+                    prop_assert_eq!(run.tuples, solo.tuples.len() as u64);
                 }
             }
-            (Err(ea), Err(eb)) => {
-                prop_assert_eq!(std::mem::discriminant(&ea), std::mem::discriminant(&eb));
-                // Which shards completed before retirement is a
-                // scheduling accident, so partials are not compared —
-                // matching failure kinds is the contract.
-            }
-            (a, b) => prop_assert!(
-                fixed.is_none(),
-                "one run succeeded and the other failed (legacy ok = {}, builder ok = {})",
-                a.is_ok(),
-                b.is_ok()
+            // Which shards completed before retirement is a scheduling
+            // accident, so the partial is not compared — the failure
+            // kind is the contract.
+            Err(e) => prop_assert!(
+                matches!(e, CrawlError::Db { .. }),
+                "failed with {:?}, not the budget", e
             ),
         }
     }

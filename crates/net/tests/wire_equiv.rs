@@ -98,20 +98,16 @@ fn loopback_sharded_crawl_equals_in_process_bit_identically() {
 #[test]
 fn loopback_barrier_crawl_equals_in_process() {
     use hdc_barrier::BarrierCrawler;
-    use hdc_core::{CrawlControls, Sharded};
 
     let shared = fixture(1_200, 112, 23);
     let crawler = BarrierCrawler::new();
-    let plan = Sharded::new(2).oversubscribed(2);
     let reference = crawler
-        .crawl_sharded(&plan, |_s| shared.client(), CrawlControls::default())
+        .crawl_sharded(|_s| shared.client(), 2, 2, None)
         .unwrap();
 
     let server = start(&shared, ServeOptions::default());
     let conn = connector(&server);
-    let wire = crawler
-        .crawl_sharded(&plan, |s| conn.db(s), CrawlControls::default())
-        .unwrap();
+    let wire = crawler.crawl_sharded(|s| conn.db(s), 2, 2, None).unwrap();
     server.shutdown().unwrap();
 
     assert!(bag(&wire.sharded.merged.tuples).multiset_eq(&bag(&reference.sharded.merged.tuples)));

@@ -89,10 +89,10 @@ fn main() {
     assert!(partial.tuples.len() >= tuples.len() / 2);
     assert!(partial.queries < report.queries);
 
-    // 3. Multi-session: the same builder routes through the
-    //    work-stealing sharded pool — one connection per identity, a
-    //    per-identity budget, bit-identical bags and per-shard costs to
-    //    the legacy Sharded entry point.
+    // 3. Multi-session: the same builder drives the work-stealing
+    //    shard pool (`run_sharded` is its only entry) — one connection
+    //    per identity, a per-identity budget, and the bag and per-shard
+    //    costs of crawling the plan shard by shard.
     let sharded = Crawl::builder()
         .sessions(3)
         .oversubscribe(4)

@@ -875,7 +875,6 @@ fn cmd_barrier(flags: &Flags) -> Result<(), String> {
     if oversubscribe == 0 {
         return Err("--oversubscribe must be ≥ 1".into());
     }
-    let sharded = Sharded::new(sessions).oversubscribed(oversubscribe);
     let crawler = BarrierCrawler::new();
     let mut observer = CliObserver::new(None);
     if flags.get("live").is_some() {
@@ -891,7 +890,14 @@ fn cmd_barrier(flags: &Flags) -> Result<(), String> {
             info.schema.arity(),
             info.k
         );
-        return barrier_sharded(&crawler, &sharded, connector, &mut observer, None);
+        return barrier_sharded(
+            &crawler,
+            connector,
+            sessions,
+            oversubscribe,
+            &mut observer,
+            None,
+        );
     }
 
     let dataset = flags.require("dataset")?.to_string();
@@ -915,8 +921,9 @@ fn cmd_barrier(flags: &Flags) -> Result<(), String> {
         .expect("valid dataset");
         return barrier_sharded(
             &crawler,
-            &sharded,
             |_s| shared.client(),
+            sessions,
+            oversubscribe,
             &mut observer,
             Some(&ds.tuples),
         );
@@ -1013,19 +1020,13 @@ fn make_connector(flags: &Flags) -> Result<HttpConnector, String> {
 /// multiset) or over `--connect`.
 fn barrier_sharded<C: Connector>(
     crawler: &BarrierCrawler,
-    sharded: &Sharded,
     connector: C,
+    sessions: usize,
+    oversubscribe: usize,
     observer: &mut CliObserver,
     truth: Option<&[Tuple]>,
 ) -> Result<(), String> {
-    let result = crawler.crawl_sharded(
-        sharded,
-        connector,
-        CrawlControls {
-            observer: Some(&mut *observer),
-            ..CrawlControls::default()
-        },
-    );
+    let result = crawler.crawl_sharded(connector, sessions, oversubscribe, Some(&mut *observer));
     observer.finish();
     let report = result.map_err(|e| e.to_string())?;
     if let Some(truth) = truth {
@@ -1124,22 +1125,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         };
         let (coordinator, restore) = Coordinator::new(plan, cfg)
             .map_err(|e| format!("--coordinate: {e}"))?;
-        match restore {
-            Restore::Fresh => {}
-            Restore::Resumed { complete } => {
-                println!("resumed fleet checkpoint: {complete} shard(s) already complete")
-            }
-            // A foreign checkpoint never aborts the fleet: start fresh,
-            // keep the file intact, tell the operator how to reconcile.
-            Restore::Mismatch { message } => {
-                println!("warning: {message}");
-                println!(
-                    "starting fresh with persistence disabled — the existing \
-                     checkpoint is preserved; rerun with the original \
-                     --dataset/--sessions/--oversubscribe to resume it, or \
-                     point --checkpoint at a new file"
-                );
-            }
+        if let Restore::Resumed { complete } = restore {
+            println!("resumed fleet checkpoint: {complete} shard(s) already complete");
         }
         Some(std::sync::Arc::new(coordinator))
     } else {
@@ -1289,24 +1276,7 @@ fn report_fleet(
     }
     // Merge the complete shards into one report so the fleet's result
     // gets the same multiset-completeness check a solo crawl gets.
-    let mut merged = CrawlReport {
-        algorithm: "fleet",
-        tuples: Vec::new(),
-        queries: 0,
-        resolved: 0,
-        overflowed: 0,
-        pruned: 0,
-        metrics: CrawlMetrics::default(),
-        progress: Vec::new(),
-    };
-    for shard in c.checkpoint().shards.iter().filter(|s| s.is_complete()) {
-        merged.tuples.extend(shard.tuples.iter().cloned());
-        merged.queries += shard.queries;
-        merged.resolved += shard.resolved;
-        merged.overflowed += shard.overflowed;
-        merged.pruned += shard.pruned;
-        merged.metrics.merge_from(&shard.metrics);
-    }
+    let merged = CrawlReport::from_snapshots("fleet", c.checkpoint().shards);
     verify_complete(expected, &merged).map_err(|e| e.to_string())?;
     println!(
         "fleet complete: verified {} tuples in {} queries ({total} shards)",
@@ -1711,6 +1681,25 @@ mod tests {
     #[test]
     fn in_process_crawl_defaults_to_auto() {
         run(&argv(&["crawl", "--dataset", "yahoo", "--scale", "2"])).unwrap();
+    }
+
+    /// The in-process sharded barrier path (`BarrierCrawler::crawl_sharded`
+    /// on the builder's pool) checks the merged bag with
+    /// `verify_complete`, so `Ok` means every tuple came back.
+    #[test]
+    fn in_process_sharded_barrier_is_complete() {
+        run(&argv(&[
+            "barrier",
+            "--dataset",
+            "yahoo",
+            "--scale",
+            "2",
+            "--sessions",
+            "2",
+            "--oversubscribe",
+            "2",
+        ]))
+        .unwrap();
     }
 
     /// `--checkpoint` runs on the one-session pool with the 8-shard

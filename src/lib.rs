@@ -86,11 +86,11 @@ pub mod prelude {
     };
     pub use hdc_core::{
         verify_complete, BinaryShrink, CancelToken, Connector, Crawl, CrawlBuilder,
-        CrawlCheckpoint, CrawlControls, CrawlError, CrawlMetrics, CrawlObserver, CrawlReport,
-        CrawlRepository, Crawler, DatasetOracle, Dfs, Flow, Hybrid, JsonFileRepository,
-        MemoryRepository, PairRuleOracle, ProgressPoint, ProgressRecorder, RankShrink, RetryPolicy,
-        SessionConfig, ShardCrawler, ShardEvent, ShardSnapshot, Sharded, ShardedReport, SliceCover,
-        Strategy, TaskSource, ValidityOracle,
+        CrawlCheckpoint, CrawlError, CrawlMetrics, CrawlObserver, CrawlReport, CrawlRepository,
+        Crawler, DatasetOracle, Dfs, Flow, Hybrid, JsonFileRepository, MemoryRepository,
+        PairRuleOracle, ProgressPoint, ProgressRecorder, RankShrink, RetryPolicy, SessionConfig,
+        ShardCrawler, ShardEvent, ShardSnapshot, Sharded, ShardedReport, SliceCover, Strategy,
+        TaskSource, ValidityOracle,
     };
     pub use hdc_data::{Dataset, DatasetStats};
     pub use hdc_net::{serve, FaultPlan, HttpConnector, HttpDb, RouteExt, ServeOptions, WireServer};
