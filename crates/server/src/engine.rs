@@ -1,4 +1,5 @@
-//! The columnar query engine: planner + three executors.
+//! The columnar query engine: planner + three executors, and the
+//! full-pin cell-range probe.
 //!
 //! Rows are stored in priority order (row 0 = highest priority), so the
 //! server's "return the `k` highest-priority qualifying tuples" rule is
@@ -29,20 +30,33 @@
 //! lower attribute index, so plans are deterministic. The chosen strategy
 //! is recorded in [`ServerStats`].
 //!
-//! # The cell column
+//! # The cell column and the per-cell numeric order
 //!
 //! The paper's §5 hybrid crawls each categorical leaf with rank-shrink,
 //! so nearly every query of a mixed-schema crawl pins **every**
-//! categorical attribute and adds one numeric range. For schemas with two
-//! or more categorical attributes, [`Engine::new`] therefore derives one
-//! more categorical column whose value is the row's full categorical
+//! categorical attribute and adds a numeric range that rank-shrink
+//! narrows until it holds about `k` rows *of that cell*. For schemas with
+//! two or more categorical attributes, [`Engine::new`] therefore derives
+//! one more categorical column whose value is the row's full categorical
 //! assignment — its *cell* (see [`crate::store`]) — with row-ordered
-//! inverted lists like any categorical column's. The planner rewrites a
-//! full-pin query into one equality on that column (selectivity = the
-//! cell's row count; an absent cell is an empty result), so every
-//! executor above runs on it unchanged, the residual checks shrink to the
-//! numeric predicates plus at most one cell check, and a numeric range
-//! narrower than the cell still drives. Cell-driven probes are counted in
+//! inverted lists like any categorical column's. A query pinning a cell
+//! absent from the data is an empty result.
+//!
+//! A full-pin query **with** numeric ranges is a **cell-range probe**. It
+//! reads the per-cell numeric order ([`crate::cell_order`]): each cell's
+//! rows sorted by each numeric attribute's value. It costs 4 bytes per
+//! row per numeric attribute and is built lazily, once per engine, by the
+//! first such query, so start-up never pays for it. Two binary searches
+//! in the cell's segment give each range's cell ∩ range slice and its
+//! exact size; the narrowest slice drives, is copied and row-sorted, and
+//! only the other ranges are checked as residuals. That slice is never
+//! larger than the cell's list or the store-wide range list, so no
+//! threshold chooses between drivers. These probes are counted in
+//! [`ServerStats::cell_range_probes`].
+//!
+//! A full-pin query **without** a numeric range becomes one equality on
+//! the cell column (selectivity = the cell's row count), so the
+//! executors above run on it unchanged. Probes it drives are counted in
 //! [`ServerStats::cell_probes`].
 //!
 //! # Batch evaluation
@@ -73,8 +87,11 @@
 //! paper's determinism contract: repeating a query returns the same
 //! outcome, whatever plan answered it.
 
+use std::sync::OnceLock;
+
 use hdc_types::{Query, QueryOutcome, Schema, Tuple};
 
+use crate::cell_order::CellOrder;
 use crate::index::ColumnIndex;
 use crate::stats::ServerStats;
 use crate::store::{ColumnData, ColumnStore, CompiledPred};
@@ -124,6 +141,9 @@ enum PlanKind {
     Probe,
     /// Intersect all predicates' bitset blocks.
     Intersect,
+    /// A full-pin query with numeric ranges: drive the narrowest
+    /// cell ∩ range slice of the per-cell numeric order.
+    CellRange,
 }
 
 /// Reusable per-caller buffers, so steady-state queries allocate
@@ -191,12 +211,46 @@ struct ProbeTask {
     done: bool,
 }
 
-/// Probe-planned batch queries sharing the same driving predicate.
+/// Probe-planned batch queries sharing the same driver.
 #[derive(Debug)]
 struct ProbeGroup {
+    driver: Driver,
+    members: Vec<usize>,
+}
+
+/// What a probe walks: the driving predicate's candidates, read from the
+/// cell ∩ range slice of `cell` for a cell-range probe and from the
+/// store-wide index otherwise.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Driver {
     attr: usize,
     pred: CompiledPred,
-    members: Vec<usize>,
+    cell: Option<u32>,
+}
+
+/// Splits a probe-like plan's `preds` into its driver and the residuals
+/// left to check per candidate; `None` for the other plan kinds. A
+/// cell-range plan's trailing cell equality is implied by its slice, so
+/// it is not a residual.
+fn probe_parts(kind: PlanKind, preds: &[PredInfo]) -> Option<(Driver, &[PredInfo])> {
+    let (preds, cell) = match kind {
+        PlanKind::Probe => (preds, None),
+        PlanKind::CellRange => {
+            let (cell, ranges) = preds.split_last().expect("a cell-range plan has a cell");
+            let CompiledPred::Eq(c) = cell.pred else {
+                unreachable!("a cell-range plan ends with its cell")
+            };
+            (ranges, Some(c))
+        }
+        PlanKind::EmptyResult | PlanKind::Scan | PlanKind::Intersect => return None,
+    };
+    let (d, residual) = preds.split_first().expect("a probe needs a predicate");
+    let driver = Driver {
+        attr: d.attr,
+        pred: d.pred,
+        cell,
+    };
+    Some((driver, residual))
 }
 
 /// The engine: SoA column store + per-column indexes.
@@ -204,10 +258,14 @@ struct ProbeGroup {
 /// Immutable after construction — every evaluation method takes `&self`
 /// and writes only into the caller's [`Scratch`] — so one engine can be
 /// shared (e.g. behind an `Arc`) by any number of concurrent sessions.
+/// The one structure built later, the per-cell numeric order, is built
+/// once behind a `OnceLock`.
 #[derive(Debug)]
 pub(crate) struct Engine {
     store: ColumnStore,
     index: ColumnIndex,
+    /// Built by the first full-pin query with a numeric range.
+    cell_order: OnceLock<CellOrder>,
 }
 
 impl Engine {
@@ -219,15 +277,36 @@ impl Engine {
         if let Some((cells, count)) = store.derive_cells(schema) {
             index.push_cat(cells, count);
         }
-        Engine { store, index }
+        Engine {
+            store,
+            index,
+            cell_order: OnceLock::new(),
+        }
+    }
+
+    /// The per-cell numeric order, built on first use. Only full-pin
+    /// plans ask for it, and those exist only on stores with a cell
+    /// column.
+    fn cell_order(&self) -> &CellOrder {
+        self.cell_order.get_or_init(|| {
+            let cells = self
+                .store
+                .cells()
+                .expect("full-pin plans need a cell column");
+            CellOrder::build(&self.store, &self.index, cells)
+        })
     }
 
     /// Records the plan of one query: its strategy, and whether the
-    /// derived cell list drove it.
+    /// derived cell list or a cell ∩ range slice drove it.
     fn record(&self, stats: &mut ServerStats, kind: PlanKind, preds: &[PredInfo]) {
         stats.record_plan(strategy_of(kind));
-        if kind == PlanKind::Probe && self.store.cells().is_some_and(|c| c.attr == preds[0].attr) {
-            stats.cell_probes += 1;
+        match kind {
+            PlanKind::Probe if self.store.cells().is_some_and(|c| c.attr == preds[0].attr) => {
+                stats.cell_probes += 1;
+            }
+            PlanKind::CellRange => stats.cell_range_probes += 1,
+            _ => {}
         }
     }
 
@@ -247,9 +326,52 @@ impl Engine {
                 false
             }
             PlanKind::Scan => scan(&self.store, preds, k, matched),
-            PlanKind::Probe => probe(&self.store, &self.index, preds, k, matched, ids),
+            PlanKind::Probe | PlanKind::CellRange => self.probe(kind, preds, k, matched, ids),
             PlanKind::Intersect => block_scan(&self.store, preds, k, matched),
         }
+    }
+
+    /// Index probe on the plan's driver, residual-filtering the rest with
+    /// O(1) columnar checks.
+    fn probe(
+        &self,
+        kind: PlanKind,
+        preds: &[PredInfo],
+        k: usize,
+        matched: &mut Vec<u32>,
+        ids: &mut Vec<u32>,
+    ) -> bool {
+        matched.clear();
+        let (driver, residual) = probe_parts(kind, preds).expect("a probe plan");
+        let candidates = self.candidates(driver, ids, residual.is_empty().then_some(k));
+        probe_list(&self.store, candidates, residual, k, matched)
+    }
+
+    /// The driver's candidate row ids, in row (= priority) order.
+    /// Inverted lists already are, so they are borrowed as they stand;
+    /// range candidates are copied into `ids` and sorted there. With
+    /// `top = Some(k)` only the `k + 1` smallest row ids are kept.
+    fn candidates<'a>(&'a self, d: Driver, ids: &'a mut Vec<u32>, top: Option<usize>) -> &'a [u32] {
+        let (lo, hi) = match d.pred {
+            CompiledPred::Eq(v) => return self.index.cat_list(d.attr, v),
+            CompiledPred::Range(lo, hi) => (lo, hi),
+        };
+        ids.clear();
+        match d.cell {
+            Some(c) => {
+                ids.extend_from_slice(self.cell_order().slice(&self.store, c, d.attr, lo, hi))
+            }
+            None => ids.extend(self.index.num_slice(d.attr, lo, hi).iter().map(|&(_, r)| r)),
+        }
+        if let Some(k) = top.filter(|&k| ids.len() > k + 1) {
+            // Without residual filters only the k+1 smallest row ids can
+            // appear in the answer: partial-select them instead of
+            // sorting the whole candidate set.
+            ids.select_nth_unstable(k);
+            ids.truncate(k + 1);
+        }
+        ids.sort_unstable();
+        ids
     }
 
     /// The per-column indexes (shared with bookkeeping like
@@ -281,7 +403,7 @@ impl Engine {
         match queries {
             [] => {}
             [q] => {
-                let kind = plan_into(&self.store, &self.index, q, &mut b.preds[0]);
+                let kind = self.plan_into(q, &mut b.preds[0]);
                 self.record(stats, kind, &b.preds[0]);
                 b.overflow[0] = self.execute(kind, &b.preds[0], k, &mut b.matched[0], ids);
             }
@@ -302,10 +424,9 @@ impl Engine {
         b: &mut BatchScratch,
     ) {
         stats.record_batch(queries.len());
-        let Engine { store, index } = self;
         let m = queries.len();
         for (i, q) in queries.iter().enumerate() {
-            b.kinds.push(plan_into(store, index, q, &mut b.preds[i]));
+            b.kinds.push(self.plan_into(q, &mut b.preds[i]));
             self.record(stats, b.kinds[i], &b.preds[i]);
         }
 
@@ -314,20 +435,23 @@ impl Engine {
         // same prefix, one distinguishing predicate) walk the driver's
         // candidate list once — shared residuals are checked once per
         // candidate for the whole group.
+        let residual = |i: usize| {
+            probe_parts(b.kinds[i], &b.preds[i])
+                .expect("a probe plan")
+                .1
+        };
         let mut pgroups: Vec<ProbeGroup> = Vec::new();
         for i in 0..m {
-            if b.kinds[i] != PlanKind::Probe || b.preds[i].len() < 2 {
+            let Some((driver, rest)) = probe_parts(b.kinds[i], &b.preds[i]) else {
+                continue;
+            };
+            if rest.is_empty() {
                 continue;
             }
-            let d = b.preds[i][0];
-            match pgroups
-                .iter_mut()
-                .find(|g| g.attr == d.attr && g.pred == d.pred)
-            {
+            match pgroups.iter_mut().find(|g| g.driver == driver) {
                 Some(g) => g.members.push(i),
                 None => pgroups.push(ProbeGroup {
-                    attr: d.attr,
-                    pred: d.pred,
+                    driver,
                     members: vec![i],
                 }),
             }
@@ -337,12 +461,12 @@ impl Engine {
         pgroups.retain(|g| {
             // Residuals present in every member; driver-only sharing is
             // left to the solo paths (nothing per-candidate to save).
-            let shared: Vec<PredInfo> = b.preds[g.members[0]][1..]
+            let shared: Vec<PredInfo> = residual(g.members[0])
                 .iter()
                 .copied()
                 .filter(|p| {
                     g.members[1..].iter().all(|&j| {
-                        b.preds[j][1..]
+                        residual(j)
                             .iter()
                             .any(|q| q.attr == p.attr && q.pred == p.pred)
                     })
@@ -371,14 +495,10 @@ impl Engine {
             stats.batch_grouped_probes += g.members.len() as u64;
             let mut tasks: Vec<ProbeTask> = Vec::with_capacity(g.members.len());
             for &i in &g.members {
-                let extra: Vec<PredInfo> = b.preds[i][1..]
+                let extra: Vec<PredInfo> = residual(i)
                     .iter()
                     .copied()
-                    .filter(|p| {
-                        !shared
-                            .iter()
-                            .any(|s| s.attr == p.attr && s.pred == p.pred)
-                    })
+                    .filter(|p| !shared.iter().any(|s| s.attr == p.attr && s.pred == p.pred))
                     .collect();
                 let mut matched = std::mem::take(&mut b.matched[i]);
                 matched.clear();
@@ -390,17 +510,10 @@ impl Engine {
                     done: false,
                 });
             }
-            let candidates: &[u32] = match g.pred {
-                CompiledPred::Eq(v) => index.cat_list(g.attr, v),
-                CompiledPred::Range(lo, hi) => {
-                    // Materialized and row-sorted once for the group.
-                    ids.clear();
-                    ids.extend(index.num_slice(g.attr, lo, hi).iter().map(|&(_, r)| r));
-                    ids.sort_unstable();
-                    ids
-                }
-            };
-            grouped_probe(store, candidates, shared, &mut tasks, k);
+            // Range candidates are materialized and row-sorted once for
+            // the whole group.
+            let candidates = self.candidates(g.driver, ids, None);
+            grouped_probe(&self.store, candidates, shared, &mut tasks, k);
             for t in tasks {
                 b.matched[t.slot] = t.matched;
                 b.overflow[t.slot] = t.overflow;
@@ -421,7 +534,7 @@ impl Engine {
         strategy: Strategy,
     ) -> QueryOutcome {
         let mut preds = Vec::new();
-        let kind = plan_into(&self.store, &self.index, q, &mut preds);
+        let kind = self.plan_into(q, &mut preds);
         if kind == PlanKind::EmptyResult {
             return QueryOutcome::resolved(Vec::new());
         }
@@ -430,14 +543,9 @@ impl Engine {
             (Strategy::Scan, _) | (Strategy::Probe, 0) => {
                 scan(&self.store, &preds, k, &mut matched)
             }
-            (Strategy::Probe, _) => probe(
-                &self.store,
-                &self.index,
-                &preds,
-                k,
-                &mut matched,
-                &mut Vec::new(),
-            ),
+            (Strategy::Probe, _) => {
+                self.probe(PlanKind::Probe, &preds, k, &mut matched, &mut Vec::new())
+            }
             (Strategy::Intersect, _) => block_scan(&self.store, &preds, k, &mut matched),
         };
         materialize(rows, &matched, overflow)
@@ -448,89 +556,113 @@ impl Engine {
 /// results are settled by index lookups alone, so they count as probes.
 fn strategy_of(kind: PlanKind) -> Strategy {
     match kind {
-        PlanKind::EmptyResult | PlanKind::Probe => Strategy::Probe,
+        PlanKind::EmptyResult | PlanKind::Probe | PlanKind::CellRange => Strategy::Probe,
         PlanKind::Scan => Strategy::Scan,
         PlanKind::Intersect => Strategy::Intersect,
     }
 }
 
-/// Compiles `q`'s constraining predicates (with exact selectivities,
-/// sorted ascending by `(selectivity, attribute)`) into `preds` and picks
-/// the strategy.
-///
-/// Decision ladder, for `n` rows and sorted selectivities `s1 ≤ s2 ≤ …`:
-///
-/// 1. unsatisfiable query, or any `si = 0` → [`PlanKind::EmptyResult`];
-/// 2. **full-pin rewrite**: when the store has a derived cell column and
-///    `q` pins every categorical attribute, those equalities become one
-///    equality on the cell column, whose selectivity is the cell's row
-///    count; a cell absent from the data → [`PlanKind::EmptyResult`].
-///    The rungs below then see the cell as one more categorical
-///    predicate, so a numeric range narrower than the cell still drives;
-/// 3. no constraining predicate, or a **single** predicate whose index
-///    does not narrow enough (`s1 · PROBE_ADVANTAGE > n`) →
-///    [`PlanKind::Scan`];
-/// 4. `s1 · PROBE_ADVANTAGE ≤ n` (some index narrows, selective or not in
-///    count of predicates) → [`PlanKind::Probe`]: drive the smallest
-///    list, check the rest as O(1) columnar residuals. Measurement
-///    (`BENCH_pr1.json`) shows this beats reading further candidate
-///    lists whenever the store offers O(1) random access — which is why
-///    selective multi-predicate queries probe rather than intersect;
-/// 5. **several** predicates, none of whose indexes narrow enough →
-///    [`PlanKind::Intersect`]: intersect all predicates' bitset blocks
-///    (the dense form of candidate-list intersection).
-///
-/// The `(selectivity, attribute)` sort key makes equal-selectivity ties
-/// resolve toward the lower attribute index, deterministically (the cell
-/// column's index is past every schema attribute's).
-fn plan_into(
-    store: &ColumnStore,
-    index: &ColumnIndex,
-    q: &Query,
-    preds: &mut Vec<PredInfo>,
-) -> PlanKind {
-    preds.clear();
-    if q.is_unsatisfiable() {
-        return PlanKind::EmptyResult;
-    }
-    for (attr, &p) in q.preds().iter().enumerate() {
-        if let Some(pred) = CompiledPred::compile(p) {
-            let sel = index
-                .selectivity(attr, p)
-                .expect("constraining predicates have measurable selectivity");
-            if sel == 0 {
-                return PlanKind::EmptyResult;
-            }
-            preds.push(PredInfo { attr, pred, sel });
+impl Engine {
+    /// Compiles `q`'s constraining predicates (with exact selectivities,
+    /// sorted ascending by `(selectivity, attribute)`) into `preds` and
+    /// picks the strategy.
+    ///
+    /// Decision ladder, for `n` rows and sorted selectivities
+    /// `s1 ≤ s2 ≤ …`:
+    ///
+    /// 1. unsatisfiable query, or any `si = 0` → [`PlanKind::EmptyResult`];
+    /// 2. **full pin**: when the store has a derived cell column and `q`
+    ///    pins every categorical attribute, the cell implies all those
+    ///    equalities. A cell absent from the data →
+    ///    [`PlanKind::EmptyResult`]. Then:
+    ///    * with numeric ranges → [`PlanKind::CellRange`]: each range's
+    ///      selectivity is the exact size of its cell ∩ range slice in
+    ///      the per-cell numeric order (built on first use; no store-wide
+    ///      list is measured), an empty slice →
+    ///      [`PlanKind::EmptyResult`], and the ranges are followed by the
+    ///      cell's equality, so `preds` stays the whole conjunction. The
+    ///      narrowest slice drives; it is never larger than the cell's
+    ///      list or the range's store-wide list, so it is taken whatever
+    ///      its size;
+    ///    * without one → the equalities become one equality on the cell
+    ///      column, whose selectivity is the cell's row count, and the
+    ///      rungs below see it as one categorical predicate;
+    /// 3. no constraining predicate, or a **single** predicate whose index
+    ///    does not narrow enough (`s1 · PROBE_ADVANTAGE > n`) →
+    ///    [`PlanKind::Scan`];
+    /// 4. `s1 · PROBE_ADVANTAGE ≤ n` (some index narrows, selective or not
+    ///    in count of predicates) → [`PlanKind::Probe`]: drive the
+    ///    smallest list, check the rest as O(1) columnar residuals.
+    ///    Measurement (`BENCH_pr1.json`) shows this beats reading further
+    ///    candidate lists whenever the store offers O(1) random access —
+    ///    which is why selective multi-predicate queries probe rather
+    ///    than intersect;
+    /// 5. **several** predicates, none of whose indexes narrow enough →
+    ///    [`PlanKind::Intersect`]: intersect all predicates' bitset blocks
+    ///    (the dense form of candidate-list intersection).
+    ///
+    /// The `(selectivity, attribute)` sort key makes equal-selectivity ties
+    /// resolve toward the lower attribute index, deterministically (the
+    /// cell column's index is past every schema attribute's).
+    fn plan_into(&self, q: &Query, preds: &mut Vec<PredInfo>) -> PlanKind {
+        let Engine { store, index, .. } = self;
+        preds.clear();
+        if q.is_unsatisfiable() {
+            return PlanKind::EmptyResult;
         }
-    }
-    if let Some(cells) = store.cells() {
-        match cells.pinned(q) {
-            None => {}
-            Some(None) => return PlanKind::EmptyResult,
-            Some(Some(cell)) => {
-                // Every `Eq` is a categorical predicate, and the cell
-                // implies them all.
-                preds.retain(|p| matches!(p.pred, CompiledPred::Range(..)));
+        let pinned = store
+            .cells()
+            .and_then(|cells| Some((cells, cells.pinned(q)?)));
+        match pinned {
+            Some((_, None)) => return PlanKind::EmptyResult,
+            Some((cells, Some(cell))) => {
+                // The cell implies every categorical equality, so only
+                // the ranges are measured, each on the cell's own rows.
+                for (attr, &p) in q.preds().iter().enumerate() {
+                    if let Some(pred @ CompiledPred::Range(lo, hi)) = CompiledPred::compile(p) {
+                        let sel = self.cell_order().slice(store, cell, attr, lo, hi).len();
+                        if sel == 0 {
+                            return PlanKind::EmptyResult;
+                        }
+                        preds.push(PredInfo { attr, pred, sel });
+                    }
+                }
+                preds.sort_unstable_by_key(|p| (p.sel, p.attr));
                 preds.push(PredInfo {
                     attr: cells.attr,
                     pred: CompiledPred::Eq(cell),
                     sel: index.cat_list(cells.attr, cell).len(),
                 });
+                if preds.len() > 1 {
+                    return PlanKind::CellRange;
+                }
+            }
+            None => {
+                for (attr, &p) in q.preds().iter().enumerate() {
+                    if let Some(pred) = CompiledPred::compile(p) {
+                        let sel = index
+                            .selectivity(attr, p)
+                            .expect("constraining predicates have measurable selectivity");
+                        if sel == 0 {
+                            return PlanKind::EmptyResult;
+                        }
+                        preds.push(PredInfo { attr, pred, sel });
+                    }
+                }
+                preds.sort_unstable_by_key(|p| (p.sel, p.attr));
             }
         }
-    }
-    preds.sort_unstable_by_key(|p| (p.sel, p.attr));
-    let n = store.n();
-    match preds.as_slice() {
-        [] => PlanKind::Scan,
-        [first, rest @ ..] => {
-            if first.sel.saturating_mul(PROBE_ADVANTAGE) <= n {
-                PlanKind::Probe
-            } else if rest.is_empty() {
-                PlanKind::Scan
-            } else {
-                PlanKind::Intersect
+        let n = store.n();
+        match preds.as_slice() {
+            [] => PlanKind::Scan,
+            [first, rest @ ..] => {
+                if first.sel.saturating_mul(PROBE_ADVANTAGE) <= n {
+                    PlanKind::Probe
+                } else if rest.is_empty() {
+                    PlanKind::Scan
+                } else {
+                    PlanKind::Intersect
+                }
             }
         }
     }
@@ -702,41 +834,6 @@ fn grouped_probe(
     }
 }
 
-/// Index probe on `preds[0]` (the most selective), residual-filtering the
-/// rest with O(1) columnar checks.
-fn probe(
-    store: &ColumnStore,
-    index: &ColumnIndex,
-    preds: &[PredInfo],
-    k: usize,
-    matched: &mut Vec<u32>,
-    ids: &mut Vec<u32>,
-) -> bool {
-    matched.clear();
-    let (first, residual) = preds.split_first().expect("probe needs a predicate");
-    match first.pred {
-        CompiledPred::Eq(v) => {
-            // Inverted lists are already in row (= priority) order:
-            // zero-copy candidates.
-            probe_list(store, index.cat_list(first.attr, v), residual, k, matched)
-        }
-        CompiledPred::Range(lo, hi) => {
-            let pairs = index.num_slice(first.attr, lo, hi);
-            ids.clear();
-            ids.extend(pairs.iter().map(|&(_, r)| r));
-            if residual.is_empty() && ids.len() > k + 1 {
-                // Without residual filters only the k+1 smallest row ids
-                // can appear in the answer: partial-select them instead
-                // of sorting the whole candidate set.
-                ids.select_nth_unstable(k);
-                ids.truncate(k + 1);
-            }
-            ids.sort_unstable();
-            probe_list(store, ids, residual, k, matched)
-        }
-    }
-}
-
 /// Filters a row-ordered candidate list, stopping at the `k + 1`'th
 /// survivor.
 fn probe_list(
@@ -887,7 +984,7 @@ mod tests {
         let engine = Engine::new(&schema, &rows);
         let mut preds = Vec::new();
         // Unconstrained: scan.
-        let kind = plan_into(&engine.store, &engine.index, &Query::any(3), &mut preds);
+        let kind = engine.plan_into(&Query::any(3), &mut preds);
         assert_eq!(kind, PlanKind::Scan);
         // One selective range: probe.
         let q = Query::new(vec![
@@ -895,10 +992,7 @@ mod tests {
             Predicate::Range { lo: 5, hi: 9 },
             Predicate::Any,
         ]);
-        assert_eq!(
-            plan_into(&engine.store, &engine.index, &q, &mut preds),
-            PlanKind::Probe
-        );
+        assert_eq!(engine.plan_into(&q, &mut preds), PlanKind::Probe);
         // Two selective predicates: probe the smaller list, check the
         // other as a residual.
         let q = Query::new(vec![
@@ -906,30 +1000,21 @@ mod tests {
             Predicate::Range { lo: 0, hi: 50 },
             Predicate::Any,
         ]);
-        assert_eq!(
-            plan_into(&engine.store, &engine.index, &q, &mut preds),
-            PlanKind::Probe
-        );
+        assert_eq!(engine.plan_into(&q, &mut preds), PlanKind::Probe);
         // A dense single predicate: scan (index narrows < 4x).
         let q = Query::new(vec![
             Predicate::Any,
             Predicate::Range { lo: 0, hi: 400 },
             Predicate::Any,
         ]);
-        assert_eq!(
-            plan_into(&engine.store, &engine.index, &q, &mut preds),
-            PlanKind::Scan
-        );
+        assert_eq!(engine.plan_into(&q, &mut preds), PlanKind::Scan);
         // A zero-selectivity predicate: empty, no execution.
         let q = Query::new(vec![
             Predicate::Any,
             Predicate::Range { lo: 2000, hi: 3000 },
             Predicate::Any,
         ]);
-        assert_eq!(
-            plan_into(&engine.store, &engine.index, &q, &mut preds),
-            PlanKind::EmptyResult
-        );
+        assert_eq!(engine.plan_into(&q, &mut preds), PlanKind::EmptyResult);
     }
 
     #[test]
@@ -947,11 +1032,11 @@ mod tests {
             .collect();
         let engine = Engine::new(&schema, &rows);
         let mut preds = Vec::new();
-        let q = Query::new(vec![Predicate::Eq(0), Predicate::Range { lo: 4000, hi: 7999 }]);
-        assert_eq!(
-            plan_into(&engine.store, &engine.index, &q, &mut preds),
-            PlanKind::Intersect
-        );
+        let q = Query::new(vec![
+            Predicate::Eq(0),
+            Predicate::Range { lo: 4000, hi: 7999 },
+        ]);
+        assert_eq!(engine.plan_into(&q, &mut preds), PlanKind::Intersect);
         let mut stats = ServerStats::default();
         let planned_engine = Engine::new(&schema, &rows);
         let got = planned_engine.outcome(&rows, 64, &q, &mut stats, &mut Scratch::default());
@@ -983,7 +1068,7 @@ mod tests {
         let engine = Engine::new(&schema, &rows);
         let mut preds = Vec::new();
         let q = Query::new(vec![Predicate::Eq(3), Predicate::Eq(7), Predicate::Any]);
-        let kind = plan_into(&engine.store, &engine.index, &q, &mut preds);
+        let kind = engine.plan_into(&q, &mut preds);
         // Both predicates select 20 of 200 rows; the sort key must place
         // attribute 0 first regardless of input order.
         assert_eq!(preds[0].sel, preds[1].sel, "fixture must tie");
@@ -1148,50 +1233,78 @@ mod tests {
     #[test]
     fn full_pin_queries_probe_the_cell_list() {
         // `fixture` has two categorical columns (c, d): pinning both is
-        // one cell, pinning one keeps the per-attribute plan.
+        // one cell, pinning one keeps the per-attribute plan. c = 1 ∧
+        // d = 0 holds on 65 of 600 rows.
         let (schema, rows) = fixture();
         let engine = Engine::new(&schema, &rows);
         let cell = engine.store.cells().expect("two categorical columns").attr;
         assert_eq!(cell, schema.arity());
-        let full = Query::new(vec![
-            Predicate::Eq(1),
-            Predicate::Range { lo: 0, hi: 500 },
-            Predicate::Eq(0),
-        ]);
+        let pin = |n| Query::new(vec![Predicate::Eq(1), n, Predicate::Eq(0)]);
+        let full = pin(Predicate::Range { lo: 0, hi: 500 });
+        let bare = pin(Predicate::Any);
         let partial = Query::new(vec![
             Predicate::Eq(1),
             Predicate::Range { lo: 0, hi: 500 },
             Predicate::Any,
         ]);
         let mut preds = Vec::new();
-        assert_eq!(
-            plan_into(&engine.store, &engine.index, &full, &mut preds),
-            PlanKind::Probe
-        );
-        // c = 1 ∧ d = 0 holds on 65 of 600 rows; the range and the cell
-        // are the only predicates left, the cell driving.
+        assert_eq!(engine.plan_into(&bare, &mut preds), PlanKind::Probe);
         assert_eq!((preds[0].attr, preds[0].sel), (cell, 65));
+        assert_eq!(preds.len(), 1);
+        // With a range, the cell ∩ range slice (54 rows) drives and the
+        // cell follows it, though the range alone holds 501 rows.
+        assert_eq!(engine.plan_into(&full, &mut preds), PlanKind::CellRange);
+        assert_eq!((preds[0].attr, preds[0].sel), (1, 54));
+        assert_eq!((preds[1].attr, preds[1].sel), (cell, 65));
         assert_eq!(preds.len(), 2);
-        for (q, cell_probes) in [(&full, 1), (&partial, 0)] {
+        for (q, cell_probes, cell_range_probes) in [(&bare, 1, 0), (&full, 0, 1), (&partial, 0, 0)]
+        {
             let mut stats = ServerStats::default();
             let got = engine.outcome(&rows, 8, q, &mut stats, &mut Scratch::default());
             assert_eq!(got, brute(&rows, 8, q), "q={q}");
             assert_eq!(stats.probe_evals, 1, "q={q}");
             assert_eq!(stats.cell_probes, cell_probes, "q={q}");
+            assert_eq!(stats.cell_range_probes, cell_range_probes, "q={q}");
         }
-        // A narrower range still drives; the cell becomes its residual.
-        let narrow = Query::new(vec![
-            Predicate::Eq(1),
-            Predicate::Range { lo: 0, hi: 20 },
-            Predicate::Eq(0),
-        ]);
-        plan_into(&engine.store, &engine.index, &narrow, &mut preds);
-        assert_eq!(preds[0].attr, 1);
+        // A range narrower than the cell drives through its cell slice
+        // (3 rows), not its store-wide list (21 rows).
+        let narrow = pin(Predicate::Range { lo: 0, hi: 20 });
+        assert_eq!(engine.plan_into(&narrow, &mut preds), PlanKind::CellRange);
+        assert_eq!((preds[0].attr, preds[0].sel), (1, 3));
         assert_eq!(preds[1].attr, cell);
         let mut stats = ServerStats::default();
         let got = engine.outcome(&rows, 8, &narrow, &mut stats, &mut Scratch::default());
         assert_eq!(got, brute(&rows, 8, &narrow));
-        assert_eq!((stats.probe_evals, stats.cell_probes), (1, 0));
+        assert_eq!(
+            (
+                stats.probe_evals,
+                stats.cell_probes,
+                stats.cell_range_probes
+            ),
+            (1, 0, 1)
+        );
+        // A range that misses the cell is settled by the slice's size.
+        let miss = pin(Predicate::Range { lo: 2, hi: 4 });
+        assert_eq!(engine.plan_into(&miss, &mut preds), PlanKind::EmptyResult);
+    }
+
+    #[test]
+    fn cell_order_is_built_by_the_first_full_pin_range_query() {
+        let (schema, rows) = fixture();
+        let engine = Engine::new(&schema, &rows);
+        let mut stats = ServerStats::default();
+        let mut scratch = Scratch::default();
+        assert!(engine.cell_order.get().is_none(), "built at construction");
+        let range = Predicate::Range { lo: 0, hi: 500 };
+        let bare = Query::new(vec![Predicate::Eq(1), Predicate::Any, Predicate::Eq(0)]);
+        let partial = Query::new(vec![Predicate::Eq(1), range, Predicate::Any]);
+        for q in [&bare, &partial] {
+            engine.outcome(&rows, 8, q, &mut stats, &mut scratch);
+            assert!(engine.cell_order.get().is_none(), "built by q={q}");
+        }
+        let full = Query::new(vec![Predicate::Eq(1), range, Predicate::Eq(0)]);
+        engine.outcome(&rows, 8, &full, &mut stats, &mut scratch);
+        assert!(engine.cell_order.get().is_some());
     }
 
     #[test]
@@ -1220,15 +1333,19 @@ mod tests {
             Predicate::Range { lo: 0, hi: 50 },
         ]);
         let mut preds = Vec::new();
-        assert_eq!(
-            plan_into(&engine.store, &engine.index, &q, &mut preds),
-            PlanKind::EmptyResult
-        );
+        assert_eq!(engine.plan_into(&q, &mut preds), PlanKind::EmptyResult);
         let mut stats = ServerStats::default();
         let got = engine.outcome(&rows, 4, &q, &mut stats, &mut Scratch::default());
         assert_eq!(got, brute(&rows, 4, &q));
         assert!(got.tuples.is_empty());
-        assert_eq!((stats.probe_evals, stats.cell_probes), (1, 0));
+        assert_eq!(
+            (
+                stats.probe_evals,
+                stats.cell_probes,
+                stats.cell_range_probes
+            ),
+            (1, 0, 0)
+        );
         for s in [Strategy::Scan, Strategy::Probe, Strategy::Intersect] {
             assert_eq!(
                 engine.evaluate_forced(&rows, 4, &q, s),

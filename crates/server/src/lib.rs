@@ -30,6 +30,11 @@
 //!   Alongside it, per-column indexes (inverted lists for categorical
 //!   attributes, value-sorted arrays for numeric ones) measure exact
 //!   predicate selectivities and serve candidate row-id lists.
+//!   Queries pinning every categorical attribute run on a derived *cell*
+//!   column, and those that also carry numeric ranges read only the
+//!   pinned cell's rows, from a per-cell numeric order (`cell_order.rs`,
+//!   4 B per row per numeric attribute) built lazily by the first such
+//!   query.
 //! * **Planner strategies** — a cost-based planner picks per query among
 //!   a columnar **scan** (tight single-slice walk), a single index
 //!   **probe** with O(1) columnar residual checks (chosen for selective
@@ -99,6 +104,7 @@
 #![warn(missing_docs)]
 
 pub mod budget;
+mod cell_order;
 mod engine;
 mod eval;
 mod index;

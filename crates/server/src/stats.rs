@@ -29,9 +29,13 @@ pub struct ServerStats {
     /// intersection.
     pub intersect_evals: u64,
     /// Probes whose driver was the derived cell column's list: queries
-    /// pinning every categorical attribute, with no narrower numeric
-    /// range. Also counted in `probe_evals`.
+    /// pinning every categorical attribute and no numeric range. Also
+    /// counted in `probe_evals`.
     pub cell_probes: u64,
+    /// Probes driven by a cell ∩ range slice of the per-cell numeric
+    /// order: queries pinning every categorical attribute and carrying
+    /// numeric ranges. Also counted in `probe_evals`.
+    pub cell_range_probes: u64,
     /// Batches of two or more queries evaluated through the batch path
     /// ([`crate::HiddenDbServer`]'s `query_batch`); empty and singleton
     /// batches are served by the single-query path and not counted here.
@@ -76,7 +80,7 @@ impl fmt::Display for ServerStats {
         write!(
             f,
             "{} queries ({} resolved, {} overflowed), {} tuples returned, \
-             eval: {} scans / {} probes ({} cell) / {} intersects, \
+             eval: {} scans / {} probes ({} cell, {} cell-range) / {} intersects, \
              batch: {} batches / {} queries ({} grouped-probe)",
             self.queries,
             self.resolved,
@@ -85,6 +89,7 @@ impl fmt::Display for ServerStats {
             self.scan_evals,
             self.probe_evals,
             self.cell_probes,
+            self.cell_range_probes,
             self.intersect_evals,
             self.batches,
             self.batched_queries,
@@ -133,9 +138,10 @@ mod tests {
         s.record_plan(Strategy::Scan);
         s.record_outcome(3, false);
         s.cell_probes = 2;
+        s.cell_range_probes = 5;
         let text = s.to_string();
         assert!(text.contains("1 queries"));
         assert!(text.contains("3 tuples"));
-        assert!(text.contains("(2 cell)"));
+        assert!(text.contains("(2 cell, 5 cell-range)"));
     }
 }

@@ -70,6 +70,11 @@ impl Cells {
         }
         Some(self.ids.get(&key).copied())
     }
+
+    /// Number of cells present in the data (cell ids are `0..count`).
+    pub(crate) fn count(&self) -> usize {
+        self.ids.len()
+    }
 }
 
 /// A predicate compiled against its column's primitive representation.

@@ -14,6 +14,7 @@
 //! the differential assertions). Run repeatedly in CI's threaded-stress
 //! job.
 
+use std::sync::Barrier;
 use std::thread;
 
 use proptest::prelude::*;
@@ -166,6 +167,89 @@ fn concurrent_clients_match_sequential_private_servers() {
     {
         assert_eq!(got_outs, want_outs, "client {c}: outcomes diverged");
         assert_eq!(got_stats, want_stats, "client {c}: stats diverged");
+    }
+}
+
+/// One client's full-pin stream: every query pins both categorical
+/// attributes and carries a price range (and sometimes a mileage range),
+/// so each runs on the per-cell numeric order. The first op is always a
+/// lone query; later ones mix lone queries with rank-shrink-style sibling
+/// batches that split one price range in three.
+fn full_pin_ops(client: usize, ops: usize) -> Vec<Op> {
+    let mut next = stream((client as u64 + 1).wrapping_mul(0xce11_5eed));
+    (0..ops)
+        .map(|i| {
+            let make = Predicate::Eq((next() % 5) as u32);
+            let color = Predicate::Eq((next() % 3) as u32);
+            let lo = (next() % 5_001) as i64;
+            let hi = (lo + (next() % 1_500) as i64).min(5_000);
+            let mileage = if next().is_multiple_of(2) {
+                Predicate::Any
+            } else {
+                let lo = (next() % 1_001) as i64;
+                Predicate::Range {
+                    lo,
+                    hi: (lo + (next() % 300) as i64).min(1_000),
+                }
+            };
+            let q = |lo, hi| Query::new(vec![make, Predicate::Range { lo, hi }, color, mileage]);
+            if i == 0 || !next().is_multiple_of(3) {
+                Op::Solo(q(lo, hi))
+            } else {
+                let mid = lo + (hi - lo) / 2;
+                Op::Batch(vec![q(lo, mid - 1), q(mid, mid), q(mid + 1, hi)])
+            }
+        })
+        .collect()
+}
+
+/// The per-cell numeric order is built lazily, by the first full-pin
+/// range query a store answers. On a fresh store, 16 threads all issue
+/// such a query first, released together, so they race to build it;
+/// every answer and statistic must still match a sequential private
+/// server's.
+#[test]
+fn lazy_cell_order_builds_once_under_contention() {
+    let (schema, tuples) = fixture();
+    let cfg = ServerConfig {
+        k: 24,
+        seed: 0xce11,
+    };
+    let clients = 16;
+    let ops: Vec<Vec<Op>> = (0..clients).map(|c| full_pin_ops(c, 60)).collect();
+
+    let oracle: Vec<_> = ops
+        .iter()
+        .map(|stream| {
+            let mut private = HiddenDbServer::new(schema.clone(), tuples.clone(), cfg).unwrap();
+            let outs = drive(&mut private, stream);
+            (outs, private.stats())
+        })
+        .collect();
+
+    let shared = SharedServer::new(schema, tuples, cfg).unwrap();
+    let start = Barrier::new(clients);
+    let got: Vec<_> = thread::scope(|s| {
+        let handles: Vec<_> = ops
+            .iter()
+            .map(|stream| {
+                let mut client = shared.client();
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    let outs = drive(&mut client, stream);
+                    (outs, client.stats())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for (c, ((got_outs, got_stats), (want_outs, want_stats))) in got.iter().zip(&oracle).enumerate()
+    {
+        assert_eq!(got_outs, want_outs, "client {c}: outcomes diverged");
+        assert_eq!(got_stats, want_stats, "client {c}: stats diverged");
+        assert!(got_stats.cell_range_probes > 0, "client {c}: no cell-range probe");
     }
 }
 
