@@ -138,8 +138,8 @@ impl BarrierCrawler {
     ) -> Result<BarrierReport, CrawlError> {
         let mut tracker = DepthTracker::default();
         let report = run_crawl("sharded-barrier", db, None, config, |session| {
-            for root in spec.queries(schema) {
-                self.run_barrier(session, schema, root, &mut tracker)?;
+            for root in spec.queries() {
+                self.run_barrier(session, schema, root.clone(), &mut tracker)?;
             }
             Ok(())
         })?;

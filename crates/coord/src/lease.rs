@@ -37,7 +37,7 @@ pub struct LeaseGrant {
     /// reclaimed.
     pub ttl_ms: u64,
     /// Salvaged partial from a previous (expired) holder, if any:
-    /// `frontier = Some(c)` means the first `c` root values are done
+    /// `frontier = Some(c)` means the first `c` roots are done
     /// and the grantee should crawl only the suffix. It carries the
     /// prefix's counters and metrics but **no tuples**: the repository
     /// already holds them, and the grantee's deltas append to them.

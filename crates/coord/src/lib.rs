@@ -2,10 +2,13 @@
 //!
 //! The sharded crawl's determinism contract ([`hdc_core::ShardSpec`])
 //! says a shard's charged query sequence, cost, and extracted bag depend
-//! only on the spec and the database — any session, any machine, any
-//! order. This crate turns that contract into a *fleet*: one
-//! coordinator owns the shard plan and leases shards to workers; workers
-//! crawl leased shards against the data service and report results back.
+//! only on the spec — a level order plus disjoint root queries — and the
+//! database: any session, any machine, any order. A shard travels as
+//! its [`hdc_core::ShardSpec::signature`], which the worker checks
+//! against the schema before crawling. This crate turns that contract
+//! into a *fleet*: one coordinator owns the shard plan and leases
+//! shards to workers; workers crawl leased shards against the data
+//! service and report results back.
 //! The fleet's merged bag and total charged cost are exactly a solo
 //! sharded crawl's (the `fleet_equiv` differential suite pins this).
 //!
@@ -20,7 +23,7 @@
 //!   over HTTP to a [`Coordinator`] mounted on the wire server.
 //! * **Partial snapshots** — a heartbeat may carry a partial
 //!   [`hdc_core::ShardSnapshot`] (`frontier = Some(c)`: the shard's
-//!   first `c` root values are done). It is a delta: only the tuples
+//!   first `c` root queries are done). It is a delta: only the tuples
 //!   found since the last accepted heartbeat travel, and the
 //!   coordinator appends them to the partial it holds. When the lease
 //!   expires, the salvaging peer resumes from the frontier

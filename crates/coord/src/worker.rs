@@ -6,7 +6,7 @@
 //!
 //! Heartbeats ride the crawl's own resume boundaries
 //! ([`hdc_core::ShardSpec::crawl_with`]'s resume callback fires after
-//! every completed root value), so no timer thread exists: a worker
+//! every completed root), so no timer thread exists: a worker
 //! that crashes or stalls simply stops heartbeating, its lease lapses,
 //! and a peer salvages the shard from the last banked partial. A
 //! heartbeat answered `lost` trips the session's [`CancelToken`], so
@@ -75,7 +75,7 @@ pub struct WorkerReport {
 /// Merges a salvaged prefix snapshot with a freshly crawled suffix
 /// report into one snapshot for shard `index`.
 ///
-/// The resume boundary partitions the shard's bag by root value, so
+/// The resume boundary partitions the shard's bag by root, so
 /// prefix + suffix tuples concatenated are exactly the whole shard's
 /// bag (as a multiset). The query accounting records the honest spend
 /// of both passes: the suffix may re-pay slice fetches it shared with
@@ -142,7 +142,7 @@ fn coord_failure(e: io::Error) -> CrawlError {
 /// `drained`.
 ///
 /// Each granted shard is crawled with [`ShardSpec::crawl_with`] and a
-/// resume callback; after every completed root value the worker
+/// resume callback; after every completed root the worker
 /// heartbeats, banking the tuples found since its last accepted
 /// heartbeat with cumulative counters (`frontier` = roots done,
 /// salvaged prefix included), so a peer can resume from exactly that
@@ -168,12 +168,18 @@ pub fn drive_worker(
                 ));
             }
             LeaseDecision::Grant(g) => {
-                let Some(spec) = ShardSpec::parse_signature(&g.signature) else {
-                    return Err(coord_failure(io::Error::new(
+                // The signature is outside input: the parser checks it
+                // against the schema, so nothing a grant names can make
+                // the crawl panic.
+                let spec = ShardSpec::parse_signature(&g.signature, schema).map_err(|why| {
+                    coord_failure(io::Error::new(
                         io::ErrorKind::InvalidData,
-                        format!("unparseable shard signature {:?} (version skew?)", g.signature),
-                    )));
-                };
+                        format!(
+                            "unparseable shard signature {:?}: {why} (version skew?)",
+                            g.signature
+                        ),
+                    ))
+                })?;
                 // A salvaged partial moves the start line: crawl only
                 // the suffix. The coordinator holds the prefix's tuples
                 // and appends ours, so a frontier the spec cannot

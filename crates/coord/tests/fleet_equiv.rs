@@ -33,16 +33,16 @@ use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
 
 use hdc_coord::{
-    drive_worker, merge_snapshot, Coordinator, CoordinatorConfig, LeaseDecision, LeaseRepository,
-    MemoryLeaseRepository, WireLeaseRepository, WorkerConfig,
+    drive_worker, merge_snapshot, Coordinator, CoordinatorConfig, LeaseDecision, LeaseGrant,
+    LeaseRepository, MemoryLeaseRepository, WireLeaseRepository, WorkerConfig,
 };
 use hdc_core::{
-    snapshot_of_report, CancelToken, CrawlCheckpoint, CrawlError, CrawlReport, CrawlRepository,
-    JsonFileRepository, SessionConfig, ShardSnapshot, ShardSpec, Sharded,
+    snapshot_of_report, CancelToken, Crawl, CrawlCheckpoint, CrawlError, CrawlReport,
+    CrawlRepository, JsonFileRepository, SessionConfig, ShardSnapshot, ShardSpec, Sharded,
 };
 use hdc_net::{http, Client, RouteExt, ServeOptions, WireServer};
 use hdc_server::{HiddenDbServer, ServerConfig, SharedServer};
-use hdc_types::{AttrKind, Schema, Tuple, TupleBag, Value};
+use hdc_types::{AttrKind, HiddenDatabase, Schema, Tuple, TupleBag, Value};
 
 /// A generated test instance (same generator family as the core fault
 /// suite).
@@ -214,8 +214,8 @@ proptest! {
         prop_assume!(inst.solvable());
         let plan = Sharded::plan_oversubscribed(&inst.schema, 2, 2);
         for spec in &plan {
-            let reparsed = ShardSpec::parse_signature(&spec.signature());
-            prop_assert_eq!(reparsed.as_ref(), Some(spec), "signature must round-trip");
+            let reparsed = ShardSpec::parse_signature(&spec.signature(), &inst.schema);
+            prop_assert_eq!(reparsed.as_ref(), Ok(spec), "signature must round-trip");
             let mut db_a = inst.server(seed);
             let one_call = spec.crawl(&mut db_a, &inst.schema).unwrap();
             let mut db_b = inst.server(seed);
@@ -233,9 +233,7 @@ proptest! {
             prop_assert_eq!(one_call.overflowed, per_root.overflowed);
             prop_assert_eq!(one_call.pruned, per_root.pruned);
             prop_assert!(bag(&one_call.tuples).multiset_eq(&bag(&per_root.tuples)));
-            if let Some(points) = spec.resume_points() {
-                prop_assert_eq!(roots as usize, points, "one callback per root value");
-            }
+            prop_assert_eq!(roots as usize, spec.resume_points(), "one callback per root");
         }
     }
 
@@ -250,7 +248,7 @@ proptest! {
         prop_assume!(inst.solvable());
         let plan = Sharded::plan_oversubscribed(&inst.schema, 1, 2);
         for spec in &plan {
-            let Some(points) = spec.resume_points() else { continue };
+            let points = spec.resume_points();
             if points < 2 {
                 continue;
             }
@@ -331,7 +329,7 @@ fn killed_worker_is_salvaged_exactly() {
     let inst = yahoo_like();
     let seed = 11;
     let plan = Sharded::plan_oversubscribed(&inst.schema, 1, 2);
-    assert!(plan.len() >= 2 && plan[0].resume_points().unwrap() >= 2);
+    assert!(plan.len() >= 2 && plan[0].resume_points() >= 2);
     let (solo_queries, solo_bag) = solo(&plan, &inst, seed);
     let whole_shard0 = {
         let mut db = inst.server(seed);
@@ -346,7 +344,7 @@ fn killed_worker_is_salvaged_exactly() {
         other => panic!("expected grant, got {other:?}"),
     };
     assert_eq!(grant.index, 0);
-    let spec = ShardSpec::parse_signature(&grant.signature).unwrap();
+    let spec = ShardSpec::parse_signature(&grant.signature, &inst.schema).unwrap();
     let halt = CancelToken::new();
     let mut banked_queries = 0;
     {
@@ -589,9 +587,9 @@ proptest! {
     fn multi_root_salvage_banks_the_full_snapshot(inst in instance_strategy(), seed in any::<u64>()) {
         prop_assume!(inst.solvable());
         let plan = Sharded::plan_oversubscribed(&inst.schema, 1, 2);
-        let target = plan.iter().position(|s| s.resume_points().is_some_and(|p| p >= 2));
+        let target = plan.iter().position(|s| s.resume_points() >= 2);
         let Some(target) = target else { return Ok(()) };
-        let points = plan[target].resume_points().unwrap();
+        let points = plan[target].resume_points();
         let (_, solo_bag) = solo(&plan, &inst, seed);
         let whole = plan[target].crawl(&mut inst.server(seed), &inst.schema).unwrap();
         let roots = interims(&plan[target], &inst, seed);
@@ -630,7 +628,7 @@ fn delta_on_a_salvaged_prefix_banks_the_full_snapshot() {
     let inst = yahoo_like();
     let seed = 41;
     let plan = Sharded::plan_oversubscribed(&inst.schema, 1, 2);
-    assert!(plan[0].resume_points().unwrap() >= 3);
+    assert!(plan[0].resume_points() >= 3);
     let (_, solo_bag) = solo(&plan, &inst, seed);
     let first = merge_snapshot(0, None, &interims(&plan[0], &inst, seed)[0], Some(1));
     let suffix = plan[0].resume_suffix(1).unwrap();
@@ -757,38 +755,202 @@ fn wire_fleet_matches_solo() {
     stop.store(true, std::sync::atomic::Ordering::Release);
 }
 
+/// `yahoo_like`'s 2-session × 2 plan as the four-variant planner wrote
+/// it, before signatures used the wire's predicate tokens.
+fn previous_format_plan() -> Vec<String> {
+    ["cat:0=[0, 4]", "cat:0=[1]", "cat:0=[2]", "cat:0=[3]"]
+        .map(String::from)
+        .to_vec()
+}
+
 /// A coordinator handed a checkpoint for another plan refuses it, as
 /// the sharded driver does: `Coordinator::new` fails with the
 /// plan-mismatch `InvalidData` error, and the foreign file is left
-/// byte-identical.
+/// byte-identical. A checkpoint of the same plan written in the
+/// previous signature format is foreign too: there is no reader for it.
 #[test]
 fn foreign_checkpoint_is_refused_and_preserved() {
     let inst = yahoo_like();
     let theirs = Sharded::plan_oversubscribed(&inst.schema, 1, 2);
     let ours = Sharded::plan_oversubscribed(&inst.schema, 2, 2);
     assert_ne!(signatures(&theirs), signatures(&ours));
+    assert_eq!(ours.len(), previous_format_plan().len());
     let path = std::env::temp_dir().join(format!("hdc_fleet_foreign_{}.json", std::process::id()));
     let shard = theirs[0].crawl(&mut inst.server(7), &inst.schema).unwrap();
+    for foreign in [signatures(&theirs), previous_format_plan()] {
+        JsonFileRepository::new(&path)
+            .store(&CrawlCheckpoint {
+                plan: foreign,
+                shards: vec![snapshot_of_report(0, &shard, None)],
+            })
+            .unwrap();
+        let before = std::fs::read(&path).unwrap();
+
+        let refused = Coordinator::new(
+            signatures(&ours),
+            CoordinatorConfig {
+                checkpoint: Some(path.clone()),
+                ..CoordinatorConfig::default()
+            },
+        );
+        let err = refused.err().expect("a foreign checkpoint must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("plan mismatch"), "{err}");
+        let after = std::fs::read(&path).unwrap();
+        assert_eq!(after, before, "checkpoint file touched");
+    }
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// The sharded driver refuses a checkpoint written in the previous
+/// signature format through the same plan-mismatch path, before
+/// charging a query, and leaves the file byte-identical.
+#[test]
+fn previous_format_checkpoint_is_refused_by_the_sharded_driver() {
+    let inst = yahoo_like();
+    let path = std::env::temp_dir().join(format!("hdc_sharded_old_{}.json", std::process::id()));
+    let shard = Sharded::plan_oversubscribed(&inst.schema, 2, 2)[0]
+        .crawl(&mut inst.server(7), &inst.schema)
+        .unwrap();
     JsonFileRepository::new(&path)
         .store(&CrawlCheckpoint {
-            plan: signatures(&theirs),
+            plan: previous_format_plan(),
             shards: vec![snapshot_of_report(0, &shard, None)],
         })
         .unwrap();
     let before = std::fs::read(&path).unwrap();
-
-    let refused = Coordinator::new(
-        signatures(&ours),
-        CoordinatorConfig {
-            checkpoint: Some(path.clone()),
-            ..CoordinatorConfig::default()
-        },
-    );
-    let err = refused.err().expect("a foreign checkpoint must be refused");
-    assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("plan mismatch"), "{err}");
-    assert_eq!(std::fs::read(&path).unwrap(), before, "checkpoint file touched");
+    let mut repo = JsonFileRepository::new(&path);
+    // A zero quota: any query the resume attempted would fail with a
+    // budget error instead.
+    let err = Crawl::builder()
+        .sessions(2)
+        .oversubscribe(2)
+        .budget(0)
+        .repository(&mut repo)
+        .run_sharded(|_s| inst.server(7))
+        .unwrap_err();
+    let CrawlError::Db { error, partial } = err else {
+        panic!("expected a typed mismatch error, got {err:?}");
+    };
+    assert!(error.to_string().contains("plan mismatch"), "{error}");
+    assert_eq!(partial.queries, 0, "refused before spending");
+    let after = std::fs::read(&path).unwrap();
+    assert_eq!(after, before, "checkpoint file touched");
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A lease repository that grants one signature, then reports the plan
+/// drained, counting the verbs the worker sends.
+struct OneGrant {
+    signature: String,
+    granted: bool,
+    heartbeats: usize,
+    completes: usize,
+}
+
+impl OneGrant {
+    fn new(signature: &str) -> Self {
+        OneGrant {
+            signature: signature.to_string(),
+            granted: false,
+            heartbeats: 0,
+            completes: 0,
+        }
+    }
+}
+
+impl CrawlRepository for OneGrant {
+    fn load(&mut self) -> io::Result<Option<CrawlCheckpoint>> {
+        Ok(None)
+    }
+
+    fn store(&mut self, _checkpoint: &CrawlCheckpoint) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl LeaseRepository for OneGrant {
+    fn plan(&mut self) -> io::Result<Vec<String>> {
+        Ok(vec![self.signature.clone()])
+    }
+
+    fn lease(&mut self, _worker: &str) -> io::Result<LeaseDecision> {
+        if std::mem::replace(&mut self.granted, true) {
+            return Ok(LeaseDecision::Drained);
+        }
+        Ok(LeaseDecision::Grant(Box::new(LeaseGrant {
+            index: 0,
+            signature: self.signature.clone(),
+            lease: 1,
+            ttl_ms: 60_000,
+            partial: None,
+        })))
+    }
+
+    fn heartbeat(
+        &mut self,
+        _index: usize,
+        _lease: u64,
+        _partial: Option<&ShardSnapshot>,
+    ) -> io::Result<bool> {
+        self.heartbeats += 1;
+        Ok(true)
+    }
+
+    fn complete(
+        &mut self,
+        _index: usize,
+        _lease: u64,
+        snapshot: ShardSnapshot,
+    ) -> io::Result<Option<u64>> {
+        self.completes += 1;
+        Ok(Some(snapshot.tuples.len() as u64))
+    }
+}
+
+/// A grant's signature is outside input. On the Yahoo schema, every
+/// signature a crawl cannot run is a clean `InvalidData` error — never
+/// a panic, never a query, never a `complete` — while a plan's own
+/// signature crawls and completes.
+#[test]
+fn hostile_grant_signatures_are_refused_cleanly() {
+    let ds = hdc_data::yahoo::generate_scaled(1_000, 3);
+    let server = || {
+        HiddenDbServer::new(
+            ds.schema.clone(),
+            ds.tuples.clone(),
+            ServerConfig { k: 256, seed: 3 },
+        )
+        .unwrap()
+    };
+    let cfg = WorkerConfig::default();
+    let shard = &Sharded::plan(&ds.schema, 2)[0];
+    let mut repo = OneGrant::new(&shard.signature());
+    let report = drive_worker(&mut repo, &mut server(), &ds.schema, &cfg).unwrap();
+    assert_eq!((report.shards_completed, repo.completes), (1, 1));
+    assert_eq!(repo.heartbeats, shard.resume_points());
+
+    for (signature, case) in [
+        ("2,0,1/99:=1", "attribute out of range"),
+        ("2,0,1/3:=1", "equality on a numeric attribute"),
+        ("2,0,1/2:=999", "value out of domain"),
+        ("2,0,1/2:=0&2:=1", "the same attribute twice"),
+        ("99,0,1/2:=1", "order names an attribute out of range"),
+        ("2,0/2:=1", "order misses a categorical attribute"),
+        ("2,0,1/0:=1", "root off the level order"),
+        ("2,0,1/2:=1;2:=1", "the same root twice"),
+        ("2,0,1/0:=0&1:=0&2:=1&3:9..1", "inverted range"),
+        ("cat:2=[1]", "the previous format"),
+    ] {
+        let mut repo = OneGrant::new(signature);
+        let mut db = server();
+        let err = drive_worker(&mut repo, &mut db, &ds.schema, &cfg)
+            .expect_err(case)
+            .to_string();
+        assert!(err.contains("unparseable shard signature"), "{case}: {err}");
+        assert_eq!(repo.completes + repo.heartbeats, 0, "{case}");
+        assert_eq!(db.queries_issued(), 0, "{case}");
+    }
 }
 
 /// A hostile `/complete` body — a valid verb line followed by 1 MB of

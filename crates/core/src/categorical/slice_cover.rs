@@ -17,7 +17,8 @@
 //!
 //! The extended-DFS driver here is shared with [`crate::Hybrid`] (§5),
 //! which plugs a rank-shrink sub-crawl in at the leaves instead of point
-//! queries.
+//! queries. Both crawl the whole-space [`ShardSpec`] with the routine
+//! every plan shard runs.
 
 use hdc_types::{HiddenDatabase, Predicate, Query, QueryOutcome, Schema, Tuple};
 
@@ -26,6 +27,7 @@ use crate::dependency::ValidityOracle;
 use crate::numeric::rank_shrink::RankShrink;
 use crate::report::{CrawlError, CrawlReport};
 use crate::session::{run_crawl, Abort, Session, SessionConfig, MAX_BATCH};
+use crate::sharded::ShardSpec;
 
 /// A recorded slice-query response.
 ///
@@ -198,7 +200,48 @@ pub(crate) enum LeafMode<'a> {
     },
 }
 
-/// Extended-DFS (§3.2) over the categorical data-space tree.
+/// Where an extended-DFS crawl starts: a node of the tree that is
+/// treated like the root — assumed to overflow and never issued, its
+/// children handled directly.
+///
+/// A solo crawl starts at the tree root (`Query::any`, level 0) and
+/// expands every value of the first level. A shard starts at its roots'
+/// shared prefix, the node pinning the first `level` tree levels, and
+/// expands only the values its roots pin at `level` (see
+/// [`crate::ShardSpec`]).
+pub(crate) struct DfsRoot {
+    /// The start node's query (its pinned tree-level predicates).
+    pub query: Query,
+    /// The start node's depth: how many tree levels `query` pins.
+    pub level: usize,
+    /// The start node's children to expand: values of the attribute at
+    /// `level`, ascending. Deeper levels are never filtered — a shard
+    /// owns complete subtrees.
+    pub values: Vec<u32>,
+}
+
+/// [`extended_dfs_from`] the tree root, expanding every child.
+#[cfg(test)]
+pub(crate) fn extended_dfs(
+    session: &mut Session<'_>,
+    table: &mut SliceTable,
+    leaf: &LeafMode<'_>,
+) -> Result<(), Abort> {
+    let values = (0..table.domain_size(0)).collect();
+    extended_dfs_from(
+        session,
+        table,
+        leaf,
+        DfsRoot {
+            query: Query::any(table.arity),
+            level: 0,
+            values,
+        },
+    )
+}
+
+/// Extended-DFS (§3.2) over the categorical data-space tree, from the
+/// start node `root`.
 ///
 /// Differences from plain DFS, all cost-saving and all from the paper:
 ///
@@ -215,50 +258,11 @@ pub(crate) enum LeafMode<'a> {
 /// `query_batch` call. The set of issued queries (and hence the cost) is
 /// exactly the sequential algorithm's; batching only lets the server
 /// share planning and per-predicate work across siblings.
-pub(crate) fn extended_dfs(
-    session: &mut Session<'_>,
-    table: &mut SliceTable,
-    leaf: &LeafMode<'_>,
-) -> Result<(), Abort> {
-    extended_dfs_from(
-        session,
-        table,
-        leaf,
-        DfsRoot {
-            query: Query::any(table.arity),
-            level: 0,
-            filter: None,
-        },
-    )
-}
-
-/// Where an extended-DFS crawl starts.
-///
-/// The plain algorithm starts at the tree root (`Query::any`, level 0,
-/// no filter). The multi-session sharded crawler instead starts each
-/// shard at an interior node: a subset of the level-0 values
-/// (`level = 0` + filter), or — for over-partitioned plans that
-/// sub-split one level-0 value — the node that pins that value
-/// (`level = 1` + a filter on the second level's values). The start node
-/// is treated like the root: assumed to overflow and never issued, its
-/// children handled directly.
-pub(crate) struct DfsRoot<'a> {
-    /// The start node's query (its pinned tree-level predicates).
-    pub query: Query,
-    /// The start node's depth: how many tree levels `query` pins.
-    pub level: usize,
-    /// Restricts the start node's expansion to these values of the
-    /// attribute at `level` (`None` = all). Deeper levels are never
-    /// filtered — a shard owns complete subtrees.
-    pub filter: Option<&'a [u32]>,
-}
-
-/// [`extended_dfs`] from an arbitrary start node (see [`DfsRoot`]).
 pub(crate) fn extended_dfs_from(
     session: &mut Session<'_>,
     table: &mut SliceTable,
     leaf: &LeafMode<'_>,
-    root: DfsRoot<'_>,
+    root: DfsRoot,
 ) -> Result<(), Abort> {
     let levels = table.levels();
     assert!(
@@ -266,20 +270,18 @@ pub(crate) fn extended_dfs_from(
         "extended-DFS needs at least one categorical attribute"
     );
     assert!(root.level < levels, "start node must be an interior node");
-    let filter_level = root.level;
     // Every stacked node is known to overflow (the start node by
     // convention — it is never issued — and every other entry was
     // observed to overflow when its parent expanded).
     let mut stack: Vec<(Query, usize)> = vec![(root.query, root.level)];
+    let mut start_values = Some(root.values);
     while let Some((q, level)) = stack.pop() {
         debug_assert!(level < levels, "leaves are handled inline, never stacked");
         let attr = table.attr(level);
         let child_level = level + 1;
-        let values: Vec<u32> = (0..table.domain_size(level))
-            .filter(|&value| {
-                level != filter_level || root.filter.is_none_or(|filter| filter.contains(&value))
-            })
-            .collect();
+        let values: Vec<u32> = start_values
+            .take()
+            .unwrap_or_else(|| (0..table.domain_size(level)).collect());
         let mut point_leaves: Vec<Query> = Vec::new();
         let mut to_recurse: Vec<(Query, usize, bool)> = Vec::new();
         // The node's missing sibling slices go to the server in
@@ -452,13 +454,8 @@ impl Crawler for SliceCover<'_> {
             self.supports(&schema),
             "slice-cover requires a categorical schema"
         );
-        let cat_dims: Vec<usize> = (0..schema.arity()).collect();
         run_crawl(self.name(), db, self.oracle, config, |session| {
-            let mut table = SliceTable::new(&schema, &cat_dims);
-            if self.eager {
-                table.prefetch_all(session)?;
-            }
-            extended_dfs(session, &mut table, &LeafMode::Point)
+            ShardSpec::whole(&schema).run(session, &schema, self.eager, None)
         })
     }
 }

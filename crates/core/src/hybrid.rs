@@ -12,15 +12,18 @@
 //! The composition degenerates gracefully: with no categorical attributes
 //! it *is* rank-shrink, with no numeric attributes it *is*
 //! lazy-slice-cover, so [`Hybrid`] accepts every schema.
+//!
+//! A solo hybrid crawl is the one-shard case of a sharded one: it crawls
+//! [`ShardSpec::whole`] with the same routine every plan shard runs (see
+//! [`crate::sharded`]).
 
-use hdc_types::{HiddenDatabase, Query, Schema};
+use hdc_types::{HiddenDatabase, Schema};
 
-use crate::categorical::slice_cover::{extended_dfs, LeafMode, SliceTable};
 use crate::crawler::Crawler;
 use crate::dependency::ValidityOracle;
-use crate::numeric::rank_shrink::RankShrink;
 use crate::report::{CrawlError, CrawlReport};
 use crate::session::{run_crawl, SessionConfig};
+use crate::sharded::ShardSpec;
 
 /// The hybrid crawler (§5).
 pub struct Hybrid<'o> {
@@ -76,33 +79,8 @@ impl Crawler for Hybrid<'_> {
         config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError> {
         let schema = db.schema().clone();
-        let cat_dims = schema.cat_indices();
-        let num_dims = schema.num_indices();
-        let rank = RankShrink::new();
         run_crawl(self.name(), db, self.oracle, config, |session| {
-            if cat_dims.is_empty() {
-                // Pure numeric: hybrid degenerates to rank-shrink.
-                return rank.run_subspace(session, Query::any(schema.arity()), &num_dims);
-            }
-            let mut table = SliceTable::new(&schema, &cat_dims);
-            if !num_dims.is_empty() && cat_dims.len() == 1 {
-                // cat = 1: every numeric leaf's root *is* its slice query,
-                // so keeping the overflowed leaf-level k-windows lets the
-                // rank-shrink sub-crawls start without re-issuing them.
-                table.cache_leaf_windows();
-            }
-            if self.eager {
-                table.prefetch_all(session)?;
-            }
-            let leaf = if num_dims.is_empty() {
-                LeafMode::Point
-            } else {
-                LeafMode::Numeric {
-                    rank: &rank,
-                    dims: &num_dims,
-                }
-            };
-            extended_dfs(session, &mut table, &leaf)
+            ShardSpec::whole(&schema).run(session, &schema, self.eager, None)
         })
     }
 }
@@ -110,6 +88,8 @@ impl Crawler for Hybrid<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::categorical::slice_cover::{extended_dfs, LeafMode, SliceTable};
+    use crate::numeric::rank_shrink::RankShrink;
     use crate::validate::verify_complete;
     use hdc_server::{HiddenDbServer, ServerConfig};
     use hdc_types::tuple::{cat_tuple, int_tuple};

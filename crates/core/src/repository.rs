@@ -31,9 +31,9 @@
 //!
 //! Since the distributed-coordination work a snapshot may also be
 //! **partial**: [`ShardSnapshot::frontier`] carries a crawler-specific
-//! resume cursor (the number of completed root values of a resumable
-//! shard — see [`crate::ShardSpec::resume_suffix`]). Partial snapshots
-//! exist so a crash mid-heavy-shard replays only the un-checkpointed suffix; the
+//! resume cursor (the number of completed roots of the shard — see
+//! [`crate::ShardSpec::resume_suffix`]). Partial snapshots exist so a
+//! crash mid-heavy-shard replays only the un-checkpointed suffix; the
 //! single-process drivers ignore them on restore (they re-crawl the
 //! whole shard, which is always correct) while the `hdc-coord` lease
 //! coordinator hands them to the salvaging peer.
@@ -67,11 +67,12 @@ pub struct ShardSnapshot {
     pub pruned: u64,
     /// In-progress resume cursor: `None` for a *complete* shard,
     /// `Some(c)` for a partial snapshot covering the shard's first `c`
-    /// root values (the crawler-specific boundary exposed by
-    /// [`crate::ShardSpec::resume_suffix`]). The accounting and tuples of
-    /// a partial snapshot describe exactly that prefix; a salvaging peer
-    /// crawls the suffix and merges. Absent from checkpoints written
-    /// before this field existed, which parse as complete.
+    /// roots (the boundary exposed by [`crate::ShardSpec::resume_suffix`];
+    /// a one-root shard's only boundary is its end). The accounting and
+    /// tuples of a partial snapshot describe exactly that prefix; a
+    /// salvaging peer crawls the suffix and merges. Absent from
+    /// checkpoints written before this field existed, which parse as
+    /// complete.
     pub frontier: Option<u64>,
     /// Per-mechanism counters.
     pub metrics: CrawlMetrics,

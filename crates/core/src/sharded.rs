@@ -9,20 +9,37 @@
 //!
 //! # Plans and shards
 //!
+//! A shard has one shape, [`ShardSpec`]: a categorical **level order**
+//! and the disjoint **root** queries the shard owns. A root that pins a
+//! prefix of the order is a node of the §5 hybrid's categorical tree,
+//! crawled by extended DFS with rank-shrink at the numeric leaves; a
+//! root that carries a range, or any root on a numeric-only schema, is
+//! a box crawled by rank-shrink. A solo crawl is the one-shard case:
+//! [`ShardSpec::whole`] keeps the schema order and roots every value of
+//! the first categorical attribute (or the single [`Query::any`] box),
+//! and [`crate::Hybrid`] and [`crate::SliceCover`] crawl exactly that
+//! shard with the routine every plan shard uses.
+//!
 //! [`Sharded::plan_oversubscribed`] cuts the data space into disjoint
-//! [`ShardSpec`]s along one partition attribute:
+//! shards along one partition attribute:
 //!
 //! * schemas with **categorical** attributes partition on the one with
-//!   the largest domain; its values are dealt round-robin across shards.
-//!   When the requested shard count exceeds the domain, each value is
-//!   **sub-split** one level further — by the next-widest categorical
-//!   attribute ([`ShardSpec::CatSub`]) or, failing that, by sub-ranges of
-//!   the first numeric attribute ([`ShardSpec::CatNumRange`]);
+//!   the largest domain; its values are dealt round-robin across shards,
+//!   one root per value. When the requested shard count exceeds the
+//!   domain, each value is **sub-split** one level further — by the
+//!   next-widest categorical attribute (roots pinning both values) or,
+//!   failing that, by sub-ranges of the first numeric attribute (one box
+//!   per shard);
 //! * **numeric-only schemas** cut the first attribute's declared range
-//!   into equal sub-ranges, one rank-shrink instance per shard.
+//!   into equal sub-ranges, one box per shard.
 //!
-//! Shards cover disjoint subspaces, so concatenating the per-shard bags
-//! reconstructs `D` exactly.
+//! Every shard's level order is the partition attribute, then the
+//! sub-split attribute if there is one, then the remaining categorical
+//! attributes in schema order. Shards cover disjoint subspaces, so
+//! concatenating the per-shard bags reconstructs `D` exactly. A shard
+//! travels by its [`ShardSpec::signature`], written with the wire's
+//! predicate tokens; [`ShardSpec::parse_signature`] checks it against
+//! the schema before anything crawls it.
 //!
 //! # Scheduling: identities ≠ shards
 //!
@@ -86,106 +103,137 @@ use crate::orchestrate::{CancelToken, CrawlBuilder, CrawlObserver, Flow, ShardEv
 use crate::report::{CrawlError, CrawlReport, ProgressPoint};
 use crate::repository::{CrawlCheckpoint, CrawlRepository, ShardSnapshot};
 use crate::retry::RetryPolicy;
-use crate::session::{run_crawl, SessionConfig};
+use crate::session::{run_crawl, Abort, Session, SessionConfig};
 
-/// How one shard's share of the data space is described.
+/// One shard of a plan: the categorical **level order** its extended
+/// DFS walks, and the disjoint **root** queries it owns.
+///
+/// Each root is crawled by the solo algorithm's own subtree routine:
+///
+/// * a root that pins `order[0..=L]` and nothing else is a child of the
+///   shard's shared prefix, the node pinning `order[0..L]`; the roots'
+///   values at `order[L]` are expanded by extended DFS on one slice
+///   table in the shard's level order;
+/// * a root that carries a range, or lives in a schema with no
+///   categorical attributes, is a box that rank-shrink crawls.
+///
+/// A shard's roots are all of one kind, and categorical roots share one
+/// prefix. [`ShardSpec::parse_signature`] checks this, and everything
+/// else a crawl relies on, against the schema. A solo crawl is the
+/// one-shard case, [`ShardSpec::whole`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ShardSpec {
-    /// A subset of the partition attribute's values.
-    CatValues {
-        /// Schema index of the partitioning attribute.
-        attr: usize,
-        /// The values this shard owns.
-        values: Vec<u32>,
-    },
-    /// One partition value, sub-split by a second categorical attribute:
-    /// the shard owns the subtrees `attr = value ∧ sub_attr = w` for
-    /// every `w` in `sub_values`. Produced by over-partitioned plans when
-    /// the partition domain alone is too coarse.
-    CatSub {
-        /// Schema index of the partitioning attribute.
-        attr: usize,
-        /// The pinned partition value.
-        value: u32,
-        /// Schema index of the secondary (sub-splitting) attribute.
-        sub_attr: usize,
-        /// The secondary values this shard owns.
-        sub_values: Vec<u32>,
-    },
-    /// One partition value, sub-split by a numeric attribute's sub-range
-    /// (for schemas whose only categorical attribute is the partition
-    /// attribute). Empty when `lo > hi`.
-    CatNumRange {
-        /// Schema index of the partitioning attribute.
-        attr: usize,
-        /// The pinned partition value.
-        value: u32,
-        /// Schema index of the sub-splitting numeric attribute.
-        num_attr: usize,
-        /// Inclusive lower bound.
-        lo: i64,
-        /// Inclusive upper bound.
-        hi: i64,
-    },
-    /// A sub-range of the first numeric attribute's declared bounds
-    /// (numeric-only schemas). Empty when `lo > hi`.
-    NumRange {
-        /// Schema index of the partitioning attribute.
-        attr: usize,
-        /// Inclusive lower bound.
-        lo: i64,
-        /// Inclusive upper bound.
-        hi: i64,
-    },
+pub struct ShardSpec {
+    /// The categorical attributes in tree-level order.
+    order: Vec<usize>,
+    /// The owned subtrees, pairwise disjoint, in crawl order.
+    roots: Vec<Query>,
 }
 
 impl ShardSpec {
-    /// The covering queries of this shard: one per owned subtree. Used to
-    /// audit that a plan's shards are pairwise disjoint and jointly cover
-    /// the space.
-    pub fn queries(&self, schema: &Schema) -> Vec<Query> {
-        match self {
-            ShardSpec::CatValues { attr, values } => values
-                .iter()
-                .map(|&v| Query::any(schema.arity()).with_pred(*attr, Predicate::Eq(v)))
+    /// The whole data space as one shard: the categorical attributes in
+    /// schema order, rooted at every value of the first — or, on a
+    /// numeric-only schema, the single [`Query::any`] box. Crawling it is
+    /// the solo hybrid crawl.
+    pub fn whole(schema: &Schema) -> ShardSpec {
+        let order = schema.cat_indices();
+        let roots = match order.first() {
+            Some(&first) => (0..domain(schema, first))
+                .map(|v| Query::any(schema.arity()).with_pred(first, Predicate::Eq(v)))
                 .collect(),
-            ShardSpec::CatSub {
-                attr,
-                value,
-                sub_attr,
-                sub_values,
-            } => sub_values
-                .iter()
-                .map(|&w| {
-                    Query::any(schema.arity())
-                        .with_pred(*attr, Predicate::Eq(*value))
-                        .with_pred(*sub_attr, Predicate::Eq(w))
-                })
-                .collect(),
-            ShardSpec::CatNumRange {
-                attr,
-                value,
-                num_attr,
-                lo,
-                hi,
-            } => {
-                if lo > hi {
-                    Vec::new()
-                } else {
-                    vec![Query::any(schema.arity())
-                        .with_pred(*attr, Predicate::Eq(*value))
-                        .with_pred(*num_attr, Predicate::Range { lo: *lo, hi: *hi })]
-                }
-            }
-            ShardSpec::NumRange { attr, lo, hi } => {
-                if lo > hi {
-                    Vec::new()
-                } else {
-                    vec![Query::any(schema.arity())
-                        .with_pred(*attr, Predicate::Range { lo: *lo, hi: *hi })]
+            None => vec![Query::any(schema.arity())],
+        };
+        ShardSpec { order, roots }
+    }
+
+    /// The shard with the given level order and roots, checked against
+    /// `schema` by the rules [`ShardSpec::parse_signature`] states. The
+    /// error names the first violation.
+    fn checked(schema: &Schema, order: Vec<usize>, roots: Vec<Query>) -> Result<ShardSpec, String> {
+        let mut levels = order.clone();
+        levels.sort_unstable();
+        if levels != schema.cat_indices() {
+            return Err(format!(
+                "level order {order:?} is not a permutation of the categorical attributes"
+            ));
+        }
+        let spec = ShardSpec { order, roots };
+        for root in &spec.roots {
+            root.validate(schema)
+                .map_err(|e| format!("root {root}: {e}"))?;
+            for (attr, &p) in root.preds().iter().enumerate() {
+                if let (Predicate::Range { lo, hi }, AttrKind::Numeric { min, max }) =
+                    (p, schema.kind(attr))
+                {
+                    if lo > hi || lo < min || hi > max {
+                        return Err(format!(
+                            "root {root}: range {lo}..{hi} is not inside [{min}, {max}]"
+                        ));
+                    }
                 }
             }
         }
+        let boxes = spec.roots.iter().filter(|r| spec.is_box(r)).count();
+        if boxes == 0 {
+            // Roots under one prefix are disjoint iff their last pinned
+            // values differ.
+            let mut shared = None;
+            let mut values = Vec::with_capacity(spec.roots.len());
+            for root in &spec.roots {
+                let (level, prefix) = spec.start_of(root).ok_or_else(|| {
+                    format!("root {root} does not pin a prefix of the level order")
+                })?;
+                if shared.get_or_insert_with(|| (level, prefix.clone())) != &(level, prefix) {
+                    return Err(format!("root {root} does not share the shard's prefix"));
+                }
+                values.push(eq_value(root, spec.order[level]));
+            }
+            values.sort_unstable();
+            if let Some(twice) = values.windows(2).find(|w| w[0] == w[1]) {
+                return Err(format!("two roots pin value {}", twice[0]));
+            }
+        } else if boxes != spec.roots.len() {
+            return Err("the shard mixes categorical roots and boxes".to_string());
+        } else {
+            // Pairwise: plans give a shard at most one box.
+            for (i, a) in spec.roots.iter().enumerate() {
+                if let Some(b) = spec.roots[i + 1..].iter().find(|b| !a.is_disjoint(b)) {
+                    return Err(format!("roots {a} and {b} overlap"));
+                }
+            }
+        }
+        Ok(spec)
+    }
+
+    /// The shard's roots: disjoint queries, one per owned subtree, which
+    /// together cover exactly the shard's share of the data space.
+    pub fn queries(&self) -> &[Query] {
+        &self.roots
+    }
+
+    /// Whether `root` is a rank-shrink box rather than an extended-DFS
+    /// child.
+    fn is_box(&self, root: &Query) -> bool {
+        self.order.is_empty()
+            || root
+                .preds()
+                .iter()
+                .any(|p| matches!(p, Predicate::Range { .. }))
+    }
+
+    /// Where extended DFS starts for a categorical root that pins
+    /// `order[0..=L]` and nothing else: the level `L` and the prefix node
+    /// pinning `order[0..L]`. `None` for any other root.
+    fn start_of(&self, root: &Query) -> Option<(usize, Query)> {
+        let pinned = root.constrained_count();
+        let levels = self.order.get(..pinned).filter(|l| !l.is_empty())?;
+        if !levels
+            .iter()
+            .all(|&a| matches!(root.pred(a), Predicate::Eq(_)))
+        {
+            return None;
+        }
+        let level = pinned - 1;
+        Some((level, root.with_pred(levels[level], Predicate::Any)))
     }
 
     /// A canonical, stable string naming exactly this shard's share of
@@ -193,90 +241,64 @@ impl ShardSpec {
     /// signature sequence; checkpoints embed it so a resume against a
     /// different plan (schema, session count, or oversubscription
     /// changed) is detected instead of silently merging mismatched bags.
+    ///
+    /// The format is the level order, `/`, then the roots separated by
+    /// `;`. A root lists its pinned predicates separated by `&`, each
+    /// written `attr:token` with the wire's [`Predicate::token`]; a root
+    /// that pins nothing is `*`. So `2,0,1/2:=0;2:=16` owns the subtrees
+    /// `A2 = 0` and `A2 = 16` under the level order 2, 0, 1, and
+    /// `/0:0..24` is one rank-shrink box on a numeric-only schema.
+    /// Signatures never contain `"`, `\` or whitespace.
     pub fn signature(&self) -> String {
-        match self {
-            ShardSpec::CatValues { attr, values } => format!("cat:{attr}={values:?}"),
-            ShardSpec::CatSub {
-                attr,
-                value,
-                sub_attr,
-                sub_values,
-            } => format!("catsub:{attr}={value}:{sub_attr}={sub_values:?}"),
-            ShardSpec::CatNumRange {
-                attr,
-                value,
-                num_attr,
-                lo,
-                hi,
-            } => format!("catnum:{attr}={value}:{num_attr}=[{lo},{hi}]"),
-            ShardSpec::NumRange { attr, lo, hi } => format!("num:{attr}=[{lo},{hi}]"),
-        }
+        let order: Vec<String> = self.order.iter().map(usize::to_string).collect();
+        let roots: Vec<String> = self
+            .roots
+            .iter()
+            .map(|root| {
+                let pinned: Vec<String> = root
+                    .preds()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| !p.is_any())
+                    .map(|(attr, p)| format!("{attr}:{}", p.token()))
+                    .collect();
+                if pinned.is_empty() {
+                    "*".to_string()
+                } else {
+                    pinned.join("&")
+                }
+            })
+            .collect();
+        format!("{}/{}", order.join(","), roots.join(";"))
     }
 
     /// Parses a [`ShardSpec::signature`] back into the spec — the wire
     /// half of the distributed protocol: a lease coordinator hands out
     /// shards *by signature* (the canonical name is the only thing that
     /// crosses the wire), and the worker reconstructs the spec to crawl
-    /// it. Round-trips exactly: `parse_signature(&s.signature()) ==
-    /// Some(s)` for every spec. Returns `None` on anything that is not a
-    /// well-formed signature.
-    pub fn parse_signature(sig: &str) -> Option<ShardSpec> {
-        fn values(s: &str) -> Option<Vec<u32>> {
-            let inner = s.strip_prefix('[')?.strip_suffix(']')?;
-            if inner.trim().is_empty() {
-                return Some(Vec::new());
-            }
-            inner
-                .split(',')
-                .map(|tok| tok.trim().parse::<u32>().ok())
-                .collect()
-        }
-        fn range(s: &str) -> Option<(i64, i64)> {
-            let inner = s.strip_prefix('[')?.strip_suffix(']')?;
-            let (lo, hi) = inner.split_once(',')?;
-            Some((lo.trim().parse().ok()?, hi.trim().parse().ok()?))
-        }
-        if let Some(rest) = sig.strip_prefix("cat:") {
-            let (attr, vals) = rest.split_once('=')?;
-            return Some(ShardSpec::CatValues {
-                attr: attr.parse().ok()?,
-                values: values(vals)?,
-            });
-        }
-        if let Some(rest) = sig.strip_prefix("catsub:") {
-            let (first, second) = rest.split_once(':')?;
-            let (attr, value) = first.split_once('=')?;
-            let (sub_attr, sub_vals) = second.split_once('=')?;
-            return Some(ShardSpec::CatSub {
-                attr: attr.parse().ok()?,
-                value: value.parse().ok()?,
-                sub_attr: sub_attr.parse().ok()?,
-                sub_values: values(sub_vals)?,
-            });
-        }
-        if let Some(rest) = sig.strip_prefix("catnum:") {
-            let (first, second) = rest.split_once(':')?;
-            let (attr, value) = first.split_once('=')?;
-            let (num_attr, bounds) = second.split_once('=')?;
-            let (lo, hi) = range(bounds)?;
-            return Some(ShardSpec::CatNumRange {
-                attr: attr.parse().ok()?,
-                value: value.parse().ok()?,
-                num_attr: num_attr.parse().ok()?,
-                lo,
-                hi,
-            });
-        }
-        if let Some(rest) = sig.strip_prefix("num:") {
-            let (attr, bounds) = rest.split_once('=')?;
-            let (lo, hi) = range(bounds)?;
-            return Some(ShardSpec::NumRange {
-                attr: attr.parse().ok()?,
-                lo,
-                hi,
-            });
-        }
-        None
+    /// it. Round-trips exactly: `parse_signature(&s.signature(), schema)
+    /// == Ok(s)` for every plan shard.
+    ///
+    /// A signature is outside input, so it is checked against `schema`
+    /// before anything crawls it: the order must be a permutation of the
+    /// categorical attributes; every root must pass [`Query::validate`]
+    /// and keep its ranges inside the attribute's declared bounds (and
+    /// not inverted); the roots must be all categorical or all boxes;
+    /// categorical roots must each pin a prefix of the order, all of one
+    /// length and sharing all but the last value; and the roots must be
+    /// disjoint. Anything else, including a signature in another format,
+    /// is an error naming the problem.
+    pub fn parse_signature(sig: &str, schema: &Schema) -> Result<ShardSpec, String> {
+        let (order, roots) = sig
+            .split_once('/')
+            .ok_or("no '/' between the level order and the roots")?;
+        let order = split_nonempty(order, ',')
+            .map(|a| a.parse().map_err(|_| format!("bad level {a:?}")))
+            .collect::<Result<Vec<usize>, String>>()?;
+        let roots = split_nonempty(roots, ';')
+            .map(|root| parse_root(root, schema))
+            .collect::<Result<Vec<Query>, String>>()?;
+        ShardSpec::checked(schema, order, roots)
     }
 
     /// Crawls this shard on `db`, which must view the same logical
@@ -303,39 +325,35 @@ impl ShardSpec {
     /// answers the re-issued query exactly as it would have answered the
     /// original), so the determinism contract holds under faults too.
     ///
-    /// With a **resume boundary callback** `on_root`, the extended-DFS
-    /// shard kinds ([`CatValues`] / [`CatSub`], the ones
-    /// [`ShardSpec::resume_points`] reports resumable) crawl their root
-    /// values one at a time on a *shared* slice table and session, and
-    /// `on_root(done, interim)` fires after each completed root with the
-    /// session's point-in-time report. A caller banks those interims as
-    /// partial [`ShardSnapshot`]s (`frontier = done`): a crash mid-shard
-    /// then replays only the suffix `resume_suffix(done)` instead of the
-    /// whole shard.
+    /// With a **resume boundary callback** `on_root`, the roots are
+    /// crawled one at a time — categorical ones on a *shared* slice
+    /// table and session — and `on_root(done, interim)` fires after each
+    /// completed root with the session's point-in-time report. A caller
+    /// banks those interims as partial [`ShardSnapshot`]s (`frontier =
+    /// done`): a crash mid-shard then replays only the suffix
+    /// `resume_suffix(done)` instead of the whole shard. A one-root
+    /// shard, such as every numeric shard of a plan, fires once, at its
+    /// end.
     ///
-    /// Equivalence: a root-level child of these shard kinds is always a
-    /// slice query — fetched once through the (shared, memoizing) slice
-    /// table whether the roots are expanded in one call or one at a
-    /// time. The charged query multiset, total cost, tallies, metrics,
-    /// and extracted **bag** (as a multiset) are therefore exactly the
-    /// one-call crawl's; only database batch grouping and the
-    /// interleaving of resolved root slices with sibling subtrees can
-    /// differ, neither of which the cost model or the bag observes. The
-    /// `resumable_equiv` differential test pins this. Numeric shards
-    /// have no crawler-defined resume boundary (rank-shrink's split tree
-    /// is adaptive, so the only safe checkpoint is the whole shard):
-    /// `on_root` never fires for them.
+    /// Equivalence: each child of the shared prefix is crawled exactly
+    /// once either way, and the slices it needs come through the
+    /// (shared, memoizing) slice table whether the roots are expanded in
+    /// one call or one at a time. The charged query multiset, total
+    /// cost, tallies, metrics, and extracted **bag** (as a multiset) are
+    /// therefore exactly the one-call crawl's; only database batch
+    /// grouping and the interleaving of resolved root slices with
+    /// sibling subtrees can differ, neither of which the cost model or
+    /// the bag observes. The differential test
+    /// `fleet_equiv::resumable_crawl_matches_one_call` pins this. Boxes
+    /// share nothing, so crawling them one at a time changes nothing.
     ///
-    /// Without `on_root` the roots are expanded in one call, because
-    /// only then can a database batch span several roots. The batch
-    /// grouping is what the wire pays for: on the benchmark's
+    /// Without `on_root` the categorical roots are expanded in one call,
+    /// because only then can a database batch span several roots. The
+    /// batch grouping is what the wire pays for: on the benchmark's
     /// `wire_skewed` workload (2 sessions over loopback HTTP, 82-shard
     /// Adult plan, shared 2-core x86-64 Linux host, 10 runs each) the
     /// per-root body raised the median crawl wall time by ~36% and cut
     /// charged queries per second by ~23% at the same charged cost.
-    ///
-    /// [`CatValues`]: ShardSpec::CatValues
-    /// [`CatSub`]: ShardSpec::CatSub
     pub fn crawl_with(
         &self,
         db: &mut dyn HiddenDatabase,
@@ -343,122 +361,138 @@ impl ShardSpec {
         config: SessionConfig<'_>,
         on_root: Option<&mut OnRoot<'_>>,
     ) -> Result<CrawlReport, CrawlError> {
-        let cat_dims = schema.cat_indices();
+        run_crawl("sharded-hybrid", db, None, config, |session| {
+            self.run(session, schema, false, on_root)
+        })
+    }
+
+    /// The §5 hybrid's one routine, behind every crawl of the hybrid
+    /// family: solo [`crate::Hybrid`] and [`crate::SliceCover`] run it on
+    /// [`ShardSpec::whole`], and every plan shard runs it on its own
+    /// spec. Boxes go to rank-shrink one by one; categorical roots go to
+    /// extended DFS on a slice table in the shard's level order, with
+    /// rank-shrink at the numeric leaves. `eager` runs slice-cover's
+    /// preprocessing phase on that table first.
+    pub(crate) fn run(
+        &self,
+        session: &mut Session<'_>,
+        schema: &Schema,
+        eager: bool,
+        mut on_root: Option<&mut OnRoot<'_>>,
+    ) -> Result<(), Abort> {
         let num_dims = schema.num_indices();
         let rank = RankShrink::new();
-        run_crawl("sharded-hybrid", db, None, config, |session| {
-            // The extended-DFS kinds promote their partition attribute(s)
-            // to the first tree level(s) — keeping the others in schema
-            // order — and expand only the owned root values.
-            let (level_order, query, level, roots) = match self {
-                ShardSpec::NumRange { attr, lo, hi } => {
-                    if lo > hi {
-                        return Ok(()); // empty shard
-                    }
-                    let root = Query::any(schema.arity())
-                        .with_pred(*attr, Predicate::Range { lo: *lo, hi: *hi });
-                    return rank.run_subspace(session, root, &num_dims);
+        let start = self.roots.first().filter(|r| !self.is_box(r));
+        let Some((level, prefix)) = start.and_then(|r| self.start_of(r)) else {
+            for (done, root) in self.roots.iter().enumerate() {
+                rank.run_subspace(session, root.clone(), &num_dims)?;
+                if let Some(on_root) = on_root.as_deref_mut() {
+                    on_root(done as u64 + 1, &session.interim_report());
                 }
-                ShardSpec::CatNumRange {
-                    attr,
-                    value,
-                    num_attr,
-                    lo,
-                    hi,
-                } => {
-                    if lo > hi {
-                        return Ok(());
-                    }
-                    // Rank-shrink over the numeric subspace of one pinned
-                    // categorical value, restricted to the owned
-                    // sub-range — the §5 "numeric server emulation" with
-                    // one extra constraint.
-                    let root = Query::any(schema.arity())
-                        .with_pred(*attr, Predicate::Eq(*value))
-                        .with_pred(*num_attr, Predicate::Range { lo: *lo, hi: *hi });
-                    return rank.run_subspace(session, root, &num_dims);
-                }
-                ShardSpec::CatValues { attr, values } => {
-                    let mut order = vec![*attr];
-                    order.extend(cat_dims.iter().copied().filter(|a| a != attr));
-                    (order, Query::any(schema.arity()), 0, values.as_slice())
-                }
-                ShardSpec::CatSub {
-                    attr,
-                    value,
-                    sub_attr,
-                    sub_values,
-                } => {
-                    // Start the DFS at the node pinning `attr = value`.
-                    let mut order = vec![*attr, *sub_attr];
-                    order.extend(
-                        cat_dims
-                            .iter()
-                            .copied()
-                            .filter(|a| a != attr && a != sub_attr),
-                    );
-                    let query =
-                        Query::any(schema.arity()).with_pred(*attr, Predicate::Eq(*value));
-                    (order, query, 1, sub_values.as_slice())
-                }
-            };
-            if roots.is_empty() {
-                return Ok(());
             }
-            let mut table = SliceTable::new(schema, &level_order);
-            if !num_dims.is_empty() && level_order.len() == 1 {
-                // cat = 1: a numeric leaf's root is its slice query —
-                // cache the overflowed leaf windows so the sub-crawl
-                // needn't re-issue them (same rule as solo Hybrid, so
-                // sharded and solo costs stay aligned).
-                table.cache_leaf_windows();
+            return Ok(());
+        };
+        let mut table = SliceTable::new(schema, &self.order);
+        if !num_dims.is_empty() && self.order.len() == 1 {
+            // cat = 1: a numeric leaf's root is its slice query — cache
+            // the overflowed leaf windows so the sub-crawl needn't
+            // re-issue them.
+            table.cache_leaf_windows();
+        }
+        if eager {
+            table.prefetch_all(session)?;
+        }
+        let leaf = if num_dims.is_empty() {
+            LeafMode::Point
+        } else {
+            LeafMode::Numeric {
+                rank: &rank,
+                dims: &num_dims,
             }
-            let leaf = leaf_mode(&rank, &num_dims);
-            let Some(on_root) = on_root else {
-                return extended_dfs_from(
-                    session,
-                    &mut table,
-                    &leaf,
-                    DfsRoot {
-                        query,
-                        level,
-                        filter: Some(roots),
-                    },
-                );
-            };
-            for (done, v) in roots.iter().enumerate() {
-                extended_dfs_from(
-                    session,
-                    &mut table,
-                    &leaf,
-                    DfsRoot {
-                        query: query.clone(),
-                        level,
-                        filter: Some(std::slice::from_ref(v)),
-                    },
-                )?;
-                on_root(done as u64 + 1, &session.interim_report());
-            }
-            Ok(())
-        })
+        };
+        let attr = self.order[level];
+        let Some(on_root) = on_root else {
+            let mut values: Vec<u32> = self.roots.iter().map(|r| eq_value(r, attr)).collect();
+            values.sort_unstable();
+            return extended_dfs_from(
+                session,
+                &mut table,
+                &leaf,
+                DfsRoot {
+                    query: prefix,
+                    level,
+                    values,
+                },
+            );
+        };
+        for (done, root) in self.roots.iter().enumerate() {
+            extended_dfs_from(
+                session,
+                &mut table,
+                &leaf,
+                DfsRoot {
+                    query: prefix.clone(),
+                    level,
+                    values: vec![eq_value(root, attr)],
+                },
+            )?;
+            on_root(done as u64 + 1, &session.interim_report());
+        }
+        Ok(())
     }
 }
 
+/// The value a categorical root pins on its level attribute `attr`.
+fn eq_value(root: &Query, attr: usize) -> u32 {
+    match root.pred(attr) {
+        Predicate::Eq(v) => v,
+        other => unreachable!("a categorical root pins its level, not {other}"),
+    }
+}
+
+/// The parts of `text` between `sep`s; none for an empty `text`.
+fn split_nonempty(text: &str, sep: char) -> impl Iterator<Item = &str> {
+    text.split(sep).filter(move |_| !text.is_empty())
+}
+
+/// Parses one root of a [`ShardSpec::signature`]: `*`, or pinned
+/// predicates `attr:token` joined by `&`, each attribute at most once.
+fn parse_root(text: &str, schema: &Schema) -> Result<Query, String> {
+    let mut root = Query::any(schema.arity());
+    if text == "*" {
+        return Ok(root);
+    }
+    for pred in text.split('&') {
+        let (attr, token) = pred
+            .split_once(':')
+            .ok_or_else(|| format!("bad root predicate {pred:?}"))?;
+        let attr: usize = attr
+            .parse()
+            .ok()
+            .filter(|&a| a < schema.arity())
+            .ok_or_else(|| format!("bad attribute in root predicate {pred:?}"))?;
+        let p = Predicate::parse_token(token)?;
+        if p.is_any() || !root.pred(attr).is_any() {
+            return Err(format!("root {text:?} pins attribute {attr} twice or as *"));
+        }
+        root = root.with_pred(attr, p);
+    }
+    Ok(root)
+}
+
 /// A resume-boundary callback for [`ShardSpec::crawl_with`]: fired with
-/// the number of completed root values and the session's interim report.
+/// the number of completed roots and the session's interim report.
 pub type OnRoot<'a> = dyn FnMut(u64, &CrawlReport) + 'a;
 
 /// Mid-flight checkpoints: a shard can bank its progress at
 /// crawler-defined boundaries, so a crash replays only the
 /// un-checkpointed suffix.
 ///
-/// The boundary for the extended-DFS shard kinds is a *root value*: the
-/// owned values of [`ShardSpec::CatValues`] (resp. the owned secondary
-/// values of [`ShardSpec::CatSub`]) partition the shard's bag, and the
+/// The boundary is a *root*: a shard's roots partition its bag, and the
 /// crawl visits them in order — so "the first `c` roots are done" is a
 /// complete description of a prefix, and the remaining work is exactly
-/// the shard made of the remaining roots. Numeric shards (rank-shrink)
-/// have no such static boundary and report themselves non-resumable.
+/// the shard made of the remaining roots. A rank-shrink box has no finer
+/// static boundary, so a one-root numeric shard resumes only at its end.
 ///
 /// The contract tying this to [`ShardSnapshot::frontier`]
 /// (`frontier = Some(c)`):
@@ -474,61 +508,31 @@ pub type OnRoot<'a> = dyn FnMut(u64, &CrawlReport) + 'a;
 ///   charges strictly fewer queries than redoing the whole shard (the
 ///   `fleet_equiv` suite enforces both properties).
 impl ShardSpec {
-    /// How many resume boundaries (root values) this shard has, or
-    /// `None` if it cannot checkpoint mid-flight.
-    pub fn resume_points(&self) -> Option<usize> {
-        match self {
-            ShardSpec::CatValues { values, .. } => Some(values.len()),
-            ShardSpec::CatSub { sub_values, .. } => Some(sub_values.len()),
-            ShardSpec::CatNumRange { .. } | ShardSpec::NumRange { .. } => None,
-        }
+    /// How many resume boundaries this shard has: one per root.
+    pub fn resume_points(&self) -> usize {
+        self.roots.len()
     }
 
     /// The shard covering everything after the first `cursor` completed
-    /// roots. `None` for non-resumable shards or an out-of-range cursor.
-    /// `resume_suffix(0)` is the whole shard (modulo being a fresh
-    /// value).
+    /// roots, or `None` for an out-of-range cursor. `resume_suffix(0)`
+    /// is the whole shard (modulo being a fresh value).
     pub fn resume_suffix(&self, cursor: usize) -> Option<ShardSpec> {
-        match self {
-            ShardSpec::CatValues { attr, values } => {
-                if cursor > values.len() {
-                    return None;
-                }
-                Some(ShardSpec::CatValues {
-                    attr: *attr,
-                    values: values[cursor..].to_vec(),
-                })
-            }
-            ShardSpec::CatSub {
-                attr,
-                value,
-                sub_attr,
-                sub_values,
-            } => {
-                if cursor > sub_values.len() {
-                    return None;
-                }
-                Some(ShardSpec::CatSub {
-                    attr: *attr,
-                    value: *value,
-                    sub_attr: *sub_attr,
-                    sub_values: sub_values[cursor..].to_vec(),
-                })
-            }
-            ShardSpec::CatNumRange { .. } | ShardSpec::NumRange { .. } => None,
-        }
+        Some(ShardSpec {
+            order: self.order.clone(),
+            roots: self.roots.get(cursor..)?.to_vec(),
+        })
     }
 }
 
-fn leaf_mode<'a>(rank: &'a RankShrink<'a>, num_dims: &'a [usize]) -> LeafMode<'a> {
-    if num_dims.is_empty() {
-        LeafMode::Point
-    } else {
-        LeafMode::Numeric {
-            rank,
-            dims: num_dims,
-        }
-    }
+/// The categorical attribute with the largest domain among `attrs` (the
+/// last of them on a tie).
+fn widest(schema: &Schema, attrs: impl Iterator<Item = usize>) -> Option<usize> {
+    attrs.max_by_key(|&a| domain(schema, a))
+}
+
+/// Domain size of the categorical attribute `attr`.
+fn domain(schema: &Schema, attr: usize) -> u32 {
+    schema.kind(attr).domain_size().expect("categorical")
 }
 
 /// One executed shard: where it ran, how long it took, what it cost.
@@ -633,93 +637,83 @@ impl Sharded {
     /// for single-attribute categorical schemas, where no finer
     /// partition exists — kept as one shard per value. Numeric-only
     /// schemas split the first attribute's declared range evenly.
-    /// Shards may be empty when the requested count exceeds the domain.
-    pub fn plan_oversubscribed(
-        schema: &Schema,
-        sessions: usize,
-        factor: usize,
-    ) -> Vec<ShardSpec> {
+    /// Shards may be empty (no roots) when the requested count exceeds
+    /// the domain.
+    ///
+    /// Every shard's level order is the partition attribute, then the
+    /// sub-split attribute if there is one, then the remaining
+    /// categorical attributes in schema order.
+    pub fn plan_oversubscribed(schema: &Schema, sessions: usize, factor: usize) -> Vec<ShardSpec> {
         assert!(sessions >= 1);
         assert!(factor >= 1);
         let target = sessions.saturating_mul(factor);
-        let widest_cat = schema
-            .cat_indices()
-            .into_iter()
-            .max_by_key(|&a| schema.kind(a).domain_size().expect("categorical"));
-        let Some(attr) = widest_cat else {
-            // Numeric-only schema: equal sub-ranges of the first attribute.
-            let attr = 0;
+        let cats = schema.cat_indices();
+        let any = Query::any(schema.arity());
+        let shard = |order: &[usize], roots: Vec<Query>| ShardSpec {
+            order: order
+                .iter()
+                .chain(cats.iter().filter(|a| !order.contains(a)))
+                .copied()
+                .collect(),
+            roots,
+        };
+        let ranges = |attr: usize, parts: usize, node: &Query| -> Vec<Vec<Query>> {
             let AttrKind::Numeric { min, max } = schema.kind(attr) else {
-                unreachable!("schemas are non-empty and all-numeric here")
+                unreachable!("ranges split numeric attributes")
             };
-            return split_range(min, max, target)
+            split_range(min, max, parts)
                 .into_iter()
-                .map(|(lo, hi)| ShardSpec::NumRange { attr, lo, hi })
+                .map(|r| {
+                    r.map(|(lo, hi)| node.with_pred(attr, Predicate::Range { lo, hi }))
+                        .into_iter()
+                        .collect()
+                })
+                .collect()
+        };
+        let Some(attr) = widest(schema, cats.iter().copied()) else {
+            // Numeric-only schema: equal sub-ranges of the first attribute.
+            return ranges(0, target, &any)
+                .into_iter()
+                .map(|roots| shard(&[], roots))
                 .collect();
         };
-        let size = schema.kind(attr).domain_size().expect("categorical");
+        let size = domain(schema, attr);
+        let pin = |value: u32| any.with_pred(attr, Predicate::Eq(value));
         if size as usize >= target || factor == 1 {
             // Enough values to deal one subtree set per shard (factor 1
             // keeps the historical shape even when values run short:
             // `sessions` shards, some possibly empty).
-            let mut values: Vec<Vec<u32>> = vec![Vec::new(); target];
+            let mut shards = vec![shard(&[attr], Vec::new()); target];
             for v in 0..size {
-                values[(v as usize) % target].push(v);
+                shards[(v as usize) % target].roots.push(pin(v));
             }
-            return values
-                .into_iter()
-                .map(|values| ShardSpec::CatValues { attr, values })
-                .collect();
+            return shards;
         }
         // Fewer values than requested shards: sub-split every value.
         let per_value = target.div_ceil(size as usize);
-        let sub_cat = schema
-            .cat_indices()
-            .into_iter()
-            .filter(|&a| a != attr)
-            .max_by_key(|&a| schema.kind(a).domain_size().expect("categorical"));
         let mut shards = Vec::new();
-        if let Some(sub_attr) = sub_cat {
-            let sub_size = schema.kind(sub_attr).domain_size().expect("categorical");
+        if let Some(sub_attr) = widest(schema, cats.iter().copied().filter(|&a| a != attr)) {
+            let sub_size = domain(schema, sub_attr);
             let pieces = per_value.min(sub_size as usize);
             for value in 0..size {
-                let mut groups: Vec<Vec<u32>> = vec![Vec::new(); pieces];
+                let mut group = vec![shard(&[attr, sub_attr], Vec::new()); pieces];
                 for w in 0..sub_size {
-                    groups[(w as usize) % pieces].push(w);
+                    group[(w as usize) % pieces]
+                        .roots
+                        .push(pin(value).with_pred(sub_attr, Predicate::Eq(w)));
                 }
-                for sub_values in groups {
-                    shards.push(ShardSpec::CatSub {
-                        attr,
-                        value,
-                        sub_attr,
-                        sub_values,
-                    });
-                }
+                shards.extend(group);
             }
         } else if let Some(&num_attr) = schema.num_indices().first() {
-            let AttrKind::Numeric { min, max } = schema.kind(num_attr) else {
-                unreachable!("num_indices returns numeric attributes")
-            };
             for value in 0..size {
-                for (lo, hi) in split_range(min, max, per_value) {
-                    shards.push(ShardSpec::CatNumRange {
-                        attr,
-                        value,
-                        num_attr,
-                        lo,
-                        hi,
-                    });
+                for roots in ranges(num_attr, per_value, &pin(value)) {
+                    shards.push(shard(&[attr], roots));
                 }
             }
         } else {
             // Single categorical attribute: one value per shard is the
             // finest partition that exists.
-            for value in 0..size {
-                shards.push(ShardSpec::CatValues {
-                    attr,
-                    values: vec![value],
-                });
-            }
+            shards.extend((0..size).map(|value| shard(&[attr], vec![pin(value)])));
         }
         shards
     }
@@ -1318,23 +1312,21 @@ fn merge_results(
 }
 
 /// Splits the inclusive range `[min, max]` into `parts` contiguous
-/// inclusive sub-ranges of near-equal width, padding with empty
-/// (`lo > hi`) ranges when the domain has fewer values than `parts`.
-fn split_range(min: i64, max: i64, parts: usize) -> Vec<(i64, i64)> {
+/// inclusive sub-ranges of near-equal width; `None` marks an empty part
+/// when the domain has fewer values than `parts`.
+fn split_range(min: i64, max: i64, parts: usize) -> Vec<Option<(i64, i64)>> {
     let width = (max as i128 - min as i128 + 1) as u128;
-    let mut ranges = Vec::with_capacity(parts);
     let mut lo = min as i128;
-    for s in 0..parts {
-        let hi = min as i128 + (width * (s as u128 + 1) / parts as u128) as i128 - 1;
-        if lo > hi {
-            // Degenerate: more shards than domain values.
-            ranges.push((1, 0));
-        } else {
-            ranges.push((lo as i64, hi as i64));
-            lo = hi + 1;
-        }
-    }
-    ranges
+    (0..parts)
+        .map(|s| {
+            let hi = min as i128 + (width * (s as u128 + 1) / parts as u128) as i128 - 1;
+            (lo <= hi).then(|| {
+                let range = (lo as i64, hi as i64);
+                lo = hi + 1;
+                range
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1385,84 +1377,77 @@ mod tests {
         }
     }
 
+    /// `Query::any` on `arity` attributes with `pins` applied.
+    fn root(arity: usize, pins: &[(usize, Predicate)]) -> Query {
+        pins.iter()
+            .fold(Query::any(arity), |q, &(a, p)| q.with_pred(a, p))
+    }
+
+    /// One root `attr = v` per value, on `arity` attributes.
+    fn cat_roots(arity: usize, attr: usize, values: &[u32]) -> Vec<Query> {
+        values
+            .iter()
+            .map(|&v| root(arity, &[(attr, Predicate::Eq(v))]))
+            .collect()
+    }
+
+    /// The values a categorical shard's roots pin on `attr`.
+    fn pinned(spec: &ShardSpec, attr: usize) -> Vec<u32> {
+        spec.queries()
+            .iter()
+            .map(|q| match q.pred(attr) {
+                Predicate::Eq(v) => v,
+                other => panic!("root {q} pins {other} on {attr}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn plan_round_robins_categorical_values() {
         let plan = Sharded::plan(&mixed_schema(), 3);
         assert_eq!(plan.len(), 3);
-        assert_eq!(
-            plan[0],
-            ShardSpec::CatValues {
-                attr: 0,
-                values: vec![0, 3, 6]
-            }
-        );
-        assert_eq!(
-            plan[1],
-            ShardSpec::CatValues {
-                attr: 0,
-                values: vec![1, 4]
-            }
-        );
-        assert_eq!(
-            plan[2],
-            ShardSpec::CatValues {
-                attr: 0,
-                values: vec![2, 5]
-            }
-        );
+        for spec in &plan {
+            assert_eq!(spec.order, &[0]);
+        }
+        assert_eq!(plan[0].queries(), cat_roots(2, 0, &[0, 3, 6]));
+        assert_eq!(plan[1].queries(), cat_roots(2, 0, &[1, 4]));
+        assert_eq!(plan[2].queries(), cat_roots(2, 0, &[2, 5]));
     }
 
     #[test]
     fn plan_splits_numeric_ranges_evenly() {
         let schema = Schema::builder().numeric("x", 0, 99).build().unwrap();
         let plan = Sharded::plan(&schema, 4);
-        assert_eq!(
-            plan,
-            vec![
-                ShardSpec::NumRange {
-                    attr: 0,
-                    lo: 0,
-                    hi: 24
-                },
-                ShardSpec::NumRange {
-                    attr: 0,
-                    lo: 25,
-                    hi: 49
-                },
-                ShardSpec::NumRange {
-                    attr: 0,
-                    lo: 50,
-                    hi: 74
-                },
-                ShardSpec::NumRange {
-                    attr: 0,
-                    lo: 75,
-                    hi: 99
-                },
-            ]
-        );
+        assert_eq!(plan.len(), 4);
+        for (spec, (lo, hi)) in plan.iter().zip([(0, 24), (25, 49), (50, 74), (75, 99)]) {
+            assert!(spec.order.is_empty());
+            assert_eq!(
+                spec.queries(),
+                [root(1, &[(0, Predicate::Range { lo, hi })])]
+            );
+        }
+    }
+
+    #[test]
+    fn plan_pads_with_rootless_shards() {
+        // 3 values over 4 sub-ranges: one part of each value is empty.
+        let schema = Schema::builder().numeric("x", 0, 2).build().unwrap();
+        let plan = Sharded::plan(&schema, 4);
+        assert_eq!(plan.len(), 4);
+        let roots: Vec<usize> = plan.iter().map(ShardSpec::resume_points).collect();
+        assert_eq!(roots, [0, 1, 1, 1]);
+        assert_eq!(plan[0].signature(), "/");
+        assert_eq!(plan[1].signature(), "/0:0..0");
     }
 
     #[test]
     fn oversubscribed_plan_deals_finer_while_domain_lasts() {
         // 7 values, 2 sessions × factor 3 = 6 shards: still one
-        // round-robin CatValues deal, just finer.
+        // round-robin deal of the partition attribute, just finer.
         let plan = Sharded::plan_oversubscribed(&mixed_schema(), 2, 3);
         assert_eq!(plan.len(), 6);
-        assert_eq!(
-            plan[0],
-            ShardSpec::CatValues {
-                attr: 0,
-                values: vec![0, 6]
-            }
-        );
-        assert_eq!(
-            plan[5],
-            ShardSpec::CatValues {
-                attr: 0,
-                values: vec![5]
-            }
-        );
+        assert_eq!(plan[0].queries(), cat_roots(2, 0, &[0, 6]));
+        assert_eq!(plan[5].queries(), cat_roots(2, 0, &[5]));
         // `sessions` divides the shard count, so the fine plan refines
         // the coarse one: shards j ≡ w (mod sessions) jointly own
         // exactly the factor-1 plan's shard w (a plan-structure
@@ -1473,16 +1458,10 @@ mod tests {
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| j % 2 == w)
-                .flat_map(|(_, s)| match s {
-                    ShardSpec::CatValues { values, .. } => values.clone(),
-                    _ => unreachable!(),
-                })
+                .flat_map(|(_, s)| pinned(s, 0))
                 .collect();
             fine.sort_unstable();
-            let ShardSpec::CatValues { values, .. } = coarse_shard else {
-                unreachable!()
-            };
-            assert_eq!(&fine, values);
+            assert_eq!(fine, pinned(coarse_shard, 0));
         }
     }
 
@@ -1499,33 +1478,13 @@ mod tests {
         // next-widest categorical (a, 3 values) — 10 shards total.
         let plan = Sharded::plan_oversubscribed(&schema, 2, 4);
         assert_eq!(plan.len(), 10);
-        assert_eq!(
-            plan[0],
-            ShardSpec::CatSub {
-                attr: 1,
-                value: 0,
-                sub_attr: 0,
-                sub_values: vec![0, 2]
-            }
-        );
-        assert_eq!(
-            plan[1],
-            ShardSpec::CatSub {
-                attr: 1,
-                value: 0,
-                sub_attr: 0,
-                sub_values: vec![1]
-            }
-        );
-        assert_eq!(
-            plan[9],
-            ShardSpec::CatSub {
-                attr: 1,
-                value: 4,
-                sub_attr: 0,
-                sub_values: vec![1]
-            }
-        );
+        let sub = |b: u32, a: u32| root(3, &[(1, Predicate::Eq(b)), (0, Predicate::Eq(a))]);
+        for spec in &plan {
+            assert_eq!(spec.order, &[1, 0]);
+        }
+        assert_eq!(plan[0].queries(), [sub(0, 0), sub(0, 2)]);
+        assert_eq!(plan[1].queries(), [sub(0, 1)]);
+        assert_eq!(plan[9].queries(), [sub(4, 1)]);
     }
 
     #[test]
@@ -1539,26 +1498,15 @@ mod tests {
         // target 4 > 2 values: each value splits into 2 numeric
         // sub-ranges.
         assert_eq!(plan.len(), 4);
-        assert_eq!(
-            plan[0],
-            ShardSpec::CatNumRange {
-                attr: 0,
-                value: 0,
-                num_attr: 1,
-                lo: 0,
-                hi: 49
-            }
-        );
-        assert_eq!(
-            plan[3],
-            ShardSpec::CatNumRange {
-                attr: 0,
-                value: 1,
-                num_attr: 1,
-                lo: 50,
-                hi: 99
-            }
-        );
+        let boxed = |c: u32, lo: i64, hi: i64| {
+            root(
+                2,
+                &[(0, Predicate::Eq(c)), (1, Predicate::Range { lo, hi })],
+            )
+        };
+        assert_eq!(plan[0].order, &[0]);
+        assert_eq!(plan[0].queries(), [boxed(0, 0, 49)]);
+        assert_eq!(plan[3].queries(), [boxed(1, 50, 99)]);
     }
 
     #[test]
@@ -1569,12 +1517,72 @@ mod tests {
         // value per shard.
         assert_eq!(plan.len(), 4);
         for (v, spec) in plan.iter().enumerate() {
-            assert_eq!(
-                spec,
-                &ShardSpec::CatValues {
-                    attr: 0,
-                    values: vec![v as u32]
-                }
+            assert_eq!(spec.order, &[0]);
+            assert_eq!(spec.queries(), cat_roots(1, 0, &[v as u32]));
+        }
+    }
+
+    /// The whole-space shard is the solo crawl's shape: schema order,
+    /// every value of the first level — or one `Query::any` box.
+    #[test]
+    fn whole_space_shard_is_the_solo_shape() {
+        let schema = Schema::builder()
+            .numeric("x", 0, 9)
+            .categorical("a", 3)
+            .categorical("b", 2)
+            .build()
+            .unwrap();
+        let whole = ShardSpec::whole(&schema);
+        assert_eq!(whole.order, &[1, 2]);
+        assert_eq!(whole.queries(), cat_roots(3, 1, &[0, 1, 2]));
+        assert_eq!(whole.signature(), "1,2/1:=0;1:=1;1:=2");
+        let numeric = Schema::builder().numeric("x", 0, 9).build().unwrap();
+        let whole = ShardSpec::whole(&numeric);
+        assert_eq!(whole.queries(), [Query::any(1)]);
+        assert_eq!(whole.signature(), "/*");
+        assert_eq!(ShardSpec::parse_signature("/*", &numeric), Ok(whole));
+    }
+
+    /// The parser checks a signature against the schema: everything a
+    /// crawl relies on is refused with a reason, never a panic.
+    #[test]
+    fn parse_signature_refuses_what_a_crawl_cannot_run() {
+        let schema = Schema::builder()
+            .categorical("a", 3)
+            .categorical("b", 5)
+            .numeric("x", 0, 99)
+            .build()
+            .unwrap();
+        let ok = "1,0/0:=2&1:=0;0:=1&1:=0";
+        assert_eq!(
+            ShardSpec::parse_signature(ok, &schema).map(|s| s.signature()),
+            Ok(ok.to_string())
+        );
+        for bad in [
+            "cat:1=[0, 1]",              // the previous format
+            "1,0",                       // no roots part
+            "1/1:=0",                    // order misses a categorical attribute
+            "1,0,2/1:=0",                // order names a numeric attribute
+            "1,1/1:=0",                  // order repeats an attribute
+            "1,0/9:=0",                  // attribute out of range
+            "1,0/1:=5",                  // value out of domain
+            "1,0/2:=1",                  // equality on a numeric attribute
+            "1,0/1:0..1",                // range on a categorical attribute
+            "1,0/0:=0",                  // not a prefix of the order
+            "1,0/1:=0&1:=1",             // attribute pinned twice
+            "1,0/1:=0;1:=0",             // overlapping roots
+            "1,0/1:=0&0:=1;1:=1&0:=1",   // no shared prefix
+            "1,0/1:=0;1:=1&0:=1",        // roots at different levels
+            "1,0/1:=0&0:=0&2:5..1",      // inverted range
+            "1,0/1:=0&0:=0&2:0..100",    // range beyond the bounds
+            "1,0/1:=0&0:=0&2:0..9;1:=1", // boxes mixed with categorical roots
+            "1,0/*",                     // a wildcard root on a categorical schema
+            "1,0/1:*",                   // a wildcard predicate
+            "1,0/1=0",                   // no ':' in a predicate
+        ] {
+            assert!(
+                ShardSpec::parse_signature(bad, &schema).is_err(),
+                "{bad:?} must be refused"
             );
         }
     }
@@ -1773,7 +1781,7 @@ mod tests {
     #[test]
     fn cat_num_sub_split_crawl_is_complete() {
         // Single categorical + numeric: over-partitioning must fall back
-        // to numeric sub-ranges per value (CatNumRange shards).
+        // to numeric sub-ranges per value (one-box shards).
         let schema = Schema::builder()
             .categorical("c", 2)
             .numeric("x", 0, 999)
@@ -1800,10 +1808,10 @@ mod tests {
                 .unwrap()
             })
             .unwrap();
-        assert!(report
-            .shards
-            .iter()
-            .all(|r| matches!(r.spec, ShardSpec::CatNumRange { .. })));
+        assert!(report.shards.iter().all(|r| {
+            let roots = r.spec.queries();
+            roots.len() == 1 && matches!(roots[0].pred(1), Predicate::Range { .. })
+        }));
         verify_complete(&tuples, &report.merged).unwrap();
     }
 
@@ -2157,10 +2165,12 @@ mod tests {
 
     /// Plans must partition the space: pairwise-disjoint shard queries
     /// whose union matches every tuple exactly once — at every
-    /// oversubscription factor, across every sub-splitting mode.
+    /// oversubscription factor, across every sub-splitting mode. Every
+    /// signature parses back to its spec and needs no JSON escaping.
     #[test]
     fn plans_partition_the_space() {
-        let schemas = [
+        let adult = hdc_data::adult::schema();
+        let small = [
             mixed_schema(),
             Schema::builder().numeric("x", -50, 49).build().unwrap(),
             Schema::builder()
@@ -2174,38 +2184,109 @@ mod tests {
                 .build()
                 .unwrap(),
         ];
-        for schema in &schemas {
+        for schema in &small {
             for sessions in [1usize, 2, 5, 13] {
                 for fact in [1usize, 3, 8] {
-                    let plan = Sharded::plan_oversubscribed(schema, sessions, fact);
-                    let queries: Vec<Query> =
-                        plan.iter().flat_map(|s| s.queries(schema)).collect();
-                    for (i, a) in queries.iter().enumerate() {
-                        for b in &queries[i + 1..] {
-                            assert!(a.is_disjoint(b), "{a} overlaps {b}");
-                        }
-                    }
-                    // Coverage: sample tuples all match exactly one query.
-                    for i in 0..200u64 {
-                        let h = crate::theory::mix(i);
-                        let t = Tuple::new(
-                            (0..schema.arity())
-                                .map(|a| match schema.kind(a) {
-                                    hdc_types::AttrKind::Categorical { size } => {
-                                        Value::Cat(((h >> (a * 8)) % u64::from(size)) as u32)
-                                    }
-                                    hdc_types::AttrKind::Numeric { min, max } => {
-                                        let span = (max - min + 1) as u64;
-                                        Value::Int(min + ((h >> (a * 8)) % span) as i64)
-                                    }
-                                })
-                                .collect::<Vec<_>>(),
-                        );
-                        let hits = queries.iter().filter(|q| q.matches(&t)).count();
-                        assert_eq!(hits, 1, "tuple {t} covered {hits} times");
-                    }
+                    assert_partition(schema, sessions, fact);
                 }
             }
         }
+        // The dataset schemas, with the plan lengths the four-variant
+        // planner produced, per sessions 1–4 × factors 1, 2, 8, 24.
+        let datasets = [
+            (
+                hdc_data::yahoo::schema(),
+                [1, 2, 8, 24, 2, 4, 16, 48, 3, 6, 24, 72, 4, 8, 32, 170],
+            ),
+            (
+                adult.clone(),
+                [1, 2, 8, 24, 2, 4, 16, 82, 3, 6, 24, 82, 4, 8, 32, 123],
+            ),
+            (
+                hdc_data::nsf::schema(),
+                [1, 2, 8, 24, 2, 4, 16, 48, 3, 6, 24, 72, 4, 8, 32, 96],
+            ),
+            (
+                adult.project(&adult.num_indices()),
+                [1, 2, 8, 24, 2, 4, 16, 48, 3, 6, 24, 72, 4, 8, 32, 96],
+            ),
+        ];
+        for (schema, lengths) in &datasets {
+            let mut expected = lengths.iter();
+            for sessions in 1..=4usize {
+                for fact in [1usize, 2, 8, 24] {
+                    let plan = assert_partition(schema, sessions, fact);
+                    assert_eq!(
+                        Some(&plan.len()),
+                        expected.next(),
+                        "sessions={sessions} factor={fact}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Checks one plan: signatures round-trip and need no escaping, and
+    /// the roots are pairwise disjoint and cover the space.
+    fn assert_partition(schema: &Schema, sessions: usize, fact: usize) -> Vec<ShardSpec> {
+        let plan = Sharded::plan_oversubscribed(schema, sessions, fact);
+        for spec in &plan {
+            let sig = spec.signature();
+            assert!(!sig.contains(['"', '\\']), "{sig} needs escaping");
+            assert_eq!(
+                ShardSpec::parse_signature(&sig, schema).as_ref(),
+                Ok(spec),
+                "{sig}"
+            );
+        }
+        // Roots pinning different values of the partition attribute are
+        // disjoint, and a tuple can match only the roots pinning its
+        // value: bucket the roots by that value.
+        let partition = plan[0].order.first().copied();
+        let mut buckets: std::collections::HashMap<Option<u32>, Vec<&Query>> = Default::default();
+        for spec in &plan {
+            assert_eq!(spec.order.first().copied(), partition);
+            for q in spec.queries() {
+                buckets
+                    .entry(partition.map(|a| eq_value(q, a)))
+                    .or_default()
+                    .push(q);
+            }
+        }
+        for bucket in buckets.values() {
+            for (i, a) in bucket.iter().enumerate() {
+                for b in &bucket[i + 1..] {
+                    assert!(a.is_disjoint(b), "{a} overlaps {b}");
+                }
+            }
+        }
+        // Coverage: sample tuples all match exactly one query.
+        for i in 0..200u64 {
+            let t = Tuple::new(
+                (0..schema.arity())
+                    .map(|a| {
+                        let h = crate::theory::mix(i * 64 + a as u64);
+                        match schema.kind(a) {
+                            hdc_types::AttrKind::Categorical { size } => {
+                                Value::Cat((h % u64::from(size)) as u32)
+                            }
+                            hdc_types::AttrKind::Numeric { min, max } => {
+                                let span = (max - min + 1) as u64;
+                                Value::Int(min + (h % span) as i64)
+                            }
+                        }
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            let key = partition.map(|a| match t.get(a) {
+                Value::Cat(v) => v,
+                other => panic!("partition value {other}"),
+            });
+            let hits = buckets
+                .get(&key)
+                .map_or(0, |b| b.iter().filter(|q| q.matches(&t)).count());
+            assert_eq!(hits, 1, "tuple {t} covered {hits} times");
+        }
+        plan
     }
 }

@@ -476,10 +476,11 @@ proptest! {
     }
 }
 
-/// A one-shard plan owning every value of the first categorical
-/// attribute is the solo crawl: `ShardSpec::crawl` returns the solo
-/// strategy's bag (as a multiset), cost, tallies and metrics — hybrid on
-/// mixed schemas, lazy slice-cover on categorical ones.
+/// The whole-space shard — schema order, rooted at every value of the
+/// first categorical attribute — is the solo crawl: `ShardSpec::crawl`
+/// returns the solo strategy's bag (as a multiset), cost, tallies and
+/// metrics — hybrid on mixed schemas, lazy slice-cover on categorical
+/// ones.
 #[test]
 fn one_shard_plan_equals_the_solo_crawl() {
     use hdc_data::{adult, nsf, yahoo};
@@ -505,12 +506,7 @@ fn one_shard_plan_equals_the_solo_crawl() {
                 )
                 .unwrap()
             };
-            let attr = ds.schema.cat_indices()[0];
-            let size = ds.schema.kind(attr).domain_size().unwrap();
-            let spec = ShardSpec::CatValues {
-                attr,
-                values: (0..size).collect(),
-            };
+            let spec = ShardSpec::whole(&ds.schema);
             let solo = Crawl::builder()
                 .strategy(strategy)
                 .run(&mut server())

@@ -13,9 +13,10 @@
 //!
 //! Values use the compact tokens of [`Value::push_token`], shared with
 //! the checkpoint format: `"c5"` is categorical value 5, `"i-7"` is
-//! numeric value −7. Predicates are
-//! `"*"` (any), `"=5"` (categorical equality), and `"lo..hi"`
-//! (inclusive numeric range). Schema attributes are
+//! numeric value −7. Predicates use the tokens of
+//! [`Predicate::token`], shared with shard signatures: `"*"` (any),
+//! `"=5"` (categorical equality), and `"lo..hi"` (inclusive numeric
+//! range). Schema attributes are
 //! `{"name":…,"cat":size}` or `{"name":…,"min":…,"max":…}`.
 //!
 //! # Encoding answers
@@ -84,38 +85,6 @@ fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
 
-// ------------------------------------------------------------ predicates
-
-fn predicate_token(p: &Predicate) -> String {
-    match p {
-        Predicate::Any => "*".to_string(),
-        Predicate::Eq(v) => format!("={v}"),
-        Predicate::Range { lo, hi } => format!("{lo}..{hi}"),
-    }
-}
-
-fn parse_predicate(tok: &str) -> Result<Predicate, WireError> {
-    if tok == "*" {
-        return Ok(Predicate::Any);
-    }
-    if let Some(rest) = tok.strip_prefix('=') {
-        return rest
-            .parse::<u32>()
-            .map(Predicate::Eq)
-            .map_err(|_| wire_err(format!("bad equality predicate {tok:?}")));
-    }
-    if let Some((lo, hi)) = tok.split_once("..") {
-        let lo = lo
-            .parse::<i64>()
-            .map_err(|_| wire_err(format!("bad range lower bound {tok:?}")))?;
-        let hi = hi
-            .parse::<i64>()
-            .map_err(|_| wire_err(format!("bad range upper bound {tok:?}")))?;
-        return Ok(Predicate::Range { lo, hi });
-    }
-    Err(wire_err(format!("bad predicate token {tok:?}")))
-}
-
 // --------------------------------------------------------------- queries
 
 /// Serializes a query as the `/query` request body.
@@ -124,11 +93,7 @@ pub fn query_body(q: &Query) -> String {
 }
 
 fn preds_json(q: &Query) -> String {
-    let toks: Vec<String> = q
-        .preds()
-        .iter()
-        .map(|p| json::quote(&predicate_token(p)))
-        .collect();
+    let toks: Vec<String> = q.preds().iter().map(|p| json::quote(&p.token())).collect();
     format!("[{}]", toks.join(","))
 }
 
@@ -146,7 +111,7 @@ fn query_from_json(v: &Json) -> Result<Query, WireError> {
         .map(|t| {
             t.as_str()
                 .ok_or_else(|| wire_err("predicate token must be a string"))
-                .and_then(parse_predicate)
+                .and_then(|tok| Predicate::parse_token(tok).map_err(WireError))
         })
         .collect::<Result<Vec<_>, _>>()?;
     Ok(Query::new(preds))

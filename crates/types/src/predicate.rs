@@ -117,6 +117,42 @@ impl Predicate {
             (_, expected) => Err(SchemaError::KindMismatch { attr, expected }),
         }
     }
+
+    /// The compact text token shared by the wire protocol and shard
+    /// signatures: `*` (any), `=5` (categorical equality) and `lo..hi`
+    /// (inclusive numeric range). Tokens contain only `[*=.0-9-]`, so
+    /// they never need escaping.
+    pub fn token(self) -> String {
+        match self {
+            Predicate::Any => "*".to_string(),
+            Predicate::Eq(v) => format!("={v}"),
+            Predicate::Range { lo, hi } => format!("{lo}..{hi}"),
+        }
+    }
+
+    /// Parses a token written by [`Predicate::token`]; the error names
+    /// what is malformed (any input, never a panic).
+    pub fn parse_token(tok: &str) -> Result<Predicate, String> {
+        if tok == "*" {
+            return Ok(Predicate::Any);
+        }
+        if let Some(rest) = tok.strip_prefix('=') {
+            return rest
+                .parse::<u32>()
+                .map(Predicate::Eq)
+                .map_err(|_| format!("bad equality predicate {tok:?}"));
+        }
+        if let Some((lo, hi)) = tok.split_once("..") {
+            let lo = lo
+                .parse::<i64>()
+                .map_err(|_| format!("bad range lower bound {tok:?}"))?;
+            let hi = hi
+                .parse::<i64>()
+                .map_err(|_| format!("bad range upper bound {tok:?}"))?;
+            return Ok(Predicate::Range { lo, hi });
+        }
+        Err(format!("bad predicate token {tok:?}"))
+    }
 }
 
 impl fmt::Display for Predicate {
@@ -268,6 +304,24 @@ mod tests {
                     assert_eq!(both, via, "a={a} b={b} v={v}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn tokens_round_trip_and_reject_garbage() {
+        for p in [
+            Predicate::Any,
+            Predicate::Eq(0),
+            Predicate::Eq(u32::MAX),
+            Predicate::Range { lo: -7, hi: 12 },
+            Predicate::FULL_RANGE,
+        ] {
+            assert_eq!(Predicate::parse_token(&p.token()), Ok(p), "{p:?}");
+        }
+        assert_eq!(Predicate::Eq(5).token(), "=5");
+        assert_eq!(Predicate::Range { lo: -3, hi: -1 }.token(), "-3..-1");
+        for bad in ["", "**", "=", "=-1", "=x", "1..", "..2", "1...2", "c5"] {
+            assert!(Predicate::parse_token(bad).is_err(), "{bad:?}");
         }
     }
 

@@ -283,7 +283,7 @@ fn print_usage() {
          \u{20}           [--retire-after N]\n\
          \u{20}      Join a fleet: lease shards from a `hdc serve --coordinate`\n\
          \u{20}      coordinator at URL, crawl them over the same server's data\n\
-         \u{20}      plane, heartbeat per completed root value, and report\n\
+         \u{20}      plane, heartbeat per completed root, and report\n\
          \u{20}      results until the plan drains. Kill a worker mid-shard and\n\
          \u{20}      its lease lapses; a peer resumes from the last banked\n\
          \u{20}      partial snapshot, replaying only the un-checkpointed\n\
@@ -1289,7 +1289,7 @@ fn report_fleet(
 /// `hdc work --join URL`: one fleet worker. Leases shards from the
 /// coordinator at URL (control plane), crawls them over the same
 /// server's top-k interface (data plane), heartbeats after every
-/// completed root value, and repeats until the plan drains.
+/// completed root, and repeats until the plan drains.
 fn cmd_work(flags: &Flags) -> Result<(), String> {
     let url = flags.require("join")?.to_string();
     let name = flags.get("name").unwrap_or("worker").to_string();
