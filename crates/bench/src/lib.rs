@@ -7,11 +7,16 @@
 //! under `target/figures/`, and checks the qualitative *shape* claims
 //! (who wins, scaling behaviour, crossovers) that must transfer from the
 //! paper to the synthetic stand-ins. Absolute query counts depend on the
-//! data generator and are recorded in `EXPERIMENTS.md`, not asserted.
+//! data generator and are printed, not asserted. Under `HDC_STRICT=1` a
+//! failed shape check panics; CI runs the programs whose checks all pass
+//! that way.
 //!
-//! The `src/bin` perf benches share one record writer: [`BenchRun`]
-//! parses `--quick` and `BENCH_OUT`, collects record-time claims, and
-//! writes a [`Field`] record (built with [`obj!`]) as `BENCH_prN.json`.
+//! The repo's wall-time benchmark is `perfbench/`. The one `src/bin`
+//! program here, `bench_obs`, writes the telemetry-overhead record
+//! `BENCH_pr9.json` through [`BenchRun`]: it parses `--quick` and
+//! `BENCH_OUT`, collects record-time claims, and writes a [`Field`]
+//! record (built with [`obj!`]). Every other `BENCH_pr*.json` at the
+//! repo root is a frozen record that no program writes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,7 +30,6 @@ use hdc_core::{verify_complete, CrawlError, CrawlReport, Crawler};
 use hdc_data::Dataset;
 use hdc_server::{HiddenDbServer, ServerConfig};
 
-pub mod engine_workload;
 pub mod refdata;
 
 /// Serves a dataset through the simulator.
@@ -276,7 +280,7 @@ impl Field {
     }
 }
 
-/// One `src/bin` perf bench run: the `--quick` flag, the record path
+/// One `bench_obs` run: the `--quick` flag, the record path
 /// (`BENCH_OUT`, else `BENCH_prN.json`) and the record-time claims.
 pub struct BenchRun {
     /// `--quick`: a smoke-sized run.

@@ -6,15 +6,13 @@
 //! re-filter row-at-a-time (probe), then deep-copy each returned tuple.
 //!
 //! The module is kept — bit-for-bit in behaviour, including the
-//! per-result deep copy — for two jobs:
-//!
-//! * **differential testing**: the property tests pit all three engine
-//!   strategies against [`LegacyEvaluator`] and a brute-force filter, so
-//!   the paper's determinism contract (same query ⇒ same outcome) is
-//!   checked across implementations, not just across calls;
-//! * **perf baseline**: `BENCH_pr1.json` reports engine speedups measured
-//!   against this evaluator on identical data (see
-//!   `crates/bench/src/bin/bench_engine.rs`).
+//! per-result deep copy — for differential testing: the property tests
+//! pit all three engine strategies against [`LegacyEvaluator`] and a
+//! brute-force filter, and the determinism suite replays whole crawls'
+//! query streams through it, so the paper's determinism contract (same
+//! query ⇒ same outcome) is checked across implementations, not just
+//! across calls. `BENCH_pr1.json` is a frozen record of engine speedups
+//! measured against it.
 //!
 //! It is not part of the server's query path and not public API.
 

@@ -13,8 +13,8 @@
 //! hdc hard    categorical --k 6 --u 6
 //! ```
 //!
-//! Argument parsing is hand-rolled (the workspace deliberately keeps its
-//! dependency set to `rand`/`proptest`/`criterion`).
+//! Argument parsing is hand-rolled: the workspace has no external
+//! dependencies, only the offline `crates/compat` stand-ins.
 
 use std::fmt::Display;
 use std::io::Write as _;
@@ -292,9 +292,11 @@ fn print_usage() {
          \u{20}      Ask a running `hdc serve` to drain and exit.\n\
          \u{20}  hdc crawl --connect URL ... / hdc barrier --connect URL ...\n\
          \u{20}      Crawl a served database over the wire instead of\n\
-         \u{20}      in-process (URL = [http://]host:port; schema and k are\n\
-         \u{20}      fetched from the server; add [--timeout-ms N] [--qps F\n\
-         \u{20}      [--burst F]] [--retire-after N] for client health knobs).\n\
+         \u{20}      in-process (URL = [http://]host:port; the server fixes\n\
+         \u{20}      the data and k, so --dataset/--k/--seed/--scale are\n\
+         \u{20}      refused; the client health knobs [--timeout-ms N]\n\
+         \u{20}      [--qps F [--burst F]] [--retire-after N] are read only\n\
+         \u{20}      here).\n\
          \u{20}  hdc sweep --dataset <name> --algos a,b,c [--ks 64,128,...]\n\
          \u{20}            [--seed N] [--scale PCT]\n\
          \u{20}      Cost table across algorithms and k values.\n\
@@ -422,9 +424,44 @@ impl Flags {
         }
     }
 
+    /// [`Flags::parse`] for a value that must be at least `min`, so a
+    /// degenerate `--k 0` is an error here rather than a panic in the
+    /// server or dataset it sizes.
+    fn at_least<T>(&self, name: &str, default: T, min: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + Display,
+        T::Err: Display,
+    {
+        let value = self.parse(name, default)?;
+        if value < min {
+            return Err(format!("--{name} must be ≥ {min}"));
+        }
+        Ok(value)
+    }
+
     fn require(&self, name: &str) -> Result<&str, String> {
         self.get(name)
             .ok_or_else(|| format!("--{name} is required"))
+    }
+}
+
+/// Whether `crawl`/`barrier` runs over `--connect`. The two transports
+/// read disjoint flags: a served database fixes its own data and `k`,
+/// and the client knobs shape only the wire, so a flag of the other
+/// transport is an error rather than silently ignored.
+fn over_wire(flags: &Flags) -> Result<bool, String> {
+    let remote = flags.get("connect").is_some();
+    let (other, why) = if remote {
+        (
+            DATASET_FLAGS,
+            "is not read with --connect: the server fixes its data and k",
+        )
+    } else {
+        (&CONNECT_FLAGS[1..], "is read only with --connect")
+    };
+    match other.iter().find(|name| flags.get(name).is_some()) {
+        Some(name) => Err(format!("--{name} {why}")),
+        None => Ok(remote),
     }
 }
 
@@ -653,20 +690,15 @@ impl ShardedCrawl<'_> {
 }
 
 fn cmd_crawl(flags: &Flags) -> Result<(), String> {
-    let sessions: usize = flags.parse("sessions", 1)?;
-    let oversubscribe: usize = flags.parse("oversubscribe", 1)?;
+    let remote = over_wire(flags)?;
+    let sessions: usize = flags.at_least("sessions", 1, 1)?;
+    let oversubscribe: usize = flags.at_least("oversubscribe", 1, 1)?;
     let budget: u64 = flags.parse("budget", u64::MAX)?;
     let target: u64 = flags.parse("target", 0)?;
     let retries: u32 = flags.parse("retries", 1)?;
     let use_oracle = flags.get("oracle").is_some();
     if retries == 0 {
         return Err("--retries must be ≥ 1 (1 = no retries)".into());
-    }
-    if sessions == 0 {
-        return Err("--sessions must be ≥ 1".into());
-    }
-    if oversubscribe == 0 {
-        return Err("--oversubscribe must be ≥ 1".into());
     }
     if flags.get("checkpoint").is_some() && flags.get("resume").is_some() {
         return Err("--checkpoint and --resume are the same file; pass one".into());
@@ -693,7 +725,7 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
         checkpoint: checkpoint.as_deref(),
     };
 
-    if flags.get("connect").is_some() {
+    if remote {
         // Schema and `k` come from the server; there is no local ground
         // truth, so completeness is checked against the server's
         // advertised tuple count instead of a multiset.
@@ -721,7 +753,7 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     }
 
     let dataset = flags.require("dataset")?.to_string();
-    let k: usize = flags.parse("k", 256)?;
+    let k: usize = flags.at_least("k", 256, 1)?;
     let seed: u64 = flags.parse("seed", 42)?;
     let scale: u32 = flags.parse("scale", 100)?;
     let ds = load_dataset(&dataset, scale, seed)?;
@@ -867,20 +899,15 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_barrier(flags: &Flags) -> Result<(), String> {
-    let sessions: usize = flags.parse("sessions", 1)?;
-    let oversubscribe: usize = flags.parse("oversubscribe", 1)?;
-    if sessions == 0 {
-        return Err("--sessions must be ≥ 1".into());
-    }
-    if oversubscribe == 0 {
-        return Err("--oversubscribe must be ≥ 1".into());
-    }
+    let remote = over_wire(flags)?;
+    let sessions: usize = flags.at_least("sessions", 1, 1)?;
+    let oversubscribe: usize = flags.at_least("oversubscribe", 1, 1)?;
     let crawler = BarrierCrawler::new();
     let mut observer = CliObserver::new(None);
     if flags.get("live").is_some() {
         observer = observer.live();
     }
-    if flags.get("connect").is_some() {
+    if remote {
         let connector = make_connector(flags)?;
         let info = connector.info();
         println!(
@@ -901,7 +928,7 @@ fn cmd_barrier(flags: &Flags) -> Result<(), String> {
     }
 
     let dataset = flags.require("dataset")?.to_string();
-    let k: usize = flags.parse("k", 256)?;
+    let k: usize = flags.at_least("k", 256, 1)?;
     let seed: u64 = flags.parse("seed", 42)?;
     let scale: u32 = flags.parse("scale", 100)?;
     let ds = load_dataset(&dataset, scale, seed)?;
@@ -1069,7 +1096,7 @@ fn barrier_sharded<C: Connector>(
 /// `hdc stop` (or a client's `POST /shutdown`) drains it.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let dataset = flags.require("dataset")?.to_string();
-    let k: usize = flags.parse("k", 256)?;
+    let k: usize = flags.at_least("k", 256, 1)?;
     let seed: u64 = flags.parse("seed", 42)?;
     let scale: u32 = flags.parse("scale", 100)?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7171");
@@ -1081,20 +1108,17 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     let metrics_log = flags.get("metrics-log").map(str::to_string);
     let metrics_interval_ms: u64 = flags.parse("metrics-interval-ms", 1_000)?;
     let coordinate = flags.get("coordinate").is_some();
-    let sessions: usize = flags.parse("sessions", 2)?;
-    let oversubscribe: usize = flags.parse("oversubscribe", 2)?;
-    let lease_ttl_ms: u64 = flags.parse("lease-ttl-ms", 30_000)?;
+    let sessions: usize = flags.at_least("sessions", 2, 1)?;
+    let oversubscribe: usize = flags.at_least("oversubscribe", 2, 1)?;
+    let lease_ttl_ms: u64 = flags.at_least("lease-ttl-ms", 30_000, 1)?;
     let checkpoint = flags.get("checkpoint").map(str::to_string);
     if !(0.0..=1.0).contains(&fault_rate) {
         return Err("--fault-rate must be within 0..=1".into());
     }
     if !coordinate {
-        for (flag, present) in [
-            ("--lease-ttl-ms", flags.get("lease-ttl-ms").is_some()),
-            ("--checkpoint", checkpoint.is_some()),
-        ] {
-            if present {
-                return Err(format!("{flag} requires --coordinate"));
+        for flag in ["sessions", "oversubscribe", "lease-ttl-ms", "checkpoint"] {
+            if flags.get(flag).is_some() {
+                return Err(format!("--{flag} requires --coordinate"));
             }
         }
     }
@@ -1108,12 +1132,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     // heartbeats are control traffic, so the fleet's charged query
     // total is exactly the solo crawl's.
     let coordinator = if coordinate {
-        if sessions == 0 || oversubscribe == 0 {
-            return Err("--sessions/--oversubscribe must be ≥ 1".into());
-        }
-        if lease_ttl_ms == 0 {
-            return Err("--lease-ttl-ms must be ≥ 1".into());
-        }
         let plan: Vec<String> = Sharded::plan_oversubscribed(&ds.schema, sessions, oversubscribe)
             .iter()
             .map(ShardSpec::signature)
@@ -1387,7 +1405,11 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
         .get("ks")
         .unwrap_or("64,128,256,512,1024")
         .split(',')
-        .map(|s| s.parse().map_err(|e| format!("bad k {s:?}: {e}")))
+        .map(|s| match s.parse() {
+            Ok(0) => Err("--ks values must be ≥ 1".to_string()),
+            Ok(k) => Ok(k),
+            Err(e) => Err(format!("bad k {s:?}: {e}")),
+        })
         .collect::<Result<_, String>>()?;
     let seed: u64 = flags.parse("seed", 42)?;
     let scale: u32 = flags.parse("scale", 100)?;
@@ -1442,9 +1464,9 @@ fn cmd_hard(args: &[String]) -> Result<(), String> {
     let seed: u64 = flags.parse("seed", 42)?;
     match kind {
         "numeric" => {
-            let k: usize = flags.parse("k", 16)?;
-            let d: usize = flags.parse("d", 4)?;
-            let m: usize = flags.parse("m", 100)?;
+            let k: usize = flags.at_least("k", 16, 1)?;
+            let d: usize = flags.at_least("d", 4, 1)?;
+            let m: usize = flags.at_least("m", 100, 1)?;
             let ds = hard::numeric_hard(k, d, m);
             let mut db = HiddenDbServer::new(
                 ds.schema.clone(),
@@ -1466,8 +1488,9 @@ fn cmd_hard(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "categorical" => {
-            let k: usize = flags.parse("k", 6)?;
-            let u: u32 = flags.parse("u", 6)?;
+            let k: usize = flags.at_least("k", 6, 1)?;
+            // Each group's odd value (i+1) mod u must differ from i.
+            let u: u32 = flags.at_least("u", 6, 2)?;
             let ds = hard::categorical_hard(k, u);
             let d = 2 * k;
             let mut db = HiddenDbServer::new(
@@ -1585,11 +1608,64 @@ mod tests {
         assert_eq!(err, "unknown flag --sesions for hdc crawl");
         let err = run(&argv(&["serve", "--dataset", "yahoo", "--dedup", "exact"])).unwrap_err();
         assert_eq!(err, "unknown flag --dedup for hdc serve");
+        // The plan flags size only a coordinator's plan.
+        for flag in ["--sessions", "--oversubscribe"] {
+            let err = run(&argv(&["serve", "--dataset", "yahoo", flag, "4"])).unwrap_err();
+            assert_eq!(err, format!("{flag} requires --coordinate"));
+        }
         let err = run(&argv(&["barrier", "--dataset", "yahoo", "--resume", "x"])).unwrap_err();
         assert_eq!(err, "unknown flag --resume for hdc barrier");
         let err = run(&argv(&["hard", "numeric", "--u", "3"])).unwrap_err();
         assert_eq!(err, "unknown flag --u for hdc hard numeric");
         assert!(run(&argv(&["datasets", "--k", "3"])).is_err());
+
+        // A flag of the other transport: `--connect` refuses the local
+        // dataset flags, and the client knobs need `--connect`. Both are
+        // refused before any connection or dataset is made.
+        for cmd in ["crawl", "barrier"] {
+            for flag in ["dataset nsf", "k 8", "seed 9", "scale 50"] {
+                let line = format!("{cmd} --connect http://127.0.0.1:9 --{flag}");
+                let err = run(&argv(&line.split(' ').collect::<Vec<_>>())).unwrap_err();
+                let name = flag.split(' ').next().unwrap();
+                assert!(
+                    err.starts_with(&format!("--{name} is not read with --connect")),
+                    "{line}: {err}"
+                );
+            }
+            for flag in ["timeout-ms 1", "retire-after 2", "qps 0.5", "burst 4"] {
+                let line = format!("{cmd} --dataset yahoo --{flag}");
+                let err = run(&argv(&line.split(' ').collect::<Vec<_>>())).unwrap_err();
+                let name = flag.split(' ').next().unwrap();
+                assert_eq!(
+                    err,
+                    format!("--{name} is read only with --connect"),
+                    "{line}"
+                );
+            }
+        }
+    }
+
+    /// A degenerate size is an `Err` from `run`, never a panic in the
+    /// server or the hard-instance generator it would size.
+    #[test]
+    fn degenerate_numeric_flags_are_errors() {
+        for line in [
+            "crawl --dataset yahoo --k 0",
+            "crawl --dataset yahoo --k 0 --sessions 2",
+            "barrier --dataset yahoo --k 0",
+            "serve --dataset yahoo --k 0",
+            "sweep --dataset yahoo --ks 0",
+            "sweep --dataset yahoo --ks 64,0",
+            "hard numeric --k 0",
+            "hard numeric --d 0",
+            "hard numeric --m 0",
+            "hard categorical --k 0",
+            "hard categorical --u 1",
+        ] {
+            let args: Vec<&str> = line.split(' ').collect();
+            let err = run(&argv(&args)).unwrap_err();
+            assert!(err.contains("must be ≥"), "{line}: {err}");
+        }
     }
 
     /// Every command line in the CI workflow and the README parses for

@@ -145,7 +145,7 @@ impl HiddenDatabase for Tracing {
 
 #[test]
 fn recorded_crawl_streams_replay_identically_batched_per_query_and_legacy() {
-    let cases: [(Dataset, usize, Box<dyn Crawler>); 2] = [
+    let cases: [(Dataset, usize, Box<dyn Crawler>); 3] = [
         (
             yahoo::generate_scaled(3_000, 4),
             128,
@@ -155,6 +155,13 @@ fn recorded_crawl_streams_replay_identically_batched_per_query_and_legacy() {
             ops::sample_fraction(&adult::generate_numeric(4), 0.05, 4),
             64,
             Box::new(RankShrink::new()),
+        ),
+        // The top-k-barrier crawler's probe mix: no slice memoization,
+        // every discriminating child probed, every window mined.
+        (
+            ops::sample_fraction(&adult::generate(4), 0.05, 4),
+            64,
+            Box::new(BarrierCrawler::new()),
         ),
     ];
     for (ds, k, crawler) in cases {
@@ -188,4 +195,20 @@ fn recorded_crawl_streams_replay_identically_batched_per_query_and_legacy() {
             assert_eq!(&legacy.evaluate(q), want, "{}: query {i} legacy", ds.name);
         }
     }
+}
+
+/// A `ProgressRecorder` fed the builder's streamed `on_progress` events
+/// rebuilds the report's progressiveness curve point for point, so a
+/// curve drawn from the event stream is the report's own.
+#[test]
+fn streamed_progress_rebuilds_the_report_curve() {
+    let ds = yahoo::generate_scaled(3_000, 4);
+    let mut curve = ProgressRecorder::new();
+    let report = Crawl::builder()
+        .strategy(Strategy::Hybrid)
+        .observer(&mut curve)
+        .run(&mut serve(&ds, 128, 0x9e2))
+        .unwrap();
+    assert!(report.progress.len() > 1);
+    assert_eq!(curve.points(), &report.progress[..]);
 }
