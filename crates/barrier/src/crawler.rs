@@ -151,8 +151,10 @@ impl BarrierCrawler {
     /// pool ([`hdc_core::CrawlBuilder::run_sharded`], plan oversubscribed
     /// by `factor`, with the same retirement, salvage, and merge
     /// semantics as the hybrid crawler), this crawler running each shard.
-    /// `observer`, if any, receives the live events and one `on_shard`
-    /// per merged shard.
+    /// One session at factor 1 is the one-shard plan, crawled by
+    /// [`BarrierCrawler::crawl_report`]: its frontier and histogram are
+    /// the solo crawl's. `observer`, if any, receives the live events
+    /// and one `on_shard` per merged shard.
     ///
     /// The merge is **depth-aware**: each shard's per-tuple depth
     /// histogram (relative to its own covering roots) survives the merge
@@ -400,12 +402,14 @@ impl Crawler for DepthCollector<'_> {
         self.crawler.supports(schema)
     }
 
+    /// The one-shard plan's crawl: the solo barrier crawl, whose
+    /// histogram is the crawl's.
     fn crawl_with(
         &self,
         db: &mut dyn HiddenDatabase,
         config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError> {
-        self.crawler.crawl_with(db, config)
+        self.collect(self.crawler.crawl_report(db, config)?)
     }
 }
 
@@ -417,7 +421,13 @@ impl ShardCrawler for DepthCollector<'_> {
         spec: &ShardSpec,
         config: SessionConfig<'_>,
     ) -> Result<CrawlReport, CrawlError> {
-        let out = self.crawler.shard_report(db, schema, spec, config)?;
+        self.collect(self.crawler.shard_report(db, schema, spec, config)?)
+    }
+}
+
+impl DepthCollector<'_> {
+    /// Banks one crawl's depth histogram and passes its report on.
+    fn collect(&self, out: BarrierReport) -> Result<CrawlReport, CrawlError> {
         self.histograms
             .lock()
             .expect("histogram channel poisoned")

@@ -282,6 +282,7 @@ proptest! {
 
 /// The one-stop builder's `Strategy::Custom` path is a *front end* over
 /// this crawler, not a fork: solo runs match `crawl_report` bit for bit,
+/// and so does the one-shard `crawl_sharded` (depth histogram included),
 /// and `crawl_sharded` — the plain sharded `Strategy::Custom` run plus a
 /// depth-histogram side channel — is that run unperturbed (same merged
 /// bag/cost, same per-shard costs), its histogram reconciling with the
@@ -308,6 +309,17 @@ mod builder_front_end {
             prop_assert_eq!(built.overflowed, legacy.report.overflowed);
             prop_assert_eq!(&built.progress, &legacy.report.progress);
             prop_assert_eq!(&built.tuples, &legacy.report.tuples);
+
+            // One session at factor 1 is the solo crawl on the pool.
+            let pooled = crawler.crawl_sharded(|_s| inst.server(17), 1, 1, None).unwrap();
+            prop_assert_eq!(&pooled.depth_histogram, &legacy.depth_histogram());
+            prop_assert_eq!(pooled.max_depth, legacy.max_depth);
+            let merged = &pooled.sharded.merged;
+            prop_assert_eq!(merged.algorithm, "barrier");
+            prop_assert_eq!(merged.queries, legacy.report.queries);
+            prop_assert_eq!(merged.metrics, legacy.report.metrics);
+            prop_assert_eq!(&merged.progress, &legacy.report.progress);
+            prop_assert_eq!(&merged.tuples, &legacy.report.tuples);
         }
 
         #[test]

@@ -217,6 +217,7 @@ pub fn drive_worker(
                     run_spec.crawl_with(
                         db,
                         schema,
+                        None,
                         SessionConfig {
                             retry: cfg.retry.clone(),
                             cancel: Some(halt_ref),

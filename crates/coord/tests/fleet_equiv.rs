@@ -224,6 +224,7 @@ proptest! {
                 .crawl_with(
                     &mut db_b,
                     &inst.schema,
+                    None,
                     SessionConfig::default(),
                     Some(&mut |done, _| roots = done),
                 )
@@ -261,6 +262,7 @@ proptest! {
                 spec.crawl_with(
                     &mut db_p,
                     &inst.schema,
+                    None,
                     SessionConfig::default(),
                     Some(&mut |done, interim| {
                         if done as usize == cursor {
@@ -352,6 +354,7 @@ fn killed_worker_is_salvaged_exactly() {
         let result = spec.crawl_with(
             &mut inst.server(seed),
             &inst.schema,
+            None,
             SessionConfig {
                 cancel: Some(&halt),
                 ..SessionConfig::default()
@@ -573,6 +576,7 @@ fn interims(spec: &ShardSpec, inst: &Instance, seed: u64) -> Vec<CrawlReport> {
     spec.crawl_with(
         &mut inst.server(seed),
         &inst.schema,
+        None,
         SessionConfig::default(),
         Some(&mut |_, interim| out.push(interim.clone())),
     )

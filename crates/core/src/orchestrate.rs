@@ -364,11 +364,12 @@ impl<'c> Strategy<'c> {
     }
 
     /// Whether this strategy (after [`Strategy::resolve`]) has a
-    /// **sharded** execution on `schema`. The sharded plan executes the
-    /// paper's optimal family per subspace, so rank-shrink requires a
-    /// numeric schema, lazy slice-cover a categorical one, and the
-    /// baselines (binary-shrink, DFS, eager slice-cover) have none;
-    /// custom crawlers shard wherever they crawl.
+    /// **sharded** execution on `schema`, which a multi-shard plan needs
+    /// (the one-shard plan is the solo crawl, see [`Strategy::supports`]).
+    /// The sharded plan executes the paper's optimal family per subspace,
+    /// so rank-shrink requires a numeric schema, lazy slice-cover a
+    /// categorical one, and the baselines (binary-shrink, DFS, eager
+    /// slice-cover) have none; custom crawlers shard wherever they crawl.
     pub fn supports_sharded(self, schema: &Schema) -> bool {
         match self.resolve(schema) {
             Strategy::Auto => unreachable!("Auto always resolves"),
@@ -415,7 +416,8 @@ impl Crawl {
 /// equivalence guarantees.
 pub struct CrawlBuilder<'a> {
     strategy: Strategy<'a>,
-    oracle: Option<&'a dyn ValidityOracle>,
+    // `Sync`: the shard pool shares it across its worker threads.
+    oracle: Option<&'a (dyn ValidityOracle + Sync)>,
     // The rest configure the shard pool too, whose executor
     // (`sharded.rs`) reads them directly.
     pub(crate) budget: Option<u64>,
@@ -437,10 +439,10 @@ impl<'a> CrawlBuilder<'a> {
     /// Attaches a §1.3 validity oracle: queries the oracle proves empty
     /// are answered locally, free of charge ("the query cost can only go
     /// down"). Supported by every built-in strategy except the eager
-    /// slice-cover; not supported by [`Strategy::Custom`] or by
-    /// [`CrawlBuilder::run_sharded`] (same restrictions as the legacy
-    /// constructors and CLI).
-    pub fn oracle(mut self, oracle: &'a dyn ValidityOracle) -> Self {
+    /// slice-cover, and not by [`Strategy::Custom`] (the restrictions of
+    /// the legacy constructors). [`CrawlBuilder::run_sharded`] hands the
+    /// oracle to every shard session, whatever the plan.
+    pub fn oracle(mut self, oracle: &'a (dyn ValidityOracle + Sync)) -> Self {
         self.oracle = Some(oracle);
         self
     }
@@ -510,9 +512,12 @@ impl<'a> CrawlBuilder<'a> {
     /// completed shard into it and, if the repository already holds a
     /// checkpoint for the same plan, resumes from it — restored shards
     /// are replayed from the snapshot without issuing a single query.
-    /// Only [`CrawlBuilder::run_sharded`] takes a repository (with one
-    /// session, [`CrawlBuilder::oversubscribe`] sets the checkpoint
-    /// granularity).
+    /// Only [`CrawlBuilder::run_sharded`] takes a repository. The plan,
+    /// and so the checkpoint granularity, comes from
+    /// [`CrawlBuilder::sessions`] and [`CrawlBuilder::oversubscribe`]
+    /// alone: the default one-shard plan banks the crawl only once it
+    /// completes, so a crawl that should bank progress as it goes asks
+    /// for a finer plan (e.g. `oversubscribe(8)`).
     pub fn repository(mut self, repository: &'a mut dyn CrawlRepository) -> Self {
         self.repository = Some(repository);
         self
@@ -566,21 +571,29 @@ impl<'a> CrawlBuilder<'a> {
     /// `connector.connect(s)` — and every `Fn(usize) -> D` factory
     /// closure *is* a connector (blanket impl), so
     /// `run_sharded(|_s| shared.client())` works as written. All
-    /// connections must view the same logical database. Works for
-    /// `sessions == 1` too (the plan degenerates to the solo sharded
-    /// plan).
+    /// connections must view the same logical database.
     ///
     /// The plan is [`crate::Sharded::plan_oversubscribed`] of the schema
     /// probed from identity 0. Each worker owns one connection for its
     /// whole lifetime and crawls the shards the scheduler deals it, one
-    /// at a time, with the strategy's shard crawler:
-    /// [`ShardSpec::crawl_with`] for the built-in family,
-    /// [`ShardCrawler::crawl_spec`] for [`Strategy::Custom`]. Results
-    /// are merged in plan order, so the extracted bag and every
-    /// per-shard cost are those of [`ShardSpec::crawl`] run shard by
+    /// at a time. Results are merged in plan order, so the extracted bag
+    /// and every per-shard cost are those of the plan crawled shard by
     /// shard, whatever the scheduling (the determinism contract in the
     /// [`crate::sharded`] docs).
     ///
+    /// * The **one-shard plan** (one session, factor 1, the default) is
+    ///   [`ShardSpec::whole`], crawled by the strategy's own solo
+    ///   crawler: the merged report — bag in order, cost, tallies,
+    ///   metrics, progress curve and algorithm name — is
+    ///   [`CrawlBuilder::run`]'s, and every strategy that crawls the
+    ///   schema solo runs here too.
+    /// * A **multi-shard plan** crawls each shard with the strategy's
+    ///   shard crawler: [`ShardSpec::crawl_with`]'s routine for the
+    ///   built-in family, [`ShardCrawler::crawl_spec`] for
+    ///   [`Strategy::Custom`].
+    /// * An [`CrawlBuilder::oracle`] prunes every shard session's
+    ///   queries, so each shard costs what it costs crawled alone with
+    ///   the oracle.
     /// * The **observer** receives every shard session's
     ///   `on_query`/`on_tuples`/`on_progress` events live — streamed out
     ///   of the worker threads through a bounded channel, with progress
@@ -602,28 +615,31 @@ impl<'a> CrawlBuilder<'a> {
     ///   bit-identical to an uninterrupted run's.
     ///
     /// # Panics
-    /// Panics when the configuration is contradictory: an oracle (the
-    /// sharded path has no oracle support), or a strategy without a
-    /// sharded execution — the sharded plan executes the paper's optimal
-    /// family per subspace, so [`Strategy::RankShrink`] requires a
-    /// numeric schema, lazy [`Strategy::SliceCover`] a categorical one,
-    /// and the baselines ([`Strategy::BinaryShrink`], [`Strategy::Dfs`],
-    /// eager slice-cover) are rejected outright.
+    /// Panics when the configuration is contradictory: a strategy that
+    /// does not support the schema, an oracle on a strategy without
+    /// oracle support ([`Strategy::Custom`], eager slice-cover), or, for
+    /// a multi-shard plan, a strategy without a sharded execution — that
+    /// plan executes the paper's optimal family per subspace, so
+    /// [`Strategy::RankShrink`] requires a numeric schema, lazy
+    /// [`Strategy::SliceCover`] a categorical one, and the baselines
+    /// ([`Strategy::BinaryShrink`], [`Strategy::Dfs`], eager
+    /// slice-cover) are rejected outright.
     pub fn run_sharded<C>(self, connector: C) -> Result<ShardedReport, CrawlError>
     where
         C: Connector,
     {
-        assert!(
-            self.oracle.is_none(),
-            "sharded crawls do not support a validity oracle"
-        );
         let probe = connector.connect(0);
         let schema = probe.schema().clone();
         drop(probe);
         let strategy = self.strategy.resolve(&schema);
-        assert_sharded(strategy, &schema);
-        self.run_pool(&schema, connector, |spec, db, config| {
-            crawl_shard(strategy, &schema, spec, db, config)
+        let oracle = self.oracle;
+        // The one-shard plan is `ShardSpec::whole`: the solo crawl.
+        let whole = self.sessions == 1 && self.oversubscribe == 1;
+        assert_runnable(strategy, &schema, oracle.is_some(), !whole);
+        self.run_pool(&schema, connector, |spec, db, config| match strategy {
+            _ if whole => run_solo(strategy, db, oracle, &schema, config),
+            Strategy::Custom(c) => c.crawl_spec(db, &schema, spec, config),
+            _ => spec.crawl_with(db, &schema, oracle.map(|o| o as _), config, None),
         })
     }
 }
@@ -633,17 +649,11 @@ impl<'a> CrawlBuilder<'a> {
 fn run_solo(
     strategy: Strategy<'_>,
     db: &mut dyn HiddenDatabase,
-    oracle: Option<&dyn ValidityOracle>,
+    oracle: Option<&(dyn ValidityOracle + Sync)>,
     schema: &Schema,
     config: SessionConfig<'_>,
 ) -> Result<CrawlReport, CrawlError> {
-    assert!(
-        strategy.supports(schema),
-        "strategy {:?} does not support this schema (cat = {}, num = {})",
-        strategy,
-        schema.cat_count(),
-        schema.arity() - schema.cat_count()
-    );
+    assert_runnable(strategy, schema, oracle.is_some(), false);
     let crawler: Box<dyn Crawler + '_> = match (strategy, oracle) {
         (Strategy::Auto, _) => unreachable!("Auto resolved before dispatch"),
         (Strategy::Hybrid, None) => Box::new(Hybrid::new()),
@@ -659,47 +669,37 @@ fn run_solo(
         (Strategy::SliceCover { lazy: true }, Some(o)) => {
             Box::new(SliceCover::lazy_with_oracle(o))
         }
-        (Strategy::SliceCover { lazy: false }, Some(_)) => {
-            panic!("eager slice-cover does not support a validity oracle")
-        }
         (Strategy::Custom(c), None) => return c.crawl_with(db, config),
-        (Strategy::Custom(c), Some(_)) => {
-            panic!("custom strategy {:?} does not support a validity oracle", c.name())
+        (Strategy::SliceCover { lazy: false } | Strategy::Custom(_), Some(_)) => {
+            unreachable!("assert_runnable refuses the oracle")
         }
     };
     crawler.crawl_with(db, config)
 }
 
-/// Panics unless the resolved strategy has a sharded execution on
-/// `schema` (see [`Strategy::supports_sharded`]).
-fn assert_sharded(strategy: Strategy<'_>, schema: &Schema) {
+/// Panics unless the resolved strategy can crawl `schema` — solo, or on
+/// a multi-shard plan when `sharded` (see [`Strategy::supports`] and
+/// [`Strategy::supports_sharded`]) — and, with an oracle, takes one.
+fn assert_runnable(strategy: Strategy<'_>, schema: &Schema, oracle: bool, sharded: bool) {
+    let (supported, what) = if sharded {
+        (
+            strategy.supports_sharded(schema),
+            "has no sharded execution on this schema",
+        )
+    } else {
+        (strategy.supports(schema), "does not support this schema")
+    };
     assert!(
-        strategy.supports_sharded(schema),
-        "strategy {:?} has no sharded execution on this schema (cat = {}, num = {}) — \
-         see Strategy::supports_sharded",
+        supported,
+        "strategy {:?} {what} (cat = {}, num = {})",
         strategy,
         schema.cat_count(),
         schema.arity() - schema.cat_count()
     );
-}
-
-/// Crawls one shard for a resolved strategy that has a sharded
-/// execution: custom crawlers run their own [`ShardCrawler::crawl_spec`],
-/// the hybrid family runs [`ShardSpec::crawl_with`] (which *is*
-/// rank-shrink on numeric-only schemas and lazy-slice-cover on
-/// categorical ones — exactly what [`Strategy::supports_sharded`]
-/// admits, so the dispatch is shared).
-fn crawl_shard(
-    strategy: Strategy<'_>,
-    schema: &Schema,
-    spec: &ShardSpec,
-    db: &mut dyn HiddenDatabase,
-    config: SessionConfig<'_>,
-) -> Result<CrawlReport, CrawlError> {
-    match strategy {
-        Strategy::Custom(c) => c.crawl_spec(db, schema, spec, config),
-        _ => spec.crawl_with(db, schema, config, None),
-    }
+    assert!(
+        !oracle || !matches!(strategy, Strategy::SliceCover { lazy: false } | Strategy::Custom(_)),
+        "strategy {strategy:?} does not support a validity oracle"
+    );
 }
 
 #[cfg(test)]

@@ -53,11 +53,13 @@
 //! plus per-worker deques, LIFO-local/FIFO-steal). A skew-heavy shard
 //! then no longer gates wall-clock: while one worker grinds through the
 //! heavy subtree, the others drain the rest of the plan instead of
-//! idling. With `factor = 1` (the default) the plan degenerates to one
-//! shard per session — the static placement this module had before the
-//! pool existed — and per-shard costs are unchanged. The pool is the
-//! plan's only executor: a one-session crawl, checkpointed or not, runs
-//! on a one-worker pool.
+//! idling. With `factor = 1` (the default) the plan is one shard per
+//! session. One session at factor 1 is the one-shard plan,
+//! [`ShardSpec::whole`], which [`CrawlBuilder::run_sharded`] crawls with
+//! the strategy's own solo crawler: a checkpointed or wire-carried
+//! one-session crawl costs exactly what [`CrawlBuilder::run`] costs. The
+//! pool is the plan's only executor: a one-session crawl, checkpointed
+//! or not, runs on a one-worker pool.
 //!
 //! # Determinism contract
 //!
@@ -97,6 +99,7 @@ pub use workpool::{PoolStats, Source as TaskSource, Verdict, WorkerStats};
 
 use crate::categorical::slice_cover::{extended_dfs_from, DfsRoot, LeafMode, SliceTable};
 use crate::connector::Connector;
+use crate::dependency::ValidityOracle;
 use crate::events::{ChannelObserver, EventSink, SessionEvent, EVENT_CHANNEL_CAPACITY};
 use crate::numeric::rank_shrink::RankShrink;
 use crate::orchestrate::{CancelToken, CrawlBuilder, CrawlObserver, Flow, ShardEvent};
@@ -316,14 +319,16 @@ impl ShardSpec {
         db: &mut dyn HiddenDatabase,
         schema: &Schema,
     ) -> Result<CrawlReport, CrawlError> {
-        self.crawl_with(db, schema, SessionConfig::default(), None)
+        self.crawl_with(db, schema, None, SessionConfig::default(), None)
     }
 
     /// Crawls this shard under `config` (retry policy, cancellation,
-    /// events). Retries do not change the charged query sequence (a
-    /// transient failure charges nothing, and the deterministic server
-    /// answers the re-issued query exactly as it would have answered the
-    /// original), so the determinism contract holds under faults too.
+    /// events), pruning with `oracle` if given: queries it proves empty
+    /// are answered locally, free of charge (§1.3). Retries do not
+    /// change the charged query sequence (a transient failure charges
+    /// nothing, and the deterministic server answers the re-issued query
+    /// exactly as it would have answered the original), so the
+    /// determinism contract holds under faults too.
     ///
     /// With a **resume boundary callback** `on_root`, the roots are
     /// crawled one at a time — categorical ones on a *shared* slice
@@ -358,10 +363,11 @@ impl ShardSpec {
         &self,
         db: &mut dyn HiddenDatabase,
         schema: &Schema,
+        oracle: Option<&dyn ValidityOracle>,
         config: SessionConfig<'_>,
         on_root: Option<&mut OnRoot<'_>>,
     ) -> Result<CrawlReport, CrawlError> {
-        run_crawl("sharded-hybrid", db, None, config, |session| {
+        run_crawl("sharded-hybrid", db, oracle, config, |session| {
             self.run(session, schema, false, on_root)
         })
     }
@@ -614,14 +620,18 @@ pub struct Sharded;
 pub const TRANSIENT_STRIKES: u32 = 2;
 
 impl Sharded {
-    /// Plans the disjoint covering shards for a schema: the
-    /// static-equivalent plan, one shard per session
+    /// Plans the disjoint covering shards for a schema, one per session
     /// (`plan_oversubscribed` with factor 1).
     pub fn plan(schema: &Schema, sessions: usize) -> Vec<ShardSpec> {
         Self::plan_oversubscribed(schema, sessions, 1)
     }
 
     /// Plans `≈ sessions × factor` disjoint covering shards.
+    ///
+    /// One session at factor 1 is the one-shard plan,
+    /// `vec![ShardSpec::whole(schema)]`: the solo crawl, whose cost does
+    /// not depend on whether it is checkpointed or which transport
+    /// carries it. Every other plan partitions the space as follows.
     ///
     /// Schemas with categorical attributes partition on the one with the
     /// largest domain, dealing values round-robin (value `v` → shard
@@ -647,6 +657,9 @@ impl Sharded {
         assert!(sessions >= 1);
         assert!(factor >= 1);
         let target = sessions.saturating_mul(factor);
+        if target == 1 {
+            return vec![ShardSpec::whole(schema)];
+        }
         let cats = schema.cat_indices();
         let any = Query::any(schema.arity());
         let shard = |order: &[usize], roots: Vec<Query>| ShardSpec {
@@ -1199,7 +1212,8 @@ fn merge_results(
     record_pool_metrics(&pool);
     let total = slots.len();
     // Progress curves stay per-shard (shards run concurrently, so a
-    // single interleaved curve would be fictitious).
+    // single interleaved curve would be fictitious) — except in a
+    // one-shard plan, whose report is its shard's.
     let mut merged = CrawlReport::empty("sharded-hybrid");
     let mut per_session: Vec<CrawlReport> = (0..pool.workers)
         .map(|_| CrawlReport::empty("sharded-session"))
@@ -1249,6 +1263,10 @@ fn merge_results(
         // identity's aggregate then absorbs the accounting alone.
         let tuples = report.tuples.len() as u64;
         merged.absorb(&mut report);
+        if total == 1 {
+            merged.algorithm = report.algorithm;
+            merged.progress = report.progress.clone();
+        }
         // Restored shards spent their queries in the run that produced
         // the checkpoint — charging them to this run's identity 0 would
         // fabricate per-session quota pressure that never happened.
@@ -1334,7 +1352,6 @@ mod tests {
     use super::*;
     use crate::orchestrate::Crawl;
     use crate::validate::verify_complete;
-    use crate::Crawler;
     use hdc_server::{Budgeted, HiddenDbServer, ServerConfig};
     use hdc_types::tuple::{cat_tuple, int_tuple};
     use hdc_types::{Tuple, TupleBag, Value};
@@ -1617,24 +1634,6 @@ mod tests {
             assert_eq!(report.per_session.len(), sessions);
             assert!(report.shards.len() >= sessions * factor.min(7));
         }
-    }
-
-    #[test]
-    fn single_session_matches_hybrid_cost_shape() {
-        let schema = mixed_schema();
-        let tuples = mixed_tuples(2_000);
-        let sharded = Crawl::builder()
-            .sessions(1)
-            .run_sharded(factory(&schema, &tuples, 32))
-            .unwrap();
-        let mut db = HiddenDbServer::new(
-            schema.clone(),
-            tuples.clone(),
-            ServerConfig { k: 32, seed: 17 },
-        )
-        .unwrap();
-        let hybrid = crate::Hybrid::new().crawl(&mut db).unwrap();
-        assert_eq!(sharded.merged.queries, hybrid.queries);
     }
 
     #[test]
@@ -2009,7 +2008,7 @@ mod tests {
                     while !first && !shard0_failed.load(Ordering::Acquire) {
                         std::thread::yield_now();
                     }
-                    let result = spec.crawl_with(db, &schema, config, None);
+                    let result = spec.crawl_with(db, &schema, None, config, None);
                     if first {
                         shard0_failed.store(true, Ordering::Release);
                     }

@@ -1,9 +1,10 @@
 //! Differential suite for the one-stop [`CrawlBuilder`]: the builder is
 //! a *front end*, not a fork — every strategy × {budgeted, unbudgeted}
 //! solo run must be **bit-identical** to the legacy entry point it wraps
-//! (same bag, same query count and tallies, same progress curve), every
-//! sharded run to its plan crawled shard by shard (same bag, same total
-//! and per-shard costs), `Strategy::Auto` must select
+//! (same bag, same query count and tallies, same progress curve), the
+//! one-shard plan on the pool to the solo run, every sharded run to its
+//! plan crawled shard by shard (same bag, same total and per-shard
+//! costs, with or without an oracle), `Strategy::Auto` must select
 //! the paper's choice per schema kind (§2.2 / §3.2 / §5), and an
 //! observer stop must yield a partial report that is a prefix-consistent
 //! subset of the full crawl.
@@ -12,8 +13,9 @@ use proptest::prelude::*;
 use proptest::Strategy as PropStrategy;
 
 use hdc_core::{
-    Crawl, CrawlError, CrawlObserver, CrawlReport, Crawler, Flow, Hybrid, RankShrink, ShardSpec,
-    Sharded, SliceCover, Strategy, MAX_BATCH,
+    Crawl, CrawlError, CrawlObserver, CrawlReport, Crawler, DatasetOracle, Flow, Hybrid,
+    RankShrink, SessionConfig, ShardSpec, Sharded, SliceCover, Strategy, ValidityOracle,
+    MAX_BATCH,
 };
 use hdc_types::{
     AttrKind, Budgeted, HiddenDatabase, Query, QueryOutcome, Schema, Tuple, TupleBag, Value,
@@ -161,6 +163,7 @@ fn assert_identical(
     prop_assert_eq!(a.resolved, b.resolved, "{}", name);
     prop_assert_eq!(a.overflowed, b.overflowed, "{}", name);
     prop_assert_eq!(a.pruned, b.pruned, "{}", name);
+    prop_assert_eq!(a.metrics, b.metrics, "{}", name);
     prop_assert_eq!(&a.progress, &b.progress, "{}", name);
     prop_assert_eq!(&a.tuples, &b.tuples, "{}: bags diverged", name);
     Ok(())
@@ -218,11 +221,43 @@ proptest! {
         }
     }
 
+    /// The one-shard plan — one session at factor 1 — is the solo crawl:
+    /// on the pool it is `ShardSpec::whole`, crawled by the strategy's
+    /// own solo crawler, so its merged report is `run`'s bit for bit
+    /// (bag in order, tallies, metrics, progress curve, algorithm), for
+    /// every applicable strategy, with and without an oracle where the
+    /// strategy takes one, success or failure.
+    #[test]
+    fn one_shard_plan_on_the_pool_is_the_solo_crawl(inst in instance_strategy()) {
+        let oracle = DatasetOracle::new(inst.tuples.clone());
+        for (strategy, _) in applicable(&inst.schema) {
+            let pruning = !matches!(strategy, Strategy::SliceCover { lazy: false });
+            for with_oracle in [false, true].into_iter().filter(|&o| pruning || !o) {
+                let name = format!("{strategy:?} oracle={with_oracle}");
+                let builder = || {
+                    let builder = Crawl::builder().strategy(strategy);
+                    if with_oracle { builder.oracle(&oracle) } else { builder }
+                };
+                let solo = builder().run(&mut inst.server(37));
+                let pooled = builder().run_sharded(|_s| inst.server(37));
+                if let Ok(report) = &pooled {
+                    prop_assert_eq!(report.shards.len(), 1, "{}", name);
+                    prop_assert_eq!(&report.shards[0].spec, &ShardSpec::whole(&inst.schema));
+                }
+                let pooled = pooled.map(|report| report.merged);
+                assert_identical(&name, &solo, &pooled)?;
+            }
+        }
+    }
+
     /// Sharded: the builder's pool run ≡ the determinism contract itself
     /// — [`ShardSpec::crawl`] of every plan shard, one after another on
     /// one fresh connection, concatenated in plan order: same bag (in
     /// order), same total cost, same per-shard costs, with and without a
-    /// per-identity budget.
+    /// per-identity budget, and with and without an oracle. An oracle
+    /// prunes every shard session: each shard costs what it costs crawled
+    /// alone with the oracle, and the crawl keeps the unpruned bag at no
+    /// more than the unpruned cost.
     ///
     /// A per-identity budget makes success depend on which identity
     /// steals which shard, so the verdict is held fixed only where the
@@ -237,18 +272,33 @@ proptest! {
         sessions in 2usize..4,
         factor in 1usize..4,
         raw_budget in proptest::collection::vec(5u64..60, 0..2), // empty = unbudgeted
+        with_oracle in any::<bool>(),
     ) {
         prop_assume!(inst.solvable());
         let budget = raw_budget.first().copied();
+        let oracle = DatasetOracle::new(inst.tuples.clone());
+        let oracle = with_oracle.then_some(&oracle);
         let plan = Sharded::plan_oversubscribed(&inst.schema, sessions, factor);
-        let mut db = inst.server(31);
-        let reference: Vec<CrawlReport> = plan
-            .iter()
-            .map(|spec| spec.crawl(&mut db, &inst.schema).expect("solvable and unbudgeted"))
-            .collect();
+        let crawl_plan = |oracle: Option<&dyn ValidityOracle>| -> Vec<CrawlReport> {
+            let mut db = inst.server(31);
+            plan.iter()
+                .map(|spec| {
+                    spec.crawl_with(&mut db, &inst.schema, oracle, SessionConfig::default(), None)
+                        .expect("solvable and unbudgeted")
+                })
+                .collect()
+        };
+        let reference = crawl_plan(oracle.map(|o| o as &dyn ValidityOracle));
         let reference_bag: Vec<Tuple> =
             reference.iter().flat_map(|r| r.tuples.iter().cloned()).collect();
         let reference_cost: u64 = reference.iter().map(|r| r.queries).sum();
+        if oracle.is_some() {
+            let unpruned = crawl_plan(None);
+            let unpruned_bag = unpruned.iter().flat_map(|r| &r.tuples);
+            prop_assert!(reference_bag.iter().eq(unpruned_bag), "the oracle changed the bag");
+            let unpruned_cost: u64 = unpruned.iter().map(|r| r.queries).sum();
+            prop_assert!(reference_cost <= unpruned_cost, "the oracle raised the cost");
+        }
 
         let mut builder = Crawl::builder()
             .strategy(Strategy::Hybrid)
@@ -256,6 +306,9 @@ proptest! {
             .oversubscribe(factor);
         if let Some(limit) = budget {
             builder = builder.budget(limit);
+        }
+        if let Some(oracle) = oracle {
+            builder = builder.oracle(oracle);
         }
         let built = builder.run_sharded(|_s| inst.server(31));
 

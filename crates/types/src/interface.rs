@@ -146,31 +146,43 @@ pub trait HiddenDatabase {
     }
 }
 
-impl<T: HiddenDatabase + ?Sized> HiddenDatabase for &mut T {
-    fn schema(&self) -> &Schema {
-        (**self).schema()
-    }
+/// Forwards every method through a pointer: `&mut T` lets a borrowed
+/// database stand in for an owned one, and `Box<T>` lets one connector
+/// mint connections of different backends (`Box<dyn HiddenDatabase>`).
+macro_rules! forward_database {
+    ($($ptr:ty),*) => {$(
+        impl<T: HiddenDatabase + ?Sized> HiddenDatabase for $ptr {
+            fn schema(&self) -> &Schema {
+                (**self).schema()
+            }
 
-    fn k(&self) -> usize {
-        (**self).k()
-    }
+            fn k(&self) -> usize {
+                (**self).k()
+            }
 
-    fn query(&mut self, q: &Query) -> Result<QueryOutcome, DbError> {
-        (**self).query(q)
-    }
+            fn query(&mut self, q: &Query) -> Result<QueryOutcome, DbError> {
+                (**self).query(q)
+            }
 
-    fn query_batch(&mut self, queries: &[Query]) -> Result<Vec<QueryOutcome>, DbError> {
-        (**self).query_batch(queries)
-    }
+            fn query_batch(&mut self, queries: &[Query]) -> Result<Vec<QueryOutcome>, DbError> {
+                (**self).query_batch(queries)
+            }
 
-    fn try_query_batch(&mut self, queries: &[Query]) -> (Vec<QueryOutcome>, Option<DbError>) {
-        (**self).try_query_batch(queries)
-    }
+            fn try_query_batch(
+                &mut self,
+                queries: &[Query],
+            ) -> (Vec<QueryOutcome>, Option<DbError>) {
+                (**self).try_query_batch(queries)
+            }
 
-    fn queries_issued(&self) -> u64 {
-        (**self).queries_issued()
-    }
+            fn queries_issued(&self) -> u64 {
+                (**self).queries_issued()
+            }
+        }
+    )*};
 }
+
+forward_database!(&mut T, Box<T>);
 
 #[cfg(test)]
 mod tests {

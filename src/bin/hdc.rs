@@ -245,15 +245,20 @@ fn print_usage() {
          \u{20}            [--oracle] [--budget N] [--target TUPLES] [--live]\n\
          \u{20}            [--retries N] [--checkpoint FILE | --resume FILE]\n\
          \u{20}      Crawl one dataset and report cost, metrics, and progress\n\
-         \u{20}      (live progress line on stderr; --target stops early at a\n\
-         \u{20}      tuple-coverage goal, including sharded and checkpointed\n\
-         \u{20}      runs; --live upgrades the progress line to a throttled\n\
-         \u{20}      telemetry line with q/s, t/s, charged cost, and batch\n\
-         \u{20}      p99; --budget with --sessions is a per-identity quota;\n\
+         \u{20}      (live progress line on stderr). The shard plan comes from\n\
+         \u{20}      --sessions and --oversubscribe alone: one session at\n\
+         \u{20}      factor 1 is the whole space, crawled by the algorithm's\n\
+         \u{20}      solo crawler, so --checkpoint never changes the cost.\n\
+         \u{20}      --oracle and --target (stop early at a tuple-coverage\n\
+         \u{20}      goal) work on every plan; --live upgrades the progress\n\
+         \u{20}      line to a throttled telemetry line with q/s, t/s, charged\n\
+         \u{20}      cost, and batch p99; --budget is a per-identity quota;\n\
          \u{20}      --retries N reissues transient query failures up to N\n\
          \u{20}      attempts; --checkpoint saves every completed shard to\n\
          \u{20}      FILE and resumes from it if present — --resume is the\n\
-         \u{20}      same but requires FILE to exist).\n\
+         \u{20}      same but requires FILE to exist. A checkpoint banks\n\
+         \u{20}      whole shards, so its granularity is the plan's: add\n\
+         \u{20}      --oversubscribe 8 to bank a one-session crawl in eighths.\n\
          \u{20}  hdc barrier --dataset <name> [--k N] [--seed N] [--scale PCT]\n\
          \u{20}            [--sessions N] [--oversubscribe N] [--live]\n\
          \u{20}      Top-k-barrier crawl (second paper): recover the tuples\n\
@@ -292,11 +297,11 @@ fn print_usage() {
          \u{20}      Ask a running `hdc serve` to drain and exit.\n\
          \u{20}  hdc crawl --connect URL ... / hdc barrier --connect URL ...\n\
          \u{20}      Crawl a served database over the wire instead of\n\
-         \u{20}      in-process (URL = [http://]host:port; the server fixes\n\
-         \u{20}      the data and k, so --dataset/--k/--seed/--scale are\n\
-         \u{20}      refused; the client health knobs [--timeout-ms N]\n\
-         \u{20}      [--qps F [--burst F]] [--retire-after N] are read only\n\
-         \u{20}      here).\n\
+         \u{20}      in-process, on the same plan and code path (URL =\n\
+         \u{20}      [http://]host:port; the server fixes the data and k, so\n\
+         \u{20}      --dataset/--k/--seed/--scale/--oracle are refused; the\n\
+         \u{20}      client health knobs [--timeout-ms N] [--qps F [--burst\n\
+         \u{20}      F]] [--retire-after N] are read only here).\n\
          \u{20}  hdc sweep --dataset <name> --algos a,b,c [--ks 64,128,...]\n\
          \u{20}            [--seed N] [--scale PCT]\n\
          \u{20}      Cost table across algorithms and k values.\n\
@@ -320,6 +325,8 @@ fn print_usage() {
 
 /// The dataset a local command generates.
 const DATASET_FLAGS: &[&str] = &["dataset", "k", "seed", "scale"];
+/// The flags that read the generated dataset, refused with `--connect`.
+const LOCAL_FLAGS: &[&str] = &["dataset", "k", "seed", "scale", "oracle"];
 /// `--connect` plus the wire-client health knobs ([`make_connector`]).
 const CONNECT_FLAGS: &[&str] = &["connect", "timeout-ms", "retire-after", "qps", "burst"];
 
@@ -446,14 +453,15 @@ impl Flags {
 }
 
 /// Whether `crawl`/`barrier` runs over `--connect`. The two transports
-/// read disjoint flags: a served database fixes its own data and `k`,
-/// and the client knobs shape only the wire, so a flag of the other
-/// transport is an error rather than silently ignored.
+/// read disjoint flags: a served database fixes its own data and `k`
+/// (and `--oracle` reads the generated data), and the client knobs shape
+/// only the wire, so a flag of the other transport is an error rather
+/// than silently ignored.
 fn over_wire(flags: &Flags) -> Result<bool, String> {
     let remote = flags.get("connect").is_some();
     let (other, why) = if remote {
         (
-            DATASET_FLAGS,
+            LOCAL_FLAGS,
             "is not read with --connect: the server fixes its data and k",
         )
     } else {
@@ -520,8 +528,9 @@ fn plan_mismatch_hint(error: &DbError) {
     if error.to_string().contains("plan mismatch") {
         println!(
             "hint: resume with the original --dataset/--scale/--sessions/\
-             --oversubscribe flags, or point --checkpoint at a new file \
-             (the existing checkpoint is preserved)"
+             --oversubscribe flags (a one-session checkpoint written before \
+             the one-shard plan resumes with --oversubscribe 8), or point \
+             --checkpoint at a new file (the existing checkpoint is preserved)"
         );
     }
 }
@@ -552,154 +561,139 @@ fn strategy_for(algo: &str) -> Result<Strategy<'static>, String> {
     })
 }
 
-/// [`strategy_for`], announcing what `auto` resolved to on `schema`.
-fn resolve_strategy(algo: &str, schema: &Schema) -> Result<Strategy<'static>, String> {
-    let strategy = strategy_for(algo)?;
-    if algo == "auto" {
-        println!("auto strategy: {:?}", strategy.resolve(schema));
+/// One client identity's connection to the crawled database, whatever
+/// the transport.
+type Connect = dyn Fn(usize) -> Box<dyn HiddenDatabase + Send> + Sync;
+
+/// What `crawl` and `barrier` crawl: a generated dataset served in
+/// process, or a served database over `--connect`. The transport only
+/// builds the connector; the crawl runs on it the same way either way.
+struct Source {
+    connector: Box<Connect>,
+    name: String,
+    schema: Schema,
+    n: usize,
+    k: usize,
+    /// The generated bag, checked as a multiset; over the wire there is
+    /// none, and the bag is checked against the server's advertised n.
+    truth: Option<Vec<Tuple>>,
+}
+
+impl Source {
+    /// Opens `--connect`, or generates `--dataset` and shares one store
+    /// among every identity's client (bit-identical responses, one
+    /// build), and prints the database's header line.
+    fn open(flags: &Flags) -> Result<Source, String> {
+        if over_wire(flags)? {
+            let http = make_connector(flags, "connect")?;
+            let info = http.info().clone();
+            println!(
+                "remote database at {} — n = {}, d = {}, k = {}",
+                http.addr(),
+                info.n,
+                info.schema.arity(),
+                info.k
+            );
+            return Ok(Source {
+                connector: Box::new(move |s| Box::new(http.connect(s))),
+                name: "remote".into(),
+                schema: info.schema,
+                n: info.n,
+                k: info.k,
+                truth: None,
+            });
+        }
+        let dataset = flags.require("dataset")?;
+        let k: usize = flags.at_least("k", 256, 1)?;
+        let seed: u64 = flags.parse("seed", 42)?;
+        let ds = load_dataset(dataset, flags.parse("scale", 100)?, seed)?;
+        println!(
+            "dataset {} — n = {}, d = {}, k = {k}",
+            ds.name,
+            ds.n(),
+            ds.d()
+        );
+        let shared = SharedServer::new(
+            ds.schema.clone(),
+            ds.tuples.clone(),
+            ServerConfig { k, seed },
+        )
+        .expect("valid dataset");
+        Ok(Source {
+            connector: Box::new(move |_| Box::new(shared.client())),
+            n: ds.n(),
+            name: ds.name,
+            schema: ds.schema,
+            k,
+            truth: Some(ds.tuples),
+        })
     }
-    Ok(strategy)
-}
 
-/// What a sharded crawl's bag is checked against.
-enum Truth<'a> {
-    /// The local dataset: an exact multiset check.
-    Bag(&'a [Tuple]),
-    /// A remote server's advertised tuple count.
-    Count(usize),
-}
-
-/// The sharded `hdc crawl` — `--sessions`/`--oversubscribe` or a
-/// checkpoint in process, or any `--connect` crawl — whatever the
-/// transport.
-struct ShardedCrawl<'a> {
-    sessions: usize,
-    oversubscribe: usize,
-    /// A per-identity quota, matching how real sites meter queries per
-    /// client (`u64::MAX` = none).
-    budget: u64,
-    retries: u32,
-    checkpoint: Option<&'a str>,
-}
-
-impl ShardedCrawl<'_> {
-    fn run<C: Connector>(
-        &self,
-        strategy: Strategy<'_>,
-        algo: &str,
-        (schema_name, schema): (&str, &Schema),
-        connector: C,
-        observer: &mut CliObserver,
-        truth: Truth<'_>,
-    ) -> Result<(), String> {
-        let sessions = self.sessions;
-        // One support matrix: the builder's own (it panics on violation;
-        // the CLI asks first to return a friendly error instead).
-        if !strategy.supports_sharded(schema) {
-            return Err(format!(
-                "{algo} has no sharded execution on the {schema_name} schema (use auto, \
-                 hybrid, rank-shrink on numeric, or lazy-slice-cover on categorical data)"
-            ));
-        }
-        let mut repo_store;
-        let mut builder = Crawl::builder()
-            .strategy(strategy)
-            .sessions(sessions)
-            .oversubscribe(self.oversubscribe)
-            .observer(&mut *observer);
-        if self.budget != u64::MAX {
-            builder = builder.budget(self.budget);
-        }
-        if self.retries > 1 {
-            builder = builder.retry(RetryPolicy::new(self.retries));
-        }
-        if let Some(path) = self.checkpoint {
-            repo_store = JsonFileRepository::new(path);
-            builder = builder.repository(&mut repo_store);
-        }
-        let result = builder.run_sharded(connector);
-        observer.finish();
-        let report = match result {
-            Ok(report) => report,
-            Err(CrawlError::Stopped { partial }) => {
-                let n = match truth {
-                    Truth::Bag(tuples) => tuples.len(),
-                    Truth::Count(n) => n,
-                };
-                println!(
-                    "stopped at coverage target: {} tuples in {} queries \
-                     ({:.1}% of the dataset)",
-                    partial.tuples.len(),
-                    partial.queries,
-                    100.0 * partial.tuples.len() as f64 / n.max(1) as f64
-                );
-                if let Some(path) = self.checkpoint {
-                    checkpoint_hint(path);
-                }
-                return Ok(());
+    /// Checks a finished crawl's bag and prints the `complete:` line, or
+    /// `INCOMPLETE` when a server's advertised n disagrees.
+    fn check_complete(&self, merged: &CrawlReport) -> Result<(), String> {
+        match &self.truth {
+            Some(tuples) => {
+                verify_complete(tuples, merged).map_err(|e| e.to_string())?;
+                println!("complete: verified against the dataset's bag");
             }
-            Err(CrawlError::Db { error, partial }) => {
+            None if merged.tuples.len() == self.n => println!(
+                "complete: tuple count matches the server's advertised n = {}",
+                self.n
+            ),
+            None => println!(
+                "INCOMPLETE: {} tuples vs server-advertised n = {}",
+                merged.tuples.len(),
+                self.n
+            ),
+        }
+        Ok(())
+    }
+
+    /// Prints a crawl that ended early — what it salvaged, and how to go
+    /// on from its checkpoint, if any. Each is a clean exit.
+    fn report_failure(&self, error: CrawlError, checkpoint: Option<&str>) -> Result<(), String> {
+        match error {
+            CrawlError::Stopped { partial } => println!(
+                "stopped at coverage target: {} tuples in {} queries \
+                 ({:.1}% of the dataset)",
+                partial.tuples.len(),
+                partial.queries,
+                100.0 * partial.tuples.len() as f64 / self.n.max(1) as f64
+            ),
+            CrawlError::Unsolvable { witness, partial } => println!(
+                "UNCRAWLABLE at k = {k}: point `{witness}` holds more than {k} tuples \
+                 ({} tuples salvaged in {} queries)",
+                partial.tuples.len(),
+                partial.queries,
+                k = self.k
+            ),
+            CrawlError::Db { error, partial } => {
                 println!(
                     "stopped: {error} — {} tuples salvaged in {} queries",
                     partial.tuples.len(),
                     partial.queries
                 );
                 plan_mismatch_hint(&error);
-                if let Some(path) = self.checkpoint {
-                    checkpoint_hint(path);
-                }
-                return Ok(());
             }
-            Err(e) => return Err(e.to_string()),
-        };
-        println!(
-            "sharded over {sessions} sessions ({} shards, {} stolen): \
-             {} tuples in {} total queries, busiest session {}",
-            report.shards.len(),
-            report.steals(),
-            report.merged.tuples.len(),
-            report.merged.queries,
-            report.max_session_queries()
-        );
-        for (s, r) in report.per_session.iter().enumerate() {
-            let (shards, tuples) = report
-                .shards
-                .iter()
-                .filter(|run| run.worker == s)
-                .fold((0u64, 0u64), |(n, t), run| (n + 1, t + run.tuples));
-            println!(
-                "  session {s}: {} queries, {tuples} tuples, {shards} shards",
-                r.queries
-            );
         }
-        match truth {
-            Truth::Bag(tuples) => {
-                verify_complete(tuples, &report.merged).map_err(|e| e.to_string())?;
-                println!("complete: verified against the dataset's bag");
-            }
-            Truth::Count(n) if report.merged.tuples.len() == n => {
-                println!("complete: tuple count matches the server's advertised n = {n}");
-            }
-            Truth::Count(n) => println!(
-                "INCOMPLETE: {} tuples vs server-advertised n = {n}",
-                report.merged.tuples.len()
-            ),
+        if let Some(path) = checkpoint {
+            checkpoint_hint(path);
         }
         Ok(())
     }
 }
 
+/// `hdc crawl`: one builder run on the shard pool, whatever the
+/// transport. The plan comes from `--sessions`/`--oversubscribe` alone;
+/// one session at factor 1 is the whole space, crawled by the strategy's
+/// own solo crawler, checkpointed or not.
 fn cmd_crawl(flags: &Flags) -> Result<(), String> {
-    let remote = over_wire(flags)?;
     let sessions: usize = flags.at_least("sessions", 1, 1)?;
     let oversubscribe: usize = flags.at_least("oversubscribe", 1, 1)?;
     let budget: u64 = flags.parse("budget", u64::MAX)?;
     let target: u64 = flags.parse("target", 0)?;
-    let retries: u32 = flags.parse("retries", 1)?;
-    let use_oracle = flags.get("oracle").is_some();
-    if retries == 0 {
-        return Err("--retries must be ≥ 1 (1 = no retries)".into());
-    }
+    let retries: u32 = flags.at_least("retries", 1, 1)?;
     if flags.get("checkpoint").is_some() && flags.get("resume").is_some() {
         return Err("--checkpoint and --resume are the same file; pass one".into());
     }
@@ -708,368 +702,150 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
             return Err(format!("--resume {path}: no checkpoint file found"));
         }
     }
-    let checkpoint = flags
-        .get("resume")
-        .or_else(|| flags.get("checkpoint"))
-        .map(str::to_string);
+    let checkpoint = flags.get("resume").or_else(|| flags.get("checkpoint"));
+    let algo = flags.get("algo").unwrap_or("auto");
+    let strategy = strategy_for(algo)?;
+    let source = Source::open(flags)?;
+    let schema = &source.schema;
+    println!(
+        "ideal cost n/k = {:.0}",
+        theory::ideal_cost(source.n as f64, source.k as f64)
+    );
+    if algo == "auto" {
+        println!("auto strategy: {:?}", strategy.resolve(schema));
+    }
+    // The builder panics on an unsupported combination; ask first.
+    if sessions == 1 && oversubscribe == 1 {
+        if !strategy.supports(schema) {
+            return Err(format!("{algo} does not support the {} schema", source.name));
+        }
+    } else if !strategy.supports_sharded(schema) {
+        return Err(format!(
+            "{algo} has no sharded execution on the {} schema (use auto, hybrid, \
+             rank-shrink on numeric, or lazy-slice-cover on categorical data)",
+            source.name
+        ));
+    }
+    let use_oracle = flags.get("oracle").is_some();
+    if use_oracle && algo == "slice-cover" {
+        return Err("\"slice-cover\" does not support --oracle".into());
+    }
+
     let mut observer = CliObserver::new((target > 0).then_some(target));
     if flags.get("live").is_some() {
         observer = observer.live();
     }
-    let algo = flags.get("algo").unwrap_or("auto");
-    let sharded = ShardedCrawl {
-        sessions,
-        oversubscribe,
-        budget,
-        retries,
-        checkpoint: checkpoint.as_deref(),
-    };
-
-    if remote {
-        // Schema and `k` come from the server; there is no local ground
-        // truth, so completeness is checked against the server's
-        // advertised tuple count instead of a multiset.
-        if use_oracle || target > 0 {
-            return Err("--connect crawls do not support --oracle/--target".into());
-        }
-        let connector = make_connector(flags)?;
-        let info = connector.info().clone();
-        println!(
-            "remote database at {} — n = {}, d = {}, k = {}",
-            connector.addr(),
-            info.n,
-            info.schema.arity(),
-            info.k
-        );
-        let strategy = resolve_strategy(algo, &info.schema)?;
-        return sharded.run(
-            strategy,
-            algo,
-            ("remote", &info.schema),
-            connector,
-            &mut observer,
-            Truth::Count(info.n),
-        );
-    }
-
-    let dataset = flags.require("dataset")?.to_string();
-    let k: usize = flags.at_least("k", 256, 1)?;
-    let seed: u64 = flags.parse("seed", 42)?;
-    let scale: u32 = flags.parse("scale", 100)?;
-    let ds = load_dataset(&dataset, scale, seed)?;
-    println!(
-        "dataset {} — n = {}, d = {}, k = {k}",
-        ds.name,
-        ds.n(),
-        ds.d()
-    );
-    println!(
-        "ideal cost n/k = {:.0}",
-        theory::ideal_cost(ds.n() as f64, k as f64)
-    );
-    let strategy = resolve_strategy(algo, &ds.schema)?;
-
-    // An over-partitioned plan is meaningful even on one session (finer
-    // progress granularity, and the plan a fleet of identities would
-    // use), and checkpoints are banked per shard, so any non-default
-    // flag routes through the sharded pool.
-    if sessions > 1 || oversubscribe > 1 || checkpoint.is_some() {
-        if use_oracle {
-            return Err(
-                "--sessions/--oversubscribe/--checkpoint/--resume cannot be combined with --oracle"
-                    .into(),
-            );
-        }
-        // Only a checkpoint brings a one-session, factor-1 crawl here: it
-        // keeps the 8-shard plan it has always used, so existing
-        // checkpoint files still resume.
-        let oversubscribe = if sessions == 1 && oversubscribe == 1 {
-            8
-        } else {
-            oversubscribe
-        };
-        // One shared store for the whole fleet: every identity is a
-        // lightweight client of the same immutable columnar store
-        // (bit-identical responses, one build) instead of a full
-        // per-identity clone of the data.
-        let shared = SharedServer::new(
-            ds.schema.clone(),
-            ds.tuples.clone(),
-            ServerConfig { k, seed },
-        )
-        .expect("valid dataset");
-        return ShardedCrawl {
-            oversubscribe,
-            ..sharded
-        }
-        .run(
-            strategy,
-            algo,
-            (&ds.name, &ds.schema),
-            |_s| shared.client(),
-            &mut observer,
-            Truth::Bag(&ds.tuples),
-        );
-    }
-
-    if use_oracle && algo == "slice-cover" {
-        return Err("\"slice-cover\" does not support --oracle".into());
-    }
-    if !strategy.supports(&ds.schema) {
-        return Err(format!("{algo} does not support the {} schema", ds.name));
-    }
-    let oracle_store;
-    let mut server = HiddenDbServer::new(
-        ds.schema.clone(),
-        ds.tuples.clone(),
-        ServerConfig { k, seed },
-    )
-    .expect("valid dataset");
+    let oracle;
+    let mut repository;
     let mut builder = Crawl::builder()
         .strategy(strategy)
-        .budget(budget)
+        .sessions(sessions)
+        .oversubscribe(oversubscribe)
         .observer(&mut observer);
-    if use_oracle {
-        oracle_store = DatasetOracle::new(ds.tuples.clone());
-        builder = builder.oracle(&oracle_store);
+    if budget != u64::MAX {
+        builder = builder.budget(budget);
     }
     if retries > 1 {
         builder = builder.retry(RetryPolicy::new(retries));
     }
-    let result = builder.run(&mut server);
-    observer.finish();
-    match result {
-        Ok(report) => {
-            verify_complete(&ds.tuples, &report).map_err(|e| e.to_string())?;
-            println!(
-                "{}: {} tuples in {} queries ({} resolved, {} overflowed, {} pruned free)",
-                report.algorithm,
-                report.tuples.len(),
-                report.queries,
-                report.resolved,
-                report.overflowed,
-                report.pruned
-            );
-            let m = report.metrics;
-            println!(
-                "metrics: {} 2-way / {} 3-way splits, {} slices fetched ({} overflowed), \
-                 {} local answers, {} leaf sub-crawls, {} slice-cache hits",
-                m.two_way_splits,
-                m.three_way_splits,
-                m.slice_fetches,
-                m.slice_overflows,
-                m.local_answers,
-                m.leaf_subcrawls,
-                m.slice_cache_hits
-            );
-            println!(
-                "progressiveness: max deviation from diagonal {:.3}",
-                report.progress_deviation()
-            );
-            Ok(())
-        }
-        Err(CrawlError::Stopped { partial }) => {
-            println!(
-                "stopped at coverage target: {} tuples in {} queries \
-                 ({:.1}% of the dataset)",
-                partial.tuples.len(),
-                partial.queries,
-                100.0 * partial.tuples.len() as f64 / ds.n().max(1) as f64
-            );
-            Ok(())
-        }
-        Err(CrawlError::Unsolvable { witness, partial }) => {
-            println!(
-                "UNCRAWLABLE at k = {k}: point `{witness}` holds more than {k} tuples \
-                 ({} tuples salvaged in {} queries)",
-                partial.tuples.len(),
-                partial.queries
-            );
-            Ok(())
-        }
-        Err(CrawlError::Db { error, partial }) => {
-            println!(
-                "stopped: {error} — {} tuples salvaged in {} queries",
-                partial.tuples.len(),
-                partial.queries
-            );
-            Ok(())
-        }
+    if use_oracle {
+        let truth = source.truth.clone();
+        oracle = DatasetOracle::new(truth.expect("over_wire refuses --oracle"));
+        builder = builder.oracle(&oracle);
     }
+    if let Some(path) = checkpoint {
+        repository = JsonFileRepository::new(path);
+        builder = builder.repository(&mut repository);
+    }
+    let result = builder.run_sharded(&*source.connector);
+    observer.finish();
+    let report = match result {
+        Ok(report) => report,
+        Err(e) => return source.report_failure(e, checkpoint),
+    };
+    let merged = &report.merged;
+    println!(
+        "{}: {} tuples in {} queries ({} resolved, {} overflowed, {} pruned free)",
+        merged.algorithm,
+        merged.tuples.len(),
+        merged.queries,
+        merged.resolved,
+        merged.overflowed,
+        merged.pruned
+    );
+    let m = merged.metrics;
+    println!(
+        "metrics: {} 2-way / {} 3-way splits, {} slices fetched ({} overflowed), \
+         {} local answers, {} leaf sub-crawls, {} slice-cache hits",
+        m.two_way_splits,
+        m.three_way_splits,
+        m.slice_fetches,
+        m.slice_overflows,
+        m.local_answers,
+        m.leaf_subcrawls,
+        m.slice_cache_hits
+    );
+    // Only a one-shard plan has a crawl-wide curve: shards run
+    // concurrently, so theirs do not add up to one.
+    if !merged.progress.is_empty() {
+        println!(
+            "progressiveness: max deviation from diagonal {:.3}",
+            merged.progress_deviation()
+        );
+    }
+    println!(
+        "plan: {} shard(s) over {sessions} session(s), {} stolen, busiest session {} queries",
+        report.shards.len(),
+        report.steals(),
+        report.max_session_queries()
+    );
+    for (s, r) in report.per_session.iter().enumerate() {
+        let (shards, tuples) = report
+            .shards
+            .iter()
+            .filter(|run| run.worker == s && !run.restored)
+            .fold((0u64, 0u64), |(n, t), run| (n + 1, t + run.tuples));
+        println!(
+            "  session {s}: {} queries, {tuples} tuples, {shards} shards",
+            r.queries
+        );
+    }
+    source.check_complete(merged)
 }
 
+/// `hdc barrier`: the top-k-barrier crawl on the shard pool, whatever
+/// the transport; one session at factor 1 is the solo barrier crawl.
 fn cmd_barrier(flags: &Flags) -> Result<(), String> {
-    let remote = over_wire(flags)?;
     let sessions: usize = flags.at_least("sessions", 1, 1)?;
     let oversubscribe: usize = flags.at_least("oversubscribe", 1, 1)?;
-    let crawler = BarrierCrawler::new();
+    let source = Source::open(flags)?;
     let mut observer = CliObserver::new(None);
     if flags.get("live").is_some() {
         observer = observer.live();
     }
-    if remote {
-        let connector = make_connector(flags)?;
-        let info = connector.info();
-        println!(
-            "remote database at {} — n = {}, d = {}, k = {}",
-            connector.addr(),
-            info.n,
-            info.schema.arity(),
-            info.k
-        );
-        return barrier_sharded(
-            &crawler,
-            connector,
-            sessions,
-            oversubscribe,
-            &mut observer,
-            None,
-        );
-    }
-
-    let dataset = flags.require("dataset")?.to_string();
-    let k: usize = flags.at_least("k", 256, 1)?;
-    let seed: u64 = flags.parse("seed", 42)?;
-    let scale: u32 = flags.parse("scale", 100)?;
-    let ds = load_dataset(&dataset, scale, seed)?;
-    println!(
-        "dataset {} — n = {}, d = {}, k = {k}",
-        ds.name,
-        ds.n(),
-        ds.d()
+    let result = BarrierCrawler::new().crawl_sharded(
+        &*source.connector,
+        sessions,
+        oversubscribe,
+        Some(&mut observer),
     );
-    if sessions > 1 || oversubscribe > 1 {
-        // As in `hdc crawl`: the fleet shares one store via clients.
-        let shared = SharedServer::new(
-            ds.schema.clone(),
-            ds.tuples.clone(),
-            ServerConfig { k, seed },
-        )
-        .expect("valid dataset");
-        return barrier_sharded(
-            &crawler,
-            |_s| shared.client(),
-            sessions,
-            oversubscribe,
-            &mut observer,
-            Some(&ds.tuples),
-        );
-    }
-
-    let mut db = HiddenDbServer::new(
-        ds.schema.clone(),
-        ds.tuples.clone(),
-        ServerConfig { k, seed },
-    )
-    .expect("valid dataset");
-    let config = SessionConfig {
-        observer: Some(&mut observer),
-        ..SessionConfig::default()
+    observer.finish();
+    let report = match result {
+        Ok(report) => report,
+        Err(e) => return source.report_failure(e, None),
     };
-    let result = crawler.crawl_report(&mut db, config);
-    observer.finish();
-    match result {
-        Ok(out) => {
-            verify_complete(&ds.tuples, &out.report).map_err(|e| e.to_string())?;
-            println!(
-                "barrier: {} tuples in {} queries ({} resolved, {} overflowed)",
-                out.report.tuples.len(),
-                out.report.queries,
-                out.report.resolved,
-                out.report.overflowed
-            );
-            println!(
-                "frontier {} (k-visible at the root), beyond frontier {} \
-                 ({} pivot expansions, mean depth {:.2})",
-                out.frontier(),
-                out.beyond_frontier(),
-                out.report.metrics.barrier_pivots,
-                out.mean_depth()
-            );
-            let hist = out.depth_histogram();
-            let mut table = TextTable::new(&["depth", "tuples discovered"]);
-            for (depth, count) in hist.iter().enumerate() {
-                table.row(&[&depth, count]);
-            }
-            table.print();
-            Ok(())
-        }
-        Err(CrawlError::Unsolvable { witness, partial }) => {
-            println!(
-                "UNCRAWLABLE at k = {k}: point `{witness}` holds more than {k} tuples \
-                 ({} tuples salvaged in {} queries)",
-                partial.tuples.len(),
-                partial.queries
-            );
-            Ok(())
-        }
-        Err(CrawlError::Db { error, partial }) => {
-            println!(
-                "stopped: {error} — {} tuples salvaged in {} queries",
-                partial.tuples.len(),
-                partial.queries
-            );
-            Ok(())
-        }
-        Err(CrawlError::Stopped { partial }) => {
-            println!(
-                "stopped by observer: {} tuples in {} queries",
-                partial.tuples.len(),
-                partial.queries
-            );
-            Ok(())
-        }
-    }
-}
-
-// ----------------------------------------------------------------- wire --
-
-/// Builds the wire-client connector from `--connect` plus the client
-/// health knobs (`--timeout-ms`, `--qps`/`--burst`, `--retire-after`).
-fn make_connector(flags: &Flags) -> Result<HttpConnector, String> {
-    let url = flags.require("connect")?;
-    let timeout_ms: u64 = flags.parse("timeout-ms", 5_000)?;
-    let retire: u32 = flags.parse("retire-after", 8)?;
-    let qps: f64 = flags.parse("qps", 0.0)?;
-    let mut connector = HttpConnector::new(url)
-        .map_err(|e| format!("--connect {url}: {e}"))?
-        .timeout(Duration::from_millis(timeout_ms.max(1)))
-        .retire_after(retire);
-    if qps > 0.0 {
-        let burst: f64 = flags.parse("burst", qps.max(1.0))?;
-        connector = connector.rate_limit(qps, burst);
-    }
-    Ok(connector)
-}
-
-/// The sharded barrier crawl on the work-stealing pool, whatever the
-/// transport: in process (`truth` is the local bag, checked as a
-/// multiset) or over `--connect`.
-fn barrier_sharded<C: Connector>(
-    crawler: &BarrierCrawler,
-    connector: C,
-    sessions: usize,
-    oversubscribe: usize,
-    observer: &mut CliObserver,
-    truth: Option<&[Tuple]>,
-) -> Result<(), String> {
-    let result = crawler.crawl_sharded(connector, sessions, oversubscribe, Some(&mut *observer));
-    observer.finish();
-    let report = result.map_err(|e| e.to_string())?;
-    if let Some(truth) = truth {
-        verify_complete(truth, &report.sharded.merged).map_err(|e| e.to_string())?;
-    }
+    let sharded = &report.sharded;
     println!(
         "sharded barrier over {} sessions ({} shards, {} stolen): \
          {} total queries, {} tuples, busiest session {}",
-        report.sharded.per_session.len(),
-        report.sharded.shards.len(),
-        report.sharded.steals(),
-        report.sharded.merged.queries,
-        report.sharded.merged.tuples.len(),
-        report.sharded.max_session_queries()
+        sharded.per_session.len(),
+        sharded.shards.len(),
+        sharded.steals(),
+        sharded.merged.queries,
+        sharded.merged.tuples.len(),
+        sharded.max_session_queries()
     );
-    let m = report.sharded.merged.metrics;
+    let m = sharded.merged.metrics;
     println!(
         "barrier metrics: {} pivots, {} tuples surfaced from below per-shard frontiers",
         m.barrier_pivots, m.barrier_deep_tuples
@@ -1089,7 +865,40 @@ fn barrier_sharded<C: Connector>(
         table.row(&[&depth, count]);
     }
     table.print();
-    Ok(())
+    source.check_complete(&sharded.merged)
+}
+
+// ----------------------------------------------------------------- wire --
+
+/// Builds the wire-client connector from the URL in `--{url_flag}` plus
+/// the client health knobs (`--timeout-ms`, `--qps`/`--burst`,
+/// `--retire-after`). Every knob is checked before the first connection:
+/// a knob that would be clamped or ignored is an error instead.
+fn make_connector(flags: &Flags, url_flag: &str) -> Result<HttpConnector, String> {
+    let url = flags.require(url_flag)?;
+    let timeout_ms: u64 = flags.at_least("timeout-ms", 5_000, 1)?;
+    let retire: u32 = flags.at_least("retire-after", 8, 1)?;
+    let rate = match flags.get("qps") {
+        Some(_) => {
+            let qps: f64 = flags.parse("qps", 0.0)?;
+            if !(qps > 0.0 && qps.is_finite()) {
+                return Err("--qps must be a positive, finite rate".into());
+            }
+            Some((qps, flags.at_least("burst", qps.max(1.0), 1.0)?))
+        }
+        None if flags.get("burst").is_some() => {
+            return Err("--burst is read only with --qps".into())
+        }
+        None => None,
+    };
+    let mut connector = HttpConnector::new(url)
+        .map_err(|e| format!("--{url_flag} {url}: {e}"))?
+        .timeout(Duration::from_millis(timeout_ms))
+        .retire_after(retire);
+    if let Some((qps, burst)) = rate {
+        connector = connector.rate_limit(qps, burst);
+    }
+    Ok(connector)
 }
 
 /// `hdc serve`: expose a dataset over loopback HTTP/1.1 until an
@@ -1311,24 +1120,10 @@ fn report_fleet(
 fn cmd_work(flags: &Flags) -> Result<(), String> {
     let url = flags.require("join")?.to_string();
     let name = flags.get("name").unwrap_or("worker").to_string();
-    let retries: u32 = flags.parse("retries", 1)?;
-    if retries == 0 {
-        return Err("--retries must be ≥ 1 (1 = no retries)".into());
-    }
-    let timeout_ms: u64 = flags.parse("timeout-ms", 5_000)?;
-    let retire: u32 = flags.parse("retire-after", 8)?;
-    let qps: f64 = flags.parse("qps", 0.0)?;
-
+    let retries: u32 = flags.at_least("retries", 1, 1)?;
+    let connector = make_connector(flags, "join")?;
     let mut lease =
         WireLeaseRepository::connect(&url).map_err(|e| format!("--join {url}: {e}"))?;
-    let mut connector = HttpConnector::new(&url)
-        .map_err(|e| format!("--join {url}: {e}"))?
-        .timeout(Duration::from_millis(timeout_ms.max(1)))
-        .retire_after(retire);
-    if qps > 0.0 {
-        let burst: f64 = flags.parse("burst", qps.max(1.0))?;
-        connector = connector.rate_limit(qps, burst);
-    }
     let info = connector.info().clone();
     println!(
         "{name}: joined fleet at {} — n = {}, k = {}, lease ttl {} ms",
@@ -1643,6 +1438,18 @@ mod tests {
                 );
             }
         }
+        // The oracle reads the generated data, so the wire refuses it.
+        let err = run(&argv(&["crawl", "--connect", "http://127.0.0.1:9", "--oracle"]));
+        let err = err.unwrap_err();
+        assert!(err.starts_with("--oracle is not read with --connect"), "{err}");
+        // A burst paces nothing without a rate.
+        for line in [
+            "crawl --connect http://127.0.0.1:9 --burst 4",
+            "work --join http://127.0.0.1:9 --burst 4",
+        ] {
+            let err = run(&argv(&line.split(' ').collect::<Vec<_>>())).unwrap_err();
+            assert_eq!(err, "--burst is read only with --qps", "{line}");
+        }
     }
 
     /// A degenerate size is an `Err` from `run`, never a panic in the
@@ -1666,6 +1473,20 @@ mod tests {
             let err = run(&argv(&args)).unwrap_err();
             assert!(err.contains("must be ≥"), "{line}: {err}");
         }
+        // The wire client's knobs, refused before any connection: a rate
+        // that limits nothing, and sizes that would be clamped to 1.
+        for url in ["crawl --connect", "work --join"] {
+            for (knob, err) in [
+                ("--qps -3", "--qps must be a positive, finite rate"),
+                ("--qps nan", "--qps must be a positive, finite rate"),
+                ("--timeout-ms 0", "--timeout-ms must be ≥ 1"),
+                ("--retire-after 0", "--retire-after must be ≥ 1"),
+            ] {
+                let line = format!("{url} http://127.0.0.1:9 {knob}");
+                let got = run(&argv(&line.split(' ').collect::<Vec<_>>())).unwrap_err();
+                assert_eq!(got, err, "{line}");
+            }
+        }
     }
 
     /// Every command line in the CI workflow and the README parses for
@@ -1674,8 +1495,9 @@ mod tests {
     fn documented_command_lines_parse() {
         let lines = [
             // .github/workflows/ci.yml
-            "crawl --dataset yahoo --algo auto --k 256 --budget 200 --checkpoint c.json",
-            "crawl --dataset yahoo --algo auto --k 256 --resume c.json",
+            "crawl --dataset yahoo --algo auto --k 256 --oversubscribe 8 --budget 200 \
+             --checkpoint c.json",
+            "crawl --dataset yahoo --algo auto --k 256 --oversubscribe 8 --resume c.json",
             "serve --dataset yahoo --scale 20 --k 128 --addr 127.0.0.1:7171 --verbose",
             "crawl --connect http://127.0.0.1:7171 --sessions 4",
             "stop --connect http://127.0.0.1:7171",
@@ -1778,9 +1600,10 @@ mod tests {
         .unwrap();
     }
 
-    /// `--checkpoint` runs on the one-session pool with the 8-shard
-    /// plan: a budget-killed run banks a prefix of it, and `--resume`
-    /// completes the rest.
+    /// A checkpointed one-session crawl on the 8-shard plan: a
+    /// budget-killed run banks a prefix of it, and `--resume` completes
+    /// the rest. (The default one-shard plan banks only a finished
+    /// crawl.)
     #[test]
     fn checkpointed_crawl_resumes_to_completion() {
         let path = std::env::temp_dir().join(format!("hdc_cli_{}.json", std::process::id()));
@@ -1794,7 +1617,7 @@ mod tests {
                 .shards
                 .len()
         };
-        let crawl = ["crawl", "--dataset", "yahoo", "--scale", "2"];
+        let crawl = ["crawl", "--dataset", "yahoo", "--scale", "2", "--oversubscribe", "8"];
         run(&argv(
             &[&crawl[..], &["--budget", "60", "--checkpoint", path]].concat(),
         ))
