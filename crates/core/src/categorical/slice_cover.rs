@@ -20,6 +20,8 @@
 //! queries. Both crawl the whole-space [`ShardSpec`] with the routine
 //! every plan shard runs.
 
+use std::sync::{Condvar, Mutex, OnceLock};
+
 use hdc_types::{HiddenDatabase, Predicate, Query, QueryOutcome, Schema, Tuple};
 
 use crate::crawler::Crawler;
@@ -49,36 +51,95 @@ pub(crate) enum SliceResult {
     },
 }
 
-/// The slice-query lookup table (memoizing, so it also implements the
-/// lazy variant).
-pub(crate) struct SliceTable {
-    /// The categorical attributes, in tree-level order.
-    cat_dims: Vec<usize>,
+/// One crawl's slice lookup table: the recorded response of every slice
+/// query `A = v`, keyed by `(attr, value)`, shared by every shard and
+/// identity of the crawl (§3.2 keeps one table per crawl, and a sharded
+/// crawl is still one crawl). A solo crawl, and each shard a fleet
+/// worker crawls, owns a private memo.
+///
+/// Each entry is *missing*, *in flight* (claimed by the session fetching
+/// it) or *done*. A done entry never changes: the database is a
+/// deterministic adversary, so a recorded response is never stale. The
+/// memo holds at most `Σ Uᵢ` entries over the categorical attributes,
+/// each at most k tuples.
+pub(crate) struct SliceMemo {
     /// Schema arity (for building wildcard queries).
     arity: usize,
-    /// `entries[pos][value]`: response of slice `cat_dims[pos] = value`.
-    entries: Vec<Vec<Option<SliceResult>>>,
+    /// `done[attr][value]`: the slice's response once published; empty
+    /// for numeric attributes.
+    done: Vec<Vec<OnceLock<SliceResult>>>,
+    /// `claimed[attr][value]`: some session is fetching the slice.
+    claimed: Mutex<Vec<Vec<bool>>>,
+    /// Signalled whenever a fetcher publishes or releases claims.
+    changed: Condvar,
+}
+
+impl SliceMemo {
+    /// An empty memo for `schema`'s categorical attributes.
+    pub(crate) fn new(schema: &Schema) -> Self {
+        let sizes: Vec<usize> = (0..schema.arity())
+            .map(|a| schema.kind(a).domain_size().unwrap_or(0) as usize)
+            .collect();
+        SliceMemo {
+            arity: schema.arity(),
+            done: sizes
+                .iter()
+                .map(|&u| (0..u).map(|_| OnceLock::new()).collect())
+                .collect(),
+            claimed: Mutex::new(sizes.iter().map(|&u| vec![false; u]).collect()),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Ends the claims on `values` of `attr`, published or not, and wakes
+    /// the sessions waiting on them.
+    fn release(&self, attr: usize, values: &[u32]) {
+        let mut claimed = self.claimed.lock().expect("slice memo poisoned");
+        for &v in values {
+            claimed[attr][v as usize] = false;
+        }
+        drop(claimed);
+        self.changed.notify_all();
+    }
+}
+
+/// Slices a session claimed: released when dropped, so a fetch that
+/// fails — an error the retry policy could not absorb, an exhausted
+/// budget, a cancel, even a panic — never strands a waiter.
+struct Claim<'m> {
+    memo: &'m SliceMemo,
+    attr: usize,
+    values: Vec<u32>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.memo.release(self.attr, &self.values);
+    }
+}
+
+/// One shard's view of its crawl's [`SliceMemo`]: the shard's tree
+/// levels over the memo (memoizing, so it also implements the lazy
+/// variant).
+pub(crate) struct SliceTable<'m> {
+    /// The crawl's slice memo.
+    memo: &'m SliceMemo,
+    /// The categorical attributes, in tree-level order.
+    cat_dims: Vec<usize>,
     /// Keep the k-window of overflowed *leaf-level* slices (see
     /// [`SliceTable::cache_leaf_windows`]).
     keep_leaf_windows: bool,
 }
 
-impl SliceTable {
-    pub(crate) fn new(schema: &Schema, cat_dims: &[usize]) -> Self {
-        let entries = cat_dims
-            .iter()
-            .map(|&a| {
-                let size = schema
-                    .kind(a)
-                    .domain_size()
-                    .expect("slice table requires categorical attributes");
-                (0..size).map(|_| None).collect()
-            })
-            .collect();
+impl<'m> SliceTable<'m> {
+    pub(crate) fn new(memo: &'m SliceMemo, cat_dims: &[usize]) -> Self {
+        assert!(
+            cat_dims.iter().all(|&a| !memo.done[a].is_empty()),
+            "slice table requires categorical attributes"
+        );
         SliceTable {
+            memo,
             cat_dims: cat_dims.to_vec(),
-            arity: schema.arity(),
-            entries,
             keep_leaf_windows: false,
         }
     }
@@ -93,7 +154,9 @@ impl SliceTable {
     /// to re-issue it as its root just to obtain a pivot window — the
     /// server is deterministic, so the recorded window is exactly what
     /// the re-issue would return. Memory cost is O(k) per overflowed
-    /// leaf slice, bounded by `U_leaf` windows.
+    /// leaf slice, bounded by `U_leaf` windows. Every shard of a plan
+    /// has the same number of levels, so tables sharing a memo agree on
+    /// this setting.
     pub(crate) fn cache_leaf_windows(&mut self) {
         self.keep_leaf_windows = true;
     }
@@ -110,51 +173,107 @@ impl SliceTable {
 
     /// Domain size of the attribute at tree level `pos`.
     pub(crate) fn domain_size(&self, pos: usize) -> u32 {
-        self.entries[pos].len() as u32
+        self.memo.done[self.attr(pos)].len() as u32
     }
 
     /// The slice query `A_{cat_dims[pos]} = value` (wildcards elsewhere).
     pub(crate) fn slice_query(&self, pos: usize, value: u32) -> Query {
-        Query::any(self.arity).with_pred(self.cat_dims[pos], Predicate::Eq(value))
+        Query::any(self.memo.arity).with_pred(self.attr(pos), Predicate::Eq(value))
     }
 
     /// The recorded response for a slice, or `None` if it has not been
     /// fetched yet. A plain lookup: callers that may still need to issue
     /// the query go through [`SliceTable::fetch_many`] first.
-    pub(crate) fn get(&self, pos: usize, value: u32) -> Option<&SliceResult> {
-        self.entries[pos][value as usize].as_ref()
+    pub(crate) fn get(&self, pos: usize, value: u32) -> Option<&'m SliceResult> {
+        self.memo.done[self.attr(pos)][value as usize].get()
     }
 
-    /// Fetches the missing slices among `values` at tree level `pos` as a
-    /// single batch (sibling slice queries share the server's batch
-    /// planning). Already-recorded slices are **cache hits**: they are
-    /// skipped — and tallied in
-    /// [`CrawlMetrics::slice_cache_hits`](crate::CrawlMetrics::slice_cache_hits)
-    /// — so this composes with both the eager and the lazy variant, and
-    /// the slice lists one extended-DFS node fetched are shared by every
-    /// later `MAX_BATCH` window (its own or a sibling subtree's) that
-    /// requests them in the same session. The queries issued are exactly
-    /// the first-request misses; the hit counter makes the memoization
-    /// visible without changing any query set or cost.
+    /// Makes the slices `values` at tree level `pos` done in the memo —
+    /// the only way anything enters it. Slices already done are **cache
+    /// hits**, tallied in
+    /// [`CrawlMetrics::slice_cache_hits`](crate::CrawlMetrics::slice_cache_hits):
+    /// this composes with both the eager and the lazy variant, and a
+    /// slice fetched once serves every later request — its own node's
+    /// next window, a sibling subtree, or another shard of the crawl.
+    ///
+    /// The protocol, which keeps every slice to one charge and can
+    /// neither deadlock nor hang:
+    ///
+    /// 1. **Claim** every requested slice that is neither done nor in
+    ///    flight.
+    /// 2. **Fetch** the claimed slices on this session, in
+    ///    [`MAX_BATCH`]-sized batches (sibling slice queries share the
+    ///    server's batch planning), and **publish** each batch's
+    ///    responses, tallied in `slice_fetches`.
+    /// 3. Only then **wait** for the slices other sessions claimed. A
+    ///    published slice is a cache hit. A fetch that fails publishes
+    ///    its answered prefix and releases the rest of its claims; a
+    ///    waiter that finds its slice released claims it and fetches it
+    ///    itself, on its own identity.
+    ///
+    /// A session never waits while it holds claims it has not fetched, so
+    /// no cycle of waits can form. The queries issued are exactly the
+    /// slices no session had recorded; which session pays for a shared
+    /// slice depends on timing, but how many slices the crawl pays for
+    /// does not.
     pub(crate) fn fetch_many(
-        &mut self,
+        &self,
         session: &mut Session<'_>,
         pos: usize,
         values: &[u32],
     ) -> Result<(), Abort> {
-        let mut missing: Vec<u32> = Vec::new();
-        for &v in values {
-            if self.entries[pos][v as usize].is_none() {
-                missing.push(v);
-            } else {
-                session.metrics().slice_cache_hits += 1;
+        let attr = self.attr(pos);
+        let memo = self.memo;
+        let mut pending = values.to_vec();
+        loop {
+            let mut hits = 0;
+            let mine = {
+                let mut claimed = memo.claimed.lock().expect("slice memo poisoned");
+                loop {
+                    let mut mine = Vec::new();
+                    pending.retain(|&v| {
+                        if memo.done[attr][v as usize].get().is_some() {
+                            hits += 1;
+                        } else if !claimed[attr][v as usize] {
+                            claimed[attr][v as usize] = true;
+                            mine.push(v);
+                        } else {
+                            return true;
+                        }
+                        false
+                    });
+                    if !mine.is_empty() || pending.is_empty() {
+                        break mine;
+                    }
+                    claimed = memo.changed.wait(claimed).expect("slice memo poisoned");
+                }
+            };
+            session.metrics().slice_cache_hits += hits;
+            if mine.is_empty() {
+                return Ok(());
             }
+            let claim = Claim {
+                memo,
+                attr,
+                values: mine,
+            };
+            self.fetch_claimed(session, pos, claim)?;
         }
-        // Windowed so a wide domain (eager preprocessing fetches whole
-        // levels) never rides one unbounded all-or-nothing batch.
-        for window in missing.chunks(MAX_BATCH) {
+    }
+
+    /// Fetches and publishes the slices `claim` holds at tree level
+    /// `pos`, window by window. Dropping the claim releases whatever
+    /// could not be published.
+    fn fetch_claimed(
+        &self,
+        session: &mut Session<'_>,
+        pos: usize,
+        claim: Claim<'_>,
+    ) -> Result<(), Abort> {
+        let done = &self.memo.done[claim.attr];
+        for window in claim.values.chunks(MAX_BATCH) {
             let queries: Vec<Query> = window.iter().map(|&v| self.slice_query(pos, v)).collect();
-            let outs = session.run_batch(&queries)?;
+            let (outs, end) = session.run_batch_prefix(&queries);
             for (&v, out) in window.iter().zip(outs) {
                 session.metrics().slice_fetches += 1;
                 if out.overflow {
@@ -167,15 +286,19 @@ impl SliceTable {
                 } else {
                     SliceResult::Resolved(out.tuples)
                 };
-                self.entries[pos][v as usize] = Some(entry);
+                done[v as usize]
+                    .set(entry)
+                    .expect("only the claim holder publishes a slice");
             }
+            end?;
+            self.memo.release(claim.attr, window);
         }
         Ok(())
     }
 
     /// The eager preprocessing phase: issues every slice query of every
     /// categorical attribute (`Σ Ui` queries), one batch per attribute.
-    pub(crate) fn prefetch_all(&mut self, session: &mut Session<'_>) -> Result<(), Abort> {
+    pub(crate) fn prefetch_all(&self, session: &mut Session<'_>) -> Result<(), Abort> {
         for pos in 0..self.levels() {
             let values: Vec<u32> = (0..self.domain_size(pos)).collect();
             self.fetch_many(session, pos, &values)?;
@@ -224,7 +347,7 @@ pub(crate) struct DfsRoot {
 #[cfg(test)]
 pub(crate) fn extended_dfs(
     session: &mut Session<'_>,
-    table: &mut SliceTable,
+    table: &SliceTable<'_>,
     leaf: &LeafMode<'_>,
 ) -> Result<(), Abort> {
     let values = (0..table.domain_size(0)).collect();
@@ -233,7 +356,7 @@ pub(crate) fn extended_dfs(
         table,
         leaf,
         DfsRoot {
-            query: Query::any(table.arity),
+            query: Query::any(table.memo.arity),
             level: 0,
             values,
         },
@@ -260,7 +383,7 @@ pub(crate) fn extended_dfs(
 /// share planning and per-predicate work across siblings.
 pub(crate) fn extended_dfs_from(
     session: &mut Session<'_>,
-    table: &mut SliceTable,
+    table: &SliceTable<'_>,
     leaf: &LeafMode<'_>,
     root: DfsRoot,
 ) -> Result<(), Abort> {
@@ -455,7 +578,8 @@ impl Crawler for SliceCover<'_> {
             "slice-cover requires a categorical schema"
         );
         run_crawl(self.name(), db, self.oracle, config, |session| {
-            ShardSpec::whole(&schema).run(session, &schema, self.eager, None)
+            let memo = SliceMemo::new(&schema);
+            ShardSpec::whole(&schema).run(session, &schema, &memo, self.eager, None)
         })
     }
 }
@@ -508,14 +632,15 @@ mod tests {
         let mut db = figure5_server(3);
         let schema = figure5_schema();
         let report = run_crawl("test", &mut db, None, SessionConfig::default(), |session| {
-            let mut table = SliceTable::new(&schema, &[0, 1]);
+            let memo = SliceMemo::new(&schema);
+            let table = SliceTable::new(&memo, &[0, 1]);
             table.prefetch_all(session)?;
             // A1 = 1 (paper) = value 0: overflow. A1 = 2 → {t5}.
             assert!(matches!(
-                table.entries[0][0],
+                table.get(0, 0),
                 Some(SliceResult::Overflowed { .. })
             ));
-            match &table.entries[0][1] {
+            match table.get(0, 1) {
                 Some(SliceResult::Resolved(ts)) => {
                     assert_eq!(TupleBag::from_tuples(ts.clone()).len(), 1);
                     assert_eq!(ts[0], cat_tuple(&[1, 3]));
@@ -523,10 +648,10 @@ mod tests {
                 other => panic!("A1=2 should resolve, got {other:?}"),
             }
             assert!(matches!(
-                table.entries[0][2],
+                table.get(0, 2),
                 Some(SliceResult::Overflowed { .. })
             ));
-            match &table.entries[0][3] {
+            match table.get(0, 3) {
                 Some(SliceResult::Resolved(ts)) => assert_eq!(ts, &[cat_tuple(&[3, 1])]),
                 other => panic!("A1=4 should resolve, got {other:?}"),
             }
@@ -538,7 +663,7 @@ mod tests {
                 &[cat_tuple(&[0, 3]), cat_tuple(&[1, 3])],
             ];
             for (v, want) in expect.iter().enumerate() {
-                match &table.entries[1][v] {
+                match table.get(1, v as u32) {
                     Some(SliceResult::Resolved(ts)) => {
                         let got = TupleBag::from_tuples(ts.clone());
                         let want = TupleBag::from_tuples(want.to_vec());
@@ -737,13 +862,14 @@ mod tests {
             .unwrap();
             let rank = RankShrink::new();
             run_crawl("t", &mut db, None, SessionConfig::default(), |session| {
-                let mut table = SliceTable::new(&schema, &[0]);
+                let memo = SliceMemo::new(&schema);
+                let mut table = SliceTable::new(&memo, &[0]);
                 if cache {
                     table.cache_leaf_windows();
                 }
                 extended_dfs(
                     session,
-                    &mut table,
+                    &table,
                     &LeafMode::Numeric {
                         rank: &rank,
                         dims: &[1],

@@ -19,6 +19,7 @@
 
 use hdc_types::{HiddenDatabase, Schema};
 
+use crate::categorical::slice_cover::SliceMemo;
 use crate::crawler::Crawler;
 use crate::dependency::ValidityOracle;
 use crate::report::{CrawlError, CrawlReport};
@@ -80,7 +81,8 @@ impl Crawler for Hybrid<'_> {
     ) -> Result<CrawlReport, CrawlError> {
         let schema = db.schema().clone();
         run_crawl(self.name(), db, self.oracle, config, |session| {
-            ShardSpec::whole(&schema).run(session, &schema, self.eager, None)
+            let memo = SliceMemo::new(&schema);
+            ShardSpec::whole(&schema).run(session, &schema, &memo, self.eager, None)
         })
     }
 }
@@ -88,7 +90,7 @@ impl Crawler for Hybrid<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::categorical::slice_cover::{extended_dfs, LeafMode, SliceTable};
+    use crate::categorical::slice_cover::{extended_dfs, LeafMode, SliceMemo, SliceTable};
     use crate::numeric::rank_shrink::RankShrink;
     use crate::validate::verify_complete;
     use hdc_server::{HiddenDbServer, ServerConfig};
@@ -299,13 +301,14 @@ mod tests {
                 let num_dims = ds.schema.num_indices();
                 let rank = RankShrink::new();
                 crate::session::run_crawl("t", &mut db, None, SessionConfig::default(), |session| {
-                    let mut table = SliceTable::new(&ds.schema, &cat_dims);
+                    let memo = SliceMemo::new(&ds.schema);
+                    let mut table = SliceTable::new(&memo, &cat_dims);
                     if force_cache {
                         table.cache_leaf_windows();
                     }
                     extended_dfs(
                         session,
-                        &mut table,
+                        &table,
                         &LeafMode::Numeric {
                             rank: &rank,
                             dims: &num_dims,

@@ -87,7 +87,7 @@ use hdc_types::{Budgeted, HiddenDatabase, Query, QueryOutcome, Schema, Tuple};
 
 use crate::categorical::dfs::Dfs;
 use crate::connector::Connector;
-use crate::categorical::slice_cover::SliceCover;
+use crate::categorical::slice_cover::{SliceCover, SliceMemo};
 use crate::crawler::Crawler;
 use crate::dependency::ValidityOracle;
 use crate::hybrid::Hybrid;
@@ -472,8 +472,9 @@ impl<'a> CrawlBuilder<'a> {
     /// shards dealt to the identities by the work-stealing pool (see
     /// [`crate::Sharded::plan_oversubscribed`]). More shards mean better
     /// balance under skew — a heavy subtree no longer pins a whole
-    /// identity's share — at the price of some re-fetched slice work,
-    /// since each shard builds its own slice table. Only meaningful with
+    /// identity's share. The shards share one slice memo, so a finer
+    /// plan re-fetches no slice; what it may add are node queries a
+    /// sub-split shard issues below its start node. Only meaningful with
     /// [`CrawlBuilder::run_sharded`].
     ///
     /// # Panics
@@ -576,10 +577,12 @@ impl<'a> CrawlBuilder<'a> {
     /// The plan is [`crate::Sharded::plan_oversubscribed`] of the schema
     /// probed from identity 0. Each worker owns one connection for its
     /// whole lifetime and crawls the shards the scheduler deals it, one
-    /// at a time. Results are merged in plan order, so the extracted bag
-    /// and every per-shard cost are those of the plan crawled shard by
-    /// shard, whatever the scheduling (the determinism contract in the
-    /// [`crate::sharded`] docs).
+    /// at a time. The shards share one slice memo, so a slice several
+    /// shards need is charged once, to whichever asks first. Results are
+    /// merged in plan order, so the extracted bag, every shard's bag and
+    /// the merged cost — the plan's distinct queries — are those of the
+    /// plan crawled shard by shard, whatever the scheduling (the
+    /// determinism contract in the [`crate::sharded`] docs).
     ///
     /// * The **one-shard plan** (one session, factor 1, the default) is
     ///   [`ShardSpec::whole`], crawled by the strategy's own solo
@@ -611,8 +614,11 @@ impl<'a> CrawlBuilder<'a> {
     ///   [`CrawlError::Db`], not a panic), its snapshotted shards are
     ///   replayed without issuing a single query, only the remainder is
     ///   crawled, and the updated checkpoint is stored after every
-    ///   completed shard. The merged report of a resumed crawl is
-    ///   bit-identical to an uninterrupted run's.
+    ///   completed shard. The merged bag of a resumed crawl is
+    ///   bit-identical to an uninterrupted run's. Its cost may exceed the
+    ///   uninterrupted cost by the slices the banked shards had fetched
+    ///   and the remaining shards need: the resumed crawl's memo starts
+    ///   empty.
     ///
     /// # Panics
     /// Panics when the configuration is contradictory: a strategy that
@@ -636,11 +642,21 @@ impl<'a> CrawlBuilder<'a> {
         // The one-shard plan is `ShardSpec::whole`: the solo crawl.
         let whole = self.sessions == 1 && self.oversubscribe == 1;
         assert_runnable(strategy, &schema, oracle.is_some(), !whole);
-        self.run_pool(&schema, connector, |spec, db, config| match strategy {
+        // One slice memo for the whole crawl, shared by every shard.
+        let memo = SliceMemo::new(&schema);
+        let mut result = self.run_pool(&schema, connector, |spec, db, config| match strategy {
             _ if whole => run_solo(strategy, db, oracle, &schema, config),
             Strategy::Custom(c) => c.crawl_spec(db, &schema, spec, config),
-            _ => spec.crawl_with(db, &schema, oracle.map(|o| o as _), config, None),
-        })
+            _ => spec.crawl_on(&memo, db, &schema, oracle.map(|o| o as _), config, None),
+        });
+        if let Ok(report) = &mut result {
+            if whole && report.shards[0].restored {
+                // A snapshot banks no algorithm name; a restored
+                // one-shard plan is still the solo crawl.
+                report.merged.algorithm = solo_name(strategy);
+            }
+        }
+        result
     }
 }
 
@@ -654,7 +670,26 @@ fn run_solo(
     config: SessionConfig<'_>,
 ) -> Result<CrawlReport, CrawlError> {
     assert_runnable(strategy, schema, oracle.is_some(), false);
-    let crawler: Box<dyn Crawler + '_> = match (strategy, oracle) {
+    match strategy {
+        Strategy::Custom(c) => c.crawl_with(db, config),
+        _ => solo_crawler(strategy, oracle).crawl_with(db, config),
+    }
+}
+
+/// The name the strategy's solo crawler reports.
+fn solo_name(strategy: Strategy<'_>) -> &'static str {
+    match strategy {
+        Strategy::Custom(c) => c.name(),
+        _ => solo_crawler(strategy, None).name(),
+    }
+}
+
+/// The built-in crawler for a resolved, non-custom strategy.
+fn solo_crawler<'o>(
+    strategy: Strategy<'_>,
+    oracle: Option<&'o (dyn ValidityOracle + Sync)>,
+) -> Box<dyn Crawler + 'o> {
+    match (strategy, oracle) {
         (Strategy::Auto, _) => unreachable!("Auto resolved before dispatch"),
         (Strategy::Hybrid, None) => Box::new(Hybrid::new()),
         (Strategy::Hybrid, Some(o)) => Box::new(Hybrid::with_oracle(o)),
@@ -669,12 +704,11 @@ fn run_solo(
         (Strategy::SliceCover { lazy: true }, Some(o)) => {
             Box::new(SliceCover::lazy_with_oracle(o))
         }
-        (Strategy::Custom(c), None) => return c.crawl_with(db, config),
-        (Strategy::SliceCover { lazy: false } | Strategy::Custom(_), Some(_)) => {
+        (Strategy::Custom(_), _) => unreachable!("a custom strategy crawls itself"),
+        (Strategy::SliceCover { lazy: false }, Some(_)) => {
             unreachable!("assert_runnable refuses the oracle")
         }
-    };
-    crawler.crawl_with(db, config)
+    }
 }
 
 /// Panics unless the resolved strategy can crawl `schema` — solo, or on

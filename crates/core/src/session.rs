@@ -336,12 +336,30 @@ impl<'a> Session<'a> {
     /// in [`MAX_BATCH`]-sized windows, reporting between windows, so a
     /// failure forfeits at most one window's outcomes.
     pub fn run_batch(&mut self, queries: &[Query]) -> Result<Vec<QueryOutcome>, Abort> {
+        let (outs, end) = self.run_batch_prefix(queries);
+        end.map(|()| outs)
+    }
+
+    /// [`Session::run_batch`], returning the outcomes answered before an
+    /// abort alongside it: on success every outcome, otherwise the
+    /// answered prefix of `queries`, in order. The slice memo publishes
+    /// that prefix, so a failing fetch never leaves a paid-for slice to
+    /// be paid for again.
+    pub(crate) fn run_batch_prefix(
+        &mut self,
+        queries: &[Query],
+    ) -> (Vec<QueryOutcome>, Result<(), Abort>) {
         if self.stopped || self.cancelled() {
-            return Err(Abort::Stopped);
+            return (Vec::new(), Err(Abort::Stopped));
         }
         match queries {
-            [] => return Ok(Vec::new()),
-            [q] => return Ok(vec![self.run(q)?]),
+            [] => return (Vec::new(), Ok(())),
+            [q] => {
+                return match self.run(q) {
+                    Ok(out) => (vec![out], Ok(())),
+                    Err(e) => (Vec::new(), Err(e)),
+                }
+            }
             _ => {}
         }
         let Some(oracle) = self.oracle else {
@@ -365,13 +383,13 @@ impl<'a> Session<'a> {
                 outcomes[i] = Some(QueryOutcome::resolved(Vec::new()));
             }
         }
-        for (out, i) in self.issue_batch(&forward)?.into_iter().zip(forward_pos) {
+        let (answered, end) = self.issue_batch(&forward);
+        for (out, i) in answered.into_iter().zip(forward_pos) {
             outcomes[i] = Some(out);
         }
-        Ok(outcomes
-            .into_iter()
-            .map(|o| o.expect("every query answered locally or by the batch"))
-            .collect())
+        // On success every query is answered; after an abort, the
+        // answered prefix ends at the first forwarded query left open.
+        (outcomes.into_iter().map_while(|o| o).collect(), end)
     }
 
     /// Batch round trips with per-query accounting and suffix retry.
@@ -386,10 +404,10 @@ impl<'a> Session<'a> {
     /// between failures starts a fresh retry budget (a flapping endpoint
     /// that keeps answering *something* is not a dying one). Permanent
     /// failures — or transients that outlive the policy — abort with the
-    /// accounting exact.
-    fn issue_batch(&mut self, queries: &[Query]) -> Result<Vec<QueryOutcome>, Abort> {
+    /// accounting exact, returning the answered prefix beside the abort.
+    fn issue_batch(&mut self, queries: &[Query]) -> (Vec<QueryOutcome>, Result<(), Abort>) {
         if queries.is_empty() {
-            return Ok(Vec::new());
+            return (Vec::new(), Ok(()));
         }
         let mut outs: Vec<QueryOutcome> = Vec::with_capacity(queries.len());
         let mut attempt = 1u32;
@@ -432,13 +450,15 @@ impl<'a> Session<'a> {
             }
             outs.extend(answered);
             let Some(e) = error else {
-                return Ok(outs);
+                return (outs, Ok(()));
             };
             if progressed {
                 // The fault chain broke: new suffix, fresh budget.
                 attempt = 1;
             }
-            self.absorb(e, &mut attempt)?;
+            if let Err(abort) = self.absorb(e, &mut attempt) {
+                return (outs, Err(abort));
+            }
         }
     }
 

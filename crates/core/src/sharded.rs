@@ -4,8 +4,11 @@
 //! how many queries can be submitted by the same IP address within a
 //! period of time" (§1.1). A crawler with access to several client
 //! identities can therefore *partition* the data space and crawl the
-//! parts concurrently, trading some duplicated slice work for wall-clock
-//! time and per-identity quota headroom.
+//! parts concurrently, for wall-clock time and per-identity quota
+//! headroom. The parts still make one crawl: every shard of a
+//! [`CrawlBuilder::run_sharded`] crawl reads and fills one slice memo
+//! (§3.2's lookup table), so no slice is paid for twice, whichever
+//! shards need it.
 //!
 //! # Plans and shards
 //!
@@ -65,16 +68,33 @@
 //!
 //! Which worker runs which shard depends on timing and is **not**
 //! deterministic. Everything the crawl *reports about the data* is:
-//! each shard's query sequence (and hence its cost and extracted bag)
-//! depends only on the shard spec and the database, never on the worker
-//! or the order shards interleave, and the merged report concatenates
-//! shard results **in plan order**. The `sharded_steal` differential
-//! suite enforces this: a work-stealing run and a sequential
-//! one-shard-at-a-time run of the same plan produce identical merged
-//! bags, identical total cost, and identical per-shard costs.
-//! Scheduling shows up only in wall-clock, in the per-identity
-//! aggregation ([`ShardedReport::per_session`]), and in the
-//! [`ShardedReport::pool`] counters.
+//! each shard's traversal (and hence its extracted bag) depends only on
+//! the shard spec and the database, never on the worker or the order
+//! shards interleave, and the merged report concatenates shard results
+//! **in plan order**.
+//!
+//! The shards share one slice memo, and which shard pays for a slice
+//! several of them need depends on which asks first. So a shard's own
+//! `queries`, and the split of its slice work between
+//! `slice_fetches` and `slice_cache_hits`, are schedule-dependent; a
+//! shard never costs more than it costs crawled alone. These stay
+//! deterministic: the merged bag, every shard's bag, the merged cost and
+//! the merged metrics. The merged cost is the number of *distinct*
+//! queries the plan's shards issue crawled one by one, each on its own
+//! memo: the repeats are all slices, because the other queries of
+//! disjoint shards never coincide. The `sharded_steal` and
+//! `builder_equiv` differential suites enforce this against a
+//! query-logged sequential run of the same plan. Scheduling shows up
+//! otherwise only in wall-clock, in the per-identity aggregation
+//! ([`ShardedReport::per_session`]), and in the [`ShardedReport::pool`]
+//! counters.
+//!
+//! A resumed crawl starts with an empty memo, so it may pay again for a
+//! slice a banked shard had fetched: at most the banked shards'
+//! `slice_fetches` more than the uninterrupted crawl. The fleet
+//! ([`ShardSpec::crawl_with`] per leased shard) keeps a private memo per
+//! shard, so a drained fleet's cost does not depend on which worker
+//! leased which shard.
 //!
 //! # Failure semantics
 //!
@@ -97,7 +117,9 @@ use hdc_types::{AttrKind, Budgeted, DbError, HiddenDatabase, Predicate, Query, S
 use workpool::TaskCtx;
 pub use workpool::{PoolStats, Source as TaskSource, Verdict, WorkerStats};
 
-use crate::categorical::slice_cover::{extended_dfs_from, DfsRoot, LeafMode, SliceTable};
+use crate::categorical::slice_cover::{
+    extended_dfs_from, DfsRoot, LeafMode, SliceMemo, SliceTable,
+};
 use crate::connector::Connector;
 use crate::dependency::ValidityOracle;
 use crate::events::{ChannelObserver, EventSink, SessionEvent, EVENT_CHANNEL_CAPACITY};
@@ -311,9 +333,9 @@ impl ShardSpec {
     /// The query sequence depends only on the spec and the database —
     /// not on what else ran on the connection — so a shard can be
     /// crawled on any session, in any order, even on another machine,
-    /// and still produce exactly the result the plan promises. The
-    /// in-process scheduler relies on this; truly distributed callers
-    /// can drive shards through this method directly.
+    /// and still produce exactly the result the plan promises. Truly
+    /// distributed callers can drive shards through this method
+    /// directly; each crawl has a private slice memo.
     pub fn crawl(
         &self,
         db: &mut dyn HiddenDatabase,
@@ -324,11 +346,14 @@ impl ShardSpec {
 
     /// Crawls this shard under `config` (retry policy, cancellation,
     /// events), pruning with `oracle` if given: queries it proves empty
-    /// are answered locally, free of charge (§1.3). Retries do not
-    /// change the charged query sequence (a transient failure charges
-    /// nothing, and the deterministic server answers the re-issued query
-    /// exactly as it would have answered the original), so the
-    /// determinism contract holds under faults too.
+    /// are answered locally, free of charge (§1.3). The crawl has a
+    /// private slice memo, shared with no other shard; the fleet worker
+    /// crawls every leased shard this way, while
+    /// [`CrawlBuilder::run_sharded`] shares one memo across its shards.
+    /// Retries do not change the charged query sequence (a transient
+    /// failure charges nothing, and the deterministic server answers the
+    /// re-issued query exactly as it would have answered the original),
+    /// so the determinism contract holds under faults too.
     ///
     /// With a **resume boundary callback** `on_root`, the roots are
     /// crawled one at a time — categorical ones on a *shared* slice
@@ -367,8 +392,24 @@ impl ShardSpec {
         config: SessionConfig<'_>,
         on_root: Option<&mut OnRoot<'_>>,
     ) -> Result<CrawlReport, CrawlError> {
+        let memo = SliceMemo::new(schema);
+        self.crawl_on(&memo, db, schema, oracle, config, on_root)
+    }
+
+    /// [`ShardSpec::crawl_with`] on `memo`, the slice memo of the crawl
+    /// this shard belongs to: a slice any shard sharing the memo has
+    /// fetched, or is fetching, is not issued again.
+    pub(crate) fn crawl_on(
+        &self,
+        memo: &SliceMemo,
+        db: &mut dyn HiddenDatabase,
+        schema: &Schema,
+        oracle: Option<&dyn ValidityOracle>,
+        config: SessionConfig<'_>,
+        on_root: Option<&mut OnRoot<'_>>,
+    ) -> Result<CrawlReport, CrawlError> {
         run_crawl("sharded-hybrid", db, oracle, config, |session| {
-            self.run(session, schema, false, on_root)
+            self.run(session, schema, memo, false, on_root)
         })
     }
 
@@ -376,13 +417,14 @@ impl ShardSpec {
     /// family: solo [`crate::Hybrid`] and [`crate::SliceCover`] run it on
     /// [`ShardSpec::whole`], and every plan shard runs it on its own
     /// spec. Boxes go to rank-shrink one by one; categorical roots go to
-    /// extended DFS on a slice table in the shard's level order, with
-    /// rank-shrink at the numeric leaves. `eager` runs slice-cover's
-    /// preprocessing phase on that table first.
+    /// extended DFS on a slice table over `memo` in the shard's level
+    /// order, with rank-shrink at the numeric leaves. `eager` runs
+    /// slice-cover's preprocessing phase on that table first.
     pub(crate) fn run(
         &self,
         session: &mut Session<'_>,
         schema: &Schema,
+        memo: &SliceMemo,
         eager: bool,
         mut on_root: Option<&mut OnRoot<'_>>,
     ) -> Result<(), Abort> {
@@ -398,7 +440,7 @@ impl ShardSpec {
             }
             return Ok(());
         };
-        let mut table = SliceTable::new(schema, &self.order);
+        let mut table = SliceTable::new(memo, &self.order);
         if !num_dims.is_empty() && self.order.len() == 1 {
             // cat = 1: a numeric leaf's root is its slice query — cache
             // the overflowed leaf windows so the sub-crawl needn't
@@ -422,7 +464,7 @@ impl ShardSpec {
             values.sort_unstable();
             return extended_dfs_from(
                 session,
-                &mut table,
+                &table,
                 &leaf,
                 DfsRoot {
                     query: prefix,
@@ -434,7 +476,7 @@ impl ShardSpec {
         for (done, root) in self.roots.iter().enumerate() {
             extended_dfs_from(
                 session,
-                &mut table,
+                &table,
                 &leaf,
                 DfsRoot {
                     query: prefix.clone(),
@@ -1651,14 +1693,15 @@ mod tests {
         // Concurrency wins wall-clock: the busiest session does much less
         // than the single-session total…
         assert!(quad.max_session_queries() < single.merged.queries);
-        // …at a bounded total overhead (re-fetched slices etc.).
+        // …at a bounded total overhead (node queries a finer plan adds).
         assert!(quad.merged.queries <= 2 * single.merged.queries);
     }
 
     /// The merged bag, total cost, and *per-shard* costs of a
     /// work-stealing run must equal a sequential one-shard-at-a-time run
-    /// of the same plan — scheduling is invisible to everything but
-    /// wall-clock (see module docs).
+    /// of the same plan. Per-shard costs match here because this plan's
+    /// shards share no slice (each value is sub-split by price ranges,
+    /// crawled as boxes); see the module docs for plans that do.
     #[test]
     fn stealing_run_matches_sequential_run_of_the_same_plan() {
         let schema = mixed_schema();

@@ -10,10 +10,13 @@
 //!    never reach, or charge, the inner database).
 //! 2. **Checkpoint / kill / resume is exact.** Interrupting a
 //!    checkpointed crawl (budget exhaustion models the kill) and
-//!    resuming from the repository yields the same bag and the same
-//!    total accounting as the uninterrupted run, with the resumed
-//!    process re-issuing only the unfinished shards — on one session
-//!    and on several alike (both run on the work-stealing pool).
+//!    resuming from the repository yields the same bag as the
+//!    uninterrupted run, with the resumed process re-issuing only the
+//!    unfinished shards — on one session and on several alike (both run
+//!    on the work-stealing pool). The resume's slice memo starts empty,
+//!    so it may pay again for slices the banked shards had fetched: its
+//!    total exceeds the uninterrupted cost by at most their slice
+//!    fetches.
 //!
 //! Plus the supporting semantics: cancellation stops before spending,
 //! permanent identity death salvages completed work, budget exhaustion
@@ -117,6 +120,38 @@ fn generous_retry() -> RetryPolicy {
 
 fn bag(tuples: &[Tuple]) -> TupleBag {
     TupleBag::from_tuples(tuples.iter().cloned())
+}
+
+/// Slice fetches the checkpoint's banked shards paid for.
+fn banked_slices(repo: &MemoryRepository) -> u64 {
+    repo.saved()
+        .map(|cp| cp.shards.iter().map(|s| s.metrics.slice_fetches).sum())
+        .unwrap_or(0)
+}
+
+/// A resumed crawl starts with an empty slice memo. It pays again for
+/// exactly the slices the banked shards paid for that the remaining
+/// shards need, and for nothing else: so its total exceeds the
+/// uninterrupted crawl's by at least 0 and at most the banked shards'
+/// slice fetches.
+fn assert_resume_repay(
+    resumed: u64,
+    uninterrupted: u64,
+    banked_slices: u64,
+) -> Result<(), TestCaseError> {
+    prop_assert!(
+        resumed >= uninterrupted,
+        "resume cost {} below the uninterrupted {}",
+        resumed,
+        uninterrupted
+    );
+    prop_assert!(
+        resumed - uninterrupted <= banked_slices,
+        "resume re-paid {} queries, more than the {} banked slice fetches",
+        resumed - uninterrupted,
+        banked_slices
+    );
+    Ok(())
 }
 
 /// Queries a sharded run issued itself: the shards it crawled, not the
@@ -230,9 +265,10 @@ proptest! {
 
     /// One session (a one-worker pool): interrupt a checkpointed crawl
     /// with a tight budget (the kill), resume from the repository with a
-    /// fresh connection — bag and total accounting match the
-    /// uninterrupted checkpointed run, and the resume re-issues only what
-    /// the checkpoint does not already hold.
+    /// fresh connection — the bag matches the uninterrupted checkpointed
+    /// run, and the resume re-issues what the checkpoint does not
+    /// already hold, plus at most the banked shards' slice fetches
+    /// (the resume's slice memo starts empty).
     #[test]
     fn solo_checkpoint_kill_resume_is_exact(
         inst in instance_strategy(),
@@ -283,12 +319,13 @@ proptest! {
             charged, checkpointed, costliest);
 
         // Resume: fresh connection, same repository, and a quota of
-        // exactly the spend the checkpoint lacks — the connection itself
-        // refuses anything more.
+        // exactly the spend the checkpoint lacks plus the re-pay bound —
+        // the connection itself refuses anything more.
+        let repay = banked_slices(&repo);
         let report = Crawl::builder()
             .sessions(1)
             .oversubscribe(4)
-            .budget(uninterrupted.queries - checkpointed)
+            .budget(uninterrupted.queries - checkpointed + repay)
             .repository(&mut repo)
             .run_sharded(|_s| inst.server(5))
             .unwrap();
@@ -297,10 +334,9 @@ proptest! {
 
         prop_assert!(bag(&resumed.tuples).multiset_eq(&bag(&uninterrupted.tuples)),
             "resume must reconstruct the uninterrupted bag exactly");
-        prop_assert_eq!(resumed.queries, uninterrupted.queries,
-            "restored shards keep their recorded cost; totals match");
-        prop_assert_eq!(issued, uninterrupted.queries - checkpointed,
-            "the resumed process pays only for shards the checkpoint lacks");
+        prop_assert_eq!(resumed.queries, checkpointed + issued,
+            "restored shards keep their recorded cost");
+        assert_resume_repay(resumed.queries, uninterrupted.queries, repay)?;
     }
 
     /// Sharded pool: same kill-and-resume contract across two identities
@@ -331,6 +367,7 @@ proptest! {
         prop_assert!(interrupted.is_err(),
             "per-identity budgets below the full cost must fail");
         let checkpointed = repo.saved().map(|cp| cp.shards.len()).unwrap_or(0);
+        let repay = banked_slices(&repo);
 
         let resumed = Crawl::builder()
             .sessions(2)
@@ -343,7 +380,7 @@ proptest! {
             bag(&resumed.merged.tuples).multiset_eq(&bag(&uninterrupted.merged.tuples)),
             "sharded resume must reconstruct the uninterrupted merged bag"
         );
-        prop_assert_eq!(resumed.merged.queries, uninterrupted.merged.queries);
+        assert_resume_repay(resumed.merged.queries, uninterrupted.merged.queries, repay)?;
         let restored = resumed.shards.iter().filter(|s| s.restored).count();
         prop_assert_eq!(restored, checkpointed,
             "every checkpointed shard is replayed, none re-crawled");
@@ -353,7 +390,8 @@ proptest! {
     /// streamed out of a pool worker, not a budget): the checkpointed
     /// run halts with `Stopped`, retains its checkpoint, and a plain
     /// resume against the same repository completes with the
-    /// uninterrupted bag and total cost. This is the contract behind
+    /// uninterrupted bag, at the uninterrupted cost plus at most the
+    /// banked shards' slice fetches. This is the contract behind
     /// `hdc crawl --target` on sharded and checkpointed runs.
     #[test]
     fn early_stop_checkpoint_resume_completes_exactly(
@@ -400,6 +438,7 @@ proptest! {
             }
         }
         let checkpointed = repo.saved().map(|cp| cp.shards.len()).unwrap_or(0);
+        let repay = banked_slices(&repo);
 
         let resumed = Crawl::builder()
             .sessions(2)
@@ -412,8 +451,7 @@ proptest! {
             bag(&resumed.merged.tuples).multiset_eq(&bag(&uninterrupted.merged.tuples)),
             "resume after an early stop must reconstruct the uninterrupted bag"
         );
-        prop_assert_eq!(resumed.merged.queries, uninterrupted.merged.queries,
-            "resume after an early stop must converge on the uninterrupted cost");
+        assert_resume_repay(resumed.merged.queries, uninterrupted.merged.queries, repay)?;
         let restored = resumed.shards.iter().filter(|s| s.restored).count();
         prop_assert_eq!(restored, checkpointed,
             "every shard checkpointed before the stop is replayed, none re-crawled");

@@ -120,8 +120,10 @@ proptest! {
 
     /// Theorem: sharded crawls over one shared store are bag- and
     /// cost-identical to the clone-per-identity path — down to each
-    /// individual shard's charged queries and extracted tuple count
-    /// (shards are reported in plan order, so they align 1:1).
+    /// individual shard's extracted tuples (shards are reported in plan
+    /// order, so they align 1:1). Which shard pays for a slice the
+    /// shards share depends on timing, so per-shard costs are not
+    /// compared; the merged cost and tallies are.
     #[test]
     fn shared_store_sharded_crawl_equals_clone_per_identity(
         inst in instance_strategy(),
@@ -144,16 +146,13 @@ proptest! {
             .run_sharded(|_s| shared.client())
             .unwrap();
 
-        prop_assert!(
-            bag(&got.merged.tuples).multiset_eq(&bag(&cloned.merged.tuples)),
-            "shared-store sharded crawl changed the extracted bag"
-        );
+        prop_assert_eq!(&got.merged.tuples, &cloned.merged.tuples,
+            "shared-store sharded crawl changed the extracted bag");
         prop_assert_eq!(got.merged.queries, cloned.merged.queries,
             "shared-store sharded crawl changed the charged cost");
+        prop_assert_eq!(got.merged.metrics, cloned.merged.metrics);
         prop_assert_eq!(got.shards.len(), cloned.shards.len());
         for (s, (a, b)) in got.shards.iter().zip(&cloned.shards).enumerate() {
-            prop_assert_eq!(a.report.queries, b.report.queries,
-                "shard {} cost diverged", s);
             prop_assert_eq!(a.tuples, b.tuples, "shard {} bag size diverged", s);
         }
     }

@@ -5,8 +5,8 @@
 //!
 //! 1. **Loopback ≡ in-process.** `run_sharded(HttpConnector)` against
 //!    `hdc serve` extracts the same bag at the same charged cost — down
-//!    to per-shard costs, per-session accounting, and the outcome
-//!    tallies — as `run_sharded(|_| shared.client())` on the same store.
+//!    to every shard's bag and the outcome tallies — as
+//!    `run_sharded(|_| shared.client())` on the same store.
 //! 2. **Wire faults with retry ≡ fault-free.** The server-side fault
 //!    injector charges nothing and the client charges nothing for failed
 //!    requests, so a retried crawl over a faulty wire converges on the
@@ -80,9 +80,10 @@ fn loopback_sharded_crawl_equals_in_process_bit_identically() {
         wire.merged.metrics, reference.merged.metrics,
         "wire crawl changed the outcome tallies"
     );
+    // Which shard pays for a slice the shards share depends on timing,
+    // so per-shard costs are not compared; the merged totals above are.
     assert_eq!(wire.shards.len(), reference.shards.len());
     for (s, (a, b)) in wire.shards.iter().zip(&reference.shards).enumerate() {
-        assert_eq!(a.report.queries, b.report.queries, "shard {s} cost diverged");
         assert_eq!(a.tuples, b.tuples, "shard {s} bag size diverged");
     }
     // The whole crawl crossed the wire: at least one connection per
