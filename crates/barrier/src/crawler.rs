@@ -147,8 +147,8 @@ impl BarrierCrawler {
     }
 
     /// Parallelizes a barrier crawl across `sessions` client identities:
-    /// the crawl builder's `Strategy::Custom` run on the work-stealing
-    /// pool ([`hdc_core::CrawlBuilder::run_sharded`], plan oversubscribed
+    /// the crawl builder's `Strategy::Custom` run on the shard cursor
+    /// ([`hdc_core::CrawlBuilder::run_sharded`], plan oversubscribed
     /// by `factor`, with the same retirement, salvage, and merge
     /// semantics as the hybrid crawler), this crawler running each shard.
     /// One session at factor 1 is the one-shard plan, crawled by
@@ -368,7 +368,7 @@ impl Crawler for BarrierCrawler {
 /// Plugs the barrier crawler into the one-stop builder:
 /// `Crawl::builder().strategy(Strategy::Custom(&BarrierCrawler::new()))`
 /// runs it solo or — through `sessions(n)` — across identities on the
-/// work-stealing pool ([`BarrierCrawler::crawl_sharded`] is that run
+/// shard cursor ([`BarrierCrawler::crawl_sharded`] is that run
 /// plus the merged depth histogram).
 impl ShardCrawler for BarrierCrawler {
     fn crawl_spec(

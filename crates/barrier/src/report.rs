@@ -94,7 +94,7 @@ pub(crate) fn merge_histograms(histograms: Vec<Vec<u64>>) -> Vec<u64> {
     merged
 }
 
-/// The result of a **sharded** barrier crawl: the standard work-stealing
+/// The result of a **sharded** barrier crawl: the standard
 /// [`ShardedReport`] plus the merged discovery-depth distribution.
 ///
 /// Depths are relative to each shard's own covering roots (a shard's

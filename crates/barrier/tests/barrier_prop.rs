@@ -12,7 +12,7 @@
 //!   answers batches with the trait's default per-query loop;
 //! * **unsolvable detection**: instances with a point multiplicity above
 //!   `k` fail with `Unsolvable`, never with a wrong bag;
-//! * **sharded ≡ sequential**: a work-stealing sharded barrier crawl
+//! * **sharded ≡ sequential**: a dynamically dealt sharded barrier crawl
 //!   matches a sequential shard-by-shard execution of the same plan.
 
 use proptest::prelude::*;
@@ -233,7 +233,7 @@ proptest! {
         }
     }
 
-    /// A work-stealing sharded barrier crawl equals a sequential
+    /// A dynamically dealt sharded barrier crawl equals a sequential
     /// shard-by-shard execution of the same plan: identical merged bag,
     /// total cost, and per-shard costs.
     #[test]

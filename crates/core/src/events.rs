@@ -1,12 +1,12 @@
 //! Live within-shard event streaming.
 //!
-//! A sharded crawl runs its per-shard sessions on work-stealing pool
-//! workers, where the caller's single `&mut dyn` [`CrawlObserver`]
-//! cannot follow. This module closes that gap with an owned event type
-//! that *can* cross threads: each worker session drives a
-//! [`ChannelObserver`] that clones its events into a bounded MPSC
-//! channel (vendored in `crates/compat/chan`), and the merge thread
-//! drains the channel into the real observer while the pool runs.
+//! A sharded crawl runs its per-shard sessions on worker threads, where
+//! the caller's single `&mut dyn` [`CrawlObserver`] cannot follow. This
+//! module closes that gap with an owned event type that *can* cross
+//! threads: each worker session drives a [`ChannelObserver`] that clones
+//! its events into a bounded [`std::sync::mpsc::sync_channel`], and the
+//! crawl's own thread drains the channel into the real observer while
+//! the workers run.
 //!
 //! Three properties the rest of the stack relies on:
 //!
@@ -16,12 +16,15 @@
 //!   through the [`crate::CancelToken`] every shard session already
 //!   watches.
 //! * **Backpressure, not loss** — the channel is bounded and
-//!   [`chan::Sender::send`] blocks when it is full: a slow observer
+//!   [`SyncSender::send`] blocks when it is full: a slow observer
 //!   stalls producers instead of dropping events or buffering without
 //!   bound.
-//! * **Self-terminating** — every [`EventSink`] is dropped when the pool
-//!   finishes, which disconnects the channel and ends the drain loop; no
-//!   sentinel messages, no timed polls.
+//! * **Self-terminating** — every [`EventSink`] is dropped when its
+//!   worker finishes, which disconnects the channel and ends the drain
+//!   loop once the last worker is done; no sentinel messages, no timed
+//!   polls.
+
+use std::sync::mpsc::SyncSender;
 
 use hdc_types::{Query, QueryOutcome, Tuple};
 
@@ -36,7 +39,7 @@ pub const EVENT_CHANNEL_CAPACITY: usize = 256;
 /// One within-shard crawl event, owned so it can cross threads. The
 /// variants mirror the borrowing [`CrawlObserver`] callbacks
 /// one-to-one, tagged with the plan index of the shard that produced
-/// them (shards interleave arbitrarily on the pool).
+/// them (shards interleave arbitrarily across workers).
 #[derive(Clone, Debug)]
 pub enum SessionEvent {
     /// A query was charged and answered ([`CrawlObserver::on_query`]).
@@ -83,13 +86,13 @@ impl SessionEvent {
 /// per shard ([`EventSink::for_shard`]) so events arrive tagged with
 /// their plan index, and wraps it in a [`ChannelObserver`].
 pub struct EventSink {
-    tx: chan::Sender<SessionEvent>,
+    tx: SyncSender<SessionEvent>,
     shard: usize,
 }
 
 impl EventSink {
     /// A sink feeding `tx`, tagging events with plan index `shard`.
-    pub fn new(tx: chan::Sender<SessionEvent>, shard: usize) -> Self {
+    pub fn new(tx: SyncSender<SessionEvent>, shard: usize) -> Self {
         EventSink { tx, shard }
     }
 
@@ -129,8 +132,8 @@ impl std::fmt::Debug for EventSink {
 }
 
 /// The session-side proxy: a [`CrawlObserver`] that clones every event
-/// into its [`EventSink`]. The sharded driver attaches one as each pool
-/// worker session's [`crate::SessionConfig::observer`].
+/// into its [`EventSink`]. A sharded crawl attaches one as each
+/// worker's shard session's [`crate::SessionConfig::observer`].
 ///
 /// Always returns [`Flow::Continue`]: the consumer cannot stop a crawl
 /// through the channel (events only flow outward). The drain side
@@ -179,10 +182,11 @@ impl CrawlObserver for ChannelObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{sync_channel, Receiver};
 
     #[test]
     fn channel_observer_clones_events_and_never_stops() {
-        let (tx, rx) = chan::bounded(16);
+        let (tx, rx) = sync_channel(16);
         let mut proxy = ChannelObserver::new(EventSink::new(tx, 3));
         let q = Query::any(1);
         let out = QueryOutcome::resolved(Vec::new());
@@ -216,7 +220,7 @@ mod tests {
         });
     }
 
-    fn bounded_pair() -> (chan::Sender<SessionEvent>, chan::Receiver<SessionEvent>) {
-        chan::bounded(1)
+    fn bounded_pair() -> (SyncSender<SessionEvent>, Receiver<SessionEvent>) {
+        sync_channel(1)
     }
 }

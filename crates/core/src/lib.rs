@@ -20,7 +20,7 @@
 //! The one-stop entry point is [`Crawl::builder`] ([`orchestrate`]
 //! module): it resolves [`Strategy::Auto`] to the paper's choice for the
 //! schema, applies budgets, routes multi-session crawls through the
-//! work-stealing shard pool ([`sharded`] module), and streams crawl
+//! shard cursor ([`sharded`] module), and streams crawl
 //! events to a [`CrawlObserver`] (with observer-driven early
 //! termination).
 //!
@@ -93,7 +93,6 @@ pub use repository::{
 pub use retry::RetryPolicy;
 pub use session::{run_crawl, Abort, Session, SessionConfig, MAX_BATCH};
 pub use sharded::{
-    snapshot_of_report, PoolStats, ShardRun, ShardSpec, Sharded, ShardedReport, TaskSource,
-    WorkerStats,
+    snapshot_of_report, PoolStats, ShardRun, ShardSpec, Sharded, ShardedReport, WorkerStats,
 };
 pub use validate::verify_complete;

@@ -35,8 +35,8 @@
 //!   [`Strategy::Auto`] selects the paper-correct algorithm for the
 //!   schema (numeric → rank-shrink, categorical → lazy-slice-cover,
 //!   mixed → hybrid); [`CrawlBuilder::sessions`] routes the crawl through
-//!   the work-stealing shard pool (via [`CrawlBuilder::run_sharded`], the
-//!   pool's only driver, since each identity needs its own connection);
+//!   the shard cursor (via [`CrawlBuilder::run_sharded`], the cursor's
+//!   only entry point, since each identity needs its own connection);
 //!   [`Strategy::Custom`] admits external crawlers — the
 //!   top-k-barrier crawler in `hdc-barrier` implements [`ShardCrawler`]
 //!   and rides the same path. The per-algorithm constructors and
@@ -97,7 +97,7 @@ use crate::report::{CrawlError, CrawlReport, ProgressPoint};
 use crate::repository::CrawlRepository;
 use crate::retry::RetryPolicy;
 use crate::session::SessionConfig;
-use crate::sharded::{ShardSpec, ShardedReport, TaskSource};
+use crate::sharded::{ShardSpec, ShardedReport};
 
 /// Control-flow decision returned by the live [`CrawlObserver`] callbacks:
 /// keep crawling, or stop early with a partial report.
@@ -145,11 +145,6 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.0.load(std::sync::atomic::Ordering::Acquire)
     }
-
-    /// The raw flag, for handing to the work-stealing pool.
-    pub(crate) fn flag(&self) -> &std::sync::atomic::AtomicBool {
-        &self.0
-    }
 }
 
 /// One completed shard of a multi-session crawl, delivered — in plan
@@ -162,10 +157,9 @@ pub struct ShardEvent<'a> {
     pub total: usize,
     /// The shard's spec.
     pub spec: &'a ShardSpec,
-    /// The worker (client identity) that executed the shard.
+    /// The worker (client identity) that took the shard from the cursor
+    /// and crawled it.
     pub worker: usize,
-    /// How the worker acquired the shard (seeded / injector / stolen).
-    pub source: TaskSource,
     /// Queries the shard's crawl charged.
     pub queries: u64,
     /// Tuples the shard extracted.
@@ -174,7 +168,7 @@ pub struct ShardEvent<'a> {
     /// partial report, already merged).
     pub failed: bool,
     /// Whether the shard was replayed from a checkpoint (no queries were
-    /// issued by *this* run; `worker`/`source` are placeholders).
+    /// issued by *this* run; `worker` is a placeholder).
     pub restored: bool,
 }
 
@@ -270,8 +264,8 @@ impl CrawlObserver for ProgressRecorder {
 /// `crawl_spec` must uphold the scheduler's determinism contract (see
 /// [`crate::sharded`]): its query sequence may depend only on the shard
 /// spec and the database, never on which worker runs it or what ran
-/// before on the connection. The `Sync` supertrait is what lets the work-stealing pool
-/// share the crawler across identities.
+/// before on the connection. The `Sync` supertrait is what lets the
+/// sharded crawl's workers share the crawler across identities.
 pub trait ShardCrawler: Crawler + Sync {
     /// Crawls one shard's subspace on `db` (which must view the same
     /// logical database the plan was made for) under `config` — the
@@ -469,7 +463,7 @@ impl<'a> CrawlBuilder<'a> {
     }
 
     /// Over-partitions the sharded plan into `≈ sessions × factor` fine
-    /// shards dealt to the identities by the work-stealing pool (see
+    /// shards dealt to the identities by the shard cursor (see
     /// [`crate::Sharded::plan_oversubscribed`]). More shards mean better
     /// balance under skew — a heavy subtree no longer pins a whole
     /// identity's share. The shards share one slice memo, so a finer
@@ -567,8 +561,8 @@ impl<'a> CrawlBuilder<'a> {
     }
 
     /// Runs the crawl across [`CrawlBuilder::sessions`] client
-    /// identities on the work-stealing shard pool — the pool's only
-    /// driver. The [`Connector`] mints identity `s`'s own connection —
+    /// identities on the shard cursor — its only entry point. The
+    /// [`Connector`] mints identity `s`'s own connection —
     /// `connector.connect(s)` — and every `Fn(usize) -> D` factory
     /// closure *is* a connector (blanket impl), so
     /// `run_sharded(|_s| shared.client())` works as written. All

@@ -42,7 +42,7 @@ pub struct SessionConfig<'c> {
     /// in-flight shards on other threads.
     pub cancel: Option<&'c CancelToken>,
     /// The session's event observer (see [`CrawlObserver`] for the event
-    /// and early-stop semantics). Pool workers attach a
+    /// and early-stop semantics). Sharded-crawl workers attach a
     /// [`crate::ChannelObserver`] here, which streams the events to the
     /// crawl's one observer on another thread.
     pub observer: Option<&'c mut dyn CrawlObserver>,

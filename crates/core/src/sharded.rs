@@ -1,4 +1,5 @@
-//! Multi-session (sharded) crawling with a work-stealing scheduler.
+//! Multi-session (sharded) crawling: a plan of disjoint shards dealt to
+//! client identities from one shared cursor.
 //!
 //! The paper's cost metric exists because "most systems have a control on
 //! how many queries can be submitted by the same IP address within a
@@ -46,23 +47,26 @@
 //!
 //! # Scheduling: identities ≠ shards
 //!
-//! [`CrawlBuilder::run_sharded`] is the one driver of the pool.
+//! [`CrawlBuilder::run_sharded`] is the one entry point to the shard cursor.
 //! [`CrawlBuilder::sessions`]`(n)` fixes the number of client
 //! *identities* (worker threads, each with its own connection from the
 //! caller's [`Connector`]). The *plan* is deliberately finer:
 //! [`CrawlBuilder::oversubscribe`]`(factor)` produces `≈ sessions × factor`
-//! shards, dealt to the workers dynamically by a minimal work-stealing
-//! pool (vendored in `crates/compat/workpool`: a shared injector queue
-//! plus per-worker deques, LIFO-local/FIFO-steal). A skew-heavy shard
-//! then no longer gates wall-clock: while one worker grinds through the
-//! heavy subtree, the others drain the rest of the plan instead of
-//! idling. With `factor = 1` (the default) the plan is one shard per
-//! session. One session at factor 1 is the one-shard plan,
-//! [`ShardSpec::whole`], which [`CrawlBuilder::run_sharded`] crawls with
-//! the strategy's own solo crawler: a checkpointed or wire-carried
-//! one-session crawl costs exactly what [`CrawlBuilder::run`] costs. The
-//! pool is the plan's only executor: a one-session crawl, checkpointed
-//! or not, runs on a one-worker pool.
+//! shards, dealt to the workers dynamically: a worker that finishes a
+//! shard takes the next plan index from one shared atomic cursor. A
+//! skew-heavy shard then no longer gates wall-clock: while one worker
+//! grinds through the heavy subtree, the others take the rest of the
+//! plan instead of idling. Shards never spawn shards, so a worker whose
+//! cursor read runs past the plan's end is done. Workers line up after
+//! connecting and yield between shards, which spreads the plan over the
+//! identities on hosts with fewer cores than sessions. With `factor = 1`
+//! (the default) the plan is one shard per session. One session at
+//! factor 1 is the one-shard plan, [`ShardSpec::whole`], which
+//! [`CrawlBuilder::run_sharded`] crawls with the strategy's own solo
+//! crawler: a checkpointed or wire-carried one-session crawl costs
+//! exactly what [`CrawlBuilder::run`] costs. The cursor is the plan's
+//! only executor: a one-session crawl, checkpointed or not, runs on one
+//! worker.
 //!
 //! # Determinism contract
 //!
@@ -102,20 +106,22 @@
 //! worker (that identity's quota is spent; issuing one doomed query per
 //! remaining shard would be waste), and so do [`TRANSIENT_STRIKES`]
 //! consecutive shards failing with a transient one that outlived the
-//! retry policy — the worker's remaining share is drained by
-//! the surviving identities, so one crippled session still salvages
-//! every shard a healthy session could reach. [`CrawlError::Unsolvable`]
-//! does *not* retire the worker (the connection is fine; the data is
-//! not), matching the old one-shard-per-thread behavior of completing
-//! every other shard. Either way the first failure (in plan order) is
-//! re-raised carrying the merged partial report.
+//! retry policy. The surviving identities take the rest of the plan
+//! from the cursor, so every shard a crippled session had not yet taken
+//! is still crawled. The shards it failed on are *not* re-dealt: each
+//! keeps the partial its failing session paid for, and the rest of its
+//! subtree stays uncrawled in this run (a checkpointed resume crawls it).
+//! [`CrawlError::Unsolvable`] does *not* retire the worker (the
+//! connection is fine; the data is not), and every other shard is still
+//! crawled. If every identity retires, the shards nobody took are never
+//! run ([`PoolStats::unrun`]). Either way the first failure (in plan
+//! order) is re-raised carrying the merged partial report.
 
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use hdc_types::{AttrKind, Budgeted, DbError, HiddenDatabase, Predicate, Query, Schema};
-use workpool::TaskCtx;
-pub use workpool::{PoolStats, Source as TaskSource, Verdict, WorkerStats};
 
 use crate::categorical::slice_cover::{
     extended_dfs_from, DfsRoot, LeafMode, SliceMemo, SliceTable,
@@ -589,10 +595,9 @@ pub struct ShardRun {
     /// The shard's spec (position in [`ShardedReport::shards`] = position
     /// in the plan).
     pub spec: ShardSpec,
-    /// The worker (client identity) that executed the shard.
+    /// The worker (client identity) that took the shard from the cursor
+    /// and crawled it.
     pub worker: usize,
-    /// How the worker acquired the shard (seeded / injector / stolen).
-    pub source: TaskSource,
     /// Wall time of this shard's crawl.
     pub wall: Duration,
     /// Tuples this shard extracted. The tuples themselves live in the
@@ -605,7 +610,7 @@ pub struct ShardRun {
     /// Whether this shard was replayed from a checkpoint instead of
     /// crawled: its accounting comes from the snapshot (it charged its
     /// queries in the run that produced the checkpoint, not in this one)
-    /// and its `worker`/`source`/`wall` are placeholders.
+    /// and its `worker`/`wall` are placeholders.
     pub restored: bool,
     /// The shard's crawl report — full accounting and progress curve,
     /// with `tuples` drained into the merged report.
@@ -625,8 +630,8 @@ pub struct ShardedReport {
     pub per_session: Vec<CrawlReport>,
     /// Every executed shard, in plan order.
     pub shards: Vec<ShardRun>,
-    /// Scheduler counters: per-worker executed/stolen counts, busy time,
-    /// and the run's wall clock.
+    /// Scheduler counters: per-worker executed counts, busy time and
+    /// retirement, and the run's wall clock.
     pub pool: PoolStats,
 }
 
@@ -641,15 +646,58 @@ impl ShardedReport {
             .max()
             .unwrap_or(0)
     }
+}
 
-    /// Total shards acquired by stealing from a peer's deque.
+/// One worker's counters in a sharded run.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct WorkerStats {
+    /// Shards this worker took from the cursor and crawled.
+    pub executed: u64,
+    /// Wall time spent crawling shards.
+    pub busy: Duration,
+    /// Whether the worker's identity retired before the plan ran out.
+    pub retired: bool,
+}
+
+/// The scheduler counters of one sharded run.
+#[derive(Clone, Debug)]
+pub struct PoolStats {
+    /// Worker count of the run: one per session.
+    pub workers: usize,
+    /// Wall time of the whole run (spawn to last join).
+    pub wall: Duration,
+    /// Per-worker counters, indexed by worker id.
+    pub per_worker: Vec<WorkerStats>,
+    /// Shards never run: every identity retired, or the halt token was
+    /// cancelled, before a worker took them.
+    pub unrun: usize,
+    /// Whether the halt token was cancelled when the run finished.
+    pub cancelled: bool,
+}
+
+impl PoolStats {
+    /// Always 0: workers take shards from one shared cursor, so no shard
+    /// is ever stolen. Kept only because the benchmark's `core.steals`
+    /// column reads it; both go together.
     pub fn steals(&self) -> u64 {
-        self.pool.steals()
+        0
+    }
+
+    /// Total shards executed across all workers.
+    pub fn executed(&self) -> u64 {
+        self.per_worker.iter().map(|w| w.executed).sum()
+    }
+
+    /// Wall time worker `w` spent *not* crawling: connecting, waiting
+    /// at the start line, or finished early. High idle on some workers
+    /// with low idle on others is the signature of imbalance.
+    pub fn idle(&self, w: usize) -> Duration {
+        self.wall.saturating_sub(self.per_worker[w].busy)
     }
 }
 
 /// The shard planner: cuts a schema's data space into disjoint covering
-/// [`ShardSpec`]s. The plans run on the work-stealing pool through
+/// [`ShardSpec`]s. The plans run on the shard cursor through
 /// [`CrawlBuilder::run_sharded`]; distributed callers hand them out by
 /// [`ShardSpec::signature`] and crawl each with [`ShardSpec::crawl`].
 #[derive(Debug)]
@@ -657,7 +705,7 @@ pub struct Sharded;
 
 /// How many *consecutive* shards may fail with a transient error (after
 /// exhausting their session's retries) before the identity is considered
-/// unhealthy and retired from the pool. A permanent database error still
+/// unhealthy and retired from the crawl. A permanent database error still
 /// retires the worker immediately; a successful shard resets the count.
 pub const TRANSIENT_STRIKES: u32 = 2;
 
@@ -775,7 +823,7 @@ impl Sharded {
 }
 
 impl CrawlBuilder<'_> {
-    /// The pool executor behind [`CrawlBuilder::run_sharded`]: runs
+    /// The shard executor behind [`CrawlBuilder::run_sharded`]: runs
     /// `schema`'s plan across the builder's sessions, with its
     /// oversubscription, retry policy, per-identity budget, observer,
     /// cancel token, and repository. `shard_crawl` crawls one shard; its
@@ -821,18 +869,18 @@ impl CrawlBuilder<'_> {
     }
 }
 
-/// One shard's crawl as the pool runs it: the shard on one connection,
-/// under the [`SessionConfig`] the pool hands it (the crawl's retry
+/// One shard's crawl as a worker runs it: the shard on one connection,
+/// under the [`SessionConfig`] the worker hands it (the crawl's retry
 /// policy, halt token, and the shard's event route).
 type ShardCrawl<'g> = dyn Fn(&ShardSpec, &mut dyn HiddenDatabase, SessionConfig<'_>) -> Result<CrawlReport, CrawlError>
     + Sync
     + 'g;
 
 /// One sharded crawl from plan to merge: planning, checkpoint restore,
-/// the work-stealing pool that deals tasks to connections with the event
-/// channel that carries them to the observer, the per-shard run with its
-/// identity-health verdict and journal write, and the reassembly for the
-/// merge.
+/// the workers that take shards from the cursor on their own connections
+/// with the event channel that carries their events to the observer, the
+/// per-shard run with its identity-health check and journal write, and
+/// the reassembly for the merge.
 struct ShardedRun<'h, 'r> {
     sessions: usize,
     retry: RetryPolicy,
@@ -911,69 +959,106 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
         })
     }
 
-    /// Runs the shards left to crawl on the work-stealing pool, one
-    /// worker per session, each owning the connection `connector` mints
-    /// for it. With an observer, every shard session's events stream
-    /// live through a bounded channel into a [`Relay`].
+    /// Runs the shards left to crawl, one worker thread per session,
+    /// each owning the connection `connector` mints for it. Every worker
+    /// takes the next plan index from one shared cursor until the plan
+    /// runs out, its identity retires, or the halt token is cancelled.
+    /// With an observer, every shard session's events stream live
+    /// through a bounded channel into a [`Relay`] on this thread.
+    /// Returns one slot per plan index, `None` where no shard ran.
     fn execute<C: Connector>(
         &self,
         connector: C,
         shard_crawl: &ShardCrawl<'_>,
         observer: Option<&mut (dyn CrawlObserver + '_)>,
     ) -> (Vec<Option<PendingRun>>, PoolStats) {
-        let pool = workpool::Pool::new(self.sessions);
-        // The pool run, parameterized over the live event sink so the
-        // observed and unobserved paths share one task closure: with a
-        // sink, every shard session's observer is a channel proxy that
-        // streams its events, tagged with the plan index.
-        let run_tasks = |events: Option<EventSink>| {
-            pool.run_cancellable(
-                self.tasks(),
-                |w| (connector.connect(w), 0),
-                |(db, strikes): &mut (C::Db, u32), ctx, task: (usize, ShardSpec)| {
-                    let mut proxy = events
-                        .as_ref()
-                        .map(|sink| ChannelObserver::new(sink.for_shard(task.0)));
-                    let config = SessionConfig {
-                        observer: proxy.as_mut().map(|p| p as &mut dyn CrawlObserver),
-                        ..SessionConfig::default()
-                    };
-                    self.shard(shard_crawl, db, strikes, ctx, task, config)
-                },
-                Some(self.halt.flag()),
-            )
-        };
-        let Some(obs) = observer else {
-            return run_tasks(None);
-        };
-        // Live streaming: the pool runs on its own (scoped) thread while
-        // this one drains the event channel into the observer. The drain
-        // ends when the pool drops the last sender.
-        let (tx, rx) = chan::bounded(EVENT_CHANNEL_CAPACITY);
-        let sink = EventSink::new(tx, 0);
-        let mut relay = Relay::new(obs, self);
-        std::thread::scope(|scope| {
-            let pool_run = scope.spawn(move || run_tasks(Some(sink)));
-            while let Ok(event) = rx.recv() {
-                relay.forward(event);
+        let tasks: Vec<usize> = (0..self.plan.len())
+            .filter(|&i| self.restored[i].is_none())
+            .collect();
+        // The next position in `tasks`. `Relaxed` suffices: an index
+        // publishes no other data (results go through `slots`' mutex).
+        let cursor = AtomicUsize::new(0);
+        let slots: Mutex<Vec<Option<PendingRun>>> =
+            Mutex::new((0..self.plan.len()).map(|_| None).collect());
+        // Workers line up after connecting, so a fast-starting worker
+        // does not take the whole plan before a slow-starting peer runs.
+        let start_line = Barrier::new(self.sessions);
+        let work = |w: usize, events: Option<EventSink>| {
+            let mut db = connector.connect(w);
+            let mut strikes = 0;
+            let mut stats = WorkerStats::default();
+            start_line.wait();
+            while !self.halt.is_cancelled() {
+                let Some(&index) = tasks.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
+                    break;
+                };
+                let begun = Instant::now();
+                let (run, retire) = self.shard(
+                    shard_crawl,
+                    &mut db,
+                    &mut strikes,
+                    w,
+                    index,
+                    events.as_ref(),
+                );
+                stats.busy += begun.elapsed();
+                stats.executed += 1;
+                slots.lock().expect("slots poisoned")[index] = Some(run);
+                if retire {
+                    stats.retired = true;
+                    break;
+                }
+                // Give peers a scheduling opportunity between shards. On
+                // a host with fewer cores than sessions, a worker running
+                // CPU-bound shards back to back would otherwise take the
+                // whole plan before its peers run, concentrating the load
+                // on one identity.
+                std::thread::yield_now();
             }
-            let (slots, mut stats) = pool_run.join().expect("pool thread panicked");
-            // An observer Stop that lands as the pool drains its last
-            // shard can post-date the pool's own sample of the flag; the
-            // merge must still see it.
-            stats.cancelled |= relay.stopped;
-            (slots, stats)
-        })
-    }
-
-    /// The shards left to crawl, with their plan indices.
-    fn tasks(&self) -> Vec<(usize, ShardSpec)> {
-        self.plan
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.restored[*i].is_none())
-            .map(|(i, spec)| (i, spec.clone()))
-            .collect()
+            stats
+        };
+        let (sink, drain) = match observer {
+            Some(obs) => {
+                let (tx, rx) = mpsc::sync_channel(EVENT_CHANNEL_CAPACITY);
+                (
+                    Some(EventSink::new(tx, 0)),
+                    Some((rx, Relay::new(obs, self))),
+                )
+            }
+            None => (None, None),
+        };
+        let began = Instant::now();
+        let per_worker = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..self.sessions)
+                .map(|w| {
+                    let (work, events) = (&work, sink.clone());
+                    scope.spawn(move || work(w, events))
+                })
+                .collect();
+            // The workers hold the only senders left, so the drain ends
+            // when the last of them finishes.
+            drop(sink);
+            if let Some((rx, mut relay)) = drain {
+                while let Ok(event) = rx.recv() {
+                    relay.forward(event);
+                }
+            }
+            workers
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked"))
+                .collect::<Vec<WorkerStats>>()
+        });
+        let executed: u64 = per_worker.iter().map(|w| w.executed).sum();
+        let stats = PoolStats {
+            workers: self.sessions,
+            wall: began.elapsed(),
+            per_worker,
+            unrun: tasks.len() - executed as usize,
+            // Read after the drain: an observer Stop relayed as the last
+            // shard finished still counts.
+            cancelled: self.halt.is_cancelled(),
+        };
+        (slots.into_inner().expect("slots poisoned"), stats)
     }
 
     /// Work already replayed from the checkpoint, so live progress events
@@ -988,26 +1073,28 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
             })
     }
 
-    /// Crawls one shard on one identity's connection and decides whether
-    /// the identity keeps working. The pool's `config` carries the
-    /// shard's channel observer; the run adds the retry policy and the
-    /// halt token. `strikes` counts the identity's consecutive transient
+    /// Crawls plan shard `index` on worker `worker`'s connection and says
+    /// whether the identity retires. The session gets the crawl's retry
+    /// policy, the halt token and, with `events`, a channel observer for
+    /// the shard. `strikes` counts the identity's consecutive transient
     /// shard failures (retired at [`TRANSIENT_STRIKES`]).
-    fn shard<'c>(
+    fn shard(
         &self,
         shard_crawl: &ShardCrawl<'_>,
         db: &mut dyn HiddenDatabase,
         strikes: &mut u32,
-        ctx: &TaskCtx,
-        (index, spec): (usize, ShardSpec),
-        mut config: SessionConfig<'c>,
-    ) -> (PendingRun, Verdict)
-    where
-        'h: 'c,
-    {
+        worker: usize,
+        index: usize,
+        events: Option<&EventSink>,
+    ) -> (PendingRun, bool) {
         let begun = Instant::now();
-        config.retry = self.retry.clone();
-        config.cancel = Some(self.halt);
+        let spec = self.plan[index].clone();
+        let mut proxy = events.map(|sink| ChannelObserver::new(sink.for_shard(index)));
+        let config = SessionConfig {
+            retry: self.retry.clone(),
+            cancel: Some(self.halt),
+            observer: proxy.as_mut().map(|p| p as &mut dyn CrawlObserver),
+        };
         let result = shard_crawl(&spec, db, config);
         // Identity health. A permanent database failure means this
         // identity is dead (quota exhausted, banned): retire the worker
@@ -1016,25 +1103,21 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
         // strike — the identity is flaky, but only repeated consecutive
         // strikes retire it. An unsolvable instance leaves the connection
         // healthy, and a stopped shard halts the whole crawl instead.
-        let verdict = match &result {
+        let retire = match &result {
             Ok(_) => {
                 *strikes = 0;
-                Verdict::Continue
+                false
             }
             Err(CrawlError::Db { error, .. }) if error.is_transient() => {
                 *strikes += 1;
-                if *strikes >= TRANSIENT_STRIKES {
-                    Verdict::Retire
-                } else {
-                    Verdict::Continue
-                }
+                *strikes >= TRANSIENT_STRIKES
             }
-            Err(CrawlError::Db { .. }) => Verdict::Retire,
+            Err(CrawlError::Db { .. }) => true,
             Err(CrawlError::Stopped { .. }) => {
                 self.halt.cancel();
-                Verdict::Continue
+                false
             }
-            Err(CrawlError::Unsolvable { .. }) => Verdict::Continue,
+            Err(CrawlError::Unsolvable { .. }) => false,
         };
         if let (Ok(report), Some(journal)) = (&result, &self.journal) {
             let mut guard = journal.lock().expect("journal poisoned");
@@ -1048,49 +1131,40 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
             }
         }
         let run = PendingRun {
-            index,
             spec,
-            worker: ctx.worker,
-            source: ctx.source,
+            worker,
             wall: begun.elapsed(),
             result,
             restored: false,
         };
-        (run, verdict)
+        (run, retire)
     }
 
     /// Reassembles plan order — live results at their plan index,
     /// snapshotted shards replayed as pre-completed runs — and merges.
     fn finish(
         self,
-        slots: Vec<Option<PendingRun>>,
+        mut slots: Vec<Option<PendingRun>>,
         pool: PoolStats,
         observer: Option<&mut dyn CrawlObserver>,
     ) -> Result<ShardedReport, CrawlError> {
-        let mut full: Vec<Option<PendingRun>> = (0..self.plan.len()).map(|_| None).collect();
-        for run in slots.into_iter().flatten() {
-            let index = run.index;
-            full[index] = Some(run);
-        }
         for (index, snap) in self.restored.into_iter().enumerate() {
             let Some(snap) = snap else { continue };
-            full[index] = Some(PendingRun {
-                index,
+            slots[index] = Some(PendingRun {
                 spec: self.plan[index].clone(),
                 worker: 0,
-                source: TaskSource::Seeded,
                 wall: Duration::ZERO,
                 result: Ok(CrawlReport::from(snap)),
                 restored: true,
             });
         }
         let store_error = self.store_error.into_inner().expect("store_error poisoned");
-        merge_results(full, pool, observer, store_error)
+        merge_results(slots, pool, observer, store_error)
     }
 }
 
-/// Delivers a crawl's live within-shard events, drained from the pool's
-/// channel, to its observer: query and tuple events pass through as-is,
+/// Delivers a crawl's live within-shard events, drained from the
+/// workers' channel, to its observer: query and tuple events pass through as-is,
 /// and per-shard progress points are aggregated into crawl totals —
 /// seeded with checkpoint-restored work — and deduplicated, so the
 /// observer sees one monotone `(queries, tuples)` stream for the whole
@@ -1141,7 +1215,7 @@ impl<'r> Relay<'r> {
         }
     }
 
-    /// Delivers one event drained from the pool's channel.
+    /// Delivers one event drained from the workers' channel.
     fn forward(&mut self, event: SessionEvent) {
         match event {
             SessionEvent::Query { query, outcome, .. } => {
@@ -1178,13 +1252,11 @@ fn snapshot_of(index: usize, report: &CrawlReport) -> ShardSnapshot {
     snapshot_of_report(index, report, None)
 }
 
-/// One shard's outcome as it comes off the pool (or out of a
+/// One shard's outcome as it comes off a worker (or out of a
 /// checkpoint), before merging.
 struct PendingRun {
-    index: usize,
     spec: ShardSpec,
     worker: usize,
-    source: TaskSource,
     wall: Duration,
     result: Result<CrawlReport, CrawlError>,
     restored: bool,
@@ -1194,15 +1266,14 @@ enum Failure {
     Db(DbError),
     Unsolvable(Query),
     /// The crawl was stopped: an observer's live [`Flow::Stop`] or a
-    /// cancelled token halted the pool, or a custom crawler's internal
+    /// cancelled token halted the workers, or a custom crawler's internal
     /// observer stopped its shard.
     Stopped,
 }
 
 /// Records one crawl's scheduler counters into the process-wide
-/// telemetry registry ([`hdc_obs::registry`]): shards executed, steals,
-/// injector hits, retired identities, and a histogram of per-worker
-/// idle time. Once per crawl, off the hot path, and gated on
+/// telemetry registry ([`hdc_obs::registry`]): shards executed, retired
+/// identities, and a histogram of per-worker idle time. Once per crawl, off the hot path, and gated on
 /// [`hdc_obs::enabled`] like every other observation.
 fn record_pool_metrics(pool: &PoolStats) {
     if !hdc_obs::enabled() {
@@ -1214,16 +1285,6 @@ fn record_pool_metrics(pool: &PoolStats) {
         "Shards executed by pool workers (excludes checkpoint-restored shards)",
     )
     .add(pool.executed());
-    r.counter(
-        "hdc_pool_steals_total",
-        "Shards stolen from peer worker deques",
-    )
-    .add(pool.steals());
-    r.counter(
-        "hdc_pool_injected_total",
-        "Shards taken from the shared injector queue",
-    )
-    .add(pool.injected());
     r.counter(
         "hdc_pool_retired_total",
         "Worker identities retired mid-crawl (dead or repeatedly flaky)",
@@ -1270,7 +1331,7 @@ fn merge_results(
     }
     for (index, slot) in slots.into_iter().enumerate() {
         // A `None` slot is a shard no surviving worker could run (every
-        // identity retired first); the pool counts them in `unrun` and
+        // identity retired first); `PoolStats::unrun` counts them and
         // the failure that killed the identities is already recorded.
         let Some(run) = slot else { continue };
         // The first *real* failure (Db/Unsolvable) in plan order is the
@@ -1321,7 +1382,6 @@ fn merge_results(
                 total,
                 spec: &run.spec,
                 worker: run.worker,
-                source: run.source,
                 queries: report.queries,
                 tuples,
                 failed,
@@ -1331,7 +1391,6 @@ fn merge_results(
         shards.push(ShardRun {
             spec: run.spec,
             worker: run.worker,
-            source: run.source,
             wall: run.wall,
             tuples,
             failed,
@@ -1698,7 +1757,7 @@ mod tests {
     }
 
     /// The merged bag, total cost, and *per-shard* costs of a
-    /// work-stealing run must equal a sequential one-shard-at-a-time run
+    /// dynamically dealt run must equal a sequential one-shard-at-a-time run
     /// of the same plan. Per-shard costs match here because this plan's
     /// shards share no slice (each value is sub-split by price ranges,
     /// crawled as boxes); see the module docs for plans that do.
@@ -1765,6 +1824,28 @@ mod tests {
         assert_eq!(report.pool.executed(), 6);
         assert_eq!(report.pool.unrun, 0);
         assert_eq!(report.pool.workers, 2);
+
+        // …and a run halted before it began covers none: no worker takes
+        // a shard, every shard counts as unrun, and the merge reports
+        // `Stopped` with nothing charged.
+        let halt = CancelToken::new();
+        halt.cancel();
+        let run = ShardedRun::prepare(&schema, 2, 3, RetryPolicy::none(), &halt, None).unwrap();
+        let crawl = |spec: &ShardSpec, db: &mut dyn HiddenDatabase, config: SessionConfig<'_>| {
+            spec.crawl_with(db, &schema, None, config, None)
+        };
+        let (slots, stats) = run.execute(factory(&schema, &tuples, 32), &crawl, None);
+        assert!(slots.iter().all(Option::is_none));
+        assert_eq!(stats.executed(), 0);
+        assert_eq!(stats.unrun, 6);
+        assert!(stats.cancelled);
+        match run.finish(slots, stats, None) {
+            Err(CrawlError::Stopped { partial }) => {
+                assert_eq!(partial.queries, 0);
+                assert!(partial.tuples.is_empty());
+            }
+            other => panic!("expected Stopped, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1895,11 +1976,33 @@ mod tests {
             .filter(|r| r.report.queries == 0)
             .count();
         assert_eq!(idle, 4);
+
+        // More sessions than shards: a one-attribute schema has no finer
+        // partition than one shard per value, so 4 sessions × 2 plan 3
+        // shards, and at least one worker takes none.
+        let schema = Schema::builder().categorical("c", 3).build().unwrap();
+        let tuples: Vec<Tuple> = (0..30u32).map(|i| cat_tuple(&[i % 3])).collect();
+        let report = Crawl::builder()
+            .sessions(4)
+            .oversubscribe(2)
+            .run_sharded(|_s| {
+                HiddenDbServer::new(
+                    schema.clone(),
+                    tuples.clone(),
+                    ServerConfig { k: 16, seed: 7 },
+                )
+                .unwrap()
+            })
+            .unwrap();
+        verify_complete(&tuples, &report.merged).unwrap();
+        assert_eq!(report.shards.len(), 3);
+        assert_eq!(report.pool.executed(), 3);
+        assert!(report.pool.per_worker.iter().any(|w| w.executed == 0));
     }
 
     /// Holds the healthy identities' queries until identity 0 has
     /// struck its budget (or a generous timeout passes), so they cannot
-    /// steal every shard before the crippled identity issues a query —
+    /// take every shard before the crippled identity issues a query —
     /// the `FuseGate` idiom of `tests/faults.rs`.
     struct BudgetGate {
         inner: Budgeted<HiddenDbServer>,
@@ -1971,6 +2074,47 @@ mod tests {
             }
             other => panic!("expected budget failure, got {other:?}"),
         }
+
+        // Every identity crippled: each retires on the first shard it
+        // takes (the cursor deals them shards 0 and 1), no shard runs
+        // twice, the shards nobody took never run and count as unrun,
+        // and the first failure in plan order is re-raised with both
+        // partials merged.
+        let halt = CancelToken::new();
+        let run = ShardedRun::prepare(&schema, 2, 4, RetryPolicy::none(), &halt, None).unwrap();
+        let crawled = Mutex::new(vec![0u32; run.plan.len()]);
+        let crawl = |spec: &ShardSpec, db: &mut dyn HiddenDatabase, config: SessionConfig<'_>| {
+            let index = run.plan.iter().position(|p| p == spec).unwrap();
+            crawled.lock().unwrap()[index] += 1;
+            spec.crawl_with(db, &schema, None, config, None)
+                .map_err(|e| match e {
+                    CrawlError::Db { error, partial } => CrawlError::Db {
+                        error: DbError::Backend(format!("shard {index}: {error}")),
+                        partial,
+                    },
+                    other => other,
+                })
+        };
+        let make = factory(&schema, &tuples, 32);
+        let (slots, stats) = run.execute(|s| Budgeted::new(make(s), 3), &crawl, None);
+        let crawled = crawled.into_inner().unwrap();
+        assert_eq!(crawled[..2], [1, 1]);
+        assert!(crawled[2..].iter().all(|&n| n == 0), "{crawled:?}");
+        assert!(stats
+            .per_worker
+            .iter()
+            .all(|w| w.executed == 1 && w.retired));
+        assert_eq!(stats.unrun, run.plan.len() - 2);
+        match run.finish(slots, stats, None) {
+            Err(CrawlError::Db {
+                error: DbError::Backend(message),
+                partial,
+            }) => {
+                assert!(message.starts_with("shard 0:"), "{message}");
+                assert_eq!(partial.queries, 6, "three charged queries per identity");
+            }
+            other => panic!("expected shard 0's failure, got {other:?}"),
+        }
     }
 
     #[test]
@@ -2017,7 +2161,6 @@ mod tests {
     #[test]
     fn shard_failure_outranks_observer_stop() {
         use crate::orchestrate::{CrawlObserver, Flow};
-        use std::sync::atomic::{AtomicBool, Ordering};
 
         #[derive(Default)]
         struct StopAtFirstQuery {
@@ -2033,31 +2176,20 @@ mod tests {
         let schema = mixed_schema();
         let tuples = mixed_tuples(2_000);
         let make = factory(&schema, &tuples, 32);
-        let plan = Sharded::plan(&schema, 2);
-        // Identity 0 has no quota: its seeded shard 0 fails on its first
-        // query. Every other shard waits for that failure before it
-        // crawls, so the live stop (fired by the first charged query)
-        // can never keep shard 0 from running.
-        let shard0_failed = AtomicBool::new(false);
+        // Identity 0 has no quota: the shard it takes fails on its first
+        // query. Identity 1's queries wait for that failure, so the live
+        // stop (fired by the first charged query) can never keep
+        // identity 0 from running its shard.
+        let dead = Arc::default();
         let mut stopper = StopAtFirstQuery::default();
         let result = Crawl::builder()
             .sessions(2)
             .observer(&mut stopper)
-            .run_pool(
-                &schema,
-                |s| Budgeted::new(make(s), if s == 0 { 0 } else { u64::MAX }),
-                |spec: &ShardSpec, db: &mut dyn HiddenDatabase, config: SessionConfig<'_>| {
-                    let first = spec == &plan[0];
-                    while !first && !shard0_failed.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
-                    let result = spec.crawl_with(db, &schema, None, config, None);
-                    if first {
-                        shard0_failed.store(true, Ordering::Release);
-                    }
-                    result
-                },
-            );
+            .run_sharded(|s| BudgetGate {
+                inner: Budgeted::new(make(s), if s == 0 { 0 } else { u64::MAX }),
+                signals: s == 0,
+                dead: Arc::clone(&dead),
+            });
         assert!(stopper.stopped, "the observer stopped the crawl");
         assert!(
             matches!(result, Err(CrawlError::Db { .. })),
@@ -2067,7 +2199,7 @@ mod tests {
 
     /// The tentpole property: a sharded crawl streams within-shard
     /// `on_query`/`on_tuples`/`on_progress` events to the observer
-    /// *live* (they arrive through the bounded channel while the pool
+    /// *live* (they arrive through the bounded channel while the workers
     /// runs and are all delivered by the time the crawl returns), the
     /// progress stream aggregates to crawl-wide totals, and observing
     /// changes nothing about the result.

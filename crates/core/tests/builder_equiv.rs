@@ -278,7 +278,7 @@ proptest! {
     /// cost.
     ///
     /// A per-identity budget makes success depend on which identity
-    /// steals which shard, so the verdict is held fixed only where the
+    /// takes which shard, so the verdict is held fixed only where the
     /// contract fixes it: every identity stays within budget when the
     /// whole plan costs at most the budget, and the identity that runs a
     /// shard whose queries other than slice fetches alone exceed the

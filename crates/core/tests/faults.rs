@@ -13,7 +13,7 @@
 //!    resuming from the repository yields the same bag as the
 //!    uninterrupted run, with the resumed process re-issuing only the
 //!    unfinished shards — on one session and on several alike (both run
-//!    on the work-stealing pool). The resume's slice memo starts empty,
+//!    on the shard cursor). The resume's slice memo starts empty,
 //!    so it may pay again for slices the banked shards had fetched: its
 //!    total exceeds the uninterrupted cost by at most their slice
 //!    fetches.

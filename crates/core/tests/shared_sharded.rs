@@ -13,7 +13,7 @@
 //!    path.
 //! 3. **Faults stay per-client.** `FaultyDb`-wrapped shared clients with
 //!    retry are indistinguishable from fault-free — concurrently, on the
-//!    real work-stealing pool (extends `faults.rs` theorem 1 to the
+//!    real shard cursor (extends `faults.rs` theorem 1 to the
 //!    shared path).
 
 use proptest::prelude::*;
@@ -170,7 +170,7 @@ proptest! {
         prop_assume!(sharded_supported(&inst));
 
         // Learn the true cost first. The generous quota must cover any
-        // schedule the stealing pool produces — per-session maxima from
+        // schedule the shard cursor produces — per-session maxima from
         // the reference run are schedule-dependent — so use the total.
         let full = Crawl::builder()
             .sessions(sessions)

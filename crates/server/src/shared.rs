@@ -8,7 +8,7 @@
 //! hands out [`ServerClient`] handles, each with its **own**
 //! [`ServerStats`] and scratch buffers, each implementing
 //! [`HiddenDatabase`]. A handle is `Send`, so clients can be moved onto
-//! threads or workpool workers; the store is shared by reference, never
+//! threads or sharded-crawl workers; the store is shared by reference, never
 //! copied. A wire server mints one [`ConnectionClient`] per connection
 //! ([`SharedServer::connection`]), which answers with pre-encoded row
 //! fragments instead of tuples.
@@ -162,8 +162,8 @@ impl SharedServer {
 /// [`ServerStats`] and scratch buffers.
 ///
 /// Implements [`HiddenDatabase`], so every crawler, decorator
-/// ([`Budgeted`], `FaultyDb`), and the work-stealing
-/// pool run against it unchanged — `query` still takes `&mut self`, but
+/// ([`Budgeted`], `FaultyDb`), and the sharded crawl's
+/// workers run against it unchanged — `query` still takes `&mut self`, but
 /// the mutation is confined to this client's session, which is what
 /// makes many clients per store sound.
 #[derive(Debug)]

@@ -89,8 +89,8 @@ fn main() {
     assert!(partial.tuples.len() >= tuples.len() / 2);
     assert!(partial.queries < report.queries);
 
-    // 3. Multi-session: the same builder drives the work-stealing
-    //    shard pool (`run_sharded` is its only entry) — one connection
+    // 3. Multi-session: the same builder drives the shard cursor
+    //    (`run_sharded` is its only entry) — one connection
     //    per identity, a per-identity budget, and the bag and per-shard
     //    costs of crawling the plan shard by shard.
     let sharded = Crawl::builder()
@@ -101,10 +101,9 @@ fn main() {
         .unwrap();
     verify_complete(&tuples, &sharded.merged).unwrap();
     println!(
-        "sharded crawl: {} tuples over {} shards on 3 identities ({} stolen)",
+        "sharded crawl: {} tuples over {} shards on 3 identities",
         sharded.merged.tuples.len(),
-        sharded.shards.len(),
-        sharded.steals()
+        sharded.shards.len()
     );
 
     // 4. External crawlers ride the same path: the second paper's

@@ -173,10 +173,6 @@ impl CrawlObserver for CliObserver {
 
     fn on_shard(&mut self, event: &ShardEvent<'_>) {
         self.finish();
-        let source = match event.source {
-            TaskSource::Stolen { from } => format!(", stolen from {from}"),
-            TaskSource::Seeded | TaskSource::Injected => String::new(),
-        };
         if event.restored {
             eprintln!(
                 "  shard {:>3}/{}: {:>6} queries, {:>7} tuples  (restored from checkpoint)",
@@ -188,13 +184,12 @@ impl CrawlObserver for CliObserver {
             return;
         }
         eprintln!(
-            "  shard {:>3}/{}: {:>6} queries, {:>7} tuples  (worker {}{}{})",
+            "  shard {:>3}/{}: {:>6} queries, {:>7} tuples  (worker {}{})",
             event.index + 1,
             event.total,
             event.queries,
             event.tuples,
             event.worker,
-            source,
             if event.failed { ", FAILED" } else { "" }
         );
     }
@@ -794,9 +789,8 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
         );
     }
     println!(
-        "plan: {} shard(s) over {sessions} session(s), {} stolen, busiest session {} queries",
+        "plan: {} shard(s) over {sessions} session(s), busiest session {} queries",
         report.shards.len(),
-        report.steals(),
         report.max_session_queries()
     );
     for (s, r) in report.per_session.iter().enumerate() {
@@ -836,11 +830,10 @@ fn cmd_barrier(flags: &Flags) -> Result<(), String> {
     };
     let sharded = &report.sharded;
     println!(
-        "sharded barrier over {} sessions ({} shards, {} stolen): \
+        "sharded barrier over {} sessions ({} shards): \
          {} total queries, {} tuples, busiest session {}",
         sharded.per_session.len(),
         sharded.shards.len(),
-        sharded.steals(),
         sharded.merged.queries,
         sharded.merged.tuples.len(),
         sharded.max_session_queries()

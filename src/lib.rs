@@ -90,7 +90,7 @@ pub mod prelude {
         Crawler, DatasetOracle, Dfs, Flow, Hybrid, JsonFileRepository, MemoryRepository,
         PairRuleOracle, ProgressPoint, ProgressRecorder, RankShrink, RetryPolicy, SessionConfig,
         ShardCrawler, ShardEvent, ShardSnapshot, Sharded, ShardedReport, SliceCover, Strategy,
-        TaskSource, ValidityOracle,
+        ValidityOracle,
     };
     pub use hdc_data::{Dataset, DatasetStats};
     pub use hdc_net::{serve, FaultPlan, HttpConnector, HttpDb, RouteExt, ServeOptions, WireServer};
