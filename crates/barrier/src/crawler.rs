@@ -472,10 +472,7 @@ mod tests {
         // top-16 exactly.
         assert!(frontier.multiset_eq(&visible));
         assert_eq!(out.beyond_frontier(), 200 - 16);
-        assert_eq!(
-            out.report.metrics.barrier_deep_tuples,
-            (200 - 16) as u64
-        );
+        assert_eq!(out.report.metrics.barrier_deep_tuples, (200 - 16) as u64);
         assert!(out.report.metrics.barrier_pivots > 0);
     }
 
@@ -656,8 +653,12 @@ mod tests {
             })
             .collect();
         let make = || {
-            HiddenDbServer::new(schema.clone(), rows.clone(), ServerConfig { k: 16, seed: 3 })
-                .unwrap()
+            HiddenDbServer::new(
+                schema.clone(),
+                rows.clone(),
+                ServerConfig { k: 16, seed: 3 },
+            )
+            .unwrap()
         };
         let crawler = BarrierCrawler::new();
         let stolen = crawler.crawl_sharded(|_s| make(), 3, 2, None).unwrap();
@@ -673,7 +674,10 @@ mod tests {
                 solo.report.queries, stolen.sharded.shards[i].report.queries,
                 "shard {i} cost depends on scheduling"
             );
-            assert_eq!(solo.report.tuples.len() as u64, stolen.sharded.shards[i].tuples);
+            assert_eq!(
+                solo.report.tuples.len() as u64,
+                stolen.sharded.shards[i].tuples
+            );
             seq_total += solo.report.queries;
         }
         assert_eq!(stolen.sharded.merged.queries, seq_total);

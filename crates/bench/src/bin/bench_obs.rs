@@ -59,7 +59,11 @@ fn scrape(addr: &str, path: &str) -> (f64, u16, String) {
         .request("GET", path, b"")
         .expect("scrape");
     let ms = t0.elapsed().as_secs_f64() * 1e3;
-    (ms, resp.status, String::from_utf8_lossy(&resp.body).into_owned())
+    (
+        ms,
+        resp.status,
+        String::from_utf8_lossy(&resp.body).into_owned(),
+    )
 }
 
 fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
@@ -79,10 +83,11 @@ fn main() {
 
     eprintln!("building store n = {n}, k = {K} …");
     let ds = hdc_data::yahoo::generate_scaled(n, 11);
-    let shared = SharedServer::new(ds.schema.clone(), ds.tuples.clone(), ServerConfig {
-        k: K,
-        seed: SEED,
-    })
+    let shared = SharedServer::new(
+        ds.schema.clone(),
+        ds.tuples.clone(),
+        ServerConfig { k: K, seed: SEED },
+    )
     .expect("yahoo dataset is schema-valid");
 
     // ---- Claim 1: enabled-vs-disabled crawl wall overhead. ----------
@@ -117,7 +122,10 @@ fn main() {
     }
     let merge_ns = t0.elapsed().as_secs_f64() * 1e9 / merge_snapshots as f64;
     assert_eq!(target.count(), snap.count() * merge_snapshots as u64);
-    eprintln!("histogram merge: {merge_ns:.0} ns per {}-bucket snapshot", snap.counts.len());
+    eprintln!(
+        "histogram merge: {merge_ns:.0} ns per {}-bucket snapshot",
+        snap.counts.len()
+    );
 
     // ---- Claim 3: /metrics scrape latency under concurrent load. ----
     hdc_obs::set_enabled(true);

@@ -329,7 +329,12 @@ pub mod collection {
 
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let span = (self.size.hi - self.size.lo) as u64;
-            let len = self.size.lo + if span == 0 { 0 } else { rng.below(span + 1) as usize };
+            let len = self.size.lo
+                + if span == 0 {
+                    0
+                } else {
+                    rng.below(span + 1) as usize
+                };
             (0..len).map(|_| self.element.generate(rng)).collect()
         }
     }
@@ -528,7 +533,10 @@ mod tests {
         let mut rng = TestRng::new(9);
         let values: Vec<i64> = (0..200).map(|_| s.clone().generate(&mut rng)).collect();
         assert!(values.iter().any(|&v| v < 0), "negative values reachable");
-        assert!(values.iter().any(|&v| v >= 0), "non-negative values reachable");
+        assert!(
+            values.iter().any(|&v| v >= 0),
+            "non-negative values reachable"
+        );
         // The old clamp bug put ~half the mass exactly at i64::MAX.
         let at_max = values.iter().filter(|&&v| v == i64::MAX).count();
         assert!(at_max < 5, "no pile-up at i64::MAX (saw {at_max}/200)");

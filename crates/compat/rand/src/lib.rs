@@ -31,7 +31,10 @@ pub trait Rng: RngCore {
 
     /// Returns `true` with probability `p`.
     fn gen_bool(&mut self, p: f64) -> bool {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability out of range");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "gen_bool probability out of range"
+        );
         unit_f64(self.next_u64()) < p
     }
 }
@@ -52,8 +55,12 @@ fn unit_f64(bits: u64) -> f64 {
 pub trait SampleUniform: Sized + Copy + PartialOrd {
     /// Draws a value from `[lo, hi)` (`inclusive = false`) or `[lo, hi]`
     /// (`inclusive = true`).
-    fn sample_between<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, inclusive: bool)
-        -> Self;
+    fn sample_between<R: RngCore + ?Sized>(
+        rng: &mut R,
+        lo: Self,
+        hi: Self,
+        inclusive: bool,
+    ) -> Self;
 }
 
 /// Ranges that can be sampled uniformly.
@@ -180,10 +187,7 @@ pub mod rngs {
     impl RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
-            let result = s[0]
-                .wrapping_add(s[3])
-                .rotate_left(23)
-                .wrapping_add(s[0]);
+            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
             let t = s[1] << 17;
             s[2] ^= s[0];
             s[3] ^= s[1];

@@ -176,7 +176,11 @@ impl Coordinator {
             shards: (complete, total),
             expired_leases: expired,
             salvaged_grants: salvaged,
-            persist_error: self.persist_error.lock().expect("persist error lock").clone(),
+            persist_error: self
+                .persist_error
+                .lock()
+                .expect("persist error lock")
+                .clone(),
         }
     }
 
@@ -279,7 +283,9 @@ impl Coordinator {
                 }
                 text_response(200, body)
             }
-            Ok(LeaseDecision::Wait { retry_ms }) => text_response(200, format!("wait {retry_ms}\n")),
+            Ok(LeaseDecision::Wait { retry_ms }) => {
+                text_response(200, format!("wait {retry_ms}\n"))
+            }
             Ok(LeaseDecision::Drained) => text_response(200, "drained\n".into()),
             Err(e) => text_response(500, format!("lease failed: {e}")),
         }
@@ -304,7 +310,9 @@ impl Coordinator {
                 text_response(200, "ok\n".into())
             }
             Ok(false) => {
-                self.log(format_args!("heartbeat on lost lease {lease} (shard {index})"));
+                self.log(format_args!(
+                    "heartbeat on lost lease {lease} (shard {index})"
+                ));
                 text_response(200, "lost\n".into())
             }
             Err(e) => text_response(400, format!("heartbeat failed: {e}")),

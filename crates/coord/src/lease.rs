@@ -362,8 +362,8 @@ impl LeaseRepository for MemoryLeaseRepository {
         let now = Instant::now();
         let mut s = self.lock();
         s.reclaim_expired(now);
-        let pending = (0..s.plan.len())
-            .find(|&i| s.done[i].is_none() && !s.active.contains_key(&i));
+        let pending =
+            (0..s.plan.len()).find(|&i| s.done[i].is_none() && !s.active.contains_key(&i));
         if let Some(index) = pending {
             let lease = s.next_lease;
             s.next_lease += 1;
@@ -567,7 +567,11 @@ mod tests {
         ));
         for g in [g0, g1, g2] {
             assert!(repo
-                .complete(g.index, g.lease, snapshot_of_report(g.index, &report(2), None))
+                .complete(
+                    g.index,
+                    g.lease,
+                    snapshot_of_report(g.index, &report(2), None)
+                )
                 .unwrap()
                 .is_some());
         }
@@ -585,7 +589,11 @@ mod tests {
         // Old lease is dead for every verb.
         assert!(!repo.heartbeat(g0.index, g0.lease, None).unwrap());
         assert!(repo
-            .complete(g0.index, g0.lease, snapshot_of_report(g0.index, &report(2), None))
+            .complete(
+                g0.index,
+                g0.lease,
+                snapshot_of_report(g0.index, &report(2), None)
+            )
             .unwrap()
             .is_none());
         // The salvaging peer receives the banked frontier and counters,
@@ -601,7 +609,10 @@ mod tests {
         // assembled shard holds each tuple once.
         let mut delta = snapshot_of_report(0, &report(2), None);
         delta.tuples.drain(..1);
-        assert!(repo.complete(g0b.index, g0b.lease, delta).unwrap().is_some());
+        assert!(repo
+            .complete(g0b.index, g0b.lease, delta)
+            .unwrap()
+            .is_some());
         let whole = repo.checkpoint().shards.remove(0);
         assert_eq!(whole.tuples.len(), 2);
         assert_eq!(whole, snapshot_of_report(0, &report(2), None));
@@ -643,7 +654,11 @@ mod tests {
         let mut repo = MemoryLeaseRepository::new(plan3(), Duration::from_millis(0));
         let g = grant(&mut repo, "slow");
         assert!(repo
-            .complete(g.index, g.lease, snapshot_of_report(g.index, &report(1), None))
+            .complete(
+                g.index,
+                g.lease,
+                snapshot_of_report(g.index, &report(1), None)
+            )
             .unwrap()
             .is_some());
     }

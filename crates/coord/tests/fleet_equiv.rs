@@ -388,7 +388,10 @@ fn killed_worker_is_salvaged_exactly() {
     };
     let mut repo_b = repo.clone();
     let report_b = drive_worker(&mut repo_b, &mut db_b, &inst.schema, &cfg).unwrap();
-    assert_eq!(report_b.shards_resumed, 1, "shard 0 must be resumed, not redone");
+    assert_eq!(
+        report_b.shards_resumed, 1,
+        "shard 0 must be resumed, not redone"
+    );
     assert!(repo.is_drained());
 
     // Exactness: no tuple lost, none double-counted — the salvaged
@@ -548,8 +551,8 @@ impl Fleet {
             ..WorkerConfig::default()
         };
         let mut client = self.client();
-        let report = drive_worker(client.as_mut(), &mut inst.server(seed), &inst.schema, &cfg)
-            .unwrap();
+        let report =
+            drive_worker(client.as_mut(), &mut inst.server(seed), &inst.schema, &cfg).unwrap();
         assert_eq!(report.shards_resumed, 1);
         assert!(self.state.is_drained());
     }
@@ -742,7 +745,10 @@ fn wire_fleet_matches_solo() {
         "drain must trip the serve-loop token"
     );
     let outcome = coordinator.outcome();
-    assert_eq!(outcome.queries, solo_queries, "wire fleet cost ≡ solo exactly");
+    assert_eq!(
+        outcome.queries, solo_queries,
+        "wire fleet cost ≡ solo exactly"
+    );
     assert_eq!(outcome.shards, (total, total));
     let cp = coordinator.checkpoint();
     let tuples: Vec<Tuple> = cp.shards.iter().flat_map(|s| s.tuples.clone()).collect();
@@ -979,7 +985,11 @@ fn hostile_snapshot_payload_is_a_clean_400() {
     let plan_resp = client.request("GET", "/plan", b"").unwrap();
     assert_eq!(plan_resp.status, 200);
     assert!(plan_resp.body.starts_with(b"hdc-coord v1 "));
-    assert_eq!(client.connects(), 2, "`Connection: close` forces a reconnect");
+    assert_eq!(
+        client.connects(),
+        2,
+        "`Connection: close` forces a reconnect"
+    );
 
     // Deltas. Lease shard 0 and bank one root (tuples 0..2, frontier 1).
     let grant = client.request("POST", "/lease", b"hostile").unwrap();
@@ -1001,7 +1011,10 @@ fn hostile_snapshot_payload_is_a_clean_400() {
         let resp = Client::new(&addr, Duration::from_secs(30))
             .request("POST", path, body.as_bytes())
             .unwrap();
-        (resp.status, String::from_utf8_lossy(&resp.body).trim().to_string())
+        (
+            resp.status,
+            String::from_utf8_lossy(&resp.body).trim().to_string(),
+        )
     };
     let ok = verb("/heartbeat", "0 1 0", Some(1), &inst.tuples[..2]);
     assert_eq!(ok, (200, "ok".to_string()));
@@ -1022,7 +1035,11 @@ fn hostile_snapshot_payload_is_a_clean_400() {
     for (path, head, frontier) in refused {
         let (status, answer) = verb(path, head, frontier, &inst.tuples[2..3]);
         assert_eq!(status, 400, "{path} {head:?}: {answer}");
-        assert_eq!(coordinator.checkpoint(), held, "{path} {head:?} must not merge");
+        assert_eq!(
+            coordinator.checkpoint(),
+            held,
+            "{path} {head:?} must not merge"
+        );
     }
 
     // A delta on a reclaimed lease is `lost`, and the salvaged partial
@@ -1076,12 +1093,21 @@ fn lease_verbs_share_one_keep_alive_connection() {
         metrics: Default::default(),
         tuples: Vec::new(),
     };
-    assert!(repo.complete(grant.index, grant.lease, snapshot).unwrap().is_some());
+    assert!(repo
+        .complete(grant.index, grant.lease, snapshot)
+        .unwrap()
+        .is_some());
     let checkpoint = repo.load().unwrap().unwrap();
     assert!(checkpoint.has_shard(grant.index));
     drop(repo);
 
     let stats = server.shutdown().unwrap();
-    assert_eq!(stats.requests, 5, "plan, lease, heartbeat, complete, checkpoint");
-    assert_eq!(stats.connections, 1, "every lease verb rides one connection");
+    assert_eq!(
+        stats.requests, 5,
+        "plan, lease, heartbeat, complete, checkpoint"
+    );
+    assert_eq!(
+        stats.connections, 1,
+        "every lease verb rides one connection"
+    );
 }

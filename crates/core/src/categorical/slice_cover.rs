@@ -280,8 +280,8 @@ impl<'m> SliceTable<'m> {
                     session.metrics().slice_overflows += 1;
                 }
                 let entry = if out.overflow {
-                    let window = (self.keep_leaf_windows && pos + 1 == self.levels())
-                        .then_some(out.tuples);
+                    let window =
+                        (self.keep_leaf_windows && pos + 1 == self.levels()).then_some(out.tuples);
                     SliceResult::Overflowed { window }
                 } else {
                     SliceResult::Resolved(out.tuples)
@@ -431,7 +431,9 @@ pub(crate) fn extended_dfs_from(
                         session.metrics().local_answers += 1;
                         session.report(matched);
                     }
-                    SliceResult::Overflowed { window: leaf_window } => {
+                    SliceResult::Overflowed {
+                        window: leaf_window,
+                    } => {
                         let is_slice = child_q.constrained_count() == 1;
                         if child_level == levels {
                             match leaf {
@@ -458,8 +460,7 @@ pub(crate) fn extended_dfs_from(
                                             // query saved per overflowing
                                             // leaf).
                                             session.metrics().slice_cache_hits += 1;
-                                            let known =
-                                                QueryOutcome::overflowed(w.clone());
+                                            let known = QueryOutcome::overflowed(w.clone());
                                             rank.run_subspace_seeded(
                                                 session, child_q, known, dims,
                                             )?;

@@ -101,10 +101,7 @@ mod tests {
         fn k(&self) -> usize {
             1
         }
-        fn query(
-            &mut self,
-            _q: &hdc_types::Query,
-        ) -> Result<QueryOutcome, hdc_types::DbError> {
+        fn query(&mut self, _q: &hdc_types::Query) -> Result<QueryOutcome, hdc_types::DbError> {
             Ok(QueryOutcome {
                 tuples: Vec::new(),
                 overflow: false,

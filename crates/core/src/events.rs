@@ -127,7 +127,9 @@ impl Clone for EventSink {
 
 impl std::fmt::Debug for EventSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventSink").field("shard", &self.shard).finish()
+        f.debug_struct("EventSink")
+            .field("shard", &self.shard)
+            .finish()
     }
 }
 

@@ -207,12 +207,15 @@ mod tests {
     fn unsolvable_duplicate_point_detected() {
         // 10 identical tuples, k = 4: the numeric leaf crawl must hit an
         // exhausted point that still overflows.
-        let tuples: Vec<Tuple> = std::iter::repeat_n(Tuple::new(vec![
-            Value::Cat(1),
-            Value::Int(5),
-            Value::Cat(2),
-            Value::Int(2000),
-        ]), 10)
+        let tuples: Vec<Tuple> = std::iter::repeat_n(
+            Tuple::new(vec![
+                Value::Cat(1),
+                Value::Int(5),
+                Value::Cat(2),
+                Value::Int(2000),
+            ]),
+            10,
+        )
         .collect();
         let mut db =
             HiddenDbServer::new(mixed_schema(), tuples, ServerConfig { k: 4, seed: 9 }).unwrap();
@@ -224,14 +227,15 @@ mod tests {
     fn duplicates_at_k_boundary_succeed() {
         // Exactly k duplicates at one point is still solvable.
         let mut tuples = mixed_tuples(500);
-        tuples.extend(
-            std::iter::repeat_n(Tuple::new(vec![
+        tuples.extend(std::iter::repeat_n(
+            Tuple::new(vec![
                 Value::Cat(0),
                 Value::Int(1),
                 Value::Cat(0),
                 Value::Int(1995),
-            ]), 16),
-        );
+            ]),
+            16,
+        ));
         let mut db = HiddenDbServer::new(
             mixed_schema(),
             tuples.clone(),

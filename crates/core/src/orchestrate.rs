@@ -86,8 +86,8 @@
 use hdc_types::{Budgeted, HiddenDatabase, Query, QueryOutcome, Schema, Tuple};
 
 use crate::categorical::dfs::Dfs;
-use crate::connector::Connector;
 use crate::categorical::slice_cover::{SliceCover, SliceMemo};
+use crate::connector::Connector;
 use crate::crawler::Crawler;
 use crate::dependency::ValidityOracle;
 use crate::hybrid::Hybrid;
@@ -371,9 +371,7 @@ impl<'c> Strategy<'c> {
             Strategy::RankShrink => schema.is_numeric(),
             Strategy::SliceCover { lazy: true } => schema.is_categorical(),
             Strategy::Custom(c) => c.supports(schema),
-            Strategy::BinaryShrink | Strategy::SliceCover { lazy: false } | Strategy::Dfs => {
-                false
-            }
+            Strategy::BinaryShrink | Strategy::SliceCover { lazy: false } | Strategy::Dfs => false,
         }
     }
 }
@@ -695,9 +693,7 @@ fn solo_crawler<'o>(
         (Strategy::Dfs, Some(o)) => Box::new(Dfs::with_oracle(o)),
         (Strategy::SliceCover { lazy: false }, None) => Box::new(SliceCover::eager()),
         (Strategy::SliceCover { lazy: true }, None) => Box::new(SliceCover::lazy()),
-        (Strategy::SliceCover { lazy: true }, Some(o)) => {
-            Box::new(SliceCover::lazy_with_oracle(o))
-        }
+        (Strategy::SliceCover { lazy: true }, Some(o)) => Box::new(SliceCover::lazy_with_oracle(o)),
         (Strategy::Custom(_), _) => unreachable!("a custom strategy crawls itself"),
         (Strategy::SliceCover { lazy: false }, Some(_)) => {
             unreachable!("assert_runnable refuses the oracle")
@@ -725,7 +721,11 @@ fn assert_runnable(strategy: Strategy<'_>, schema: &Schema, oracle: bool, sharde
         schema.arity() - schema.cat_count()
     );
     assert!(
-        !oracle || !matches!(strategy, Strategy::SliceCover { lazy: false } | Strategy::Custom(_)),
+        !oracle
+            || !matches!(
+                strategy,
+                Strategy::SliceCover { lazy: false } | Strategy::Custom(_)
+            ),
         "strategy {strategy:?} does not support a validity oracle"
     );
 }
@@ -810,8 +810,7 @@ mod tests {
         fn query(&mut self, q: &Query) -> Result<QueryOutcome, DbError> {
             q.validate(&self.schema)?;
             self.issued += 1;
-            let matches: Vec<Tuple> =
-                self.rows.iter().filter(|t| q.matches(t)).cloned().collect();
+            let matches: Vec<Tuple> = self.rows.iter().filter(|t| q.matches(t)).cloned().collect();
             if matches.len() <= self.k {
                 Ok(QueryOutcome::resolved(matches))
             } else {
@@ -871,7 +870,10 @@ mod tests {
             .observer(&mut counter)
             .run(&mut db)
             .unwrap();
-        assert_eq!(report.algorithm, "rank-shrink", "Auto picked the paper's choice");
+        assert_eq!(
+            report.algorithm, "rank-shrink",
+            "Auto picked the paper's choice"
+        );
         assert_eq!(counter.queries, report.queries);
         assert_eq!(counter.tuples, report.tuples.len() as u64);
         assert_eq!(

@@ -524,7 +524,12 @@ mod tests {
         assert_eq!(merged.algorithm, "fleet");
         assert_eq!(merged.tuples, vec![int_tuple(&[10]), int_tuple(&[30])]);
         assert_eq!(
-            (merged.queries, merged.resolved, merged.overflowed, merged.pruned),
+            (
+                merged.queries,
+                merged.resolved,
+                merged.overflowed,
+                merged.pruned
+            ),
             (6, 4, 2, 2)
         );
         assert_eq!(merged.metrics.slice_fetches, 2);

@@ -292,11 +292,15 @@ impl CrawlCheckpoint {
     pub fn from_tree(text: &str) -> io::Result<Self> {
         let doc = json::parse(text).map_err(invalid)?;
         let obj = object(&doc, "top level")?;
-        let format = get(obj, "format")?.as_str().ok_or_else(|| invalid("format"))?;
+        let format = get(obj, "format")?
+            .as_str()
+            .ok_or_else(|| invalid("format"))?;
         if format != "hdc-crawl-checkpoint" {
             return Err(invalid(format!("unknown format {format:?}")));
         }
-        let version = get(obj, "version")?.as_int().ok_or_else(|| invalid("version"))?;
+        let version = get(obj, "version")?
+            .as_int()
+            .ok_or_else(|| invalid("version"))?;
         if version != 1 {
             return Err(invalid(format!("unsupported version {version}")));
         }
@@ -663,7 +667,9 @@ mod tests {
         let checkpoint = sample();
         let plan = checkpoint.plan.clone();
         assert!(checkpoint.verify_plan(&plan).is_ok());
-        let err = checkpoint.verify_plan(&["num:0=[0,9]".to_owned()]).unwrap_err();
+        let err = checkpoint
+            .verify_plan(&["num:0=[0,9]".to_owned()])
+            .unwrap_err();
         assert!(matches!(err, RepositoryError::PlanMismatch { .. }));
         assert!(err.to_string().contains("plan mismatch"));
         let short = &plan[..1];
@@ -679,7 +685,10 @@ mod tests {
             .unwrap_err();
         assert!(matches!(
             err,
-            RepositoryError::SnapshotOutOfPlan { index: 1, plan_len: 1 }
+            RepositoryError::SnapshotOutOfPlan {
+                index: 1,
+                plan_len: 1
+            }
         ));
     }
 
@@ -709,13 +718,14 @@ mod tests {
 
     #[test]
     fn file_repository_roundtrips_and_overwrites_atomically() {
-        let path = std::env::temp_dir().join(format!(
-            "hdc-checkpoint-test-{}.json",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("hdc-checkpoint-test-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let mut repo = JsonFileRepository::new(&path);
-        assert!(repo.load().unwrap().is_none(), "missing file is a fresh crawl");
+        assert!(
+            repo.load().unwrap().is_none(),
+            "missing file is a fresh crawl"
+        );
 
         let mut checkpoint = sample();
         repo.store(&checkpoint).unwrap();

@@ -181,7 +181,10 @@ mod tests {
                 .saturating_mul(1 << (retry - 1).min(20))
                 .min(Duration::from_secs(5));
             let b = p.backoff_for(retry, 0);
-            assert!(b >= raw / 2 && b < raw, "retry {retry}: {b:?} vs raw {raw:?}");
+            assert!(
+                b >= raw / 2 && b < raw,
+                "retry {retry}: {b:?} vs raw {raw:?}"
+            );
         }
         // From retry 7 on (100 ms · 2^6 = 6.4 s) the cap binds.
         assert!(p.backoff_for(7, 0) >= Duration::from_millis(2500), "capped");

@@ -501,7 +501,10 @@ fn pre_cancelled_token_spends_nothing() {
     token.cancel();
 
     let mut server = inst.server(5);
-    let err = Crawl::builder().cancel(&token).run(&mut server).unwrap_err();
+    let err = Crawl::builder()
+        .cancel(&token)
+        .run(&mut server)
+        .unwrap_err();
     let CrawlError::Stopped { partial } = err else {
         panic!("expected Stopped, got {err:?}");
     };
@@ -703,10 +706,7 @@ fn plan_mismatch_refuses_to_resume() {
     let CrawlError::Db { error, partial } = err else {
         panic!("expected a typed mismatch error, got {err:?}");
     };
-    assert!(
-        error.to_string().contains("plan mismatch"),
-        "got {error:?}"
-    );
+    assert!(error.to_string().contains("plan mismatch"), "got {error:?}");
     assert_eq!(partial.queries, 0, "refused before spending");
 }
 

@@ -68,7 +68,11 @@ fn k1_multidimensional_complete() {
     // All points distinct?  (i*7 mod 23, i*13 mod 19) for i in 0..30 —
     // verify via the bag, and the assert below guards the assumption.
     let bag = TupleBag::from_tuples(rows.iter().cloned());
-    assert_eq!(bag.max_multiplicity(), 1, "test data must be duplicate-free");
+    assert_eq!(
+        bag.max_multiplicity(),
+        1,
+        "test data must be duplicate-free"
+    );
     let mut db =
         HiddenDbServer::new(schema_nd(2), rows.clone(), ServerConfig { k: 1, seed: 7 }).unwrap();
     let report = RankShrink::new().crawl(&mut db).unwrap();
@@ -107,8 +111,7 @@ fn single_point_at_the_multiplicity_boundary() {
         verify_complete(&at_k, &RankShrink::new().crawl(&mut db).unwrap()).unwrap();
 
         let over: Vec<Tuple> = std::iter::repeat_n(int_tuple(&[7]), k + 1).collect();
-        let mut db =
-            HiddenDbServer::new(schema_1d(), over, ServerConfig { k, seed: 1 }).unwrap();
+        let mut db = HiddenDbServer::new(schema_1d(), over, ServerConfig { k, seed: 1 }).unwrap();
         assert!(matches!(
             RankShrink::new().crawl(&mut db),
             Err(CrawlError::Unsolvable { .. })
@@ -127,8 +130,7 @@ fn all_ties_ranking_is_crawled_completely() {
     let flat = vec![7u64; rows.len()];
     for k in [1usize, 4, 16] {
         let solvable = TupleBag::from_tuples(rows.iter().cloned()).max_multiplicity() <= k;
-        let mut db =
-            HiddenDbServer::with_priorities(schema_1d(), rows.clone(), k, &flat).unwrap();
+        let mut db = HiddenDbServer::with_priorities(schema_1d(), rows.clone(), k, &flat).unwrap();
         match RankShrink::new().crawl(&mut db) {
             Ok(report) => {
                 assert!(solvable, "k={k}: crawl succeeded on unsolvable instance");
@@ -149,8 +151,7 @@ fn ranking_never_affects_the_recovered_bag() {
     let flat = vec![1u64; rows.len()];
     let distinct: Vec<u64> = (0..rows.len() as u64).collect();
     let k = 8;
-    let mut db_flat =
-        HiddenDbServer::with_priorities(schema_1d(), rows.clone(), k, &flat).unwrap();
+    let mut db_flat = HiddenDbServer::with_priorities(schema_1d(), rows.clone(), k, &flat).unwrap();
     let mut db_distinct =
         HiddenDbServer::with_priorities(schema_1d(), rows.clone(), k, &distinct).unwrap();
     let a = RankShrink::new().crawl(&mut db_flat).unwrap();

@@ -163,7 +163,10 @@ fn file_repository_surfaces_corruption_as_errors() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let mut missing = JsonFileRepository::new(dir.join("nonexistent.json"));
-    assert!(matches!(missing.load(), Ok(None)), "absent file = fresh crawl");
+    assert!(
+        matches!(missing.load(), Ok(None)),
+        "absent file = fresh crawl"
+    );
 
     let path = dir.join("corrupt.json");
     for bytes in [
@@ -308,7 +311,11 @@ fn real_signature_shapes_round_trip() {
         Predicate::Range { lo: -5, hi: 900 },
         Predicate::Any,
     ]);
-    for sig in [format!("{q}"), "unicode: π ≤ τ".to_string(), "tab\tsig".to_string()] {
+    for sig in [
+        format!("{q}"),
+        "unicode: π ≤ τ".to_string(),
+        "tab\tsig".to_string(),
+    ] {
         let cp = CrawlCheckpoint::new(vec![sig]);
         let parsed = CrawlCheckpoint::from_json(&cp.to_json()).unwrap();
         assert_eq!(parsed.plan, cp.plan);

@@ -21,9 +21,7 @@ use proptest::Strategy as PropStrategy;
 
 use hdc_core::{Crawl, CrawlError, RetryPolicy, Strategy};
 use hdc_server::{HiddenDbServer, ServerConfig, SharedServer};
-use hdc_types::{
-    AttrKind, FaultConfig, FaultyDb, Schema, Tuple, TupleBag, Value,
-};
+use hdc_types::{AttrKind, FaultConfig, FaultyDb, Schema, Tuple, TupleBag, Value};
 
 #[derive(Debug, Clone)]
 struct Instance {
@@ -274,9 +272,7 @@ fn yahoo_fleet_on_one_store_survives_faults_bit_identically() {
     let clean = Crawl::builder()
         .sessions(8)
         .oversubscribe(4)
-        .run_sharded(|_s| {
-            HiddenDbServer::new(ds.schema.clone(), ds.tuples.clone(), cfg).unwrap()
-        })
+        .run_sharded(|_s| HiddenDbServer::new(ds.schema.clone(), ds.tuples.clone(), cfg).unwrap())
         .unwrap();
 
     let shared = SharedServer::new(ds.schema.clone(), ds.tuples.clone(), cfg).unwrap();

@@ -183,8 +183,8 @@ impl Parser<'_> {
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return Err(self.err("floats not supported by this protocol"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits and minus are ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits and minus are ASCII");
         text.parse::<i128>()
             .map(Json::Int)
             .map_err(|_| self.err("integer overflow"))

@@ -155,11 +155,10 @@ fn read_headers<R: BufRead>(r: &mut R) -> io::Result<Head> {
 
 fn read_body<R: BufRead>(r: &mut R, len: usize) -> io::Result<Vec<u8>> {
     let mut body = vec![0u8; len];
-    r.read_exact(&mut body)
-        .map_err(|e| match e.kind() {
-            ErrorKind::UnexpectedEof => invalid("truncated body"),
-            _ => e,
-        })?;
+    r.read_exact(&mut body).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => invalid("truncated body"),
+        _ => e,
+    })?;
     Ok(body)
 }
 
@@ -410,8 +409,8 @@ mod tests {
             .unwrap()
             .is_none());
         for bad in [
-            &b"POST /query"[..],                                  // eof mid-line
-            &b"POST /query HTTP/1.1\r\n"[..],                     // eof in headers
+            &b"POST /query"[..],                                    // eof mid-line
+            &b"POST /query HTTP/1.1\r\n"[..],                       // eof in headers
             &b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nab"[..], // truncated body
         ] {
             assert!(read_request(&mut BufReader::new(bad)).is_err(), "{bad:?}");
@@ -430,7 +429,10 @@ mod tests {
         many_headers.push_str("\r\n");
         assert!(read_request(&mut BufReader::new(many_headers.as_bytes())).is_err());
 
-        let huge = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY + 1);
+        let huge = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
         assert!(read_request(&mut BufReader::new(huge.as_bytes())).is_err());
 
         let nan = "POST / HTTP/1.1\r\nContent-Length: seven\r\n\r\n";

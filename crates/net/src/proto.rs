@@ -473,8 +473,7 @@ pub fn parse_error_body(status: u16, body: &str) -> DbError {
                     v.get("issued").and_then(Json::as_int),
                     v.get("limit").and_then(Json::as_int),
                 ) {
-                    if let (Ok(issued), Ok(limit)) = (u64::try_from(issued), u64::try_from(limit))
-                    {
+                    if let (Ok(issued), Ok(limit)) = (u64::try_from(issued), u64::try_from(limit)) {
                         return DbError::BudgetExhausted { issued, limit };
                     }
                 }
@@ -507,10 +506,7 @@ mod tests {
 
     #[test]
     fn query_round_trip() {
-        let q = Query::new(vec![
-            Predicate::Eq(3),
-            Predicate::Range { lo: -5, hi: 42 },
-        ]);
+        let q = Query::new(vec![Predicate::Eq(3), Predicate::Range { lo: -5, hi: 42 }]);
         assert_eq!(parse_query_body(&query_body(&q)).unwrap(), q);
         let qs = vec![q.clone(), Query::any(2)];
         assert_eq!(parse_batch_body(&batch_body(&qs)).unwrap(), qs);

@@ -79,7 +79,10 @@ fn server_answers_named_corruptions_with_clean_400s_and_keeps_serving() {
     );
     let named: &[(&str, Vec<u8>)] = &[
         ("truncated request line", b"POST /que".to_vec()),
-        ("bare garbage", b"\xff\xfe\xfd\x00\x01garbage\r\n\r\n".to_vec()),
+        (
+            "bare garbage",
+            b"\xff\xfe\xfd\x00\x01garbage\r\n\r\n".to_vec(),
+        ),
         ("oversized header line", oversized_header.into_bytes()),
         (
             "non-numeric content-length",
@@ -105,7 +108,10 @@ fn server_answers_named_corruptions_with_clean_400s_and_keeps_serving() {
             "garbage body on a valid frame",
             b"POST /query HTTP/1.1\r\nContent-Length: 9\r\n\r\nnot json!".to_vec(),
         ),
-        ("mid-request disconnect", b"POST /query HTTP/1.1\r\nConte".to_vec()),
+        (
+            "mid-request disconnect",
+            b"POST /query HTTP/1.1\r\nConte".to_vec(),
+        ),
     ];
 
     for (label, payload) in named {
@@ -114,10 +120,7 @@ fn server_answers_named_corruptions_with_clean_400s_and_keeps_serving() {
         // or un-servable frame and said so), and that response must be a
         // well-formed 400 — except the valid-frame/garbage-body case,
         // which is a 400 from the JSON layer instead of the HTTP layer.
-        assert!(
-            !resp.is_empty(),
-            "{label}: server closed without answering"
-        );
+        assert!(!resp.is_empty(), "{label}: server closed without answering");
         let parsed = http::read_response(&mut std::io::BufReader::new(&resp[..]))
             .unwrap_or_else(|e| panic!("{label}: malformed server response: {e}"));
         assert_eq!(parsed.status, 400, "{label}: expected a clean 400");
@@ -189,8 +192,12 @@ fn fake_server(payload: Vec<u8>) -> (SocketAddr, std::thread::JoinHandle<()>) {
         let shared = fixture();
         let body = proto::schema_body(shared.schema(), shared.k(), 200);
         let mut buf = Vec::new();
-        http::write_response(&mut buf, &http::Response::json(200, body.into_bytes()), false)
-            .unwrap();
+        http::write_response(
+            &mut buf,
+            &http::Response::json(200, body.into_bytes()),
+            false,
+        )
+        .unwrap();
         buf
     };
     let handle = std::thread::spawn(move || {
@@ -251,7 +258,10 @@ fn client_turns_named_corruptions_into_clean_transients() {
     let named: &[(&str, Vec<u8>)] = &[
         ("mid-response disconnect (no bytes)", Vec::new()),
         ("truncated status line", b"HTTP/1.1 20".to_vec()),
-        ("garbage status line", b"\xfftotally not http\r\n\r\n".to_vec()),
+        (
+            "garbage status line",
+            b"\xfftotally not http\r\n\r\n".to_vec(),
+        ),
         (
             "non-numeric status",
             b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n".to_vec(),
@@ -303,8 +313,12 @@ fn client_times_out_cleanly_when_the_response_never_comes() {
         let shared = fixture();
         let body = proto::schema_body(shared.schema(), shared.k(), 200);
         let mut buf = Vec::new();
-        http::write_response(&mut buf, &http::Response::json(200, body.into_bytes()), false)
-            .unwrap();
+        http::write_response(
+            &mut buf,
+            &http::Response::json(200, body.into_bytes()),
+            false,
+        )
+        .unwrap();
         buf
     };
     let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();

@@ -37,7 +37,12 @@ fn bag(tuples: &[Tuple]) -> TupleBag {
 /// non-crawling tests (budgets, retirement, drain) use smaller `k`.
 fn fixture(n: usize, k: usize, seed: u64) -> SharedServer {
     let ds = hdc_data::yahoo::generate_scaled(n, 11);
-    SharedServer::new(ds.schema.clone(), ds.tuples.clone(), ServerConfig { k, seed }).unwrap()
+    SharedServer::new(
+        ds.schema.clone(),
+        ds.tuples.clone(),
+        ServerConfig { k, seed },
+    )
+    .unwrap()
 }
 
 fn start(shared: &SharedServer, opts: ServeOptions) -> WireServer {
@@ -112,7 +117,10 @@ fn loopback_barrier_crawl_equals_in_process() {
     server.shutdown().unwrap();
 
     assert!(bag(&wire.sharded.merged.tuples).multiset_eq(&bag(&reference.sharded.merged.tuples)));
-    assert_eq!(wire.sharded.merged.queries, reference.sharded.merged.queries);
+    assert_eq!(
+        wire.sharded.merged.queries,
+        reference.sharded.merged.queries
+    );
     assert_eq!(wire.depth_histogram, reference.depth_histogram);
     assert_eq!(wire.max_depth, reference.max_depth);
 }
@@ -146,7 +154,10 @@ fn wire_faults_with_retry_equal_fault_free() {
         .unwrap();
     let stats = server.shutdown().unwrap();
 
-    assert!(stats.faults_injected > 0, "the plan must actually have fired");
+    assert!(
+        stats.faults_injected > 0,
+        "the plan must actually have fired"
+    );
     assert!(
         bag(&wire.merged.tuples).multiset_eq(&bag(&reference.merged.tuples)),
         "wire faults changed the merged bag"
@@ -158,7 +169,10 @@ fn wire_faults_with_retry_equal_fault_free() {
     assert_eq!(wire.merged.resolved, reference.merged.resolved);
     assert_eq!(wire.merged.overflowed, reference.merged.overflowed);
     assert_eq!(wire.merged.pruned, reference.merged.pruned);
-    assert!(wire.merged.metrics.transient_retries > 0, "retries happened");
+    assert!(
+        wire.merged.metrics.transient_retries > 0,
+        "retries happened"
+    );
 }
 
 /// Timeout-edge satellite: a stall longer than the client read timeout
@@ -179,9 +193,7 @@ fn stalled_server_trips_client_read_timeout_as_transient() {
             ..ServeOptions::default()
         },
     );
-    let mut db = connector(&server)
-        .timeout(Duration::from_millis(60))
-        .db(0);
+    let mut db = connector(&server).timeout(Duration::from_millis(60)).db(0);
     let err = db.query(&Query::any(shared.schema().arity())).unwrap_err();
     assert!(err.is_transient(), "timeout must be retryable, got {err:?}");
     assert!(
@@ -374,7 +386,10 @@ fn wire_checkpoint_kill_resume_completes_exactly() {
     );
     assert_eq!(resumed.merged.queries, uninterrupted.merged.queries);
     let restored = resumed.shards.iter().filter(|s| s.restored).count();
-    assert_eq!(restored, checkpointed, "checkpointed shards replay, not re-crawl");
+    assert_eq!(
+        restored, checkpointed,
+        "checkpointed shards replay, not re-crawl"
+    );
 }
 
 /// One raw `GET` against the wire server, outside any crawl session.
@@ -420,7 +435,10 @@ fn observed_wire_crawl_is_bit_identical_and_metrics_answer_mid_crawl() {
     hdc_obs::set_enabled(true);
     let conn = connector(&server);
     let crawl = std::thread::spawn(move || {
-        let mut tap = SlowTap { queries: 0, tuples: 0 };
+        let mut tap = SlowTap {
+            queries: 0,
+            tuples: 0,
+        };
         let report = Crawl::builder()
             .sessions(3)
             .observer(&mut tap)
@@ -470,7 +488,10 @@ fn observed_wire_crawl_is_bit_identical_and_metrics_answer_mid_crawl() {
             "observer changed a shard's charged cost over the wire"
         );
     }
-    assert_eq!(tap_queries, observed.merged.queries, "observer missed charged queries");
+    assert_eq!(
+        tap_queries, observed.merged.queries,
+        "observer missed charged queries"
+    );
     assert_eq!(
         tap_tuples,
         observed.merged.tuples.len() as u64,

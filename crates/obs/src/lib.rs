@@ -169,7 +169,12 @@ impl Histogram {
             "histogram bounds must be strictly ascending"
         );
         let counts = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram { bounds, counts, sum: AtomicU64::new(0), unit }
+        Histogram {
+            bounds,
+            counts,
+            sum: AtomicU64::new(0),
+            unit,
+        }
     }
 
     /// Records one observation in raw units.
@@ -216,7 +221,11 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.bounds.clone(),
-            counts: self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+            counts: self
+                .counts
+                .iter()
+                .map(|c| c.load(Ordering::Relaxed))
+                .collect(),
             sum: self.sum(),
             unit: self.unit,
         }
@@ -225,7 +234,10 @@ impl Histogram {
     /// Adds a snapshot's counts into this histogram (bounds must
     /// match): the cross-shard merge path.
     pub fn absorb(&self, snap: &HistogramSnapshot) {
-        assert_eq!(self.bounds, snap.bounds, "merging histograms over different buckets");
+        assert_eq!(
+            self.bounds, snap.bounds,
+            "merging histograms over different buckets"
+        );
         for (mine, theirs) in self.counts.iter().zip(&snap.counts) {
             mine.fetch_add(*theirs, Ordering::Relaxed);
         }
@@ -264,7 +276,10 @@ impl HistogramSnapshot {
     /// Element-wise addition (bounds must match): merging per-shard
     /// distributions loses nothing because the buckets are fixed.
     pub fn merge_from(&mut self, other: &HistogramSnapshot) {
-        assert_eq!(self.bounds, other.bounds, "merging histograms over different buckets");
+        assert_eq!(
+            self.bounds, other.bounds,
+            "merging histograms over different buckets"
+        );
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += theirs;
         }
@@ -291,7 +306,11 @@ impl HistogramSnapshot {
                     // +Inf bucket: clamp to the last finite bound.
                     return self.bounds[self.bounds.len() - 1] as f64;
                 }
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] as f64 };
+                let lo = if i == 0 {
+                    0.0
+                } else {
+                    self.bounds[i - 1] as f64
+                };
                 let hi = self.bounds[i] as f64;
                 let frac = (target - prev_cum as f64) / c as f64;
                 return lo + (hi - lo) * frac.clamp(0.0, 1.0);
@@ -396,12 +415,10 @@ impl Registry {
     {
         let mut metrics = self.metrics.lock().expect("registry poisoned");
         if let Some(m) = metrics.iter().find(|m| {
-            m.name == name
-                && m.label.as_ref().map(|(k, v)| (k.as_str(), v.as_str())) == label
+            m.name == name && m.label.as_ref().map(|(k, v)| (k.as_str(), v.as_str())) == label
         }) {
-            return extract(&m.kind).unwrap_or_else(|| {
-                panic!("metric {name:?} re-registered as a different type")
-            });
+            return extract(&m.kind)
+                .unwrap_or_else(|| panic!("metric {name:?} re-registered as a different type"));
         }
         let (handle, kind) = create();
         metrics.push(Metric {
@@ -587,11 +604,7 @@ impl Registry {
         let mut histograms = Vec::new();
         for m in order {
             let label = match &m.label {
-                Some((k, v)) => format!(
-                    ",\"label\":{{{}:{}}}",
-                    quote(k),
-                    quote(v)
-                ),
+                Some((k, v)) => format!(",\"label\":{{{}:{}}}", quote(k), quote(v)),
                 None => String::new(),
             };
             match &m.kind {
@@ -737,9 +750,16 @@ mod tests {
     fn prometheus_rendering_is_well_formed() {
         let r = Registry::new();
         r.counter("hdc_q_total", "Queries charged").add(3);
-        r.counter_with("hdc_evals_total", Some(("kind", "probe")), "Evals").add(2);
-        r.counter_with("hdc_evals_total", Some(("kind", "scan")), "Evals").inc();
-        let h = r.histogram("hdc_lat_seconds", "Latency", vec![1_000_000, 1_000_000_000], Unit::Nanos);
+        r.counter_with("hdc_evals_total", Some(("kind", "probe")), "Evals")
+            .add(2);
+        r.counter_with("hdc_evals_total", Some(("kind", "scan")), "Evals")
+            .inc();
+        let h = r.histogram(
+            "hdc_lat_seconds",
+            "Latency",
+            vec![1_000_000, 1_000_000_000],
+            Unit::Nanos,
+        );
         h.observe(500_000); // 0.5 ms
         h.observe(2_000_000_000); // 2 s → +Inf
         let text = r.render_prometheus();
@@ -750,7 +770,10 @@ mod tests {
         // One HELP/TYPE header per family, not per labelled variant.
         assert_eq!(text.matches("# TYPE hdc_evals_total").count(), 1);
         // Histogram: cumulative buckets in seconds, +Inf, sum, count.
-        assert!(text.contains("hdc_lat_seconds_bucket{le=\"0.001\"} 1\n"), "{text}");
+        assert!(
+            text.contains("hdc_lat_seconds_bucket{le=\"0.001\"} 1\n"),
+            "{text}"
+        );
         assert!(text.contains("hdc_lat_seconds_bucket{le=\"1\"} 1\n"));
         assert!(text.contains("hdc_lat_seconds_bucket{le=\"+Inf\"} 2\n"));
         assert!(text.contains("hdc_lat_seconds_count 2\n"));

@@ -1208,11 +1208,10 @@ mod tests {
         let engine = Engine::new(&schema, &rows);
         let mut stats = ServerStats::default();
         let mut scratch = Scratch::default();
-        let first = vec![Query::any(3), Query::new(vec![
-            Predicate::Eq(1),
-            Predicate::Any,
-            Predicate::Any,
-        ])];
+        let first = vec![
+            Query::any(3),
+            Query::new(vec![Predicate::Eq(1), Predicate::Any, Predicate::Any]),
+        ];
         let second = vec![
             Query::new(vec![
                 Predicate::Any,

@@ -626,8 +626,7 @@ mod tests {
     #[test]
     fn query_batch_empty_and_singleton() {
         let rows: Vec<Tuple> = (0..30).map(|x| int_tuple(&[x])).collect();
-        let mut s =
-            HiddenDbServer::new(schema_1d(), rows, ServerConfig { k: 4, seed: 5 }).unwrap();
+        let mut s = HiddenDbServer::new(schema_1d(), rows, ServerConfig { k: 4, seed: 5 }).unwrap();
         assert!(s.query_batch(&[]).unwrap().is_empty());
         assert_eq!(s.queries_issued(), 0);
         let q = Query::any(1);
@@ -641,8 +640,7 @@ mod tests {
     #[test]
     fn invalid_query_rejects_whole_batch_without_charging() {
         let rows: Vec<Tuple> = (0..30).map(|x| int_tuple(&[x])).collect();
-        let mut s =
-            HiddenDbServer::new(schema_1d(), rows, ServerConfig { k: 4, seed: 5 }).unwrap();
+        let mut s = HiddenDbServer::new(schema_1d(), rows, ServerConfig { k: 4, seed: 5 }).unwrap();
         let batch = vec![
             Query::any(1),
             Query::new(vec![Predicate::Eq(3)]), // invalid: Eq on numeric

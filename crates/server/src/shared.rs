@@ -51,7 +51,9 @@
 
 use std::sync::Arc;
 
-use hdc_types::{Budgeted, DbError, HiddenDatabase, Query, QueryOutcome, Schema, SchemaError, Tuple};
+use hdc_types::{
+    Budgeted, DbError, HiddenDatabase, Query, QueryOutcome, Schema, SchemaError, Tuple,
+};
 
 use crate::engine::Strategy;
 use crate::row_table::Answer;
@@ -345,8 +347,7 @@ mod tests {
     #[test]
     fn share_reuses_the_store() {
         let (schema, rows) = fixture();
-        let server =
-            HiddenDbServer::new(schema, rows, ServerConfig { k: 8, seed: 1 }).unwrap();
+        let server = HiddenDbServer::new(schema, rows, ServerConfig { k: 8, seed: 1 }).unwrap();
         let shared = server.share();
         assert_eq!(shared.handles(), 2); // server + shared
         let mut c = shared.client();

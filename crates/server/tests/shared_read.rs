@@ -129,7 +129,10 @@ fn drive(db: &mut impl HiddenDatabase, ops: &[Op]) -> Vec<Option<Vec<QueryOutcom
 #[test]
 fn concurrent_clients_match_sequential_private_servers() {
     let (schema, tuples) = fixture();
-    let cfg = ServerConfig { k: 48, seed: 0xbeef };
+    let cfg = ServerConfig {
+        k: 48,
+        seed: 0xbeef,
+    };
     let shared = SharedServer::new(schema.clone(), tuples.clone(), cfg).unwrap();
 
     let clients = 16;
@@ -140,8 +143,7 @@ fn concurrent_clients_match_sequential_private_servers() {
     let oracle: Vec<_> = ops
         .iter()
         .map(|stream| {
-            let mut private =
-                HiddenDbServer::new(schema.clone(), tuples.clone(), cfg).unwrap();
+            let mut private = HiddenDbServer::new(schema.clone(), tuples.clone(), cfg).unwrap();
             let outs = drive(&mut private, stream);
             (outs, private.stats())
         })
@@ -162,8 +164,7 @@ fn concurrent_clients_match_sequential_private_servers() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    for (c, ((got_outs, got_stats), (want_outs, want_stats))) in
-        got.iter().zip(&oracle).enumerate()
+    for (c, ((got_outs, got_stats), (want_outs, want_stats))) in got.iter().zip(&oracle).enumerate()
     {
         assert_eq!(got_outs, want_outs, "client {c}: outcomes diverged");
         assert_eq!(got_stats, want_stats, "client {c}: stats diverged");
@@ -249,7 +250,10 @@ fn lazy_cell_order_builds_once_under_contention() {
     {
         assert_eq!(got_outs, want_outs, "client {c}: outcomes diverged");
         assert_eq!(got_stats, want_stats, "client {c}: stats diverged");
-        assert!(got_stats.cell_range_probes > 0, "client {c}: no cell-range probe");
+        assert!(
+            got_stats.cell_range_probes > 0,
+            "client {c}: no cell-range probe"
+        );
     }
 }
 
@@ -267,8 +271,7 @@ fn exhausted_budget_is_invisible_to_other_clients() {
     let oracle: Vec<_> = rich_ops
         .iter()
         .map(|stream| {
-            let mut private =
-                HiddenDbServer::new(schema.clone(), tuples.clone(), cfg).unwrap();
+            let mut private = HiddenDbServer::new(schema.clone(), tuples.clone(), cfg).unwrap();
             let outs = drive(&mut private, stream);
             (outs, private.stats())
         })
@@ -313,8 +316,7 @@ fn exhausted_budget_is_invisible_to_other_clients() {
         rich
     });
 
-    for (c, ((got_outs, got_stats), (want_outs, want_stats))) in
-        got.iter().zip(&oracle).enumerate()
+    for (c, ((got_outs, got_stats), (want_outs, want_stats))) in got.iter().zip(&oracle).enumerate()
     {
         assert_eq!(got_outs, want_outs, "rich client {c}: outcomes perturbed");
         assert_eq!(got_stats, want_stats, "rich client {c}: stats perturbed");
@@ -336,10 +338,7 @@ fn invalid_queries_stay_local_to_their_client() {
             let mut client = shared.client();
             let bad = Query::new(vec![Predicate::Eq(0); 4]); // Eq on numeric attrs
             for _ in 0..200 {
-                assert!(matches!(
-                    client.query(&bad),
-                    Err(DbError::InvalidQuery(_))
-                ));
+                assert!(matches!(client.query(&bad), Err(DbError::InvalidQuery(_))));
             }
             assert_eq!(client.queries_issued(), 0, "invalid queries are free");
         });

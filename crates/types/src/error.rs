@@ -232,7 +232,11 @@ mod tests {
     fn wire_status_round_trips_the_taxonomy() {
         assert_eq!(DbError::InvalidQuery(SchemaError::Empty).wire_status(), 400);
         assert_eq!(
-            DbError::BudgetExhausted { issued: 1, limit: 1 }.wire_status(),
+            DbError::BudgetExhausted {
+                issued: 1,
+                limit: 1
+            }
+            .wire_status(),
             429
         );
         assert_eq!(DbError::Backend("banned".into()).wire_status(), 403);
@@ -241,11 +245,17 @@ mod tests {
         // back retryable.
         for e in [
             DbError::InvalidQuery(SchemaError::Empty),
-            DbError::BudgetExhausted { issued: 1, limit: 1 },
+            DbError::BudgetExhausted {
+                issued: 1,
+                limit: 1,
+            },
             DbError::Backend("banned".into()),
             DbError::Transient("flap".into()),
         ] {
-            assert_eq!(DbError::status_is_transient(e.wire_status()), e.is_transient());
+            assert_eq!(
+                DbError::status_is_transient(e.wire_status()),
+                e.is_transient()
+            );
         }
     }
 

@@ -196,8 +196,7 @@ mod tests {
             fn query(&mut self, q: &Query) -> Result<QueryOutcome, DbError> {
                 q.validate(&self.schema)?;
                 self.issued += 1;
-                let matches: Vec<_> =
-                    self.rows.iter().filter(|t| q.matches(t)).cloned().collect();
+                let matches: Vec<_> = self.rows.iter().filter(|t| q.matches(t)).cloned().collect();
                 if matches.len() <= 3 {
                     Ok(QueryOutcome::resolved(matches))
                 } else {

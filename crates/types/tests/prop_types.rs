@@ -15,7 +15,10 @@ fn pred_strategy() -> impl Strategy<Value = Predicate> {
 }
 
 fn value_strategy() -> impl Strategy<Value = Value> {
-    prop_oneof![(-25i64..25).prop_map(Value::Int), (0u32..8).prop_map(Value::Cat),]
+    prop_oneof![
+        (-25i64..25).prop_map(Value::Int),
+        (0u32..8).prop_map(Value::Cat),
+    ]
 }
 
 proptest! {

@@ -66,7 +66,10 @@ fn main() {
     );
     println!("depth histogram (how deep the barrier buried the data):");
     for (depth, count) in out.depth_histogram().iter().enumerate() {
-        println!("  depth {depth}: {count:>4} listings  {}", "#".repeat((count / 8) as usize));
+        println!(
+            "  depth {depth}: {count:>4} listings  {}",
+            "#".repeat((count / 8) as usize)
+        );
     }
 
     // The deepest listing: the one the ranking hid hardest.

@@ -40,11 +40,20 @@ fn main() {
         .build()
         .unwrap();
     let tuples: Vec<Tuple> = (0..2_000)
-        .map(|i| Tuple::new(vec![Value::Cat(i % 4), Value::Int((i as i64 * 37) % 10_000)]))
+        .map(|i| {
+            Tuple::new(vec![
+                Value::Cat(i % 4),
+                Value::Int((i as i64 * 37) % 10_000),
+            ])
+        })
         .collect();
     let serve = || {
-        HiddenDbServer::new(schema.clone(), tuples.clone(), ServerConfig { k: 50, seed: 42 })
-            .unwrap()
+        HiddenDbServer::new(
+            schema.clone(),
+            tuples.clone(),
+            ServerConfig { k: 50, seed: 42 },
+        )
+        .unwrap()
     };
 
     // 1. The one-liner: Auto picks hybrid for this mixed schema, the

@@ -33,7 +33,11 @@ fn main() {
 
     // Front-end traffic: eight threads, each its own client with its own
     // quota, hammering the same store concurrently.
-    let num = *ds.schema.num_indices().first().expect("yahoo has numeric attrs");
+    let num = *ds
+        .schema
+        .num_indices()
+        .first()
+        .expect("yahoo has numeric attrs");
     let AttrKind::Numeric { min, max } = ds.schema.kind(num) else {
         unreachable!()
     };

@@ -82,7 +82,10 @@ impl CliObserver {
     }
 
     fn paint(&mut self, point: ProgressPoint) {
-        eprint!("\r  {:>8} queries  {:>8} tuples", point.queries, point.tuples);
+        eprint!(
+            "\r  {:>8} queries  {:>8} tuples",
+            point.queries, point.tuples
+        );
         let _ = std::io::stderr().flush();
         self.dirty = true;
     }
@@ -535,7 +538,10 @@ fn plan_mismatch_hint(error: &DbError) {
 /// shard-granular, so a stop that lands before the first shard
 /// completes leaves no file to resume from.
 fn checkpoint_hint(path: &str) {
-    if std::fs::metadata(path).map(|m| m.len() > 0).unwrap_or(false) {
+    if std::fs::metadata(path)
+        .map(|m| m.len() > 0)
+        .unwrap_or(false)
+    {
         println!("checkpoint retained — rerun with --resume {path}");
     } else {
         println!("no checkpoint written — stopped before the first shard completed");
@@ -712,7 +718,10 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     // The builder panics on an unsupported combination; ask first.
     if sessions == 1 && oversubscribe == 1 {
         if !strategy.supports(schema) {
-            return Err(format!("{algo} does not support the {} schema", source.name));
+            return Err(format!(
+                "{algo} does not support the {} schema",
+                source.name
+            ));
         }
     } else if !strategy.supports_sharded(schema) {
         return Err(format!(
@@ -925,8 +934,12 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         }
     }
     let ds = load_dataset(&dataset, scale, seed)?;
-    let shared = SharedServer::new(ds.schema.clone(), ds.tuples.clone(), ServerConfig { k, seed })
-        .expect("valid dataset");
+    let shared = SharedServer::new(
+        ds.schema.clone(),
+        ds.tuples.clone(),
+        ServerConfig { k, seed },
+    )
+    .expect("valid dataset");
 
     // `--coordinate`: mount the shard-lease coordinator next to the
     // data plane. The plan is the same oversubscribed partition a
@@ -943,8 +956,8 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             checkpoint: checkpoint.as_ref().map(std::path::PathBuf::from),
             verbose,
         };
-        let (coordinator, restore) = Coordinator::new(plan, cfg)
-            .map_err(|e| format!("--coordinate: {e}"))?;
+        let (coordinator, restore) =
+            Coordinator::new(plan, cfg).map_err(|e| format!("--coordinate: {e}"))?;
         if let Restore::Resumed { complete } = restore {
             println!("resumed fleet checkpoint: {complete} shard(s) already complete");
         }
@@ -968,8 +981,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     // The served registry backs `GET /metrics` and `GET /stats`; a
     // server that never records would answer with all-zero counters.
     obs::set_enabled(true);
-    let listener =
-        std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     println!(
         "serving {} (n = {}, k = {k}) — listening on {local}",
@@ -1115,8 +1127,7 @@ fn cmd_work(flags: &Flags) -> Result<(), String> {
     let name = flags.get("name").unwrap_or("worker").to_string();
     let retries: u32 = flags.at_least("retries", 1, 1)?;
     let connector = make_connector(flags, "join")?;
-    let mut lease =
-        WireLeaseRepository::connect(&url).map_err(|e| format!("--join {url}: {e}"))?;
+    let mut lease = WireLeaseRepository::connect(&url).map_err(|e| format!("--join {url}: {e}"))?;
     let info = connector.info().clone();
     println!(
         "{name}: joined fleet at {} — n = {}, k = {}, lease ttl {} ms",
@@ -1432,9 +1443,17 @@ mod tests {
             }
         }
         // The oracle reads the generated data, so the wire refuses it.
-        let err = run(&argv(&["crawl", "--connect", "http://127.0.0.1:9", "--oracle"]));
+        let err = run(&argv(&[
+            "crawl",
+            "--connect",
+            "http://127.0.0.1:9",
+            "--oracle",
+        ]));
         let err = err.unwrap_err();
-        assert!(err.starts_with("--oracle is not read with --connect"), "{err}");
+        assert!(
+            err.starts_with("--oracle is not read with --connect"),
+            "{err}"
+        );
         // A burst paces nothing without a rate.
         for line in [
             "crawl --connect http://127.0.0.1:9 --burst 4",
@@ -1610,7 +1629,15 @@ mod tests {
                 .shards
                 .len()
         };
-        let crawl = ["crawl", "--dataset", "yahoo", "--scale", "2", "--oversubscribe", "8"];
+        let crawl = [
+            "crawl",
+            "--dataset",
+            "yahoo",
+            "--scale",
+            "2",
+            "--oversubscribe",
+            "8",
+        ];
         run(&argv(
             &[&crawl[..], &["--budget", "60", "--checkpoint", path]].concat(),
         ))

@@ -93,7 +93,9 @@ pub mod prelude {
         ValidityOracle,
     };
     pub use hdc_data::{Dataset, DatasetStats};
-    pub use hdc_net::{serve, FaultPlan, HttpConnector, HttpDb, RouteExt, ServeOptions, WireServer};
+    pub use hdc_net::{
+        serve, FaultPlan, HttpConnector, HttpDb, RouteExt, ServeOptions, WireServer,
+    };
     pub use hdc_server::{Budgeted, HiddenDbServer, ServerClient, ServerConfig, SharedServer};
     pub use hdc_types::{
         AttrKind, DbError, FaultConfig, FaultyDb, HiddenDatabase, Predicate, Query, QueryOutcome,
