@@ -773,8 +773,8 @@ fn previous_format_plan() -> Vec<String> {
         .to_vec()
 }
 
-/// A coordinator handed a checkpoint for another plan refuses it, as
-/// the sharded driver does: `Coordinator::new` fails with the
+/// A coordinator handed a checkpoint for another plan refuses it:
+/// `Coordinator::new` fails with the
 /// plan-mismatch `InvalidData` error, and the foreign file is left
 /// byte-identical. A checkpoint of the same plan written in the
 /// previous signature format is foreign too: there is no reader for it.
@@ -813,8 +813,8 @@ fn foreign_checkpoint_is_refused_and_preserved() {
 }
 
 /// The sharded driver refuses a checkpoint written in the previous
-/// signature format through the same plan-mismatch path, before
-/// charging a query, and leaves the file byte-identical.
+/// signature format: its plan does not parse, which is a typed error
+/// raised before charging a query, and the file is left byte-identical.
 #[test]
 fn previous_format_checkpoint_is_refused_by_the_sharded_driver() {
     let inst = yahoo_like();
@@ -840,9 +840,9 @@ fn previous_format_checkpoint_is_refused_by_the_sharded_driver() {
         .run_sharded(|_s| inst.server(7))
         .unwrap_err();
     let CrawlError::Db { error, partial } = err else {
-        panic!("expected a typed mismatch error, got {err:?}");
+        panic!("expected a typed plan error, got {err:?}");
     };
-    assert!(error.to_string().contains("plan mismatch"), "{error}");
+    assert!(error.to_string().contains("checkpoint shard 0"), "{error}");
     assert_eq!(partial.queries, 0, "refused before spending");
     let after = std::fs::read(&path).unwrap();
     assert_eq!(after, before, "checkpoint file touched");

@@ -460,14 +460,16 @@ impl<'a> CrawlBuilder<'a> {
         self
     }
 
-    /// Over-partitions the sharded plan into `≈ sessions × factor` fine
-    /// shards dealt to the identities by the shard cursor (see
+    /// Over-partitions a fresh sharded plan into `≈ sessions × factor`
+    /// fine shards dealt to the identities by the shard cursor (see
     /// [`crate::Sharded::plan_oversubscribed`]). More shards mean better
     /// balance under skew — a heavy subtree no longer pins a whole
     /// identity's share. The shards share one slice memo, so a finer
     /// plan re-fetches no slice; what it may add are node queries a
     /// sub-split shard issues below its start node. Only meaningful with
-    /// [`CrawlBuilder::run_sharded`].
+    /// [`CrawlBuilder::run_sharded`], and not read on a resume: a crawl
+    /// whose [`CrawlBuilder::repository`] holds a checkpoint crawls the
+    /// checkpoint's plan.
     ///
     /// # Panics
     /// Panics if `factor == 0`.
@@ -503,14 +505,16 @@ impl<'a> CrawlBuilder<'a> {
 
     /// Attaches a [`CrawlRepository`]: the crawl checkpoints every
     /// completed shard into it and, if the repository already holds a
-    /// checkpoint for the same plan, resumes from it — restored shards
-    /// are replayed from the snapshot without issuing a single query.
-    /// Only [`CrawlBuilder::run_sharded`] takes a repository. The plan,
-    /// and so the checkpoint granularity, comes from
-    /// [`CrawlBuilder::sessions`] and [`CrawlBuilder::oversubscribe`]
-    /// alone: the default one-shard plan banks the crawl only once it
-    /// completes, so a crawl that should bank progress as it goes asks
-    /// for a finer plan (e.g. `oversubscribe(8)`).
+    /// checkpoint, resumes from it — the crawl's plan is then the
+    /// checkpoint's, and restored shards are replayed from the snapshot
+    /// without issuing a single query. Only [`CrawlBuilder::run_sharded`]
+    /// takes a repository. A fresh crawl's plan, and so the checkpoint
+    /// granularity, comes from [`CrawlBuilder::sessions`] and
+    /// [`CrawlBuilder::oversubscribe`]: the default one-shard plan banks
+    /// the crawl only once it completes, so a crawl that should bank
+    /// progress as it goes asks for a finer plan (e.g.
+    /// `oversubscribe(8)`). A resume needs neither: its `sessions` set
+    /// only how many identities crawl the checkpoint's plan.
     pub fn repository(mut self, repository: &'a mut dyn CrawlRepository) -> Self {
         self.repository = Some(repository);
         self
@@ -566,8 +570,10 @@ impl<'a> CrawlBuilder<'a> {
     /// `run_sharded(|_s| shared.client())` works as written. All
     /// connections must view the same logical database.
     ///
-    /// The plan is [`crate::Sharded::plan_oversubscribed`] of the schema
-    /// probed from identity 0. Each worker owns one connection for its
+    /// The plan is the [`CrawlBuilder::repository`]'s checkpoint plan
+    /// when it holds one ([`crate::Sharded::plan_for`]), else
+    /// [`crate::Sharded::plan_oversubscribed`] of the schema probed from
+    /// identity 0. Each worker owns one connection for its
     /// whole lifetime and crawls the shards the scheduler deals it, one
     /// at a time. The shards share one slice memo, so a slice several
     /// shards need is charged once, to whichever asks first. Results are
@@ -576,10 +582,11 @@ impl<'a> CrawlBuilder<'a> {
     /// plan crawled shard by shard, whatever the scheduling (the
     /// determinism contract in the [`crate::sharded`] docs).
     ///
-    /// * The **one-shard plan** (one session, factor 1, the default) is
-    ///   [`ShardSpec::whole`], crawled by the strategy's own solo
-    ///   crawler: the merged report — bag in order, cost, tallies,
-    ///   metrics, progress curve and algorithm name — is
+    /// * The **one-shard plan** [`ShardSpec::whole`] (a fresh crawl at
+    ///   one session and factor 1, the default, or a checkpoint of one)
+    ///   is crawled by the strategy's own solo crawler: the merged
+    ///   report — bag in order, cost, tallies, metrics, progress curve
+    ///   and algorithm name — is
     ///   [`CrawlBuilder::run`]'s, and every strategy that crawls the
     ///   schema solo runs here too.
     /// * A **multi-shard plan** crawls each shard with the strategy's
@@ -602,8 +609,10 @@ impl<'a> CrawlBuilder<'a> {
     ///   the same partial: a dead identity must never be misread as a
     ///   voluntary stop.
     /// * A [`CrawlBuilder::repository`] makes the crawl resumable: an
-    ///   existing checkpoint is loaded first (a plan mismatch is a typed
-    ///   [`CrawlError::Db`], not a panic), its snapshotted shards are
+    ///   existing checkpoint is loaded first and its plan becomes the
+    ///   crawl's (a plan that does not parse against the schema, or does
+    ///   not partition its space, is a typed [`CrawlError::Db`] raised
+    ///   before any query, not a panic), its snapshotted shards are
     ///   replayed without issuing a single query, only the remainder is
     ///   crawled, and the updated checkpoint is stored after every
     ///   completed shard. The merged bag of a resumed crawl is
@@ -631,18 +640,22 @@ impl<'a> CrawlBuilder<'a> {
         drop(probe);
         let strategy = self.strategy.resolve(&schema);
         let oracle = self.oracle;
-        // The one-shard plan is `ShardSpec::whole`: the solo crawl.
-        let whole = self.sessions == 1 && self.oversubscribe == 1;
-        assert_runnable(strategy, &schema, oracle.is_some(), !whole);
+        let whole = ShardSpec::whole(&schema);
         // One slice memo for the whole crawl, shared by every shard.
         let memo = SliceMemo::new(&schema);
-        let mut result = self.run_pool(&schema, connector, |spec, db, config| match strategy {
-            _ if whole => run_solo(strategy, db, oracle, &schema, config),
-            Strategy::Custom(c) => c.crawl_spec(db, &schema, spec, config),
-            _ => spec.crawl_on(&memo, db, &schema, oracle.map(|o| o as _), config, None),
+        let (schema, memo) = (&schema, &memo);
+        let mut result = self.run_pool(schema, connector, |plan| {
+            // The one-shard plan is `ShardSpec::whole`: the solo crawl.
+            let solo = plan == std::slice::from_ref(&whole);
+            assert_runnable(strategy, schema, oracle.is_some(), !solo);
+            Box::new(move |spec, db, config| match strategy {
+                _ if solo => run_solo(strategy, db, oracle, schema, config),
+                Strategy::Custom(c) => c.crawl_spec(db, schema, spec, config),
+                _ => spec.crawl_on(memo, db, schema, oracle.map(|o| o as _), config, None),
+            })
         });
         if let Ok(report) = &mut result {
-            if whole && report.shards[0].restored {
+            if matches!(&report.shards[..], [s] if s.restored && s.spec == whole) {
                 // A snapshot banks no algorithm name; a restored
                 // one-shard plan is still the solo crawl.
                 report.merged.algorithm = solo_name(strategy);

@@ -20,14 +20,15 @@
 //! checkpoint).
 //!
 //! The checkpoint embeds the plan's [`ShardSpec`
-//! signatures](crate::ShardSpec::signature): resuming against a
-//! different schema, session count, or oversubscription factor is a
-//! plan mismatch (the shards would not partition the same space) and
-//! surfaces as a typed [`RepositoryError::PlanMismatch`] — see
-//! [`CrawlCheckpoint::verify_plan`] — rather than silently merging
-//! mismatched bags. Drivers turn it into a clean [`crate::CrawlError`]
-//! so a worker joining a fleet with a stale plan retires gracefully
-//! instead of aborting the process.
+//! signatures](crate::ShardSpec::signature). A sharded resume crawls
+//! that plan ([`crate::Sharded::plan_for`] parses it against the schema),
+//! whatever its own session count. The lease coordinator, which plans
+//! from its flags, checks the embedded plan against its own instead: a
+//! difference is a plan mismatch (the shards would not partition the
+//! same space) and surfaces as a typed [`RepositoryError::PlanMismatch`]
+//! — see [`CrawlCheckpoint::verify_plan`] — rather than silently merging
+//! mismatched bags, so a worker joining a fleet with a stale plan
+//! retires gracefully instead of aborting the process.
 //!
 //! Since the distributed-coordination work a snapshot may also be
 //! **partial**: [`ShardSnapshot::frontier`] carries a crawler-specific
@@ -139,7 +140,8 @@ impl std::error::Error for RepositoryError {}
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CrawlCheckpoint {
     /// One [`crate::ShardSpec::signature`] per shard, in plan order.
-    /// Resume verifies this against the freshly computed plan.
+    /// A sharded resume crawls this plan; the lease coordinator verifies
+    /// it against the plan it computed.
     pub plan: Vec<String>,
     /// Finished shards, in completion order (not plan order).
     pub shards: Vec<ShardSnapshot>,

@@ -43,7 +43,9 @@
 //! concatenating the per-shard bags reconstructs `D` exactly. A shard
 //! travels by its [`ShardSpec::signature`], written with the wire's
 //! predicate tokens; [`ShardSpec::parse_signature`] checks it against
-//! the schema before anything crawls it.
+//! the schema before anything crawls it. A checkpoint records its plan
+//! as signatures, and a resume crawls that plan ([`Sharded::plan_for`]),
+//! whatever its own session count.
 //!
 //! # Scheduling: identities ≠ shards
 //!
@@ -64,7 +66,9 @@
 //! factor 1 is the one-shard plan, [`ShardSpec::whole`], which
 //! [`CrawlBuilder::run_sharded`] crawls with the strategy's own solo
 //! crawler: a checkpointed or wire-carried one-session crawl costs
-//! exactly what [`CrawlBuilder::run`] costs. The cursor is the plan's
+//! exactly what [`CrawlBuilder::run`] costs. A resume plans nothing: it
+//! crawls its checkpoint's plan, so its session count sets only how
+//! many identities share that plan. The cursor is the plan's
 //! only executor: a one-session crawl, checkpointed or not, runs on one
 //! worker.
 //!
@@ -115,9 +119,13 @@
 //! connection is fine; the data is not), and every other shard is still
 //! crawled. If every identity retires, the shards nobody took are never
 //! run ([`PoolStats::unrun`]). Either way the first failure (in plan
-//! order) is re-raised carrying the merged partial report.
+//! order) is re-raised carrying the merged partial report. A
+//! [`Connector`] that panics still lets its worker reach the start
+//! line, so no peer waits there forever: the peers take no shard, and
+//! the panic propagates out of [`CrawlBuilder::run_sharded`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -269,9 +277,8 @@ impl ShardSpec {
 
     /// A canonical, stable string naming exactly this shard's share of
     /// the data space. Two plans cut the same way produce the same
-    /// signature sequence; checkpoints embed it so a resume against a
-    /// different plan (schema, session count, or oversubscription
-    /// changed) is detected instead of silently merging mismatched bags.
+    /// signature sequence. Checkpoints embed it, and a resume reads its
+    /// plan from it ([`Sharded::plan_for`]).
     ///
     /// The format is the level order, `/`, then the roots separated by
     /// `;`. A root lists its pinned predicates separated by `&`, each
@@ -820,31 +827,94 @@ impl Sharded {
         }
         shards
     }
+
+    /// The plan a sharded crawl crawls: the `saved` checkpoint's, which
+    /// a resume reads back whatever its own session count, else a fresh
+    /// [`Sharded::plan_oversubscribed`] plan. Each saved signature is
+    /// parsed against `schema` ([`ShardSpec::parse_signature`]), the
+    /// roots must tile the schema's data space, as every plan the
+    /// planner makes does, and every snapshot must index into the plan.
+    /// The error names the first violation.
+    pub fn plan_for(
+        schema: &Schema,
+        saved: Option<&CrawlCheckpoint>,
+        sessions: usize,
+        factor: usize,
+    ) -> Result<Vec<ShardSpec>, String> {
+        let Some(checkpoint) = saved else {
+            return Ok(Self::plan_oversubscribed(schema, sessions, factor));
+        };
+        let plan = checkpoint
+            .plan
+            .iter()
+            .enumerate()
+            .map(|(i, sig)| {
+                ShardSpec::parse_signature(sig, schema)
+                    .map_err(|e| format!("checkpoint shard {i} {sig:?}: {e}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let roots: Vec<&Query> = plan.iter().flat_map(|s| &s.roots).collect();
+        if !tiles(schema, &roots, 0) {
+            return Err("the checkpoint's plan does not partition this schema's data space".into());
+        }
+        match checkpoint.shards.iter().find(|s| s.index >= plan.len()) {
+            Some(s) => Err(format!("checkpoint snapshot index {} out of plan", s.index)),
+            None => Ok(plan),
+        }
+    }
+}
+
+/// Whether `roots` partition the space left after attributes `..attr`:
+/// on each attribute in turn, either every root is [`Predicate::Any`],
+/// or the roots' distinct values or ranges abut end to end over the
+/// attribute's whole domain, each group tiling the rest in turn, down
+/// to one root per cell. Every planner-made plan is such a grid.
+fn tiles(schema: &Schema, roots: &[&Query], attr: usize) -> bool {
+    if attr == schema.arity() {
+        return roots.len() == 1;
+    }
+    if roots.iter().all(|r| r.pred(attr).is_any()) {
+        return tiles(schema, roots, attr + 1);
+    }
+    let mut groups: std::collections::BTreeMap<(i64, i64), Vec<&Query>> = Default::default();
+    for &root in roots {
+        let span = match root.pred(attr) {
+            Predicate::Any => return false,
+            Predicate::Eq(v) => (i64::from(v), i64::from(v)),
+            Predicate::Range { lo, hi } => (lo, hi),
+        };
+        groups.entry(span).or_default().push(root);
+    }
+    let (min, max) = match schema.kind(attr) {
+        AttrKind::Categorical { size } => (0, i64::from(size) - 1),
+        AttrKind::Numeric { min, max } => (min, max),
+    };
+    let mut next = i128::from(min);
+    for ((lo, hi), group) in groups {
+        if i128::from(lo) != next || !tiles(schema, &group, attr + 1) {
+            return false;
+        }
+        next = i128::from(hi) + 1;
+    }
+    next == i128::from(max) + 1
 }
 
 impl CrawlBuilder<'_> {
-    /// The shard executor behind [`CrawlBuilder::run_sharded`]: runs
-    /// `schema`'s plan across the builder's sessions, with its
-    /// oversubscription, retry policy, per-identity budget, observer,
-    /// cancel token, and repository. `shard_crawl` crawls one shard; its
-    /// query sequence may depend only on the shard spec and the
-    /// database, never on the worker or what ran before on the
+    /// The shard executor behind [`CrawlBuilder::run_sharded`]: plans the
+    /// crawl (the repository's checkpoint, else `schema`'s oversubscribed
+    /// plan) and runs it across the builder's sessions, with its retry
+    /// policy, per-identity budget, observer, cancel token, and
+    /// repository. `shard_crawl` sees the plan before any query is
+    /// charged and returns the routine that crawls one shard; that
+    /// routine's query sequence may depend only on the shard spec and
+    /// the database, never on the worker or what ran before on the
     /// connection (the determinism contract in the module docs).
-    pub(crate) fn run_pool<C, G>(
+    pub(crate) fn run_pool<'g, C: Connector>(
         self,
         schema: &Schema,
         connector: C,
-        shard_crawl: G,
-    ) -> Result<ShardedReport, CrawlError>
-    where
-        C: Connector,
-        G: Fn(
-                &ShardSpec,
-                &mut dyn HiddenDatabase,
-                SessionConfig<'_>,
-            ) -> Result<CrawlReport, CrawlError>
-            + Sync,
-    {
+        shard_crawl: impl FnOnce(&[ShardSpec]) -> Box<ShardCrawl<'g>>,
+    ) -> Result<ShardedReport, CrawlError> {
         let internal_halt = CancelToken::new();
         let run = ShardedRun::prepare(
             schema,
@@ -854,16 +924,17 @@ impl CrawlBuilder<'_> {
             self.cancel.unwrap_or(&internal_halt),
             self.repository,
         )?;
+        let shard_crawl = shard_crawl(&run.plan);
         let mut observer = self.observer;
         let (slots, stats) = match self.budget {
             // Per-identity quota: each connection carries its own
             // allowance, matching how real sites meter queries (§1.1).
             Some(limit) => run.execute(
                 |s| Budgeted::new(connector.connect(s), limit),
-                &shard_crawl,
+                &*shard_crawl,
                 observer.as_deref_mut(),
             ),
-            None => run.execute(connector, &shard_crawl, observer.as_deref_mut()),
+            None => run.execute(connector, &*shard_crawl, observer.as_deref_mut()),
         };
         run.finish(slots, stats, observer)
     }
@@ -872,7 +943,7 @@ impl CrawlBuilder<'_> {
 /// One shard's crawl as a worker runs it: the shard on one connection,
 /// under the [`SessionConfig`] the worker hands it (the crawl's retry
 /// policy, halt token, and the shard's event route).
-type ShardCrawl<'g> = dyn Fn(&ShardSpec, &mut dyn HiddenDatabase, SessionConfig<'_>) -> Result<CrawlReport, CrawlError>
+pub(crate) type ShardCrawl<'g> = dyn Fn(&ShardSpec, &mut dyn HiddenDatabase, SessionConfig<'_>) -> Result<CrawlReport, CrawlError>
     + Sync
     + 'g;
 
@@ -901,7 +972,9 @@ struct ShardedRun<'h, 'r> {
 }
 
 impl<'h, 'r> ShardedRun<'h, 'r> {
-    /// Plans the crawl and, with a repository, restores its checkpoint.
+    /// Plans the crawl: with a repository that holds a checkpoint, the
+    /// checkpoint's own plan with its banked shards restored; otherwise
+    /// a fresh `sessions × oversubscribe` plan.
     fn prepare(
         schema: &Schema,
         sessions: usize,
@@ -910,40 +983,31 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
         halt: &'h CancelToken,
         mut repository: Option<&'r mut dyn CrawlRepository>,
     ) -> Result<Self, CrawlError> {
-        let plan = Sharded::plan_oversubscribed(schema, sessions, oversubscribe);
-        let signatures: Vec<String> = plan.iter().map(ShardSpec::signature).collect();
-        let mut restored: Vec<Option<ShardSnapshot>> = (0..plan.len()).map(|_| None).collect();
-        if let Some(repo) = repository.as_deref_mut() {
-            let failed = |error: String| CrawlError::Db {
-                error: DbError::Backend(error),
-                partial: Box::new(CrawlReport::empty("sharded-hybrid")),
-            };
-            match repo.load() {
-                Ok(None) => {}
-                Ok(Some(checkpoint)) => {
-                    // A stale checkpoint is a typed, recoverable error —
-                    // the caller prints the hint and exits cleanly — not
-                    // a panic that would take a whole fleet down.
-                    checkpoint
-                        .verify_plan(&signatures)
-                        .map_err(|e| failed(e.to_string()))?;
-                    for snap in checkpoint.shards {
-                        // Partial (frontier-bearing) snapshots belong to
-                        // the lease coordinator's salvage path; whole-plan
-                        // resume re-crawls such shards from scratch, which
-                        // is always correct.
-                        if snap.is_complete() {
-                            let index = snap.index;
-                            restored[index] = Some(snap);
-                        }
-                    }
-                }
-                Err(e) => return Err(failed(format!("checkpoint load failed: {e}"))),
-            }
+        // A checkpoint that cannot be resumed is a typed, recoverable
+        // error, raised before any query and leaving the file as it was.
+        let failed = |error: String| CrawlError::Db {
+            error: DbError::Backend(error),
+            partial: Box::new(CrawlReport::empty("sharded-hybrid")),
+        };
+        let saved = match repository.as_deref_mut().map(|repo| repo.load()) {
+            Some(Err(e)) => return Err(failed(format!("checkpoint load failed: {e}"))),
+            Some(Ok(saved)) => saved,
+            None => None,
+        };
+        let plan =
+            Sharded::plan_for(schema, saved.as_ref(), sessions, oversubscribe).map_err(failed)?;
+        let mut restored: Vec<Option<ShardSnapshot>> = vec![None; plan.len()];
+        // Partial (frontier-bearing) snapshots belong to the lease
+        // coordinator's salvage path; a whole-plan resume re-crawls such
+        // shards from scratch, which is always correct.
+        let banked = saved.into_iter().flat_map(|checkpoint| checkpoint.shards);
+        for snap in banked.filter(ShardSnapshot::is_complete) {
+            let index = snap.index;
+            restored[index] = Some(snap);
         }
         let journal = repository.map(|repo| {
             let seeded = CrawlCheckpoint {
-                plan: signatures,
+                plan: plan.iter().map(ShardSpec::signature).collect(),
                 shards: restored.iter().flatten().cloned().collect(),
             };
             Mutex::new((repo, seeded))
@@ -983,12 +1047,21 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
         // Workers line up after connecting, so a fast-starting worker
         // does not take the whole plan before a slow-starting peer runs.
         let start_line = Barrier::new(self.sessions);
+        // Set by a worker whose connector panicked: its peers, waiting at
+        // the start line, then take no shard, and the panic propagates.
+        // `Relaxed` suffices: the start line orders every store before
+        // every load, and the flag publishes no other data.
+        let connect_panicked = AtomicBool::new(false);
         let work = |w: usize, events: Option<EventSink>| {
-            let mut db = connector.connect(w);
+            // The panic waits for the start line, or its peers would wait
+            // there for it forever.
+            let connected = panic::catch_unwind(AssertUnwindSafe(|| connector.connect(w)));
+            connect_panicked.fetch_or(connected.is_err(), Ordering::Relaxed);
+            start_line.wait();
+            let mut db = connected.unwrap_or_else(|payload| panic::resume_unwind(payload));
             let mut strikes = 0;
             let mut stats = WorkerStats::default();
-            start_line.wait();
-            while !self.halt.is_cancelled() {
+            while !self.halt.is_cancelled() && !connect_panicked.load(Ordering::Relaxed) {
                 let Some(&index) = tasks.get(cursor.fetch_add(1, Ordering::Relaxed)) else {
                     break;
                 };
@@ -1045,7 +1118,10 @@ impl<'h, 'r> ShardedRun<'h, 'r> {
             }
             workers
                 .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| panic::resume_unwind(payload))
+                })
                 .collect::<Vec<WorkerStats>>()
         });
         let executed: u64 = per_worker.iter().map(|w| w.executed).sum();
@@ -2123,6 +2199,79 @@ mod tests {
         let _ = Crawl::builder().sessions(0);
     }
 
+    /// A connector that panics for one identity ends the crawl with that
+    /// panic: the panicking worker still reaches the start line, so its
+    /// peers do not wait there forever.
+    #[test]
+    fn panicking_connector_propagates_instead_of_hanging() {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let (schema, tuples) = (mixed_schema(), mixed_tuples(200));
+            let connect = factory(&schema, &tuples, 8);
+            let crawl = panic::catch_unwind(AssertUnwindSafe(|| {
+                Crawl::builder().sessions(2).run_sharded(|s| {
+                    assert_ne!(s, 1, "identity 1 cannot connect");
+                    connect(s)
+                })
+            }));
+            let message = crawl
+                .err()
+                .and_then(|p| p.downcast_ref::<String>().cloned());
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the crawl ends");
+        assert!(
+            message.is_some_and(|m| m.contains("identity 1 cannot connect")),
+            "the connector's panic propagates"
+        );
+    }
+
+    /// A resume crawls its checkpoint's plan, whatever its own session
+    /// count, only if every signature parses, the roots partition the
+    /// schema's space, and every snapshot indexes into the plan.
+    #[test]
+    fn plan_for_refuses_what_a_resume_cannot_crawl() {
+        let schema = mixed_schema();
+        let signatures = |schema: &Schema| -> Vec<String> {
+            Sharded::plan_oversubscribed(schema, 2, 2)
+                .iter()
+                .map(ShardSpec::signature)
+                .collect()
+        };
+        let sigs = signatures(&schema);
+        let plan_for = |plan: Vec<String>, index: usize| {
+            let mut checkpoint = CrawlCheckpoint::new(plan);
+            checkpoint
+                .shards
+                .push(snapshot_of(index, &CrawlReport::empty("x")));
+            Sharded::plan_for(&schema, Some(&checkpoint), 1, 1)
+        };
+        assert_eq!(
+            plan_for(sigs.clone(), 3),
+            Ok(Sharded::plan_oversubscribed(&schema, 2, 2))
+        );
+        // The same shape with a smaller first domain parses, but leaves
+        // values 5 and 6 uncrawled.
+        let narrow = Schema::builder()
+            .categorical("make", 5)
+            .numeric("price", 0, 9_999)
+            .build()
+            .unwrap();
+        for (plan, index, error) in [
+            (vec!["cat:0=[0, 4]".to_string()], 0, "checkpoint shard 0"),
+            (sigs[1..].to_vec(), 0, "does not partition"),
+            ([&sigs[..], &sigs[..1]].concat(), 0, "does not partition"),
+            (Vec::new(), 0, "does not partition"),
+            (signatures(&narrow), 0, "does not partition"),
+            (sigs.clone(), 4, "index 4 out of plan"),
+        ] {
+            let got = plan_for(plan.clone(), index).unwrap_err();
+            assert!(got.contains(error), "{plan:?}: {got}");
+        }
+    }
+
     /// The merge-path notification: one `ShardEvent` per shard, in plan
     /// order, carrying each shard's tuple count.
     #[test]
@@ -2461,6 +2610,10 @@ mod tests {
                 .map_or(0, |b| b.iter().filter(|q| q.matches(&t)).count());
             assert_eq!(hits, 1, "tuple {t} covered {hits} times");
         }
+        // A resume reads the same plan back from its signatures.
+        let checkpoint = CrawlCheckpoint::new(plan.iter().map(ShardSpec::signature).collect());
+        let resumed = Sharded::plan_for(schema, Some(&checkpoint), 1, 1);
+        assert_eq!(resumed.as_ref(), Ok(&plan));
         plan
     }
 }

@@ -678,36 +678,47 @@ fn budget_exhaustion_wins_against_retry() {
     assert_eq!(faulty.queries_issued(), 25);
 }
 
-/// A checkpoint taken under one plan refuses to resume under another —
-/// silently merging mismatched shards would corrupt the bag. The refusal
-/// is a *typed, recoverable error* (a worker joining a fleet with a
-/// stale plan must retire cleanly, not abort the process), and it
-/// refuses before charging a single query.
+/// A resume reads its plan from the checkpoint, whatever its own
+/// session count: a one-session × 8 checkpoint, cut short by its quota,
+/// resumed by three identities on the default factor, crawls the same
+/// plan to the uninterrupted bag, and its banked shards replay without
+/// a query.
 #[test]
-fn plan_mismatch_refuses_to_resume() {
+fn resume_reads_its_plan_from_the_checkpoint() {
     let inst = yahoo_like();
-    let mut repo = MemoryRepository::default();
-    Crawl::builder()
+    let whole = Crawl::builder()
         .sessions(1)
-        .oversubscribe(2)
-        .repository(&mut repo)
+        .oversubscribe(8)
         .run_sharded(|_s| inst.server(5))
         .unwrap();
-    // Different oversubscription ⇒ different plan ⇒ different signatures.
-    // The zero quota proves the refusal comes first: any query the
-    // resume attempted would fail it with a budget error instead.
+    let mut repo = MemoryRepository::default();
     let err = Crawl::builder()
         .sessions(1)
         .oversubscribe(8)
-        .budget(0)
+        .budget(whole.merged.queries / 2)
         .repository(&mut repo)
         .run_sharded(|_s| inst.server(5))
         .unwrap_err();
-    let CrawlError::Db { error, partial } = err else {
-        panic!("expected a typed mismatch error, got {err:?}");
-    };
-    assert!(error.to_string().contains("plan mismatch"), "got {error:?}");
-    assert_eq!(partial.queries, 0, "refused before spending");
+    assert!(matches!(err, CrawlError::Db { .. }), "{err:?}");
+    let shards = whole.shards.len();
+    let banked = repo.saved().expect("a checkpoint").shards.len();
+    assert!((1..shards).contains(&banked), "banked {banked} of {shards}");
+
+    let resumed = Crawl::builder()
+        .sessions(3)
+        .repository(&mut repo)
+        .run_sharded(|_s| inst.server(5))
+        .unwrap();
+    assert_eq!(resumed.shards.len(), shards, "the checkpoint's plan");
+    assert_eq!(resumed.per_session.len(), 3, "the resume's identities");
+    let restored: Vec<_> = resumed.shards.iter().filter(|s| s.restored).collect();
+    assert_eq!(restored.len(), banked);
+    assert!(restored.iter().all(|s| s.worker == 0 && s.wall.is_zero()));
+    let replayed: u64 = restored.iter().map(|s| s.report.queries).sum();
+    let charged: u64 = resumed.per_session.iter().map(|r| r.queries).sum();
+    assert_eq!(charged, fresh_queries(&resumed), "restored shards charge 0");
+    assert_eq!(resumed.merged.queries, replayed + charged);
+    assert!(bag(&resumed.merged.tuples).multiset_eq(&bag(&whole.merged.tuples)));
 }
 
 /// Re-running a *completed* checkpointed crawl replays everything from

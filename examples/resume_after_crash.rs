@@ -14,7 +14,8 @@
 //! 2. **Crash + resume** — a [`JsonFileRepository`] checkpoints every
 //!    completed shard to disk. When the process dies (simulated here by
 //!    a hard query budget), a fresh process pointed at the same file
-//!    replays the finished shards for free and pays only for the rest —
+//!    reads the plan from it, replays the finished shards for free and
+//!    pays only for the rest —
 //!    plus, since its slice memo starts empty, at most the slices the
 //!    banked shards had fetched.
 //!
@@ -125,12 +126,12 @@ fn main() {
     );
 
     // Second process: same file, no shared state with the first — the
-    // banked shards replay for free, only the remainder is charged.
+    // banked shards replay for free, only the remainder is charged. The
+    // plan comes from the checkpoint, so the resume repeats no plan flag.
     println!("second process: resuming from the checkpoint:");
     let mut repo = JsonFileRepository::new(&path);
     let report = Crawl::builder()
         .strategy(Strategy::Auto)
-        .oversubscribe(8)
         .repository(&mut repo)
         .run_sharded(|_s| server())
         .expect("resume completes");

@@ -211,109 +211,66 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        None | Some("help") | Some("--help") | Some("-h") => {
-            print_usage();
-            Ok(())
+    if matches!(
+        args.first().map(String::as_str),
+        None | Some("help" | "--help" | "-h")
+    ) {
+        print_usage();
+        return Ok(());
+    }
+    let (cmd, rest) = command(args)?;
+    (cmd.run)(&parse_flags(cmd, rest)?)
+}
+
+/// The command `args` names, and the arguments after its name.
+fn command(args: &[String]) -> Result<(&'static Command, &[String]), String> {
+    for cmd in COMMANDS {
+        let words = cmd.name.split(' ').count();
+        if args.get(..words).map(|a| a.join(" ")).as_deref() == Some(cmd.name) {
+            return Ok((cmd, &args[words..]));
         }
-        Some("datasets") => {
-            parse_flags("datasets", &args[1..], &[])?;
-            cmd_datasets()
-        }
-        Some("crawl") => cmd_crawl(&parse_flags("crawl", &args[1..], CRAWL_FLAGS)?),
-        Some("barrier") => cmd_barrier(&parse_flags("barrier", &args[1..], BARRIER_FLAGS)?),
-        Some("serve") => cmd_serve(&parse_flags("serve", &args[1..], SERVE_FLAGS)?),
-        Some("work") => cmd_work(&parse_flags("work", &args[1..], WORK_FLAGS)?),
-        Some("stop") => cmd_stop(&parse_flags("stop", &args[1..], STOP_FLAGS)?),
-        Some("sweep") => cmd_sweep(&parse_flags("sweep", &args[1..], SWEEP_FLAGS)?),
-        Some("hard") => cmd_hard(&args[1..]),
-        Some(other) => Err(format!("unknown command {other:?}")),
+    }
+    let prefix = format!("{} ", args[0]);
+    let kinds: Vec<&str> = COMMANDS
+        .iter()
+        .filter_map(|c| c.name.strip_prefix(&prefix))
+        .collect();
+    match kinds[..] {
+        [] => Err(format!("unknown command {:?}", args[0])),
+        _ => Err(format!(
+            "hdc {} needs one of: {}",
+            args[0],
+            kinds.join(" | ")
+        )),
     }
 }
 
 fn print_usage() {
+    println!("hdc — crawl hidden databases through their top-k interface\n\nUSAGE:");
+    for cmd in COMMANDS {
+        let flags = if cmd.flags.is_empty() { "" } else { " [flags]" };
+        println!("  hdc {}{flags}", cmd.name);
+        for line in cmd.about.lines() {
+            println!("      {line}");
+        }
+        let wired = cmd.flags.iter().any(|f| f.side == Side::Wire);
+        for flag in cmd.flags {
+            let local = (flag.side == Side::Local && wired).then(|| "not with --connect".into());
+            let notes: Vec<String> = (flag.default.iter().map(|d| format!("default {d}")))
+                .chain(cmd.needs(flag).map(|n| format!("needs --{n}")))
+                .chain(local)
+                .chain(flag.refuses.iter().map(|(o, _)| format!("refuses --{o}")))
+                .collect();
+            let head = format!("--{} {}", flag.name, flag.value.unwrap_or(""));
+            let notes = match notes.is_empty() {
+                true => String::new(),
+                false => format!(" [{}]", notes.join("; ")),
+            };
+            println!("        {head:<24}{}{notes}", flag.help);
+        }
+    }
     println!(
-        "hdc — crawl hidden databases through their top-k interface\n\
-         \n\
-         USAGE:\n\
-         \u{20}  hdc datasets\n\
-         \u{20}      Print the evaluation datasets (the paper's Figure 9 table).\n\
-         \u{20}  hdc crawl --dataset <name> [--algo <algo>] [--k N] [--seed N]\n\
-         \u{20}            [--scale PCT] [--sessions N] [--oversubscribe N]\n\
-         \u{20}            [--oracle] [--budget N] [--target TUPLES] [--live]\n\
-         \u{20}            [--retries N] [--checkpoint FILE | --resume FILE]\n\
-         \u{20}      Crawl one dataset and report cost, metrics, and progress\n\
-         \u{20}      (live progress line on stderr). The shard plan comes from\n\
-         \u{20}      --sessions and --oversubscribe alone: one session at\n\
-         \u{20}      factor 1 is the whole space, crawled by the algorithm's\n\
-         \u{20}      solo crawler, so --checkpoint never changes the cost.\n\
-         \u{20}      --oracle and --target (stop early at a tuple-coverage\n\
-         \u{20}      goal) work on every plan; --live upgrades the progress\n\
-         \u{20}      line to a throttled telemetry line with q/s, t/s, charged\n\
-         \u{20}      cost, and batch p99; --budget is a per-identity quota;\n\
-         \u{20}      --retries N reissues transient query failures up to N\n\
-         \u{20}      attempts; --checkpoint saves every completed shard to\n\
-         \u{20}      FILE and resumes from it if present — --resume is the\n\
-         \u{20}      same but requires FILE to exist. A checkpoint banks\n\
-         \u{20}      whole shards, so its granularity is the plan's: add\n\
-         \u{20}      --oversubscribe 8 to bank a one-session crawl in eighths.\n\
-         \u{20}  hdc barrier --dataset <name> [--k N] [--seed N] [--scale PCT]\n\
-         \u{20}            [--sessions N] [--oversubscribe N] [--live]\n\
-         \u{20}      Top-k-barrier crawl (second paper): recover the tuples\n\
-         \u{20}      below the k-visible frontier and report discovery depths.\n\
-         \u{20}  hdc serve --dataset <name> [--k N] [--seed N] [--scale PCT]\n\
-         \u{20}            [--addr HOST:PORT] [--budget N] [--fault-rate P]\n\
-         \u{20}            [--fault-seed N] [--fault-stall-ms N] [--verbose]\n\
-         \u{20}            [--metrics-log FILE [--metrics-interval-ms N]]\n\
-         \u{20}      Serve the dataset over loopback HTTP/1.1 (one isolated\n\
-         \u{20}      client identity per connection; --budget is a per-\n\
-         \u{20}      connection quota; --fault-rate injects deterministic 503s\n\
-         \u{20}      seeded by --fault-seed, stalling --fault-stall-ms first).\n\
-         \u{20}      GET /metrics (Prometheus text) and GET /stats (JSON)\n\
-         \u{20}      expose the live telemetry registry; --verbose logs one\n\
-         \u{20}      summary line per drained connection; --metrics-log\n\
-         \u{20}      appends JSONL registry snapshots to FILE.\n\
-         \u{20}      Stops gracefully on `hdc stop`, draining live requests.\n\
-         \u{20}      With --coordinate, also mounts a shard-lease coordinator\n\
-         \u{20}      on the same listener ([--sessions N] [--oversubscribe N]\n\
-         \u{20}      size the shard plan; [--lease-ttl-ms N] bounds worker\n\
-         \u{20}      silence; [--checkpoint FILE] persists fleet progress and\n\
-         \u{20}      resumes from it). The process exits by itself once every\n\
-         \u{20}      shard completes, after verifying the merged bag against\n\
-         \u{20}      the generated ground truth.\n\
-         \u{20}  hdc work --join URL [--name NAME] [--retries N]\n\
-         \u{20}           [--timeout-ms N] [--qps F [--burst F]]\n\
-         \u{20}           [--retire-after N]\n\
-         \u{20}      Join a fleet: lease shards from a `hdc serve --coordinate`\n\
-         \u{20}      coordinator at URL, crawl them over the same server's data\n\
-         \u{20}      plane, heartbeat per completed root, and report\n\
-         \u{20}      results until the plan drains. Kill a worker mid-shard and\n\
-         \u{20}      its lease lapses; a peer resumes from the last banked\n\
-         \u{20}      partial snapshot, replaying only the un-checkpointed\n\
-         \u{20}      suffix.\n\
-         \u{20}  hdc stop --connect URL\n\
-         \u{20}      Ask a running `hdc serve` to drain and exit.\n\
-         \u{20}  hdc crawl --connect URL ... / hdc barrier --connect URL ...\n\
-         \u{20}      Crawl a served database over the wire instead of\n\
-         \u{20}      in-process, on the same plan and code path (URL =\n\
-         \u{20}      [http://]host:port; the server fixes the data and k, so\n\
-         \u{20}      --dataset/--k/--seed/--scale/--oracle are refused; the\n\
-         \u{20}      client health knobs [--timeout-ms N] [--qps F [--burst\n\
-         \u{20}      F]] [--retire-after N] are read only here).\n\
-         \u{20}  hdc sweep --dataset <name> --algos a,b,c [--ks 64,128,...]\n\
-         \u{20}            [--seed N] [--scale PCT]\n\
-         \u{20}      Cost table across algorithms and k values.\n\
-         \u{20}  hdc hard numeric --k N --d N --m N\n\
-         \u{20}  hdc hard categorical --k N --u N\n\
-         \u{20}      Run the §4 lower-bound constructions (numeric with\n\
-         \u{20}      rank-shrink, categorical with lazy-slice-cover).\n\
-         \n\
-         DATASETS: yahoo | nsf | adult | adult-numeric\n\
-         ALGOS:    auto | hybrid | rank-shrink | binary-shrink | dfs |\n\
-         \u{20}         slice-cover | lazy-slice-cover\n\
-         \u{20}         (auto picks the paper's choice for the schema)\n\
-         \n\
-         Costs are query counts — the paper's metric. Crawls always verify\n\
+        "\nCosts are query counts — the paper's metric. Crawls always verify\n\
          multiset completeness against the generated ground truth.\n\
          Every command rejects a flag it does not read."
     );
@@ -321,153 +278,307 @@ fn print_usage() {
 
 // ---------------------------------------------------------------- flags --
 
-/// The dataset a local command generates.
-const DATASET_FLAGS: &[&str] = &["dataset", "k", "seed", "scale"];
-/// The flags that read the generated dataset, refused with `--connect`.
-const LOCAL_FLAGS: &[&str] = &["dataset", "k", "seed", "scale", "oracle"];
-/// `--connect` plus the wire-client health knobs ([`make_connector`]).
-const CONNECT_FLAGS: &[&str] = &["connect", "timeout-ms", "retire-after", "qps", "burst"];
-
-// The flags each command reads, in groups; `parse_flags` rejects any
-// other, so a misspelt flag is an error rather than a silent default.
-const CRAWL_FLAGS: &[&[&str]] = &[
-    DATASET_FLAGS,
-    CONNECT_FLAGS,
-    &[
-        "algo",
-        "sessions",
-        "oversubscribe",
-        "oracle",
-        "budget",
-        "target",
-        "live",
-        "retries",
-        "checkpoint",
-        "resume",
-    ],
-];
-const BARRIER_FLAGS: &[&[&str]] = &[
-    DATASET_FLAGS,
-    CONNECT_FLAGS,
-    &["sessions", "oversubscribe", "live"],
-];
-const SERVE_FLAGS: &[&[&str]] = &[
-    DATASET_FLAGS,
-    &[
-        "addr",
-        "budget",
-        "fault-rate",
-        "fault-seed",
-        "fault-stall-ms",
-        "verbose",
-        "metrics-log",
-        "metrics-interval-ms",
-        "coordinate",
-        "sessions",
-        "oversubscribe",
-        "lease-ttl-ms",
-        "checkpoint",
-    ],
-];
-const WORK_FLAGS: &[&[&str]] = &[&[
-    "join",
-    "name",
-    "retries",
-    "timeout-ms",
-    "retire-after",
-    "qps",
-    "burst",
-]];
-const STOP_FLAGS: &[&[&str]] = &[&["connect"]];
-const SWEEP_FLAGS: &[&[&str]] = &[&["dataset", "algos", "ks", "seed", "scale"]];
-const HARD_NUMERIC_FLAGS: &[&[&str]] = &[&["seed", "k", "d", "m"]];
-const HARD_CATEGORICAL_FLAGS: &[&[&str]] = &[&["seed", "k", "u"]];
-
-/// Parsed `--flag value` pairs (plus boolean `--oracle`, `--live`,
-/// `--verbose`, `--coordinate`).
-struct Flags {
-    pairs: Vec<(String, String)>,
+/// One `hdc` command: its name (two words for `hard`'s kinds), what it
+/// does, the flags it reads, and its body.
+struct Command {
+    name: &'static str,
+    about: &'static str,
+    flags: &'static [Flag],
+    run: fn(&Flags) -> Result<(), String>,
 }
 
-/// Parses `hdc <cmd>`'s arguments, accepting only the flags in `known`.
-fn parse_flags(cmd: &str, args: &[String], known: &[&[&str]]) -> Result<Flags, String> {
-    let mut pairs = Vec::new();
+impl Command {
+    /// The flags `flag` is read only with here: `--connect` for a wire
+    /// knob of a command that can also crawl a generated dataset, then
+    /// the flag's own `needs`.
+    fn needs(&self, flag: &Flag) -> impl Iterator<Item = &'static str> {
+        let local = self.flags.iter().any(|f| f.side == Side::Local);
+        let wire = (flag.side == Side::Wire && local).then_some("connect");
+        wire.into_iter().chain(flag.needs)
+    }
+}
+
+/// The transport a flag belongs to, in a command that has both.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Either,
+    /// Reads the generated dataset; a served database fixes its own.
+    Local,
+    /// Shapes the wire client; read only with `--connect`.
+    Wire,
+}
+
+/// One flag of a command, declared once. The parser's unknown-flag,
+/// switch, transport, "needs" and "refuses" checks, the defaults, and
+/// the usage text all derive from it.
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder (`N`, `FILE`, …); `None` for a switch.
+    value: Option<&'static str>,
+    /// The value read when the flag is not given.
+    default: Option<&'static str>,
+    /// A flag this one is read only with.
+    needs: Option<&'static str>,
+    side: Side,
+    help: &'static str,
+    /// Flags not read when this one is given, each with the reason.
+    refuses: &'static [(&'static str, &'static str)],
+}
+
+/// A table row; `value`, `default` and `needs` are `""` when absent,
+/// and an empty `value` makes a switch.
+const fn flag(
+    name: &'static str,
+    value: &'static str,
+    default: &'static str,
+    needs: &'static str,
+    side: Side,
+    help: &'static str,
+) -> Flag {
+    const fn given(s: &'static str) -> Option<&'static str> {
+        if s.is_empty() {
+            None
+        } else {
+            Some(s)
+        }
+    }
+    Flag {
+        name,
+        value: given(value),
+        default: given(default),
+        needs: given(needs),
+        side,
+        help,
+        refuses: &[],
+    }
+}
+
+impl Flag {
+    const fn refuses(self, refuses: &'static [(&'static str, &'static str)]) -> Flag {
+        Flag { refuses, ..self }
+    }
+}
+
+/// Every command's flag table, one row per flag: its name, value
+/// placeholder, default, the flag it needs, its transport, and its help.
+#[rustfmt::skip]
+mod table {
+    use super::{*, Side::*};
+
+    // Flags more than one command reads.
+    const DATASET: Flag =       flag("dataset",       "NAME", "",     "",    Local,  "generate yahoo | nsf | adult | adult-numeric");
+    const K: Flag =             flag("k",             "N",    "256",  "",    Local,  "the top-k interface's page size");
+    const SEED: Flag =          flag("seed",          "N",    "42",   "",    Local,  "the generator's and server's seed");
+    const SCALE: Flag =         flag("scale",         "PCT",  "100",  "",    Local,  "keep this percent of the dataset");
+    const CONNECT: Flag =       flag("connect",       "URL",  "",     "",    Either, "crawl the database served at [http://]host:port");
+    const TIMEOUT: Flag =       flag("timeout-ms",    "N",    "5000", "",    Wire,   "per-request deadline of the wire client");
+    const RETIRE: Flag =        flag("retire-after",  "N",    "8",    "",    Wire,   "retire a connection after N consecutive wire failures");
+    const QPS: Flag =           flag("qps",           "F",    "",     "",    Wire,   "pace each identity to F queries per second");
+    const BURST: Flag =         flag("burst",         "F",    "",     "qps", Wire,   "token-bucket burst (default max(1, qps))");
+    const SESSIONS: Flag =      flag("sessions",      "N",    "1",    "",    Either, "client identities crawling the plan");
+    const OVERSUBSCRIBE: Flag = flag("oversubscribe", "N",    "1",    "",    Either, "plan ≈ sessions × N shards (a fresh crawl's plan)");
+    const LIVE: Flag =          flag("live",          "",     "",     "",    Either, "throttled stderr telemetry: q/s, t/s, charged, batch p99");
+    const RETRIES: Flag =       flag("retries",       "N",    "1",    "",    Either, "attempts per query on transient failures");
+
+    pub const COMMANDS: &[Command] = &[
+        Command { name: "datasets", run: |_| cmd_datasets(), flags: &[],
+            about: "Print the evaluation datasets (the paper's Figure 9 table)." },
+        Command { name: "crawl", run: cmd_crawl,
+            about: "Crawl a generated dataset, or with --connect a served database, and\n\
+                    report cost, metrics and progress. A fresh crawl's plan comes from\n\
+                    --sessions and --oversubscribe: one session at factor 1 is the whole\n\
+                    space, crawled by the algorithm's solo crawler. A checkpoint banks\n\
+                    whole shards, so --oversubscribe 8 banks a one-session crawl in\n\
+                    eighths. A resume crawls its checkpoint's plan, and --sessions then\n\
+                    sets only how many identities crawl it.",
+            flags: &[
+                DATASET, K, SEED, SCALE, CONNECT, TIMEOUT, RETIRE, QPS, BURST,
+                flag("oracle",     "",       "",     "", Local,  "prune queries the dataset proves empty"),
+                flag("algo",       "ALGO",   "auto", "", Either, "auto | hybrid | rank-shrink | binary-shrink | dfs | \
+                                                                  slice-cover | lazy-slice-cover"),
+                SESSIONS, OVERSUBSCRIBE,
+                flag("budget",     "N",      "",     "", Either, "per-identity query quota"),
+                flag("target",     "TUPLES", "",     "", Either, "stop early at this tuple coverage"),
+                LIVE, RETRIES,
+                flag("checkpoint", "FILE",   "",     "", Either, "bank every completed shard in FILE; resume from it if it holds one"),
+                flag("resume",     "FILE",   "",     "", Either, "resume the checkpoint in FILE, which must exist").refuses(&[
+                    ("oversubscribe", "the plan comes from the checkpoint"),
+                    ("checkpoint", "both name the checkpoint file; pass one"),
+                ]),
+            ] },
+        Command { name: "barrier", run: cmd_barrier,
+            about: "Top-k-barrier crawl (second paper): recover the tuples below the\n\
+                    k-visible frontier and report discovery depths.",
+            flags: &[DATASET, K, SEED, SCALE, CONNECT, TIMEOUT, RETIRE, QPS, BURST, SESSIONS, OVERSUBSCRIBE, LIVE] },
+        Command { name: "serve", run: cmd_serve,
+            about: "Serve the dataset over loopback HTTP/1.1, one isolated client identity\n\
+                    per connection. GET /metrics (Prometheus text) and GET /stats (JSON)\n\
+                    expose the live telemetry registry. Stops gracefully on `hdc stop`,\n\
+                    draining live requests. With --coordinate, also mounts a shard-lease\n\
+                    coordinator on the same listener; the process exits by itself once\n\
+                    every shard completes, after verifying the merged bag.",
+            flags: &[
+                DATASET, K, SEED, SCALE,
+                flag("addr",                "HOST:PORT", "127.0.0.1:7171", "",            Either, "the listening address"),
+                flag("budget",              "N",         "",               "",            Either, "per-connection query quota"),
+                flag("fault-rate",          "P",         "0",              "",            Either, "inject deterministic 503s at this rate"),
+                flag("fault-seed",          "N",         "0",              "fault-rate",  Either, "the fault schedule's seed"),
+                flag("fault-stall-ms",      "N",         "0",              "fault-rate",  Either, "stall each injected fault first"),
+                flag("verbose",             "",          "",               "",            Either, "one summary line per drained connection"),
+                flag("metrics-log",         "FILE",      "",               "",            Either, "append JSONL registry snapshots to FILE"),
+                flag("metrics-interval-ms", "N",         "1000",           "metrics-log", Either, "the snapshot interval (at least 50)"),
+                flag("coordinate",          "",          "",               "",            Either, "mount the shard-lease coordinator"),
+                flag("sessions",            "N",         "2",              "coordinate",  Either, "the fleet plan's sessions"),
+                flag("oversubscribe",       "N",         "2",              "coordinate",  Either, "the fleet plan's shards per session"),
+                flag("lease-ttl-ms",        "N",         "30000",          "coordinate",  Either, "reclaim a lease after N ms of worker silence"),
+                flag("checkpoint",          "FILE",      "",               "coordinate",  Either, "persist fleet progress in FILE; resume from it"),
+            ] },
+        Command { name: "work", run: cmd_work,
+            about: "Join a fleet: lease shards from a `hdc serve --coordinate` coordinator,\n\
+                    crawl them over the same server's data plane, heartbeat per completed\n\
+                    root, and report results until the plan drains. Kill a worker\n\
+                    mid-shard and its lease lapses; a peer resumes from the last banked\n\
+                    partial snapshot, replaying only the un-checkpointed suffix.",
+            flags: &[
+                flag("join", "URL",  "",       "", Either, "the coordinating server"),
+                flag("name", "NAME", "worker", "", Either, "this worker's name"),
+                RETRIES, TIMEOUT, RETIRE, QPS, BURST,
+            ] },
+        Command { name: "stop", run: cmd_stop, about: "Ask a running `hdc serve` to drain and exit.",
+            flags: &[flag("connect", "URL", "", "", Either, "the server to drain")] },
+        Command { name: "sweep", run: cmd_sweep, about: "Cost table across algorithms and k values.",
+            flags: &[
+                DATASET,
+                flag("algos", "A,B,…", "hybrid",              "", Either, "the algorithms to compare"),
+                flag("ks",    "K,K,…", "64,128,256,512,1024", "", Either, "the page sizes"),
+                SEED, SCALE,
+            ] },
+        Command { name: "hard numeric", run: cmd_hard_numeric,
+            about: "Run the §4 numeric lower-bound construction with rank-shrink.",
+            flags: &[
+                SEED,
+                flag("k", "N", "16",  "", Either, "page size"),
+                flag("d", "N", "4",   "", Either, "dimensions"),
+                flag("m", "N", "100", "", Either, "points per dimension"),
+            ] },
+        Command { name: "hard categorical", run: cmd_hard_categorical,
+            about: "Run the §4 categorical lower-bound construction with lazy-slice-cover.",
+            flags: &[
+                SEED,
+                flag("k", "N", "6", "", Either, "page size"),
+                flag("u", "N", "6", "", Either, "domain size"),
+            ] },
+    ];
+}
+use table::COMMANDS;
+
+/// A command's parsed flags: the ones given, and its table for the rest.
+struct Flags {
+    table: &'static [Flag],
+    given: Vec<(&'static str, String)>,
+}
+
+/// Parses `hdc <cmd>`'s arguments against its table: a flag the command
+/// does not read is an error rather than a silent default, and so is a
+/// flag of the other transport, or one given without the flag it needs
+/// or with a flag that refuses it.
+fn parse_flags(cmd: &Command, args: &[String]) -> Result<Flags, String> {
+    let mut given = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let Some(name) = arg.strip_prefix("--") else {
             return Err(format!("expected --flag, found {arg:?}"));
         };
-        if !known.iter().any(|group| group.contains(&name)) {
-            return Err(format!("unknown flag --{name} for hdc {cmd}"));
-        }
-        if matches!(name, "oracle" | "live" | "verbose" | "coordinate") {
-            pairs.push((name.to_string(), "true".to_string()));
-            continue;
-        }
-        let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-        pairs.push((name.to_string(), value.clone()));
+        let Some(flag) = cmd.flags.iter().find(|f| f.name == name) else {
+            return Err(format!("unknown flag --{name} for hdc {}", cmd.name));
+        };
+        let value = match flag.value {
+            None => "true".to_string(),
+            Some(_) => it
+                .next()
+                .ok_or_else(|| format!("--{name} needs a value"))?
+                .clone(),
+        };
+        given.push((flag.name, value));
     }
-    Ok(Flags { pairs })
+    let flags = Flags {
+        table: cmd.flags,
+        given,
+    };
+    for flag in cmd.flags.iter().filter(|f| flags.given(f.name)) {
+        // A served database fixes its own data and k.
+        if flag.side == Side::Local && flags.given("connect") {
+            let name = flag.name;
+            return Err(format!(
+                "--{name} is not read with --connect: the server fixes its data and k"
+            ));
+        }
+        if let Some(need) = cmd.needs(flag).find(|need| !flags.given(need)) {
+            return Err(format!("--{} is read only with --{need}", flag.name));
+        }
+        if let Some((other, why)) = flag.refuses.iter().find(|(o, _)| flags.given(o)) {
+            return Err(format!("--{other} is not read with --{}: {why}", flag.name));
+        }
+    }
+    Ok(flags)
 }
 
 impl Flags {
+    /// The command's table entry for `--{name}`.
+    fn flag(&self, name: &str) -> &'static Flag {
+        let found = self.table.iter().find(|f| f.name == name);
+        found.unwrap_or_else(|| panic!("--{name} is not in the command's table"))
+    }
+
+    fn given(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The flag's last given value, else its default.
     fn get(&self, name: &str) -> Option<&str> {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String>
-    where
-        T::Err: Display,
-    {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("--{name} {v:?}: {e}")),
+        match self.given.iter().rev().find(|(n, _)| *n == name) {
+            Some((_, v)) => Some(v),
+            None => self.flag(name).default,
         }
-    }
-
-    /// [`Flags::parse`] for a value that must be at least `min`, so a
-    /// degenerate `--k 0` is an error here rather than a panic in the
-    /// server or dataset it sizes.
-    fn at_least<T>(&self, name: &str, default: T, min: T) -> Result<T, String>
-    where
-        T: std::str::FromStr + PartialOrd + Display,
-        T::Err: Display,
-    {
-        let value = self.parse(name, default)?;
-        if value < min {
-            return Err(format!("--{name} must be ≥ {min}"));
-        }
-        Ok(value)
     }
 
     fn require(&self, name: &str) -> Result<&str, String> {
         self.get(name)
             .ok_or_else(|| format!("--{name} is required"))
     }
-}
 
-/// Whether `crawl`/`barrier` runs over `--connect`. The two transports
-/// read disjoint flags: a served database fixes its own data and `k`
-/// (and `--oracle` reads the generated data), and the client knobs shape
-/// only the wire, so a flag of the other transport is an error rather
-/// than silently ignored.
-fn over_wire(flags: &Flags) -> Result<bool, String> {
-    let remote = flags.get("connect").is_some();
-    let (other, why) = if remote {
-        (
-            LOCAL_FLAGS,
-            "is not read with --connect: the server fixes its data and k",
-        )
-    } else {
-        (&CONNECT_FLAGS[1..], "is read only with --connect")
-    };
-    match other.iter().find(|name| flags.get(name).is_some()) {
-        Some(name) => Err(format!("--{name} {why}")),
-        None => Ok(remote),
+    /// The flag's value parsed, or `None` when it has neither a value
+    /// nor a default.
+    fn opt<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: Display,
+    {
+        self.get(name)
+            .map(|v| v.parse().map_err(|e| format!("--{name} {v:?}: {e}")))
+            .transpose()
+    }
+
+    fn value<T: std::str::FromStr>(&self, name: &str) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        self.opt(name)?
+            .ok_or_else(|| format!("--{name} is required"))
+    }
+
+    /// [`Flags::value`] for a value that must be at least `min`, so a
+    /// degenerate `--k 0` is an error here rather than a panic in the
+    /// server or dataset it sizes, and no value is silently clamped.
+    fn at_least<T>(&self, name: &str, min: T) -> Result<T, String>
+    where
+        T: std::str::FromStr + PartialOrd + Display,
+        T::Err: Display,
+    {
+        let value = self.value(name)?;
+        if value < min {
+            return Err(format!("--{name} must be ≥ {min}"));
+        }
+        Ok(value)
     }
 }
 
@@ -517,20 +628,15 @@ fn cmd_datasets() -> Result<(), String> {
     Ok(())
 }
 
-/// Remediation line for a checkpoint taken under a different shard
-/// plan (the typed `RepositoryError::PlanMismatch`, surfaced through
-/// the crawl as a backend error). The run already stopped cleanly —
-/// this tells the operator how to reconcile instead of leaving them
-/// with a bare error.
-fn plan_mismatch_hint(error: &DbError) {
-    if error.to_string().contains("plan mismatch") {
-        println!(
-            "hint: resume with the original --dataset/--scale/--sessions/\
-             --oversubscribe flags (a one-session checkpoint written before \
-             the one-shard plan resumes with --oversubscribe 8), or point \
-             --checkpoint at a new file (the existing checkpoint is preserved)"
-        );
-    }
+/// `--dataset` at `--scale`, and one store serving it at `--k` and
+/// `--seed` to every client identity.
+fn serve_dataset(flags: &Flags) -> Result<(Dataset, usize, SharedServer), String> {
+    let k: usize = flags.at_least("k", 1)?;
+    let seed: u64 = flags.value("seed")?;
+    let ds = load_dataset(flags.require("dataset")?, flags.value("scale")?, seed)?;
+    let config = ServerConfig { k, seed };
+    let shared = SharedServer::new(ds.schema.clone(), ds.tuples.clone(), config);
+    Ok((ds, k, shared.expect("valid dataset")))
 }
 
 /// After an interrupted checkpointed run: point at the retained file —
@@ -585,7 +691,7 @@ impl Source {
     /// among every identity's client (bit-identical responses, one
     /// build), and prints the database's header line.
     fn open(flags: &Flags) -> Result<Source, String> {
-        if over_wire(flags)? {
+        if flags.given("connect") {
             let http = make_connector(flags, "connect")?;
             let info = http.info().clone();
             println!(
@@ -604,22 +710,13 @@ impl Source {
                 truth: None,
             });
         }
-        let dataset = flags.require("dataset")?;
-        let k: usize = flags.at_least("k", 256, 1)?;
-        let seed: u64 = flags.parse("seed", 42)?;
-        let ds = load_dataset(dataset, flags.parse("scale", 100)?, seed)?;
+        let (ds, k, shared) = serve_dataset(flags)?;
         println!(
             "dataset {} — n = {}, d = {}, k = {k}",
             ds.name,
             ds.n(),
             ds.d()
         );
-        let shared = SharedServer::new(
-            ds.schema.clone(),
-            ds.tuples.clone(),
-            ServerConfig { k, seed },
-        )
-        .expect("valid dataset");
         Ok(Source {
             connector: Box::new(move |_| Box::new(shared.client())),
             n: ds.n(),
@@ -669,14 +766,11 @@ impl Source {
                 partial.queries,
                 k = self.k
             ),
-            CrawlError::Db { error, partial } => {
-                println!(
-                    "stopped: {error} — {} tuples salvaged in {} queries",
-                    partial.tuples.len(),
-                    partial.queries
-                );
-                plan_mismatch_hint(&error);
-            }
+            CrawlError::Db { error, partial } => println!(
+                "stopped: {error} — {} tuples salvaged in {} queries",
+                partial.tuples.len(),
+                partial.queries
+            ),
         }
         if let Some(path) = checkpoint {
             checkpoint_hint(path);
@@ -686,25 +780,39 @@ impl Source {
 }
 
 /// `hdc crawl`: one builder run on the shard pool, whatever the
-/// transport. The plan comes from `--sessions`/`--oversubscribe` alone;
-/// one session at factor 1 is the whole space, crawled by the strategy's
-/// own solo crawler, checkpointed or not.
+/// transport. A fresh crawl's plan comes from `--sessions` and
+/// `--oversubscribe`; one session at factor 1 is the whole space,
+/// crawled by the strategy's own solo crawler. A resume crawls its
+/// checkpoint's plan.
 fn cmd_crawl(flags: &Flags) -> Result<(), String> {
-    let sessions: usize = flags.at_least("sessions", 1, 1)?;
-    let oversubscribe: usize = flags.at_least("oversubscribe", 1, 1)?;
-    let budget: u64 = flags.parse("budget", u64::MAX)?;
-    let target: u64 = flags.parse("target", 0)?;
-    let retries: u32 = flags.at_least("retries", 1, 1)?;
-    if flags.get("checkpoint").is_some() && flags.get("resume").is_some() {
-        return Err("--checkpoint and --resume are the same file; pass one".into());
+    let sessions: usize = flags.at_least("sessions", 1)?;
+    let oversubscribe: usize = flags.at_least("oversubscribe", 1)?;
+    let budget: Option<u64> = flags.opt("budget")?;
+    let target = flags.opt::<u64>("target")?.filter(|&t| t > 0);
+    let retries: u32 = flags.at_least("retries", 1)?;
+    let checkpoint = flags.get("resume").or_else(|| flags.get("checkpoint"));
+    let saved = match checkpoint {
+        Some(path) => JsonFileRepository::new(path)
+            .load()
+            .map_err(|e| format!("checkpoint {path}: {e}"))?,
+        None => None,
+    };
+    if let (Some(path), None) = (flags.get("resume"), &saved) {
+        return Err(format!("--resume {path}: no checkpoint file found"));
     }
-    if let Some(path) = flags.get("resume") {
-        if !std::path::Path::new(path).exists() {
-            return Err(format!("--resume {path}: no checkpoint file found"));
+    if let (Some(path), Some(_)) = (flags.get("checkpoint"), &saved) {
+        // A saved checkpoint is resumed, so it refuses what --resume
+        // does, bar the --checkpoint that names it.
+        let refused = flags.flag("resume").refuses.iter();
+        let mut refused = refused.filter(|(o, _)| *o != "checkpoint" && flags.given(o));
+        if let Some((other, why)) = refused.next() {
+            return Err(format!(
+                "--{other} is not read when --checkpoint {path} holds a checkpoint: {why} \
+                 (resume it with --resume {path})"
+            ));
         }
     }
-    let checkpoint = flags.get("resume").or_else(|| flags.get("checkpoint"));
-    let algo = flags.get("algo").unwrap_or("auto");
+    let algo = flags.require("algo")?;
     let strategy = strategy_for(algo)?;
     let source = Source::open(flags)?;
     let schema = &source.schema;
@@ -715,28 +823,30 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     if algo == "auto" {
         println!("auto strategy: {:?}", strategy.resolve(schema));
     }
-    // The builder panics on an unsupported combination; ask first.
-    if sessions == 1 && oversubscribe == 1 {
-        if !strategy.supports(schema) {
-            return Err(format!(
-                "{algo} does not support the {} schema",
-                source.name
-            ));
-        }
-    } else if !strategy.supports_sharded(schema) {
+    // The builder panics on an unsupported combination; ask first, of
+    // the plan it will crawl.
+    let plan = Sharded::plan_for(schema, saved.as_ref(), sessions, oversubscribe)?;
+    let solo = plan == [ShardSpec::whole(schema)];
+    if solo && !strategy.supports(schema) {
+        return Err(format!(
+            "{algo} does not support the {} schema",
+            source.name
+        ));
+    }
+    if !solo && !strategy.supports_sharded(schema) {
         return Err(format!(
             "{algo} has no sharded execution on the {} schema (use auto, hybrid, \
              rank-shrink on numeric, or lazy-slice-cover on categorical data)",
             source.name
         ));
     }
-    let use_oracle = flags.get("oracle").is_some();
+    let use_oracle = flags.given("oracle");
     if use_oracle && algo == "slice-cover" {
         return Err("\"slice-cover\" does not support --oracle".into());
     }
 
-    let mut observer = CliObserver::new((target > 0).then_some(target));
-    if flags.get("live").is_some() {
+    let mut observer = CliObserver::new(target);
+    if flags.given("live") {
         observer = observer.live();
     }
     let oracle;
@@ -746,7 +856,7 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
         .sessions(sessions)
         .oversubscribe(oversubscribe)
         .observer(&mut observer);
-    if budget != u64::MAX {
+    if let Some(budget) = budget {
         builder = builder.budget(budget);
     }
     if retries > 1 {
@@ -754,7 +864,7 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
     }
     if use_oracle {
         let truth = source.truth.clone();
-        oracle = DatasetOracle::new(truth.expect("over_wire refuses --oracle"));
+        oracle = DatasetOracle::new(truth.expect("--connect refuses --oracle"));
         builder = builder.oracle(&oracle);
     }
     if let Some(path) = checkpoint {
@@ -819,11 +929,11 @@ fn cmd_crawl(flags: &Flags) -> Result<(), String> {
 /// `hdc barrier`: the top-k-barrier crawl on the shard pool, whatever
 /// the transport; one session at factor 1 is the solo barrier crawl.
 fn cmd_barrier(flags: &Flags) -> Result<(), String> {
-    let sessions: usize = flags.at_least("sessions", 1, 1)?;
-    let oversubscribe: usize = flags.at_least("oversubscribe", 1, 1)?;
+    let sessions: usize = flags.at_least("sessions", 1)?;
+    let oversubscribe: usize = flags.at_least("oversubscribe", 1)?;
     let source = Source::open(flags)?;
     let mut observer = CliObserver::new(None);
-    if flags.get("live").is_some() {
+    if flags.given("live") {
         observer = observer.live();
     }
     let result = BarrierCrawler::new().crawl_sharded(
@@ -878,19 +988,14 @@ fn cmd_barrier(flags: &Flags) -> Result<(), String> {
 /// a knob that would be clamped or ignored is an error instead.
 fn make_connector(flags: &Flags, url_flag: &str) -> Result<HttpConnector, String> {
     let url = flags.require(url_flag)?;
-    let timeout_ms: u64 = flags.at_least("timeout-ms", 5_000, 1)?;
-    let retire: u32 = flags.at_least("retire-after", 8, 1)?;
-    let rate = match flags.get("qps") {
-        Some(_) => {
-            let qps: f64 = flags.parse("qps", 0.0)?;
-            if !(qps > 0.0 && qps.is_finite()) {
-                return Err("--qps must be a positive, finite rate".into());
-            }
-            Some((qps, flags.at_least("burst", qps.max(1.0), 1.0)?))
+    let timeout_ms: u64 = flags.at_least("timeout-ms", 1)?;
+    let retire: u32 = flags.at_least("retire-after", 1)?;
+    let rate = match flags.opt::<f64>("qps")? {
+        Some(qps) if !(qps > 0.0 && qps.is_finite()) => {
+            return Err("--qps must be a positive, finite rate".into())
         }
-        None if flags.get("burst").is_some() => {
-            return Err("--burst is read only with --qps".into())
-        }
+        Some(qps) if flags.given("burst") => Some((qps, flags.at_least("burst", 1.0)?)),
+        Some(qps) => Some((qps, qps.max(1.0))),
         None => None,
     };
     let mut connector = HttpConnector::new(url)
@@ -906,40 +1011,23 @@ fn make_connector(flags: &Flags, url_flag: &str) -> Result<HttpConnector, String
 /// `hdc serve`: expose a dataset over loopback HTTP/1.1 until an
 /// `hdc stop` (or a client's `POST /shutdown`) drains it.
 fn cmd_serve(flags: &Flags) -> Result<(), String> {
-    let dataset = flags.require("dataset")?.to_string();
-    let k: usize = flags.at_least("k", 256, 1)?;
-    let seed: u64 = flags.parse("seed", 42)?;
-    let scale: u32 = flags.parse("scale", 100)?;
-    let addr = flags.get("addr").unwrap_or("127.0.0.1:7171");
-    let budget: u64 = flags.parse("budget", 0)?;
-    let fault_rate: f64 = flags.parse("fault-rate", 0.0)?;
-    let fault_seed: u64 = flags.parse("fault-seed", 0)?;
-    let stall_ms: u64 = flags.parse("fault-stall-ms", 0)?;
-    let verbose = flags.get("verbose").is_some();
-    let metrics_log = flags.get("metrics-log").map(str::to_string);
-    let metrics_interval_ms: u64 = flags.parse("metrics-interval-ms", 1_000)?;
-    let coordinate = flags.get("coordinate").is_some();
-    let sessions: usize = flags.at_least("sessions", 2, 1)?;
-    let oversubscribe: usize = flags.at_least("oversubscribe", 2, 1)?;
-    let lease_ttl_ms: u64 = flags.at_least("lease-ttl-ms", 30_000, 1)?;
-    let checkpoint = flags.get("checkpoint").map(str::to_string);
+    let addr = flags.require("addr")?;
+    let budget = flags.opt::<u64>("budget")?.filter(|&b| b > 0);
+    let fault_rate: f64 = flags.value("fault-rate")?;
+    let fault_seed: u64 = flags.value("fault-seed")?;
+    let stall_ms: u64 = flags.value("fault-stall-ms")?;
+    let verbose = flags.given("verbose");
+    let metrics_log = flags.get("metrics-log");
+    let metrics_interval_ms: u64 = flags.at_least("metrics-interval-ms", 50)?;
+    let coordinate = flags.given("coordinate");
+    let sessions: usize = flags.at_least("sessions", 1)?;
+    let oversubscribe: usize = flags.at_least("oversubscribe", 1)?;
+    let lease_ttl_ms: u64 = flags.at_least("lease-ttl-ms", 1)?;
+    let checkpoint = flags.get("checkpoint");
     if !(0.0..=1.0).contains(&fault_rate) {
         return Err("--fault-rate must be within 0..=1".into());
     }
-    if !coordinate {
-        for flag in ["sessions", "oversubscribe", "lease-ttl-ms", "checkpoint"] {
-            if flags.get(flag).is_some() {
-                return Err(format!("--{flag} requires --coordinate"));
-            }
-        }
-    }
-    let ds = load_dataset(&dataset, scale, seed)?;
-    let shared = SharedServer::new(
-        ds.schema.clone(),
-        ds.tuples.clone(),
-        ServerConfig { k, seed },
-    )
-    .expect("valid dataset");
+    let (ds, k, shared) = serve_dataset(flags)?;
 
     // `--coordinate`: mount the shard-lease coordinator next to the
     // data plane. The plan is the same oversubscribed partition a
@@ -953,7 +1041,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
             .collect();
         let cfg = CoordinatorConfig {
             ttl: Duration::from_millis(lease_ttl_ms),
-            checkpoint: checkpoint.as_ref().map(std::path::PathBuf::from),
+            checkpoint: checkpoint.map(std::path::PathBuf::from),
             verbose,
         };
         let (coordinator, restore) =
@@ -967,7 +1055,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     };
 
     let opts = ServeOptions {
-        budget: (budget > 0).then_some(budget),
+        budget,
         faults: (fault_rate > 0.0).then(|| FaultPlan {
             rate: fault_rate,
             seed: fault_seed,
@@ -1000,7 +1088,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     // `--metrics-log`: a sampler thread appends one JSONL registry
     // snapshot per interval until the listener drains.
     let log_stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let logger = match &metrics_log {
+    let logger = match metrics_log {
         None => None,
         Some(path) => {
             let mut file = std::fs::OpenOptions::new()
@@ -1009,7 +1097,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
                 .open(path)
                 .map_err(|e| format!("--metrics-log {path}: {e}"))?;
             let stop = std::sync::Arc::clone(&log_stop);
-            let interval = Duration::from_millis(metrics_interval_ms.max(50));
+            let interval = Duration::from_millis(metrics_interval_ms);
             let started = std::time::Instant::now();
             Some(std::thread::spawn(move || {
                 loop {
@@ -1073,7 +1161,7 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         stats.requests, stats.connections, stats.faults_injected
     );
     if let Some(c) = &coordinator {
-        report_fleet(c, &ds.tuples, checkpoint.as_deref())?;
+        report_fleet(c, &ds.tuples, checkpoint)?;
     }
     Ok(())
 }
@@ -1123,11 +1211,11 @@ fn report_fleet(
 /// server's top-k interface (data plane), heartbeats after every
 /// completed root, and repeats until the plan drains.
 fn cmd_work(flags: &Flags) -> Result<(), String> {
-    let url = flags.require("join")?.to_string();
-    let name = flags.get("name").unwrap_or("worker").to_string();
-    let retries: u32 = flags.at_least("retries", 1, 1)?;
+    let url = flags.require("join")?;
+    let name = flags.require("name")?;
+    let retries: u32 = flags.at_least("retries", 1)?;
     let connector = make_connector(flags, "join")?;
-    let mut lease = WireLeaseRepository::connect(&url).map_err(|e| format!("--join {url}: {e}"))?;
+    let mut lease = WireLeaseRepository::connect(url).map_err(|e| format!("--join {url}: {e}"))?;
     let info = connector.info().clone();
     println!(
         "{name}: joined fleet at {} — n = {}, k = {}, lease ttl {} ms",
@@ -1138,7 +1226,7 @@ fn cmd_work(flags: &Flags) -> Result<(), String> {
     );
     let mut db = connector.db(0);
     let cfg = WorkerConfig {
-        name: name.clone(),
+        name: name.to_string(),
         retry: RetryPolicy::new(retries),
         ..WorkerConfig::default()
     };
@@ -1193,16 +1281,9 @@ fn cmd_stop(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_sweep(flags: &Flags) -> Result<(), String> {
-    let dataset = flags.require("dataset")?.to_string();
-    let algos: Vec<String> = flags
-        .get("algos")
-        .unwrap_or("hybrid")
-        .split(',')
-        .map(str::to_string)
-        .collect();
+    let algos: Vec<&str> = flags.require("algos")?.split(',').collect();
     let ks: Vec<usize> = flags
-        .get("ks")
-        .unwrap_or("64,128,256,512,1024")
+        .require("ks")?
         .split(',')
         .map(|s| match s.parse() {
             Ok(0) => Err("--ks values must be ≥ 1".to_string()),
@@ -1210,13 +1291,12 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
             Err(e) => Err(format!("bad k {s:?}: {e}")),
         })
         .collect::<Result<_, String>>()?;
-    let seed: u64 = flags.parse("seed", 42)?;
-    let scale: u32 = flags.parse("scale", 100)?;
-    let ds = load_dataset(&dataset, scale, seed)?;
+    let seed: u64 = flags.value("seed")?;
+    let ds = load_dataset(flags.require("dataset")?, flags.value("scale")?, seed)?;
 
     println!("dataset {} — n = {}, d = {}", ds.name, ds.n(), ds.d());
     let mut header: Vec<String> = vec!["k".into(), "ideal n/k".into()];
-    header.extend(algos.iter().cloned());
+    header.extend(algos.iter().map(|a| a.to_string()));
     let mut table = TextTable::new(&header.iter().map(String::as_str).collect::<Vec<_>>());
     for &k in &ks {
         let mut cells: Vec<String> =
@@ -1249,76 +1329,66 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_hard(args: &[String]) -> Result<(), String> {
-    let kind = args
-        .first()
-        .map(String::as_str)
-        .ok_or("hard needs `numeric` or `categorical`")?;
-    let known = match kind {
-        "numeric" => HARD_NUMERIC_FLAGS,
-        "categorical" => HARD_CATEGORICAL_FLAGS,
-        other => return Err(format!("unknown hard instance kind {other:?}")),
-    };
-    let flags = parse_flags(&format!("hard {kind}"), &args[1..], known)?;
-    let seed: u64 = flags.parse("seed", 42)?;
-    match kind {
-        "numeric" => {
-            let k: usize = flags.at_least("k", 16, 1)?;
-            let d: usize = flags.at_least("d", 4, 1)?;
-            let m: usize = flags.at_least("m", 100, 1)?;
-            let ds = hard::numeric_hard(k, d, m);
-            let mut db = HiddenDbServer::new(
-                ds.schema.clone(),
-                ds.tuples.clone(),
-                ServerConfig { k, seed },
-            )
-            .expect("valid dataset");
-            let report = RankShrink::new()
-                .crawl(&mut db)
-                .map_err(|e| e.to_string())?;
-            verify_complete(&ds.tuples, &report).map_err(|e| e.to_string())?;
-            println!("{} — n = {}", ds.name, ds.n());
-            println!(
-                "lower bound d·m = {:.0} ≤ measured {} ≤ upper 20·d·n/k = {:.0}",
-                theory::numeric_lower_bound(d, m),
-                report.queries,
-                theory::rank_shrink_bound(d, ds.n() as f64, k as f64)
-            );
-            Ok(())
+/// `hdc hard numeric`: the §4 numeric lower-bound instance, crawled by
+/// rank-shrink between its lower and upper bounds.
+fn cmd_hard_numeric(flags: &Flags) -> Result<(), String> {
+    let k: usize = flags.at_least("k", 1)?;
+    let d: usize = flags.at_least("d", 1)?;
+    let m: usize = flags.at_least("m", 1)?;
+    let ds = hard::numeric_hard(k, d, m);
+    let mut db = hard_server(&ds, k, flags)?;
+    let report = RankShrink::new()
+        .crawl(&mut db)
+        .map_err(|e| e.to_string())?;
+    verify_complete(&ds.tuples, &report).map_err(|e| e.to_string())?;
+    println!("{} — n = {}", ds.name, ds.n());
+    println!(
+        "lower bound d·m = {:.0} ≤ measured {} ≤ upper 20·d·n/k = {:.0}",
+        theory::numeric_lower_bound(d, m),
+        report.queries,
+        theory::rank_shrink_bound(d, ds.n() as f64, k as f64)
+    );
+    Ok(())
+}
+
+/// `hdc hard categorical`: the §4 categorical lower-bound instance,
+/// crawled by lazy slice-cover between its lower and upper bounds.
+fn cmd_hard_categorical(flags: &Flags) -> Result<(), String> {
+    let k: usize = flags.at_least("k", 1)?;
+    // Each group's odd value (i+1) mod u must differ from i.
+    let u: u32 = flags.at_least("u", 2)?;
+    let ds = hard::categorical_hard(k, u);
+    let d = 2 * k;
+    let mut db = hard_server(&ds, k, flags)?;
+    let report = SliceCover::lazy()
+        .crawl(&mut db)
+        .map_err(|e| e.to_string())?;
+    verify_complete(&ds.tuples, &report).map_err(|e| e.to_string())?;
+    println!("{} — n = {}, d = {d}", ds.name, ds.n());
+    println!(
+        "lower bound d·U²/8 = {:.0} ≤ measured {} ≤ upper Lemma 4 = {:.0} \
+         (side conditions {})",
+        theory::categorical_lower_bound(d, u),
+        report.queries,
+        theory::slice_cover_bound(&vec![u; d], ds.n() as f64, k as f64),
+        if hard::categorical_hard_conditions_hold(k, u) {
+            "hold"
+        } else {
+            "not met"
         }
-        "categorical" => {
-            let k: usize = flags.at_least("k", 6, 1)?;
-            // Each group's odd value (i+1) mod u must differ from i.
-            let u: u32 = flags.at_least("u", 6, 2)?;
-            let ds = hard::categorical_hard(k, u);
-            let d = 2 * k;
-            let mut db = HiddenDbServer::new(
-                ds.schema.clone(),
-                ds.tuples.clone(),
-                ServerConfig { k, seed },
-            )
-            .expect("valid dataset");
-            let report = SliceCover::lazy()
-                .crawl(&mut db)
-                .map_err(|e| e.to_string())?;
-            verify_complete(&ds.tuples, &report).map_err(|e| e.to_string())?;
-            println!("{} — n = {}, d = {d}", ds.name, ds.n());
-            println!(
-                "lower bound d·U²/8 = {:.0} ≤ measured {} ≤ upper Lemma 4 = {:.0} \
-                 (side conditions {})",
-                theory::categorical_lower_bound(d, u),
-                report.queries,
-                theory::slice_cover_bound(&vec![u; d], ds.n() as f64, k as f64),
-                if hard::categorical_hard_conditions_hold(k, u) {
-                    "hold"
-                } else {
-                    "not met"
-                }
-            );
-            Ok(())
-        }
-        _ => unreachable!("kind checked above"),
-    }
+    );
+    Ok(())
+}
+
+/// Serves a hard instance at page size `k` and `--seed`.
+fn hard_server(ds: &Dataset, k: usize, flags: &Flags) -> Result<HiddenDbServer, String> {
+    let seed = flags.value("seed")?;
+    Ok(HiddenDbServer::new(
+        ds.schema.clone(),
+        ds.tuples.clone(),
+        ServerConfig { k, seed },
+    )
+    .expect("valid dataset"))
 }
 
 // ---------------------------------------------------------------- table --
@@ -1375,8 +1445,11 @@ impl TextTable {
 mod tests {
     use super::*;
 
+    /// `hdc crawl`'s flags, parsed from `args`.
     fn flags(args: &[&str]) -> Flags {
-        parse_flags("crawl", &argv(args), CRAWL_FLAGS).unwrap()
+        let line = argv(&[&["crawl"], args].concat());
+        let (cmd, rest) = command(&line).unwrap();
+        parse_flags(cmd, rest).unwrap()
     }
 
     #[test]
@@ -1385,17 +1458,19 @@ mod tests {
         assert_eq!(f.get("k"), Some("256"));
         assert_eq!(f.require("dataset").unwrap(), "yahoo");
         assert_eq!(f.get("oracle"), Some("true"));
-        assert_eq!(f.parse("k", 0usize).unwrap(), 256);
-        assert_eq!(f.parse("seed", 7u64).unwrap(), 7);
-        assert!(f.require("missing").is_err());
+        assert_eq!(f.value::<usize>("k").unwrap(), 256);
+        // A flag not given reads its table default, or nothing.
+        assert_eq!(f.value::<u64>("seed").unwrap(), 42);
+        assert_eq!(f.opt::<u64>("budget").unwrap(), None);
+        assert!(f.require("budget").is_err());
     }
 
     #[test]
     fn flag_errors() {
-        assert!(parse_flags("crawl", &argv(&["stray"]), CRAWL_FLAGS).is_err());
-        assert!(parse_flags("crawl", &argv(&["--k"]), CRAWL_FLAGS).is_err());
+        assert!(run(&argv(&["crawl", "stray"])).is_err());
+        assert!(run(&argv(&["crawl", "--k"])).is_err());
         let f = flags(&["--k", "abc"]);
-        assert!(f.parse("k", 0usize).is_err());
+        assert!(f.value::<usize>("k").is_err());
     }
 
     /// A flag the command does not read is an error, not a silent
@@ -1407,10 +1482,42 @@ mod tests {
         assert_eq!(err, "unknown flag --sesions for hdc crawl");
         let err = run(&argv(&["serve", "--dataset", "yahoo", "--dedup", "exact"])).unwrap_err();
         assert_eq!(err, "unknown flag --dedup for hdc serve");
-        // The plan flags size only a coordinator's plan.
-        for flag in ["--sessions", "--oversubscribe"] {
-            let err = run(&argv(&["serve", "--dataset", "yahoo", flag, "4"])).unwrap_err();
-            assert_eq!(err, format!("{flag} requires --coordinate"));
+        // A serve knob is read only with the flag it refines: the plan
+        // flags size only a coordinator's plan, the fault knobs shape
+        // only injected faults, and the interval only the metrics log.
+        for (flag, need) in [
+            ("sessions", "coordinate"),
+            ("oversubscribe", "coordinate"),
+            ("lease-ttl-ms", "coordinate"),
+            ("checkpoint", "coordinate"),
+            ("fault-seed", "fault-rate"),
+            ("fault-stall-ms", "fault-rate"),
+            ("metrics-interval-ms", "metrics-log"),
+        ] {
+            let err = run(&argv(&[
+                "serve",
+                "--dataset",
+                "yahoo",
+                &format!("--{flag}"),
+                "4",
+            ]));
+            assert_eq!(
+                err.unwrap_err(),
+                format!("--{flag} is read only with --{need}")
+            );
+        }
+        // A resume crawls its checkpoint's plan and names its file once.
+        for (flag, why) in [
+            ("--oversubscribe 8", "the plan comes from the checkpoint"),
+            (
+                "--checkpoint c.json",
+                "both name the checkpoint file; pass one",
+            ),
+        ] {
+            let line = format!("crawl --dataset yahoo --resume c.json {flag}");
+            let err = run(&argv(&line.split(' ').collect::<Vec<_>>())).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert_eq!(err, format!("{name} is not read with --resume: {why}"));
         }
         let err = run(&argv(&["barrier", "--dataset", "yahoo", "--resume", "x"])).unwrap_err();
         assert_eq!(err, "unknown flag --resume for hdc barrier");
@@ -1480,6 +1587,7 @@ mod tests {
             "hard numeric --m 0",
             "hard categorical --k 0",
             "hard categorical --u 1",
+            "serve --dataset yahoo --metrics-log m.jsonl --metrics-interval-ms 10",
         ] {
             let args: Vec<&str> = line.split(' ').collect();
             let err = run(&argv(&args)).unwrap_err();
@@ -1509,7 +1617,7 @@ mod tests {
             // .github/workflows/ci.yml
             "crawl --dataset yahoo --algo auto --k 256 --oversubscribe 8 --budget 200 \
              --checkpoint c.json",
-            "crawl --dataset yahoo --algo auto --k 256 --oversubscribe 8 --resume c.json",
+            "crawl --dataset yahoo --algo auto --k 256 --resume c.json",
             "serve --dataset yahoo --scale 20 --k 128 --addr 127.0.0.1:7171 --verbose",
             "crawl --connect http://127.0.0.1:7171 --sessions 4",
             "stop --connect http://127.0.0.1:7171",
@@ -1517,13 +1625,16 @@ mod tests {
             "crawl --connect http://127.0.0.1:7172 --retries 2",
             "serve --dataset yahoo --scale 20 --k 128 --addr 127.0.0.1:7173 --budget 100",
             "crawl --connect http://127.0.0.1:7173 --sessions 2 --oversubscribe 8 --checkpoint c",
-            "crawl --connect http://127.0.0.1:7174 --sessions 2 --oversubscribe 8 --resume c",
+            "crawl --connect http://127.0.0.1:7174 --sessions 2 --resume c",
+            "crawl --dataset yahoo --scale 20 --k 128 --sessions 3 --resume c",
             "serve --dataset yahoo --scale 5 --k 64 --addr 127.0.0.1:7180 --coordinate \
              --sessions 2 --oversubscribe 2 --lease-ttl-ms 1500 --checkpoint c",
             "work --join http://127.0.0.1:7180 --name victim --qps 8",
             "work --join http://127.0.0.1:7180 --name survivor",
             // README.md
             "barrier --dataset yahoo --k 256 --scale 10",
+            "crawl --dataset yahoo --k 256 --oversubscribe 8 --checkpoint run.json",
+            "crawl --dataset yahoo --k 256 --sessions 2 --resume run.json",
             "crawl --dataset yahoo --k 256 --sessions 4 --retries 8 --checkpoint run.json",
             "crawl --connect 127.0.0.1:7171 --sessions 4 --oversubscribe 8",
             "crawl --dataset yahoo --sessions 8 --live",
@@ -1538,21 +1649,8 @@ mod tests {
             "hard categorical --k 6 --u 6",
         ];
         for line in lines {
-            let args: Vec<&str> = line.split_whitespace().collect();
-            let (cmd, rest, known) = match args[..] {
-                ["crawl", ..] => ("crawl", &args[1..], CRAWL_FLAGS),
-                ["barrier", ..] => ("barrier", &args[1..], BARRIER_FLAGS),
-                ["serve", ..] => ("serve", &args[1..], SERVE_FLAGS),
-                ["work", ..] => ("work", &args[1..], WORK_FLAGS),
-                ["stop", ..] => ("stop", &args[1..], STOP_FLAGS),
-                ["sweep", ..] => ("sweep", &args[1..], SWEEP_FLAGS),
-                ["hard", "numeric", ..] => ("hard numeric", &args[2..], HARD_NUMERIC_FLAGS),
-                ["hard", "categorical", ..] => {
-                    ("hard categorical", &args[2..], HARD_CATEGORICAL_FLAGS)
-                }
-                _ => panic!("no flag table for {line}"),
-            };
-            if let Err(e) = parse_flags(cmd, &argv(rest), known) {
+            let args = argv(&line.split_whitespace().collect::<Vec<_>>());
+            if let Err(e) = command(&args).and_then(|(cmd, rest)| parse_flags(cmd, rest)) {
                 panic!("{line}: {e}");
             }
         }
@@ -1561,7 +1659,7 @@ mod tests {
     #[test]
     fn last_flag_wins() {
         let f = flags(&["--k", "1", "--k", "2"]);
-        assert_eq!(f.parse("k", 0usize).unwrap(), 2);
+        assert_eq!(f.value::<usize>("k").unwrap(), 2);
     }
 
     #[test]
@@ -1614,8 +1712,10 @@ mod tests {
 
     /// A checkpointed one-session crawl on the 8-shard plan: a
     /// budget-killed run banks a prefix of it, and `--resume` completes
-    /// the rest. (The default one-shard plan banks only a finished
-    /// crawl.)
+    /// the rest on two sessions, reading the plan from the checkpoint.
+    /// (The default one-shard plan banks only a finished crawl.) A plan
+    /// flag is not read on a resume, and the algorithm must crawl the
+    /// checkpoint's plan: each is an `Err` before any query.
     #[test]
     fn checkpointed_crawl_resumes_to_completion() {
         let path = std::env::temp_dir().join(format!("hdc_cli_{}.json", std::process::id()));
@@ -1629,17 +1729,12 @@ mod tests {
                 .shards
                 .len()
         };
-        let crawl = [
-            "crawl",
-            "--dataset",
-            "yahoo",
-            "--scale",
-            "2",
-            "--oversubscribe",
-            "8",
-        ];
-        run(&argv(
-            &[&crawl[..], &["--budget", "60", "--checkpoint", path]].concat(),
+        let crawl = |flags: &str| {
+            let line = format!("crawl --dataset yahoo --scale 2 {flags}");
+            run(&argv(&line.split(' ').collect::<Vec<_>>()))
+        };
+        crawl(&format!(
+            "--oversubscribe 8 --budget 60 --checkpoint {path}"
         ))
         .unwrap();
         let first = banked();
@@ -1647,7 +1742,16 @@ mod tests {
             (1..8).contains(&first),
             "the budget interrupted the plan: {first}"
         );
-        run(&argv(&[&crawl[..], &["--resume", path]].concat())).unwrap();
+        let err = crawl(&format!("--oversubscribe 8 --checkpoint {path}")).unwrap_err();
+        assert!(
+            err.starts_with("--oversubscribe is not read when --checkpoint")
+                && err.ends_with(&format!("(resume it with --resume {path})")),
+            "{err}"
+        );
+        let err = crawl(&format!("--algo dfs --resume {path}")).unwrap_err();
+        assert!(err.starts_with("dfs has no sharded execution"), "{err}");
+        assert_eq!(banked(), first, "the refusals crawled nothing");
+        crawl(&format!("--sessions 2 --resume {path}")).unwrap();
         assert_eq!(banked(), 8, "the resume completed every shard");
         std::fs::remove_file(path).unwrap();
     }
